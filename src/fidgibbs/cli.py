@@ -142,6 +142,13 @@ def read_samples_csv(path: str, b: int) -> SampleMatrix:
         raise ValueError(f"{path}: no parameter columns found")
     chain_ids = np.array([int(v) for v in cols["chain"]])
     cycles = np.array([int(v) for v in cols["cycle"]])
+    if cycles.size == 0:
+        raise ValueError(f"{path}: no sample rows")
+    # Negative indexes would wrap around instead of failing.
+    if chain_ids.min() < 0:
+        raise ValueError(f"{path}: chain ids must be >= 0, got {int(chain_ids.min())}")
+    if cycles.min() < 1:
+        raise ValueError(f"{path}: cycles are numbered from 1, got {int(cycles.min())}")
     chains = int(chain_ids.max()) + 1
     m = int(cycles.max())
     values = np.full((chains, m, len(labels)), np.nan)
@@ -150,6 +157,9 @@ def read_samples_csv(path: str, b: int) -> SampleMatrix:
         values[chain_ids, cycles - 1, j] = col
     if np.any(np.isnan(values)):
         raise ValueError(f"{path}: missing (chain, cycle) rows")
+    # Every cell is filled, so any row beyond chains * m repeats a cell.
+    if cycles.size != chains * m:
+        raise ValueError(f"{path}: duplicate (chain, cycle) rows")
     cfg = ChainConfig(m=m, b=b, chains=chains, seed=0, scan_order=labels)
     return SampleMatrix(values=values, labels=labels, config=cfg)
 
@@ -211,7 +221,6 @@ def _cmd_run(args) -> int:
         scan_order=tuple(args.scan_order.split(",")) if args.scan_order else None,
         init=(tuple(_parse_kv(args.init) for _ in range(args.chains))
               if args.init else None),
-        threads=args.threads,
     )
     samples = run(model, data, config)
     report = summarize(samples, bins=args.bins)
@@ -225,7 +234,6 @@ def _cmd_run(args) -> int:
         "data": args.data,
         "data2": args.data2,
         "simulate": sim_block,
-        "threads": config.threads,
         "bins": args.bins,
         "init": [dict(st) for st in (samples.config.init or [])],
     })
@@ -302,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--scan-order", dest="scan_order", help="comma-separated parameter order")
     p_run.add_argument("--init", help="k=v starting point applied to every chain")
-    p_run.add_argument("--threads", type=int, default=1)
     p_run.add_argument("--bins", type=int, default=DEFAULT_BINS)
     p_run.add_argument("--output-dir", dest="output_dir", default="fidgibbs_out",
                        help=f"output directory (env {OUTPUT_DIR_ENV} overrides)")

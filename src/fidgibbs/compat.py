@@ -143,7 +143,7 @@ def ratio_constancy(
 
 def _default_slices(model: ModelSpec, data: Dataset) -> list:
     """Three mild perturbations of the moment-style starting point."""
-    base = model.default_init(data)
+    base = model.chain_inits(data, 1)[0]
     slices = []
     for f_scale, f_shift, f_corr in ((1.0, 0.0, 1.0), (1.25, 0.4, 0.7), (0.8, -0.4, 0.45)):
         st = {}

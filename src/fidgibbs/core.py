@@ -16,7 +16,7 @@ from typing import Callable, Mapping, Optional, Tuple
 import numpy as np
 
 from .errors import DomainError, StructuralError
-from .randvar import Dist, RngStream, sample
+from .randvar import Dist, RngStream, TruncatedNormal, quantile, sample
 
 __all__ = [
     "StructuralEquation",
@@ -84,22 +84,46 @@ class WarningLog:
 class ConditionalFiducialSampler:
     """Draws one parameter given the others by inverting a structural equation.
 
-    equation_for builds the StructuralEquation for the current values of
-    the remaining parameters (the equation's constants depend on them).
-    When the drawn gamma admits no inversion, the draw is retried with a
-    fresh gamma: this is the (rare) exclusion of extreme gamma values from
-    the primary variable's domain, and every retry is counted in the
-    warning log.
+    equation_for(data, state) returns the equation at the current values
+    of the remaining parameters: an object with the primary distribution
+    gamma_dist, invert(q, gamma), phi(gamma, theta) and, optionally, a
+    gamma_domain interval.  Everything that depends only on the data is
+    bound when the conditional is built, once per dataset, so equation_for
+    evaluates only the constants that depend on the state; it validates
+    nothing and evaluates no quantile.  When the drawn gamma admits no
+    inversion, or theta falls outside theta_domain, the draw is retried
+    with a fresh gamma: this is the (rare) exclusion of extreme gamma
+    values from the primary variable's domain, and every retry is counted
+    in the warning log.
     """
 
     target_param: str
     statistic: FiducialStatistic
-    equation_for: Callable[[object, Mapping[str, float]], StructuralEquation]
+    equation_for: Callable[[object, Mapping[str, float]], object]
+    theta_domain: Tuple[float, float]
     check_at_start: bool = False
     max_redraws: int = 1000
 
-    def equation(self, data, others: Mapping[str, float]) -> StructuralEquation:
-        return self.equation_for(data, others)
+    def equation(self, data, state: Mapping[str, float]) -> StructuralEquation:
+        """The validated StructuralEquation at state, for injectivity probes
+        and round-trip checks.  Without its own gamma_domain, the equation
+        gets its truncated primary's interval, else the central interval
+        that misses mass 1e-6 at each end."""
+        eq = self.equation_for(data, state)
+        gamma_domain = getattr(eq, "gamma_domain", None)
+        if gamma_domain is None:
+            dist = eq.gamma_dist
+            if isinstance(dist, TruncatedNormal):
+                gamma_domain = (dist.lo, dist.hi)
+            else:
+                gamma_domain = (quantile(dist, 1e-6), quantile(dist, 1.0 - 1e-6))
+        return StructuralEquation(
+            gamma_dist=eq.gamma_dist,
+            phi=eq.phi,
+            invert=eq.invert,
+            theta_domain=self.theta_domain,
+            gamma_domain=gamma_domain,
+        )
 
     def draw(
         self,
@@ -110,7 +134,7 @@ class ConditionalFiducialSampler:
     ) -> float:
         q = self.statistic.compute(data, state)
         eq = self.equation_for(data, state)
-        lo, hi = eq.theta_domain
+        lo, hi = self.theta_domain
         for attempt in range(self.max_redraws + 1):
             gamma = sample(eq.gamma_dist, rng)
             try:

@@ -10,7 +10,6 @@ and the seed are carried into every result for honest reporting.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Tuple
 
@@ -35,7 +34,7 @@ class ChainConfig:
     seed, chain i drawing from the (seed, i) stream; scan_order: update
     order (default: the model's declared parameter order); init: optional
     per-chain starting points (default: mildly dispersed moment-style
-    starts); threads: worker threads for dispatching chains.
+    starts).
     """
 
     m: int
@@ -44,7 +43,6 @@ class ChainConfig:
     seed: int = 0
     scan_order: Optional[Tuple[str, ...]] = None
     init: Optional[Tuple[Mapping[str, float], ...]] = None
-    threads: int = 1
 
     def __post_init__(self):
         if self.m < 1:
@@ -53,8 +51,6 @@ class ChainConfig:
             raise DomainError(f"need 0 <= b < m, got b={self.b}, m={self.m}")
         if self.chains < 1:
             raise DomainError(f"chains must be >= 1, got {self.chains}")
-        if self.threads < 1:
-            raise DomainError(f"threads must be >= 1, got {self.threads}")
         if self.init is not None and len(self.init) != self.chains:
             raise DomainError(
                 f"init supplies {len(self.init)} states for {self.chains} chains")
@@ -166,17 +162,9 @@ def run(model: ModelSpec, data: Dataset, config: ChainConfig) -> SampleMatrix:
         raise DomainError(f"model '{model.name}' lacks conditionals for {sorted(missing)}")
     inits = config.init if config.init is not None else model.chain_inits(data, config.chains)
     inits = [_validate_init(model, st, c) for c, st in enumerate(inits)]
-
-    def job(chain: int):
-        return _run_chain(model, data, conditionals, order, inits[chain],
+    results = [_run_chain(model, data, conditionals, order, inits[chain],
                           config.m, config.seed, chain)
-
-    if config.threads > 1 and config.chains > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            results = list(pool.map(job, range(config.chains)))
-    else:
-        results = [job(c) for c in range(config.chains)]
-
+               for chain in range(config.chains)]
     values = np.stack([v for v, _ in results])
     warnings = WarningLog()
     for _, w in results:
@@ -186,7 +174,7 @@ def run(model: ModelSpec, data: Dataset, config: ChainConfig) -> SampleMatrix:
     perm = [order.index(lb) for lb in labels]
     values = values[:, :, perm]
     cfg = ChainConfig(m=config.m, b=config.b, chains=config.chains, seed=config.seed,
-                      scan_order=order, init=tuple(inits), threads=config.threads)
+                      scan_order=order, init=tuple(inits))
     return SampleMatrix(values=values, labels=labels, config=cfg,
                         warnings=dict(warnings.counts))
 

@@ -20,7 +20,7 @@ from typing import Callable, Mapping, Optional, Tuple
 import numpy as np
 from scipy import special as _sp
 
-from .core import ConditionalFiducialSampler, FiducialStatistic, StructuralEquation
+from .core import ConditionalFiducialSampler, FiducialStatistic
 from .errors import BracketError, DegenerateDataError, DomainError, EvaluationError, StructuralError
 from .randvar import (
     ChiSquare,
@@ -34,7 +34,6 @@ from .randvar import (
     TruncatedNormal,
     log_density,
     quantile,
-    sample,
 )
 from .specfun import Bracket, digamma, solve_cubic_in_interval, solve_monotone, solve_quadratic_positive, trigamma
 
@@ -49,30 +48,24 @@ __all__ = [
     "normal_conditional_sigma2",
     "normal_marginal_mu",
     "pareto_conditional_alpha",
-    "pareto_conditional_beta_draw",
     "pareto_conditional_beta_log_density",
     "pareto_joint_log_kernel",
     "quadreg_conditionals",
     "quadreg_joint_log_kernel",
     "gamma_conditional_beta",
-    "gamma_conditional_alpha_draw",
-    "beta_conditional_alpha_draw",
-    "beta_conditional_beta_draw",
     "behrens_fisher_angle",
-    "behrens_fisher_draw",
     "behrens_fisher_direct_draws",
     "bvn_conditional_mu_x",
     "bvn_conditional_mu_y",
     "bvn_sigma_x2_mle",
     "bvn_rho_mle",
     "bvn_log_likelihood",
-    "bvn_conditional_sigma_x2_draw",
-    "bvn_conditional_rho_draw",
 ]
 
 _STANDARD_TRUNC = 5.0
 _STD_NORMAL = Normal(0.0, 1.0)
 _STD_TRUNCNORM = TruncatedNormal(0.0, 1.0, -_STANDARD_TRUNC, _STANDARD_TRUNC)
+_STD_EXPONENTIAL = Exponential(1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +124,6 @@ class ModelSpec:
     params: Tuple[ParamSpec, ...]
     build_conditionals: Callable[[Dataset], dict]
     simulate: Callable[[Mapping[str, float], int, RngStream], Dataset]
-    default_init: Callable[[Dataset], dict]
     chain_inits: Callable[[Dataset, int], list]
     validate_data: Callable[[Dataset], None]
     joint_log_kernel: Optional[Callable[[Mapping[str, float], Dataset], float]] = None
@@ -161,12 +153,61 @@ def _pos(v: float, name: str) -> float:
     return v
 
 
-def _standard_normal_eq_domain() -> Tuple[float, float]:
-    return (-_STANDARD_TRUNC, _STANDARD_TRUNC)
+def _conditional(params: Tuple[ParamSpec, ...], label: str, statistic: FiducialStatistic,
+                 equation_for, **options) -> ConditionalFiducialSampler:
+    """A catalog conditional whose theta_domain is its parameter's domain."""
+    p = next(p for p in params if p.label == label)
+    return ConditionalFiducialSampler(label, statistic, equation_for,
+                                      theta_domain=(p.lo, p.hi), **options)
 
 
-def _quantile_domain(dist: Dist, eps: float = 1e-6) -> Tuple[float, float]:
-    return (quantile(dist, eps), quantile(dist, 1.0 - eps))
+# Per-draw equations.  Each holds only the constants that depend on the
+# other parameters (plus references to data-only values bound at build
+# time), so making one per draw is cheap; ConditionalFiducialSampler.equation
+# turns one into a validated StructuralEquation when a probe needs it.
+
+class _LocationEquation:
+    """q = coef * theta + off + sd * gamma with gamma ~ N(0, 1)."""
+
+    gamma_dist = _STD_NORMAL
+
+    def __init__(self, coef: float, off: float, sd: float):
+        self.coef, self.off, self.sd = coef, off, sd
+
+    def invert(self, q, g):
+        return (q - self.off - self.sd * g) / self.coef
+
+    def phi(self, g, theta):
+        return self.coef * theta + self.off + self.sd * g
+
+
+class _VarianceEquation:
+    """q = theta * gamma / c with gamma ~ chi^2(n)."""
+
+    def __init__(self, gamma_dist: Dist, c: float):
+        self.gamma_dist, self.c = gamma_dist, c
+
+    def invert(self, q, g):
+        return self.c * q / g
+
+    def phi(self, g, theta):
+        return theta * g / self.c
+
+
+class _RateEquation:
+    """q = gamma / theta + off with a gamma-distributed primary."""
+
+    def __init__(self, gamma_dist: Dist, off: float):
+        self.gamma_dist, self.off = gamma_dist, off
+
+    def invert(self, q, g):
+        rate = q - self.off
+        if rate <= 0.0:
+            raise StructuralError("statistic minus offset not positive", rate=rate)
+        return g / rate
+
+    def phi(self, g, theta):
+        return g / theta + self.off
 
 
 _SCALE_FACTORS = (1.0, 2.25, 0.45, 3.5, 0.3, 1.6, 0.7, 2.8)
@@ -269,44 +310,26 @@ def normal_marginal_mu(x: np.ndarray) -> StudentT:
     return StudentT(x.size - 1, float(np.mean(x)), s / math.sqrt(x.size))
 
 
-def _normal_mu_equation(n: int, sigma2: float) -> StructuralEquation:
-    c = math.sqrt(_pos(sigma2, "sigma2") / n)
-    return StructuralEquation(
-        gamma_dist=_STD_NORMAL,
-        phi=lambda g, mu: mu + c * g,
-        invert=lambda q, g: q - c * g,
-        theta_domain=(-math.inf, math.inf),
-        gamma_domain=_standard_normal_eq_domain(),
-    )
-
-
-def _normal_sigma2_equation(n: int) -> StructuralEquation:
-    gamma_dist = ChiSquare(n)
-    return StructuralEquation(
-        gamma_dist=gamma_dist,
-        phi=lambda g, s2: s2 * g / n,
-        invert=lambda q, g: n * q / g,
-        theta_domain=(0.0, math.inf),
-        gamma_domain=_quantile_domain(gamma_dist),
-    )
+def _sample_conditionals(params: Tuple[ParamSpec, ...], data: Dataset, column: str,
+                         mu: str, sigma2: str) -> dict:
+    """Mean and variance conditionals of one normal sample (normal, behrens_fisher)."""
+    x = data.col(column)
+    n = x.size
+    xbar = float(np.mean(x))
+    variance = _VarianceEquation(ChiSquare(n), n)
+    return {
+        mu: _conditional(
+            params, mu, FiducialStatistic(f"{column}bar", lambda d, p: xbar),
+            lambda d, p: _LocationEquation(1.0, 0.0, math.sqrt(_pos(p[sigma2], "sigma2") / n))),
+        sigma2: _conditional(
+            params, sigma2,
+            FiducialStatistic(f"mean_sq_about_{mu}", lambda d, p: _mean_sq_about(x, p[mu])),
+            lambda d, p: variance),
+    }
 
 
 def _normal_build_conditionals(data: Dataset) -> dict:
-    x = data.col("x")
-    n = x.size
-    xbar = float(np.mean(x))
-    return {
-        "mu": ConditionalFiducialSampler(
-            target_param="mu",
-            statistic=FiducialStatistic("xbar", lambda d, p: xbar),
-            equation_for=lambda d, p: _normal_mu_equation(n, p["sigma2"]),
-        ),
-        "sigma2": ConditionalFiducialSampler(
-            target_param="sigma2",
-            statistic=FiducialStatistic("mean_sq_about_mu", lambda d, p: _mean_sq_about(x, p["mu"])),
-            equation_for=lambda d, p: _normal_sigma2_equation(n),
-        ),
-    }
+    return _sample_conditionals(_NORMAL_PARAMS, data, "x", "mu", "sigma2")
 
 
 def _normal_joint_log_kernel(theta: Mapping[str, float], data: Dataset) -> float:
@@ -373,14 +396,6 @@ def pareto_conditional_alpha(beta: float, x: np.ndarray) -> Gamma:
     return Gamma(x.size, rate)
 
 
-def pareto_conditional_beta_draw(alpha: float, x: np.ndarray, rng: RngStream) -> float:
-    """beta given alpha: min(x) * exp(-E / (n alpha)) with E ~ Exponential(1)."""
-    x = np.asarray(x, dtype=float)
-    alpha = _pos(alpha, "alpha")
-    g = sample(Exponential(1.0), rng)
-    return float(np.min(x)) * math.exp(-g / (x.size * alpha))
-
-
 def pareto_conditional_beta_log_density(beta: float, alpha: float, x: np.ndarray) -> float:
     """Log density of beta given alpha on its support (0, min(x)]."""
     x = np.asarray(x, dtype=float)
@@ -402,40 +417,19 @@ def pareto_joint_log_kernel(alpha: float, beta: float, x: np.ndarray) -> float:
     return (n - 1) * math.log(alpha) + (n * alpha - 1) * math.log(beta) - (alpha + 1) * sum_log
 
 
-def _pareto_alpha_equation(n: int, sum_log_x: float, beta: float) -> StructuralEquation:
-    beta = _pos(beta, "beta")
-    off = n * math.log(beta)
-    if sum_log_x - off <= 0.0:
-        raise DomainError(
-            f"sum(log x) - n log(beta) = {sum_log_x - off:.6g} is not positive")
-    gamma_dist = Gamma(n, 1.0)
+class _ParetoBetaEquation:
+    """q = beta * exp(gamma / (n alpha)) with gamma ~ Exponential(1)."""
 
-    def invert(q, g):
-        rate = q - off
-        if rate <= 0.0:
-            raise StructuralError("statistic minus n log(beta) not positive", rate=rate)
-        return g / rate
+    gamma_dist = _STD_EXPONENTIAL
 
-    return StructuralEquation(
-        gamma_dist=gamma_dist,
-        phi=lambda g, a: g / a + off,
-        invert=invert,
-        theta_domain=(0.0, math.inf),
-        gamma_domain=_quantile_domain(gamma_dist),
-    )
+    def __init__(self, n_alpha: float):
+        self.n_alpha = n_alpha
 
+    def invert(self, q, g):
+        return q * math.exp(-g / self.n_alpha)
 
-def _pareto_beta_equation(n: int, alpha: float) -> StructuralEquation:
-    alpha = _pos(alpha, "alpha")
-    na = n * alpha
-    gamma_dist = Exponential(1.0)
-    return StructuralEquation(
-        gamma_dist=gamma_dist,
-        phi=lambda g, b: b * math.exp(g / na),
-        invert=lambda q, g: q * math.exp(-g / na),
-        theta_domain=(0.0, math.inf),
-        gamma_domain=(1e-12, quantile(gamma_dist, 1.0 - 1e-6)),
-    )
+    def phi(self, g, theta):
+        return theta * math.exp(g / self.n_alpha)
 
 
 def _pareto_build_conditionals(data: Dataset) -> dict:
@@ -443,17 +437,26 @@ def _pareto_build_conditionals(data: Dataset) -> dict:
     n = x.size
     sum_log = float(np.sum(np.log(x)))
     min_x = float(np.min(x))
+    gamma_n = Gamma(n, 1.0)
+
+    def alpha_equation(d, p):
+        beta = _pos(p["beta"], "beta")
+        # Outside the joint's support: the alpha conditional does not exist.
+        if beta > min_x:
+            raise DomainError(f"beta={beta} exceeds min(x)={min_x}")
+        off = n * math.log(beta)
+        if sum_log - off <= 0.0:
+            raise DomainError(
+                f"sum(log x) - n log(beta) = {sum_log - off:.6g} is not positive")
+        return _RateEquation(gamma_n, off)
+
     return {
-        "alpha": ConditionalFiducialSampler(
-            target_param="alpha",
-            statistic=FiducialStatistic("sum_log_x", lambda d, p: sum_log),
-            equation_for=lambda d, p: _pareto_alpha_equation(n, sum_log, p["beta"]),
-        ),
-        "beta": ConditionalFiducialSampler(
-            target_param="beta",
-            statistic=FiducialStatistic("min_x", lambda d, p: min_x),
-            equation_for=lambda d, p: _pareto_beta_equation(n, p["alpha"]),
-        ),
+        "alpha": _conditional(
+            _PARETO_PARAMS, "alpha", FiducialStatistic("sum_log_x", lambda d, p: sum_log),
+            alpha_equation),
+        "beta": _conditional(
+            _PARETO_PARAMS, "beta", FiducialStatistic("min_x", lambda d, p: min_x),
+            lambda d, p: _ParetoBetaEquation(n * _pos(p["alpha"], "alpha"))),
     }
 
 
@@ -588,27 +591,11 @@ def quadreg_joint_log_kernel(b0: float, b1: float, b2: float, sigma2: float,
     return -0.5 * (x.size + 2) * math.log(sigma2) - 0.5 * rss / sigma2
 
 
-def _quadreg_coef_equation(statistic_coef: float, mean_offset: float, sigma2: float) -> StructuralEquation:
+def _quadreg_coef_equation(statistic_coef: float, mean_offset: float,
+                           sigma2: float) -> _LocationEquation:
     # Statistic = coef * theta + offset + sqrt(sigma2 * coef) * gamma.
     sd = math.sqrt(_pos(sigma2, "sigma2") * statistic_coef)
-    return StructuralEquation(
-        gamma_dist=_STD_NORMAL,
-        phi=lambda g, t: statistic_coef * t + mean_offset + sd * g,
-        invert=lambda q, g: (q - mean_offset - sd * g) / statistic_coef,
-        theta_domain=(-math.inf, math.inf),
-        gamma_domain=_standard_normal_eq_domain(),
-    )
-
-
-def _quadreg_sigma2_equation(n: int) -> StructuralEquation:
-    gamma_dist = ChiSquare(n)
-    return StructuralEquation(
-        gamma_dist=gamma_dist,
-        phi=lambda g, s2: s2 * g,
-        invert=lambda q, g: q / g,
-        theta_domain=(0.0, math.inf),
-        gamma_domain=_quantile_domain(gamma_dist),
-    )
+    return _LocationEquation(statistic_coef, mean_offset, sd)
 
 
 def _quadreg_build_conditionals(data: Dataset) -> dict:
@@ -617,6 +604,7 @@ def _quadreg_build_conditionals(data: Dataset) -> dict:
     s = _quadreg_sums(x, y)
     if s["sx2"] <= 0.0 or s["sx4"] <= 0.0:
         raise DegenerateDataError("design is degenerate: sum(x^2) or sum(x^4) is zero")
+    variance = _VarianceEquation(ChiSquare(s["n"]), 1)
 
     def rss_stat(d, p):
         rss = _quadreg_rss(x, y, p["beta0"], p["beta1"], p["beta2"])
@@ -624,30 +612,19 @@ def _quadreg_build_conditionals(data: Dataset) -> dict:
             raise DegenerateDataError("residual sum of squares is zero")
         return rss
 
+    def coef(label, stat_name, statistic, equation_for):
+        return _conditional(_QUADREG_PARAMS, label,
+                            FiducialStatistic(stat_name, lambda d, p: statistic), equation_for)
+
     return {
-        "beta0": ConditionalFiducialSampler(
-            target_param="beta0",
-            statistic=FiducialStatistic("sum_y", lambda d, p: s["sy"]),
-            equation_for=lambda d, p: _quadreg_coef_equation(
-                s["n"], p["beta1"] * s["sx"] + p["beta2"] * s["sx2"], p["sigma2"]),
-        ),
-        "beta1": ConditionalFiducialSampler(
-            target_param="beta1",
-            statistic=FiducialStatistic("sum_xy", lambda d, p: s["sxy"]),
-            equation_for=lambda d, p: _quadreg_coef_equation(
-                s["sx2"], p["beta0"] * s["sx"] + p["beta2"] * s["sx3"], p["sigma2"]),
-        ),
-        "beta2": ConditionalFiducialSampler(
-            target_param="beta2",
-            statistic=FiducialStatistic("sum_x2y", lambda d, p: s["sx2y"]),
-            equation_for=lambda d, p: _quadreg_coef_equation(
-                s["sx4"], p["beta0"] * s["sx2"] + p["beta1"] * s["sx3"], p["sigma2"]),
-        ),
-        "sigma2": ConditionalFiducialSampler(
-            target_param="sigma2",
-            statistic=FiducialStatistic("rss", rss_stat),
-            equation_for=lambda d, p: _quadreg_sigma2_equation(s["n"]),
-        ),
+        "beta0": coef("beta0", "sum_y", s["sy"], lambda d, p: _quadreg_coef_equation(
+            s["n"], p["beta1"] * s["sx"] + p["beta2"] * s["sx2"], p["sigma2"])),
+        "beta1": coef("beta1", "sum_xy", s["sxy"], lambda d, p: _quadreg_coef_equation(
+            s["sx2"], p["beta0"] * s["sx"] + p["beta2"] * s["sx3"], p["sigma2"])),
+        "beta2": coef("beta2", "sum_x2y", s["sx2y"], lambda d, p: _quadreg_coef_equation(
+            s["sx4"], p["beta0"] * s["sx2"] + p["beta1"] * s["sx3"], p["sigma2"])),
+        "sigma2": _conditional(_QUADREG_PARAMS, "sigma2", FiducialStatistic("rss", rss_stat),
+                               lambda d, p: variance),
     }
 
 
@@ -745,40 +722,27 @@ def _clt_shape_invert(q_over_n: float, parts_fn, g: float, n: int, start: float)
     return _expanding_root(f, start)
 
 
-def gamma_conditional_alpha_draw(beta: float, x: np.ndarray, rng: RngStream,
-                                 start: Optional[float] = None) -> float:
-    """One draw of the gamma shape given the rate via the CLT equation.
+def _gamma_parts(a):
+    # a > 0 is guaranteed by the bracketing; skip rechecking in the hot loop.
+    return float(_sp.psi(a)), float(_sp.zeta(2.0, a))
 
-    Draws gamma from a standard normal truncated to [-5, 5] and solves
-    sum(log x) = n (psi(a) - log beta) + gamma * sqrt(n psi'(a)) for a.
+
+class _GammaShapeEquation:
+    """The CLT equation for the shape given the rate beta:
+    sum(log x) = n (psi(a) - log beta) + gamma * sqrt(n psi'(a)), with gamma
+    standard normal truncated to [-5, 5]; the root search starts at start.
     """
-    x = np.asarray(x, dtype=float)
-    eq = _gamma_alpha_equation(x.size, _pos(beta, "beta"), start or 1.0)
-    q = float(np.sum(np.log(x)))
-    g = sample(eq.gamma_dist, rng)
-    return eq.invert(q, g)
 
+    gamma_dist = _STD_TRUNCNORM
 
-def _gamma_alpha_equation(n: int, beta: float, start: float) -> StructuralEquation:
-    log_beta = math.log(beta)
+    def __init__(self, n: int, beta: float, start: float):
+        self.n, self.log_beta, self.start = n, math.log(beta), start
 
-    def phi(g, a):
-        return n * (digamma(a) - log_beta) + g * math.sqrt(n * trigamma(a))
+    def invert(self, q, g):
+        return _clt_shape_invert(q / self.n + self.log_beta, _gamma_parts, g, self.n, self.start)
 
-    def parts(a):
-        # a > 0 is guaranteed by the bracketing; skip rechecking in the hot loop.
-        return float(_sp.psi(a)), float(_sp.zeta(2.0, a))
-
-    def invert(q, g):
-        return _clt_shape_invert(q / n + log_beta, parts, g, n, start)
-
-    return StructuralEquation(
-        gamma_dist=_STD_TRUNCNORM,
-        phi=phi,
-        invert=invert,
-        theta_domain=(0.0, math.inf),
-        gamma_domain=(-_STANDARD_TRUNC, _STANDARD_TRUNC),
-    )
+    def phi(self, g, a):
+        return self.n * (digamma(a) - self.log_beta) + g * math.sqrt(self.n * trigamma(a))
 
 
 def _gamma_build_conditionals(data: Dataset) -> dict:
@@ -787,30 +751,14 @@ def _gamma_build_conditionals(data: Dataset) -> dict:
     sum_x = float(np.sum(x))
     sum_log = float(np.sum(np.log(x)))
     return {
-        "alpha": ConditionalFiducialSampler(
-            target_param="alpha",
-            statistic=FiducialStatistic("sum_log_x", lambda d, p: sum_log),
-            equation_for=lambda d, p: _gamma_alpha_equation(n, p["beta"], p.get("alpha", 1.0)),
-            check_at_start=True,
-        ),
-        "beta": ConditionalFiducialSampler(
-            target_param="beta",
-            statistic=FiducialStatistic("sum_x", lambda d, p: sum_x),
-            equation_for=lambda d, p: _gamma_beta_equation(n, p["alpha"], sum_x),
-        ),
+        "alpha": _conditional(
+            _GAMMA_PARAMS, "alpha", FiducialStatistic("sum_log_x", lambda d, p: sum_log),
+            lambda d, p: _GammaShapeEquation(n, p["beta"], p.get("alpha", 1.0)),
+            check_at_start=True),
+        "beta": _conditional(
+            _GAMMA_PARAMS, "beta", FiducialStatistic("sum_x", lambda d, p: sum_x),
+            lambda d, p: _RateEquation(Gamma(n * _pos(p["alpha"], "alpha"), 1.0), 0.0)),
     }
-
-
-def _gamma_beta_equation(n: int, alpha: float, sum_x: float) -> StructuralEquation:
-    alpha = _pos(alpha, "alpha")
-    gamma_dist = Gamma(n * alpha, 1.0)
-    return StructuralEquation(
-        gamma_dist=gamma_dist,
-        phi=lambda g, b: g / b,
-        invert=lambda q, g: g / q,
-        theta_domain=(0.0, math.inf),
-        gamma_domain=_quantile_domain(gamma_dist),
-    )
 
 
 def _gamma_validate(data: Dataset):
@@ -851,55 +799,34 @@ _GAMMA_PARAMS = (
 # Beta model: shapes alpha and beta
 # ---------------------------------------------------------------------------
 
-def beta_conditional_alpha_draw(beta: float, x: np.ndarray, rng: RngStream,
-                                start: Optional[float] = None) -> float:
-    """One draw of the first beta shape given the second via the CLT equation."""
-    x = np.asarray(x, dtype=float)
-    eq = _beta_shape_equation(x.size, _pos(beta, "beta"), start or 1.0)
-    q = float(np.sum(np.log(x)))
-    g = sample(eq.gamma_dist, rng)
-    return eq.invert(q, g)
+class _BetaShapeEquation:
+    """The CLT equation for one beta shape given the other shape b:
+    q = n (psi(a) - psi(a + b)) + gamma * sqrt(n (psi'(a) - psi'(a + b))),
+    with gamma standard normal truncated to [-5, 5].
+    """
 
+    gamma_dist = _STD_TRUNCNORM
 
-def beta_conditional_beta_draw(alpha: float, x: np.ndarray, rng: RngStream,
-                               start: Optional[float] = None) -> float:
-    """Mirror draw for the second shape, with statistic sum(log(1 - x))."""
-    x = np.asarray(x, dtype=float)
-    eq = _beta_shape_equation(x.size, _pos(alpha, "alpha"), start or 1.0)
-    q = float(np.sum(np.log1p(-x)))
-    g = sample(eq.gamma_dist, rng)
-    return eq.invert(q, g)
+    def __init__(self, n: int, b: float, start: float, scratch):
+        self.n, self.b, self.start, self.scratch = n, b, start, scratch
 
+    def invert(self, q, g):
+        b = self.b
+        buf, psi_out, tri_out = self.scratch
 
-def _beta_shape_equation(n: int, other_shape: float, start: float) -> StructuralEquation:
-    b = other_shape
-    # Scratch buffers shared across the sequential solver iterations of one
-    # draw (an equation instance is never used from two threads at once).
-    buf = np.empty(2)
-    psi_out = np.empty(2)
-    tri_out = np.empty(2)
+        def parts(a):
+            buf[0] = a
+            buf[1] = a + b
+            _sp.psi(buf, out=psi_out)
+            _sp.zeta(2.0, buf, out=tri_out)
+            return psi_out[0] - psi_out[1], tri_out[0] - tri_out[1]
 
-    def phi(g, a):
+        return _clt_shape_invert(q / self.n, parts, g, self.n, self.start)
+
+    def phi(self, g, a):
+        n, b = self.n, self.b
         return (n * (digamma(a) - digamma(a + b))
                 + math.sqrt(n) * math.sqrt(trigamma(a) - trigamma(a + b)) * g)
-
-    def parts(a):
-        buf[0] = a
-        buf[1] = a + b
-        _sp.psi(buf, out=psi_out)
-        _sp.zeta(2.0, buf, out=tri_out)
-        return psi_out[0] - psi_out[1], tri_out[0] - tri_out[1]
-
-    def invert(q, g):
-        return _clt_shape_invert(q / n, parts, g, n, start)
-
-    return StructuralEquation(
-        gamma_dist=_STD_TRUNCNORM,
-        phi=phi,
-        invert=invert,
-        theta_domain=(0.0, math.inf),
-        gamma_domain=(-_STANDARD_TRUNC, _STANDARD_TRUNC),
-    )
 
 
 def _beta_build_conditionals(data: Dataset) -> dict:
@@ -907,19 +834,18 @@ def _beta_build_conditionals(data: Dataset) -> dict:
     n = x.size
     sum_log = float(np.sum(np.log(x)))
     sum_log1m = float(np.sum(np.log1p(-x)))
+    # Scratch buffers for the solver iterations of every draw of these two
+    # conditionals; a run makes its draws one at a time.
+    scratch = (np.empty(2), np.empty(2), np.empty(2))
     return {
-        "alpha": ConditionalFiducialSampler(
-            target_param="alpha",
-            statistic=FiducialStatistic("sum_log_x", lambda d, p: sum_log),
-            equation_for=lambda d, p: _beta_shape_equation(n, p["beta"], p.get("alpha", 1.0)),
-            check_at_start=True,
-        ),
-        "beta": ConditionalFiducialSampler(
-            target_param="beta",
-            statistic=FiducialStatistic("sum_log_1mx", lambda d, p: sum_log1m),
-            equation_for=lambda d, p: _beta_shape_equation(n, p["alpha"], p.get("beta", 1.0)),
-            check_at_start=True,
-        ),
+        "alpha": _conditional(
+            _BETA_PARAMS, "alpha", FiducialStatistic("sum_log_x", lambda d, p: sum_log),
+            lambda d, p: _BetaShapeEquation(n, p["beta"], p.get("alpha", 1.0), scratch),
+            check_at_start=True),
+        "beta": _conditional(
+            _BETA_PARAMS, "beta", FiducialStatistic("sum_log_1mx", lambda d, p: sum_log1m),
+            lambda d, p: _BetaShapeEquation(n, p["alpha"], p.get("beta", 1.0), scratch),
+            check_at_start=True),
     }
 
 
@@ -977,25 +903,14 @@ def behrens_fisher_angle(x: np.ndarray, y: np.ndarray) -> float:
     return math.atan2(math.sqrt(sx2 / nx), math.sqrt(sy2 / ny))
 
 
-def behrens_fisher_draw(x: np.ndarray, y: np.ndarray, rng: RngStream) -> float:
-    """One draw of mu_x - mu_y as a weighted difference of two Student t draws.
-
-    Equivalent to xbar - ybar + B * sqrt(s_x^2/n_x + s_y^2/n_y) with B
-    following the two-degrees-of-freedom angle-parameterized distribution:
-    the angle decomposition turns B's definition into independent t draws
-    scaled by s/sqrt(n) per group.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    mx, sx2, nx = _group_stats(x, "x")
-    my, sy2, ny = _group_stats(y, "y")
-    tx = sample(StudentT(nx - 1), rng)
-    ty = sample(StudentT(ny - 1), rng)
-    return mx - my + math.sqrt(sx2 / nx) * tx - math.sqrt(sy2 / ny) * ty
-
-
 def behrens_fisher_direct_draws(x: np.ndarray, y: np.ndarray, size: int, rng: RngStream) -> np.ndarray:
-    """Vectorized independent draws of mu_x - mu_y (same construction)."""
+    """Vectorized independent draws of mu_x - mu_y by the direct construction.
+
+    xbar - ybar + B * sqrt(s_x^2/n_x + s_y^2/n_y), with B following the
+    two-degrees-of-freedom angle-parameterized distribution, decomposes
+    into independent Student t draws scaled by s/sqrt(n) per group.  It is
+    the independent oracle for the four-parameter sampler.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     mx, sx2, nx = _group_stats(x, "x")
@@ -1006,32 +921,8 @@ def behrens_fisher_direct_draws(x: np.ndarray, y: np.ndarray, size: int, rng: Rn
 
 
 def _bf_build_conditionals(data: Dataset) -> dict:
-    x = data.col("x")
-    y = data.col("y")
-    nx, ny = x.size, y.size
-    xbar, ybar = float(np.mean(x)), float(np.mean(y))
-    return {
-        "mu_x": ConditionalFiducialSampler(
-            target_param="mu_x",
-            statistic=FiducialStatistic("xbar", lambda d, p: xbar),
-            equation_for=lambda d, p: _normal_mu_equation(nx, p["sigma_x2"]),
-        ),
-        "mu_y": ConditionalFiducialSampler(
-            target_param="mu_y",
-            statistic=FiducialStatistic("ybar", lambda d, p: ybar),
-            equation_for=lambda d, p: _normal_mu_equation(ny, p["sigma_y2"]),
-        ),
-        "sigma_x2": ConditionalFiducialSampler(
-            target_param="sigma_x2",
-            statistic=FiducialStatistic("mean_sq_about_mu_x", lambda d, p: _mean_sq_about(x, p["mu_x"])),
-            equation_for=lambda d, p: _normal_sigma2_equation(nx),
-        ),
-        "sigma_y2": ConditionalFiducialSampler(
-            target_param="sigma_y2",
-            statistic=FiducialStatistic("mean_sq_about_mu_y", lambda d, p: _mean_sq_about(y, p["mu_y"])),
-            equation_for=lambda d, p: _normal_sigma2_equation(ny),
-        ),
-    }
+    return {**_sample_conditionals(_BF_PARAMS, data, "x", "mu_x", "sigma_x2"),
+            **_sample_conditionals(_BF_PARAMS, data, "y", "mu_y", "sigma_y2")}
 
 
 def _bf_joint(theta: Mapping[str, float], data: Dataset) -> float:
@@ -1225,78 +1116,62 @@ def _bvn_sigma_factor(n: int, rho: float) -> float:
     return math.sqrt((1.0 - rho * rho) / (n * (2.0 - rho * rho)))
 
 
-def _bvn_sigma_equation(n: int, rho: float) -> StructuralEquation:
-    # Statistic is the sigma_x estimate (standard deviation scale):
-    # q = sigma_x (1 + c0 gamma); gamma values with 1 + c0 gamma <= 0 are
-    # excluded from the primary variable's domain (extra truncation).
-    c0 = _bvn_sigma_factor(n, rho)
-    floor = 1e-6
-    g_lo = max(-_STANDARD_TRUNC, (floor - 1.0) / c0) if c0 > 0.0 else -_STANDARD_TRUNC
+class _BvnSigmaEquation:
+    """The statistic is the sigma estimate (standard deviation scale):
+    q = sigma (1 + c0 gamma) with gamma standard normal truncated to
+    [-5, 5]; gamma values with 1 + c0 gamma <= floor are excluded from the
+    primary variable's domain (extra truncation).
+    """
 
-    def invert(q, g):
-        bracketed = 1.0 + g * c0
-        if bracketed <= floor:
-            raise StructuralError("bracketed term non-positive", gamma=g, factor=c0)
+    gamma_dist = _STD_TRUNCNORM
+    floor = 1e-6
+
+    def __init__(self, c0: float):
+        self.c0 = c0
+
+    def invert(self, q, g):
+        bracketed = 1.0 + g * self.c0
+        if bracketed <= self.floor:
+            raise StructuralError("bracketed term non-positive", gamma=g, factor=self.c0)
         s = q / bracketed
         return s * s
 
-    return StructuralEquation(
-        gamma_dist=_STD_TRUNCNORM,
-        phi=lambda g, s2: math.sqrt(s2) * (1.0 + g * c0),
-        invert=invert,
-        theta_domain=(0.0, math.inf),
-        gamma_domain=(g_lo, _STANDARD_TRUNC),
-    )
+    def phi(self, g, s2):
+        return math.sqrt(s2) * (1.0 + g * self.c0)
+
+    @property
+    def gamma_domain(self):
+        c0 = self.c0
+        g_lo = max(-_STANDARD_TRUNC, (self.floor - 1.0) / c0) if c0 > 0.0 else -_STANDARD_TRUNC
+        return (g_lo, _STANDARD_TRUNC)
 
 
-def bvn_conditional_sigma_x2_draw(mu_x: float, mu_y: float, sigma_y2: float, rho: float,
-                                  x: np.ndarray, y: np.ndarray, rng: RngStream) -> float:
-    """One draw of sigma_x^2 given the rest (estimate shrunk/inflated by gamma)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    eq = _bvn_sigma_equation(x.size, rho)
-    q = math.sqrt(bvn_sigma_x2_mle(mu_x, mu_y, sigma_y2, rho, x, y))
-    for _ in range(1000):
-        g = sample(eq.gamma_dist, rng)
+class _BvnRhoEquation:
+    """q = rho + (1 - rho^2) gamma / (sqrt(n) sqrt(1 + rho^2)), solved for rho."""
+
+    gamma_dist = _STD_TRUNCNORM
+    bracket = Bracket(-1.0 + 1e-12, 1.0 - 1e-12)
+
+    def __init__(self, n: int):
+        self.sqrt_n = math.sqrt(n)
+
+    def phi(self, g, r):
+        return r + (1.0 - r * r) * g / (self.sqrt_n * math.sqrt(1.0 + r * r))
+
+    def invert(self, q, g):
         try:
-            return eq.invert(q, g)
-        except StructuralError:
-            continue
-    raise StructuralError("sigma draw failed after 1000 gamma redraws", statistic_value=q)
-
-
-def _bvn_rho_equation(n: int) -> StructuralEquation:
-    sqrt_n = math.sqrt(n)
-
-    def phi(g, r):
-        return r + (1.0 - r * r) * g / (sqrt_n * math.sqrt(1.0 + r * r))
-
-    def invert(q, g):
-        try:
-            return solve_monotone(lambda r: phi(g, r), q,
-                                  Bracket(-1.0 + 1e-12, 1.0 - 1e-12), tol=1e-13)
+            return solve_monotone(lambda r: self.phi(g, r), q, self.bracket, tol=1e-13)
         except (BracketError, EvaluationError) as exc:
             raise StructuralError(f"no correlation solves the equation: {exc}",
                                   statistic_value=q, gamma=g) from exc
 
-    return StructuralEquation(
-        gamma_dist=_STD_TRUNCNORM,
-        phi=phi,
-        invert=invert,
-        theta_domain=(-1.0, 1.0),
-        gamma_domain=(-_STANDARD_TRUNC, _STANDARD_TRUNC),
-    )
 
-
-def bvn_conditional_rho_draw(mu_x: float, mu_y: float, sigma_x2: float, sigma_y2: float,
-                             x: np.ndarray, y: np.ndarray, rng: RngStream) -> float:
-    """One draw of the correlation given the rest."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    eq = _bvn_rho_equation(x.size)
-    q = bvn_rho_mle(mu_x, mu_y, sigma_x2, sigma_y2, x, y)
-    g = sample(eq.gamma_dist, rng)
-    return eq.invert(q, g)
+def _bvn_mean_equation(n: int, var: float, other_var: float, rho: float,
+                       other_mu: float) -> _LocationEquation:
+    # Statistic = n mu + off + sd * gamma (the sum adjusted by the other mean).
+    ratio = math.sqrt(var / other_var)
+    sd = math.sqrt(n * var * (1.0 - rho * rho))
+    return _LocationEquation(n, -n * rho * ratio * other_mu, sd)
 
 
 def _bvn_build_conditionals(data: Dataset) -> dict:
@@ -1306,72 +1181,38 @@ def _bvn_build_conditionals(data: Dataset) -> dict:
     stats = _BvnSuffStats.from_arrays(x, y)
     stats_yx = stats.swapped()
     sx_sum, sy_sum = stats.sx, stats.sy
+    rho_equation = _BvnRhoEquation(n)
 
-    def mu_x_equation(d, p):
-        ratio = math.sqrt(p["sigma_x2"] / p["sigma_y2"])
-        rho = p["rho"]
-        sd = math.sqrt(n * p["sigma_x2"] * (1.0 - rho * rho))
-        off = -n * rho * ratio * p["mu_y"]
-        return StructuralEquation(
-            gamma_dist=_STD_NORMAL,
-            phi=lambda g, m: n * m + off + sd * g,
-            invert=lambda q, g: (q - off - sd * g) / n,
-            theta_domain=(-math.inf, math.inf),
-            gamma_domain=_standard_normal_eq_domain(),
-        )
-
-    def mu_y_equation(d, p):
-        ratio = math.sqrt(p["sigma_y2"] / p["sigma_x2"])
-        rho = p["rho"]
-        sd = math.sqrt(n * p["sigma_y2"] * (1.0 - rho * rho))
-        off = -n * rho * ratio * p["mu_x"]
-        return StructuralEquation(
-            gamma_dist=_STD_NORMAL,
-            phi=lambda g, m: n * m + off + sd * g,
-            invert=lambda q, g: (q - off - sd * g) / n,
-            theta_domain=(-math.inf, math.inf),
-            gamma_domain=_standard_normal_eq_domain(),
-        )
+    def sigma(label, stat_name, compute):
+        return _conditional(_BVN_PARAMS, label, FiducialStatistic(stat_name, compute),
+                            lambda d, p: _BvnSigmaEquation(_bvn_sigma_factor(n, p["rho"])),
+                            check_at_start=True)
 
     return {
-        "mu_x": ConditionalFiducialSampler(
-            target_param="mu_x",
-            statistic=FiducialStatistic(
+        "mu_x": _conditional(
+            _BVN_PARAMS, "mu_x",
+            FiducialStatistic(
                 "sum_x_adj",
                 lambda d, p: sx_sum - p["rho"] * math.sqrt(p["sigma_x2"] / p["sigma_y2"]) * sy_sum),
-            equation_for=mu_x_equation,
-        ),
-        "mu_y": ConditionalFiducialSampler(
-            target_param="mu_y",
-            statistic=FiducialStatistic(
+            lambda d, p: _bvn_mean_equation(n, p["sigma_x2"], p["sigma_y2"], p["rho"], p["mu_y"])),
+        "mu_y": _conditional(
+            _BVN_PARAMS, "mu_y",
+            FiducialStatistic(
                 "sum_y_adj",
                 lambda d, p: sy_sum - p["rho"] * math.sqrt(p["sigma_y2"] / p["sigma_x2"]) * sx_sum),
-            equation_for=mu_y_equation,
-        ),
-        "sigma_x2": ConditionalFiducialSampler(
-            target_param="sigma_x2",
-            statistic=FiducialStatistic(
-                "sigma_x_mle",
-                lambda d, p: _bvn_sigma_mle_core(stats, p["mu_x"], p["mu_y"], p["sigma_y2"], p["rho"])),
-            equation_for=lambda d, p: _bvn_sigma_equation(n, p["rho"]),
-            check_at_start=True,
-        ),
-        "sigma_y2": ConditionalFiducialSampler(
-            target_param="sigma_y2",
-            statistic=FiducialStatistic(
-                "sigma_y_mle",
-                lambda d, p: _bvn_sigma_mle_core(stats_yx, p["mu_y"], p["mu_x"], p["sigma_x2"], p["rho"])),
-            equation_for=lambda d, p: _bvn_sigma_equation(n, p["rho"]),
-            check_at_start=True,
-        ),
-        "rho": ConditionalFiducialSampler(
-            target_param="rho",
-            statistic=FiducialStatistic(
+            lambda d, p: _bvn_mean_equation(n, p["sigma_y2"], p["sigma_x2"], p["rho"], p["mu_x"])),
+        "sigma_x2": sigma(
+            "sigma_x2", "sigma_x_mle",
+            lambda d, p: _bvn_sigma_mle_core(stats, p["mu_x"], p["mu_y"], p["sigma_y2"], p["rho"])),
+        "sigma_y2": sigma(
+            "sigma_y2", "sigma_y_mle",
+            lambda d, p: _bvn_sigma_mle_core(stats_yx, p["mu_y"], p["mu_x"], p["sigma_x2"], p["rho"])),
+        "rho": _conditional(
+            _BVN_PARAMS, "rho",
+            FiducialStatistic(
                 "rho_mle",
                 lambda d, p: _bvn_rho_mle_core(stats, p["mu_x"], p["mu_y"], p["sigma_x2"], p["sigma_y2"])),
-            equation_for=lambda d, p: _bvn_rho_equation(n),
-            check_at_start=True,
-        ),
+            lambda d, p: rho_equation, check_at_start=True),
     }
 
 
@@ -1455,7 +1296,6 @@ _MODELS = {
         params=_NORMAL_PARAMS,
         build_conditionals=_normal_build_conditionals,
         simulate=_normal_simulate,
-        default_init=_normal_default_init,
         chain_inits=_normal_chain_inits,
         validate_data=_normal_validate,
         joint_log_kernel=_normal_joint_log_kernel,
@@ -1467,7 +1307,6 @@ _MODELS = {
         params=_PARETO_PARAMS,
         build_conditionals=_pareto_build_conditionals,
         simulate=_pareto_simulate,
-        default_init=_pareto_default_init,
         chain_inits=_pareto_chain_inits,
         validate_data=_pareto_validate,
         joint_log_kernel=_pareto_joint,
@@ -1480,7 +1319,6 @@ _MODELS = {
         params=_QUADREG_PARAMS,
         build_conditionals=_quadreg_build_conditionals,
         simulate=_quadreg_simulate,
-        default_init=_quadreg_default_init,
         chain_inits=_quadreg_chain_inits,
         validate_data=_quadreg_validate,
         joint_log_kernel=_quadreg_joint,
@@ -1492,7 +1330,6 @@ _MODELS = {
         params=_GAMMA_PARAMS,
         build_conditionals=_gamma_build_conditionals,
         simulate=_gamma_simulate,
-        default_init=_gamma_default_init,
         chain_inits=_gamma_chain_inits,
         validate_data=_gamma_validate,
     ),
@@ -1501,7 +1338,6 @@ _MODELS = {
         params=_BETA_PARAMS,
         build_conditionals=_beta_build_conditionals,
         simulate=_beta_simulate,
-        default_init=_beta_default_init,
         chain_inits=_beta_chain_inits,
         validate_data=_beta_validate,
     ),
@@ -1510,7 +1346,6 @@ _MODELS = {
         params=_BF_PARAMS,
         build_conditionals=_bf_build_conditionals,
         simulate=_bf_simulate,
-        default_init=_bf_default_init,
         chain_inits=_bf_chain_inits,
         validate_data=_bf_validate,
         joint_log_kernel=_bf_joint,
@@ -1522,7 +1357,6 @@ _MODELS = {
         params=_BVN_PARAMS,
         build_conditionals=_bvn_build_conditionals,
         simulate=_bvn_simulate,
-        default_init=_bvn_default_init,
         chain_inits=_bvn_chain_inits,
         validate_data=_bvn_validate,
     ),

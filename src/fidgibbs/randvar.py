@@ -57,10 +57,6 @@ class RngStream:
         key = np.array([self.seed, self.stream_id], dtype=np.uint64)
         self.gen = np.random.Generator(np.random.Philox(key=key))
 
-    def substream(self, stream_id: int) -> "RngStream":
-        """Independent stream under the same seed."""
-        return RngStream(self.seed, stream_id)
-
     def __repr__(self):
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
 

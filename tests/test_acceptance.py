@@ -181,7 +181,7 @@ def _catalog_equation_cases():
     cases = []
     for name, data in datasets.items():
         model = get_model(name)
-        init = model.default_init(data)
+        init = model.chain_inits(data, 1)[0]
         conditionals = model.build_conditionals(data)
         for label in model.param_labels:
             eq = conditionals[label].equation(data, init)
@@ -219,17 +219,21 @@ def test_07_structural_round_trips():
         "bivariate_normal",
         {"mu_x": 0.0, "mu_y": 0.0, "sigma_x2": 1.0, "sigma_y2": 1.0, "rho": 0.8},
         200, RngStream(86, 0))
+    def equation(model, data, label, state):
+        return get_model(model).build_conditionals(data)[label].equation(data, state)
+
+    bvn_state = {"mu_x": 0.0, "mu_y": 0.0, "sigma_x2": 1.0, "sigma_y2": 1.0, "rho": 0.8}
     solved = [
-        ("gamma.alpha", M._gamma_alpha_equation(20, 0.5, 1.0),
+        ("gamma.alpha", equation("gamma", gamma_data, "alpha", {"alpha": 1.0, "beta": 0.5}),
          float(np.sum(np.log(gamma_data.col("x"))))),
-        ("beta.alpha", M._beta_shape_equation(50, 3.0, 1.0),
+        ("beta.alpha", equation("beta", beta_data, "alpha", {"alpha": 1.0, "beta": 3.0}),
          float(np.sum(np.log(beta_data.col("x"))))),
-        ("beta.beta", M._beta_shape_equation(50, 8.0, 1.0),
+        ("beta.beta", equation("beta", beta_data, "beta", {"alpha": 8.0, "beta": 1.0}),
          float(np.sum(np.log1p(-beta_data.col("x"))))),
-        ("bvn.sigma_x2", M._bvn_sigma_equation(200, 0.8),
+        ("bvn.sigma_x2", equation("bivariate_normal", bvn_data, "sigma_x2", bvn_state),
          math.sqrt(M.bvn_sigma_x2_mle(0.0, 0.0, 1.0, 0.8,
                                       bvn_data.col("x"), bvn_data.col("y")))),
-        ("bvn.rho", M._bvn_rho_equation(200),
+        ("bvn.rho", equation("bivariate_normal", bvn_data, "rho", bvn_state),
          M.bvn_rho_mle(0.0, 0.0, 1.0, 1.0, bvn_data.col("x"), bvn_data.col("y"))),
     ]
     worst_draw = 0.0

@@ -115,6 +115,51 @@ class TestRunCommand:
         report = json.loads((out / "report.json").read_text())
         assert report["scan_order"] == ["sigma2", "mu"]
 
+    def test_pareto_init_above_min_exit_one(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("x\n2\n3\n5\n7\n11\n")
+        rc = _run(["run", "--model", "pareto", "--data", data, "--m", 100, "--b", 10,
+                   "--chains", 1, "--init", "alpha=1,beta=2.5", "--output-dir", tmp_path / "o"])
+        assert rc == 1
+        assert "beta=2.5 exceeds min(x)=2.0" in capsys.readouterr().err
+
+
+def _write_samples(path, rows):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["chain", "cycle", "theta"])
+        writer.writerows(rows)
+
+
+class TestReadSamples:
+    def test_zero_based_cycles_rejected(self, tmp_path):
+        # Cycle 0 would wrap to the last index and be overwritten by cycle 9.
+        path = tmp_path / "s.csv"
+        _write_samples(path, [(0, i, float(i)) for i in range(10)])
+        with pytest.raises(ValueError, match="numbered from 1"):
+            read_samples_csv(str(path), b=0)
+        assert _run(["diag", "--samples", path, "--b", 0]) == 1
+
+    def test_negative_chain_rejected(self, tmp_path):
+        path = tmp_path / "s.csv"
+        _write_samples(path, [(c, i, float(i)) for c in (-1, 0) for i in range(1, 6)])
+        with pytest.raises(ValueError, match="chain ids"):
+            read_samples_csv(str(path), b=0)
+        assert _run(["diag", "--samples", path, "--b", 0]) == 1
+
+    def test_header_only_rejected(self, tmp_path):
+        path = tmp_path / "s.csv"
+        _write_samples(path, [])
+        with pytest.raises(ValueError, match="no sample rows"):
+            read_samples_csv(str(path), b=0)
+
+    def test_duplicate_rows_rejected(self, tmp_path):
+        path = tmp_path / "s.csv"
+        _write_samples(path, [(0, i, float(i)) for i in (1, 2, 3, 3, 4)])
+        with pytest.raises(ValueError, match="duplicate"):
+            read_samples_csv(str(path), b=0)
+        assert _run(["diag", "--samples", path, "--b", 0]) == 1
+
 
 class TestDiagCommand:
     def test_rediagnosis_matches_run_report(self, tmp_path):

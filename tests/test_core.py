@@ -14,13 +14,25 @@ from fidgibbs import (
     StructuralEquation,
     StructuralError,
     check_injectivity,
+    get_model,
 )
 from fidgibbs.core import WarningLog
-from fidgibbs.models import _gamma_alpha_equation, _normal_mu_equation
+
+UNBOUNDED = (-math.inf, math.inf)
+
+
+def _catalog_equation(model, data, label, state):
+    """The structural equation of a catalog conditional at a state."""
+    return get_model(model).build_conditionals(data)[label].equation(data, state)
 
 
 def _mean_equation(n, sigma2):
-    return _normal_mu_equation(n, sigma2)
+    data = Dataset({"x": np.arange(float(n))})
+    return _catalog_equation("normal", data, "mu", {"mu": 0.0, "sigma2": sigma2})
+
+
+def _gamma_alpha_equation(x, beta, start):
+    return _catalog_equation("gamma", Dataset({"x": x}), "alpha", {"alpha": start, "beta": beta})
 
 
 def _sum_equation(n, sigma2):
@@ -60,7 +72,7 @@ class TestDraw:
         else:
             stat = FiducialStatistic("sum_x", lambda d, p: float(np.sum(d.col("x"))))
             builder = lambda d, p: _sum_equation(d.n, p["sigma2"])
-        return ConditionalFiducialSampler("mu", stat, builder)
+        return ConditionalFiducialSampler("mu", stat, builder, theta_domain=UNBOUNDED)
 
     def test_draws_against_analytic_conditional(self):
         # n=4, xbar=0, sigma2=1: conditional is N(0, 0.25).
@@ -111,7 +123,8 @@ class TestDraw:
         eq = StructuralEquation(Normal(0.0, 1.0), lambda g, t: t - g, invert,
                                 theta_domain=(-math.inf, math.inf), gamma_domain=(-5, 5))
         sampler = ConditionalFiducialSampler(
-            "theta", FiducialStatistic("q", lambda d, p: 0.0), lambda d, p: eq)
+            "theta", FiducialStatistic("q", lambda d, p: 0.0), lambda d, p: eq,
+            theta_domain=UNBOUNDED)
         warnings = WarningLog()
         rng = RngStream(8, 0)
         draws = [sampler.draw(None, {}, rng, warnings) for _ in range(200)]
@@ -126,7 +139,7 @@ class TestDraw:
                                 theta_domain=(-math.inf, math.inf), gamma_domain=(-5, 5))
         sampler = ConditionalFiducialSampler(
             "theta", FiducialStatistic("q", lambda d, p: 0.0), lambda d, p: eq,
-            max_redraws=8)
+            theta_domain=UNBOUNDED, max_redraws=8)
         with pytest.raises(StructuralError) as err:
             sampler.draw(None, {}, RngStream(9, 0))
         assert err.value.diagnostics["statistic"] == "q"
@@ -149,7 +162,7 @@ class TestCheckInjectivity:
         rng = np.random.default_rng(42)
         x = rng.gamma(2.0, 2.0, size=20)
         q = float(np.sum(np.log(x)))
-        eq = _gamma_alpha_equation(20, 0.5, 1.0)
+        eq = _gamma_alpha_equation(x, 0.5, 1.0)
         report = check_injectivity(eq, q)
         assert report.monotone
         assert report.max_roundtrip_residual < 1e-7
@@ -157,7 +170,7 @@ class TestCheckInjectivity:
     def test_gamma_shape_equation_small_n_extreme_q(self):
         # n=2 leaves part of the gamma interval without a solution; the
         # report says so instead of lying.
-        eq = _gamma_alpha_equation(2, 1.0, 1.0)
+        eq = _gamma_alpha_equation(np.array([1.0, 2.0]), 1.0, 1.0)
         report = check_injectivity(eq, q=-30.0)
         assert report.n_failed > 0
         assert not report.injective

@@ -5,13 +5,17 @@ import pytest
 from scipy import stats
 
 import fidgibbs.core
+import fidgibbs.models
+import fidgibbs.randvar
 from fidgibbs import (
     ChainConfig,
     ChiSquare,
+    Dataset,
     DomainError,
     Normal,
     RngStream,
     SampleMatrix,
+    StructuralEquation,
     StructuralError,
     estimate,
     get_model,
@@ -19,6 +23,16 @@ from fidgibbs import (
 )
 from fidgibbs.models import normal_marginal_mu
 from fidgibbs.randvar import quantile
+
+CATALOG_DATA = [
+    ("normal", "normal_data"),
+    ("pareto", "pareto_data"),
+    ("quadreg", "quadreg_data"),
+    ("gamma", "gamma_data"),
+    ("beta", "beta_data"),
+    ("behrens_fisher", "bf_data"),
+    ("bivariate_normal", "bvn_data"),
+]
 
 
 class TestChainConfig:
@@ -43,12 +57,6 @@ class TestRun:
         cfg = ChainConfig(m=500, b=50, chains=3, seed=42)
         a = run(get_model("normal"), normal_data, cfg)
         b = run(get_model("normal"), normal_data, cfg)
-        assert np.array_equal(a.values, b.values)
-
-    def test_threaded_matches_serial(self, normal_data):
-        model = get_model("normal")
-        a = run(model, normal_data, ChainConfig(m=300, b=0, chains=4, seed=9, threads=1))
-        b = run(model, normal_data, ChainConfig(m=300, b=0, chains=4, seed=9, threads=4))
         assert np.array_equal(a.values, b.values)
 
     def test_single_cycle_with_deterministic_primaries(self, normal_data, monkeypatch):
@@ -77,15 +85,7 @@ class TestRun:
         assert sm.labels == ("mu", "sigma2")
         assert sm.config.scan_order == ("sigma2", "mu")
 
-    @pytest.mark.parametrize("name,data_fixture", [
-        ("normal", "normal_data"),
-        ("pareto", "pareto_data"),
-        ("quadreg", "quadreg_data"),
-        ("gamma", "gamma_data"),
-        ("beta", "beta_data"),
-        ("behrens_fisher", "bf_data"),
-        ("bivariate_normal", "bvn_data"),
-    ])
+    @pytest.mark.parametrize("name,data_fixture", CATALOG_DATA)
     def test_domain_preservation(self, name, data_fixture, request):
         data = request.getfixturevalue(data_fixture)
         model = get_model(name)
@@ -97,6 +97,48 @@ class TestRun:
     def test_pareto_beta_never_exceeds_min(self, pareto_data):
         sm = run(get_model("pareto"), pareto_data, ChainConfig(m=500, b=0, chains=2, seed=3))
         assert np.all(sm.pooled("beta") <= float(np.min(pareto_data.col("x"))))
+
+    @pytest.mark.parametrize("beta", [2.5, 100.0])
+    def test_pareto_start_above_min_rejected(self, beta):
+        # beta > min(x) lies outside the joint's support: no alpha conditional.
+        data = Dataset({"x": np.array([2.0, 3.0, 5.0, 7.0, 11.0])})
+        cfg = ChainConfig(m=10, b=0, chains=1, init=({"alpha": 1.0, "beta": beta},))
+        with pytest.raises(DomainError, match=rf"beta={beta} exceeds min\(x\)=2\.0"):
+            run(get_model("pareto"), data, cfg)
+
+    def test_pareto_start_above_min_fine_when_beta_drawn_first(self):
+        data = Dataset({"x": np.array([2.0, 3.0, 5.0, 7.0, 11.0])})
+        cfg = ChainConfig(m=10, b=0, chains=1, scan_order=("beta", "alpha"),
+                          init=({"alpha": 1.0, "beta": 2.5},))
+        sm = run(get_model("pareto"), data, cfg)
+        assert np.all(sm.pooled("beta") <= 2.0)
+
+    @pytest.mark.parametrize("name,data_fixture", CATALOG_DATA)
+    def test_single_draw_path(self, name, data_fixture, request, monkeypatch):
+        # run draws through the conditionals built once per dataset: it never
+        # evaluates a quantile, and builds a StructuralEquation only for the
+        # injectivity probe at the start of each chain.
+        data = request.getfixturevalue(data_fixture)
+        calls = {"quantile": 0, "equation": 0}
+
+        def counting_quantile(dist, p):
+            calls["quantile"] += 1
+            return quantile(dist, p)
+
+        for module in (fidgibbs.core, fidgibbs.models, fidgibbs.randvar):
+            if getattr(module, "quantile", None) is quantile:
+                monkeypatch.setattr(module, "quantile", counting_quantile)
+        post_init = StructuralEquation.__post_init__
+
+        def counting_post_init(eq):
+            calls["equation"] += 1
+            post_init(eq)
+
+        monkeypatch.setattr(StructuralEquation, "__post_init__", counting_post_init)
+        model = get_model(name)
+        probes = sum(c.check_at_start for c in model.build_conditionals(data).values())
+        run(model, data, ChainConfig(m=200, b=0, chains=3, seed=4))
+        assert calls == {"quantile": 0, "equation": probes * 3}
 
     def test_mu_marginal_ks(self, normal_data):
         # Gibbs marginal of mu against the analytic Student t marginal.

@@ -14,10 +14,19 @@ from fidgibbs import (
     RngStream,
     ScaledInvChiSquare,
     StudentT,
+    ChainConfig,
     check_injectivity,
+    get_model,
+    run,
     log_density,
     simulate_dataset,
 )
+from fidgibbs.randvar import sample
+
+
+def _catalog(model, data, label):
+    """The catalog conditional for one parameter, built on data."""
+    return get_model(model).build_conditionals(data)[label]
 
 
 class TestNormalConditionals:
@@ -89,15 +98,18 @@ class TestParetoConditionals:
 
     def test_beta_draw_boundary(self):
         # gamma = 0 sits at the upper support point min(x).
-        x = np.array([2.0, 3.0, 5.0])
-        eq = M._pareto_beta_equation(3, alpha=1.5)
+        data = Dataset({"x": np.array([2.0, 3.0, 5.0])})
+        eq = _catalog("pareto", data, "beta").equation(data, {"alpha": 1.5, "beta": 1.0})
         assert eq.invert(2.0, 0.0) == 2.0
 
     def test_beta_draw_support_and_median(self):
         x = np.array([2.0, 3.0, 5.0])
         alpha, n = 1.5, 3
+        data = Dataset({"x": x})
+        cond = _catalog("pareto", data, "beta")
         rng = RngStream(77, 0)
-        draws = np.array([M.pareto_conditional_beta_draw(alpha, x, rng) for _ in range(100_000)])
+        state = {"alpha": alpha, "beta": 1.0}
+        draws = np.array([cond.draw(data, state, rng) for _ in range(100_000)])
         assert np.all(draws <= 2.0) and np.all(draws > 0.0)
         expected_median = 2.0 * math.exp(-math.log(2.0) / (n * alpha))
         assert abs(np.median(draws) - expected_median) < 0.01
@@ -105,8 +117,11 @@ class TestParetoConditionals:
     def test_beta_draw_matches_quadrature_cdf(self):
         x = np.array([2.0, 3.0, 5.0])
         alpha = 1.5
+        data = Dataset({"x": x})
+        cond = _catalog("pareto", data, "beta")
         rng = RngStream(78, 0)
-        draws = np.array([M.pareto_conditional_beta_draw(alpha, x, rng) for _ in range(100_000)])
+        state = {"alpha": alpha, "beta": 1.0}
+        draws = np.array([cond.draw(data, state, rng) for _ in range(100_000)])
 
         def cdf(b):
             val, _ = integrate.quad(
@@ -187,7 +202,7 @@ class TestGammaConditionals:
         x = gamma_data.col("x")
         n = x.size
         beta = 0.5
-        eq = M._gamma_alpha_equation(n, beta, 1.0)
+        eq = _catalog("gamma", gamma_data, "alpha").equation(gamma_data, {"alpha": 1.0, "beta": beta})
         q = float(np.sum(np.log(x)))
         a = eq.invert(q, 0.0)
         from fidgibbs import digamma
@@ -195,7 +210,7 @@ class TestGammaConditionals:
 
     def test_alpha_injectivity_n20(self, gamma_data):
         x = gamma_data.col("x")
-        eq = M._gamma_alpha_equation(x.size, 0.5, 1.0)
+        eq = _catalog("gamma", gamma_data, "alpha").equation(gamma_data, {"alpha": 1.0, "beta": 0.5})
         report = check_injectivity(eq, float(np.sum(np.log(x))))
         assert report.monotone
 
@@ -203,17 +218,16 @@ class TestGammaConditionals:
         x = gamma_data.col("x")
         n = x.size
         q = float(np.sum(np.log(x)))
-        eq = M._gamma_alpha_equation(n, 0.5, 1.0)
+        eq = _catalog("gamma", gamma_data, "alpha").equation(gamma_data, {"alpha": 1.0, "beta": 0.5})
         rng = RngStream(55, 0)
-        from fidgibbs.randvar import sample
         for _ in range(300):
             g = sample(eq.gamma_dist, rng)
             a = eq.invert(q, g)
             assert abs(eq.phi(g, a) - q) <= 1e-8
 
     def test_alpha_draw_positive(self, gamma_data, rng):
-        x = gamma_data.col("x")
-        draws = [M.gamma_conditional_alpha_draw(0.5, x, rng) for _ in range(200)]
+        cond = _catalog("gamma", gamma_data, "alpha")
+        draws = [cond.draw(gamma_data, {"alpha": 1.0, "beta": 0.5}, rng) for _ in range(200)]
         assert all(d > 0.0 for d in draws)
 
 
@@ -222,7 +236,7 @@ class TestBetaConditionals:
         x = beta_data.col("x")
         n = x.size
         b = 3.0
-        eq = M._beta_shape_equation(n, b, 1.0)
+        eq = _catalog("beta", beta_data, "alpha").equation(beta_data, {"alpha": 1.0, "beta": b})
         q = float(np.sum(np.log(x)))
         a = eq.invert(q, 0.0)
         from fidgibbs import digamma
@@ -230,16 +244,15 @@ class TestBetaConditionals:
 
     def test_monotone_map(self, beta_data):
         x = beta_data.col("x")
-        eq = M._beta_shape_equation(x.size, 3.0, 1.0)
+        eq = _catalog("beta", beta_data, "alpha").equation(beta_data, {"alpha": 1.0, "beta": 3.0})
         report = check_injectivity(eq, float(np.sum(np.log(x))))
         assert report.monotone
 
     def test_round_trip(self, beta_data):
         x = beta_data.col("x")
         q = float(np.sum(np.log(x)))
-        eq = M._beta_shape_equation(x.size, 3.0, 1.0)
+        eq = _catalog("beta", beta_data, "alpha").equation(beta_data, {"alpha": 1.0, "beta": 3.0})
         rng = RngStream(56, 0)
-        from fidgibbs.randvar import sample
         for _ in range(300):
             g = sample(eq.gamma_dist, rng)
             a = eq.invert(q, g)
@@ -247,10 +260,12 @@ class TestBetaConditionals:
 
     def test_relabel_symmetry(self, beta_data):
         # x -> 1 - x swaps the two shape draws exactly (same stream).
-        x = beta_data.col("x")
+        mirrored = Dataset({"x": 1.0 - beta_data.col("x")})
+        alpha = _catalog("beta", beta_data, "alpha")
+        beta = _catalog("beta", mirrored, "beta")
         r1, r2 = RngStream(57, 0), RngStream(57, 0)
-        a_draws = [M.beta_conditional_alpha_draw(3.0, x, r1) for _ in range(50)]
-        b_draws = [M.beta_conditional_beta_draw(3.0, 1.0 - x, r2) for _ in range(50)]
+        a_draws = [alpha.draw(beta_data, {"alpha": 1.0, "beta": 3.0}, r1) for _ in range(50)]
+        b_draws = [beta.draw(mirrored, {"alpha": 3.0, "beta": 1.0}, r2) for _ in range(50)]
         assert np.allclose(a_draws, b_draws, atol=1e-10)
 
 
@@ -271,18 +286,27 @@ class TestBehrensFisher:
         assert abs(np.median(draws)) < 0.02
 
     def test_scalar_draw_matches_vectorized_construction(self, bf_data):
+        # The catalog conditionals, composed by the Gibbs sampler one scalar
+        # draw at a time, reproduce the direct mean-difference construction.
         x, y = bf_data.col("x"), bf_data.col("y")
-        rng = RngStream(60, 0)
-        draws = np.array([M.behrens_fisher_draw(x, y, rng) for _ in range(20_000)])
+        sm = run(get_model("behrens_fisher"), bf_data,
+                 ChainConfig(m=10_500, b=500, chains=2, seed=60))
+        draws = sm.pooled("mu_x") - sm.pooled("mu_y")
         direct = M.behrens_fisher_direct_draws(x, y, 20_000, RngStream(61, 0))
         assert stats.ks_2samp(draws, direct).pvalue > 1e-3
 
     def test_degenerate_group(self):
         with pytest.raises(DegenerateDataError):
-            M.behrens_fisher_draw(np.array([1.0, 1.0]), np.array([0.0, 1.0]), RngStream(1, 0))
+            M.behrens_fisher_direct_draws(np.array([1.0, 1.0]), np.array([0.0, 1.0]), 10,
+                                          RngStream(1, 0))
+        with pytest.raises(DegenerateDataError):
+            get_model("behrens_fisher").validate_data(
+                Dataset({"x": np.array([1.0, 1.0]), "y": np.array([0.0, 1.0])}))
 
 
 class TestBivariateNormal:
+    STATE = {"mu_x": 0.0, "mu_y": 0.0, "sigma_x2": 1.0, "sigma_y2": 1.0, "rho": 0.0}
+
     def test_mu_x_conditional_special_cases(self, bvn_data):
         x, y = bvn_data.col("x"), bvn_data.col("y")
         n = x.size
@@ -319,8 +343,9 @@ class TestBivariateNormal:
         ll = [M.bvn_log_likelihood(0.5, -0.2, g * g, 0.8, 0.6, x, y) for g in grid]
         assert abs(grid[int(np.argmax(ll))] - sig) < 1e-3
 
-    def test_sigma_draw_gamma_zero(self):
-        eq = M._bvn_sigma_equation(200, 0.8)
+    def test_sigma_draw_gamma_zero(self, bvn_data):
+        state = {"mu_x": 0.0, "mu_y": 0.0, "sigma_x2": 1.0, "sigma_y2": 1.0, "rho": 0.8}
+        eq = _catalog("bivariate_normal", bvn_data, "sigma_x2").equation(bvn_data, state)
         assert abs(eq.invert(1.3, 0.0) - 1.69) < 1e-12
 
     def test_rho_mle_symmetric_zero(self):
@@ -340,13 +365,13 @@ class TestBivariateNormal:
         ll = [M.bvn_log_likelihood(0.0, 0.0, 1.0, 1.0, g, x, y) for g in grid]
         assert abs(grid[int(np.argmax(ll))] - rho) < 1e-3
 
-    def test_rho_equation_gamma_zero(self):
-        eq = M._bvn_rho_equation(200)
+    def test_rho_equation_gamma_zero(self, bvn_data):
+        eq = _catalog("bivariate_normal", bvn_data, "rho").equation(bvn_data, self.STATE)
         assert abs(eq.invert(0.73, 0.0) - 0.73) < 1e-10
 
-    def test_rho_equation_unique_sign_change(self):
+    def test_rho_equation_unique_sign_change(self, bvn_data):
         # At n=200 the map is strictly increasing in rho for any |gamma| <= 5.
-        eq = M._bvn_rho_equation(200)
+        eq = _catalog("bivariate_normal", bvn_data, "rho").equation(bvn_data, self.STATE)
         rho_hat = 0.8
         grid = np.linspace(-0.999, 0.999, 4001)
         for g in (-5.0, -2.0, 0.0, 2.0, 5.0):
@@ -357,10 +382,9 @@ class TestBivariateNormal:
 
     def test_rho_round_trip(self, bvn_data):
         x, y = bvn_data.col("x"), bvn_data.col("y")
-        eq = M._bvn_rho_equation(x.size)
+        eq = _catalog("bivariate_normal", bvn_data, "rho").equation(bvn_data, self.STATE)
         q = M.bvn_rho_mle(0.0, 0.0, 1.0, 1.0, x, y)
         rng = RngStream(64, 0)
-        from fidgibbs.randvar import sample
         for _ in range(300):
             g = sample(eq.gamma_dist, rng)
             r = eq.invert(q, g)
@@ -368,10 +392,10 @@ class TestBivariateNormal:
             assert abs(eq.phi(g, r) - q) <= 1e-8
 
     def test_draw_wrappers(self, bvn_data, rng):
-        x, y = bvn_data.col("x"), bvn_data.col("y")
-        s2 = M.bvn_conditional_sigma_x2_draw(0.0, 0.0, 1.0, 0.8, x, y, rng)
+        conditionals = get_model("bivariate_normal").build_conditionals(bvn_data)
+        s2 = conditionals["sigma_x2"].draw(bvn_data, dict(self.STATE, rho=0.8), rng)
         assert s2 > 0.0
-        r = M.bvn_conditional_rho_draw(0.0, 0.0, 1.0, 1.0, x, y, rng)
+        r = conditionals["rho"].draw(bvn_data, self.STATE, rng)
         assert -1.0 < r < 1.0
 
 
