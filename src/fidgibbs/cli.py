@@ -209,6 +209,11 @@ def _cmd_run(args) -> int:
         if "n" not in kv:
             print("error: --simulate needs n=<count>", file=sys.stderr)
             return 1
+        for key in ("n", "seed"):
+            if key in kv and not kv[key].is_integer():
+                print(f"error: --simulate {key} must be an integer, got {kv[key]}",
+                      file=sys.stderr)
+                return 1
         n = int(kv.pop("n"))
         sim_seed = int(kv.pop("seed", args.seed))
         data = simulate_dataset(model, kv, n, RngStream(sim_seed, stream_id=2**32))

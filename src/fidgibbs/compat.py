@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import DomainError
 from .models import Dataset, ModelSpec, get_model
+from .randvar import quantile
 
 __all__ = ["SliceResult", "CompatReport", "ratio_constancy", "check_model", "CLOSED_FORM_TOL"]
 
@@ -141,29 +142,6 @@ def ratio_constancy(
                         verdict=verdict, notes=notes)
 
 
-def _default_slices(model: ModelSpec, data: Dataset) -> list:
-    """Three mild perturbations of the moment-style starting point."""
-    base = model.chain_inits(data, 1)[0]
-    slices = []
-    for f_scale, f_shift, f_corr in ((1.0, 0.0, 1.0), (1.25, 0.4, 0.7), (0.8, -0.4, 0.45)):
-        st = {}
-        for p in model.params:
-            v = base[p.label]
-            if p.kind == "scale":
-                st[p.label] = v * f_scale
-            elif p.kind == "correlation":
-                st[p.label] = v * f_corr
-            else:
-                spread = math.sqrt(abs(base.get("sigma2", base.get("sigma_x2", 1.0)))) or 1.0
-                st[p.label] = v + f_shift * spread / math.sqrt(data.n)
-            if not p.contains(st[p.label]):
-                st[p.label] = v
-        if model.clamp_state is not None:
-            st = model.clamp_state(st, data)
-        slices.append(st)
-    return slices
-
-
 def check_model(
     model: Union[str, ModelSpec],
     data: Dataset,
@@ -173,24 +151,29 @@ def check_model(
 ) -> dict:
     """Run the ratio-constancy check for every parameter of a catalog model.
 
-    Only models shipping an analytic joint kernel support this; the grid
-    per slice spans the central 99% of the conditional.  Returns a dict
-    of parameter label to CompatReport.
+    Only models shipping an analytic joint kernel support this.  The
+    default slices are the model's first three chain starts.  The grid per
+    slice spans the central 99% of the conditional that run samples: its
+    ends invert the parameter's structural equation at the 0.5% and 99.5%
+    quantiles of the primary.  Returns a dict of parameter label to
+    CompatReport.
     """
     spec = get_model(model) if isinstance(model, str) else model
     if spec.joint_log_kernel is None or spec.conditional_log_density is None:
         raise DomainError(
             f"model '{spec.name}' has no analytic joint kernel to check against")
     spec.validate_data(data)
-    slices = list(slices) if slices is not None else _default_slices(spec, data)
+    slices = list(slices) if slices is not None else spec.chain_inits(data, MIN_SLICES)
+    conditionals = spec.build_conditionals(data)
     lo_p = (1.0 - GRID_COVERAGE) / 2.0
     reports = {}
     for p in spec.params:
         others_slices = [{k: v for k, v in s.items() if k != p.label} for s in slices]
 
-        def grid(others, label=p.label):
-            lo = spec.conditional_quantile(label, lo_p, others, data)
-            hi = spec.conditional_quantile(label, 1.0 - lo_p, others, data)
+        def grid(others, c=conditionals[p.label]):
+            eq = c.equation_for(data, others)
+            q = c.statistic.compute(data, others)
+            lo, hi = sorted(eq.invert(q, quantile(eq.gamma_dist, u)) for u in (lo_p, 1.0 - lo_p))
             return np.linspace(lo, hi, grid_points)
 
         reports[p.label] = ratio_constancy(

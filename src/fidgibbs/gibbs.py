@@ -104,6 +104,9 @@ def _scan_order(model: ModelSpec, config: ChainConfig) -> Tuple[str, ...]:
 
 
 def _validate_init(model: ModelSpec, state: Mapping[str, float], chain: int) -> dict:
+    for label in state:
+        if label not in model.param_labels:
+            raise DomainError(f"chain {chain} init has unknown parameter '{label}'")
     out = {}
     for p in model.params:
         if p.label not in state:

@@ -4,8 +4,8 @@ Each family provides, per parameter: a fiducial statistic, a structural
 equation (primary random variable plus the map tying the statistic to the
 parameter), and the resulting conditional sampler.  Closed-form families
 also expose the conditional distributions as Dist objects, an analytic
-joint log kernel, and conditional quantiles (used by the compatibility
-checker); every family ships a forward data simulator.
+joint log kernel, and conditional log densities (the compatibility
+checker's oracles); every family ships a forward data simulator.
 
 Families: normal, pareto, quadreg, gamma, beta, behrens_fisher,
 bivariate_normal.
@@ -33,7 +33,6 @@ from .randvar import (
     StudentT,
     TruncatedNormal,
     log_density,
-    quantile,
 )
 from .specfun import Bracket, digamma, solve_cubic_in_interval, solve_monotone, solve_quadratic_positive, trigamma
 
@@ -128,8 +127,6 @@ class ModelSpec:
     validate_data: Callable[[Dataset], None]
     joint_log_kernel: Optional[Callable[[Mapping[str, float], Dataset], float]] = None
     conditional_log_density: Optional[Callable[[str, float, Mapping[str, float], Dataset], float]] = None
-    conditional_quantile: Optional[Callable[[str, float, Mapping[str, float], Dataset], float]] = None
-    clamp_state: Optional[Callable[[dict, Dataset], dict]] = None
 
     @property
     def param_labels(self) -> Tuple[str, ...]:
@@ -236,7 +233,9 @@ def _expanding_root(f: Callable[[float], float], start: float, tol: float = 1e-1
     """Root of an increasing f by geometric bracket expansion plus Brent.
 
     Raises StructuralError when no sign change is found before the bracket
-    hits the floating-point floor/ceiling (the no-solution case).
+    hits the floating-point floor/ceiling (the no-solution case).  Each
+    bracket point is evaluated once: the solver reuses the values the
+    expansion found at the bracket ends.
     """
     def safe(a):
         try:
@@ -245,9 +244,10 @@ def _expanding_root(f: Callable[[float], float], start: float, tol: float = 1e-1
             return math.nan
 
     lo = hi = max(start, 1e-8)
-    flo = safe(lo)
+    flo = fhi = safe(lo)
     if not flo <= 0.0:
         for _ in range(600):
+            hi, fhi = lo, flo
             lo *= 0.25
             if lo < 1e-280:
                 raise StructuralError("no lower bracket: target function stays positive", start=start)
@@ -256,10 +256,9 @@ def _expanding_root(f: Callable[[float], float], start: float, tol: float = 1e-1
                 break
         else:
             raise StructuralError("lower bracket expansion exhausted", start=start)
-        hi = lo * 4.0
-    fhi = safe(hi)
     if not fhi >= 0.0:
         for _ in range(600):
+            lo, flo = hi, fhi
             hi *= 4.0
             if hi > 1e280:
                 raise StructuralError("no upper bracket: target function stays negative", start=start)
@@ -268,9 +267,16 @@ def _expanding_root(f: Callable[[float], float], start: float, tol: float = 1e-1
                 break
         else:
             raise StructuralError("upper bracket expansion exhausted", start=start)
-        lo = max(lo, hi * 0.25)
+
+    def known(a):
+        if a == lo:
+            return flo
+        if a == hi:
+            return fhi
+        return f(a)
+
     try:
-        return solve_monotone(f, 0.0, Bracket(lo, hi), tol=tol)
+        return solve_monotone(known, 0.0, Bracket(lo, hi), tol=tol)
     except (BracketError, EvaluationError) as exc:
         raise StructuralError(f"root isolation failed: {exc}", start=start) from exc
 
@@ -358,14 +364,10 @@ def _normal_validate(data: Dataset):
         raise DegenerateDataError("normal model needs non-constant data")
 
 
-def _normal_default_init(data: Dataset) -> dict:
-    x = data.col("x")
-    return {"mu": float(np.mean(x)), "sigma2": float(np.var(x, ddof=1))}
-
-
 def _normal_chain_inits(data: Dataset, chains: int) -> list:
-    base = _normal_default_init(data)
-    spread = math.sqrt(base["sigma2"] / data.col("x").size)
+    x = data.col("x")
+    base = {"mu": float(np.mean(x)), "sigma2": float(np.var(x, ddof=1))}
+    spread = math.sqrt(base["sigma2"] / x.size)
     return _disperse(base, _NORMAL_PARAMS, {"mu": spread}, chains)
 
 
@@ -469,16 +471,6 @@ def _pareto_conditional_log_density(param: str, v: float, others: Mapping[str, f
     raise DomainError(f"pareto model has no parameter '{param}'")
 
 
-def _pareto_conditional_quantile(param: str, p: float, others: Mapping[str, float], data: Dataset) -> float:
-    x = data.col("x")
-    if param == "alpha":
-        return quantile(pareto_conditional_alpha(others["beta"], x), p)
-    if param == "beta":
-        n_alpha = x.size * others["alpha"]
-        return float(np.min(x)) * p ** (1.0 / n_alpha)
-    raise DomainError(f"pareto model has no parameter '{param}'")
-
-
 def _pareto_validate(data: Dataset):
     x = data.col("x")
     if x.size < 2:
@@ -489,21 +481,15 @@ def _pareto_validate(data: Dataset):
         raise DegenerateDataError("pareto model needs non-constant data")
 
 
-def _pareto_default_init(data: Dataset) -> dict:
+def _pareto_chain_inits(data: Dataset, chains: int) -> list:
     x = data.col("x")
     m = float(np.min(x))
     denom = float(np.sum(np.log(x / m)))
     alpha = x.size / denom if denom > 0.0 else 1.0
-    return {"alpha": alpha, "beta": 0.95 * m}
-
-
-def _pareto_chain_inits(data: Dataset, chains: int) -> list:
-    base = _pareto_default_init(data)
     inits = []
-    m = float(np.min(data.col("x")))
     for c in range(chains):
         f = _SCALE_FACTORS[c % len(_SCALE_FACTORS)]
-        inits.append({"alpha": base["alpha"] * f,
+        inits.append({"alpha": alpha * f,
                       "beta": m * (0.95 * _SHRINKS[c % len(_SHRINKS)])})
     return inits
 
@@ -519,13 +505,6 @@ _PARETO_PARAMS = (
     ParamSpec("alpha", 0.0, math.inf, "scale"),
     ParamSpec("beta", 0.0, math.inf, "scale"),
 )
-
-
-def _pareto_clamp(state: dict, data: Dataset) -> dict:
-    # beta must not exceed the sample minimum.
-    out = dict(state)
-    out["beta"] = min(out["beta"], 0.97 * float(np.min(data.col("x"))))
-    return out
 
 
 def _pareto_joint(theta: Mapping[str, float], data: Dataset) -> float:
@@ -647,7 +626,7 @@ def _quadreg_validate(data: Dataset):
         raise DegenerateDataError("design is degenerate: all x are zero")
 
 
-def _quadreg_default_init(data: Dataset) -> dict:
+def _quadreg_chain_inits(data: Dataset, chains: int) -> list:
     x = data.col("x")
     y = data.col("y")
     design = np.column_stack([np.ones_like(x), x, x ** 2])
@@ -656,14 +635,9 @@ def _quadreg_default_init(data: Dataset) -> dict:
     s2 = rss / x.size
     if s2 <= 0.0:
         s2 = max(float(np.var(y)), 1e-8)
-    return {"beta0": float(coef[0]), "beta1": float(coef[1]), "beta2": float(coef[2]),
+    base = {"beta0": float(coef[0]), "beta1": float(coef[1]), "beta2": float(coef[2]),
             "sigma2": float(s2)}
-
-
-def _quadreg_chain_inits(data: Dataset, chains: int) -> list:
-    base = _quadreg_default_init(data)
-    s = _quadreg_sums(data.col("x"), data.col("y"))
-    s2 = base["sigma2"]
+    s = _quadreg_sums(x, y)
     spreads = {
         "beta0": math.sqrt(s2 / s["n"]),
         "beta1": math.sqrt(s2 / s["sx2"]),
@@ -771,16 +745,12 @@ def _gamma_validate(data: Dataset):
         raise DegenerateDataError("gamma model needs non-constant data")
 
 
-def _gamma_default_init(data: Dataset) -> dict:
+def _gamma_chain_inits(data: Dataset, chains: int) -> list:
     x = data.col("x")
     m = float(np.mean(x))
-    v = float(np.var(x, ddof=1))
-    v = max(v, 1e-12)
-    return {"alpha": max(m * m / v, 1e-3), "beta": max(m / v, 1e-3)}
-
-
-def _gamma_chain_inits(data: Dataset, chains: int) -> list:
-    return _disperse(_gamma_default_init(data), _GAMMA_PARAMS, {}, chains)
+    v = max(float(np.var(x, ddof=1)), 1e-12)
+    base = {"alpha": max(m * m / v, 1e-3), "beta": max(m / v, 1e-3)}
+    return _disperse(base, _GAMMA_PARAMS, {}, chains)
 
 
 def _gamma_simulate(theta: Mapping[str, float], n: int, rng: RngStream) -> Dataset:
@@ -857,16 +827,13 @@ def _beta_validate(data: Dataset):
         raise DomainError("beta data must lie strictly inside (0, 1)")
 
 
-def _beta_default_init(data: Dataset) -> dict:
+def _beta_chain_inits(data: Dataset, chains: int) -> list:
     x = data.col("x")
     m = float(np.mean(x))
     v = max(float(np.var(x, ddof=1)), 1e-12)
     common = max(m * (1.0 - m) / v - 1.0, 1e-2)
-    return {"alpha": max(m * common, 1e-2), "beta": max((1.0 - m) * common, 1e-2)}
-
-
-def _beta_chain_inits(data: Dataset, chains: int) -> list:
-    return _disperse(_beta_default_init(data), _BETA_PARAMS, {}, chains)
+    base = {"alpha": max(m * common, 1e-2), "beta": max((1.0 - m) * common, 1e-2)}
+    return _disperse(base, _BETA_PARAMS, {}, chains)
 
 
 def _beta_simulate(theta: Mapping[str, float], n: int, rng: RngStream) -> Dataset:
@@ -956,18 +923,11 @@ def _bf_validate(data: Dataset):
     _group_stats(data.col("y"), "y")
 
 
-def _bf_default_init(data: Dataset) -> dict:
-    mx, sx2, _ = _group_stats(data.col("x"), "x")
-    my, sy2, _ = _group_stats(data.col("y"), "y")
-    return {"mu_x": mx, "mu_y": my, "sigma_x2": sx2, "sigma_y2": sy2}
-
-
 def _bf_chain_inits(data: Dataset, chains: int) -> list:
-    base = _bf_default_init(data)
-    spreads = {
-        "mu_x": math.sqrt(base["sigma_x2"] / data.col("x").size),
-        "mu_y": math.sqrt(base["sigma_y2"] / data.col("y").size),
-    }
+    mx, sx2, nx = _group_stats(data.col("x"), "x")
+    my, sy2, ny = _group_stats(data.col("y"), "y")
+    base = {"mu_x": mx, "mu_y": my, "sigma_x2": sx2, "sigma_y2": sy2}
+    spreads = {"mu_x": math.sqrt(sx2 / nx), "mu_y": math.sqrt(sy2 / ny)}
     return _disperse(base, _BF_PARAMS, spreads, chains)
 
 
@@ -1227,23 +1187,19 @@ def _bvn_validate(data: Dataset):
         raise DegenerateDataError("bivariate_normal needs non-constant columns")
 
 
-def _bvn_default_init(data: Dataset) -> dict:
+def _bvn_chain_inits(data: Dataset, chains: int) -> list:
     x = data.col("x")
     y = data.col("y")
     rho = float(np.corrcoef(x, y)[0, 1])
     rho = float(np.clip(rho, -0.95, 0.95))
-    return {
+    base = {
         "mu_x": float(np.mean(x)),
         "mu_y": float(np.mean(y)),
         "sigma_x2": float(np.var(x)),
         "sigma_y2": float(np.var(y)),
         "rho": rho,
     }
-
-
-def _bvn_chain_inits(data: Dataset, chains: int) -> list:
-    base = _bvn_default_init(data)
-    n = data.col("x").size
+    n = x.size
     spreads = {
         "mu_x": math.sqrt(base["sigma_x2"] / n),
         "mu_y": math.sqrt(base["sigma_y2"] / n),
@@ -1284,12 +1240,6 @@ def _closed_form_cond_logpdf(dist_fn):
     return cond
 
 
-def _closed_form_cond_quantile(dist_fn):
-    def cond(param, p, others, data):
-        return quantile(dist_fn(param, others, data), p)
-    return cond
-
-
 _MODELS = {
     "normal": ModelSpec(
         name="normal",
@@ -1300,7 +1250,6 @@ _MODELS = {
         validate_data=_normal_validate,
         joint_log_kernel=_normal_joint_log_kernel,
         conditional_log_density=_closed_form_cond_logpdf(_normal_conditional_dist),
-        conditional_quantile=_closed_form_cond_quantile(_normal_conditional_dist),
     ),
     "pareto": ModelSpec(
         name="pareto",
@@ -1311,8 +1260,6 @@ _MODELS = {
         validate_data=_pareto_validate,
         joint_log_kernel=_pareto_joint,
         conditional_log_density=_pareto_conditional_log_density,
-        conditional_quantile=_pareto_conditional_quantile,
-        clamp_state=_pareto_clamp,
     ),
     "quadreg": ModelSpec(
         name="quadreg",
@@ -1323,7 +1270,6 @@ _MODELS = {
         validate_data=_quadreg_validate,
         joint_log_kernel=_quadreg_joint,
         conditional_log_density=_closed_form_cond_logpdf(_quadreg_conditional_dist),
-        conditional_quantile=_closed_form_cond_quantile(_quadreg_conditional_dist),
     ),
     "gamma": ModelSpec(
         name="gamma",
@@ -1350,7 +1296,6 @@ _MODELS = {
         validate_data=_bf_validate,
         joint_log_kernel=_bf_joint,
         conditional_log_density=_closed_form_cond_logpdf(_bf_conditional_dist),
-        conditional_quantile=_closed_form_cond_quantile(_bf_conditional_dist),
     ),
     "bivariate_normal": ModelSpec(
         name="bivariate_normal",
@@ -1378,6 +1323,9 @@ def simulate_dataset(model: "ModelSpec | str", theta: Mapping[str, float], n: in
     spec = get_model(model) if isinstance(model, str) else model
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
+    for label in theta:
+        if label not in spec.param_labels:
+            raise DomainError(f"unknown parameter '{label}' for model '{spec.name}'")
     for p in spec.params:
         if p.label not in theta:
             raise DomainError(f"missing parameter '{p.label}' for model '{spec.name}'")

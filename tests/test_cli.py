@@ -42,6 +42,13 @@ class TestSimulateCommand:
                    "--n", 5, "--seed", 1, "--out", tmp_path / "x.csv"])
         assert rc == 1
 
+    def test_unknown_param_exit_one(self, tmp_path, capsys):
+        rc = _run(["simulate", "--model", "gamma", "--params", "alpha=2,beta=1,rate=5",
+                   "--n", 5, "--seed", 1, "--out", tmp_path / "x.csv"])
+        assert rc == 1
+        assert "unknown parameter 'rate'" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
 
 class TestRunCommand:
     def test_full_run_outputs(self, tmp_path):
@@ -114,6 +121,30 @@ class TestRunCommand:
         assert rc == 0
         report = json.loads((out / "report.json").read_text())
         assert report["scan_order"] == ["sigma2", "mu"]
+
+    def test_simulate_unknown_parameter_exit_one(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        rc = _run(["run", "--model", "normal", "--simulate", "mu=1,sigma2=4,n=12,sigma=9",
+                   "--m", 100, "--b", 10, "--output-dir", out])
+        assert rc == 1
+        assert "unknown parameter 'sigma'" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+    def test_init_unknown_parameter_exit_one(self, tmp_path, capsys):
+        rc = _run(["run", "--model", "normal", "--simulate", "mu=0,sigma2=1,n=8",
+                   "--m", 100, "--b", 10, "--init", "mu=0,sigma2=1,sgima2=50",
+                   "--output-dir", tmp_path / "o"])
+        assert rc == 1
+        assert "unknown parameter 'sgima2'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", ["mu=0,sigma2=1,n=2.9", "mu=0,sigma2=1,n=8,seed=1.5"])
+    def test_simulate_non_integer_count_exit_one(self, spec, tmp_path, capsys):
+        out = tmp_path / "o"
+        rc = _run(["run", "--model", "normal", "--simulate", spec,
+                   "--m", 100, "--b", 10, "--output-dir", out])
+        assert rc == 1
+        assert "must be an integer" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
 
     def test_pareto_init_above_min_exit_one(self, tmp_path, capsys):
         data = tmp_path / "data.csv"

@@ -3,8 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from fidgibbs import DomainError, Normal, check_model, get_model, log_density, ratio_constancy
-from fidgibbs.compat import _default_slices
+from fidgibbs import DomainError, Normal, check_model, get_model, log_density, quantile, ratio_constancy
+from fidgibbs.models import (
+    normal_conditional_mu,
+    normal_conditional_sigma2,
+    pareto_conditional_alpha,
+    quadreg_conditionals,
+)
 
 
 def _normal_setup(normal_data):
@@ -12,7 +17,7 @@ def _normal_setup(normal_data):
     x = normal_data.col("x")
     n = x.size
     xbar = float(np.mean(x))
-    slices = _default_slices(spec, normal_data)
+    slices = spec.chain_inits(normal_data, 3)
     others = [{k: v for k, v in s.items() if k != "mu"} for s in slices]
     joint = lambda st: spec.joint_log_kernel(st, normal_data)
     cond = lambda v, o: log_density(Normal(xbar, o["sigma2"] / n), v)
@@ -20,6 +25,30 @@ def _normal_setup(normal_data):
 
 
 CLOSED_FORM = ["normal", "pareto", "quadreg", "behrens_fisher"]
+FIXTURES = {"normal": "normal_data", "pareto": "pareto_data",
+            "quadreg": "quadreg_data", "behrens_fisher": "bf_data"}
+
+
+def _closed_form_ends(name, param, state, data):
+    """0.5% and 99.5% quantiles of the printed conditional of param at state."""
+    x = data.col("x")
+    if name == "pareto" and param == "beta":
+        return sorted(float(np.min(x)) * u ** (1.0 / (x.size * state["alpha"]))
+                      for u in (0.005, 0.995))
+    if name == "pareto":
+        dist = pareto_conditional_alpha(state["beta"], x)
+    elif name == "quadreg":
+        dist = quadreg_conditionals(state["beta0"], state["beta1"], state["beta2"],
+                                    state["sigma2"], x, data.col("y"))[param]
+    else:
+        # normal, or one group of behrens_fisher (mu_x, sigma_x2, mu_y, sigma_y2)
+        g = "" if name == "normal" else ("_x" if "_x" in param else "_y")
+        col = data.col(g[1:] or "x")
+        if param.startswith("mu"):
+            dist = normal_conditional_mu(float(np.mean(col)), state[f"sigma{g}2"], col.size)
+        else:
+            dist = normal_conditional_sigma2(state[f"mu{g}"], col)
+    return sorted(quantile(dist, u) for u in (0.005, 0.995))
 
 
 class TestCheckModel:
@@ -34,6 +63,22 @@ class TestCheckModel:
             assert rep.max_spread <= 1e-8
             assert len(rep.slices) >= 3
             assert all(s.grid.size >= 64 for s in rep.slices)
+
+    @pytest.mark.parametrize("name", CLOSED_FORM)
+    def test_slices_and_grids_come_from_the_sampler(self, name, request):
+        # Slices are the first three chain starts; each grid spans the
+        # central 99% of the sampler's own conditional, checked here
+        # against the independent closed-form quantiles.
+        data = request.getfixturevalue(FIXTURES[name])
+        spec = get_model(name)
+        starts = spec.chain_inits(data, 3)
+        for param, rep in check_model(name, data).items():
+            assert [s.others for s in rep.slices] == [
+                {k: v for k, v in st.items() if k != param} for st in starts]
+            for s, st in zip(rep.slices, starts):
+                lo, hi = _closed_form_ends(name, param, st, data)
+                assert s.grid[0] == pytest.approx(lo, rel=1e-12, abs=0.0), (param, st)
+                assert s.grid[-1] == pytest.approx(hi, rel=1e-12, abs=0.0), (param, st)
 
     @pytest.mark.parametrize("name", ["gamma", "beta", "bivariate_normal"])
     def test_models_without_kernel_refuse(self, name, request):
@@ -87,7 +132,7 @@ class TestRatioConstancy:
     def test_grid_outside_conditional_support_rejected(self, pareto_data):
         spec = get_model("pareto")
         x = pareto_data.col("x")
-        slices = _default_slices(spec, pareto_data)
+        slices = spec.chain_inits(pareto_data, 3)
         others = [{k: v for k, v in s.items() if k != "beta"} for s in slices]
         joint = lambda st: spec.joint_log_kernel(st, pareto_data)
         cond = lambda v, o: spec.conditional_log_density("beta", v, o, pareto_data)

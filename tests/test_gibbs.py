@@ -106,6 +106,12 @@ class TestRun:
         with pytest.raises(DomainError, match=rf"beta={beta} exceeds min\(x\)=2\.0"):
             run(get_model("pareto"), data, cfg)
 
+    def test_unknown_init_parameter_rejected(self, normal_data):
+        cfg = ChainConfig(m=10, b=0, chains=1,
+                          init=({"mu": 0.0, "sigma2": 1.0, "sgima2": 50.0},))
+        with pytest.raises(DomainError, match="unknown parameter 'sgima2'"):
+            run(get_model("normal"), normal_data, cfg)
+
     def test_pareto_start_above_min_fine_when_beta_drawn_first(self):
         data = Dataset({"x": np.array([2.0, 3.0, 5.0, 7.0, 11.0])})
         cfg = ChainConfig(m=10, b=0, chains=1, scan_order=("beta", "alpha"),

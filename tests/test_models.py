@@ -9,6 +9,8 @@ from fidgibbs import (
     DegenerateDataError,
     DomainError,
     Dataset,
+    EvaluationError,
+    StructuralError,
     Gamma,
     Normal,
     RngStream,
@@ -428,3 +430,34 @@ class TestSimulate:
             simulate_dataset("gamma", {"alpha": -1.0, "beta": 1.0}, 5, RngStream(1, 0))
         with pytest.raises(DomainError):
             simulate_dataset("gamma", {"alpha": 1.0}, 5, RngStream(1, 0))
+
+    def test_unknown_parameter_rejected(self):
+        with pytest.raises(DomainError, match="unknown parameter 'rate'"):
+            simulate_dataset("gamma", {"alpha": 2.0, "beta": 1.0, "rate": 5.0}, 5, RngStream(1, 0))
+
+
+class TestExpandingRoot:
+    @pytest.mark.parametrize("start", [1e-3, 0.3, 2.9, 3.1, 40.0, 1e6])
+    def test_each_point_evaluated_at_most_twice(self, start):
+        # The bracket ends found by the expansion are not evaluated again.
+        calls = []
+
+        def f(a):
+            calls.append(a)
+            return math.log(a) - math.log(3.0)
+
+        root = M._expanding_root(f, start)
+        assert root == pytest.approx(3.0, rel=1e-10)
+        counts = {a: calls.count(a) for a in calls}
+        assert max(counts.values()) <= 2, counts
+
+    def test_non_finite_bracket_end_raises_structural_error(self):
+        # f is undefined between 1.2 and 3; the expansion stops on a bracket
+        # whose lower end is such a point.
+        def f(a):
+            if 1.2 < a < 3.0:
+                raise EvaluationError(f"undefined at {a}")
+            return a - 1.0
+
+        with pytest.raises(StructuralError, match="root isolation failed"):
+            M._expanding_root(f, 2.0)
