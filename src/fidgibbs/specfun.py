@@ -163,17 +163,18 @@ def _cbrt(x: float) -> float:
     return math.copysign(abs(x) ** (1.0 / 3.0), x)
 
 
-def _real_cubic_roots(coeffs: Sequence[float]) -> np.ndarray:
+def _real_cubic_roots(coeffs: Sequence[float]) -> list:
     """Real roots of c3*t^3 + c2*t^2 + c1*t + c0, coefficients highest first.
 
     Closed form (trigonometric for three real roots, Cardano otherwise)
-    plus a Newton polish; degenerate leading coefficients fall back to the
-    companion-matrix solver.
+    plus a Newton polish in Python floats; degenerate leading coefficients
+    fall back to the companion-matrix solver.  Returns the distinct roots
+    in increasing order.
     """
     c3, c2, c1, c0 = coeffs
     if c3 == 0.0:
         roots = np.roots(coeffs)
-        real = roots[np.abs(roots.imag) <= 1e-8 * (1.0 + np.abs(roots))].real
+        real = roots[np.abs(roots.imag) <= 1e-8 * (1.0 + np.abs(roots))].real.tolist()
     else:
         a = c2 / c3
         b = c1 / c3
@@ -193,14 +194,15 @@ def _real_cubic_roots(coeffs: Sequence[float]) -> np.ndarray:
             phi = math.acos(min(1.0, max(-1.0, -0.5 * q / r)))
             m = 2.0 * math.sqrt(-p / 3.0)
             t_roots = [m * math.cos((phi + 2.0 * math.pi * k) / 3.0) for k in (0, 1, 2)]
-        real = np.array(t_roots) - shift
-    # Newton polish each candidate.
-    for _ in range(2):
-        val = ((c3 * real + c2) * real + c1) * real + c0
-        der = (3.0 * c3 * real + 2.0 * c2) * real + c1
-        step = np.where(der != 0.0, val / np.where(der != 0.0, der, 1.0), 0.0)
-        real = real - step
-    return np.unique(real)
+        real = [t - shift for t in t_roots]
+    polished = []
+    for t in real:
+        for _ in range(2):
+            der = (3.0 * c3 * t + 2.0 * c2) * t + c1
+            if der != 0.0:
+                t -= (((c3 * t + c2) * t + c1) * t + c0) / der
+        polished.append(t)
+    return sorted(set(polished))
 
 
 def solve_cubic_in_interval(
@@ -226,7 +228,7 @@ def solve_cubic_in_interval(
     real = _real_cubic_roots(coeffs)
     # Tolerate roundoff that pushes a boundary-hugging root just outside.
     pad = 1e-12 * max(1.0, interval.width)
-    inside = [float(np.clip(r, interval.lo, interval.hi))
+    inside = [min(max(r, interval.lo), interval.hi)
               for r in real if interval.lo - pad < r < interval.hi + pad]
     if not inside:
         raise DegenerateDataError(

@@ -18,6 +18,7 @@ from fidgibbs import (
     solve_quadratic_positive,
     trigamma,
 )
+from fidgibbs.specfun import _cbrt, _real_cubic_roots
 
 # High-precision reference values (40-digit arbitrary-precision oracle).
 LN_GAMMA_TABLE = {
@@ -247,6 +248,95 @@ class TestSolveCubicInInterval:
         # Single real root at 2.0, outside (-1, 1).
         with pytest.raises(DegenerateDataError):
             solve_cubic_in_interval([1.0, -2.0, 1.0, -2.0], Bracket(-1.0, 1.0))
+
+
+def _numpy_cubic_roots(coeffs):
+    """The vectorised polish the scalar one replaced: closed-form roots,
+    two Newton steps on a numpy array, then np.unique."""
+    c3, c2, c1, c0 = coeffs
+    if c3 == 0.0:
+        roots = np.roots(coeffs)
+        real = roots[np.abs(roots.imag) <= 1e-8 * (1.0 + np.abs(roots))].real
+    else:
+        a, b, c = c2 / c3, c1 / c3, c0 / c3
+        shift = a / 3.0
+        p = b - a * a / 3.0
+        q = 2.0 * a ** 3 / 27.0 - a * b / 3.0 + c
+        disc = 0.25 * q * q + p ** 3 / 27.0
+        if disc > 0.0:
+            s = math.sqrt(disc)
+            t_roots = [_cbrt(-0.5 * q + s) + _cbrt(-0.5 * q - s)]
+        elif disc == 0.0:
+            u = _cbrt(-0.5 * q)
+            t_roots = [2.0 * u, -u]
+        else:
+            r = math.sqrt(-(p ** 3) / 27.0)
+            phi = math.acos(min(1.0, max(-1.0, -0.5 * q / r)))
+            m = 2.0 * math.sqrt(-p / 3.0)
+            t_roots = [m * math.cos((phi + 2.0 * math.pi * k) / 3.0) for k in (0, 1, 2)]
+        real = np.array(t_roots) - shift
+    for _ in range(2):
+        val = ((c3 * real + c2) * real + c1) * real + c0
+        der = (3.0 * c3 * real + 2.0 * c2) * real + c1
+        step = np.where(der != 0.0, val / np.where(der != 0.0, der, 1.0), 0.0)
+        real = real - step
+    return np.unique(real)
+
+
+def _random_cubics(rng, count):
+    """Cubics with one or three real roots, double and triple roots,
+    a zero leading coefficient, and the rho statistic's (-n, c, k, c)."""
+    for i in range(count):
+        kind = i % 6
+        if kind == 0:  # generic coefficients
+            yield rng.normal(size=4) * 10.0 ** rng.uniform(-3, 3)
+        elif kind == 1:  # three real roots (disc < 0)
+            r = np.sort(rng.uniform(-2.0, 2.0, size=3))
+            yield rng.uniform(0.5, 5.0) * np.poly(r)
+        elif kind == 2:  # repeated roots: a double root, or a triple root (disc = 0)
+            r = rng.choice([-1.5, -0.5, 0.0, 0.25, 0.5, 1.0, 2.0], size=2)
+            roots = [r[0], r[0], r[1]] if i % 12 == 2 else [r[0]] * 3
+            yield np.poly(roots)
+        elif kind == 3:  # one real root, complex pair (disc > 0)
+            r = rng.uniform(-1.0, 1.0)
+            p = rng.uniform(-1.0, 1.0)
+            q = p * p / 4.0 + rng.uniform(0.1, 2.0)
+            yield np.array([1.0, p - r, q - r * p, -r * q]) * rng.uniform(0.5, 10.0)
+        elif kind == 4:  # rho statistic: -n r^3 + c r^2 + (n - sx - sy) r + c
+            n = float(rng.integers(3, 5000))
+            c = rng.uniform(-1.0, 1.0) * n
+            k = n - rng.uniform(0.2, 3.0) * n
+            yield np.array([-n, c, k, c])
+        else:  # zero leading coefficient: the companion-matrix branch
+            yield np.array([0.0, *rng.normal(size=3)])
+
+
+class TestRealCubicRoots:
+    def test_matches_numpy_polish_bit_for_bit(self):
+        rng = np.random.default_rng(2018)
+        checked = 0
+        for coeffs in _random_cubics(rng, 12000):
+            coeffs = [float(v) for v in coeffs]
+            expected = _numpy_cubic_roots(coeffs).tolist()
+            got = _real_cubic_roots(coeffs)
+            assert all(type(v) is float for v in got)
+            assert [v.hex() for v in got] == [v.hex() for v in expected], coeffs
+            checked += 1
+        assert checked == 12000
+
+    def test_covers_every_discriminant_sign(self):
+        # The generator above reaches all three closed-form branches.
+        signs = set()
+        rng = np.random.default_rng(2018)
+        for coeffs in _random_cubics(rng, 600):
+            c3, c2, c1, c0 = (float(v) for v in coeffs)
+            if c3 == 0.0:
+                continue
+            a, b, c = c2 / c3, c1 / c3, c0 / c3
+            p = b - a * a / 3.0
+            q = 2.0 * a ** 3 / 27.0 - a * b / 3.0 + c
+            signs.add(np.sign(0.25 * q * q + p ** 3 / 27.0))
+        assert signs == {-1.0, 0.0, 1.0}
 
 
 class TestBracket:
