@@ -43,7 +43,10 @@ def _parse_kv(text: str) -> dict:
         if "=" not in part:
             raise ValueError(f"expected key=value, got '{part}'")
         k, v = part.split("=", 1)
-        out[k.strip()] = float(v)
+        k = k.strip()
+        if k in out:
+            raise ValueError(f"repeated key '{k}' in '{text}'")
+        out[k] = float(v)
     return out
 
 

@@ -34,7 +34,8 @@ from .randvar import (
     TruncatedNormal,
     log_density,
 )
-from .specfun import Bracket, digamma, solve_cubic_in_interval, solve_monotone, solve_quadratic_positive, trigamma
+from .specfun import (Bracket, digamma, solve_cubic_in_interval, solve_monotone, solve_newton,
+                      solve_quadratic_positive, trigamma)
 
 __all__ = [
     "Dataset",
@@ -229,55 +230,69 @@ def _disperse(base: dict, params: Tuple[ParamSpec, ...], spreads: dict, chains: 
     return inits
 
 
-def _expanding_root(f: Callable[[float], float], start: float, tol: float = 1e-12) -> float:
-    """Root of an increasing f by geometric bracket expansion plus Brent.
+def _expanding_root(f: Callable[[float], Tuple[float, float]], start: float,
+                    tol: float = 1e-13) -> float:
+    """Root of an increasing f by geometric bracket expansion plus Newton.
 
-    Raises StructuralError when no sign change is found before the bracket
-    hits the floating-point floor/ceiling (the no-solution case).  Each
-    bracket point is evaluated once: the solver reuses the values the
-    expansion found at the bracket ends.
+    f(a) returns (f(a), f'(a)).  The bracket grows from start by factors
+    of 4 until f changes sign; StructuralError is raised when no sign
+    change is found before it hits the floating-point floor/ceiling (the
+    no-solution case).  Inside the bracket a bisection-safeguarded Newton
+    iteration in log a starts from the end with the smaller |f| and stops
+    once a step is at most tol.  Each point is evaluated once; a
+    non-finite value at a bracket end or inside the bracket raises
+    StructuralError.
     """
     def safe(a):
         try:
             return f(a)
         except EvaluationError:
-            return math.nan
+            return math.nan, math.nan
 
     lo = hi = max(start, 1e-8)
-    flo = fhi = safe(lo)
+    (flo, dlo) = (fhi, dhi) = safe(lo)
     if not flo <= 0.0:
         for _ in range(600):
-            hi, fhi = lo, flo
+            hi, fhi, dhi = lo, flo, dlo
             lo *= 0.25
             if lo < 1e-280:
                 raise StructuralError("no lower bracket: target function stays positive", start=start)
-            flo = safe(lo)
+            flo, dlo = safe(lo)
             if flo <= 0.0:
                 break
         else:
             raise StructuralError("lower bracket expansion exhausted", start=start)
     if not fhi >= 0.0:
         for _ in range(600):
-            lo, flo = hi, fhi
+            lo, flo, dlo = hi, fhi, dhi
             hi *= 4.0
             if hi > 1e280:
                 raise StructuralError("no upper bracket: target function stays negative", start=start)
-            fhi = safe(hi)
+            fhi, dhi = safe(hi)
             if fhi >= 0.0:
                 break
         else:
             raise StructuralError("upper bracket expansion exhausted", start=start)
 
-    def known(a):
-        if a == lo:
-            return flo
-        if a == hi:
-            return fhi
-        return f(a)
+    for a, fa in ((lo, flo), (hi, fhi)):
+        if not math.isfinite(fa):
+            raise StructuralError(
+                f"root isolation failed: non-finite target function value at x={a}", start=start)
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
 
+    def in_log(u):
+        a = math.exp(u)
+        fa, da = f(a)
+        return fa, a * da
+
+    a, fa, da = (lo, flo, dlo) if -flo < fhi else (hi, fhi, dhi)
     try:
-        return solve_monotone(known, 0.0, Bracket(lo, hi), tol=tol)
-    except (BracketError, EvaluationError) as exc:
+        return math.exp(solve_newton(in_log, math.log(lo), math.log(hi),
+                                     math.log(a), fa, a * da, tol))
+    except EvaluationError as exc:
         raise StructuralError(f"root isolation failed: {exc}", start=start) from exc
 
 
@@ -683,22 +698,30 @@ def gamma_conditional_beta(alpha: float, x: np.ndarray) -> Gamma:
 def _clt_shape_invert(q_over_n: float, parts_fn, g: float, n: int, start: float) -> float:
     """Solve offset(a) + g * sqrt(slope(a) / n) = q/n for a > 0 (increasing map).
 
-    parts_fn(a) returns the (offset, slope) pair in one shot; the hot loop
-    calls it a dozen times per draw.
+    parts_fn(a) returns (offset, slope, d slope / da) in one shot; since
+    offset' = slope, the derivative of the map needs no further call.
     """
 
     def f(a):
-        off, s = parts_fn(a)
+        off, s, ds = parts_fn(a)
         if s <= 0.0:
             raise EvaluationError(f"non-positive variance term at a={a}")
-        return off + g * math.sqrt(s / n) - q_over_n
+        return (off + g * math.sqrt(s / n) - q_over_n,
+                s + 0.5 * g * ds / math.sqrt(n * s))
 
     return _expanding_root(f, start)
 
 
+# Orders of the Hurwitz zeta for psi' and psi'' (psi''(a) = -2 zeta(3, a)),
+# as a row for one argument and as a column for the pair [a, a + b].
+_ZETA_ORDERS = np.array([2.0, 3.0])
+_ZETA_ORDERS_COL = _ZETA_ORDERS[:, None]
+
+
 def _gamma_parts(a):
     # a > 0 is guaranteed by the bracketing; skip rechecking in the hot loop.
-    return float(_sp.psi(a)), float(_sp.zeta(2.0, a))
+    z2, z3 = _sp.zeta(_ZETA_ORDERS, a).tolist()
+    return float(_sp.psi(a)), z2, -2.0 * z3
 
 
 class _GammaShapeEquation:
@@ -782,14 +805,14 @@ class _BetaShapeEquation:
 
     def invert(self, q, g):
         b = self.b
-        buf, psi_out, tri_out = self.scratch
+        buf, psi_out, zeta_out = self.scratch
 
         def parts(a):
             buf[0] = a
             buf[1] = a + b
-            _sp.psi(buf, out=psi_out)
-            _sp.zeta(2.0, buf, out=tri_out)
-            return psi_out[0] - psi_out[1], tri_out[0] - tri_out[1]
+            psi_a, psi_ab = _sp.psi(buf, out=psi_out).tolist()
+            (z2_a, z2_ab), (z3_a, z3_ab) = _sp.zeta(_ZETA_ORDERS_COL, buf, out=zeta_out).tolist()
+            return psi_a - psi_ab, z2_a - z2_ab, -2.0 * (z3_a - z3_ab)
 
         return _clt_shape_invert(q / self.n, parts, g, self.n, self.start)
 
@@ -806,7 +829,7 @@ def _beta_build_conditionals(data: Dataset) -> dict:
     sum_log1m = float(np.sum(np.log1p(-x)))
     # Scratch buffers for the solver iterations of every draw of these two
     # conditionals; a run makes its draws one at a time.
-    scratch = (np.empty(2), np.empty(2), np.empty(2))
+    scratch = (np.empty(2), np.empty(2), np.empty((2, 2)))
     return {
         "alpha": _conditional(
             _BETA_PARAMS, "alpha", FiducialStatistic("sum_log_x", lambda d, p: sum_log),
@@ -1019,6 +1042,9 @@ def _bvn_sigma_mle_core(s: _BvnSuffStats, mu_x, mu_y, sigma_y2, rho) -> float:
     return t
 
 
+_RHO_MLE_BRACKET = Bracket(-1.0 + 1e-9, 1.0 - 1e-9)
+
+
 def _bvn_rho_mle_core(s: _BvnSuffStats, mu_x, mu_y, sigma_x2, sigma_y2) -> float:
     cxx, cyy, cxy = s.centered(mu_x, mu_y)
     n = s.n
@@ -1026,7 +1052,7 @@ def _bvn_rho_mle_core(s: _BvnSuffStats, mu_x, mu_y, sigma_x2, sigma_y2) -> float
     coeffs = (-float(n), c, n - cxx / sigma_x2 - cyy / sigma_y2, c)
     return solve_cubic_in_interval(
         coeffs,
-        Bracket(-1.0 + 1e-9, 1.0 - 1e-9),
+        _RHO_MLE_BRACKET,
         objective=lambda r: _bvn_loglik_core(s, mu_x, mu_y, sigma_x2, sigma_y2, r),
     )
 
@@ -1107,23 +1133,56 @@ class _BvnSigmaEquation:
 
 
 class _BvnRhoEquation:
-    """q = rho + (1 - rho^2) gamma / (sqrt(n) sqrt(1 + rho^2)), solved for rho."""
+    """q = rho + (1 - rho^2) gamma / (sqrt(n) sqrt(1 + rho^2)), solved for rho.
+
+    d phi / d rho = 1 - (gamma / sqrt(n)) rho (3 + rho^2) / (1 + rho^2)^(3/2),
+    and the factor rho (3 + rho^2) / (1 + rho^2)^(3/2) is increasing on
+    [-1, 1] with maximum sqrt(2).  So for |gamma| < sqrt(n / 2) phi is
+    strictly increasing, its root is unique and Newton finds it; otherwise
+    Brent chooses among the roots.
+    """
 
     gamma_dist = _STD_TRUNCNORM
     bracket = Bracket(-1.0 + 1e-12, 1.0 - 1e-12)
 
     def __init__(self, n: int):
         self.sqrt_n = math.sqrt(n)
+        self.half_n = 0.5 * n
 
     def phi(self, g, r):
         return r + (1.0 - r * r) * g / (self.sqrt_n * math.sqrt(1.0 + r * r))
 
     def invert(self, q, g):
         try:
+            if g * g < self.half_n:
+                return self._newton(q, g)
             return solve_monotone(lambda r: self.phi(g, r), q, self.bracket, tol=1e-13)
         except (BracketError, EvaluationError) as exc:
             raise StructuralError(f"no correlation solves the equation: {exc}",
                                   statistic_value=q, gamma=g) from exc
+
+    def _newton(self, q, g):
+        k = g / self.sqrt_n
+
+        def fdf(r):
+            r2 = 1.0 + r * r
+            root = math.sqrt(r2)
+            return (r + (1.0 - r * r) * g / (self.sqrt_n * root) - q,
+                    1.0 - k * r * (2.0 + r2) / (r2 * root))
+
+        lo, hi = self.bracket.lo, self.bracket.hi
+        flo, fhi = self.phi(g, lo) - q, self.phi(g, hi) - q
+        if not (math.isfinite(flo) and math.isfinite(fhi)):
+            raise EvaluationError(f"non-finite target function value on [{lo}, {hi}]")
+        if flo == 0.0:
+            return lo
+        if fhi == 0.0:
+            return hi
+        if flo * fhi > 0.0:
+            raise BracketError(f"no sign change on [{lo}, {hi}]: "
+                               f"f-target = {flo:.6g} and {fhi:.6g}")
+        r = min(max(q, lo), hi)
+        return solve_newton(fdf, lo, hi, r, *fdf(r), tol=1e-13)
 
 
 def _bvn_mean_equation(n: int, var: float, other_var: float, rho: float,

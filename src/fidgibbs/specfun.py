@@ -4,15 +4,19 @@ Digamma/trigamma evaluation follows the usual recurrence-plus-asymptotic
 scheme; we delegate to the C implementations in ``scipy.special`` (``psi``
 and the Hurwitz zeta, via ``trigamma(x) == zeta(2, x)``) and keep the
 accuracy contracts pinned by tests against an independent high-precision
-oracle.  Root finding is a bracketing bisection/secant hybrid (Brent), with
-bracket validation and residual checks done here.
+oracle.  Root finding has two forms: a bracketing bisection/secant hybrid
+(Brent) for any monotone function, and a Newton iteration safeguarded by
+bisection for increasing functions whose derivative is cheap (the shape
+equations, whose derivatives come from ``zeta(2, a)`` and ``zeta(3, a)``,
+and the correlation equation).  Bracket validation and residual checks are
+done here.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import special as _sp
@@ -26,6 +30,7 @@ __all__ = [
     "digamma",
     "trigamma",
     "solve_monotone",
+    "solve_newton",
     "solve_quadratic_positive",
     "solve_cubic_in_interval",
 ]
@@ -109,6 +114,51 @@ def solve_monotone(
         )
     root = _brentq(g, bracket.lo, bracket.hi, xtol=tol, rtol=4 * np.finfo(float).eps)
     return float(root)
+
+
+def solve_newton(
+    fdf: Callable[[float], Tuple[float, float]],
+    lo: float,
+    hi: float,
+    x: float,
+    fx: float,
+    dx: float,
+    tol: float,
+) -> float:
+    """Root of an increasing f in [lo, hi] by Newton steps safeguarded by bisection.
+
+    fdf(x) returns (f(x), f'(x)); the caller guarantees f(lo) < 0 < f(hi)
+    and passes the starting point x in [lo, hi] with its values fx and dx.
+    A Newton step is taken when the derivative is positive and finite, the
+    step stays inside the bracket and is at most half the step before last;
+    otherwise the bracket is bisected.  Each new point replaces the bracket
+    end of its sign.  Returns once a step is at most tol, after taking it
+(clipped into the bracket).
+    Raises EvaluationError when f is non-finite at a new point.
+    """
+    last = before_last = 2.0 * (hi - lo)
+    for _ in range(200):
+        step = fx / dx if 0.0 < dx < math.inf else math.inf
+        new = x - step
+        if abs(step) <= tol:
+            return min(max(new, lo), hi)
+        if not (lo < new < hi and abs(step) <= 0.5 * before_last):
+            step = 0.5 * (hi - lo)
+            new = lo + step
+            if step <= tol:
+                return new
+        before_last, last = last, abs(step)
+        fx, dx = fdf(new)
+        if not math.isfinite(fx):
+            raise EvaluationError(f"non-finite target function value at x={new}")
+        if fx == 0.0:
+            return new
+        if fx < 0.0:
+            lo = new
+        else:
+            hi = new
+        x = new
+    raise EvaluationError(f"Newton iteration did not converge in [{lo}, {hi}]")
 
 
 def solve_quadratic_positive(a: float, b: float, c: float) -> float:

@@ -50,6 +50,14 @@ class TestSimulateCommand:
         assert not (tmp_path / "x.csv").exists()
 
 
+    def test_repeated_param_exit_one(self, tmp_path, capsys):
+        rc = _run(["simulate", "--model", "gamma", "--params", "alpha=2,beta=1,alpha=5",
+                   "--n", 5, "--seed", 1, "--out", tmp_path / "x.csv"])
+        assert rc == 1
+        assert "repeated key 'alpha'" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+
 class TestRunCommand:
     def test_full_run_outputs(self, tmp_path):
         out = tmp_path / "out"
@@ -136,6 +144,23 @@ class TestRunCommand:
                    "--output-dir", tmp_path / "o"])
         assert rc == 1
         assert "unknown parameter 'sgima2'" in capsys.readouterr().err
+
+    def test_simulate_repeated_parameter_exit_one(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        rc = _run(["run", "--model", "normal", "--simulate", "mu=1,sigma2=4,n=12,mu=50",
+                   "--m", 100, "--b", 10, "--output-dir", out])
+        assert rc == 1
+        assert "repeated key 'mu'" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+    def test_init_repeated_parameter_exit_one(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        rc = _run(["run", "--model", "normal", "--simulate", "mu=0,sigma2=1,n=8",
+                   "--m", 100, "--b", 10, "--init", "mu=0,sigma2=1, sigma2=50",
+                   "--output-dir", out])
+        assert rc == 1
+        assert "repeated key 'sigma2'" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
 
     @pytest.mark.parametrize("spec", ["mu=0,sigma2=1,n=2.9", "mu=0,sigma2=1,n=8,seed=1.5"])
     def test_simulate_non_integer_count_exit_one(self, spec, tmp_path, capsys):

@@ -33,11 +33,11 @@ GOLDEN = {
     # exercises the injectivity-grid and redraw counters.
     "gamma": (
         ["--model", "gamma", "--simulate", "alpha=2,beta=0.5,n=5"],
-        "c2a835e3e4b4c02ac44878c914d67684038d86b15937d6996a9c23fe05820ad3",
+        "0d5b12ad796b78da259e9ae78b0b538de655b4ab968cc1c4d03418da917d2909",
         {"alpha.injectivity_grid_failures": 13, "alpha.gamma_redraw": 28}),
     "beta": (
         ["--model", "beta", "--simulate", "alpha=8,beta=3,n=50"],
-        "90626449a14e2a4b85858a54cc94693d41bb23f43495898655758d69ae4a83a8", {}),
+        "3245b175b337dc3e9727eded2b543318ebf292d0f34f6a69aa3daadcd21534c9", {}),
     "behrens_fisher": (
         ["--model", "behrens_fisher", "--simulate", "mu_x=1,mu_y=0.5,sigma_x2=4,sigma_y2=1,n=8"],
         "c2fdc98b364b9d8a4e599df63d3b5cf660ae795bb6240516956f4e92aa8c780f", {}),
@@ -45,11 +45,11 @@ GOLDEN = {
     "bivariate_normal": (
         ["--model", "bivariate_normal", "--simulate",
          "mu_x=0,mu_y=0,sigma_x2=1,sigma_y2=1,rho=0.2,n=4"],
-        "acd18b51e287c1717f1ae25b293e707ea56b95c1b641c6504d529d68155b9e60",
+        "6feb2d4844b0db19c5500644c5fedb4ffde186eeeda3643b8c521018a194ea22",
         {"sigma_x2.gamma_redraw": 3, "sigma_y2.gamma_redraw": 1}),
     "beta_scan_order": (
         ["--model", "beta", "--simulate", "alpha=8,beta=3,n=50", "--scan-order", "beta,alpha"],
-        "cbb4b49eebdf265d161e28836d4dc3f40b29cd18e407254265e6c8702cc5baaa", {}),
+        "bc324b4b6f2738007529ebcd4afd011604d0081b47711a925c66d07a55965632", {}),
     "pareto_init": (
         ["--model", "pareto", "--simulate", "alpha=3,beta=2,n=15", "--init", "alpha=1,beta=1.5"],
         "325c05f8ae74b3a8bee5729752e407abc4963a89d25f022ef45b03c2ffff8c5b", {}),

@@ -6,6 +6,8 @@ from scipy import integrate, stats
 
 import fidgibbs.models as M
 from fidgibbs import (
+    Bracket,
+    BracketError,
     DegenerateDataError,
     DomainError,
     Dataset,
@@ -22,6 +24,7 @@ from fidgibbs import (
     run,
     log_density,
     simulate_dataset,
+    solve_monotone,
 )
 from fidgibbs.randvar import sample
 
@@ -444,7 +447,7 @@ class TestExpandingRoot:
 
         def f(a):
             calls.append(a)
-            return math.log(a) - math.log(3.0)
+            return math.log(a) - math.log(3.0), 1.0 / a
 
         root = M._expanding_root(f, start)
         assert root == pytest.approx(3.0, rel=1e-10)
@@ -457,7 +460,195 @@ class TestExpandingRoot:
         def f(a):
             if 1.2 < a < 3.0:
                 raise EvaluationError(f"undefined at {a}")
-            return a - 1.0
+            return a - 1.0, 1.0
 
         with pytest.raises(StructuralError, match="root isolation failed"):
             M._expanding_root(f, 2.0)
+
+
+def _brent_expanding_root(f, start):
+    """The Brent inversion the Newton one replaced, as a reference: the same
+    geometric expansion, then solve_monotone on the bracket it found.  Its
+    tolerance is relative to the bracket so that tiny roots are compared at
+    full precision."""
+    def safe(a):
+        try:
+            return f(a)
+        except EvaluationError:
+            return math.nan
+
+    lo = hi = max(start, 1e-8)
+    flo = fhi = safe(lo)
+    if not flo <= 0.0:
+        while True:
+            hi, fhi = lo, flo
+            lo *= 0.25
+            if lo < 1e-280:
+                raise StructuralError("no lower bracket")
+            flo = safe(lo)
+            if flo <= 0.0:
+                break
+    if not fhi >= 0.0:
+        while True:
+            lo, flo = hi, fhi
+            hi *= 4.0
+            if hi > 1e280:
+                raise StructuralError("no upper bracket")
+            fhi = safe(hi)
+            if fhi >= 0.0:
+                break
+    known = {lo: flo, hi: fhi}
+    try:
+        return solve_monotone(lambda a: known[a] if a in known else f(a), 0.0,
+                              Bracket(lo, hi), tol=1e-13 * lo)
+    except (BracketError, EvaluationError) as exc:
+        raise StructuralError(f"root isolation failed: {exc}") from exc
+
+
+# Datasets on which the shape equations are hard: gamma with n=5 leaves
+# part of the truncated gamma interval without a root, the beta panels
+# include shapes below one.
+SHAPE_PANELS = {
+    "gamma_n5": ("gamma", lambda g: {"x": g.gamma(2.0, 2.0, 5)}),
+    "gamma_n20": ("gamma", lambda g: {"x": g.gamma(2.0, 2.0, 20)}),
+    "beta_a8_b3_n50": ("beta", lambda g: {"x": g.beta(8.0, 3.0, 50)}),
+    "beta_a0.5_b0.7_n40": ("beta", lambda g: {"x": g.beta(0.5, 0.7, 40)}),
+    "beta_a0.4_b0.3_n25": ("beta", lambda g: {"x": g.beta(0.4, 0.3, 25)}),
+}
+
+
+class TestNewtonInversion:
+    @pytest.mark.parametrize("panel", sorted(SHAPE_PANELS))
+    def test_shape_newton_agrees_with_brent(self, panel, monkeypatch):
+        # Every shape solve of the catalog equations on perturbed states is
+        # checked against Brent on the same bracket: same raise/no-raise
+        # outcome, roots within 1e-10 relative.
+        model, make = SHAPE_PANELS[panel]
+        newton = M._expanding_root
+        outcomes = []
+
+        def both(f, start):
+            try:
+                got = newton(f, start)
+            except StructuralError:
+                got = None
+            try:
+                want = _brent_expanding_root(lambda a: f(a)[0], start)
+            except StructuralError:
+                want = None
+            outcomes.append((got, want))
+            if got is None:
+                raise StructuralError("no root")
+            return got
+
+        monkeypatch.setattr(M, "_expanding_root", both)
+        gen = np.random.default_rng(7)
+        spec = get_model(model)
+        for _ in range(4):
+            data = Dataset(make(gen))
+            conditionals = spec.build_conditionals(data)
+            init = spec.chain_inits(data, 1)[0]
+            for i in range(100):
+                state = {k: v * math.exp(gen.normal(0.0, 1.5)) for k, v in init.items()}
+                cond = conditionals["alpha" if model == "gamma" or i % 2 else "beta"]
+                eq = cond.equation_for(data, state)
+                g = float(gen.uniform(-5.0, 5.0)) if i % 3 else float(np.clip(gen.normal(), -5, 5))
+                try:
+                    eq.invert(cond.statistic.compute(data, state), g)
+                except StructuralError:
+                    pass
+        assert len(outcomes) == 400
+        for got, want in outcomes:
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got == pytest.approx(want, rel=1e-10)
+        if panel == "gamma_n5":
+            assert any(got is None for got, _ in outcomes)
+
+    @pytest.mark.parametrize("model,theta,n", [
+        ("gamma", {"alpha": 2.0, "beta": 0.5}, 20),
+        ("beta", {"alpha": 8.0, "beta": 3.0}, 50),
+    ])
+    def test_shape_solve_evaluations(self, model, theta, n, monkeypatch):
+        # Brent needed 8.2 (gamma) and 8.6 (beta) evaluations per solve here.
+        clt = M._clt_shape_invert
+        counts = {"solves": 0, "evaluations": 0}
+
+        def counting(q_over_n, parts_fn, g, n_, start):
+            def parts(a):
+                counts["evaluations"] += 1
+                return parts_fn(a)
+            counts["solves"] += 1
+            return clt(q_over_n, parts, g, n_, start)
+
+        monkeypatch.setattr(M, "_clt_shape_invert", counting)
+        data = simulate_dataset(model, theta, n, RngStream(1, 2**32))
+        run(get_model(model), data, ChainConfig(m=1500, b=100, chains=2, seed=2018))
+        assert counts["solves"] > 3000
+        assert counts["evaluations"] / counts["solves"] <= 7.0
+
+    def test_rho_newton_agrees_with_brent(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(M, "solve_monotone",
+                            lambda *a, **k: calls.append(a) or solve_monotone(*a, **k))
+        gen = np.random.default_rng(3)
+        newton_solves = 0
+        for i in range(3000):
+            n = int(gen.integers(3, 40)) if i % 2 else int(gen.integers(3, 5001))
+            eq = M._BvnRhoEquation(n)
+            q = float(np.tanh(gen.normal(0.0, 1.5)))
+            g = float(gen.uniform(-5.0, 5.0))
+            before = len(calls)
+            try:
+                got = eq.invert(q, g)
+            except StructuralError:
+                got = None
+            assert (len(calls) == before) == (g * g < n / 2)
+            newton_solves += len(calls) == before
+            try:
+                want = solve_monotone(lambda r: eq.phi(g, r), q, eq.bracket, tol=1e-13)
+            except (BracketError, EvaluationError):
+                want = None
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
+        assert newton_solves > 1500
+
+    def test_rho_newton_raises_like_brent_without_sign_change(self):
+        # q outside (-1, 1) has no root; the Newton path reports it as Brent did.
+        eq = M._BvnRhoEquation(50)
+        for q in (-1.5, 1.5):
+            with pytest.raises(StructuralError, match="no correlation solves the equation"):
+                eq.invert(q, 0.5)
+
+    @pytest.mark.parametrize("n,g", [(3, 1.3), (3, -4.0), (30, 3.9), (30, -5.0)])
+    def test_rho_large_gamma_takes_brent(self, n, g, monkeypatch):
+        # |gamma| >= sqrt(n / 2): phi may have several roots, and Brent
+        # keeps choosing among them.
+        assert g * g >= n / 2
+        calls = []
+        monkeypatch.setattr(M, "solve_monotone",
+                            lambda *a, **k: calls.append(a) or solve_monotone(*a, **k))
+        monkeypatch.setattr(M, "solve_newton", lambda *a, **k: pytest.fail("Newton path taken"))
+        eq = M._BvnRhoEquation(n)
+        try:
+            eq.invert(0.3, g)
+        except StructuralError:
+            pass
+        assert len(calls) == 1
+
+    def test_extreme_shapes_raise_no_warnings(self):
+        # Far-out statistics and states drive psi'' to overflow; a non-finite
+        # derivative bisects quietly (RuntimeWarnings fail the suite).
+        data = Dataset({"x": np.array([0.2, 0.5, 0.7, 0.9])})
+        for model in ("gamma", "beta"):
+            cond = _catalog(model, data, "alpha")
+            for q in (-1e150, -10.0, 10.0):
+                for other in (1e-200, 1.0, 1e200):
+                    for start in (1e-300, 1.0, 1e300):
+                        eq = cond.equation_for(data, {"alpha": start, "beta": other})
+                        try:
+                            a = eq.invert(q, 2.0)
+                        except StructuralError:
+                            continue
+                        assert 0.0 < a < math.inf

@@ -18,7 +18,7 @@ from fidgibbs import (
     solve_quadratic_positive,
     trigamma,
 )
-from fidgibbs.specfun import _cbrt, _real_cubic_roots
+from fidgibbs.specfun import _cbrt, _real_cubic_roots, solve_newton
 
 # High-precision reference values (40-digit arbitrary-precision oracle).
 LN_GAMMA_TABLE = {
@@ -178,6 +178,46 @@ class TestSolveMonotone:
         target = f(lo) + (f(hi) - f(lo)) * (0.5 + 0.5 * frac)
         root = solve_monotone(f, target, Bracket(lo, hi), tol=1e-10)
         assert abs(f(root) - target) <= 1e-7 * max(1.0, abs(target))
+
+
+class TestSolveNewton:
+    @staticmethod
+    def _start(fdf, x):
+        return (x, *fdf(x))
+
+    def test_cube_root(self):
+        def fdf(x):
+            return x ** 3 - 2.0, 3.0 * x * x
+
+        root = solve_newton(fdf, 0.0, 4.0, *self._start(fdf, 4.0), tol=1e-14)
+        assert root == pytest.approx(2.0 ** (1.0 / 3.0), rel=1e-15)
+
+    def test_bad_derivative_bisects(self):
+        # A zero, NaN or infinite derivative falls back to bisection.
+        calls = []
+        for bad in (0.0, math.nan, math.inf):
+            def fdf(x, bad=bad):
+                calls.append(x)
+                return x - 0.3, bad
+
+            root = solve_newton(fdf, 0.0, 1.0, *self._start(fdf, 1.0), tol=1e-12)
+            assert root == pytest.approx(0.3, abs=1e-12)
+        assert len(calls) < 3 * 45
+
+    def test_step_outside_bracket_bisects(self):
+        # From x = 3 the Newton step of atan overshoots far below lo.
+        def fdf(x):
+            return math.atan(x), 1.0 / (1.0 + x * x)
+
+        root = solve_newton(fdf, -1.0, 3.0, *self._start(fdf, 3.0), tol=1e-14)
+        assert abs(root) < 1e-14
+
+    def test_non_finite_value_raises(self):
+        def fdf(x):
+            return (math.nan if 0.2 < x < 0.8 else x - 0.5), 1.0
+
+        with pytest.raises(EvaluationError):
+            solve_newton(fdf, 0.0, 1.0, 0.0, -0.5, 0.0, tol=1e-12)
 
 
 class TestSolveQuadraticPositive:
