@@ -713,9 +713,9 @@ def _clt_shape_invert(q_over_n: float, parts_fn, g: float, n: int, start: float)
 
 
 # Orders of the Hurwitz zeta for psi' and psi'' (psi''(a) = -2 zeta(3, a)),
-# as a row for one argument and as a column for the pair [a, a + b].
+# for one argument and for the arguments [a, a + b, a, a + b].
 _ZETA_ORDERS = np.array([2.0, 3.0])
-_ZETA_ORDERS_COL = _ZETA_ORDERS[:, None]
+_ZETA_ORDERS_PAIR = np.array([2.0, 2.0, 3.0, 3.0])
 
 
 def _gamma_parts(a):
@@ -805,14 +805,14 @@ class _BetaShapeEquation:
 
     def invert(self, q, g):
         b = self.b
-        buf, psi_out, zeta_out = self.scratch
+        buf, zeta_out = self.scratch
 
         def parts(a):
-            buf[0] = a
-            buf[1] = a + b
-            psi_a, psi_ab = _sp.psi(buf, out=psi_out).tolist()
-            (z2_a, z2_ab), (z3_a, z3_ab) = _sp.zeta(_ZETA_ORDERS_COL, buf, out=zeta_out).tolist()
-            return psi_a - psi_ab, z2_a - z2_ab, -2.0 * (z3_a - z3_ab)
+            ab = a + b
+            buf[0] = buf[2] = a
+            buf[1] = buf[3] = ab
+            z2_a, z2_ab, z3_a, z3_ab = _sp.zeta(_ZETA_ORDERS_PAIR, buf, out=zeta_out).tolist()
+            return float(_sp.psi(a)) - float(_sp.psi(ab)), z2_a - z2_ab, -2.0 * (z3_a - z3_ab)
 
         return _clt_shape_invert(q / self.n, parts, g, self.n, self.start)
 
@@ -829,7 +829,7 @@ def _beta_build_conditionals(data: Dataset) -> dict:
     sum_log1m = float(np.sum(np.log1p(-x)))
     # Scratch buffers for the solver iterations of every draw of these two
     # conditionals; a run makes its draws one at a time.
-    scratch = (np.empty(2), np.empty(2), np.empty((2, 2)))
+    scratch = (np.empty(4), np.empty(4))
     return {
         "alpha": _conditional(
             _BETA_PARAMS, "alpha", FiducialStatistic("sum_log_x", lambda d, p: sum_log),

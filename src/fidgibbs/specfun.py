@@ -133,8 +133,8 @@ def solve_newton(
     step stays inside the bracket and is at most half the step before last;
     otherwise the bracket is bisected.  Each new point replaces the bracket
     end of its sign.  Returns once a step is at most tol, after taking it
-(clipped into the bracket).
-    Raises EvaluationError when f is non-finite at a new point.
+    (clipped into the bracket).  Raises EvaluationError when f is
+    non-finite at a new point.
     """
     last = before_last = 2.0 * (hi - lo)
     for _ in range(200):
