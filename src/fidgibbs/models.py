@@ -1153,9 +1153,11 @@ class _BvnRhoEquation:
         return r + (1.0 - r * r) * g / (self.sqrt_n * math.sqrt(1.0 + r * r))
 
     def invert(self, q, g):
+        lo, hi = self.bracket.lo, self.bracket.hi
         try:
-            if g * g < self.half_n:
+            if g * g < self.half_n and self.phi(g, lo) < q < self.phi(g, hi):
                 return self._newton(q, g)
+            # Several roots, a root at a bracket end or none: Brent decides.
             return solve_monotone(lambda r: self.phi(g, r), q, self.bracket, tol=1e-13)
         except (BracketError, EvaluationError) as exc:
             raise StructuralError(f"no correlation solves the equation: {exc}",
@@ -1171,16 +1173,6 @@ class _BvnRhoEquation:
                     1.0 - k * r * (2.0 + r2) / (r2 * root))
 
         lo, hi = self.bracket.lo, self.bracket.hi
-        flo, fhi = self.phi(g, lo) - q, self.phi(g, hi) - q
-        if not (math.isfinite(flo) and math.isfinite(fhi)):
-            raise EvaluationError(f"non-finite target function value on [{lo}, {hi}]")
-        if flo == 0.0:
-            return lo
-        if fhi == 0.0:
-            return hi
-        if flo * fhi > 0.0:
-            raise BracketError(f"no sign change on [{lo}, {hi}]: "
-                               f"f-target = {flo:.6g} and {fhi:.6g}")
         r = min(max(q, lo), hi)
         return solve_newton(fdf, lo, hi, r, *fdf(r), tol=1e-13)
 

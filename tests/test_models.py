@@ -614,8 +614,8 @@ class TestNewtonInversion:
                 assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
         assert newton_solves > 1500
 
-    def test_rho_newton_raises_like_brent_without_sign_change(self):
-        # q outside (-1, 1) has no root; the Newton path reports it as Brent did.
+    def test_rho_raises_without_sign_change(self):
+        # q outside (-1, 1) has no root, also where |gamma| < sqrt(n / 2).
         eq = M._BvnRhoEquation(50)
         for q in (-1.5, 1.5):
             with pytest.raises(StructuralError, match="no correlation solves the equation"):
