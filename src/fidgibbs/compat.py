@@ -24,7 +24,6 @@ from .randvar import quantile
 __all__ = ["SliceResult", "CompatReport", "ratio_constancy", "check_model", "CLOSED_FORM_TOL"]
 
 CLOSED_FORM_TOL = 1e-8
-APPROXIMATE_TOL = 1e-3
 MIN_GRID = 20
 MIN_SLICES = 3
 DEFAULT_GRID_POINTS = 64
@@ -162,9 +161,8 @@ def check_model(
     if spec.joint_log_kernel is None or spec.conditional_log_density is None:
         raise DomainError(
             f"model '{spec.name}' has no analytic joint kernel to check against")
-    spec.validate_data(data)
-    slices = list(slices) if slices is not None else spec.chain_inits(data, MIN_SLICES)
     conditionals = spec.build_conditionals(data)
+    slices = list(slices) if slices is not None else spec.chain_inits(data, MIN_SLICES)
     lo_p = (1.0 - GRID_COVERAGE) / 2.0
     reports = {}
     for p in spec.params:

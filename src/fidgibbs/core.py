@@ -10,6 +10,7 @@ of theta; a draw is exactly: compute q, draw gamma, invert phi.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Tuple
 
@@ -24,7 +25,6 @@ __all__ = [
     "ConditionalFiducialSampler",
     "InjectivityReport",
     "check_injectivity",
-    "WarningLog",
 ]
 
 
@@ -60,26 +60,6 @@ class FiducialStatistic:
     compute: Callable[[object, Mapping[str, float]], float]
 
 
-class WarningLog:
-    """Counts non-fatal sampling events (gamma redraws, extra truncation)."""
-
-    def __init__(self):
-        self.counts: dict[str, int] = {}
-
-    def note(self, key: str, n: int = 1):
-        self.counts[key] = self.counts.get(key, 0) + n
-
-    def merged(self, other: "WarningLog") -> "WarningLog":
-        out = WarningLog()
-        for src in (self, other):
-            for k, v in src.counts.items():
-                out.note(k, v)
-        return out
-
-    def __repr__(self):
-        return f"WarningLog({self.counts})"
-
-
 @dataclass(frozen=True)
 class ConditionalFiducialSampler:
     """Draws one parameter given the others by inverting a structural equation.
@@ -94,7 +74,7 @@ class ConditionalFiducialSampler:
     inversion, or theta falls outside theta_domain, the draw is retried
     with a fresh gamma: this is the (rare) exclusion of extreme gamma
     values from the primary variable's domain, and every retry is counted
-    in the warning log.
+    in the warnings Counter.
     """
 
     target_param: str
@@ -130,7 +110,7 @@ class ConditionalFiducialSampler:
         data,
         state: Mapping[str, float],
         rng: RngStream,
-        warnings: Optional[WarningLog] = None,
+        warnings: Optional[Counter] = None,
     ) -> float:
         q = self.statistic.compute(data, state)
         eq = self.equation_for(data, state)
@@ -141,11 +121,11 @@ class ConditionalFiducialSampler:
                 theta = eq.invert(q, gamma)
             except StructuralError:
                 if warnings is not None:
-                    warnings.note(f"{self.target_param}.gamma_redraw")
+                    warnings[f"{self.target_param}.gamma_redraw"] += 1
                 continue
             if not math.isfinite(theta) or not (lo < theta < hi):
                 if warnings is not None:
-                    warnings.note(f"{self.target_param}.gamma_redraw")
+                    warnings[f"{self.target_param}.gamma_redraw"] += 1
                 continue
             return float(theta)
         raise StructuralError(

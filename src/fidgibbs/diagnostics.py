@@ -182,9 +182,7 @@ class DiagnosticsReport:
         }
 
 
-def summarize(samples: SampleMatrix, bins: int = DEFAULT_BINS,
-              rhat_threshold: float = RHAT_THRESHOLD,
-              ess_threshold: float = ESS_THRESHOLD) -> DiagnosticsReport:
+def summarize(samples: SampleMatrix, bins: int = DEFAULT_BINS) -> DiagnosticsReport:
     """Full diagnostics for every parameter of a sample matrix."""
     if bins < 1:
         raise DomainError(f"bins must be >= 1, got {bins}")
@@ -210,8 +208,8 @@ def summarize(samples: SampleMatrix, bins: int = DEFAULT_BINS,
         else:
             mean = float(np.mean(pooled))
             sd = float(np.std(pooled, ddof=1)) if pooled.size > 1 else 0.0
-        converged = bool(not math.isnan(rhat) and rhat < rhat_threshold
-                         and ess > ess_threshold)
+        converged = bool(not math.isnan(rhat) and rhat < RHAT_THRESHOLD
+                         and ess > ESS_THRESHOLD)
         summaries.append(ParamSummary(
             param=label, rhat=float(rhat), ess=float(ess),
             mean=mean, sd=sd,

@@ -10,12 +10,13 @@ and the seed are carried into every result for honest reporting.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Tuple
 
 import numpy as np
 
-from .core import WarningLog, check_injectivity
+from .core import check_injectivity
 from .errors import DomainError, StructuralError
 from .models import Dataset, ModelSpec
 from .randvar import RngStream
@@ -121,9 +122,9 @@ def _validate_init(model: ModelSpec, state: Mapping[str, float], chain: int) -> 
 
 def _run_chain(model: ModelSpec, data: Dataset, conditionals: dict,
                order: Tuple[str, ...], init: Mapping[str, float],
-               m: int, seed: int, chain: int) -> Tuple[np.ndarray, WarningLog]:
+               m: int, seed: int, chain: int) -> Tuple[np.ndarray, Counter]:
     rng = RngStream(seed, chain)
-    warnings = WarningLog()
+    warnings = Counter()
     state = dict(init)
     # Injectivity of gamma -> theta at the observed statistic, probed at the
     # starting point for the equations that are only numerically invertible.
@@ -139,7 +140,7 @@ def _run_chain(model: ModelSpec, data: Dataset, conditionals: dict,
                     f"statistic (start of chain {chain})",
                     chain=chain, statistic_value=q, report=repr(report))
             if report.n_failed:
-                warnings.note(f"{label}.injectivity_grid_failures", report.n_failed)
+                warnings[f"{label}.injectivity_grid_failures"] += report.n_failed
     k = len(order)
     values = np.empty((m, k))
     try:
@@ -157,7 +158,6 @@ def _run_chain(model: ModelSpec, data: Dataset, conditionals: dict,
 
 def run(model: ModelSpec, data: Dataset, config: ChainConfig) -> SampleMatrix:
     """Run the Gibbs sampler; fully reproducible from (model, data, config)."""
-    model.validate_data(data)
     order = _scan_order(model, config)
     conditionals = model.build_conditionals(data)
     missing = set(order) - set(conditionals)
@@ -169,9 +169,9 @@ def run(model: ModelSpec, data: Dataset, config: ChainConfig) -> SampleMatrix:
                           config.m, config.seed, chain)
                for chain in range(config.chains)]
     values = np.stack([v for v, _ in results])
-    warnings = WarningLog()
+    warnings = Counter()
     for _, w in results:
-        warnings = warnings.merged(w)
+        warnings.update(w)
     # Reorder columns to the model's declared order for stable output.
     labels = model.param_labels
     perm = [order.index(lb) for lb in labels]
@@ -179,7 +179,7 @@ def run(model: ModelSpec, data: Dataset, config: ChainConfig) -> SampleMatrix:
     cfg = ChainConfig(m=config.m, b=config.b, chains=config.chains, seed=config.seed,
                       scan_order=order, init=tuple(inits))
     return SampleMatrix(values=values, labels=labels, config=cfg,
-                        warnings=dict(warnings.counts))
+                        warnings=dict(warnings))
 
 
 @dataclass(frozen=True)

@@ -56,7 +56,6 @@ __all__ = [
     "behrens_fisher_angle",
     "behrens_fisher_direct_draws",
     "bvn_conditional_mu_x",
-    "bvn_conditional_mu_y",
     "bvn_sigma_x2_mle",
     "bvn_rho_mle",
     "bvn_log_likelihood",
@@ -118,14 +117,18 @@ class ParamSpec:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """A model family: parameters, conditionals, optional joint, simulator."""
+    """A model family: parameters, conditionals, optional joint, simulator.
+
+    build_conditionals(data) is the one place a dataset is checked: it
+    raises DomainError or DegenerateDataError for data the model cannot
+    take, before it binds anything.
+    """
 
     name: str
     params: Tuple[ParamSpec, ...]
     build_conditionals: Callable[[Dataset], dict]
     simulate: Callable[[Mapping[str, float], int, RngStream], Dataset]
     chain_inits: Callable[[Dataset, int], list]
-    validate_data: Callable[[Dataset], None]
     joint_log_kernel: Optional[Callable[[Mapping[str, float], Dataset], float]] = None
     conditional_log_density: Optional[Callable[[str, float, Mapping[str, float], Dataset], float]] = None
 
@@ -157,6 +160,12 @@ def _conditional(params: Tuple[ParamSpec, ...], label: str, statistic: FiducialS
     p = next(p for p in params if p.label == label)
     return ConditionalFiducialSampler(label, statistic, equation_for,
                                       theta_domain=(p.lo, p.hi), **options)
+
+
+def _closed_form_cond_logpdf(dist_fn):
+    def cond(param, v, others, data):
+        return log_density(dist_fn(param, others, data), v)
+    return cond
 
 
 # Per-draw equations.  Each holds only the constants that depend on the
@@ -297,7 +306,7 @@ def _expanding_root(f: Callable[[float], Tuple[float, float]], start: float,
 
 
 # ---------------------------------------------------------------------------
-# Normal model: mean and variance
+# Normal samples: normal (one sample) and behrens_fisher (two)
 # ---------------------------------------------------------------------------
 
 def normal_conditional_mu(xbar: float, sigma2: float, n: int) -> Normal:
@@ -331,12 +340,20 @@ def normal_marginal_mu(x: np.ndarray) -> StudentT:
     return StudentT(x.size - 1, float(np.mean(x)), s / math.sqrt(x.size))
 
 
+def _group_stats(v: np.ndarray, label: str):
+    if v.size < 2:
+        raise DomainError(f"group '{label}' needs at least two observations")
+    s2 = float(np.var(v, ddof=1))
+    if s2 <= 0.0:
+        raise DegenerateDataError(f"group '{label}' has zero sample variance")
+    return float(np.mean(v)), s2, v.size
+
+
 def _sample_conditionals(params: Tuple[ParamSpec, ...], data: Dataset, column: str,
                          mu: str, sigma2: str) -> dict:
-    """Mean and variance conditionals of one normal sample (normal, behrens_fisher)."""
+    """Mean and variance conditionals of one normal sample."""
     x = data.col(column)
-    n = x.size
-    xbar = float(np.mean(x))
+    xbar, _, n = _group_stats(x, column)
     variance = _VarianceEquation(ChiSquare(n), n)
     return {
         mu: _conditional(
@@ -349,52 +366,62 @@ def _sample_conditionals(params: Tuple[ParamSpec, ...], data: Dataset, column: s
     }
 
 
-def _normal_build_conditionals(data: Dataset) -> dict:
-    return _sample_conditionals(_NORMAL_PARAMS, data, "x", "mu", "sigma2")
+def _normal_samples(name: str, groups: Tuple[Tuple[str, str, str], ...]) -> ModelSpec:
+    """Independent normal samples, one per (column, mean label, variance label)
+    group, each with its own mean and variance: normal is one group and
+    behrens_fisher two."""
+    params = (tuple(ParamSpec(mu, -math.inf, math.inf, "location") for _, mu, _ in groups)
+              + tuple(ParamSpec(s2, 0.0, math.inf, "scale") for _, _, s2 in groups))
 
+    def build_conditionals(data: Dataset) -> dict:
+        conditionals = {}
+        for column, mu, s2 in groups:
+            conditionals.update(_sample_conditionals(params, data, column, mu, s2))
+        return conditionals
 
-def _normal_joint_log_kernel(theta: Mapping[str, float], data: Dataset) -> float:
-    x = data.col("x")
-    s2 = theta["sigma2"]
-    if s2 <= 0.0:
-        return -math.inf
-    rss = float(np.sum((x - theta["mu"]) ** 2))
-    return -0.5 * (x.size + 2) * math.log(s2) - 0.5 * rss / s2
+    def joint_log_kernel(theta: Mapping[str, float], data: Dataset) -> float:
+        total = 0.0
+        for column, mu, s2 in groups:
+            x = data.col(column)
+            v = theta[s2]
+            if v <= 0.0:
+                return -math.inf
+            rss = float(np.sum((x - theta[mu]) ** 2))
+            total += -0.5 * (x.size + 2) * math.log(v) - 0.5 * rss / v
+        return total
 
+    def conditional_dist(param: str, others: Mapping[str, float], data: Dataset) -> Dist:
+        for column, mu, s2 in groups:
+            x = data.col(column)
+            if param == mu:
+                return normal_conditional_mu(float(np.mean(x)), others[s2], x.size)
+            if param == s2:
+                return normal_conditional_sigma2(others[mu], x)
+        raise DomainError(f"{name} model has no parameter '{param}'")
 
-def _normal_conditional_dist(param: str, others: Mapping[str, float], data: Dataset) -> Dist:
-    x = data.col("x")
-    if param == "mu":
-        return normal_conditional_mu(float(np.mean(x)), others["sigma2"], x.size)
-    if param == "sigma2":
-        return normal_conditional_sigma2(others["mu"], x)
-    raise DomainError(f"normal model has no parameter '{param}'")
+    def chain_inits(data: Dataset, chains: int) -> list:
+        base, spreads = {}, {}
+        for column, mu, s2 in groups:
+            base[mu], base[s2], n = _group_stats(data.col(column), column)
+            spreads[mu] = math.sqrt(base[s2] / n)
+        return _disperse(base, params, spreads, chains)
 
+    def simulate(theta: Mapping[str, float], n: int, rng: RngStream) -> Dataset:
+        columns = {}
+        for column, mu, s2 in groups:
+            sd = math.sqrt(_pos(theta[s2], s2))
+            columns[column] = theta[mu] + sd * rng.gen.standard_normal(n)
+        return Dataset(columns)
 
-def _normal_validate(data: Dataset):
-    x = data.col("x")
-    if x.size < 2:
-        raise DomainError("normal model needs n >= 2")
-    if float(np.std(x, ddof=1)) <= 0.0:
-        raise DegenerateDataError("normal model needs non-constant data")
-
-
-def _normal_chain_inits(data: Dataset, chains: int) -> list:
-    x = data.col("x")
-    base = {"mu": float(np.mean(x)), "sigma2": float(np.var(x, ddof=1))}
-    spread = math.sqrt(base["sigma2"] / x.size)
-    return _disperse(base, _NORMAL_PARAMS, {"mu": spread}, chains)
-
-
-def _normal_simulate(theta: Mapping[str, float], n: int, rng: RngStream) -> Dataset:
-    sd = math.sqrt(_pos(theta["sigma2"], "sigma2"))
-    return Dataset({"x": theta["mu"] + sd * rng.gen.standard_normal(n)})
-
-
-_NORMAL_PARAMS = (
-    ParamSpec("mu", -math.inf, math.inf, "location"),
-    ParamSpec("sigma2", 0.0, math.inf, "scale"),
-)
+    return ModelSpec(
+        name=name,
+        params=params,
+        build_conditionals=build_conditionals,
+        simulate=simulate,
+        chain_inits=chain_inits,
+        joint_log_kernel=joint_log_kernel,
+        conditional_log_density=_closed_form_cond_logpdf(conditional_dist),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -452,8 +479,14 @@ class _ParetoBetaEquation:
 def _pareto_build_conditionals(data: Dataset) -> dict:
     x = data.col("x")
     n = x.size
-    sum_log = float(np.sum(np.log(x)))
+    if n < 2:
+        raise DomainError("pareto model needs n >= 2")
     min_x = float(np.min(x))
+    if min_x <= 0.0:
+        raise DomainError("pareto data must be positive")
+    if min_x == float(np.max(x)):
+        raise DegenerateDataError("pareto model needs non-constant data")
+    sum_log = float(np.sum(np.log(x)))
     gamma_n = Gamma(n, 1.0)
 
     def alpha_equation(d, p):
@@ -484,16 +517,6 @@ def _pareto_conditional_log_density(param: str, v: float, others: Mapping[str, f
     if param == "beta":
         return pareto_conditional_beta_log_density(v, others["alpha"], x)
     raise DomainError(f"pareto model has no parameter '{param}'")
-
-
-def _pareto_validate(data: Dataset):
-    x = data.col("x")
-    if x.size < 2:
-        raise DomainError("pareto model needs n >= 2")
-    if np.any(x <= 0.0):
-        raise DomainError("pareto data must be positive")
-    if float(np.min(x)) == float(np.max(x)):
-        raise DegenerateDataError("pareto model needs non-constant data")
 
 
 def _pareto_chain_inits(data: Dataset, chains: int) -> list:
@@ -595,6 +618,10 @@ def _quadreg_coef_equation(statistic_coef: float, mean_offset: float,
 def _quadreg_build_conditionals(data: Dataset) -> dict:
     x = data.col("x")
     y = data.col("y")
+    if x.size != y.size:
+        raise DomainError("quadreg needs x and y of equal length")
+    if x.size < 2:
+        raise DomainError("quadreg needs n >= 2")
     s = _quadreg_sums(x, y)
     if s["sx2"] <= 0.0 or s["sx4"] <= 0.0:
         raise DegenerateDataError("design is degenerate: sum(x^2) or sum(x^4) is zero")
@@ -628,17 +655,6 @@ def _quadreg_conditional_dist(param: str, others: Mapping[str, float], data: Dat
     dists = quadreg_conditionals(full["beta0"], full["beta1"], full["beta2"], full["sigma2"],
                                  data.col("x"), data.col("y"))
     return dists[param]
-
-
-def _quadreg_validate(data: Dataset):
-    x = data.col("x")
-    y = data.col("y")
-    if x.size != y.size:
-        raise DomainError("quadreg needs x and y of equal length")
-    if x.size < 2:
-        raise DomainError("quadreg needs n >= 2")
-    if float(np.sum(x ** 2)) <= 0.0 or float(np.sum(x ** 4)) <= 0.0:
-        raise DegenerateDataError("design is degenerate: all x are zero")
 
 
 def _quadreg_chain_inits(data: Dataset, chains: int) -> list:
@@ -745,6 +761,12 @@ class _GammaShapeEquation:
 def _gamma_build_conditionals(data: Dataset) -> dict:
     x = data.col("x")
     n = x.size
+    if n < 2:
+        raise DomainError("gamma model needs n >= 2")
+    if np.any(x <= 0.0):
+        raise DomainError("gamma data must be positive")
+    if float(np.min(x)) == float(np.max(x)):
+        raise DegenerateDataError("gamma model needs non-constant data")
     sum_x = float(np.sum(x))
     sum_log = float(np.sum(np.log(x)))
     return {
@@ -756,16 +778,6 @@ def _gamma_build_conditionals(data: Dataset) -> dict:
             _GAMMA_PARAMS, "beta", FiducialStatistic("sum_x", lambda d, p: sum_x),
             lambda d, p: _RateEquation(Gamma(n * _pos(p["alpha"], "alpha"), 1.0), 0.0)),
     }
-
-
-def _gamma_validate(data: Dataset):
-    x = data.col("x")
-    if x.size < 2:
-        raise DomainError("gamma model needs n >= 2")
-    if np.any(x <= 0.0):
-        raise DomainError("gamma data must be positive")
-    if float(np.min(x)) == float(np.max(x)):
-        raise DegenerateDataError("gamma model needs non-constant data")
 
 
 def _gamma_chain_inits(data: Dataset, chains: int) -> list:
@@ -825,6 +837,10 @@ class _BetaShapeEquation:
 def _beta_build_conditionals(data: Dataset) -> dict:
     x = data.col("x")
     n = x.size
+    if n < 2:
+        raise DomainError("beta model needs n >= 2")
+    if np.any((x <= 0.0) | (x >= 1.0)):
+        raise DomainError("beta data must lie strictly inside (0, 1)")
     sum_log = float(np.sum(np.log(x)))
     sum_log1m = float(np.sum(np.log1p(-x)))
     # Scratch buffers for the solver iterations of every draw of these two
@@ -840,14 +856,6 @@ def _beta_build_conditionals(data: Dataset) -> dict:
             lambda d, p: _BetaShapeEquation(n, p["alpha"], p.get("beta", 1.0), scratch),
             check_at_start=True),
     }
-
-
-def _beta_validate(data: Dataset):
-    x = data.col("x")
-    if x.size < 2:
-        raise DomainError("beta model needs n >= 2")
-    if np.any((x <= 0.0) | (x >= 1.0)):
-        raise DomainError("beta data must lie strictly inside (0, 1)")
 
 
 def _beta_chain_inits(data: Dataset, chains: int) -> list:
@@ -872,17 +880,8 @@ _BETA_PARAMS = (
 
 
 # ---------------------------------------------------------------------------
-# Behrens-Fisher: two independent normal samples
+# Behrens-Fisher: the mean difference of two independent normal samples
 # ---------------------------------------------------------------------------
-
-def _group_stats(v: np.ndarray, label: str):
-    if v.size < 2:
-        raise DomainError(f"group '{label}' needs at least two observations")
-    s2 = float(np.var(v, ddof=1))
-    if s2 <= 0.0:
-        raise DegenerateDataError(f"group '{label}' has zero sample variance")
-    return float(np.mean(v)), s2, v.size
-
 
 def behrens_fisher_angle(x: np.ndarray, y: np.ndarray) -> float:
     """Angle parameter arctan((s_x sqrt(n_y)) / (s_y sqrt(n_x)))."""
@@ -910,67 +909,6 @@ def behrens_fisher_direct_draws(x: np.ndarray, y: np.ndarray, size: int, rng: Rn
     return mx - my + math.sqrt(sx2 / nx) * tx - math.sqrt(sy2 / ny) * ty
 
 
-def _bf_build_conditionals(data: Dataset) -> dict:
-    return {**_sample_conditionals(_BF_PARAMS, data, "x", "mu_x", "sigma_x2"),
-            **_sample_conditionals(_BF_PARAMS, data, "y", "mu_y", "sigma_y2")}
-
-
-def _bf_joint(theta: Mapping[str, float], data: Dataset) -> float:
-    x = data.col("x")
-    y = data.col("y")
-    sx2, sy2 = theta["sigma_x2"], theta["sigma_y2"]
-    if sx2 <= 0.0 or sy2 <= 0.0:
-        return -math.inf
-    rx = float(np.sum((x - theta["mu_x"]) ** 2))
-    ry = float(np.sum((y - theta["mu_y"]) ** 2))
-    return (-0.5 * (x.size + 2) * math.log(sx2) - 0.5 * rx / sx2
-            - 0.5 * (y.size + 2) * math.log(sy2) - 0.5 * ry / sy2)
-
-
-def _bf_conditional_dist(param: str, others: Mapping[str, float], data: Dataset) -> Dist:
-    x = data.col("x")
-    y = data.col("y")
-    if param == "mu_x":
-        return normal_conditional_mu(float(np.mean(x)), others["sigma_x2"], x.size)
-    if param == "mu_y":
-        return normal_conditional_mu(float(np.mean(y)), others["sigma_y2"], y.size)
-    if param == "sigma_x2":
-        return normal_conditional_sigma2(others["mu_x"], x)
-    if param == "sigma_y2":
-        return normal_conditional_sigma2(others["mu_y"], y)
-    raise DomainError(f"behrens_fisher model has no parameter '{param}'")
-
-
-def _bf_validate(data: Dataset):
-    _group_stats(data.col("x"), "x")
-    _group_stats(data.col("y"), "y")
-
-
-def _bf_chain_inits(data: Dataset, chains: int) -> list:
-    mx, sx2, nx = _group_stats(data.col("x"), "x")
-    my, sy2, ny = _group_stats(data.col("y"), "y")
-    base = {"mu_x": mx, "mu_y": my, "sigma_x2": sx2, "sigma_y2": sy2}
-    spreads = {"mu_x": math.sqrt(sx2 / nx), "mu_y": math.sqrt(sy2 / ny)}
-    return _disperse(base, _BF_PARAMS, spreads, chains)
-
-
-def _bf_simulate(theta: Mapping[str, float], n: int, rng: RngStream) -> Dataset:
-    sdx = math.sqrt(_pos(theta["sigma_x2"], "sigma_x2"))
-    sdy = math.sqrt(_pos(theta["sigma_y2"], "sigma_y2"))
-    return Dataset({
-        "x": theta["mu_x"] + sdx * rng.gen.standard_normal(n),
-        "y": theta["mu_y"] + sdy * rng.gen.standard_normal(n),
-    })
-
-
-_BF_PARAMS = (
-    ParamSpec("mu_x", -math.inf, math.inf, "location"),
-    ParamSpec("mu_y", -math.inf, math.inf, "location"),
-    ParamSpec("sigma_x2", 0.0, math.inf, "scale"),
-    ParamSpec("sigma_y2", 0.0, math.inf, "scale"),
-)
-
-
 # ---------------------------------------------------------------------------
 # Bivariate normal model
 # ---------------------------------------------------------------------------
@@ -987,12 +925,6 @@ def bvn_conditional_mu_x(mu_y: float, sigma_x2: float, sigma_y2: float, rho: flo
     ratio = math.sqrt(sigma_x2 / sigma_y2)
     mean = float(np.mean(x)) + rho * ratio * (mu_y - float(np.mean(y)))
     return Normal(mean, sigma_x2 * (1.0 - rho * rho) / x.size)
-
-
-def bvn_conditional_mu_y(mu_x: float, sigma_x2: float, sigma_y2: float, rho: float,
-                         x: np.ndarray, y: np.ndarray) -> Normal:
-    """Mirror of the mu_x conditional."""
-    return bvn_conditional_mu_x(mu_x, sigma_y2, sigma_x2, rho, y, x)
 
 
 @dataclass(frozen=True)
@@ -1189,6 +1121,12 @@ def _bvn_build_conditionals(data: Dataset) -> dict:
     x = data.col("x")
     y = data.col("y")
     n = x.size
+    if y.size != n:
+        raise DomainError("bivariate_normal needs x and y of equal length")
+    if n < 3:
+        raise DomainError("bivariate_normal needs n >= 3")
+    if float(np.std(x)) <= 0.0 or float(np.std(y)) <= 0.0:
+        raise DegenerateDataError("bivariate_normal needs non-constant columns")
     stats = _BvnSuffStats.from_arrays(x, y)
     stats_yx = stats.swapped()
     sx_sum, sy_sum = stats.sx, stats.sy
@@ -1225,17 +1163,6 @@ def _bvn_build_conditionals(data: Dataset) -> dict:
                 lambda d, p: _bvn_rho_mle_core(stats, p["mu_x"], p["mu_y"], p["sigma_x2"], p["sigma_y2"])),
             lambda d, p: rho_equation, check_at_start=True),
     }
-
-
-def _bvn_validate(data: Dataset):
-    x = data.col("x")
-    y = data.col("y")
-    if x.size != y.size:
-        raise DomainError("bivariate_normal needs x and y of equal length")
-    if x.size < 3:
-        raise DomainError("bivariate_normal needs n >= 3")
-    if float(np.std(x)) <= 0.0 or float(np.std(y)) <= 0.0:
-        raise DegenerateDataError("bivariate_normal needs non-constant columns")
 
 
 def _bvn_chain_inits(data: Dataset, chains: int) -> list:
@@ -1285,30 +1212,14 @@ _BVN_PARAMS = (
 # Registry
 # ---------------------------------------------------------------------------
 
-def _closed_form_cond_logpdf(dist_fn):
-    def cond(param, v, others, data):
-        return log_density(dist_fn(param, others, data), v)
-    return cond
-
-
 _MODELS = {
-    "normal": ModelSpec(
-        name="normal",
-        params=_NORMAL_PARAMS,
-        build_conditionals=_normal_build_conditionals,
-        simulate=_normal_simulate,
-        chain_inits=_normal_chain_inits,
-        validate_data=_normal_validate,
-        joint_log_kernel=_normal_joint_log_kernel,
-        conditional_log_density=_closed_form_cond_logpdf(_normal_conditional_dist),
-    ),
+    "normal": _normal_samples("normal", (("x", "mu", "sigma2"),)),
     "pareto": ModelSpec(
         name="pareto",
         params=_PARETO_PARAMS,
         build_conditionals=_pareto_build_conditionals,
         simulate=_pareto_simulate,
         chain_inits=_pareto_chain_inits,
-        validate_data=_pareto_validate,
         joint_log_kernel=_pareto_joint,
         conditional_log_density=_pareto_conditional_log_density,
     ),
@@ -1318,7 +1229,6 @@ _MODELS = {
         build_conditionals=_quadreg_build_conditionals,
         simulate=_quadreg_simulate,
         chain_inits=_quadreg_chain_inits,
-        validate_data=_quadreg_validate,
         joint_log_kernel=_quadreg_joint,
         conditional_log_density=_closed_form_cond_logpdf(_quadreg_conditional_dist),
     ),
@@ -1328,7 +1238,6 @@ _MODELS = {
         build_conditionals=_gamma_build_conditionals,
         simulate=_gamma_simulate,
         chain_inits=_gamma_chain_inits,
-        validate_data=_gamma_validate,
     ),
     "beta": ModelSpec(
         name="beta",
@@ -1336,25 +1245,15 @@ _MODELS = {
         build_conditionals=_beta_build_conditionals,
         simulate=_beta_simulate,
         chain_inits=_beta_chain_inits,
-        validate_data=_beta_validate,
     ),
-    "behrens_fisher": ModelSpec(
-        name="behrens_fisher",
-        params=_BF_PARAMS,
-        build_conditionals=_bf_build_conditionals,
-        simulate=_bf_simulate,
-        chain_inits=_bf_chain_inits,
-        validate_data=_bf_validate,
-        joint_log_kernel=_bf_joint,
-        conditional_log_density=_closed_form_cond_logpdf(_bf_conditional_dist),
-    ),
+    "behrens_fisher": _normal_samples(
+        "behrens_fisher", (("x", "mu_x", "sigma_x2"), ("y", "mu_y", "sigma_y2"))),
     "bivariate_normal": ModelSpec(
         name="bivariate_normal",
         params=_BVN_PARAMS,
         build_conditionals=_bvn_build_conditionals,
         simulate=_bvn_simulate,
         chain_inits=_bvn_chain_inits,
-        validate_data=_bvn_validate,
     ),
 }
 

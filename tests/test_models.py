@@ -20,6 +20,7 @@ from fidgibbs import (
     StudentT,
     ChainConfig,
     check_injectivity,
+    check_model,
     get_model,
     run,
     log_density,
@@ -305,7 +306,7 @@ class TestBehrensFisher:
             M.behrens_fisher_direct_draws(np.array([1.0, 1.0]), np.array([0.0, 1.0]), 10,
                                           RngStream(1, 0))
         with pytest.raises(DegenerateDataError):
-            get_model("behrens_fisher").validate_data(
+            get_model("behrens_fisher").build_conditionals(
                 Dataset({"x": np.array([1.0, 1.0]), "y": np.array([0.0, 1.0])}))
 
 
@@ -652,3 +653,49 @@ class TestNewtonInversion:
                         except StructuralError:
                             continue
                         assert 0.0 < a < math.inf
+
+
+# Data no model can take: too few observations, values outside the support,
+# constant data and columns of unequal length, where each applies.
+HOSTILE_DATA = [
+    ("normal", "too_few", {"x": [1.0]}),
+    ("normal", "constant", {"x": [2.0, 2.0, 2.0]}),
+    ("pareto", "too_few", {"x": [2.0]}),
+    ("pareto", "negative", {"x": [-1.0, 2.0, 3.0]}),
+    ("pareto", "zero", {"x": [0.0, 2.0, 3.0]}),
+    ("pareto", "constant", {"x": [2.0, 2.0, 2.0]}),
+    ("quadreg", "too_few", {"x": [1.0], "y": [1.0]}),
+    ("quadreg", "unequal", {"x": [1.0, 2.0], "y": [1.0, 2.0, 3.0]}),
+    ("quadreg", "zero_design", {"x": [0.0, 0.0, 0.0], "y": [1.0, 2.0, 3.0]}),
+    ("gamma", "too_few", {"x": [2.0]}),
+    ("gamma", "negative", {"x": [-1.0, 2.0, 3.0]}),
+    ("gamma", "zero", {"x": [0.0, 2.0, 3.0]}),
+    ("gamma", "constant", {"x": [2.0, 2.0, 2.0]}),
+    ("beta", "too_few", {"x": [0.5]}),
+    ("beta", "above_one", {"x": [0.5, 1.5, 0.2]}),
+    ("beta", "at_one", {"x": [0.5, 1.0, 0.2]}),
+    ("beta", "at_zero", {"x": [0.5, 0.0, 0.2]}),
+    ("behrens_fisher", "too_few", {"x": [1.0], "y": [1.0, 2.0]}),
+    ("behrens_fisher", "constant", {"x": [1.0, 2.0], "y": [3.0, 3.0, 3.0]}),
+    ("bivariate_normal", "too_few", {"x": [1.0, 2.0], "y": [2.0, 1.0]}),
+    ("bivariate_normal", "unequal", {"x": [1.0, 2.0, 3.0], "y": [1.0, 2.0, 3.0, 4.0]}),
+    ("bivariate_normal", "constant", {"x": [1.0, 2.0, 3.0], "y": [5.0, 5.0, 5.0]}),
+]
+
+
+@pytest.mark.parametrize("model,columns", [(m, c) for m, _, c in HOSTILE_DATA],
+                         ids=[f"{m}-{case}" for m, case, _ in HOSTILE_DATA])
+def test_hostile_data_raises_typed_error(model, columns):
+    # build_conditionals is the one data check: it, run and (for the
+    # closed-form models) check_model raise a typed error, never a
+    # RuntimeWarning (an error in this suite) or a numpy ValueError.
+    spec = get_model(model)
+    data = Dataset(columns)
+    typed = (DomainError, DegenerateDataError)
+    with pytest.raises(typed):
+        spec.build_conditionals(data)
+    with pytest.raises(typed):
+        run(spec, data, ChainConfig(m=20, b=5, chains=2, seed=1))
+    if spec.joint_log_kernel is not None:
+        with pytest.raises(typed):
+            check_model(spec, data)
