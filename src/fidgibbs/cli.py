@@ -125,14 +125,25 @@ def write_dataset(data: Dataset, model_name: str, path: str):
                 writer.writerow([_fmt(v)])
 
 
+# Rows formatted per write: bounds the Python floats alive at once.
+_ROWS_PER_WRITE = 4096
+
+
+def _write_rows(fh, fmt: str, lead: tuple, values: np.ndarray):
+    """Rows fmt % (*lead, cycle, *row) for cycles 1..len(values): the bytes
+    csv.writer gives for the same cells with _fmt on every float."""
+    for start in range(0, values.shape[0], _ROWS_PER_WRITE):
+        rows = values[start:start + _ROWS_PER_WRITE].tolist()
+        fh.write("".join([fmt % (*lead, i, *row) for i, row in enumerate(rows, start + 1)]))
+
+
 def write_samples_csv(samples: SampleMatrix, path: str):
+    chains, _, k = samples.values.shape
+    fmt = "%d,%d" + ",%.17g" * k + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["chain", "cycle", *samples.labels])
-        chains, m, _ = samples.values.shape
+        csv.writer(fh).writerow(["chain", "cycle", *samples.labels])
         for c in range(chains):
-            for i in range(m):
-                writer.writerow([c, i + 1, *(_fmt(v) for v in samples.values[c, i])])
+            _write_rows(fh, fmt, (c,), samples.values[c])
 
 
 def read_samples_csv(path: str, b: int) -> SampleMatrix:
@@ -184,10 +195,8 @@ def write_histogram_csv(summary, path: str):
 def write_trace_csv(samples: SampleMatrix, param: str, path: str):
     j = samples.index(param)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["cycle", "value"])
-        for i, v in enumerate(samples.values[0, :, j]):
-            writer.writerow([i + 1, _fmt(v)])
+        csv.writer(fh).writerow(["cycle", "value"])
+        _write_rows(fh, "%d,%.17g\r\n", (), samples.values[0, :, j:j + 1])
 
 
 # ---------------------------------------------------------------------------

@@ -115,19 +115,17 @@ class ConditionalFiducialSampler:
         q = self.statistic.compute(data, state)
         eq = self.equation_for(data, state)
         lo, hi = self.theta_domain
-        for attempt in range(self.max_redraws + 1):
+        for _ in range(self.max_redraws + 1):
             gamma = sample(eq.gamma_dist, rng)
             try:
                 theta = eq.invert(q, gamma)
             except StructuralError:
-                if warnings is not None:
-                    warnings[f"{self.target_param}.gamma_redraw"] += 1
-                continue
-            if not math.isfinite(theta) or not (lo < theta < hi):
-                if warnings is not None:
-                    warnings[f"{self.target_param}.gamma_redraw"] += 1
-                continue
-            return float(theta)
+                theta = math.nan
+            # Fails for NaN and for an infinite theta at an infinite bound.
+            if lo < theta < hi:
+                return float(theta)
+            if warnings is not None:
+                warnings[f"{self.target_param}.gamma_redraw"] += 1
         raise StructuralError(
             f"no invertible gamma found for parameter '{self.target_param}' "
             f"after {self.max_redraws} redraws",

@@ -141,13 +141,12 @@ def _run_chain(model: ModelSpec, data: Dataset, conditionals: dict,
                     chain=chain, statistic_value=q, report=repr(report))
             if report.n_failed:
                 warnings[f"{label}.injectivity_grid_failures"] += report.n_failed
-    k = len(order)
-    values = np.empty((m, k))
+    draws = [(j, label, conditionals[label].draw) for j, label in enumerate(order)]
+    values = np.empty((m, len(order)))
     try:
         for cycle in range(m):
-            for j, label in enumerate(order):
-                state[label] = conditionals[label].draw(data, state, rng, warnings)
-                values[cycle, j] = state[label]
+            for j, label, draw in draws:
+                values[cycle, j] = state[label] = draw(data, state, rng, warnings)
     except StructuralError as exc:
         exc.diagnostics.setdefault("chain", chain)
         exc.diagnostics["cycle"] = cycle

@@ -19,6 +19,7 @@ from typing import Callable, Mapping, Optional, Tuple
 
 import numpy as np
 from scipy import special as _sp
+from scipy.linalg import solve_triangular
 
 from .core import ConditionalFiducialSampler, FiducialStatistic
 from .errors import BracketError, DegenerateDataError, DomainError, EvaluationError, StructuralError
@@ -148,10 +149,9 @@ class ModelSpec:
 # ---------------------------------------------------------------------------
 
 def _pos(v: float, name: str) -> float:
-    v = float(v)
-    if not math.isfinite(v) or v <= 0.0:
-        raise DomainError(f"{name} must be positive and finite, got {v}")
-    return v
+    if 0.0 < v < math.inf:  # false for NaN
+        return v
+    raise DomainError(f"{name} must be positive and finite, got {v}")
 
 
 def _conditional(params: Tuple[ParamSpec, ...], label: str, statistic: FiducialStatistic,
@@ -202,19 +202,20 @@ class _VarianceEquation:
 
 
 class _RateEquation:
-    """q = gamma / theta + off with a gamma-distributed primary."""
+    """q = scale * gamma / theta + off with a gamma-distributed primary
+    (a chi-square primary with scale 1/2 is a Gamma(df / 2, 1) one)."""
 
-    def __init__(self, gamma_dist: Dist, off: float):
-        self.gamma_dist, self.off = gamma_dist, off
+    def __init__(self, gamma_dist: Dist, off: float, scale: float = 1.0):
+        self.gamma_dist, self.off, self.scale = gamma_dist, off, scale
 
     def invert(self, q, g):
         rate = q - self.off
         if rate <= 0.0:
             raise StructuralError("statistic minus offset not positive", rate=rate)
-        return g / rate
+        return self.scale * g / rate
 
     def phi(self, g, theta):
-        return g / theta + self.off
+        return self.scale * g / theta + self.off
 
 
 _SCALE_FACTORS = (1.0, 2.25, 0.45, 3.5, 0.3, 1.6, 0.7, 2.8)
@@ -316,14 +317,10 @@ def normal_conditional_mu(xbar: float, sigma2: float, n: int) -> Normal:
     return Normal(float(xbar), _pos(sigma2, "sigma2") / n)
 
 
-def _mean_sq_about(x: np.ndarray, mu: float) -> float:
-    return float(np.mean((x - mu) ** 2))
-
-
 def normal_conditional_sigma2(mu: float, x: np.ndarray) -> ScaledInvChiSquare:
     """sigma2 given mu: scaled inverse chi-square(n, mean((x - mu)^2))."""
     x = np.asarray(x, dtype=float)
-    s2 = _mean_sq_about(x, float(mu))
+    s2 = float(np.mean((x - float(mu)) ** 2))
     if s2 <= 0.0:
         raise DegenerateDataError("all observations equal mu: variance statistic is zero")
     return ScaledInvChiSquare(x.size, s2)
@@ -354,14 +351,25 @@ def _sample_conditionals(params: Tuple[ParamSpec, ...], data: Dataset, column: s
     """Mean and variance conditionals of one normal sample."""
     x = data.col(column)
     xbar, _, n = _group_stats(x, column)
+    # mean((x - mu)^2) = spread + (mean - mu)^2 with spread = mean((x - mean)^2),
+    # two non-negative terms.  The exact mean is xbar + shift: shift is the
+    # rounding error of xbar, which matters when |xbar| >> sd.
+    dev = x - xbar
+    shift = float(np.mean(dev))
+    spread = float(np.mean(dev * dev)) - shift * shift
     variance = _VarianceEquation(ChiSquare(n), n)
+
+    def mean_sq_about_mu(d, p):
+        off = xbar - p[mu] + shift
+        return spread + off * off
+
     return {
         mu: _conditional(
             params, mu, FiducialStatistic(f"{column}bar", lambda d, p: xbar),
             lambda d, p: _LocationEquation(1.0, 0.0, math.sqrt(_pos(p[sigma2], "sigma2") / n))),
         sigma2: _conditional(
             params, sigma2,
-            FiducialStatistic(f"mean_sq_about_{mu}", lambda d, p: _mean_sq_about(x, p[mu])),
+            FiducialStatistic(f"mean_sq_about_{mu}", mean_sq_about_mu),
             lambda d, p: variance),
     }
 
@@ -487,7 +495,9 @@ def _pareto_build_conditionals(data: Dataset) -> dict:
     if min_x == float(np.max(x)):
         raise DegenerateDataError("pareto model needs non-constant data")
     sum_log = float(np.sum(np.log(x)))
-    gamma_n = Gamma(n, 1.0)
+    # The alpha primary is Gamma(n, 1), drawn as half a chi^2(2n): a law
+    # fixed for the dataset, so it is drawn in blocks.
+    chi2_2n = ChiSquare(2 * n)
 
     def alpha_equation(d, p):
         beta = _pos(p["beta"], "beta")
@@ -498,7 +508,7 @@ def _pareto_build_conditionals(data: Dataset) -> dict:
         if sum_log - off <= 0.0:
             raise DomainError(
                 f"sum(log x) - n log(beta) = {sum_log - off:.6g} is not positive")
-        return _RateEquation(gamma_n, off)
+        return _RateEquation(chi2_2n, off, 0.5)
 
     return {
         "alpha": _conditional(
@@ -571,6 +581,36 @@ def _quadreg_rss(x: np.ndarray, y: np.ndarray, b0: float, b1: float, b2: float) 
     return float(np.sum(r ** 2))
 
 
+def _quadreg_rss_form(x: np.ndarray, y: np.ndarray) -> Callable[[float, float, float], float]:
+    """RSS(b) in O(1): rss_min + ||R (b - bhat) - w||^2.
+
+    X = [1, x, x^2] = QR and bhat is the least-squares solution.  w = Q' r
+    for the residual r = y - X bhat carries the rounding error of bhat, and
+    rss_min = ||r - Q w||^2; then y - X b = (r - Q w) - Q (R (b - bhat) - w)
+    splits into two orthogonal parts, so the two terms are non-negative and
+    nothing cancels when |y| >> sd.  QR, not a Cholesky factor of X'X, keeps
+    offset designs (|mean(x)| >> sd(x)) within reach.
+    """
+    q, r = np.linalg.qr(np.column_stack([np.ones_like(x), x, x * x]))
+    bhat = solve_triangular(r, q.T @ y)
+    resid = y - bhat[0] - bhat[1] * x - bhat[2] * x * x
+    w = q.T @ resid
+    rest = resid - q @ w
+    rss_min = float(rest @ rest)
+    (r00, r01, r02), (_, r11, r12), (_, _, r22) = r.tolist()
+    h0, h1, h2 = bhat.tolist()
+    w0, w1, w2 = w.tolist()
+
+    def rss(b0, b1, b2):
+        d0, d1, d2 = b0 - h0, b1 - h1, b2 - h2
+        t0 = r00 * d0 + r01 * d1 + r02 * d2 - w0
+        t1 = r11 * d1 + r12 * d2 - w1
+        t2 = r22 * d2 - w2
+        return rss_min + (t0 * t0 + t1 * t1 + t2 * t2)
+
+    return rss
+
+
 def quadreg_conditionals(b0: float, b1: float, b2: float, sigma2: float,
                          x: np.ndarray, y: np.ndarray) -> dict:
     """The four printed full conditionals of the quadratic regression model.
@@ -622,13 +662,16 @@ def _quadreg_build_conditionals(data: Dataset) -> dict:
         raise DomainError("quadreg needs x and y of equal length")
     if x.size < 2:
         raise DomainError("quadreg needs n >= 2")
+    # [1, x, x^2] has full column rank exactly when x takes three values.
+    if np.unique(x).size < 3:
+        raise DegenerateDataError("design is degenerate: x takes fewer than three distinct values")
     s = _quadreg_sums(x, y)
-    if s["sx2"] <= 0.0 or s["sx4"] <= 0.0:
-        raise DegenerateDataError("design is degenerate: sum(x^2) or sum(x^4) is zero")
-    variance = _VarianceEquation(ChiSquare(s["n"]), 1)
+    n, sx, sx2, sx3, sx4 = s["n"], s["sx"], s["sx2"], s["sx3"], s["sx4"]
+    rss_at = _quadreg_rss_form(x, y)
+    variance = _VarianceEquation(ChiSquare(n), 1)
 
     def rss_stat(d, p):
-        rss = _quadreg_rss(x, y, p["beta0"], p["beta1"], p["beta2"])
+        rss = rss_at(p["beta0"], p["beta1"], p["beta2"])
         if rss <= 0.0:
             raise DegenerateDataError("residual sum of squares is zero")
         return rss
@@ -639,11 +682,11 @@ def _quadreg_build_conditionals(data: Dataset) -> dict:
 
     return {
         "beta0": coef("beta0", "sum_y", s["sy"], lambda d, p: _quadreg_coef_equation(
-            s["n"], p["beta1"] * s["sx"] + p["beta2"] * s["sx2"], p["sigma2"])),
+            n, p["beta1"] * sx + p["beta2"] * sx2, p["sigma2"])),
         "beta1": coef("beta1", "sum_xy", s["sxy"], lambda d, p: _quadreg_coef_equation(
-            s["sx2"], p["beta0"] * s["sx"] + p["beta2"] * s["sx3"], p["sigma2"])),
+            sx2, p["beta0"] * sx + p["beta2"] * sx3, p["sigma2"])),
         "beta2": coef("beta2", "sum_x2y", s["sx2y"], lambda d, p: _quadreg_coef_equation(
-            s["sx4"], p["beta0"] * s["sx2"] + p["beta1"] * s["sx3"], p["sigma2"])),
+            sx4, p["beta0"] * sx2 + p["beta1"] * sx3, p["sigma2"])),
         "sigma2": _conditional(_QUADREG_PARAMS, "sigma2", FiducialStatistic("rss", rss_stat),
                                lambda d, p: variance),
     }
@@ -841,6 +884,8 @@ def _beta_build_conditionals(data: Dataset) -> dict:
         raise DomainError("beta model needs n >= 2")
     if np.any((x <= 0.0) | (x >= 1.0)):
         raise DomainError("beta data must lie strictly inside (0, 1)")
+    if float(np.min(x)) == float(np.max(x)):
+        raise DegenerateDataError("beta model needs non-constant data")
     sum_log = float(np.sum(np.log(x)))
     sum_log1m = float(np.sum(np.log1p(-x)))
     # Scratch buffers for the solver iterations of every draw of these two

@@ -5,6 +5,14 @@ constructions need as primary random variables or as closed-form
 conditionals.  Sampling is reproducible: a stream is keyed by
 (seed, stream_id) on a counter-based Philox generator, so identical keys
 replay identical sequences and distinct stream_ids are independent.
+
+The kinds whose laws the catalog fixes once per dataset are drawn in
+blocks of BLOCK_SIZE values per stream: Normal and Exponential from one
+block of standard draws each, shifted and scaled per draw, TruncatedNormal
+and ChiSquare from one block per law.  A draw takes the next value of its
+block, and a new block is drawn when it is used up.  Gamma, whose shape
+follows the state in the gamma model, and the two kinds that are never
+primaries are drawn one value per call.
 """
 
 from __future__ import annotations
@@ -37,6 +45,7 @@ __all__ = [
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _U64 = 2**64
+BLOCK_SIZE = 1024
 
 
 class RngStream:
@@ -56,6 +65,19 @@ class RngStream:
         self.stream_id = int(stream_id)
         key = np.array([self.seed, self.stream_id], dtype=np.uint64)
         self.gen = np.random.Generator(np.random.Philox(key=key))
+        self._blocks = {}  # block key -> iterator over the rest of its block
+
+    def take(self, key, fill, dist) -> float:
+        """The next value of the block stored under key.
+
+        When that block is used up (or there is none yet), fill(dist, gen,
+        BLOCK_SIZE) draws the next one from this stream.
+        """
+        try:
+            return next(self._blocks[key])
+        except (KeyError, StopIteration):
+            block = self._blocks[key] = iter(fill(dist, self.gen, BLOCK_SIZE).tolist())
+            return next(block)
 
     def __repr__(self):
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
@@ -156,29 +178,78 @@ def _trunc_bounds(d: TruncatedNormal):
     return sd, pa, pb
 
 
+# Block fillers: fill(dist, gen, size) -> array of size draws.
+
+def _standard_normals(dist, g, size):
+    return g.standard_normal(size)
+
+
+def _truncated_normals(dist, g, size):
+    # Inversion of the normal CDF restricted to [lo, hi]; g.random gives
+    # the same doubles as repeated g.uniform() calls, in the same order.
+    sd, pa, pb = _trunc_bounds(dist)
+    z = _sp.ndtri(pa + g.random(size) * (pb - pa))
+    return np.minimum(np.maximum(dist.mean + sd * z, dist.lo), dist.hi)
+
+
+def _chi_squares(dist, g, size):
+    return g.chisquare(dist.df, size)
+
+
+def _standard_exponentials(dist, g, size):
+    return g.standard_exponential(size)
+
+
+# One sampler per kind.  Location-scale kinds share one block of standard
+# draws per stream; the others keep one block per law.
+
+def _sample_normal(d: Normal, rng: RngStream) -> float:
+    return d.mean + math.sqrt(d.var) * rng.take(Normal, _standard_normals, d)
+
+
+def _sample_truncated_normal(d: TruncatedNormal, rng: RngStream) -> float:
+    return rng.take((TruncatedNormal, d.mean, d.var, d.lo, d.hi), _truncated_normals, d)
+
+
+def _sample_chi_square(d: ChiSquare, rng: RngStream) -> float:
+    return rng.take((ChiSquare, d.df), _chi_squares, d)
+
+
+def _sample_exponential(d: Exponential, rng: RngStream) -> float:
+    return rng.take(Exponential, _standard_exponentials, d) / d.rate
+
+
+def _sample_gamma(d: Gamma, rng: RngStream) -> float:
+    return float(rng.gen.gamma(d.shape, 1.0 / d.rate))
+
+
+def _sample_scaled_inv_chi_square(d: ScaledInvChiSquare, rng: RngStream) -> float:
+    # Exact transformation df*scale / X with X ~ chi^2(df).
+    return float(d.df * d.scale / rng.gen.chisquare(d.df))
+
+
+def _sample_student_t(d: StudentT, rng: RngStream) -> float:
+    return float(d.loc + d.scale * rng.gen.standard_t(d.df))
+
+
+_SAMPLERS = {
+    Normal: _sample_normal,
+    TruncatedNormal: _sample_truncated_normal,
+    ChiSquare: _sample_chi_square,
+    Exponential: _sample_exponential,
+    Gamma: _sample_gamma,
+    ScaledInvChiSquare: _sample_scaled_inv_chi_square,
+    StudentT: _sample_student_t,
+}
+
+
 def sample(dist: Dist, rng: RngStream) -> float:
     """One draw from the named distribution."""
-    g = rng.gen
-    if isinstance(dist, Normal):
-        return float(g.normal(dist.mean, math.sqrt(dist.var)))
-    if isinstance(dist, TruncatedNormal):
-        # Inversion of the normal CDF restricted to [lo, hi].
-        sd, pa, pb = _trunc_bounds(dist)
-        u = g.uniform()
-        z = _sp.ndtri(pa + u * (pb - pa))
-        return float(min(max(dist.mean + sd * z, dist.lo), dist.hi))
-    if isinstance(dist, Gamma):
-        return float(g.gamma(dist.shape, 1.0 / dist.rate))
-    if isinstance(dist, ChiSquare):
-        return float(g.chisquare(dist.df))
-    if isinstance(dist, ScaledInvChiSquare):
-        # Exact transformation df*scale / X with X ~ chi^2(df).
-        return float(dist.df * dist.scale / g.chisquare(dist.df))
-    if isinstance(dist, Exponential):
-        return float(g.exponential(1.0 / dist.rate))
-    if isinstance(dist, StudentT):
-        return float(dist.loc + dist.scale * g.standard_t(dist.df))
-    raise DomainError(f"unknown distribution {dist!r}")
+    try:
+        sampler = _SAMPLERS[type(dist)]
+    except KeyError:
+        raise DomainError(f"unknown distribution {dist!r}") from None
+    return sampler(dist, rng)
 
 
 def log_density(dist: Dist, x: float) -> float:

@@ -6,7 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from fidgibbs.cli import main, read_samples_csv
+from fidgibbs import ChainConfig, SampleMatrix
+from fidgibbs.cli import main, read_samples_csv, write_samples_csv, write_trace_csv
 
 
 def _run(argv):
@@ -215,6 +216,46 @@ class TestReadSamples:
         with pytest.raises(ValueError, match="duplicate"):
             read_samples_csv(str(path), b=0)
         assert _run(["diag", "--samples", path, "--b", 0]) == 1
+
+
+class TestWriters:
+    """The samples and trace writers give the bytes of csv.writer with
+    every float formatted as format(v, ".17g")."""
+
+    SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+               3.0, -7.0, 1e16, 0.1, 1.0 / 3.0]
+
+    def _matrix(self, chains, m):
+        g = np.random.default_rng(4)
+        values = g.standard_normal((chains, m, 3)) * 10.0 ** g.integers(-300, 300, (chains, m, 3))
+        values[0, :len(self.SPECIAL), 0] = self.SPECIAL
+        values[-1, -len(self.SPECIAL):, 2] = self.SPECIAL
+        return SampleMatrix(values, ("a", "b", "c"), ChainConfig(m=m, b=1, chains=chains))
+
+    @staticmethod
+    def _reference(path, header, rows):
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow([c if isinstance(c, int) else format(c, ".17g") for c in row])
+        return path.read_bytes()
+
+    @pytest.mark.parametrize("chains,m", [(1, 20), (3, 5000)])
+    def test_samples_bytes(self, tmp_path, chains, m):
+        sm = self._matrix(chains, m)
+        write_samples_csv(sm, tmp_path / "samples.csv")
+        rows = [(c, i + 1, *sm.values[c, i].tolist()) for c in range(chains) for i in range(m)]
+        ref = self._reference(tmp_path / "ref.csv", ["chain", "cycle", *sm.labels], rows)
+        assert (tmp_path / "samples.csv").read_bytes() == ref
+
+    def test_trace_bytes(self, tmp_path):
+        sm = self._matrix(2, 300)
+        for j, label in enumerate(sm.labels):
+            write_trace_csv(sm, label, tmp_path / "trace.csv")
+            rows = [(i + 1, v) for i, v in enumerate(sm.values[0, :, j].tolist())]
+            ref = self._reference(tmp_path / "ref.csv", ["cycle", "value"], rows)
+            assert (tmp_path / "trace.csv").read_bytes() == ref
 
 
 class TestDiagCommand:

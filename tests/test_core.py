@@ -17,6 +17,7 @@ from fidgibbs import (
     check_injectivity,
     get_model,
 )
+from fidgibbs.randvar import BLOCK_SIZE
 
 UNBOUNDED = (-math.inf, math.inf)
 
@@ -130,6 +131,30 @@ class TestDraw:
         draws = [sampler.draw(None, {}, rng, warnings) for _ in range(200)]
         assert all(d >= 0.3 for d in draws)
         assert warnings["theta.gamma_redraw"] > 50
+
+    def test_redraw_takes_next_block_value(self):
+        # The first inversion fails: the draw is the next value of the
+        # standard normal block, and the draw after it the one after that.
+        calls = []
+
+        def invert(q, g):
+            calls.append(g)
+            if len(calls) == 1:
+                raise StructuralError("first gamma rejected")
+            return q + g
+
+        eq = StructuralEquation(Normal(0.0, 1.0), lambda g, t: t - g, invert,
+                                theta_domain=(-math.inf, math.inf), gamma_domain=(-5, 5))
+        sampler = ConditionalFiducialSampler(
+            "theta", FiducialStatistic("q", lambda d, p: 0.0), lambda d, p: eq,
+            theta_domain=UNBOUNDED)
+        warnings = Counter()
+        rng = RngStream(8, 1)
+        draws = [sampler.draw(None, {}, rng, warnings) for _ in range(2)]
+        block = RngStream(8, 1).gen.standard_normal(BLOCK_SIZE).tolist()
+        assert calls == block[:3]
+        assert draws == block[1:3]
+        assert warnings == {"theta.gamma_redraw": 1}
 
     def test_exhausted_redraws_raise(self):
         def invert(q, g):

@@ -59,6 +59,16 @@ class TestRun:
         b = run(get_model("normal"), normal_data, cfg)
         assert np.array_equal(a.values, b.values)
 
+    @pytest.mark.parametrize("name,data_fixture", [
+        ("normal", "normal_data"), ("pareto", "pareto_data"), ("gamma", "gamma_data")])
+    def test_chain_does_not_depend_on_chain_count(self, name, data_fixture, request):
+        # Chain i draws from its own (seed, i) stream with its own blocks.
+        data = request.getfixturevalue(data_fixture)
+        two = run(get_model(name), data, ChainConfig(m=300, b=50, chains=2, seed=11))
+        four = run(get_model(name), data, ChainConfig(m=300, b=50, chains=4, seed=11))
+        assert np.array_equal(two.values[1], four.values[1])
+        assert not np.array_equal(four.values[1], four.values[2])
+
     def test_single_cycle_with_deterministic_primaries(self, normal_data, monkeypatch):
         # Force every primary draw to its distribution mean: one cycle must
         # land exactly on the implied deterministic update.

@@ -22,37 +22,37 @@ RUN = ["--m", "2000", "--b", "500", "--chains", "2", "--seed", "2018"]
 GOLDEN = {
     "normal": (
         ["--model", "normal", "--simulate", "mu=1,sigma2=4,n=12"],
-        "29437af87b36fef1d89fcfa9dd1ab07fc2a73f16bcf58d24f246274c9476c8bf", {}),
+        "a9a11d3cd8c46f1c70afdcf7c7b4593371273db3d3788c2b4192bc1ea38e376e", {}),
     "pareto": (
         ["--model", "pareto", "--simulate", "alpha=3,beta=2,n=15"],
-        "c85ed2c1b2cbb80a208346ed86160cc5e7e7e2ed811f4c87e7dc8a2ca6049ef0", {}),
+        "eea0bcb6decb05b9c73aaf40261ee4cb1f043598ac2cca931f1d6ce470f0fad7", {}),
     "quadreg": (
         ["--model", "quadreg", "--simulate", "beta0=1,beta1=-0.5,beta2=0.25,sigma2=0.5,n=25"],
-        "b1d09a08cb60215b089520db4a7415fd28a6143f7dfac01fa9d9dc24d7b5e466", {}),
+        "02d7e3d5f4b58bfedde61679299f52d18440b4832e96c82f1436c3bd53606c36", {}),
     # n=5 leaves part of the truncated gamma interval without a root:
     # exercises the injectivity-grid and redraw counters.
     "gamma": (
         ["--model", "gamma", "--simulate", "alpha=2,beta=0.5,n=5"],
-        "0d5b12ad796b78da259e9ae78b0b538de655b4ab968cc1c4d03418da917d2909",
-        {"alpha.injectivity_grid_failures": 13, "alpha.gamma_redraw": 28}),
+        "c742b3a929e8f6f07a4fd11ba83b00ccac7760ab9a1ec6f5c1884ae5061a6e6c",
+        {"alpha.injectivity_grid_failures": 13, "alpha.gamma_redraw": 24}),
     "beta": (
         ["--model", "beta", "--simulate", "alpha=8,beta=3,n=50"],
         "3245b175b337dc3e9727eded2b543318ebf292d0f34f6a69aa3daadcd21534c9", {}),
     "behrens_fisher": (
         ["--model", "behrens_fisher", "--simulate", "mu_x=1,mu_y=0.5,sigma_x2=4,sigma_y2=1,n=8"],
-        "c2fdc98b364b9d8a4e599df63d3b5cf660ae795bb6240516956f4e92aa8c780f", {}),
+        "421663b16515362334c7affdb45a715c7d7613318d65606066951b15d941018b", {}),
     # n=4 puts the excluded-gamma region of the sigma equations inside [-5, 5].
     "bivariate_normal": (
         ["--model", "bivariate_normal", "--simulate",
          "mu_x=0,mu_y=0,sigma_x2=1,sigma_y2=1,rho=0.2,n=4"],
-        "6feb2d4844b0db19c5500644c5fedb4ffde186eeeda3643b8c521018a194ea22",
-        {"sigma_x2.gamma_redraw": 3, "sigma_y2.gamma_redraw": 1}),
+        "9d9e67373c0a03ca8daa58ff22ffea3770d161e39656c242660b01a9a9f135f4",
+        {"sigma_x2.gamma_redraw": 3, "sigma_y2.gamma_redraw": 2}),
     "beta_scan_order": (
         ["--model", "beta", "--simulate", "alpha=8,beta=3,n=50", "--scan-order", "beta,alpha"],
         "bc324b4b6f2738007529ebcd4afd011604d0081b47711a925c66d07a55965632", {}),
     "pareto_init": (
         ["--model", "pareto", "--simulate", "alpha=3,beta=2,n=15", "--init", "alpha=1,beta=1.5"],
-        "325c05f8ae74b3a8bee5729752e407abc4963a89d25f022ef45b03c2ffff8c5b", {}),
+        "7384008984c68194d9b8819d072bb6db63ae5f79e582f839008b7460e3ccd2b0", {}),
 }
 
 

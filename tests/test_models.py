@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -667,6 +668,7 @@ HOSTILE_DATA = [
     ("quadreg", "too_few", {"x": [1.0], "y": [1.0]}),
     ("quadreg", "unequal", {"x": [1.0, 2.0], "y": [1.0, 2.0, 3.0]}),
     ("quadreg", "zero_design", {"x": [0.0, 0.0, 0.0], "y": [1.0, 2.0, 3.0]}),
+    ("quadreg", "two_x_values", {"x": [1.0, 2.0, 1.0, 2.0], "y": [1.0, 2.0, 3.0, 4.0]}),
     ("gamma", "too_few", {"x": [2.0]}),
     ("gamma", "negative", {"x": [-1.0, 2.0, 3.0]}),
     ("gamma", "zero", {"x": [0.0, 2.0, 3.0]}),
@@ -675,6 +677,7 @@ HOSTILE_DATA = [
     ("beta", "above_one", {"x": [0.5, 1.5, 0.2]}),
     ("beta", "at_one", {"x": [0.5, 1.0, 0.2]}),
     ("beta", "at_zero", {"x": [0.5, 0.0, 0.2]}),
+    ("beta", "constant", {"x": [0.5, 0.5, 0.5]}),
     ("behrens_fisher", "too_few", {"x": [1.0], "y": [1.0, 2.0]}),
     ("behrens_fisher", "constant", {"x": [1.0, 2.0], "y": [3.0, 3.0, 3.0]}),
     ("bivariate_normal", "too_few", {"x": [1.0, 2.0], "y": [2.0, 1.0]}),
@@ -699,3 +702,59 @@ def test_hostile_data_raises_typed_error(model, columns):
     if spec.joint_log_kernel is not None:
         with pytest.raises(typed):
             check_model(spec, data)
+
+
+class TestConstantTimeStatistics:
+    """The variance and RSS statistics, built once per dataset and O(1) per
+    draw, against exact rational O(n) references."""
+
+    @staticmethod
+    def _mean_sq(x, mu):
+        return float(sum((Fraction(v) - Fraction(mu)) ** 2 for v in x) / len(x))
+
+    @staticmethod
+    def _rss(x, y, b0, b1, b2):
+        b0, b1, b2 = Fraction(b0), Fraction(b1), Fraction(b2)
+        return float(sum((Fraction(yi) - b0 - b1 * Fraction(xi) - b2 * Fraction(xi) ** 2) ** 2
+                         for xi, yi in zip(x, y)))
+
+    @pytest.mark.parametrize("mean", [0.0, 1.0, 1e4, -1e6, 1e8])
+    @pytest.mark.parametrize("sd", [1.0, 3.7])
+    def test_variance_statistic(self, mean, sd):
+        g = np.random.default_rng(17)
+        x = mean + sd * g.standard_normal(40)
+        y = -mean + 0.5 * sd * g.standard_normal(25)
+        cases = (("normal", Dataset({"x": x}), (("x", "mu", "sigma2"),)),
+                 ("behrens_fisher", Dataset({"x": x, "y": y}),
+                  (("x", "mu_x", "sigma_x2"), ("y", "mu_y", "sigma_y2"))))
+        for model, data, groups in cases:
+            conds = get_model(model).build_conditionals(data)
+            for column, mu, s2 in groups:
+                v = data.col(column)
+                center, se = float(np.mean(v)), float(np.std(v)) / math.sqrt(v.size)
+                mus = [center + k * se for k in (0.0, 1e-9, -0.3, 2.0, -40.0, 1e6)]
+                for m in mus + [0.0, 2.0 * center + sd]:
+                    got = conds[s2].statistic.compute(data, {mu: m})
+                    ref = self._mean_sq(v, m)
+                    assert abs(got - ref) <= 1e-12 * ref, (model, s2, m)
+
+    # (x offset, x spread): offsets up to 1e4, designs of moderate condition.
+    @pytest.mark.parametrize("x_offset,x_spread", [(0.0, 1.0), (1e2, 10.0), (1e4, 1e3), (0.0, 1e4)])
+    @pytest.mark.parametrize("y_offset", [0.0, 1e2, 1e4])
+    def test_rss_statistic(self, x_offset, x_spread, y_offset):
+        g = np.random.default_rng(23)
+        t = np.linspace(-2.0, 2.0, 30)
+        x = x_offset + x_spread * t
+        y = y_offset + 1.0 - 0.5 * t + 0.25 * t * t + 0.7 * g.standard_normal(t.size)
+        data = Dataset({"x": x, "y": y})
+        spec = get_model("quadreg")
+        rss = spec.build_conditionals(data)["sigma2"].statistic
+        # The states a run visits, plus far-off ones.
+        sm = run(spec, data, ChainConfig(m=15, b=0, chains=2, seed=3))
+        states = [dict(zip(sm.labels, row)) for row in sm.values.reshape(-1, 4).tolist()]
+        states += [{"beta0": 0.0, "beta1": 0.0, "beta2": 0.0},
+                   {"beta0": y_offset, "beta1": 1.0, "beta2": -1.0}]
+        for st in states:
+            ref = self._rss(x, y, st["beta0"], st["beta1"], st["beta2"])
+            got = rss.compute(data, st)
+            assert abs(got - ref) <= 1e-12 * ref, st

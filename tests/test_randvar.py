@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special, stats
 
 from fidgibbs import (
     ChiSquare,
@@ -18,6 +18,7 @@ from fidgibbs import (
     quantile,
     sample,
 )
+from fidgibbs.randvar import BLOCK_SIZE
 
 N_DRAWS = 200_000
 
@@ -186,3 +187,55 @@ class TestQuantile:
             x = quantile(dist, p)
             cdf, _ = integrate.quad(lambda t: math.exp(log_density(dist, t)), lo, x, limit=400)
             assert abs(quantile(dist, min(max(cdf, 1e-15), 1 - 1e-15)) - x) < max(1e-6, 1e-6 * abs(x))
+
+
+class TestBlocks:
+    """Fixed-law kinds are drawn in blocks of BLOCK_SIZE per stream."""
+
+    DRAWS = 3 * BLOCK_SIZE + 100  # more than three blocks
+
+    @pytest.mark.parametrize("dist,cdf", [
+        (Normal(0.0, 1.0), stats.norm.cdf),
+        (Normal(1.5, 4.0), stats.norm(1.5, 2.0).cdf),
+        (TruncatedNormal(0.0, 1.0, -5.0, 5.0), stats.truncnorm(-5.0, 5.0).cdf),
+        (TruncatedNormal(10.0, 0.25, 9.9, 10.05), stats.truncnorm(-0.2, 0.1, 10.0, 0.5).cdf),
+        (ChiSquare(50.0), stats.chi2(50.0).cdf),
+        (Exponential(1.0), stats.expon.cdf),
+        (Exponential(0.5), stats.expon(scale=2.0).cdf),
+    ], ids=lambda v: repr(v) if not callable(v) else "")
+    def test_ks_over_several_blocks(self, dist, cdf):
+        rng = RngStream(31, 4)
+        draws = [sample(dist, rng) for _ in range(self.DRAWS)]
+        assert stats.kstest(draws, cdf).pvalue > 1e-3
+
+    def test_standard_normal_block_layout(self):
+        rng = RngStream(5, 2)
+        draws = [sample(Normal(0.0, 1.0), rng) for _ in range(2 * BLOCK_SIZE + 3)]
+        g = RngStream(5, 2).gen
+        blocks = [g.standard_normal(BLOCK_SIZE) for _ in range(3)]
+        assert draws == np.concatenate(blocks)[:len(draws)].tolist()
+
+    def test_truncated_normal_block_matches_scalar_uniforms(self):
+        # The block is g.random(BLOCK_SIZE) through ndtri: the same doubles
+        # as one g.uniform() per draw, in the same order.
+        dist = TruncatedNormal(0.0, 1.0, -5.0, 5.0)
+        rng = RngStream(6, 0)
+        draws = [sample(dist, rng) for _ in range(BLOCK_SIZE + 10)]
+        g = RngStream(6, 0).gen
+        pa, pb = special.ndtr(-5.0), special.ndtr(5.0)
+        expected = [float(min(max(special.ndtri(pa + g.uniform() * (pb - pa)), -5.0), 5.0))
+                    for _ in range(len(draws))]
+        assert draws == expected
+
+    def test_each_law_keeps_its_own_block(self):
+        # Interleaving two laws on one stream: each takes consecutive values
+        # of its own block.
+        a, b = ChiSquare(5.0), ChiSquare(9.0)
+        rng = RngStream(7, 1)
+        da, db = [], []
+        for _ in range(20):
+            da.append(sample(a, rng))
+            db.append(sample(b, rng))
+        g = RngStream(7, 1).gen
+        assert da == g.chisquare(5.0, BLOCK_SIZE)[:20].tolist()
+        assert db == g.chisquare(9.0, BLOCK_SIZE)[:20].tolist()
