@@ -10,7 +10,8 @@ after the other; even pairs run the base first and odd pairs the change, so
 that neither side always runs on a warmer or cooler host.  The base
 checkout is made with ``git archive`` into a temporary directory (or
 given with ``--base-dir``).  Several ``--workload`` options give several
-workloads in one file; each gets its own pairs.
+workloads in one file; each gets its own pairs, and a workload already in
+the ``--out`` file is replaced while the others are kept.
 
 The JSON written to ``--out`` holds, per workload and end-to-end metric,
 the per-run values of each side in pair order, their median, quartiles and
@@ -57,7 +58,7 @@ def bench_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def summarize_side(values: list) -> dict:
-    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"values": values, "median": statistics.median(values),
             "q1": q1, "q3": q3, "iqr": q3 - q1}
 
@@ -108,15 +109,13 @@ def main(argv=None) -> int:
                                       capture_output=True, check=True).stdout.strip()
         head_rev = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, text=True,
                                   capture_output=True).stdout.strip()
-        record = {
-            "command": " ".join([Path(sys.argv[0]).name, *(argv or sys.argv[1:])]),
-            "base_rev": base_rev,
-            "head": f"working tree at {head_rev}",
-            "seconds": args.seconds,
-            "environment": {"python": platform.python_version(), "machine": platform.machine(),
-                            "nproc": os.cpu_count()},
-            "workloads": {},
-        }
+        # An existing --out file keeps its other workloads.
+        record = json.loads(args.out.read_text()) if args.out.exists() else {"workloads": {}}
+        record["environment"] = {"python": platform.python_version(),
+                                 "machine": platform.machine(), "nproc": os.cpu_count()}
+        run_info = {"command": " ".join(["scripts/bench_pairs.py", *(argv or sys.argv[1:])]),
+                    "base_rev": base_rev, "head": f"working tree at {head_rev}",
+                    "seconds": args.seconds}
         for workload in args.workload:
             pairs = []
             for i, seed in enumerate(seeds):
@@ -130,7 +129,7 @@ def main(argv=None) -> int:
                 print(f"{workload} seed {seed}: cycles_per_s {b['cycles_per_s']:.6g} -> "
                       f"{h['cycles_per_s']:.6g}, failed {pair['base']['failed']} -> "
                       f"{pair['head']['failed']}", flush=True)
-            record["workloads"][workload] = {"pairs": pairs,
+            record["workloads"][workload] = {**run_info, "pairs": pairs,
                                              "summary": summarize(pairs, directions)}
             args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0

@@ -126,7 +126,7 @@ def write_dataset(data: Dataset, model_name: str, path: str):
 
 
 # Rows formatted per write: bounds the Python floats alive at once.
-_ROWS_PER_WRITE = 4096
+_ROWS_PER_WRITE = 1024
 
 
 def _write_rows(fh, fmt: str, lead: tuple, values: np.ndarray):
