@@ -589,9 +589,9 @@ def _quadreg_rss_form(x: np.ndarray, y: np.ndarray) -> Callable[[float, float, f
     rss_min = ||r - Q w||^2; then y - X b = (r - Q w) - Q (R (b - bhat) - w)
     splits into two orthogonal parts, so the two terms are non-negative and
     nothing cancels when |y| >> sd.  QR, not a Cholesky factor of X'X (which
-    squares the condition number and fails on offset designs), keeps designs
-    with |mean(x)| up to 10 sd(x) within a few 1e-14 of the exact RSS; past
-    that the error grows with the condition number of X, as the O(n) sum's does.
+    squares the condition number and fails on offset designs), kept designs
+    with |mean(x)| up to 8.5 sd(x) within 3e-14 of the exact RSS; past that
+    the error grows with the condition number of X, as the O(n) sum's does.
     """
     q, r = np.linalg.qr(np.column_stack([np.ones_like(x), x, x * x]))
     bhat = solve_triangular(r, q.T @ y)

@@ -244,7 +244,12 @@ _SAMPLERS = {
 
 
 def sample(dist: Dist, rng: RngStream) -> float:
-    """One draw from the named distribution."""
+    """One draw from the named distribution.
+
+    A TruncatedNormal or ChiSquare law keeps its own block on the stream,
+    so these kinds suit laws that stay fixed over many draws: each new law
+    costs a block of BLOCK_SIZE draws.
+    """
     try:
         sampler = _SAMPLERS[type(dist)]
     except KeyError:
