@@ -8,10 +8,10 @@ Each pair runs ``bench/run.py --workload W --seed S --seconds T --trace 0``
 once in a checkout of the base revision and once in this working tree, one
 after the other; even pairs run the base first and odd pairs the change, so
 that neither side always runs on a warmer or cooler host.  The base
-checkout is made with ``git archive`` into a temporary directory (or
-given with ``--base-dir``).  Several ``--workload`` options give several
-workloads in one file; each gets its own pairs, and a workload already in
-the ``--out`` file is replaced while the others are kept.
+checkout is made with ``git archive`` into a temporary directory.  Several
+``--workload`` options give several workloads in one file; each gets its
+own pairs, and a workload already in the ``--out`` file is replaced while
+the others are kept.
 
 The JSON written to ``--out`` holds, per workload and end-to-end metric,
 the per-run values of each side in pair order, their median, quartiles and
@@ -84,9 +84,7 @@ def summarize(pairs: list, directions: dict) -> dict:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    src = ap.add_mutually_exclusive_group(required=True)
-    src.add_argument("--base-rev", help="git revision to compare against")
-    src.add_argument("--base-dir", type=Path, help="an existing checkout of the base")
+    ap.add_argument("--base-rev", required=True, help="git revision to compare against")
     ap.add_argument("--workload", action="append", required=True)
     ap.add_argument("--seeds", default="1-10", help="one pair per seed, e.g. 1-10 or 3,5,8")
     ap.add_argument("--seconds", type=float, default=30.0)
@@ -96,17 +94,16 @@ def main(argv=None) -> int:
     directions = {m["name"]: m["better"]
                   for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
     seeds = parse_seeds(args.seeds)
+    if len(seeds) < 2:
+        ap.error("--seeds needs at least two seeds for quartiles")
     with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
-        if args.base_dir is not None:
-            base, base_rev = args.base_dir.resolve(), None
-        else:
-            base = Path(tmp) / "base"
-            base.mkdir()
-            archive = subprocess.run(["git", "archive", args.base_rev], cwd=ROOT,
-                                     capture_output=True, check=True).stdout
-            subprocess.run(["tar", "x", "-C", str(base)], input=archive, check=True)
-            base_rev = subprocess.run(["git", "rev-parse", args.base_rev], cwd=ROOT, text=True,
-                                      capture_output=True, check=True).stdout.strip()
+        base = Path(tmp) / "base"
+        base.mkdir()
+        archive = subprocess.run(["git", "archive", args.base_rev], cwd=ROOT,
+                                 capture_output=True, check=True).stdout
+        subprocess.run(["tar", "x", "-C", str(base)], input=archive, check=True)
+        base_rev = subprocess.run(["git", "rev-parse", args.base_rev], cwd=ROOT, text=True,
+                                  capture_output=True, check=True).stdout.strip()
         head_rev = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, text=True,
                                   capture_output=True).stdout.strip()
         # An existing --out file keeps its other workloads.
