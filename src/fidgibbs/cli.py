@@ -61,7 +61,11 @@ def _read_csv_columns(path: str) -> dict:
         if not header:
             raise ValueError(f"{path}: empty file")
         names = [h.strip() for h in header]
-        cols = {name: [] for name in names}
+        cols = {}
+        for name in names:
+            if name in cols:
+                raise ValueError(f"{path}: repeated column '{name}' in the header")
+            cols[name] = []
         for row in reader:
             if not row or all(not c.strip() for c in row):
                 continue

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -144,14 +144,13 @@ def ratio_constancy(
 def check_model(
     model: Union[str, ModelSpec],
     data: Dataset,
-    slices: Optional[Sequence[Mapping[str, float]]] = None,
     grid_points: int = DEFAULT_GRID_POINTS,
     tol: float = CLOSED_FORM_TOL,
 ) -> dict:
     """Run the ratio-constancy check for every parameter of a catalog model.
 
     Only models shipping an analytic joint kernel support this.  The
-    default slices are the model's first three chain starts.  The grid per
+    slices are the model's first three chain starts.  The grid per
     slice spans the central 99% of the conditional that run samples: its
     ends invert the parameter's structural equation at the 0.5% and 99.5%
     quantiles of the primary.  Returns a dict of parameter label to
@@ -162,7 +161,7 @@ def check_model(
         raise DomainError(
             f"model '{spec.name}' has no analytic joint kernel to check against")
     conditionals = spec.build_conditionals(data)
-    slices = list(slices) if slices is not None else spec.chain_inits(data, MIN_SLICES)
+    slices = spec.chain_inits(data, MIN_SLICES)
     lo_p = (1.0 - GRID_COVERAGE) / 2.0
     reports = {}
     for p in spec.params:

@@ -27,6 +27,11 @@ __all__ = [
     "check_injectivity",
 ]
 
+# Fresh gammas a draw tries after its first before it gives up.
+MAX_REDRAWS = 1000
+# Points of the gamma grid that check_injectivity probes.
+INJECTIVITY_GRID_SIZE = 33
+
 
 @dataclass(frozen=True)
 class StructuralEquation:
@@ -82,7 +87,6 @@ class ConditionalFiducialSampler:
     equation_for: Callable[[object, Mapping[str, float]], object]
     theta_domain: Tuple[float, float]
     check_at_start: bool = False
-    max_redraws: int = 1000
 
     def equation(self, data, state: Mapping[str, float]) -> StructuralEquation:
         """The validated StructuralEquation at state, for injectivity probes
@@ -115,7 +119,7 @@ class ConditionalFiducialSampler:
         q = self.statistic.compute(data, state)
         eq = self.equation_for(data, state)
         lo, hi = self.theta_domain
-        for _ in range(self.max_redraws + 1):
+        for _ in range(MAX_REDRAWS + 1):
             gamma = sample(eq.gamma_dist, rng)
             try:
                 theta = eq.invert(q, gamma)
@@ -128,7 +132,7 @@ class ConditionalFiducialSampler:
                 warnings[f"{self.target_param}.gamma_redraw"] += 1
         raise StructuralError(
             f"no invertible gamma found for parameter '{self.target_param}' "
-            f"after {self.max_redraws} redraws",
+            f"after {MAX_REDRAWS} redraws",
             statistic=self.statistic.name,
             statistic_value=q,
         )
@@ -153,7 +157,7 @@ class InjectivityReport:
                 f"max_roundtrip_residual={self.max_roundtrip_residual:.3g})")
 
 
-def check_injectivity(equation: StructuralEquation, q: float, grid_size: int = 33) -> InjectivityReport:
+def check_injectivity(equation: StructuralEquation, q: float) -> InjectivityReport:
     """Probe gamma -> invert(q, gamma) for strict monotonicity on a grid.
 
     Strict monotonicity over the gamma domain is sufficient for the map to
@@ -161,10 +165,8 @@ def check_injectivity(equation: StructuralEquation, q: float, grid_size: int = 3
     the value array), not raised; monotonicity is judged on the finite
     portion.  Also reports the worst |phi(gamma, theta) - q| round trip.
     """
-    if grid_size < 16:
-        raise DomainError(f"grid_size must be at least 16, got {grid_size}")
-    grid = np.linspace(equation.gamma_domain[0], equation.gamma_domain[1], grid_size)
-    thetas = np.full(grid_size, np.nan)
+    grid = np.linspace(equation.gamma_domain[0], equation.gamma_domain[1], INJECTIVITY_GRID_SIZE)
+    thetas = np.full(INJECTIVITY_GRID_SIZE, np.nan)
     residual = 0.0
     for i, g in enumerate(grid):
         try:
@@ -180,7 +182,7 @@ def check_injectivity(equation: StructuralEquation, q: float, grid_size: int = 3
         else:
             residual = math.inf
     finite = thetas[np.isfinite(thetas)]
-    n_failed = int(grid_size - finite.size)
+    n_failed = int(INJECTIVITY_GRID_SIZE - finite.size)
     if finite.size >= 2:
         diffs = np.diff(finite)
         monotone = bool(np.all(diffs > 0.0) or np.all(diffs < 0.0))

@@ -81,10 +81,6 @@ class SampleMatrix:
         except ValueError:
             raise DomainError(f"no parameter '{param}' in {self.labels}") from None
 
-    def chain(self, param: str, chain: int, post_burnin: bool = True) -> np.ndarray:
-        start = self.config.b if post_burnin else 0
-        return self.values[chain, start:, self.index(param)]
-
     def post_burnin(self, param: str) -> np.ndarray:
         """Post-burn-in draws stacked as (chains, m - b)."""
         return self.values[:, self.config.b:, self.index(param)]

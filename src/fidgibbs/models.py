@@ -53,12 +53,7 @@ __all__ = [
     "pareto_joint_log_kernel",
     "quadreg_conditionals",
     "quadreg_joint_log_kernel",
-    "gamma_conditional_beta",
-    "behrens_fisher_angle",
     "behrens_fisher_direct_draws",
-    "bvn_conditional_mu_x",
-    "bvn_sigma_x2_mle",
-    "bvn_rho_mle",
     "bvn_log_likelihood",
 ]
 
@@ -563,17 +558,18 @@ def _pareto_joint(theta: Mapping[str, float], data: Dataset) -> float:
 # Quadratic regression model
 # ---------------------------------------------------------------------------
 
-def _quadreg_sums(x: np.ndarray, y: np.ndarray) -> dict:
-    return {
-        "n": x.size,
-        "sx": float(np.sum(x)),
-        "sx2": float(np.sum(x ** 2)),
-        "sx3": float(np.sum(x ** 3)),
-        "sx4": float(np.sum(x ** 4)),
-        "sy": float(np.sum(y)),
-        "sxy": float(np.sum(x * y)),
-        "sx2y": float(np.sum(x ** 2 * y)),
-    }
+_QUADREG_COEFS = ("beta0", "beta1", "beta2")
+
+
+def _quadreg_normal_equation(j: int, x: np.ndarray, y: np.ndarray):
+    """The normal equation of beta_j, sum(x^j y) = sum_k beta_k sum(x^(j+k)).
+
+    Returns sum(x^j y), sum(x^2j) and, for the two other coefficients k,
+    the pairs (label, sum(x^(j+k))).
+    """
+    others = tuple((label, float(np.sum(x ** (j + k))))
+                   for k, label in enumerate(_QUADREG_COEFS) if k != j)
+    return float(np.sum(x ** j * y)), float(np.sum(x ** (2 * j))), others
 
 
 def _quadreg_rss(x: np.ndarray, y: np.ndarray, b0: float, b1: float, b2: float) -> float:
@@ -613,6 +609,24 @@ def _quadreg_rss_form(x: np.ndarray, y: np.ndarray) -> Callable[[float, float, f
     return rss
 
 
+def _quadreg_conditional(param: str, theta: Mapping[str, float], x: np.ndarray,
+                         y: np.ndarray) -> Dist:
+    """The printed full conditional of one parameter given the other three
+    in theta: Normal for a coefficient, from its normal equation, and
+    ScaledInvChiSquare(n, RSS / n) for sigma2."""
+    if param == "sigma2":
+        rss = _quadreg_rss(x, y, theta["beta0"], theta["beta1"], theta["beta2"])
+        if rss <= 0.0:
+            raise DegenerateDataError("residual sum of squares is zero")
+        return ScaledInvChiSquare(x.size, rss / x.size)
+    sigma2 = _pos(theta["sigma2"], "sigma2")
+    j = _QUADREG_COEFS.index(param)
+    stat, scale, ((la, ca), (lb, cb)) = _quadreg_normal_equation(j, x, y)
+    if scale <= 0.0:
+        raise DegenerateDataError(f"design is degenerate: sum(x^{2 * j}) is zero")
+    return Normal((stat - theta[la] * ca - theta[lb] * cb) / scale, sigma2 / scale)
+
+
 def quadreg_conditionals(b0: float, b1: float, b2: float, sigma2: float,
                          x: np.ndarray, y: np.ndarray) -> dict:
     """The four printed full conditionals of the quadratic regression model.
@@ -621,22 +635,10 @@ def quadreg_conditionals(b0: float, b1: float, b2: float, sigma2: float,
     'sigma2': ScaledInvChiSquare}; each conditions on the supplied values
     of the other three parameters.
     """
+    theta = {"beta0": b0, "beta1": b1, "beta2": b2, "sigma2": sigma2}
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    s = _quadreg_sums(x, y)
-    n = s["n"]
-    sigma2 = _pos(sigma2, "sigma2")
-    if s["sx2"] <= 0.0 or s["sx4"] <= 0.0:
-        raise DegenerateDataError("design is degenerate: sum(x^2) or sum(x^4) is zero")
-    rss = _quadreg_rss(x, y, b0, b1, b2)
-    if rss <= 0.0:
-        raise DegenerateDataError("residual sum of squares is zero")
-    return {
-        "beta0": Normal((s["sy"] - b1 * s["sx"] - b2 * s["sx2"]) / n, sigma2 / n),
-        "beta1": Normal((s["sxy"] - b0 * s["sx"] - b2 * s["sx3"]) / s["sx2"], sigma2 / s["sx2"]),
-        "beta2": Normal((s["sx2y"] - b0 * s["sx2"] - b1 * s["sx3"]) / s["sx4"], sigma2 / s["sx4"]),
-        "sigma2": ScaledInvChiSquare(n, rss / n),
-    }
+    return {p.label: _quadreg_conditional(p.label, theta, x, y) for p in _QUADREG_PARAMS}
 
 
 def quadreg_joint_log_kernel(b0: float, b1: float, b2: float, sigma2: float,
@@ -667,10 +669,8 @@ def _quadreg_build_conditionals(data: Dataset) -> dict:
     # [1, x, x^2] has full column rank exactly when x takes three values.
     if np.unique(x).size < 3:
         raise DegenerateDataError("design is degenerate: x takes fewer than three distinct values")
-    s = _quadreg_sums(x, y)
-    n, sx, sx2, sx3, sx4 = s["n"], s["sx"], s["sx2"], s["sx3"], s["sx4"]
     rss_at = _quadreg_rss_form(x, y)
-    variance = _VarianceEquation(ChiSquare(n), 1)
+    variance = _VarianceEquation(ChiSquare(x.size), 1)
 
     def rss_stat(d, p):
         rss = rss_at(p["beta0"], p["beta1"], p["beta2"])
@@ -678,28 +678,19 @@ def _quadreg_build_conditionals(data: Dataset) -> dict:
             raise DegenerateDataError("residual sum of squares is zero")
         return rss
 
-    def coef(label, stat_name, statistic, equation_for):
-        return _conditional(_QUADREG_PARAMS, label,
-                            FiducialStatistic(stat_name, lambda d, p: statistic), equation_for)
+    def coef(j, stat_name):
+        stat, scale, ((la, ca), (lb, cb)) = _quadreg_normal_equation(j, x, y)
+        return _conditional(
+            _QUADREG_PARAMS, _QUADREG_COEFS[j], FiducialStatistic(stat_name, lambda d, p: stat),
+            lambda d, p: _quadreg_coef_equation(scale, p[la] * ca + p[lb] * cb, p["sigma2"]))
 
     return {
-        "beta0": coef("beta0", "sum_y", s["sy"], lambda d, p: _quadreg_coef_equation(
-            n, p["beta1"] * sx + p["beta2"] * sx2, p["sigma2"])),
-        "beta1": coef("beta1", "sum_xy", s["sxy"], lambda d, p: _quadreg_coef_equation(
-            sx2, p["beta0"] * sx + p["beta2"] * sx3, p["sigma2"])),
-        "beta2": coef("beta2", "sum_x2y", s["sx2y"], lambda d, p: _quadreg_coef_equation(
-            sx4, p["beta0"] * sx2 + p["beta1"] * sx3, p["sigma2"])),
+        "beta0": coef(0, "sum_y"),
+        "beta1": coef(1, "sum_xy"),
+        "beta2": coef(2, "sum_x2y"),
         "sigma2": _conditional(_QUADREG_PARAMS, "sigma2", FiducialStatistic("rss", rss_stat),
                                lambda d, p: variance),
     }
-
-
-def _quadreg_conditional_dist(param: str, others: Mapping[str, float], data: Dataset) -> Dist:
-    full = dict(others)
-    full.setdefault(param, 0.0 if param.startswith("beta") else 1.0)
-    dists = quadreg_conditionals(full["beta0"], full["beta1"], full["beta2"], full["sigma2"],
-                                 data.col("x"), data.col("y"))
-    return dists[param]
 
 
 def _quadreg_chain_inits(data: Dataset, chains: int) -> list:
@@ -713,12 +704,8 @@ def _quadreg_chain_inits(data: Dataset, chains: int) -> list:
         s2 = max(float(np.var(y)), 1e-8)
     base = {"beta0": float(coef[0]), "beta1": float(coef[1]), "beta2": float(coef[2]),
             "sigma2": float(s2)}
-    s = _quadreg_sums(x, y)
-    spreads = {
-        "beta0": math.sqrt(s2 / s["n"]),
-        "beta1": math.sqrt(s2 / s["sx2"]),
-        "beta2": math.sqrt(s2 / s["sx4"]),
-    }
+    spreads = {label: math.sqrt(s2 / float(np.sum(x ** (2 * j))))
+               for j, label in enumerate(_QUADREG_COEFS)}
     return _disperse(base, _QUADREG_PARAMS, spreads, chains)
 
 
@@ -745,16 +732,6 @@ def _quadreg_joint(theta: Mapping[str, float], data: Dataset) -> float:
 # ---------------------------------------------------------------------------
 # Gamma model: shape alpha and rate beta
 # ---------------------------------------------------------------------------
-
-def gamma_conditional_beta(alpha: float, x: np.ndarray) -> Gamma:
-    """beta given alpha: Gamma(n alpha, sum x_i)."""
-    x = np.asarray(x, dtype=float)
-    alpha = _pos(alpha, "alpha")
-    sx = float(np.sum(x))
-    if sx <= 0.0:
-        raise DomainError("sum of observations must be positive")
-    return Gamma(x.size * alpha, sx)
-
 
 def _clt_shape_invert(q_over_n: float, parts_fn, g: float, n: int, start: float) -> float:
     """Solve offset(a) + g * sqrt(slope(a) / n) = q/n for a > 0 (increasing map).
@@ -930,15 +907,6 @@ _BETA_PARAMS = (
 # Behrens-Fisher: the mean difference of two independent normal samples
 # ---------------------------------------------------------------------------
 
-def behrens_fisher_angle(x: np.ndarray, y: np.ndarray) -> float:
-    """Angle parameter arctan((s_x sqrt(n_y)) / (s_y sqrt(n_x)))."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    _, sx2, nx = _group_stats(x, "x")
-    _, sy2, ny = _group_stats(y, "y")
-    return math.atan2(math.sqrt(sx2 / nx), math.sqrt(sy2 / ny))
-
-
 def behrens_fisher_direct_draws(x: np.ndarray, y: np.ndarray, size: int, rng: RngStream) -> np.ndarray:
     """Vectorized independent draws of mu_x - mu_y by the direct construction.
 
@@ -959,20 +927,6 @@ def behrens_fisher_direct_draws(x: np.ndarray, y: np.ndarray, size: int, rng: Rn
 # ---------------------------------------------------------------------------
 # Bivariate normal model
 # ---------------------------------------------------------------------------
-
-def bvn_conditional_mu_x(mu_y: float, sigma_x2: float, sigma_y2: float, rho: float,
-                         x: np.ndarray, y: np.ndarray) -> Normal:
-    """mu_x given the rest: N(xbar + rho (sx/sy)(mu_y - ybar), sx^2 (1-rho^2)/n)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    sigma_x2 = _pos(sigma_x2, "sigma_x2")
-    sigma_y2 = _pos(sigma_y2, "sigma_y2")
-    if not abs(rho) < 1.0:
-        raise DomainError(f"|rho| must be < 1, got {rho}")
-    ratio = math.sqrt(sigma_x2 / sigma_y2)
-    mean = float(np.mean(x)) + rho * ratio * (mu_y - float(np.mean(y)))
-    return Normal(mean, sigma_x2 * (1.0 - rho * rho) / x.size)
-
 
 @dataclass(frozen=True)
 class _BvnSuffStats:
@@ -1010,7 +964,7 @@ def _bvn_loglik_core(s: _BvnSuffStats, mu_x, mu_y, sigma_x2, sigma_y2, rho) -> f
             - 0.5 * quad / one_m)
 
 
-def _bvn_sigma_mle_core(s: _BvnSuffStats, mu_x, mu_y, sigma_y2, rho) -> float:
+def _bvn_sigma_mle(s: _BvnSuffStats, mu_x, mu_y, sigma_y2, rho) -> float:
     # Stationarity of the likelihood in sigma_x:
     # n(1 - rho^2) t^2 + (rho Cxy / sigma_y) t - Cxx = 0 for t = sigma_x.
     cxx, _, cxy = s.centered(mu_x, mu_y)
@@ -1024,7 +978,9 @@ def _bvn_sigma_mle_core(s: _BvnSuffStats, mu_x, mu_y, sigma_y2, rho) -> float:
 _RHO_MLE_BRACKET = Bracket(-1.0 + 1e-9, 1.0 - 1e-9)
 
 
-def _bvn_rho_mle_core(s: _BvnSuffStats, mu_x, mu_y, sigma_x2, sigma_y2) -> float:
+def _bvn_rho_mle(s: _BvnSuffStats, mu_x, mu_y, sigma_x2, sigma_y2) -> float:
+    # Root in (-1, 1) of the cubic stationarity condition of the likelihood
+    # in rho; when several roots fall inside, the highest likelihood wins.
     cxx, cyy, cxy = s.centered(mu_x, mu_y)
     n = s.n
     c = cxy / math.sqrt(sigma_x2 * sigma_y2)
@@ -1043,38 +999,6 @@ def bvn_log_likelihood(mu_x: float, mu_y: float, sigma_x2: float, sigma_y2: floa
     y = np.asarray(y, dtype=float)
     return _bvn_loglik_core(_BvnSuffStats.from_arrays(x, y), mu_x, mu_y,
                             sigma_x2, sigma_y2, rho)
-
-
-def bvn_sigma_x2_mle(mu_x: float, mu_y: float, sigma_y2: float, rho: float,
-                     x: np.ndarray, y: np.ndarray) -> float:
-    """Likelihood-stationary sigma_x estimate with the other parameters fixed.
-
-    Solves n(1-rho^2) t^2 + (rho Sxy / sigma_y) t - Sxx = 0 for t = sigma_x,
-    the stationarity condition of the profile log likelihood; returns the
-    variance t^2.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    sigma_y2 = _pos(sigma_y2, "sigma_y2")
-    if not abs(rho) < 1.0:
-        raise DomainError(f"|rho| must be < 1, got {rho}")
-    t = _bvn_sigma_mle_core(_BvnSuffStats.from_arrays(x, y), mu_x, mu_y, sigma_y2, rho)
-    return t * t
-
-
-def bvn_rho_mle(mu_x: float, mu_y: float, sigma_x2: float, sigma_y2: float,
-                x: np.ndarray, y: np.ndarray) -> float:
-    """Likelihood-maximizing correlation with the other parameters fixed.
-
-    Root in (-1, 1) of the cubic stationarity condition; when several roots
-    fall inside, the one with the highest log likelihood wins.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    sigma_x2 = _pos(sigma_x2, "sigma_x2")
-    sigma_y2 = _pos(sigma_y2, "sigma_y2")
-    return _bvn_rho_mle_core(_BvnSuffStats.from_arrays(x, y), mu_x, mu_y,
-                             sigma_x2, sigma_y2)
 
 
 def _bvn_sigma_factor(n: int, rho: float) -> float:
@@ -1199,15 +1123,15 @@ def _bvn_build_conditionals(data: Dataset) -> dict:
             lambda d, p: _bvn_mean_equation(n, p["sigma_y2"], p["sigma_x2"], p["rho"], p["mu_x"])),
         "sigma_x2": sigma(
             "sigma_x2", "sigma_x_mle",
-            lambda d, p: _bvn_sigma_mle_core(stats, p["mu_x"], p["mu_y"], p["sigma_y2"], p["rho"])),
+            lambda d, p: _bvn_sigma_mle(stats, p["mu_x"], p["mu_y"], p["sigma_y2"], p["rho"])),
         "sigma_y2": sigma(
             "sigma_y2", "sigma_y_mle",
-            lambda d, p: _bvn_sigma_mle_core(stats_yx, p["mu_y"], p["mu_x"], p["sigma_x2"], p["rho"])),
+            lambda d, p: _bvn_sigma_mle(stats_yx, p["mu_y"], p["mu_x"], p["sigma_x2"], p["rho"])),
         "rho": _conditional(
             _BVN_PARAMS, "rho",
             FiducialStatistic(
                 "rho_mle",
-                lambda d, p: _bvn_rho_mle_core(stats, p["mu_x"], p["mu_y"], p["sigma_x2"], p["sigma_y2"])),
+                lambda d, p: _bvn_rho_mle(stats, p["mu_x"], p["mu_y"], p["sigma_x2"], p["sigma_y2"])),
             lambda d, p: rho_equation, check_at_start=True),
     }
 
@@ -1277,7 +1201,9 @@ _MODELS = {
         simulate=_quadreg_simulate,
         chain_inits=_quadreg_chain_inits,
         joint_log_kernel=_quadreg_joint,
-        conditional_log_density=_closed_form_cond_logpdf(_quadreg_conditional_dist),
+        conditional_log_density=_closed_form_cond_logpdf(
+            lambda param, others, data: _quadreg_conditional(param, others, data.col("x"),
+                                                             data.col("y"))),
     ),
     "gamma": ModelSpec(
         name="gamma",

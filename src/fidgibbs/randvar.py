@@ -10,7 +10,9 @@ The kinds whose laws the catalog fixes once per dataset are drawn in
 blocks of BLOCK_SIZE values per stream: Normal and Exponential from one
 block of standard draws each, shifted and scaled per draw, TruncatedNormal
 and ChiSquare from one block per law.  A draw takes the next value of its
-block, and a new block is drawn when it is used up.  Gamma, whose shape
+block, and a new block is drawn when it is used up.  A stream keeps blocks
+for at most MAX_BLOCK_LAWS laws: a new law evicts the block of the law
+first seen longest ago, whose unused values are dropped.  Gamma, whose shape
 follows the state in the gamma model, and the two kinds that are never
 primaries are drawn one value per call.
 """
@@ -46,6 +48,8 @@ __all__ = [
 _LOG_2PI = math.log(2.0 * math.pi)
 _U64 = 2**64
 BLOCK_SIZE = 1024
+# Laws a stream keeps blocks for; the catalog uses at most three per stream.
+MAX_BLOCK_LAWS = 8
 
 
 class RngStream:
@@ -71,13 +75,18 @@ class RngStream:
         """The next value of the block stored under key.
 
         When that block is used up (or there is none yet), fill(dist, gen,
-        BLOCK_SIZE) draws the next one from this stream.
+        BLOCK_SIZE) draws the next one from this stream.  A key without a
+        block evicts the oldest key once MAX_BLOCK_LAWS keys hold blocks.
         """
         try:
             return next(self._blocks[key])
-        except (KeyError, StopIteration):
-            block = self._blocks[key] = iter(fill(dist, self.gen, BLOCK_SIZE).tolist())
-            return next(block)
+        except KeyError:
+            if len(self._blocks) >= MAX_BLOCK_LAWS:
+                del self._blocks[next(iter(self._blocks))]
+        except StopIteration:
+            pass
+        block = self._blocks[key] = iter(fill(dist, self.gen, BLOCK_SIZE).tolist())
+        return next(block)
 
     def __repr__(self):
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"

@@ -222,6 +222,9 @@ def test_07_structural_round_trips():
     def equation(model, data, label, state):
         return get_model(model).build_conditionals(data)[label].equation(data, state)
 
+    def statistic(model, data, label, state):
+        return get_model(model).build_conditionals(data)[label].statistic.compute(data, state)
+
     bvn_state = {"mu_x": 0.0, "mu_y": 0.0, "sigma_x2": 1.0, "sigma_y2": 1.0, "rho": 0.8}
     solved = [
         ("gamma.alpha", equation("gamma", gamma_data, "alpha", {"alpha": 1.0, "beta": 0.5}),
@@ -231,10 +234,9 @@ def test_07_structural_round_trips():
         ("beta.beta", equation("beta", beta_data, "beta", {"alpha": 8.0, "beta": 1.0}),
          float(np.sum(np.log1p(-beta_data.col("x"))))),
         ("bvn.sigma_x2", equation("bivariate_normal", bvn_data, "sigma_x2", bvn_state),
-         math.sqrt(M.bvn_sigma_x2_mle(0.0, 0.0, 1.0, 0.8,
-                                      bvn_data.col("x"), bvn_data.col("y")))),
+         statistic("bivariate_normal", bvn_data, "sigma_x2", bvn_state)),
         ("bvn.rho", equation("bivariate_normal", bvn_data, "rho", bvn_state),
-         M.bvn_rho_mle(0.0, 0.0, 1.0, 1.0, bvn_data.col("x"), bvn_data.col("y"))),
+         statistic("bivariate_normal", bvn_data, "rho", bvn_state)),
     ]
     worst_draw = 0.0
     rng = RngStream(88, 0)
@@ -265,6 +267,7 @@ def test_08_mle_grid_search_oracles():
             "rho": float(rng.uniform(-0.85, 0.85)),
         }
         data = simulate_dataset("bivariate_normal", truth, n, RngStream(900 + k, 0))
+        conditionals = get_model("bivariate_normal").build_conditionals(data)
         x, y = data.col("x"), data.col("y")
         mu_x, mu_y = truth["mu_x"], truth["mu_y"]
         sy2, rho = truth["sigma_y2"], truth["rho"]
@@ -273,7 +276,7 @@ def test_08_mle_grid_search_oracles():
         sxy = float(np.sum((x - mu_x) * (y - mu_y)))
 
         # sigma_x stationarity versus a brute-force profile grid search.
-        sig = math.sqrt(M.bvn_sigma_x2_mle(mu_x, mu_y, sy2, rho, x, y))
+        sig = conditionals["sigma_x2"].statistic.compute(data, truth)
         grid = np.arange(max(sig - 0.5, 1e-3), sig + 0.5, 1e-4)
         ll = (-n * np.log(grid)
               - 0.5 * (sxx / grid ** 2 - 2 * rho * sxy / (grid * math.sqrt(sy2)) + syy / sy2)
@@ -284,7 +287,7 @@ def test_08_mle_grid_search_oracles():
 
         # rho stationarity versus a brute-force grid search.
         sx2 = truth["sigma_x2"]
-        rho_hat = M.bvn_rho_mle(mu_x, mu_y, sx2, sy2, x, y)
+        rho_hat = conditionals["rho"].statistic.compute(data, truth)
         rgrid = np.arange(-0.9999, 0.9999, 1e-4)
         quad = (sxx / sx2 - 2 * rgrid * sxy / math.sqrt(sx2 * sy2) + syy / sy2)
         ll = -0.5 * n * np.log(1 - rgrid ** 2) - 0.5 * quad / (1 - rgrid ** 2)

@@ -218,6 +218,24 @@ class TestReadSamples:
         assert _run(["diag", "--samples", path, "--b", 0]) == 1
 
 
+class TestRepeatedColumns:
+    def test_data_file_rejected(self, tmp_path, capsys):
+        path = tmp_path / "data.csv"
+        path.write_text("x,x\n1,2\n3,4\n5,7\n")
+        rc = _run(["run", "--model", "normal", "--data", path, "--m", 100, "--b", 10,
+                   "--output-dir", tmp_path / "out"])
+        assert rc == 1
+        assert "repeated column 'x'" in capsys.readouterr().err
+
+    def test_samples_file_rejected(self, tmp_path, capsys):
+        path = tmp_path / "s.csv"
+        path.write_text("chain,cycle,mu,mu\n0,1,0.5,0.5\n0,2,0.25,0.25\n")
+        with pytest.raises(ValueError, match="repeated column 'mu'"):
+            read_samples_csv(str(path), b=0)
+        assert _run(["diag", "--samples", path, "--b", 0]) == 1
+        assert "repeated column 'mu'" in capsys.readouterr().err
+
+
 class TestWriters:
     """The samples and trace writers give the bytes of csv.writer with
     every float formatted as format(v, ".17g")."""

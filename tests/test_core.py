@@ -164,7 +164,7 @@ class TestDraw:
                                 theta_domain=(-math.inf, math.inf), gamma_domain=(-5, 5))
         sampler = ConditionalFiducialSampler(
             "theta", FiducialStatistic("q", lambda d, p: 0.0), lambda d, p: eq,
-            theta_domain=UNBOUNDED, max_redraws=8)
+            theta_domain=UNBOUNDED)
         with pytest.raises(StructuralError) as err:
             sampler.draw(None, {}, RngStream(9, 0))
         assert err.value.diagnostics["statistic"] == "q"
@@ -176,10 +176,6 @@ class TestCheckInjectivity:
         assert report.monotone
         assert report.injective
         assert report.max_roundtrip_residual < 1e-12
-
-    def test_grid_size_validation(self):
-        with pytest.raises(DomainError):
-            check_injectivity(_mean_equation(4, 1.0), q=0.0, grid_size=8)
 
     def test_gamma_shape_equation_n20(self):
         # Shape equation at a realistic statistic: injective over the

@@ -36,6 +36,12 @@ def _catalog(model, data, label):
     return get_model(model).build_conditionals(data)[label]
 
 
+def _bvn_statistic(x, y, label, state):
+    """The statistic run evaluates for one bivariate-normal conditional."""
+    data = Dataset({"x": x, "y": y})
+    return _catalog("bivariate_normal", data, label).statistic.compute(data, state)
+
+
 class TestNormalConditionals:
     def test_mu_given_sigma2(self):
         assert M.normal_conditional_mu(0.0, 1.0, 4) == Normal(0.0, 0.25)
@@ -196,14 +202,15 @@ class TestQuadregConditionals:
 
 
 class TestGammaConditionals:
-    def test_beta_given_alpha(self):
-        x = np.array([1.0, 2.0, 3.0])
-        assert M.gamma_conditional_beta(2.0, x) == Gamma(6.0, 6.0)
-        assert M.gamma_conditional_beta(1.0, x) == Gamma(3.0, 6.0)
-
-    def test_beta_invalid_sum(self):
-        with pytest.raises(DomainError):
-            M.gamma_conditional_beta(1.0, np.array([0.0, 0.0]))
+    def test_beta_draws_match_gamma_law(self, gamma_data):
+        # beta given alpha is Gamma(n alpha, sum x).
+        x = gamma_data.col("x")
+        alpha = 1.7
+        cond = _catalog("gamma", gamma_data, "beta")
+        rng = RngStream(65, 0)
+        draws = [cond.draw(gamma_data, {"alpha": alpha, "beta": 1.0}, rng) for _ in range(20_000)]
+        law = stats.gamma(a=x.size * alpha, scale=1.0 / float(np.sum(x)))
+        assert stats.kstest(draws, law.cdf).pvalue > 1e-3
 
     def test_alpha_gamma_zero_solves_digamma_equation(self, gamma_data):
         x = gamma_data.col("x")
@@ -277,12 +284,6 @@ class TestBetaConditionals:
 
 
 class TestBehrensFisher:
-    def test_angle_quarter_pi(self):
-        # s_x^2/n_x = s_y^2/n_y forces the 45-degree angle.
-        x = np.array([-math.sqrt(3), math.sqrt(3), -math.sqrt(3), math.sqrt(3)])
-        y = np.array([-math.sqrt(3), 0.0, math.sqrt(3)])
-        assert abs(M.behrens_fisher_angle(x, y) - math.pi / 4) < 1e-12
-
     def test_symmetric_data_median_zero(self):
         r = RngStream(58, 0)
         x = np.concatenate([r.gen.normal(0, 2, 6), -r.gen.normal(0, 2, 6)])
@@ -314,28 +315,28 @@ class TestBehrensFisher:
 class TestBivariateNormal:
     STATE = {"mu_x": 0.0, "mu_y": 0.0, "sigma_x2": 1.0, "sigma_y2": 1.0, "rho": 0.0}
 
-    def test_mu_x_conditional_special_cases(self, bvn_data):
-        x, y = bvn_data.col("x"), bvn_data.col("y")
-        n = x.size
-        d = M.bvn_conditional_mu_x(0.3, 1.2, 0.9, 0.0, x, y)
-        assert abs(d.mean - np.mean(x)) < 1e-12
-        assert abs(d.var - 1.2 / n) < 1e-12
-        # mu_y = ybar wipes out the correlation adjustment.
-        d = M.bvn_conditional_mu_x(float(np.mean(y)), 1.2, 0.9, 0.7, x, y)
-        assert abs(d.mean - np.mean(x)) < 1e-12
-        # rho -> 1 collapses the variance.
-        d = M.bvn_conditional_mu_x(0.0, 1.0, 1.0, 0.9999, x, y)
-        assert d.var < 1e-3
-
-    def test_mu_x_domain(self, bvn_data):
-        with pytest.raises(DomainError):
-            M.bvn_conditional_mu_x(0.0, 1.0, 1.0, 1.0, bvn_data.col("x"), bvn_data.col("y"))
+    @pytest.mark.parametrize("rho", [0.0, 0.7])
+    @pytest.mark.parametrize("label,other", [("mu_x", "mu_y"), ("mu_y", "mu_x")])
+    def test_mean_draws_match_normal_law(self, bvn_data, label, other, rho):
+        # mu_x given the rest is N(xbar + rho sqrt(sx2 / sy2) (mu_y - ybar),
+        # sx2 (1 - rho^2) / n), and symmetrically for mu_y.
+        state = {"mu_x": 0.3, "mu_y": -0.4, "sigma_x2": 1.2, "sigma_y2": 0.9, "rho": rho}
+        col, other_col = label[-1], other[-1]
+        v = bvn_data.col(col)
+        var, other_var = state[f"sigma_{col}2"], state[f"sigma_{other_col}2"]
+        mean = (np.mean(v) + rho * math.sqrt(var / other_var)
+                * (state[other] - np.mean(bvn_data.col(other_col))))
+        cond = _catalog("bivariate_normal", bvn_data, label)
+        rng = RngStream(66, 0)
+        draws = [cond.draw(bvn_data, state, rng) for _ in range(20_000)]
+        law = stats.norm(mean, math.sqrt(var * (1.0 - rho ** 2) / v.size))
+        assert stats.kstest(draws, law.cdf).pvalue > 1e-3
 
     def test_sigma_mle_uncorrelated_case(self):
         x = np.array([math.sqrt(2), math.sqrt(2), -math.sqrt(2), -math.sqrt(2)])
         y = np.array([1.0, -1.0, 1.0, -1.0])
-        s2 = M.bvn_sigma_x2_mle(0.0, 0.0, 1.0, 0.0, x, y)
-        assert abs(s2 - 2.0) < 1e-12
+        sig = _bvn_statistic(x, y, "sigma_x2", self.STATE)
+        assert abs(sig * sig - 2.0) < 1e-12
 
     def test_sigma_mle_matches_grid_search(self):
         data = simulate_dataset(
@@ -343,9 +344,8 @@ class TestBivariateNormal:
             {"mu_x": 0.5, "mu_y": -0.2, "sigma_x2": 1.5, "sigma_y2": 0.8, "rho": 0.6},
             10, RngStream(62, 0))
         x, y = data.col("x"), data.col("y")
-        args = (0.5, -0.2, 0.8, 0.6)
-        s2 = M.bvn_sigma_x2_mle(*args, x, y)
-        sig = math.sqrt(s2)
+        state = {"mu_x": 0.5, "mu_y": -0.2, "sigma_x2": 1.0, "sigma_y2": 0.8, "rho": 0.6}
+        sig = _bvn_statistic(x, y, "sigma_x2", state)
         grid = np.arange(max(sig - 0.5, 1e-3), sig + 0.5, 1e-4)
         ll = [M.bvn_log_likelihood(0.5, -0.2, g * g, 0.8, 0.6, x, y) for g in grid]
         assert abs(grid[int(np.argmax(ll))] - sig) < 1e-3
@@ -358,7 +358,7 @@ class TestBivariateNormal:
     def test_rho_mle_symmetric_zero(self):
         x = np.array([1.0, -1.0, 1.0, -1.0])
         y = np.array([1.0, 1.0, -1.0, -1.0])
-        rho = M.bvn_rho_mle(0.0, 0.0, 1.0, 1.0, x, y)
+        rho = _bvn_statistic(x, y, "rho", self.STATE)
         assert abs(rho) < 1e-9
 
     def test_rho_mle_matches_grid_search(self):
@@ -367,7 +367,7 @@ class TestBivariateNormal:
             {"mu_x": 0.0, "mu_y": 0.0, "sigma_x2": 1.0, "sigma_y2": 1.0, "rho": 0.7},
             10, RngStream(63, 0))
         x, y = data.col("x"), data.col("y")
-        rho = M.bvn_rho_mle(0.0, 0.0, 1.0, 1.0, x, y)
+        rho = _bvn_statistic(x, y, "rho", self.STATE)
         grid = np.arange(-0.999, 0.999, 1e-4)
         ll = [M.bvn_log_likelihood(0.0, 0.0, 1.0, 1.0, g, x, y) for g in grid]
         assert abs(grid[int(np.argmax(ll))] - rho) < 1e-3
@@ -388,9 +388,9 @@ class TestBivariateNormal:
             assert changes == 1
 
     def test_rho_round_trip(self, bvn_data):
-        x, y = bvn_data.col("x"), bvn_data.col("y")
-        eq = _catalog("bivariate_normal", bvn_data, "rho").equation(bvn_data, self.STATE)
-        q = M.bvn_rho_mle(0.0, 0.0, 1.0, 1.0, x, y)
+        cond = _catalog("bivariate_normal", bvn_data, "rho")
+        eq = cond.equation(bvn_data, self.STATE)
+        q = cond.statistic.compute(bvn_data, self.STATE)
         rng = RngStream(64, 0)
         for _ in range(300):
             g = sample(eq.gamma_dist, rng)

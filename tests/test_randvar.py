@@ -18,7 +18,7 @@ from fidgibbs import (
     quantile,
     sample,
 )
-from fidgibbs.randvar import BLOCK_SIZE
+from fidgibbs.randvar import BLOCK_SIZE, MAX_BLOCK_LAWS
 
 N_DRAWS = 200_000
 
@@ -239,3 +239,13 @@ class TestBlocks:
         g = RngStream(7, 1).gen
         assert da == g.chisquare(5.0, BLOCK_SIZE)[:20].tolist()
         assert db == g.chisquare(9.0, BLOCK_SIZE)[:20].tolist()
+
+    def test_blocks_kept_for_at_most_the_cap(self):
+        # A law that changes on every draw evicts the oldest block instead
+        # of piling up one block per law.
+        rng = RngStream(8, 0)
+        laws = [ChiSquare(float(df)) for df in range(1, 2001)]
+        for law in laws:
+            sample(law, rng)
+            assert len(rng._blocks) <= MAX_BLOCK_LAWS
+        assert list(rng._blocks) == [(ChiSquare, law.df) for law in laws[-MAX_BLOCK_LAWS:]]
