@@ -16,6 +16,7 @@ import math
 import os
 import sys
 from pathlib import Path
+from typing import Mapping
 
 import numpy as np
 
@@ -54,57 +55,77 @@ def _parse_kv(text: str) -> dict:
 # CSV I/O
 # ---------------------------------------------------------------------------
 
-def _read_csv_columns(path: str) -> dict:
+# Characters of a body line that holds no cell: such lines are skipped.
+_BLANK_LINE = ",\t\n\v\f\r "
+
+
+def _read_csv(path: str, dtypes: Mapping[str, type], other: type) -> dict:
+    """Columns of a headered CSV file, keyed by stripped header name.
+
+    Column ``name`` is read as ``dtypes.get(name, other)``; text (object)
+    columns are stripped.  The body goes through one ``np.loadtxt`` call:
+    cells may be quoted, and lines holding only whitespace and commas are
+    skipped.  Raises ValueError naming the path for an empty file, a
+    repeated header name or a row numpy cannot parse.
+    """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader([fh.readline()]))
         if not header:
             raise ValueError(f"{path}: empty file")
         names = [h.strip() for h in header]
-        cols = {}
-        for name in names:
-            if name in cols:
+        for i, name in enumerate(names):
+            if name in names[:i]:
                 raise ValueError(f"{path}: repeated column '{name}' in the header")
-            cols[name] = []
-        for row in reader:
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(names):
-                raise ValueError(f"{path}: row has {len(row)} fields, expected {len(names)}")
-            for name, cell in zip(names, row):
-                cols[name].append(cell.strip())
+        # Positional field names: numpy would rename an empty header name.
+        dtype = np.dtype([(f"f{i}", dtypes.get(name, other)) for i, name in enumerate(names)])
+        lines = [line for line in fh if line.strip(_BLANK_LINE)]
+    if not lines:
+        # loadtxt would warn about the empty input.
+        body = np.empty(0, dtype)
+    else:
+        try:
+            body = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None,
+                              quotechar='"', ndmin=1)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    cols = {}
+    for i, name in enumerate(names):
+        col = body[f"f{i}"]
+        if col.dtype == object:
+            col = np.array([cell.strip() for cell in col], dtype=object)
+        cols[name] = col
     return cols
+
+
+def _read_data_columns(path: str) -> dict:
+    """A data file's columns: x and y as float64, any other column as text."""
+    return _read_csv(path, {"x": np.float64, "y": np.float64}, object)
 
 
 def load_dataset(model_name: str, path: str, path2: str | None = None) -> Dataset:
     """Read a dataset in the model's expected CSV layout."""
-    cols = _read_csv_columns(path)
+    cols = _read_data_columns(path)
     if model_name == "behrens_fisher":
         if path2 is not None:
-            x = np.array([float(v) for v in _require_col(cols, "x", path)])
-            cols2 = _read_csv_columns(path2)
-            y = np.array([float(v) for v in _require_col(cols2, "x", path2)])
+            x = _require_col(cols, "x", path)
+            y = _require_col(_read_data_columns(path2), "x", path2)
             return Dataset({"x": x, "y": y})
         if "group" in cols:
             groups = cols["group"]
-            values = [float(v) for v in _require_col(cols, "x", path)]
+            values = _require_col(cols, "x", path)
             levels = sorted(set(groups))
             if len(levels) != 2:
                 raise ValueError(f"{path}: 'group' must have exactly two levels, got {levels}")
-            x = np.array([v for g, v in zip(groups, values) if g == levels[0]])
-            y = np.array([v for g, v in zip(groups, values) if g == levels[1]])
-            return Dataset({"x": x, "y": y})
+            first = groups == levels[0]
+            return Dataset({"x": values[first], "y": values[~first]})
         raise ValueError(
             "behrens_fisher needs either a 'group,x' file or two files (--data and --data2)")
     if model_name in _TWO_COLUMN_MODELS:
-        x = np.array([float(v) for v in _require_col(cols, "x", path)])
-        y = np.array([float(v) for v in _require_col(cols, "y", path)])
-        return Dataset({"x": x, "y": y})
-    x = np.array([float(v) for v in _require_col(cols, "x", path)])
-    return Dataset({"x": x})
+        return Dataset({"x": _require_col(cols, "x", path), "y": _require_col(cols, "y", path)})
+    return Dataset({"x": _require_col(cols, "x", path)})
 
 
-def _require_col(cols: dict, name: str, path: str) -> list:
+def _require_col(cols: dict, name: str, path: str) -> np.ndarray:
     if name not in cols:
         raise ValueError(f"{path}: missing required column '{name}' (has {sorted(cols)})")
     return cols[name]
@@ -152,16 +173,18 @@ def write_samples_csv(samples: SampleMatrix, path: str):
 
 def read_samples_csv(path: str, b: int) -> SampleMatrix:
     """Re-ingest a samples.csv written by the run command."""
-    cols = _read_csv_columns(path)
+    cols = _read_csv(path, {"chain": np.int64, "cycle": np.int64}, np.float64)
     if "chain" not in cols or "cycle" not in cols:
         raise ValueError(f"{path}: needs 'chain' and 'cycle' columns")
     labels = tuple(k for k in cols if k not in ("chain", "cycle"))
     if not labels:
         raise ValueError(f"{path}: no parameter columns found")
-    chain_ids = np.array([int(v) for v in cols["chain"]])
-    cycles = np.array([int(v) for v in cols["cycle"]])
+    chain_ids, cycles = cols["chain"], cols["cycle"]
     if cycles.size == 0:
         raise ValueError(f"{path}: no sample rows")
+    for lb in labels:
+        if not np.all(np.isfinite(cols[lb])):
+            raise ValueError(f"{path}: column '{lb}' contains non-finite values")
     # Negative indexes would wrap around instead of failing.
     if chain_ids.min() < 0:
         raise ValueError(f"{path}: chain ids must be >= 0, got {int(chain_ids.min())}")
@@ -169,15 +192,19 @@ def read_samples_csv(path: str, b: int) -> SampleMatrix:
         raise ValueError(f"{path}: cycles are numbered from 1, got {int(cycles.min())}")
     chains = int(chain_ids.max()) + 1
     m = int(cycles.max())
-    values = np.full((chains, m, len(labels)), np.nan)
-    for j, lb in enumerate(labels):
-        col = np.array([float(v) for v in cols[lb]])
-        values[chain_ids, cycles - 1, j] = col
-    if np.any(np.isnan(values)):
+    # Fewer rows than cells leaves a cell empty; the check also bounds the
+    # mask below by the row count.
+    if chains * m > cycles.size:
+        raise ValueError(f"{path}: missing (chain, cycle) rows")
+    filled = np.zeros((chains, m), dtype=bool)
+    filled[chain_ids, cycles - 1] = True
+    if not filled.all():
         raise ValueError(f"{path}: missing (chain, cycle) rows")
     # Every cell is filled, so any row beyond chains * m repeats a cell.
     if cycles.size != chains * m:
         raise ValueError(f"{path}: duplicate (chain, cycle) rows")
+    values = np.empty((chains, m, len(labels)))
+    values[chain_ids, cycles - 1] = np.column_stack([cols[lb] for lb in labels])
     cfg = ChainConfig(m=m, b=b, chains=chains, seed=0, scan_order=labels)
     return SampleMatrix(values=values, labels=labels, config=cfg)
 

@@ -77,17 +77,20 @@ GridSpec = Union[np.ndarray, Sequence[float], Callable[[Mapping[str, float]], np
 def ratio_constancy(
     param: str,
     joint_log_kernel: Callable[[Mapping[str, float]], float],
-    conditional_log_density: Callable[[float, Mapping[str, float]], float],
+    conditional_log_density: Callable[[Mapping[str, float]], Callable[[float], float]],
     slices: Sequence[Mapping[str, float]],
     grid: GridSpec,
     tol: float = CLOSED_FORM_TOL,
 ) -> CompatReport:
     """Spread of log joint - log conditional over the parameter's grid.
 
-    slices are settings of the remaining parameters; grid is either a
-    fixed array of parameter values or a callable producing one per slice
-    (grids must stay inside the conditional's support).  The verdict is
-    compatible only if the spread is at most tol on every slice.
+    slices are settings of the remaining parameters;
+    conditional_log_density(others) returns the conditional's log density
+    at that slice as a function of the parameter's value, so it is built
+    once per slice.  grid is either a fixed array of parameter values or a
+    callable producing one per slice (grids must stay inside the
+    conditional's support).  The verdict is compatible only if the spread
+    is at most tol on every slice.
     """
     if len(slices) < MIN_SLICES:
         raise DomainError(f"need at least {MIN_SLICES} slices, got {len(slices)}")
@@ -98,10 +101,11 @@ def ratio_constancy(
         pts = np.asarray(grid(others) if callable(grid) else grid, dtype=float)
         if pts.size < MIN_GRID:
             raise DomainError(f"need at least {MIN_GRID} grid points, got {pts.size}")
+        cond_logpdf = conditional_log_density(others)
         diffs = np.empty(pts.size)
         mismatch = False
         for i, v in enumerate(pts):
-            cond = conditional_log_density(float(v), others)
+            cond = cond_logpdf(float(v))
             if not math.isfinite(cond):
                 raise DomainError(
                     f"grid point {v} lies outside the conditional support for '{param}'")
@@ -176,7 +180,7 @@ def check_model(
         reports[p.label] = ratio_constancy(
             p.label,
             lambda state: spec.joint_log_kernel(state, data),
-            lambda v, others, label=p.label: spec.conditional_log_density(label, v, others, data),
+            lambda others, label=p.label: spec.conditional_log_density(label, others, data),
             others_slices,
             grid,
             tol=tol,

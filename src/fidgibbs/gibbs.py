@@ -193,13 +193,11 @@ def estimate(h: Callable[[Mapping[str, float]], float], samples: SampleMatrix) -
     """
     from .diagnostics import ess_of_chains  # local import to avoid a cycle
 
-    cfg = samples.config
-    rows = samples.values[:, cfg.b:, :]
-    chains, length, _ = rows.shape
-    hvals = np.empty((chains, length))
-    for c in range(chains):
-        for i in range(length):
-            hvals[c, i] = h(dict(zip(samples.labels, rows[c, i])))
+    labels = samples.labels
+    # One tolist() call hands h Python floats, not a numpy scalar per cell.
+    rows = samples.values[:, samples.config.b:, :].tolist()
+    hvals = np.array([[h(dict(zip(labels, row))) for row in chain] for chain in rows],
+                     dtype=float)
     value = float(np.mean(hvals))
     ess = ess_of_chains(hvals)
     var = float(np.var(hvals, ddof=1)) if hvals.size > 1 else 0.0

@@ -13,6 +13,7 @@ bivariate_normal.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Tuple
@@ -117,7 +118,9 @@ class ModelSpec:
 
     build_conditionals(data) is the one place a dataset is checked: it
     raises DomainError or DegenerateDataError for data the model cannot
-    take, before it binds anything.
+    take, before it binds anything.  conditional_log_density(param, others,
+    data) returns the log density of param's printed conditional at that
+    setting of the others, as a function of param's value.
     """
 
     name: str
@@ -126,7 +129,8 @@ class ModelSpec:
     simulate: Callable[[Mapping[str, float], int, RngStream], Dataset]
     chain_inits: Callable[[Dataset, int], list]
     joint_log_kernel: Optional[Callable[[Mapping[str, float], Dataset], float]] = None
-    conditional_log_density: Optional[Callable[[str, float, Mapping[str, float], Dataset], float]] = None
+    conditional_log_density: Optional[
+        Callable[[str, Mapping[str, float], Dataset], Callable[[float], float]]] = None
 
     @property
     def param_labels(self) -> Tuple[str, ...]:
@@ -158,8 +162,10 @@ def _conditional(params: Tuple[ParamSpec, ...], label: str, statistic: FiducialS
 
 
 def _closed_form_cond_logpdf(dist_fn):
-    def cond(param, v, others, data):
-        return log_density(dist_fn(param, others, data), v)
+    """conditional_log_density from a printed conditional: the Dist is built
+    once per setting of the others, not once per evaluation."""
+    def cond(param, others, data):
+        return functools.partial(log_density, dist_fn(param, others, data))
     return cond
 
 
@@ -515,12 +521,14 @@ def _pareto_build_conditionals(data: Dataset) -> dict:
     }
 
 
-def _pareto_conditional_log_density(param: str, v: float, others: Mapping[str, float], data: Dataset) -> float:
+def _pareto_conditional_log_density(param: str, others: Mapping[str, float],
+                                    data: Dataset) -> Callable[[float], float]:
     x = data.col("x")
     if param == "alpha":
-        return log_density(pareto_conditional_alpha(others["beta"], x), v)
+        return functools.partial(log_density, pareto_conditional_alpha(others["beta"], x))
     if param == "beta":
-        return pareto_conditional_beta_log_density(v, others["alpha"], x)
+        alpha = others["alpha"]
+        return lambda v: pareto_conditional_beta_log_density(v, alpha, x)
     raise DomainError(f"pareto model has no parameter '{param}'")
 
 

@@ -1,13 +1,18 @@
 import csv
 import json
+import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fidgibbs import ChainConfig, SampleMatrix
-from fidgibbs.cli import main, read_samples_csv, write_samples_csv, write_trace_csv
+from fidgibbs.cli import (load_dataset, main, read_samples_csv, write_samples_csv,
+                          write_trace_csv)
 
 
 def _run(argv):
@@ -207,7 +212,27 @@ class TestReadSamples:
     def test_header_only_rejected(self, tmp_path):
         path = tmp_path / "s.csv"
         _write_samples(path, [])
-        with pytest.raises(ValueError, match="no sample rows"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="no sample rows"):
+                read_samples_csv(str(path), b=0)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_value_rejected(self, tmp_path, capsys, cell):
+        path = tmp_path / "s.csv"
+        _write_samples(path, [(0, 1, "0.5"), (0, 2, cell), (0, 3, "0.25")])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="column 'theta' contains non-finite values"):
+                read_samples_csv(str(path), b=0)
+            assert _run(["diag", "--samples", path, "--b", 0]) == 1
+        assert "column 'theta' contains non-finite values" in capsys.readouterr().err
+
+    def test_sparse_ids_rejected_before_allocating(self, tmp_path):
+        # One row naming chain 10**12 must not size a mask of 10**12 cells.
+        path = tmp_path / "s.csv"
+        _write_samples(path, [(0, 1, 0.5), (10**12, 1, 0.5)])
+        with pytest.raises(ValueError, match="missing"):
             read_samples_csv(str(path), b=0)
 
     def test_duplicate_rows_rejected(self, tmp_path):
@@ -216,6 +241,58 @@ class TestReadSamples:
         with pytest.raises(ValueError, match="duplicate"):
             read_samples_csv(str(path), b=0)
         assert _run(["diag", "--samples", path, "--b", 0]) == 1
+
+
+class TestReaderRules:
+    """Samples and data files share one reader: a stripped csv header, then
+    one numpy parse of the body."""
+
+    def test_short_row_names_the_path(self, tmp_path):
+        samples = tmp_path / "s.csv"
+        samples.write_text("chain,cycle,theta\n0,1,0.5\n0,2\n")
+        with pytest.raises(ValueError, match=re.escape(str(samples))):
+            read_samples_csv(str(samples), b=0)
+        data = tmp_path / "d.csv"
+        data.write_text("x,y\n1,2\n3\n4,5\n")
+        with pytest.raises(ValueError, match=re.escape(str(data))):
+            load_dataset("quadreg", str(data))
+
+    # int() accepted "1_0" and ids beyond int64; "1.0" was always rejected.
+    @pytest.mark.parametrize("chain", ["1.0", "1_0", "9223372036854775808"])
+    def test_non_integer_chain_id_rejected(self, tmp_path, chain):
+        path = tmp_path / "s.csv"
+        _write_samples(path, [(0, 1, 0.5), (chain, 1, 0.5)])
+        with pytest.raises(ValueError, match=re.escape(f"'{chain}'")):
+            read_samples_csv(str(path), b=0)
+        assert _run(["diag", "--samples", path, "--b", 0]) == 1
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("chain,cycle,theta\n\n0,1,0.5\n   \n,,\n \t, ,\n0,2,0.25\n\n")
+        assert read_samples_csv(str(path), b=0).values.tolist() == [[[0.5], [0.25]]]
+        data = tmp_path / "d.csv"
+        data.write_text("x\n1.5\n \n,\n\n2.5\n")
+        assert load_dataset("normal", str(data)).col("x").tolist() == [1.5, 2.5]
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_line_endings(self, tmp_path, newline):
+        path = tmp_path / "s.csv"
+        path.write_bytes(newline.join(["chain,cycle,theta", "0,1,0.5", "0,2,0.25", ""]).encode())
+        assert read_samples_csv(str(path), b=0).values.tolist() == [[[0.5], [0.25]]]
+
+    def test_quoted_cells(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text('"chain","cycle"," theta"\n"0","1","0.5"\n0,2," 0.25 "\n')
+        sm = read_samples_csv(str(path), b=0)
+        assert sm.labels == ("theta",)
+        assert sm.values.tolist() == [[[0.5], [0.25]]]
+
+    def test_behrens_fisher_group_stripped(self, tmp_path):
+        path = tmp_path / "bf.csv"
+        path.write_text("group,x\n 1 ,1.5\n2,2.5\n1 ,3.5\n\" 2\",4.5\n")
+        data = load_dataset("behrens_fisher", str(path))
+        assert data.col("x").tolist() == [1.5, 3.5]
+        assert data.col("y").tolist() == [2.5, 4.5]
 
 
 class TestRepeatedColumns:
@@ -266,6 +343,24 @@ class TestWriters:
         rows = [(c, i + 1, *sm.values[c, i].tolist()) for c in range(chains) for i in range(m)]
         ref = self._reference(tmp_path / "ref.csv", ["chain", "cycle", *sm.labels], rows)
         assert (tmp_path / "samples.csv").read_bytes() == ref
+
+    @given(chains=st.integers(1, 4), m=st.integers(1, 12), data=st.data())
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    def test_samples_round_trip(self, tmp_path_factory, chains, m, data):
+        cells = st.one_of(st.sampled_from(self.SPECIAL),
+                          st.floats(allow_nan=False, allow_infinity=False))
+        values = np.array(data.draw(st.lists(cells, min_size=chains * m * 2,
+                                             max_size=chains * m * 2)))
+        sm = SampleMatrix(values.reshape(chains, m, 2), ("a", "b"),
+                          ChainConfig(m=m, b=0, chains=chains))
+        path = tmp_path_factory.mktemp("round_trip") / "samples.csv"
+        write_samples_csv(sm, path)
+        back = read_samples_csv(str(path), b=0)
+        assert back.labels == sm.labels
+        assert back.values.tobytes() == sm.values.tobytes()
+        written = path.read_bytes()
+        write_samples_csv(back, path)
+        assert path.read_bytes() == written
 
     def test_trace_bytes(self, tmp_path):
         sm = self._matrix(2, 300)

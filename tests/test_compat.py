@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -20,7 +21,7 @@ def _normal_setup(normal_data):
     slices = spec.chain_inits(normal_data, 3)
     others = [{k: v for k, v in s.items() if k != "mu"} for s in slices]
     joint = lambda st: spec.joint_log_kernel(st, normal_data)
-    cond = lambda v, o: log_density(Normal(xbar, o["sigma2"] / n), v)
+    cond = lambda o: functools.partial(log_density, Normal(xbar, o["sigma2"] / n))
     return joint, cond, others
 
 
@@ -135,10 +136,17 @@ class TestRatioConstancy:
         slices = spec.chain_inits(pareto_data, 3)
         others = [{k: v for k, v in s.items() if k != "beta"} for s in slices]
         joint = lambda st: spec.joint_log_kernel(st, pareto_data)
-        cond = lambda v, o: spec.conditional_log_density("beta", v, o, pareto_data)
+        cond = lambda o: spec.conditional_log_density("beta", o, pareto_data)
         bad_grid = np.linspace(0.5, 2.0 * float(np.max(x)), 64)
         with pytest.raises(DomainError):
             ratio_constancy("beta", joint, cond, others, bad_grid)
+
+    def test_conditional_built_once_per_slice(self, normal_data):
+        joint, cond, others = _normal_setup(normal_data)
+        built = []
+        counted = lambda o: built.append(o) or cond(o)
+        ratio_constancy("mu", joint, counted, others, np.linspace(-1.0, 2.0, 64))
+        assert built == others
 
     def test_compatible_spread_is_rounding_level(self, normal_data):
         joint, cond, others = _normal_setup(normal_data)

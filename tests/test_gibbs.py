@@ -21,6 +21,7 @@ from fidgibbs import (
     get_model,
     run,
 )
+from fidgibbs.diagnostics import ess_of_chains
 from fidgibbs.models import normal_marginal_mu
 from fidgibbs.randvar import quantile
 
@@ -226,6 +227,35 @@ class TestEstimate:
         res = estimate(lambda th: th["mu"], sm)
         xbar = float(np.mean(normal_data.col("x")))
         assert abs(res.value - xbar) < 4.0 * res.std_error
+
+    def test_matches_per_cell_loop_bit_for_bit(self):
+        # AR(1) chains, phi = 0.6; the reference is the loop that handed h a
+        # numpy row per cycle.
+        g = np.random.default_rng(9)
+        chains, m, b = 3, 400, 50
+        values = np.empty((chains, m, 2))
+        values[:, 0] = g.standard_normal((chains, 2))
+        for i in range(1, m):
+            values[:, i] = 0.6 * values[:, i - 1] + g.standard_normal((chains, 2))
+        labels = ("a", "b")
+        sm = SampleMatrix(values, labels, ChainConfig(m=m, b=b, chains=chains))
+        seen = set()
+
+        def h(th):
+            seen.update(type(v) for v in th.values())
+            return math.exp(0.5 * th["a"]) / (1.0 + th["b"] * th["b"])
+
+        res = estimate(h, sm)
+        assert seen == {float}
+        rows = values[:, b:, :]
+        hvals = np.empty(rows.shape[:2])
+        for c in range(chains):
+            for i in range(m - b):
+                hvals[c, i] = h(dict(zip(labels, rows[c, i])))
+        ess = ess_of_chains(hvals)
+        assert res.value == float(np.mean(hvals))
+        assert res.ess == ess
+        assert res.std_error == math.sqrt(float(np.var(hvals, ddof=1)) / ess)
 
     def test_burn_in_respected(self):
         cfg = ChainConfig(m=10, b=5, chains=1, seed=0, scan_order=("theta",))
