@@ -14,6 +14,7 @@ import csv
 import json
 import math
 import os
+import re
 import sys
 from pathlib import Path
 from typing import Mapping
@@ -57,6 +58,10 @@ def _parse_kv(text: str) -> dict:
 
 # Characters of a body line that holds no cell: such lines are skipped.
 _BLANK_LINE = ",\t\n\v\f\r "
+_LOADTXT = {"delimiter": ",", "comments": None, "quotechar": '"', "ndmin": 1}
+# numpy's row number (it counts parsed rows, not file lines) and its advice
+# to pass usecols, which the reader does not take.
+_NUMPY_ROW = re.compile(r"(?<= at )row \d+, | at row \d+(?!,)|; use `usecols`.*")
 
 
 def _read_csv(path: str, dtypes: Mapping[str, type], other: type) -> dict:
@@ -66,7 +71,8 @@ def _read_csv(path: str, dtypes: Mapping[str, type], other: type) -> dict:
     columns are stripped.  The body goes through one ``np.loadtxt`` call:
     cells may be quoted, and lines holding only whitespace and commas are
     skipped.  Raises ValueError naming the path for an empty file, a
-    repeated header name or a row numpy cannot parse.
+    repeated header name or a row numpy cannot parse; the last names the
+    file line of the first such row (the header is line 1).
     """
     with open(path, newline="") as fh:
         header = next(csv.reader([fh.readline()]))
@@ -78,16 +84,16 @@ def _read_csv(path: str, dtypes: Mapping[str, type], other: type) -> dict:
                 raise ValueError(f"{path}: repeated column '{name}' in the header")
         # Positional field names: numpy would rename an empty header name.
         dtype = np.dtype([(f"f{i}", dtypes.get(name, other)) for i, name in enumerate(names)])
-        lines = [line for line in fh if line.strip(_BLANK_LINE)]
+        rows = fh.readlines()
+    lines = [line for line in rows if line.strip(_BLANK_LINE)]
     if not lines:
         # loadtxt would warn about the empty input.
         body = np.empty(0, dtype)
     else:
         try:
-            body = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None,
-                              quotechar='"', ndmin=1)
+            body = np.loadtxt(lines, dtype=dtype, **_LOADTXT)
         except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+            raise ValueError(f"{path}: {_first_bad_row(rows, dtype) or exc}") from None
     cols = {}
     for i, name in enumerate(names):
         col = body[f"f{i}"]
@@ -95,6 +101,18 @@ def _read_csv(path: str, dtypes: Mapping[str, type], other: type) -> dict:
             col = np.array([cell.strip() for cell in col], dtype=object)
         cols[name] = col
     return cols
+
+
+def _first_bad_row(rows: list, dtype: np.dtype) -> str | None:
+    """'line <k>: <numpy's error>' for the first body row numpy cannot parse
+    on its own, counting file lines from the header's 2 onwards."""
+    for k, line in enumerate(rows, start=2):
+        if line.strip(_BLANK_LINE):
+            try:
+                np.loadtxt([line], dtype=dtype, **_LOADTXT)
+            except ValueError as exc:
+                return f"line {k}: {_NUMPY_ROW.sub('', str(exc))}"
+    return None
 
 
 def _read_data_columns(path: str) -> dict:

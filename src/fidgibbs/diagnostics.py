@@ -29,6 +29,7 @@ __all__ = [
 DEFAULT_BINS = 60
 RHAT_THRESHOLD = 1.05
 ESS_THRESHOLD = 400.0
+_QUANTILES = [0.025, 0.5, 0.975]
 
 
 def _split_halves(chains: np.ndarray) -> np.ndarray:
@@ -182,14 +183,33 @@ class DiagnosticsReport:
         }
 
 
+def _unit_scale(x: np.ndarray):
+    """x times the power of two 2**-e that brings max |x| into [0.5, 1), and e.
+
+    A power-of-two scale is exact, so statistics of the scaled values scale
+    back exactly, and squares and sums of the scaled values cannot overflow.
+    """
+    _, e = np.frexp(np.max(np.abs(x)))
+    return np.ldexp(x, -e), int(e)
+
+
 def summarize(samples: SampleMatrix, bins: int = DEFAULT_BINS) -> DiagnosticsReport:
-    """Full diagnostics for every parameter of a sample matrix."""
+    """Full diagnostics for every parameter of a sample matrix.
+
+    R-hat, ESS, the moments and the histogram of each parameter are computed
+    on its draws scaled by a power of two (see _unit_scale) and scaled back,
+    so finite draws near the float limit give finite results.  That scaling
+    flushes draws below 2**-1074 times the largest |draw| to zero, so the
+    quantiles, which are order statistics, are taken from the draws
+    themselves, halved when their range exceeds the float range.
+    """
     if bins < 1:
         raise DomainError(f"bins must be >= 1, got {bins}")
     cfg = samples.config
     summaries = []
     for label in samples.labels:
-        chains = samples.post_burnin(label)
+        draws = samples.post_burnin(label)
+        chains, e = _unit_scale(draws)
         pooled = chains.reshape(-1)
         rhat = rhat_of_chains(chains) if chains.shape[1] >= 4 else math.nan
         ess = ess_of_chains(chains)
@@ -197,23 +217,25 @@ def summarize(samples: SampleMatrix, bins: int = DEFAULT_BINS) -> DiagnosticsRep
         hi = float(np.max(pooled))
         if lo == hi:
             # Degenerate spread: a single unit-width bin holding everything.
-            edges = np.array([lo - 0.5, lo + 0.5])
+            mean, sd = math.ldexp(lo, e), 0.0
+            edges = np.array([mean - 0.5, mean + 0.5])
             counts = np.array([pooled.size], dtype=float)
         else:
             counts, edges = np.histogram(pooled, bins=bins, range=(lo, hi))
             counts = counts.astype(float)
-        q2_5, q50, q97_5 = np.quantile(pooled, [0.025, 0.5, 0.975])
-        if lo == hi:
-            mean, sd = lo, 0.0
-        else:
-            mean = float(np.mean(pooled))
-            sd = float(np.std(pooled, ddof=1)) if pooled.size > 1 else 0.0
+            edges = np.ldexp(edges, e)
+            mean = math.ldexp(float(np.mean(pooled)), e)
+            with np.errstate(over="ignore"):  # an sd past the float range reads inf
+                sd = float(np.ldexp(np.std(pooled, ddof=1), e))
+        # Halve the draws only when interpolating between two could overflow.
+        k = 0 if math.isfinite(math.ldexp(hi, e) - math.ldexp(lo, e)) else 1
+        q2_5, q50, q97_5 = (math.ldexp(q, k)
+                            for q in np.quantile(np.ldexp(draws, -k), _QUANTILES).tolist())
         converged = bool(not math.isnan(rhat) and rhat < RHAT_THRESHOLD
                          and ess > ESS_THRESHOLD)
         summaries.append(ParamSummary(
             param=label, rhat=float(rhat), ess=float(ess),
-            mean=mean, sd=sd,
-            q2_5=float(q2_5), q50=float(q50), q97_5=float(q97_5),
+            mean=mean, sd=sd, q2_5=q2_5, q50=q50, q97_5=q97_5,
             hist_edges=edges, hist_counts=counts, converged=converged,
         ))
     return DiagnosticsReport(

@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Tuple
 
 import numpy as np
-from scipy import special as _sp
-from scipy.linalg import solve_triangular
 
 from .core import ConditionalFiducialSampler, FiducialStatistic
 from .errors import BracketError, DegenerateDataError, DomainError, EvaluationError, StructuralError
@@ -36,8 +34,8 @@ from .randvar import (
     TruncatedNormal,
     log_density,
 )
-from .specfun import (Bracket, digamma, solve_cubic_in_interval, solve_monotone, solve_newton,
-                      solve_quadratic_positive, trigamma)
+from .specfun import (Bracket, digamma, scipy_special as _sp, solve_cubic_in_interval,
+                      solve_monotone, solve_newton, solve_quadratic_positive, trigamma)
 
 __all__ = [
     "Dataset",
@@ -597,6 +595,8 @@ def _quadreg_rss_form(x: np.ndarray, y: np.ndarray) -> Callable[[float, float, f
     with |mean(x)| up to 8.5 sd(x) within 3e-14 of the exact RSS; past that
     the error grows with the condition number of X, as the O(n) sum's does.
     """
+    from scipy.linalg import solve_triangular
+
     q, r = np.linalg.qr(np.column_stack([np.ones_like(x), x, x * x]))
     bhat = solve_triangular(r, q.T @ y)
     resid = y - bhat[0] - bhat[1] * x - bhat[2] * x * x

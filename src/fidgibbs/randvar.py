@@ -25,10 +25,9 @@ from functools import lru_cache
 from typing import Union
 
 import numpy as np
-from scipy import special as _sp
 
 from .errors import DomainError
-from .specfun import ln_gamma
+from .specfun import ln_gamma, scipy_special as _sp
 
 __all__ = [
     "RngStream",
@@ -97,17 +96,13 @@ def _require(cond: bool, msg: str):
         raise DomainError(msg)
 
 
-def _finite(*vals) -> bool:
-    return all(math.isfinite(float(v)) for v in vals)
-
-
 @dataclass(frozen=True)
 class Normal:
     mean: float
     var: float
 
     def __post_init__(self):
-        _require(_finite(self.mean, self.var) and self.var > 0.0,
+        _require(math.isfinite(self.mean) and 0.0 < self.var < math.inf,
                  f"Normal requires finite mean and var > 0, got ({self.mean}, {self.var})")
 
 
@@ -119,7 +114,8 @@ class TruncatedNormal:
     hi: float
 
     def __post_init__(self):
-        _require(_finite(self.mean, self.var, self.lo, self.hi) and self.var > 0.0,
+        _require(math.isfinite(self.mean) and 0.0 < self.var < math.inf
+                 and math.isfinite(self.lo) and math.isfinite(self.hi),
                  f"TruncatedNormal requires finite parameters and var > 0, got {self}")
         _require(self.lo < self.hi, f"TruncatedNormal requires lo < hi, got [{self.lo}, {self.hi}]")
 
@@ -130,7 +126,7 @@ class Gamma:
     rate: float
 
     def __post_init__(self):
-        _require(_finite(self.shape, self.rate) and self.shape > 0.0 and self.rate > 0.0,
+        _require(0.0 < self.shape < math.inf and 0.0 < self.rate < math.inf,
                  f"Gamma requires shape > 0 and rate > 0, got ({self.shape}, {self.rate})")
 
 
@@ -139,7 +135,7 @@ class ChiSquare:
     df: float
 
     def __post_init__(self):
-        _require(_finite(self.df) and self.df > 0.0, f"ChiSquare requires df > 0, got {self.df}")
+        _require(0.0 < self.df < math.inf, f"ChiSquare requires df > 0, got {self.df}")
 
 
 @dataclass(frozen=True)
@@ -148,7 +144,7 @@ class ScaledInvChiSquare:
     scale: float
 
     def __post_init__(self):
-        _require(_finite(self.df, self.scale) and self.df > 0.0 and self.scale > 0.0,
+        _require(0.0 < self.df < math.inf and 0.0 < self.scale < math.inf,
                  f"ScaledInvChiSquare requires df > 0 and scale > 0, got ({self.df}, {self.scale})")
 
 
@@ -157,7 +153,7 @@ class Exponential:
     rate: float
 
     def __post_init__(self):
-        _require(_finite(self.rate) and self.rate > 0.0,
+        _require(0.0 < self.rate < math.inf,
                  f"Exponential requires rate > 0, got {self.rate}")
 
 
@@ -168,7 +164,8 @@ class StudentT:
     scale: float = 1.0
 
     def __post_init__(self):
-        _require(_finite(self.df, self.loc, self.scale) and self.df > 0.0 and self.scale > 0.0,
+        _require(0.0 < self.df < math.inf and math.isfinite(self.loc)
+                 and 0.0 < self.scale < math.inf,
                  f"StudentT requires df > 0 and scale > 0, got {self}")
 
 

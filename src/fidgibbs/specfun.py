@@ -4,23 +4,25 @@ Digamma/trigamma evaluation follows the usual recurrence-plus-asymptotic
 scheme; we delegate to the C implementations in ``scipy.special`` (``psi``
 and the Hurwitz zeta, via ``trigamma(x) == zeta(2, x)``) and keep the
 accuracy contracts pinned by tests against an independent high-precision
-oracle.  Root finding has two forms: a bracketing bisection/secant hybrid
-(Brent) for any monotone function, and a Newton iteration safeguarded by
-bisection for increasing functions whose derivative is cheap (the shape
-equations, whose derivatives come from ``zeta(2, a)`` and ``zeta(3, a)``,
-and the correlation equation).  Bracket validation and residual checks are
-done here.
+oracle.  ``scipy_special`` is that module, executed on its first attribute
+access, so that importing fidgibbs does not import scipy.special.  Root
+finding has two forms: a bracketing bisection/secant hybrid (Brent, from
+scipy.optimize, imported on the first call) for any monotone function, and
+a Newton iteration safeguarded by bisection for increasing functions whose
+derivative is cheap (the shape equations, whose derivatives come from
+``zeta(2, a)`` and ``zeta(3, a)``, and the correlation equation).  Bracket
+validation and residual checks are done here.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import special as _sp
-from scipy.optimize import brentq as _brentq
 
 from .errors import BracketError, DegenerateDataError, DomainError, EvaluationError
 
@@ -34,6 +36,25 @@ __all__ = [
     "solve_quadratic_positive",
     "solve_cubic_in_interval",
 ]
+
+
+def _lazy_module(name: str):
+    """The module name, executed on its first attribute access.
+
+    An already imported module is returned as it is.  After the first
+    access the object is a plain module, so later lookups cost nothing
+    extra.  The lazy load is not guarded against a second thread.
+    """
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    loader = spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)
+    loader.exec_module(module)
+    return module
+
+
+scipy_special = _lazy_module("scipy.special")
 
 
 @dataclass(frozen=True)
@@ -68,13 +89,13 @@ def ln_gamma(x: float) -> float:
 
 def digamma(x: float) -> float:
     """Psi function (logarithmic derivative of gamma) for x > 0."""
-    return float(_sp.psi(_check_positive_finite(x, "digamma")))
+    return float(scipy_special.psi(_check_positive_finite(x, "digamma")))
 
 
 def trigamma(x: float) -> float:
     """Derivative of the psi function for x > 0."""
     # Hurwitz zeta identity: psi'(x) = zeta(2, x).
-    return float(_sp.zeta(2.0, _check_positive_finite(x, "trigamma")))
+    return float(scipy_special.zeta(2.0, _check_positive_finite(x, "trigamma")))
 
 
 def solve_monotone(
@@ -112,7 +133,9 @@ def solve_monotone(
             f"no sign change on [{bracket.lo}, {bracket.hi}]: "
             f"f-target = {glo:.6g} and {ghi:.6g}"
         )
-    root = _brentq(g, bracket.lo, bracket.hi, xtol=tol, rtol=4 * np.finfo(float).eps)
+    from scipy.optimize import brentq
+
+    root = brentq(g, bracket.lo, bracket.hi, xtol=tol, rtol=4 * np.finfo(float).eps)
     return float(root)
 
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import re
 import subprocess
 import sys
@@ -257,6 +258,28 @@ class TestReaderRules:
         with pytest.raises(ValueError, match=re.escape(str(data))):
             load_dataset("quadreg", str(data))
 
+    # The header is line 1, and skipped blank lines are counted.
+    @pytest.mark.parametrize("body,line,text", [
+        ("0,1,1.5\n1.0,2,3\n", 3, "could not convert string '1.0' to int64 at column 1."),
+        ("0,1,1.5\n0,2\n", 3, "the dtype passed requires 3 columns but 2 were found"),
+        ("0,1,1.5\n\n  ,\n0,2\n0,3,1\n", 5,
+         "the dtype passed requires 3 columns but 2 were found"),
+        ("\r\n0,1,1.5\r\n0,2,x\r\n", 4, "could not convert string 'x' to float64 at column 3."),
+    ], ids=["bad-cell", "short-row", "after-blank-lines", "crlf"])
+    def test_error_names_the_file_line(self, tmp_path, body, line, text):
+        path = tmp_path / "s.csv"
+        path.write_bytes(("chain,cycle,a\n" + body).encode())
+        with pytest.raises(ValueError) as err:
+            read_samples_csv(str(path), b=0)
+        assert str(err.value) == f"{path}: line {line}: {text}"
+
+    def test_data_file_error_names_the_file_line(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("x,y\n1,2\n\n3,abc\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: line 4: could not convert string 'abc' to float64 at column 2.")):
+            load_dataset("quadreg", str(path))
+
     # int() accepted "1_0" and ids beyond int64; "1.0" was always rejected.
     @pytest.mark.parametrize("chain", ["1.0", "1_0", "9223372036854775808"])
     def test_non_integer_chain_id_rejected(self, tmp_path, chain):
@@ -361,6 +384,24 @@ class TestWriters:
         written = path.read_bytes()
         write_samples_csv(back, path)
         assert path.read_bytes() == written
+
+    def test_diag_of_extreme_matrix_is_finite(self, tmp_path):
+        # Draws up to 1e308: squares and the FFT autocovariance would overflow
+        # without summarize's power-of-two scaling.
+        sm = self._matrix(3, 700)
+        write_samples_csv(sm, tmp_path / "samples.csv")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = _run(["diag", "--samples", tmp_path / "samples.csv", "--b", 1,
+                       "--out", tmp_path / "diag.json"])
+        assert rc == 0
+        params = json.loads((tmp_path / "diag.json").read_text())["params"]
+        for p in params:
+            assert all(math.isfinite(p[k]) for k in ("rhat", "ess", "mean", "sd"))
+            assert 1.0 <= p["ess"] <= 3 * 699
+        # The quantiles are order statistics of the draws themselves.
+        pooled = sm.values[:, 1:, 0].reshape(-1)
+        assert params[0]["quantiles"]["50%"] == float(np.quantile(pooled / 2, 0.5) * 2)
 
     def test_trace_bytes(self, tmp_path):
         sm = self._matrix(2, 300)

@@ -110,6 +110,18 @@ class TestSummarize:
         assert math.isnan(p.rhat)
         assert not p.converged
 
+    @pytest.mark.parametrize("power", [900, -900])
+    def test_power_of_two_scaling_is_exact(self, power):
+        x = np.cumsum(np.random.default_rng(8).normal(size=(3, 600, 2)), axis=1)
+        base = summarize(_matrix(x, b=100))
+        scaled = summarize(_matrix(np.ldexp(x, power), b=100))
+        for p, q in zip(base.params, scaled.params):
+            assert (q.rhat, q.ess, q.converged) == (p.rhat, p.ess, p.converged)
+            assert q.hist_counts.tolist() == p.hist_counts.tolist()
+            assert q.hist_edges.tolist() == np.ldexp(p.hist_edges, power).tolist()
+            for name in ("mean", "sd", "q2_5", "q50", "q97_5"):
+                assert getattr(q, name) == math.ldexp(getattr(p, name), power)
+
     def test_histogram_contract(self, normal_data):
         sm = run(get_model("normal"), normal_data, ChainConfig(m=800, b=100, chains=3, seed=5))
         report = summarize(sm, bins=60)

@@ -115,6 +115,23 @@ class TestSampling:
         with pytest.raises(DomainError):
             StudentT(0.0)
 
+    # positive: the indices of the scale, df and rate parameters.
+    @pytest.mark.parametrize("make,args,positive", [
+        (Normal, (0.0, 1.0), (1,)),
+        (TruncatedNormal, (0.0, 1.0, -1.0, 1.0), (1,)),
+        (Gamma, (2.0, 1.0), (0, 1)),
+        (ChiSquare, (3.0,), (0,)),
+        (ScaledInvChiSquare, (3.0, 1.0), (0, 1)),
+        (Exponential, (1.0,), (0,)),
+        (StudentT, (3.0, 0.0, 1.0), (0, 2)),
+    ])
+    def test_non_finite_and_non_positive_rejected(self, make, args, positive):
+        make(*args)
+        for i in range(len(args)):
+            for v in [math.nan, math.inf, -math.inf] + ([0.0, -1.0] if i in positive else []):
+                with pytest.raises(DomainError):
+                    make(*args[:i], v, *args[i + 1:])
+
 
 class TestLogDensity:
     def test_standard_normal_at_zero(self):
