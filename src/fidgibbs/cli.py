@@ -22,7 +22,7 @@ from typing import Mapping
 import numpy as np
 
 from . import __version__
-from .compat import CLOSED_FORM_TOL, check_model
+from .compat import CLOSED_FORM_TOL, DEFAULT_GRID_POINTS, check_model
 from .diagnostics import DEFAULT_BINS, summarize
 from .errors import FidgibbsError, StructuralError
 from .gibbs import ChainConfig, DEFAULT_BURN_IN, SampleMatrix, run
@@ -394,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cc.add_argument("--data", required=True)
     p_cc.add_argument("--data2")
     p_cc.add_argument("--tol", type=float, default=CLOSED_FORM_TOL)
-    p_cc.add_argument("--grid-points", dest="grid_points", type=int, default=64)
+    p_cc.add_argument("--grid-points", dest="grid_points", type=int, default=DEFAULT_GRID_POINTS)
     p_cc.add_argument("--out")
     p_cc.set_defaults(func=_cmd_check_compat)
 

@@ -153,15 +153,18 @@ def check_model(
 ) -> dict:
     """Run the ratio-constancy check for every parameter of a catalog model.
 
-    Only models shipping an analytic joint kernel support this.  The
-    slices are the model's first three chain starts.  The grid per
-    slice spans the central 99% of the conditional that run samples: its
-    ends invert the parameter's structural equation at the 0.5% and 99.5%
-    quantiles of the primary.  Returns a dict of parameter label to
+    Only models shipping an analytic joint kernel support this.  Each
+    conditional's log density is the one of the sampler that run draws
+    from (ConditionalFiducialSampler.log_density: the primary's density at
+    the equation's pivot, times the pivot's Jacobian), so the check tests
+    the sampler itself.  The slices are the model's first three chain
+    starts.  The grid per slice spans the central 99% of that conditional:
+    its ends invert the parameter's structural equation at the 0.5% and
+    99.5% quantiles of the primary.  Returns a dict of parameter label to
     CompatReport.
     """
     spec = get_model(model) if isinstance(model, str) else model
-    if spec.joint_log_kernel is None or spec.conditional_log_density is None:
+    if spec.joint_log_kernel is None:
         raise DomainError(
             f"model '{spec.name}' has no analytic joint kernel to check against")
     conditionals = spec.build_conditionals(data)
@@ -180,7 +183,7 @@ def check_model(
         reports[p.label] = ratio_constancy(
             p.label,
             lambda state: spec.joint_log_kernel(state, data),
-            lambda others, label=p.label: spec.conditional_log_density(label, others, data),
+            lambda others, c=conditionals[p.label]: c.log_density(data, others),
             others_slices,
             grid,
             tol=tol,

@@ -17,7 +17,7 @@ from typing import Callable, Mapping, Optional, Tuple
 import numpy as np
 
 from .errors import DomainError, StructuralError
-from .randvar import Dist, RngStream, TruncatedNormal, quantile, sample
+from .randvar import Dist, RngStream, TruncatedNormal, log_density, quantile, sample
 
 __all__ = [
     "StructuralEquation",
@@ -79,7 +79,9 @@ class ConditionalFiducialSampler:
     inversion, or theta falls outside theta_domain, the draw is retried
     with a fresh gamma: this is the (rare) exclusion of extreme gamma
     values from the primary variable's domain, and every retry is counted
-    in the warnings Counter.
+    in the warnings Counter.  An equation that also has pivot(q, theta),
+    returning the primary value that maps to theta and its derivative in
+    theta, gives the conditional's log density (log_density).
     """
 
     target_param: str
@@ -108,6 +110,28 @@ class ConditionalFiducialSampler:
             theta_domain=self.theta_domain,
             gamma_domain=gamma_domain,
         )
+
+    def log_density(self, data, state: Mapping[str, float]) -> Callable[[float], float]:
+        """The log density of this conditional at state, up to a constant in
+        theta, as a function of theta: log f_gamma(g) + log|dg/dtheta| for
+        (g, dg/dtheta) = pivot(q, theta) at the observed statistic q; -inf
+        outside theta_domain."""
+        q = self.statistic.compute(data, state)
+        eq = self.equation_for(data, state)
+        pivot = getattr(eq, "pivot", None)
+        if pivot is None:
+            raise DomainError(
+                f"the equation for '{self.target_param}' has no pivot to give its density")
+        dist = eq.gamma_dist
+        lo, hi = self.theta_domain
+
+        def logpdf(theta: float) -> float:
+            if not lo < theta < hi:
+                return -math.inf
+            g, dg = pivot(q, theta)
+            return log_density(dist, g) + math.log(abs(dg))
+
+        return logpdf
 
     def draw(
         self,

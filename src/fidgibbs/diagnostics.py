@@ -46,11 +46,14 @@ def rhat_of_chains(chains: np.ndarray) -> float:
     Returns NaN when every split has zero internal variance (degenerate,
     e.g. constant chains).  The statistic is bounded below by
     sqrt((L-1)/L) for split length L, reached when all split means agree.
+    The draws are scaled by a power of two first (see _unit_scale), so
+    finite draws near the float limit give a finite result.
     """
     splits = _split_halves(np.asarray(chains, dtype=float))
     length = splits.shape[1]
     if length < 2:
         raise DomainError("split halves need length >= 2")
+    splits, _ = _unit_scale(splits)
     if np.max(splits) == np.min(splits):
         return math.nan
     within = float(np.mean(np.var(splits, axis=1, ddof=1)))
@@ -104,8 +107,11 @@ def _ess_one_chain(x: np.ndarray) -> float:
 
 
 def ess_of_chains(chains: np.ndarray) -> float:
-    """Summed per-chain effective sample size, clipped to [1, total draws]."""
-    chains = np.asarray(chains, dtype=float)
+    """Summed per-chain effective sample size, clipped to [1, total draws].
+
+    Like rhat_of_chains, it works on the draws scaled by a power of two.
+    """
+    chains, _ = _unit_scale(np.asarray(chains, dtype=float))
     if chains.ndim == 1:
         chains = chains[None, :]
     total = sum(_ess_one_chain(row) for row in chains)

@@ -116,7 +116,7 @@ def _validate_init(model: ModelSpec, state: Mapping[str, float], chain: int) -> 
     return out
 
 
-def _run_chain(model: ModelSpec, data: Dataset, conditionals: dict,
+def _run_chain(data: Dataset, conditionals: dict,
                order: Tuple[str, ...], init: Mapping[str, float],
                m: int, seed: int, chain: int) -> Tuple[np.ndarray, Counter]:
     rng = RngStream(seed, chain)
@@ -160,7 +160,7 @@ def run(model: ModelSpec, data: Dataset, config: ChainConfig) -> SampleMatrix:
         raise DomainError(f"model '{model.name}' lacks conditionals for {sorted(missing)}")
     inits = config.init if config.init is not None else model.chain_inits(data, config.chains)
     inits = [_validate_init(model, st, c) for c, st in enumerate(inits)]
-    results = [_run_chain(model, data, conditionals, order, inits[chain],
+    results = [_run_chain(data, conditionals, order, inits[chain],
                           config.m, config.seed, chain)
                for chain in range(config.chains)]
     values = np.stack([v for v, _ in results])

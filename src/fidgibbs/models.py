@@ -2,10 +2,11 @@
 
 Each family provides, per parameter: a fiducial statistic, a structural
 equation (primary random variable plus the map tying the statistic to the
-parameter), and the resulting conditional sampler.  Closed-form families
-also expose the conditional distributions as Dist objects, an analytic
-joint log kernel, and conditional log densities (the compatibility
-checker's oracles); every family ships a forward data simulator.
+parameter), and the resulting conditional sampler.  The equations of the
+closed-form families also give their pivot, from which the sampler reads
+the conditional's log density, and these families ship an analytic joint
+log kernel for the compatibility check; their printed conditionals stay
+public as test oracles.  Every family ships a forward data simulator.
 
 Families: normal, pareto, quadreg, gamma, beta, behrens_fisher,
 bivariate_normal.
@@ -13,7 +14,6 @@ bivariate_normal.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Tuple
@@ -32,7 +32,6 @@ from .randvar import (
     ScaledInvChiSquare,
     StudentT,
     TruncatedNormal,
-    log_density,
 )
 from .specfun import (Bracket, digamma, scipy_special as _sp, solve_cubic_in_interval,
                       solve_monotone, solve_newton, solve_quadratic_positive, trigamma)
@@ -116,9 +115,8 @@ class ModelSpec:
 
     build_conditionals(data) is the one place a dataset is checked: it
     raises DomainError or DegenerateDataError for data the model cannot
-    take, before it binds anything.  conditional_log_density(param, others,
-    data) returns the log density of param's printed conditional at that
-    setting of the others, as a function of param's value.
+    take, before it binds anything.  joint_log_kernel, when given, is the
+    joint that check_model tests the conditionals against.
     """
 
     name: str
@@ -127,8 +125,6 @@ class ModelSpec:
     simulate: Callable[[Mapping[str, float], int, RngStream], Dataset]
     chain_inits: Callable[[Dataset, int], list]
     joint_log_kernel: Optional[Callable[[Mapping[str, float], Dataset], float]] = None
-    conditional_log_density: Optional[
-        Callable[[str, Mapping[str, float], Dataset], Callable[[float], float]]] = None
 
     @property
     def param_labels(self) -> Tuple[str, ...]:
@@ -159,18 +155,12 @@ def _conditional(params: Tuple[ParamSpec, ...], label: str, statistic: FiducialS
                                       theta_domain=(p.lo, p.hi), **options)
 
 
-def _closed_form_cond_logpdf(dist_fn):
-    """conditional_log_density from a printed conditional: the Dist is built
-    once per setting of the others, not once per evaluation."""
-    def cond(param, others, data):
-        return functools.partial(log_density, dist_fn(param, others, data))
-    return cond
-
-
 # Per-draw equations.  Each holds only the constants that depend on the
 # other parameters (plus references to data-only values bound at build
 # time), so making one per draw is cheap; ConditionalFiducialSampler.equation
-# turns one into a validated StructuralEquation when a probe needs it.
+# turns one into a validated StructuralEquation when a probe needs it.  The
+# closed-form ones also give pivot(q, theta): the primary value that maps to
+# theta at statistic q, and its derivative in theta.
 
 class _LocationEquation:
     """q = coef * theta + off + sd * gamma with gamma ~ N(0, 1)."""
@@ -186,6 +176,9 @@ class _LocationEquation:
     def phi(self, g, theta):
         return self.coef * theta + self.off + self.sd * g
 
+    def pivot(self, q, theta):
+        return (q - self.off - self.coef * theta) / self.sd, -self.coef / self.sd
+
 
 class _VarianceEquation:
     """q = theta * gamma / c with gamma ~ chi^2(n)."""
@@ -198,6 +191,10 @@ class _VarianceEquation:
 
     def phi(self, g, theta):
         return theta * g / self.c
+
+    def pivot(self, q, theta):
+        g = self.c * q / theta
+        return g, -g / theta
 
 
 class _RateEquation:
@@ -215,6 +212,10 @@ class _RateEquation:
 
     def phi(self, g, theta):
         return self.scale * g / theta + self.off
+
+    def pivot(self, q, theta):
+        slope = (q - self.off) / self.scale
+        return slope * theta, slope
 
 
 _SCALE_FACTORS = (1.0, 2.25, 0.45, 3.5, 0.3, 1.6, 0.7, 2.8)
@@ -397,15 +398,6 @@ def _normal_samples(name: str, groups: Tuple[Tuple[str, str, str], ...]) -> Mode
             total += -0.5 * (x.size + 2) * math.log(v) - 0.5 * rss / v
         return total
 
-    def conditional_dist(param: str, others: Mapping[str, float], data: Dataset) -> Dist:
-        for column, mu, s2 in groups:
-            x = data.col(column)
-            if param == mu:
-                return normal_conditional_mu(float(np.mean(x)), others[s2], x.size)
-            if param == s2:
-                return normal_conditional_sigma2(others[mu], x)
-        raise DomainError(f"{name} model has no parameter '{param}'")
-
     def chain_inits(data: Dataset, chains: int) -> list:
         base, spreads = {}, {}
         for column, mu, s2 in groups:
@@ -427,7 +419,6 @@ def _normal_samples(name: str, groups: Tuple[Tuple[str, str, str], ...]) -> Mode
         simulate=simulate,
         chain_inits=chain_inits,
         joint_log_kernel=joint_log_kernel,
-        conditional_log_density=_closed_form_cond_logpdf(conditional_dist),
     )
 
 
@@ -482,6 +473,9 @@ class _ParetoBetaEquation:
     def phi(self, g, theta):
         return theta * math.exp(g / self.n_alpha)
 
+    def pivot(self, q, theta):
+        return self.n_alpha * math.log(q / theta), -self.n_alpha / theta
+
 
 def _pareto_build_conditionals(data: Dataset) -> dict:
     x = data.col("x")
@@ -517,17 +511,6 @@ def _pareto_build_conditionals(data: Dataset) -> dict:
             _PARETO_PARAMS, "beta", FiducialStatistic("min_x", lambda d, p: min_x),
             lambda d, p: _ParetoBetaEquation(n * _pos(p["alpha"], "alpha"))),
     }
-
-
-def _pareto_conditional_log_density(param: str, others: Mapping[str, float],
-                                    data: Dataset) -> Callable[[float], float]:
-    x = data.col("x")
-    if param == "alpha":
-        return functools.partial(log_density, pareto_conditional_alpha(others["beta"], x))
-    if param == "beta":
-        alpha = others["alpha"]
-        return lambda v: pareto_conditional_beta_log_density(v, alpha, x)
-    raise DomainError(f"pareto model has no parameter '{param}'")
 
 
 def _pareto_chain_inits(data: Dataset, chains: int) -> list:
@@ -617,36 +600,30 @@ def _quadreg_rss_form(x: np.ndarray, y: np.ndarray) -> Callable[[float, float, f
     return rss
 
 
-def _quadreg_conditional(param: str, theta: Mapping[str, float], x: np.ndarray,
-                         y: np.ndarray) -> Dist:
-    """The printed full conditional of one parameter given the other three
-    in theta: Normal for a coefficient, from its normal equation, and
-    ScaledInvChiSquare(n, RSS / n) for sigma2."""
-    if param == "sigma2":
-        rss = _quadreg_rss(x, y, theta["beta0"], theta["beta1"], theta["beta2"])
-        if rss <= 0.0:
-            raise DegenerateDataError("residual sum of squares is zero")
-        return ScaledInvChiSquare(x.size, rss / x.size)
-    sigma2 = _pos(theta["sigma2"], "sigma2")
-    j = _QUADREG_COEFS.index(param)
-    stat, scale, ((la, ca), (lb, cb)) = _quadreg_normal_equation(j, x, y)
-    if scale <= 0.0:
-        raise DegenerateDataError(f"design is degenerate: sum(x^{2 * j}) is zero")
-    return Normal((stat - theta[la] * ca - theta[lb] * cb) / scale, sigma2 / scale)
-
-
 def quadreg_conditionals(b0: float, b1: float, b2: float, sigma2: float,
                          x: np.ndarray, y: np.ndarray) -> dict:
     """The four printed full conditionals of the quadratic regression model.
 
     Returns {'beta0': Normal, 'beta1': Normal, 'beta2': Normal,
     'sigma2': ScaledInvChiSquare}; each conditions on the supplied values
-    of the other three parameters.
+    of the other three parameters.  A coefficient's Normal comes from its
+    normal equation; sigma2's law is ScaledInvChiSquare(n, RSS / n).
     """
-    theta = {"beta0": b0, "beta1": b1, "beta2": b2, "sigma2": sigma2}
+    coefs = {"beta0": b0, "beta1": b1, "beta2": b2}
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    return {p.label: _quadreg_conditional(p.label, theta, x, y) for p in _QUADREG_PARAMS}
+    sigma2 = _pos(sigma2, "sigma2")
+    out = {}
+    for j, label in enumerate(_QUADREG_COEFS):
+        stat, scale, ((la, ca), (lb, cb)) = _quadreg_normal_equation(j, x, y)
+        if scale <= 0.0:
+            raise DegenerateDataError(f"design is degenerate: sum(x^{2 * j}) is zero")
+        out[label] = Normal((stat - coefs[la] * ca - coefs[lb] * cb) / scale, sigma2 / scale)
+    rss = _quadreg_rss(x, y, b0, b1, b2)
+    if rss <= 0.0:
+        raise DegenerateDataError("residual sum of squares is zero")
+    out["sigma2"] = ScaledInvChiSquare(x.size, rss / x.size)
+    return out
 
 
 def quadreg_joint_log_kernel(b0: float, b1: float, b2: float, sigma2: float,
@@ -1200,7 +1177,6 @@ _MODELS = {
         simulate=_pareto_simulate,
         chain_inits=_pareto_chain_inits,
         joint_log_kernel=_pareto_joint,
-        conditional_log_density=_pareto_conditional_log_density,
     ),
     "quadreg": ModelSpec(
         name="quadreg",
@@ -1209,9 +1185,6 @@ _MODELS = {
         simulate=_quadreg_simulate,
         chain_inits=_quadreg_chain_inits,
         joint_log_kernel=_quadreg_joint,
-        conditional_log_density=_closed_form_cond_logpdf(
-            lambda param, others, data: _quadreg_conditional(param, others, data.col("x"),
-                                                             data.col("y"))),
     ),
     "gamma": ModelSpec(
         name="gamma",

@@ -276,17 +276,16 @@ def log_density(dist: Dist, x: float) -> float:
         sd, pa, pb = _trunc_bounds(dist)
         base = -0.5 * (_LOG_2PI + math.log(dist.var)) - 0.5 * (x - dist.mean) ** 2 / dist.var
         return base - math.log(pb - pa)
-    if isinstance(dist, Gamma):
+    if isinstance(dist, (Gamma, ChiSquare)):
+        # chi^2(df) is Gamma(df / 2, 1 / 2).
+        shape, rate = (dist.df / 2.0, 0.5) if isinstance(dist, ChiSquare) else (dist.shape, dist.rate)
         if x < 0.0:
             return -math.inf
         if x == 0.0:
-            if dist.shape == 1.0:
-                return math.log(dist.rate)
-            return math.inf if dist.shape < 1.0 else -math.inf
-        return (dist.shape * math.log(dist.rate) + (dist.shape - 1.0) * math.log(x)
-                - dist.rate * x - ln_gamma(dist.shape))
-    if isinstance(dist, ChiSquare):
-        return log_density(Gamma(dist.df / 2.0, 0.5), x)
+            if shape == 1.0:
+                return math.log(rate)
+            return math.inf if shape < 1.0 else -math.inf
+        return shape * math.log(rate) + (shape - 1.0) * math.log(x) - rate * x - ln_gamma(shape)
     if isinstance(dist, ScaledInvChiSquare):
         if x <= 0.0:
             return -math.inf

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 
@@ -9,6 +10,7 @@ from fidgibbs.models import (
     normal_conditional_mu,
     normal_conditional_sigma2,
     pareto_conditional_alpha,
+    pareto_conditional_beta_log_density,
     quadreg_conditionals,
 )
 
@@ -30,12 +32,14 @@ FIXTURES = {"normal": "normal_data", "pareto": "pareto_data",
             "quadreg": "quadreg_data", "behrens_fisher": "bf_data"}
 
 
-def _closed_form_ends(name, param, state, data):
-    """0.5% and 99.5% quantiles of the printed conditional of param at state."""
+def _printed_conditional(name, param, state, data):
+    """Log density and 0.5% and 99.5% quantiles of the printed conditional
+    of param at state."""
     x = data.col("x")
     if name == "pareto" and param == "beta":
-        return sorted(float(np.min(x)) * u ** (1.0 / (x.size * state["alpha"]))
+        ends = sorted(float(np.min(x)) * u ** (1.0 / (x.size * state["alpha"]))
                       for u in (0.005, 0.995))
+        return lambda v: pareto_conditional_beta_log_density(v, state["alpha"], x), ends
     if name == "pareto":
         dist = pareto_conditional_alpha(state["beta"], x)
     elif name == "quadreg":
@@ -49,7 +53,8 @@ def _closed_form_ends(name, param, state, data):
             dist = normal_conditional_mu(float(np.mean(col)), state[f"sigma{g}2"], col.size)
         else:
             dist = normal_conditional_sigma2(state[f"mu{g}"], col)
-    return sorted(quantile(dist, u) for u in (0.005, 0.995))
+    return (functools.partial(log_density, dist),
+            sorted(quantile(dist, u) for u in (0.005, 0.995)))
 
 
 class TestCheckModel:
@@ -77,9 +82,56 @@ class TestCheckModel:
             assert [s.others for s in rep.slices] == [
                 {k: v for k, v in st.items() if k != param} for st in starts]
             for s, st in zip(rep.slices, starts):
-                lo, hi = _closed_form_ends(name, param, st, data)
+                _, (lo, hi) = _printed_conditional(name, param, st, data)
                 assert s.grid[0] == pytest.approx(lo, rel=1e-12, abs=0.0), (param, st)
                 assert s.grid[-1] == pytest.approx(hi, rel=1e-12, abs=0.0), (param, st)
+
+    @pytest.mark.parametrize("name", CLOSED_FORM)
+    def test_sampler_density_matches_printed_conditional(self, name, request):
+        # The density check_model uses is read from the equation run draws
+        # from; on the check's own grids it differs from the printed
+        # closed form only by a constant.
+        data = request.getfixturevalue(FIXTURES[name])
+        spec = get_model(name)
+        conditionals = spec.build_conditionals(data)
+        for param, rep in check_model(name, data).items():
+            for s, st in zip(rep.slices, spec.chain_inits(data, 3)):
+                sampler = conditionals[param].log_density(data, s.others)
+                printed, _ = _printed_conditional(name, param, st, data)
+                diffs = [sampler(v) - printed(v) for v in s.grid.tolist()]
+                assert max(diffs) - min(diffs) <= 1e-10, (param, st)
+
+    def test_wrong_equation_is_incompatible(self, normal_data):
+        # A mu equation whose sd is 1% too large: the sampler no longer
+        # draws from a conditional of the joint, and the check must say so.
+        spec = get_model("normal")
+
+        def build_conditionals(data):
+            conditionals = spec.build_conditionals(data)
+            mu = conditionals["mu"]
+
+            def equation_for(d, p):
+                eq = mu.equation_for(d, p)
+                return type(eq)(eq.coef, eq.off, 1.01 * eq.sd)
+
+            conditionals["mu"] = dataclasses.replace(mu, equation_for=equation_for)
+            return conditionals
+
+        wide = dataclasses.replace(spec, build_conditionals=build_conditionals)
+        reports = check_model(wide, normal_data)
+        assert reports["mu"].verdict == "incompatible"
+        assert reports["sigma2"].verdict == "compatible"
+
+    def test_log_density_outside_theta_domain(self, pareto_data):
+        beta = get_model("pareto").build_conditionals(pareto_data)["beta"]
+        logpdf = beta.log_density(pareto_data, {"alpha": 3.0})
+        assert logpdf(0.0) == logpdf(-1.0) == -math.inf
+        assert logpdf(2.0 * float(np.max(pareto_data.col("x")))) == -math.inf
+
+    def test_equation_without_pivot_has_no_density(self, gamma_data):
+        alpha = get_model("gamma").build_conditionals(gamma_data)["alpha"]
+        with pytest.raises(DomainError, match="pivot"):
+            alpha.log_density(gamma_data, {"alpha": 2.0, "beta": 0.5})
 
     @pytest.mark.parametrize("name", ["gamma", "beta", "bivariate_normal"])
     def test_models_without_kernel_refuse(self, name, request):
@@ -136,7 +188,7 @@ class TestRatioConstancy:
         slices = spec.chain_inits(pareto_data, 3)
         others = [{k: v for k, v in s.items() if k != "beta"} for s in slices]
         joint = lambda st: spec.joint_log_kernel(st, pareto_data)
-        cond = lambda o: spec.conditional_log_density("beta", o, pareto_data)
+        cond = lambda o: lambda v: pareto_conditional_beta_log_density(v, o["alpha"], x)
         bad_grid = np.linspace(0.5, 2.0 * float(np.max(x)), 64)
         with pytest.raises(DomainError):
             ratio_constancy("beta", joint, cond, others, bad_grid)

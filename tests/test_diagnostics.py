@@ -100,6 +100,22 @@ class TestEffectiveSampleSize:
         assert effective_sample_size(sm, "p0") > 1.0
 
 
+class TestExtremeScale:
+    def test_finite_draws_near_float_limit_give_finite_values(self):
+        x = np.random.default_rng(4).normal(size=(2, 400)) * 1e300
+        sm = _matrix(x)
+        for value in (rhat_of_chains(x), ess_of_chains(x),
+                      split_rhat(sm, "p0"), effective_sample_size(sm, "p0")):
+            assert math.isfinite(value)
+
+    @pytest.mark.parametrize("power", [900, -900])
+    def test_power_of_two_scaling_is_exact(self, power):
+        x = np.cumsum(np.random.default_rng(8).normal(size=(3, 600)), axis=1)
+        scaled = np.ldexp(x, power)
+        assert rhat_of_chains(scaled) == rhat_of_chains(x)
+        assert ess_of_chains(scaled) == ess_of_chains(x)
+
+
 class TestSummarize:
     def test_constant_samples(self):
         sm = _matrix(np.full((2, 120), 4.2), b=20)
