@@ -80,8 +80,8 @@ class ConditionalFiducialSampler:
     with a fresh gamma: this is the (rare) exclusion of extreme gamma
     values from the primary variable's domain, and every retry is counted
     in the warnings Counter.  An equation that also has pivot(q, theta),
-    returning the primary value that maps to theta and its derivative in
-    theta, gives the conditional's log density (log_density).
+    returning the primary value g that maps to theta and log|dg/dtheta|,
+    gives the conditional's log density (log_density).
     """
 
     target_param: str
@@ -114,8 +114,8 @@ class ConditionalFiducialSampler:
     def log_density(self, data, state: Mapping[str, float]) -> Callable[[float], float]:
         """The log density of this conditional at state, up to a constant in
         theta, as a function of theta: log f_gamma(g) + log|dg/dtheta| for
-        (g, dg/dtheta) = pivot(q, theta) at the observed statistic q; -inf
-        outside theta_domain."""
+        (g, log|dg/dtheta|) = pivot(q, theta) at the observed statistic q;
+        -inf outside theta_domain and where f_gamma(g) is 0."""
         q = self.statistic.compute(data, state)
         eq = self.equation_for(data, state)
         pivot = getattr(eq, "pivot", None)
@@ -128,8 +128,9 @@ class ConditionalFiducialSampler:
         def logpdf(theta: float) -> float:
             if not lo < theta < hi:
                 return -math.inf
-            g, dg = pivot(q, theta)
-            return log_density(dist, g) + math.log(abs(dg))
+            g, log_dg = pivot(q, theta)
+            lp = log_density(dist, g)
+            return lp + log_dg if lp > -math.inf else lp
 
         return logpdf
 

@@ -33,7 +33,7 @@ from .randvar import (
     StudentT,
     TruncatedNormal,
 )
-from .specfun import (Bracket, digamma, scipy_special as _sp, solve_cubic_in_interval,
+from .specfun import (Bracket, digamma, finite_cubic_root, scipy_special as _sp,
                       solve_monotone, solve_newton, solve_quadratic_positive, trigamma)
 
 __all__ = [
@@ -147,6 +147,10 @@ def _pos(v: float, name: str) -> float:
     raise DomainError(f"{name} must be positive and finite, got {v}")
 
 
+def _log_abs(x: float) -> float:
+    return math.log(abs(x)) if x else -math.inf
+
+
 def _conditional(params: Tuple[ParamSpec, ...], label: str, statistic: FiducialStatistic,
                  equation_for, **options) -> ConditionalFiducialSampler:
     """A catalog conditional whose theta_domain is its parameter's domain."""
@@ -159,8 +163,8 @@ def _conditional(params: Tuple[ParamSpec, ...], label: str, statistic: FiducialS
 # other parameters (plus references to data-only values bound at build
 # time), so making one per draw is cheap; ConditionalFiducialSampler.equation
 # turns one into a validated StructuralEquation when a probe needs it.  The
-# closed-form ones also give pivot(q, theta): the primary value that maps to
-# theta at statistic q, and its derivative in theta.
+# closed-form and the shape equations also give pivot(q, theta): the primary
+# value g that maps to theta at statistic q, and log|dg/dtheta|.
 
 class _LocationEquation:
     """q = coef * theta + off + sd * gamma with gamma ~ N(0, 1)."""
@@ -177,7 +181,7 @@ class _LocationEquation:
         return self.coef * theta + self.off + self.sd * g
 
     def pivot(self, q, theta):
-        return (q - self.off - self.coef * theta) / self.sd, -self.coef / self.sd
+        return (q - self.off - self.coef * theta) / self.sd, math.log(abs(self.coef) / self.sd)
 
 
 class _VarianceEquation:
@@ -193,8 +197,7 @@ class _VarianceEquation:
         return theta * g / self.c
 
     def pivot(self, q, theta):
-        g = self.c * q / theta
-        return g, -g / theta
+        return self.c * q / theta, math.log(self.c * q) - 2.0 * math.log(theta)
 
 
 class _RateEquation:
@@ -215,7 +218,7 @@ class _RateEquation:
 
     def pivot(self, q, theta):
         slope = (q - self.off) / self.scale
-        return slope * theta, slope
+        return slope * theta, _log_abs(slope)
 
 
 _SCALE_FACTORS = (1.0, 2.25, 0.45, 3.5, 0.3, 1.6, 0.7, 2.8)
@@ -241,17 +244,22 @@ def _disperse(base: dict, params: Tuple[ParamSpec, ...], spreads: dict, chains: 
 
 
 def _expanding_root(f: Callable[[float], Tuple[float, float]], start: float,
-                    tol: float = 1e-13) -> float:
-    """Root of an increasing f by geometric bracket expansion plus Newton.
+                    tol: float = 1e-13, one_minimum: bool = False) -> float:
+    """Root of f by geometric bracket expansion plus Newton.
 
     f(a) returns (f(a), f'(a)).  The bracket grows from start by factors
-    of 4 until f changes sign; StructuralError is raised when no sign
-    change is found before it hits the floating-point floor/ceiling (the
-    no-solution case).  Inside the bracket a bisection-safeguarded Newton
-    iteration in log a starts from the end with the smaller |f| and stops
-    once a step is at most tol.  Each point is evaluated once; a
-    non-finite value at a bracket end or inside the bracket raises
-    StructuralError.
+    of 4, down while f(start) > 0 and up while f(start) < 0, until f
+    changes sign; StructuralError is raised when no sign change is found
+    before it hits the floating-point floor/ceiling (the no-solution case).
+    Inside the bracket a bisection-safeguarded Newton iteration in log a
+    starts from the end with the smaller |f| and stops once a step is at
+    most tol; it finds the root at the sign change the expansion met.  Each
+    point is evaluated once; a non-finite value at a bracket end or inside
+    the bracket raises StructuralError.  With one_minimum, f is known to
+    fall and then rise, so the downward expansion gives up as soon as f > 0
+    where f falls (f' < 0): f only grows below such a point.  The shape
+    equations use it only outside their certificate, from a start that does
+    not depend on the chain state (_clt_shape_invert).
     """
     def safe(a):
         try:
@@ -270,6 +278,9 @@ def _expanding_root(f: Callable[[float], Tuple[float, float]], start: float,
             flo, dlo = safe(lo)
             if flo <= 0.0:
                 break
+            if one_minimum and dlo < 0.0:
+                raise StructuralError("no lower bracket: below the minimum, target function "
+                                      "stays positive", start=start)
         else:
             raise StructuralError("lower bracket expansion exhausted", start=start)
     if not fhi >= 0.0:
@@ -474,7 +485,7 @@ class _ParetoBetaEquation:
         return theta * math.exp(g / self.n_alpha)
 
     def pivot(self, q, theta):
-        return self.n_alpha * math.log(q / theta), -self.n_alpha / theta
+        return self.n_alpha * math.log(q / theta), math.log(self.n_alpha) - math.log(theta)
 
 
 def _pareto_build_conditionals(data: Dataset) -> dict:
@@ -718,27 +729,151 @@ def _quadreg_joint(theta: Mapping[str, float], data: Dataset) -> float:
 # Gamma model: shape alpha and rate beta
 # ---------------------------------------------------------------------------
 
-def _clt_shape_invert(q_over_n: float, parts_fn, g: float, n: int, start: float) -> float:
-    """Solve offset(a) + g * sqrt(slope(a) / n) = q/n for a > 0 (increasing map).
+# Elementary bounds, valid for every x > 0:
+#   log x - 1/x < psi(x) < log x - 1/(2x),   1/x + 1/(2x^2) < psi'(x) < 1/x + 1/x^2.
+# _psi_bounds applies them at x = a + 1 and carries them to a by the
+# recurrences psi(a) = psi(a + 1) - 1/a and psi'(a) = psi'(a + 1) + 1/a^2, so
+# that the bounds of psi stay within 1/2 of each other as a -> 0.  In floats
+# they hold to rounding (4e-16 relative on a in [1e-12, 1e12]).
+
+def _psi_bounds(a):
+    """Lower and upper bounds of psi(a), then of psi'(a), without a special function."""
+    ia = 1.0 / a
+    ix = 1.0 / (a + 1.0)
+    psi = math.log(a + 1.0) - ia
+    tri = ia * ia + ix
+    return psi - ix, psi - 0.5 * ix, tri + 0.5 * ix * ix, tri + ix * ix
+
+
+def _psi_estimate(a):
+    """(psi(a), psi'(a), psi''(a)) without a special function: the recurrence
+    to a + 2 and the asymptotic series of psi(z + 1/2) at z = a + 3/2, to
+    terms in 1/z^2.  On a in [1e-12, 1e12] psi is within 1.2e-3 of the true
+    value (2e-4 for a >= 1), and psi' within 2e-4 relative."""
+    ia = 1.0 / a
+    ia1 = 1.0 / (a + 1.0)
+    iz = 1.0 / (a + 1.5)
+    iz2 = iz * iz
+    return (-math.log(iz) + iz2 / 24.0 - ia - ia1,
+            ia * ia + ia1 * ia1 + iz - iz * iz2 / 12.0,
+            -2.0 * (ia * ia * ia + ia1 * ia1 * ia1) - iz2 + 0.25 * iz2 * iz2)
+
+
+# The interval of shapes the solvers search; beyond it psi' over- or
+# underflows.
+_SHAPE_MIN, _SHAPE_MAX = 1e-280, 1e280
+_LOG_SHAPE_MIN, _LOG_SHAPE_MAX = math.log(_SHAPE_MIN), math.log(_SHAPE_MAX)
+
+
+def _estimate_steps(estimate, c, g, n, a, steps):
+    """a after the given number of Newton steps in log a on the map
+    offset(a) + g sqrt(slope(a) / n) - c, with the elementary parts of
+    estimate(a) in place of the special functions; each step moves log a by
+    at most 1, and a step stops at a non-positive slope or derivative.  a
+    is first moved into [_SHAPE_MIN, _SHAPE_MAX] (NaN to its lower end)."""
+    a = a if _SHAPE_MIN <= a <= _SHAPE_MAX else _SHAPE_MAX if a > _SHAPE_MAX else _SHAPE_MIN
+    for _ in range(steps):
+        off, s, ds = estimate(a)
+        if not s > 0.0:
+            break
+        r = math.sqrt(s / n)
+        d = a * (s + 0.5 * g * ds / (n * r))
+        if not 0.0 < d < math.inf:
+            break
+        a *= math.exp(max(-1.0, min(1.0, (c - off - g * r) / d)))
+    return a
+
+
+def _clt_shape_invert(c: float, parts_fn, g: float, n: int, start: Optional[float],
+                      bounds_fn=None) -> float:
+    """Solve offset(a) + g * sqrt(slope(a) / n) = c for a > 0.
 
     parts_fn(a) returns (offset, slope, d slope / da) in one shot; since
     offset' = slope, the derivative of the map needs no further call.
+    Inside the certificate the caller passes a start computed from
+    (c, g, n) and the other shape alone, and bounds_fn(a), which returns
+    elementary lower and upper bounds of offset(a) and of slope(a).  The map
+    is then increasing with one root: the first value fixes one end of the
+    bracket at the start, the bounds certify the other without a special
+    function, and Newton in log a runs from the start until the
+    quadratic-convergence bound certifies its last step.  Outside the
+    certificate (start None) _uncertified_root solves it.
+    """
+
+    def in_log(u):
+        a = math.exp(u)
+        off, s, ds = parts_fn(a)
+        if not s > 0.0:
+            raise EvaluationError(f"non-positive variance term at a={a}")
+        r = math.sqrt(s / n)
+        return off + g * r - c, a * (s + 0.5 * g * ds / (n * r))
+
+    try:
+        if start is None:
+            return _uncertified_root(in_log, g * g >= n)
+        u = math.log(start)
+        fu, du = in_log(u)
+        if not math.isfinite(fu):
+            raise EvaluationError(f"non-finite target function value at a={math.exp(u)}")
+        if fu == 0.0:
+            return math.exp(u)
+        lo = hi = u
+        width = max(2.0 * abs(fu) / du if 0.0 < du < math.inf else 0.0, 0.25)
+        g_up = g >= 0.0
+        while True:
+            # f(lo) <= upper bound of the map < 0 < lower bound <= f(hi).
+            if fu < 0.0:
+                hi = u + width
+                if hi > _LOG_SHAPE_MAX:
+                    raise StructuralError("no upper bracket: target function stays negative")
+                off_lo, _, s_lo, s_hi = bounds_fn(math.exp(hi))
+                if off_lo + g * math.sqrt((s_lo if g_up else s_hi) / n) > c:
+                    break
+            else:
+                lo = u - width
+                if lo < _LOG_SHAPE_MIN:
+                    raise StructuralError("no lower bracket: target function stays positive")
+                _, off_hi, s_lo, s_hi = bounds_fn(math.exp(lo))
+                if off_hi + g * math.sqrt((s_hi if g_up else s_lo) / n) < c:
+                    break
+            width *= 2.0
+        return math.exp(solve_newton(in_log, lo, hi, u, fu, du, 1e-13, quadratic=True))
+    except EvaluationError as exc:
+        raise StructuralError(f"root isolation failed: {exc}") from exc
+
+
+def _uncertified_root(in_log, rises_at_zero: bool) -> float:
+    """The shape solve outside the certificate, by _expanding_root from a
+    start that does not depend on the chain state.
+
+    Both shape maps are positive for large a (a beta map when q < 0).
+    When gamma >= sqrt n the map also tends to +inf as a -> 0 and has at
+    most one minimum; the start is then the first of 1, 4, 16, ... at which
+    the map does not decrease, at or above the minimum, so the expansion
+    returns the larger root (the branch continuous with the certified
+    region) or raises StructuralError.  Otherwise (a beta shape with
+    sqrt(n b) <= gamma < sqrt n) the map rises from -inf to one maximum and
+    the start is 1.
     """
 
     def f(a):
-        off, s, ds = parts_fn(a)
-        if s <= 0.0:
-            raise EvaluationError(f"non-positive variance term at a={a}")
-        return (off + g * math.sqrt(s / n) - q_over_n,
-                s + 0.5 * g * ds / math.sqrt(n * s))
+        fa, da = in_log(math.log(a))
+        return fa, da / a
 
-    return _expanding_root(f, start)
+    a = 1.0
+    if rises_at_zero:
+        while not f(a)[1] >= 0.0:
+            a *= 4.0
+            if a > _SHAPE_MAX:
+                raise StructuralError("the map decreases up to the float ceiling: no root")
+    return _expanding_root(f, a, one_minimum=rises_at_zero)
 
 
 # Orders of the Hurwitz zeta for psi' and psi'' (psi''(a) = -2 zeta(3, a)),
 # for one argument and for the arguments [a, a + b, a, a + b].
 _ZETA_ORDERS = np.array([2.0, 3.0])
 _ZETA_ORDERS_PAIR = np.array([2.0, 2.0, 3.0, 3.0])
+_EULER_GAMMA = 0.5772156649015329
 
 
 def _gamma_parts(a):
@@ -747,22 +882,55 @@ def _gamma_parts(a):
     return float(_sp.psi(a)), z2, -2.0 * z3
 
 
+def _clt_pivot(q, n, parts):
+    """(g, log|dg/da|) of g(a) = (q - n offset(a)) / sqrt(n slope(a)), for
+    parts = (offset(a), slope(a), d slope / da): dg/da = -(R + g slope' /
+    (2 slope)) with R = sqrt(n slope)."""
+    off, s, ds = parts
+    root = math.sqrt(n * s)
+    g = (q - n * off) / root
+    return g, _log_abs(root + 0.5 * g * ds / s)
+
+
+def _inverse_digamma_start(y: float) -> float:
+    """An elementary start for psi(a) = y (Minka 2000): exp(y) + 1/2, or
+    -1/(y + Euler's gamma) below y = -2.22."""
+    return math.exp(min(y, 600.0)) + 0.5 if y >= -2.22 else -1.0 / (y + _EULER_GAMMA)
+
+
 class _GammaShapeEquation:
     """The CLT equation for the shape given the rate beta:
     sum(log x) = n (psi(a) - log beta) + gamma * sqrt(n psi'(a)), with gamma
-    standard normal truncated to [-5, 5]; the root search starts at start.
+    standard normal truncated to [-5, 5].  For gamma < sqrt n (the
+    certificate) the map is increasing in a and has exactly one root; the
+    solve starts from a point computed from (q, gamma, beta) alone, so a
+    draw does not depend on the chain state.  pivot(q, a) is the CLT
+    equation solved for gamma.
     """
 
     gamma_dist = _STD_TRUNCNORM
 
-    def __init__(self, n: int, beta: float, start: float):
-        self.n, self.log_beta, self.start = n, math.log(beta), start
+    def __init__(self, n: int, beta: float):
+        self.n, self.log_beta = n, math.log(beta)
 
     def invert(self, q, g):
-        return _clt_shape_invert(q / self.n + self.log_beta, _gamma_parts, g, self.n, self.start)
+        n = self.n
+        c = q / n + self.log_beta
+        if not (g < 0.0 or g * g < n):
+            return _clt_shape_invert(c, _gamma_parts, g, n, None)
+        # Two elementary inverse-digamma steps, the second with the gamma
+        # term at the first, then Newton on the elementary estimate.
+        a = _inverse_digamma_start(c)
+        if g:
+            a = _inverse_digamma_start(c - g * math.sqrt(_psi_estimate(a)[1] / n))
+        a = _estimate_steps(_psi_estimate, c, g, n, a, 1)
+        return _clt_shape_invert(c, _gamma_parts, g, n, a, _psi_bounds)
 
     def phi(self, g, a):
         return self.n * (digamma(a) - self.log_beta) + g * math.sqrt(self.n * trigamma(a))
+
+    def pivot(self, q, a):
+        return _clt_pivot(q + self.n * self.log_beta, self.n, _gamma_parts(a))
 
 
 def _gamma_build_conditionals(data: Dataset) -> dict:
@@ -779,7 +947,7 @@ def _gamma_build_conditionals(data: Dataset) -> dict:
     return {
         "alpha": _conditional(
             _GAMMA_PARAMS, "alpha", FiducialStatistic("sum_log_x", lambda d, p: sum_log),
-            lambda d, p: _GammaShapeEquation(n, p["beta"], p.get("alpha", 1.0)),
+            lambda d, p: _GammaShapeEquation(n, p["beta"]),
             check_at_start=True),
         "beta": _conditional(
             _GAMMA_PARAMS, "beta", FiducialStatistic("sum_x", lambda d, p: sum_x),
@@ -814,31 +982,63 @@ _GAMMA_PARAMS = (
 class _BetaShapeEquation:
     """The CLT equation for one beta shape given the other shape b:
     q = n (psi(a) - psi(a + b)) + gamma * sqrt(n (psi'(a) - psi'(a + b))),
-    with gamma standard normal truncated to [-5, 5].
+    with gamma standard normal truncated to [-5, 5].  For
+    gamma < sqrt(n min(1, b)) (the certificate) the map is increasing in a
+    and has exactly one root, found from a start computed from
+    (q, gamma, b) alone.  pivot(q, a) is the CLT equation solved for gamma.
     """
 
     gamma_dist = _STD_TRUNCNORM
 
-    def __init__(self, n: int, b: float, start: float, scratch):
-        self.n, self.b, self.start, self.scratch = n, b, start, scratch
+    def __init__(self, n: int, b: float, scratch):
+        self.n, self.b, self.scratch = n, b, scratch
+
+    def _parts(self, a):
+        ab = a + self.b
+        buf, zeta_out = self.scratch
+        buf[0] = buf[2] = a
+        buf[1] = buf[3] = ab
+        z2_a, z2_ab, z3_a, z3_ab = _sp.zeta(_ZETA_ORDERS_PAIR, buf, out=zeta_out).tolist()
+        return float(_sp.psi(a)) - float(_sp.psi(ab)), z2_a - z2_ab, -2.0 * (z3_a - z3_ab)
+
+    def _estimate(self, a):
+        off, s, ds = _psi_estimate(a)
+        off_b, s_b, ds_b = _psi_estimate(a + self.b)
+        return off - off_b, s - s_b, ds - ds_b
+
+    def _bounds(self, a):
+        off_lo, off_hi, s_lo, s_hi = _psi_bounds(a)
+        off_b_lo, off_b_hi, s_b_lo, s_b_hi = _psi_bounds(a + self.b)
+        return off_lo - off_b_hi, off_hi - off_b_lo, max(s_lo - s_b_hi, 0.0), s_hi - s_b_lo
 
     def invert(self, q, g):
-        b = self.b
-        buf, zeta_out = self.scratch
-
-        def parts(a):
-            ab = a + b
-            buf[0] = buf[2] = a
-            buf[1] = buf[3] = ab
-            z2_a, z2_ab, z3_a, z3_ab = _sp.zeta(_ZETA_ORDERS_PAIR, buf, out=zeta_out).tolist()
-            return float(_sp.psi(a)) - float(_sp.psi(ab)), z2_a - z2_ab, -2.0 * (z3_a - z3_ab)
-
-        return _clt_shape_invert(q / self.n, parts, g, self.n, self.start)
+        n, b = self.n, self.b
+        c = q / n
+        if not (g < 0.0 or g * g < n * min(1.0, b)):
+            return _clt_shape_invert(c, self._parts, g, n, None)
+        if not c < 0.0:
+            # The map increases towards -c <= 0: no root.
+            raise StructuralError("statistic not negative: no shape solves the equation",
+                                  statistic_value=q)
+        # psi(a) - psi(a + b) is near log((a - 1/2) / (a + b - 1/2)) for
+        # large a and near psi(1) - 1/a - psi(b) for small a: start at the
+        # inverse of the first, or of the second where the first is below
+        # 1, then Newton on the elementary estimate.
+        a = 0.5 + b / math.expm1(min(-c, 700.0))
+        if a < 1.0:
+            small = c + _EULER_GAMMA + _psi_estimate(b)[0]
+            if small < 0.0:
+                a = min(a, -1.0 / small)
+        a = _estimate_steps(self._estimate, c, g, n, a, 2)
+        return _clt_shape_invert(c, self._parts, g, n, a, self._bounds)
 
     def phi(self, g, a):
         n, b = self.n, self.b
         return (n * (digamma(a) - digamma(a + b))
                 + math.sqrt(n) * math.sqrt(trigamma(a) - trigamma(a + b)) * g)
+
+    def pivot(self, q, a):
+        return _clt_pivot(q, self.n, self._parts(a))
 
 
 def _beta_build_conditionals(data: Dataset) -> dict:
@@ -858,11 +1058,11 @@ def _beta_build_conditionals(data: Dataset) -> dict:
     return {
         "alpha": _conditional(
             _BETA_PARAMS, "alpha", FiducialStatistic("sum_log_x", lambda d, p: sum_log),
-            lambda d, p: _BetaShapeEquation(n, p["beta"], p.get("alpha", 1.0), scratch),
+            lambda d, p: _BetaShapeEquation(n, p["beta"], scratch),
             check_at_start=True),
         "beta": _conditional(
             _BETA_PARAMS, "beta", FiducialStatistic("sum_log_1mx", lambda d, p: sum_log1m),
-            lambda d, p: _BetaShapeEquation(n, p["alpha"], p.get("beta", 1.0), scratch),
+            lambda d, p: _BetaShapeEquation(n, p["alpha"], scratch),
             check_at_start=True),
     }
 
@@ -969,12 +1169,11 @@ def _bvn_rho_mle(s: _BvnSuffStats, mu_x, mu_y, sigma_x2, sigma_y2) -> float:
     cxx, cyy, cxy = s.centered(mu_x, mu_y)
     n = s.n
     c = cxy / math.sqrt(sigma_x2 * sigma_y2)
-    coeffs = (-float(n), c, n - cxx / sigma_x2 - cyy / sigma_y2, c)
-    return solve_cubic_in_interval(
-        coeffs,
-        _RHO_MLE_BRACKET,
-        objective=lambda r: _bvn_loglik_core(s, mu_x, mu_y, sigma_x2, sigma_y2, r),
-    )
+    c1 = n - cxx / sigma_x2 - cyy / sigma_y2
+    if not (math.isfinite(c) and math.isfinite(c1)):
+        raise DomainError(f"cubic coefficients must be finite, got {[-float(n), c, c1, c]}")
+    return finite_cubic_root((-float(n), c, c1, c), _RHO_MLE_BRACKET,
+                             _bvn_loglik_core, s, mu_x, mu_y, sigma_x2, sigma_y2)
 
 
 def bvn_log_likelihood(mu_x: float, mu_y: float, sigma_x2: float, sigma_y2: float, rho: float,

@@ -56,6 +56,11 @@ def _lazy_module(name: str):
 
 scipy_special = _lazy_module("scipy.special")
 
+# The largest Newton step that solve_newton(quadratic=True) certifies
+# without evaluating its end: the error that the quadratic bound leaves out
+# is of third order in the step, below 1e-15 where f'''/f' is of order one.
+QUADRATIC_STEP = 1e-5
+
 
 @dataclass(frozen=True)
 class Bracket:
@@ -147,6 +152,7 @@ def solve_newton(
     fx: float,
     dx: float,
     tol: float,
+    quadratic: bool = False,
 ) -> float:
     """Root of an increasing f in [lo, hi] by Newton steps safeguarded by bisection.
 
@@ -156,21 +162,30 @@ def solve_newton(
     step stays inside the bracket and is at most half the step before last;
     otherwise the bracket is bisected.  Each new point replaces the bracket
     end of its sign.  Returns once a step is at most tol, after taking it
-    (clipped into the bracket).  Raises EvaluationError when f is
+    (clipped into the bracket).  With quadratic, it also returns the end of
+    a Newton step without evaluating f there once the quadratic-convergence
+    bound certifies that end: the step is at most QUADRATIC_STEP and
+    |f''/f'| / 2 * step^2 <= tol, with |f''/f'| estimated from the
+    derivatives at the last two points.  Raises EvaluationError when f is
     non-finite at a new point.
     """
     last = before_last = 2.0 * (hi - lo)
+    px = pdx = None
     for _ in range(200):
         step = fx / dx if 0.0 < dx < math.inf else math.inf
         new = x - step
         if abs(step) <= tol:
             return min(max(new, lo), hi)
+        if (quadratic and pdx is not None and abs(step) <= QUADRATIC_STEP and lo < new < hi
+                and abs(dx - pdx) * step * step <= 2.0 * tol * dx * abs(x - px)):
+            return new
         if not (lo < new < hi and abs(step) <= 0.5 * before_last):
             step = 0.5 * (hi - lo)
             new = lo + step
             if step <= tol:
                 return new
         before_last, last = last, abs(step)
+        px, pdx = x, dx
         fx, dx = fdf(new)
         if not math.isfinite(fx):
             raise EvaluationError(f"non-finite target function value at x={new}")
@@ -298,20 +313,35 @@ def solve_cubic_in_interval(
     if coeffs[0] == 0.0 and coeffs[1] == 0.0 and coeffs[2] == 0.0:
         raise DegenerateDataError("cubic has no variable terms")
 
-    real = _real_cubic_roots(coeffs)
+    return finite_cubic_root(tuple(coeffs), interval, objective)
+
+
+def finite_cubic_root(coeffs: Tuple[float, float, float, float], interval: Bracket,
+                      objective: Optional[Callable[..., float]] = None, *args) -> float:
+    """solve_cubic_in_interval for coefficients already known to be finite
+    floats with a variable term, checked by the caller.
+
+    It builds no list unless several roots lie inside; then the one that
+    maximizes objective(*args, root) is returned.
+    """
+    lo, hi = interval.lo, interval.hi
     # Tolerate roundoff that pushes a boundary-hugging root just outside.
-    pad = 1e-12 * max(1.0, interval.width)
-    inside = [min(max(r, interval.lo), interval.hi)
-              for r in real if interval.lo - pad < r < interval.hi + pad]
-    if not inside:
-        raise DegenerateDataError(
-            f"cubic {coeffs} has no real root in ({interval.lo}, {interval.hi})"
-        )
-    if len(inside) == 1:
-        return inside[0]
+    pad = 1e-12 * max(1.0, hi - lo)
+    real = _real_cubic_roots(coeffs)
+    found = None
+    several = False
+    for r in real:
+        if lo - pad < r < hi + pad:
+            several = found is not None
+            found = min(max(r, lo), hi)
+    if found is None:
+        raise DegenerateDataError(f"cubic {list(coeffs)} has no real root in ({lo}, {hi})")
+    if not several:
+        return found
+    inside = [min(max(r, lo), hi) for r in real if lo - pad < r < hi + pad]
     if objective is None:
         raise DomainError(
             f"cubic has {len(inside)} roots in the interval; an objective is "
             "required to select one"
         )
-    return max(inside, key=objective)
+    return max(inside, key=(lambda r: objective(*args, r)) if args else objective)

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from fidgibbs import DomainError, Normal, check_model, get_model, log_density, quantile, ratio_constancy
+from fidgibbs import (DomainError, Normal, RngStream, check_model, get_model, log_density, quantile,
+                      ratio_constancy, simulate_dataset)
 from fidgibbs.models import (
     normal_conditional_mu,
     normal_conditional_sigma2,
@@ -128,10 +129,20 @@ class TestCheckModel:
         assert logpdf(0.0) == logpdf(-1.0) == -math.inf
         assert logpdf(2.0 * float(np.max(pareto_data.col("x")))) == -math.inf
 
-    def test_equation_without_pivot_has_no_density(self, gamma_data):
-        alpha = get_model("gamma").build_conditionals(gamma_data)["alpha"]
+    @pytest.mark.parametrize("theta", [1e-300, 1e-320, 1e200])
+    def test_log_density_at_extreme_theta(self, theta):
+        # dg/dtheta of the variance pivot over- or underflows here; its log
+        # does not, so the density is finite, or -inf where g overflows.
+        data = simulate_dataset("normal", {"mu": 1.0, "sigma2": 4.0}, 40, RngStream(106, 0))
+        sigma2 = get_model("normal").build_conditionals(data)["sigma2"]
+        value = sigma2.log_density(data, {"mu": 1.0})(theta)
+        assert math.isfinite(value) or value == -math.inf
+
+    def test_equation_without_pivot_has_no_density(self, bvn_data):
+        rho = get_model("bivariate_normal").build_conditionals(bvn_data)["rho"]
+        state = {"mu_x": 0.0, "mu_y": 0.0, "sigma_x2": 1.0, "sigma_y2": 1.0, "rho": 0.2}
         with pytest.raises(DomainError, match="pivot"):
-            alpha.log_density(gamma_data, {"alpha": 2.0, "beta": 0.5})
+            rho.log_density(bvn_data, state)
 
     @pytest.mark.parametrize("name", ["gamma", "beta", "bivariate_normal"])
     def test_models_without_kernel_refuse(self, name, request):

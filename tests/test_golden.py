@@ -33,11 +33,11 @@ GOLDEN = {
     # exercises the injectivity-grid and redraw counters.
     "gamma": (
         ["--model", "gamma", "--simulate", "alpha=2,beta=0.5,n=5"],
-        "c742b3a929e8f6f07a4fd11ba83b00ccac7760ab9a1ec6f5c1884ae5061a6e6c",
-        {"alpha.injectivity_grid_failures": 13, "alpha.gamma_redraw": 24}),
+        "09d8bc58f5240a8004d1a7603f367b74a3d1daadcea0192c689d48cdb3452ae4",
+        {"alpha.injectivity_grid_failures": 12, "alpha.gamma_redraw": 24}),
     "beta": (
         ["--model", "beta", "--simulate", "alpha=8,beta=3,n=50"],
-        "3245b175b337dc3e9727eded2b543318ebf292d0f34f6a69aa3daadcd21534c9", {}),
+        "81cfd10b4c963fbfe944344d0145232b3e6499ea61b8891d28552e12c21c644b", {}),
     "behrens_fisher": (
         ["--model", "behrens_fisher", "--simulate", "mu_x=1,mu_y=0.5,sigma_x2=4,sigma_y2=1,n=8"],
         "421663b16515362334c7affdb45a715c7d7613318d65606066951b15d941018b", {}),
@@ -49,7 +49,7 @@ GOLDEN = {
         {"sigma_x2.gamma_redraw": 3, "sigma_y2.gamma_redraw": 2}),
     "beta_scan_order": (
         ["--model", "beta", "--simulate", "alpha=8,beta=3,n=50", "--scan-order", "beta,alpha"],
-        "bc324b4b6f2738007529ebcd4afd011604d0081b47711a925c66d07a55965632", {}),
+        "2722a39326b6d5dcc69dc8ebb0cf2c21b1f72b84388ab27fe03e365ba81a233e", {}),
     "pareto_init": (
         ["--model", "pareto", "--simulate", "alpha=3,beta=2,n=15", "--init", "alpha=1,beta=1.5"],
         "7384008984c68194d9b8819d072bb6db63ae5f79e582f839008b7460e3ccd2b0", {}),

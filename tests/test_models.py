@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
 import fidgibbs.models as M
@@ -468,43 +470,28 @@ class TestExpandingRoot:
             M._expanding_root(f, 2.0)
 
 
-def _brent_expanding_root(f, start):
-    """The Brent inversion the Newton one replaced, as a reference: the same
-    geometric expansion, then solve_monotone on the bracket it found.  Its
-    tolerance is relative to the bracket so that tiny roots are compared at
-    full precision."""
+def _brent_shape_root(f):
+    """The reference root of a shape map f(a), independent of the solver: the
+    largest upward sign change of f on a log grid of factor 1.25 over
+    [1e-30, 1e30], refined by Brent on that grid interval (a bracket that
+    holds the root).  Its tolerance is relative to the bracket so that tiny
+    roots are compared at full precision.  The root is None when there is no
+    such sign change; the grid points where f <= 0 are returned too."""
     def safe(a):
         try:
             return f(a)
         except EvaluationError:
             return math.nan
 
-    lo = hi = max(start, 1e-8)
-    flo = fhi = safe(lo)
-    if not flo <= 0.0:
-        while True:
-            hi, fhi = lo, flo
-            lo *= 0.25
-            if lo < 1e-280:
-                raise StructuralError("no lower bracket")
-            flo = safe(lo)
-            if flo <= 0.0:
-                break
-    if not fhi >= 0.0:
-        while True:
-            lo, flo = hi, fhi
-            hi *= 4.0
-            if hi > 1e280:
-                raise StructuralError("no upper bracket")
-            fhi = safe(hi)
-            if fhi >= 0.0:
-                break
-    known = {lo: flo, hi: fhi}
-    try:
-        return solve_monotone(lambda a: known[a] if a in known else f(a), 0.0,
-                              Bracket(lo, hi), tol=1e-13 * lo)
-    except (BracketError, EvaluationError) as exc:
-        raise StructuralError(f"root isolation failed: {exc}") from exc
+    grid = np.exp(np.arange(math.log(1e-30), math.log(1e30), math.log(1.25))).tolist()
+    values = [safe(a) for a in grid]
+    negative = [a for a, v in zip(grid, values) if v <= 0.0]
+    ups = [(lo, hi) for lo, hi, flo, fhi in zip(grid, grid[1:], values, values[1:])
+           if flo <= 0.0 < fhi]
+    if not ups:
+        return None, negative
+    lo, hi = ups[-1]
+    return solve_monotone(f, 0.0, Bracket(lo, hi), tol=1e-13 * lo), negative
 
 
 # Datasets on which the shape equations are hard: gamma with n=5 leaves
@@ -523,27 +510,34 @@ class TestNewtonInversion:
     @pytest.mark.parametrize("panel", sorted(SHAPE_PANELS))
     def test_shape_newton_agrees_with_brent(self, panel, monkeypatch):
         # Every shape solve of the catalog equations on perturbed states is
-        # checked against Brent on the same bracket: same raise/no-raise
-        # outcome, roots within 1e-10 relative.
+        # checked against Brent on a grid bracket that holds the root: a
+        # returned root is the largest root within 1e-10 relative.  A solve
+        # that raises is outside the certificate, and there the map has no
+        # root on the grid or its negative dip is narrower than the factor 4
+        # that the bracket expansion steps by.
         model, make = SHAPE_PANELS[panel]
-        newton = M._expanding_root
+        solve = M._clt_shape_invert
         outcomes = []
 
-        def both(f, start):
+        def both(c, parts_fn, g, n, start, *args):
             try:
-                got = newton(f, start)
+                got = solve(c, parts_fn, g, n, start, *args)
             except StructuralError:
                 got = None
-            try:
-                want = _brent_expanding_root(lambda a: f(a)[0], start)
-            except StructuralError:
-                want = None
-            outcomes.append((got, want))
+
+            def f(a):
+                off, s, _ = parts_fn(a)
+                if not s > 0.0:
+                    raise EvaluationError("non-positive variance term")
+                return off + g * math.sqrt(s / n) - c
+
+            want, negative = _brent_shape_root(f)
+            outcomes.append((got, want, negative, start is not None))
             if got is None:
                 raise StructuralError("no root")
             return got
 
-        monkeypatch.setattr(M, "_expanding_root", both)
+        monkeypatch.setattr(M, "_clt_shape_invert", both)
         gen = np.random.default_rng(7)
         spec = get_model(model)
         for _ in range(4):
@@ -560,34 +554,37 @@ class TestNewtonInversion:
                 except StructuralError:
                     pass
         assert len(outcomes) == 400
-        for got, want in outcomes:
-            assert (got is None) == (want is None)
+        for got, want, negative, certified in outcomes:
             if got is not None:
                 assert got == pytest.approx(want, rel=1e-10)
+            else:
+                assert not certified
+                assert not negative or max(negative) < 4.0 * min(negative)
         if panel == "gamma_n5":
-            assert any(got is None for got, _ in outcomes)
+            assert any(got is None for got, *_ in outcomes)
 
     @pytest.mark.parametrize("model,theta,n", [
         ("gamma", {"alpha": 2.0, "beta": 0.5}, 20),
         ("beta", {"alpha": 8.0, "beta": 3.0}, 50),
     ])
     def test_shape_solve_evaluations(self, model, theta, n, monkeypatch):
-        # Brent needed 8.2 (gamma) and 8.6 (beta) evaluations per solve here.
+        # Brent needed 8.2 (gamma) and 8.6 (beta) evaluations per solve here,
+        # the Newton solve from the chain state 5.8 and 5.6.
         clt = M._clt_shape_invert
         counts = {"solves": 0, "evaluations": 0}
 
-        def counting(q_over_n, parts_fn, g, n_, start):
+        def counting(c, parts_fn, *args):
             def parts(a):
                 counts["evaluations"] += 1
                 return parts_fn(a)
             counts["solves"] += 1
-            return clt(q_over_n, parts, g, n_, start)
+            return clt(c, parts, *args)
 
         monkeypatch.setattr(M, "_clt_shape_invert", counting)
         data = simulate_dataset(model, theta, n, RngStream(1, 2**32))
         run(get_model(model), data, ChainConfig(m=1500, b=100, chains=2, seed=2018))
         assert counts["solves"] > 3000
-        assert counts["evaluations"] / counts["solves"] <= 7.0
+        assert counts["evaluations"] / counts["solves"] <= 3.5
 
     def test_rho_newton_agrees_with_brent(self, monkeypatch):
         calls = []
@@ -641,7 +638,8 @@ class TestNewtonInversion:
 
     def test_extreme_shapes_raise_no_warnings(self):
         # Far-out statistics and states drive psi'' to overflow; a non-finite
-        # derivative bisects quietly (RuntimeWarnings fail the suite).
+        # derivative bisects quietly (RuntimeWarnings fail the suite).  gamma
+        # 0.5 is inside both certificates, 2.0 outside them at n = 4.
         data = Dataset({"x": np.array([0.2, 0.5, 0.7, 0.9])})
         for model in ("gamma", "beta"):
             cond = _catalog(model, data, "alpha")
@@ -649,11 +647,97 @@ class TestNewtonInversion:
                 for other in (1e-200, 1.0, 1e200):
                     for start in (1e-300, 1.0, 1e300):
                         eq = cond.equation_for(data, {"alpha": start, "beta": other})
-                        try:
-                            a = eq.invert(q, 2.0)
-                        except StructuralError:
-                            continue
-                        assert 0.0 < a < math.inf
+                        for g in (0.5, 2.0):
+                            try:
+                                a = eq.invert(q, g)
+                            except StructuralError:
+                                continue
+                            assert 0.0 < a < math.inf
+
+
+def _shape_conditional(model, n, seed, label="alpha"):
+    theta = {"alpha": 2.0, "beta": 0.5} if model == "gamma" else {"alpha": 8.0, "beta": 3.0}
+    data = simulate_dataset(model, theta, n, RngStream(seed, 0))
+    return data, _catalog(model, data, label)
+
+
+def _certificate(model, n, other):
+    """The gamma below which the shape map is increasing with one root."""
+    return math.sqrt(n) if model == "gamma" else math.sqrt(n * min(1.0, other))
+
+
+class TestShapePivots:
+    @pytest.mark.parametrize("model,n,other", [("gamma", 20, 0.5), ("gamma", 5, 0.5),
+                                               ("beta", 50, 3.0), ("beta", 25, 0.4)])
+    def test_pivot_inverts_invert(self, model, n, other):
+        # pivot(q, invert(q, g)) gives g back, and log|dg/da| matches a
+        # central difference of g.
+        data, cond = _shape_conditional(model, n, 61)
+        eq = cond.equation_for(data, {"alpha": 1.0, "beta": other})
+        q = cond.statistic.compute(data, {"beta": other})
+        solved = 0
+        for g in np.linspace(-5.0, 5.0, 41).tolist():
+            try:
+                a = eq.invert(q, g)
+            except StructuralError:
+                continue
+            solved += 1
+            back, log_dg = eq.pivot(q, a)
+            assert back == pytest.approx(g, abs=1e-9)
+            h = 1e-6 * a
+            slope = (eq.pivot(q, a + h)[0] - eq.pivot(q, a - h)[0]) / (2.0 * h)
+            assert log_dg == pytest.approx(math.log(abs(slope)), abs=1e-5)
+        assert solved >= 25
+
+    @pytest.mark.parametrize("model,n,other,seed", [("gamma", 20, 0.5, 62), ("beta", 50, 3.0, 63)])
+    def test_draws_follow_the_pivot_law(self, model, n, other, seed):
+        # The independent oracle: a draw a has g(a) = pivot(q, a) with the
+        # primary's law given acceptance.  a decreases in g on the branch
+        # the solver returns, and every g up to min(5, max g(a)) is
+        # accepted, so P(A <= a) = (Phi(top) - Phi(g(a))) / (Phi(top) - Phi(-5)).
+        data, cond = _shape_conditional(model, n, seed)
+        state = {"alpha": 1.0, "beta": other}
+        eq = cond.equation_for(data, state)
+        q = cond.statistic.compute(data, state)
+        grid = np.exp(np.linspace(math.log(1e-4), math.log(1e4), 4001)).tolist()
+        top = min(5.0, max(eq.pivot(q, a)[0] for a in grid))
+        norm = stats.norm.cdf(top) - stats.norm.cdf(-5.0)
+
+        def cdf(values):
+            g = np.clip([eq.pivot(q, a)[0] for a in values], -5.0, top)
+            return (stats.norm.cdf(top) - stats.norm.cdf(g)) / norm
+
+        rng = RngStream(seed, 0)
+        draws = [cond.draw(data, state, rng) for _ in range(20_000)]
+        assert stats.kstest(draws, cdf).pvalue > 1e-3
+
+    @pytest.mark.parametrize("model,region", [("gamma", "inside"), ("gamma", "outside"),
+                                              ("beta", "inside"), ("beta", "outside")])
+    @given(u=st.floats(0.0, 1.0), log_other=st.floats(-3.0, 3.0),
+           log_states=st.tuples(st.floats(-30.0, 30.0), st.floats(-30.0, 30.0)),
+           shift=st.floats(-1.0, 1.0))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_solve_does_not_read_the_state(self, model, region, u, log_other, log_states, shift):
+        # The same (q, gamma, other shape) gives the same root, or the same
+        # raise, from any value of the shape being drawn.
+        n = 5 if model == "gamma" else 10
+        data, cond = _shape_conditional(model, n, 64)
+        other = math.exp(log_other)
+        q = cond.statistic.compute(data, {"beta": other}) * (1.0 + 0.5 * shift)
+        lim = min(_certificate(model, n, other), 5.0)
+        if region == "inside":
+            g = -5.0 + u * (lim + 5.0) * (1.0 - 1e-9)
+        else:
+            assume(lim < 5.0)
+            g = lim + u * (5.0 - lim)
+        outcomes = set()
+        for log_state in log_states:
+            eq = cond.equation_for(data, {"alpha": math.exp(log_state), "beta": other})
+            try:
+                outcomes.add(eq.invert(q, g))
+            except StructuralError as exc:
+                outcomes.add(str(exc))
+        assert len(outcomes) == 1
 
 
 # Data no model can take: too few observations, values outside the support,
