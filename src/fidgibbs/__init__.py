@@ -18,7 +18,6 @@ from .core import (
 )
 from .diagnostics import DiagnosticsReport, effective_sample_size, split_rhat, summarize
 from .errors import (
-    BracketError,
     DegenerateDataError,
     DomainError,
     EvaluationError,
@@ -45,7 +44,6 @@ from .specfun import (
     digamma,
     ln_gamma,
     solve_cubic_in_interval,
-    solve_monotone,
     solve_quadratic_positive,
     trigamma,
 )
@@ -53,7 +51,6 @@ from .specfun import (
 __all__ = [
     "__version__",
     "Bracket",
-    "BracketError",
     "ChainConfig",
     "ChiSquare",
     "CompatReport",
@@ -93,7 +90,6 @@ __all__ = [
     "sample",
     "simulate_dataset",
     "solve_cubic_in_interval",
-    "solve_monotone",
     "solve_quadratic_positive",
     "split_rhat",
     "summarize",

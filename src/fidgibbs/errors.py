@@ -13,10 +13,6 @@ class DegenerateDataError(FidgibbsError, ValueError):
     """The data admit no valid estimate (zero spread, empty support, ...)."""
 
 
-class BracketError(FidgibbsError, ValueError):
-    """A root bracket does not enclose a sign change of the target function."""
-
-
 class EvaluationError(FidgibbsError, ArithmeticError):
     """A target function produced a non-finite value during solving."""
 

@@ -2,11 +2,11 @@
 
 Each family provides, per parameter: a fiducial statistic, a structural
 equation (primary random variable plus the map tying the statistic to the
-parameter), and the resulting conditional sampler.  The equations of the
-closed-form families also give their pivot, from which the sampler reads
-the conditional's log density, and these families ship an analytic joint
-log kernel for the compatibility check; their printed conditionals stay
-public as test oracles.  Every family ships a forward data simulator.
+parameter), and the resulting conditional sampler.  Every equation also
+gives its pivot, from which the sampler reads the conditional's log
+density.  The closed-form families ship an analytic joint log kernel for
+the compatibility check; their printed conditionals stay public as test
+oracles.  Every family ships a forward data simulator.
 
 Families: normal, pareto, quadreg, gamma, beta, behrens_fisher,
 bivariate_normal.
@@ -21,7 +21,7 @@ from typing import Callable, Mapping, Optional, Tuple
 import numpy as np
 
 from .core import ConditionalFiducialSampler, FiducialStatistic
-from .errors import BracketError, DegenerateDataError, DomainError, EvaluationError, StructuralError
+from .errors import DegenerateDataError, DomainError, EvaluationError, StructuralError
 from .randvar import (
     ChiSquare,
     Dist,
@@ -34,7 +34,7 @@ from .randvar import (
     TruncatedNormal,
 )
 from .specfun import (Bracket, digamma, finite_cubic_root, scipy_special as _sp,
-                      solve_monotone, solve_newton, solve_quadratic_positive, trigamma)
+                      solve_newton, trigamma)
 
 __all__ = [
     "Dataset",
@@ -162,9 +162,9 @@ def _conditional(params: Tuple[ParamSpec, ...], label: str, statistic: FiducialS
 # Per-draw equations.  Each holds only the constants that depend on the
 # other parameters (plus references to data-only values bound at build
 # time), so making one per draw is cheap; ConditionalFiducialSampler.equation
-# turns one into a validated StructuralEquation when a probe needs it.  The
-# closed-form and the shape equations also give pivot(q, theta): the primary
-# value g that maps to theta at statistic q, and log|dg/dtheta|.
+# turns one into a validated StructuralEquation when a probe needs it.  Every
+# equation also gives pivot(q, theta): the primary value g that maps to
+# theta at statistic q, and log|dg/dtheta|.
 
 class _LocationEquation:
     """q = coef * theta + off + sd * gamma with gamma ~ N(0, 1)."""
@@ -1151,12 +1151,29 @@ def _bvn_loglik_core(s: _BvnSuffStats, mu_x, mu_y, sigma_x2, sigma_y2, rho) -> f
 
 def _bvn_sigma_mle(s: _BvnSuffStats, mu_x, mu_y, sigma_y2, rho) -> float:
     # Stationarity of the likelihood in sigma_x:
-    # n(1 - rho^2) t^2 + (rho Cxy / sigma_y) t - Cxx = 0 for t = sigma_x.
+    # a t^2 + b t + c = 0 for t = sigma_x, with a = n(1 - rho^2) > 0 and
+    # c = -Cxx < 0, so the roots have opposite signs.  The positive one is
+    # taken in the stable form and polished by two Newton steps, the
+    # arithmetic of specfun.solve_quadratic_positive.
     cxx, _, cxy = s.centered(mu_x, mu_y)
     if cxx <= 0.0:
         raise DegenerateDataError("x observations all equal mu_x")
-    t = solve_quadratic_positive(s.n * (1.0 - rho * rho),
-                                 rho * cxy / math.sqrt(sigma_y2), -cxx)
+    a = s.n * (1.0 - rho * rho)
+    b = rho * cxy / math.sqrt(sigma_y2)
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(cxx)):
+        raise DomainError(f"quadratic coefficients must be finite, got {a}, {b}, {-cxx}")
+    if not a > 0.0:
+        raise DomainError(f"the sigma statistic needs |rho| < 1, got rho = {rho}")
+    sq = math.sqrt(b * b + 4.0 * a * cxx)
+    t = cxx / (0.5 * (b + sq)) if b > 0.0 else 0.5 * (sq - b) / a
+    if not t > 0.0:
+        raise DegenerateDataError(f"quadratic {a}t^2 + {b}t + {-cxx} has no positive root")
+    for _ in range(2):
+        deriv = 2.0 * a * t + b
+        if deriv != 0.0:
+            t -= (a * t * t + b * t - cxx) / deriv
+    if t <= 0.0:
+        raise DegenerateDataError("positive root collapsed to zero after polishing")
     return t
 
 
@@ -1212,6 +1229,10 @@ class _BvnSigmaEquation:
     def phi(self, g, s2):
         return math.sqrt(s2) * (1.0 + g * self.c0)
 
+    def pivot(self, q, s2):
+        return ((q / math.sqrt(s2) - 1.0) / self.c0,
+                _log_abs(0.5 * q / self.c0) - 1.5 * math.log(s2))
+
     @property
     def gamma_domain(self):
         c0 = self.c0
@@ -1224,9 +1245,17 @@ class _BvnRhoEquation:
 
     d phi / d rho = 1 - (gamma / sqrt(n)) rho (3 + rho^2) / (1 + rho^2)^(3/2),
     and the factor rho (3 + rho^2) / (1 + rho^2)^(3/2) is increasing on
-    [-1, 1] with maximum sqrt(2).  So for |gamma| < sqrt(n / 2) phi is
-    strictly increasing, its root is unique and Newton finds it; otherwise
-    Brent chooses among the roots.
+    [-1, 1] with maximum sqrt(2), so phi has at most one interior extremum
+    and phi(gamma, -1) = -1, phi(gamma, 1) = 1.  For |gamma| < sqrt(n / 2)
+    phi is strictly increasing.  For gamma > sqrt(n / 2) it rises from -1
+    to a maximum above 1 and falls to 1; for gamma < -sqrt(n / 2) it falls
+    to a minimum below -1 and rises to 1.  Either way a statistic q in
+    (-1, 1) is crossed exactly once, with phi below q before the crossing
+    and above it after, so the sign-based bracket of the safeguarded Newton
+    iteration stays valid where phi is not monotone, and that one solve
+    serves every gamma.  Equivalently, the pivot
+    g(r) = (q - r) sqrt(n) sqrt(1 + r^2) / (1 - r^2) is a strictly
+    decreasing bijection from (-1, 1) onto the real line.
     """
 
     gamma_dist = _STD_TRUNCNORM
@@ -1234,34 +1263,35 @@ class _BvnRhoEquation:
 
     def __init__(self, n: int):
         self.sqrt_n = math.sqrt(n)
-        self.half_n = 0.5 * n
 
     def phi(self, g, r):
         return r + (1.0 - r * r) * g / (self.sqrt_n * math.sqrt(1.0 + r * r))
 
     def invert(self, q, g):
         lo, hi = self.bracket.lo, self.bracket.hi
-        try:
-            if g * g < self.half_n and self.phi(g, lo) < q < self.phi(g, hi):
-                return self._newton(q, g)
-            # Several roots, a root at a bracket end or none: Brent decides.
-            return solve_monotone(lambda r: self.phi(g, r), q, self.bracket, tol=1e-13)
-        except (BracketError, EvaluationError) as exc:
-            raise StructuralError(f"no correlation solves the equation: {exc}",
-                                  statistic_value=q, gamma=g) from exc
-
-    def _newton(self, q, g):
-        k = g / self.sqrt_n
+        f_lo, f_hi = self.phi(g, lo) - q, self.phi(g, hi) - q
+        if not f_lo < 0.0 < f_hi:
+            raise StructuralError(
+                f"no correlation solves the equation: no sign change on [{lo}, {hi}]: "
+                f"phi - q = {f_lo:.6g} and {f_hi:.6g}", statistic_value=q, gamma=g)
+        sqrt_n = self.sqrt_n
+        k = g / sqrt_n
 
         def fdf(r):
             r2 = 1.0 + r * r
             root = math.sqrt(r2)
-            return (r + (1.0 - r * r) * g / (self.sqrt_n * root) - q,
+            return (r + (1.0 - r * r) * g / (sqrt_n * root) - q,
                     1.0 - k * r * (2.0 + r2) / (r2 * root))
 
-        lo, hi = self.bracket.lo, self.bracket.hi
         r = min(max(q, lo), hi)
-        return solve_newton(fdf, lo, hi, r, *fdf(r), tol=1e-13)
+        return solve_newton(fdf, lo, hi, r, *fdf(r), tol=1e-13, quadratic=True)
+
+    def pivot(self, q, r):
+        u, v2, w = q - r, 1.0 + r * r, 1.0 - r * r
+        v = math.sqrt(v2)
+        # d/dr [u v / w] = (u r (3 + r^2) - w v^2) / (v w^2).
+        return (self.sqrt_n * u * v / w,
+                _log_abs(self.sqrt_n * (u * r * (2.0 + v2) - w * v2) / (v * w * w)))
 
 
 def _bvn_mean_equation(n: int, var: float, other_var: float, rho: float,

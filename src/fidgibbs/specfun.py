@@ -6,12 +6,12 @@ and the Hurwitz zeta, via ``trigamma(x) == zeta(2, x)``) and keep the
 accuracy contracts pinned by tests against an independent high-precision
 oracle.  ``scipy_special`` is that module, executed on its first attribute
 access, so that importing fidgibbs does not import scipy.special.  Root
-finding has two forms: a bracketing bisection/secant hybrid (Brent, from
-scipy.optimize, imported on the first call) for any monotone function, and
-a Newton iteration safeguarded by bisection for increasing functions whose
-derivative is cheap (the shape equations, whose derivatives come from
-``zeta(2, a)`` and ``zeta(3, a)``, and the correlation equation).  Bracket
-validation and residual checks are done here.
+finding is one Newton iteration safeguarded by bisection, for a function
+that crosses zero once from below inside a given bracket and whose
+derivative is cheap: the shape equations, whose derivatives come from
+``zeta(2, a)`` and ``zeta(3, a)``, and the correlation equation.  The
+quadratic and cubic solvers take closed-form roots polished in Python
+floats.  Bracket validation and residual checks are done here.
 """
 
 from __future__ import annotations
@@ -24,14 +24,13 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import BracketError, DegenerateDataError, DomainError, EvaluationError
+from .errors import DegenerateDataError, DomainError, EvaluationError
 
 __all__ = [
     "Bracket",
     "ln_gamma",
     "digamma",
     "trigamma",
-    "solve_monotone",
     "solve_newton",
     "solve_quadratic_positive",
     "solve_cubic_in_interval",
@@ -103,47 +102,6 @@ def trigamma(x: float) -> float:
     return float(scipy_special.zeta(2.0, _check_positive_finite(x, "trigamma")))
 
 
-def solve_monotone(
-    f: Callable[[float], float],
-    target: float,
-    bracket: Bracket,
-    tol: float = 1e-10,
-) -> float:
-    """Solve f(x) = target for a continuous monotone f on the bracket.
-
-    Returns x* with |f(x*) - target| <= tol or with the final bracket width
-    below tol.  Deterministic for fixed inputs.  Raises BracketError when
-    f - target does not change sign across the bracket and EvaluationError
-    when f produces a non-finite value.
-    """
-    if not math.isfinite(target):
-        raise DomainError(f"target must be finite, got {target}")
-    if not (tol > 0.0 and math.isfinite(tol)):
-        raise DomainError(f"tol must be positive and finite, got {tol}")
-
-    def g(x: float) -> float:
-        val = f(x) - target
-        if not math.isfinite(val):
-            raise EvaluationError(f"non-finite target function value at x={x}")
-        return val
-
-    glo = g(bracket.lo)
-    ghi = g(bracket.hi)
-    if glo == 0.0:
-        return bracket.lo
-    if ghi == 0.0:
-        return bracket.hi
-    if glo * ghi > 0.0:
-        raise BracketError(
-            f"no sign change on [{bracket.lo}, {bracket.hi}]: "
-            f"f-target = {glo:.6g} and {ghi:.6g}"
-        )
-    from scipy.optimize import brentq
-
-    root = brentq(g, bracket.lo, bracket.hi, xtol=tol, rtol=4 * np.finfo(float).eps)
-    return float(root)
-
-
 def solve_newton(
     fdf: Callable[[float], Tuple[float, float]],
     lo: float,
@@ -154,10 +112,11 @@ def solve_newton(
     tol: float,
     quadratic: bool = False,
 ) -> float:
-    """Root of an increasing f in [lo, hi] by Newton steps safeguarded by bisection.
+    """Root of f in [lo, hi] by Newton steps safeguarded by bisection.
 
-    fdf(x) returns (f(x), f'(x)); the caller guarantees f(lo) < 0 < f(hi)
-    and passes the starting point x in [lo, hi] with its values fx and dx.
+    fdf(x) returns (f(x), f'(x)); the caller guarantees that f crosses zero
+    once in [lo, hi], negative before the root and positive after it (f
+    need not be monotone), and passes the starting point x in [lo, hi] with its values fx and dx.
     A Newton step is taken when the derivative is positive and finite, the
     step stays inside the bracket and is at most half the step before last;
     otherwise the bracket is bisected.  Each new point replaces the bracket

@@ -139,10 +139,15 @@ class TestCheckModel:
         assert math.isfinite(value) or value == -math.inf
 
     def test_equation_without_pivot_has_no_density(self, bvn_data):
+        # Every catalog equation has a pivot; the StructuralEquation built
+        # from one does not.
         rho = get_model("bivariate_normal").build_conditionals(bvn_data)["rho"]
+        no_pivot = dataclasses.replace(rho, equation_for=rho.equation)
         state = {"mu_x": 0.0, "mu_y": 0.0, "sigma_x2": 1.0, "sigma_y2": 1.0, "rho": 0.2}
+        q = rho.statistic.compute(bvn_data, state)
+        assert math.isfinite(rho.log_density(bvn_data, state)(q))
         with pytest.raises(DomainError, match="pivot"):
-            rho.log_density(bvn_data, state)
+            no_pivot.log_density(bvn_data, state)
 
     @pytest.mark.parametrize("name", ["gamma", "beta", "bivariate_normal"])
     def test_models_without_kernel_refuse(self, name, request):

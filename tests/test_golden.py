@@ -45,7 +45,7 @@ GOLDEN = {
     "bivariate_normal": (
         ["--model", "bivariate_normal", "--simulate",
          "mu_x=0,mu_y=0,sigma_x2=1,sigma_y2=1,rho=0.2,n=4"],
-        "9d9e67373c0a03ca8daa58ff22ffea3770d161e39656c242660b01a9a9f135f4",
+        "8b1bd2203dc941ca1a34e7e8d068dafb2b34c4baa7f687880a7824b31070623b",
         {"sigma_x2.gamma_redraw": 3, "sigma_y2.gamma_redraw": 2}),
     "beta_scan_order": (
         ["--model", "beta", "--simulate", "alpha=8,beta=3,n=50", "--scan-order", "beta,alpha"],

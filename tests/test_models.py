@@ -5,12 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy import integrate, stats
+from scipy import integrate, optimize, stats
 
 import fidgibbs.models as M
 from fidgibbs import (
-    Bracket,
-    BracketError,
     DegenerateDataError,
     DomainError,
     Dataset,
@@ -28,7 +26,6 @@ from fidgibbs import (
     run,
     log_density,
     simulate_dataset,
-    solve_monotone,
 )
 from fidgibbs.randvar import sample
 
@@ -491,7 +488,7 @@ def _brent_shape_root(f):
     if not ups:
         return None, negative
     lo, hi = ups[-1]
-    return solve_monotone(f, 0.0, Bracket(lo, hi), tol=1e-13 * lo), negative
+    return optimize.brentq(f, lo, hi, xtol=1e-13 * lo), negative
 
 
 # Datasets on which the shape equations are hard: gamma with n=5 leaves
@@ -586,32 +583,31 @@ class TestNewtonInversion:
         assert counts["solves"] > 3000
         assert counts["evaluations"] / counts["solves"] <= 3.5
 
-    def test_rho_newton_agrees_with_brent(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(M, "solve_monotone",
-                            lambda *a, **k: calls.append(a) or solve_monotone(*a, **k))
+    def test_rho_newton_agrees_with_brent(self):
+        # One Newton solve on the whole bracket serves every gamma: inside
+        # the certificate |gamma| < sqrt(n / 2) and outside it, the root
+        # (or the raise) is Brent's on the same bracket.
         gen = np.random.default_rng(3)
-        newton_solves = 0
+        outside = 0
         for i in range(3000):
             n = int(gen.integers(3, 40)) if i % 2 else int(gen.integers(3, 5001))
             eq = M._BvnRhoEquation(n)
             q = float(np.tanh(gen.normal(0.0, 1.5)))
             g = float(gen.uniform(-5.0, 5.0))
-            before = len(calls)
             try:
                 got = eq.invert(q, g)
             except StructuralError:
                 got = None
-            assert (len(calls) == before) == (g * g < n / 2)
-            newton_solves += len(calls) == before
             try:
-                want = solve_monotone(lambda r: eq.phi(g, r), q, eq.bracket, tol=1e-13)
-            except (BracketError, EvaluationError):
+                want = optimize.brentq(lambda r: eq.phi(g, r) - q, eq.bracket.lo, eq.bracket.hi,
+                                       xtol=1e-13)
+            except ValueError:
                 want = None
             assert (got is None) == (want is None)
             if got is not None:
                 assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
-        assert newton_solves > 1500
+            outside += g * g >= n / 2
+        assert outside > 500
 
     def test_rho_raises_without_sign_change(self):
         # q outside (-1, 1) has no root, also where |gamma| < sqrt(n / 2).
@@ -621,20 +617,24 @@ class TestNewtonInversion:
                 eq.invert(q, 0.5)
 
     @pytest.mark.parametrize("n,g", [(3, 1.3), (3, -4.0), (30, 3.9), (30, -5.0)])
-    def test_rho_large_gamma_takes_brent(self, n, g, monkeypatch):
-        # |gamma| >= sqrt(n / 2): phi may have several roots, and Brent
-        # keeps choosing among them.
+    def test_rho_large_gamma_has_one_root(self, n, g, monkeypatch):
+        # |gamma| >= sqrt(n / 2): phi is not monotone, yet q in (-1, 1) is
+        # crossed once, and the one Newton solve returns that crossing.
         assert g * g >= n / 2
         calls = []
-        monkeypatch.setattr(M, "solve_monotone",
-                            lambda *a, **k: calls.append(a) or solve_monotone(*a, **k))
-        monkeypatch.setattr(M, "solve_newton", lambda *a, **k: pytest.fail("Newton path taken"))
+        newton = M.solve_newton
+        monkeypatch.setattr(M, "solve_newton",
+                            lambda *a, **k: calls.append(a) or newton(*a, **k))
+        monkeypatch.setattr(optimize, "brentq", lambda *a, **k: pytest.fail("Brent called"))
         eq = M._BvnRhoEquation(n)
-        try:
-            eq.invert(0.3, g)
-        except StructuralError:
-            pass
+        r = eq.invert(0.3, g)
         assert len(calls) == 1
+        assert abs(eq.phi(g, r) - 0.3) <= 1e-12
+        grid = np.linspace(eq.bracket.lo, eq.bracket.hi, 4001)
+        signs = np.sign([eq.phi(g, x) - 0.3 for x in grid.tolist()])
+        crossings = np.flatnonzero(signs[1:] != signs[:-1])
+        assert crossings.size == 1
+        assert grid[crossings[0]] <= r <= grid[crossings[0] + 1]
 
     def test_extreme_shapes_raise_no_warnings(self):
         # Far-out statistics and states drive psi'' to overflow; a non-finite
@@ -738,6 +738,76 @@ class TestShapePivots:
             except StructuralError as exc:
                 outcomes.add(str(exc))
         assert len(outcomes) == 1
+
+
+def _bvn_conditional(rho, n, seed, label):
+    """A bivariate-normal conditional on simulated data, at the chain start."""
+    data = simulate_dataset(
+        "bivariate_normal", {"mu_x": 0.0, "mu_y": 0.0, "sigma_x2": 1.0, "sigma_y2": 1.0, "rho": rho},
+        n, RngStream(seed, 0))
+    state = get_model("bivariate_normal").chain_inits(data, 1)[0]
+    cond = _catalog("bivariate_normal", data, label)
+    return data, state, cond, cond.equation_for(data, state), cond.statistic.compute(data, state)
+
+
+class TestBvnPivots:
+    @pytest.mark.parametrize("label,rho,n", [("rho", 0.95, 30), ("rho", 0.2, 4),
+                                             ("sigma_x2", 0.2, 4), ("sigma_y2", 0.8, 200)])
+    def test_pivot_inverts_invert(self, label, rho, n):
+        # pivot(q, invert(q, g)) gives g back, and log|dg/dtheta| matches a
+        # central difference of g.
+        _, _, _, eq, q = _bvn_conditional(rho, n, 60, label)
+        solved = 0
+        for g in np.linspace(-5.0, 5.0, 41).tolist():
+            try:
+                theta = eq.invert(q, g)
+            except StructuralError:
+                continue
+            solved += 1
+            back, log_dg = eq.pivot(q, theta)
+            assert back == pytest.approx(g, abs=1e-8)
+            h = 1e-7 * min(abs(theta), 1.0 - abs(theta)) if label == "rho" else 1e-6 * theta
+            slope = (eq.pivot(q, theta + h)[0] - eq.pivot(q, theta - h)[0]) / (2.0 * h)
+            assert slope < 0.0
+            assert log_dg == pytest.approx(math.log(-slope), abs=1e-5)
+        assert solved >= 25
+
+    def test_rho_pivot_is_a_decreasing_bijection(self):
+        # g(r) falls strictly from +inf to -inf on (-1, 1), for every n and q.
+        grid = np.linspace(-1.0, 1.0, 20_001)[1:-1].tolist()
+        for n in (3, 4, 30, 5000):
+            eq = M._BvnRhoEquation(n)
+            for q in (-0.999, -0.5, 0.0, 0.3, 0.95, 0.999):
+                g = np.array([eq.pivot(q, r)[0] for r in grid])
+                assert np.all(np.diff(g) < 0.0)
+                assert g[0] > 5.0 and g[-1] < -5.0
+
+    @pytest.mark.parametrize("label,rho,n,seed", [("rho", 0.95, 30, 60), ("rho", 0.2, 4, 61),
+                                                  ("sigma_x2", 0.2, 4, 62)])
+    def test_draws_follow_the_pivot_law(self, label, rho, n, seed):
+        # The independent oracle: theta decreases in g, and the accepted g
+        # are those above the equation's gamma_domain floor (-5 for rho), so
+        # P(Theta <= t) = (Phi(5) - Phi(g(t))) / (Phi(5) - Phi(floor)) with
+        # g(t) clipped to [floor, 5].  At rho 0.95, n = 30 the statistic is
+        # near 0.95 and the monotone certificate fails for |g| >= 3.87; at
+        # n = 4 the sigma equation excludes the g below -2.9.
+        data, state, cond, eq, q = _bvn_conditional(rho, n, seed, label)
+        floor = getattr(eq, "gamma_domain", (-5.0, 5.0))[0]
+        if label == "rho":
+            assert floor == -5.0
+            if n == 30:
+                assert 0.94 < q < 0.96
+        else:
+            assert -4.0 < floor < -2.0
+        norm = stats.norm.cdf(5.0) - stats.norm.cdf(floor)
+
+        def cdf(values):
+            g = np.clip([eq.pivot(q, t)[0] for t in values], floor, 5.0)
+            return (stats.norm.cdf(5.0) - stats.norm.cdf(g)) / norm
+
+        rng = RngStream(seed, 0)
+        draws = [cond.draw(data, state, rng) for _ in range(20_000)]
+        assert stats.kstest(draws, cdf).pvalue > 1e-3
 
 
 # Data no model can take: too few observations, values outside the support,

@@ -7,14 +7,12 @@ from hypothesis import strategies as st
 
 from fidgibbs import (
     Bracket,
-    BracketError,
     DegenerateDataError,
     DomainError,
     EvaluationError,
     digamma,
     ln_gamma,
     solve_cubic_in_interval,
-    solve_monotone,
     solve_quadratic_positive,
     trigamma,
 )
@@ -132,52 +130,6 @@ class TestTrigamma:
     def test_domain(self):
         with pytest.raises(DomainError):
             trigamma(-1.0)
-
-
-class TestSolveMonotone:
-    def test_cube_root(self):
-        root = solve_monotone(lambda x: x ** 3, 8.0, Bracket(0.0, 10.0))
-        assert abs(root - 2.0) < 1e-9
-
-    def test_identity(self):
-        assert abs(solve_monotone(lambda x: x, 0.5, Bracket(0.0, 1.0)) - 0.5) < 1e-12
-
-    def test_shape_equation_round_trip(self):
-        # psi(a) = sum(log x)/n + log(beta) with gamma fixed at zero.
-        n = 20
-        rng = np.random.default_rng(7)
-        x = rng.gamma(2.0, 2.0, size=n)
-        beta = 0.5
-        target = float(np.mean(np.log(x))) + math.log(beta)
-        a = solve_monotone(digamma, target, Bracket(1e-3, 100.0), tol=1e-12)
-        assert abs(digamma(a) - target) <= 1e-10
-
-    def test_no_sign_change(self):
-        with pytest.raises(BracketError):
-            solve_monotone(lambda x: x, 5.0, Bracket(0.0, 1.0))
-
-    def test_non_finite_evaluation(self):
-        with pytest.raises(EvaluationError):
-            solve_monotone(lambda x: math.nan, 0.0, Bracket(0.0, 1.0))
-
-    def test_deterministic(self):
-        f = lambda x: math.expm1(x) + 0.3 * x
-        a = solve_monotone(f, 1.234, Bracket(-2.0, 3.0))
-        b = solve_monotone(f, 1.234, Bracket(-2.0, 3.0))
-        assert a == b
-
-    @given(
-        st.floats(min_value=0.1, max_value=5.0),
-        st.floats(min_value=-3.0, max_value=3.0),
-        st.floats(min_value=-0.9, max_value=0.9),
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_monotone_round_trip_property(self, slope, shift, frac):
-        f = lambda x: slope * x + math.tanh(x) + shift
-        lo, hi = -50.0, 50.0
-        target = f(lo) + (f(hi) - f(lo)) * (0.5 + 0.5 * frac)
-        root = solve_monotone(f, target, Bracket(lo, hi), tol=1e-10)
-        assert abs(f(root) - target) <= 1e-7 * max(1.0, abs(target))
 
 
 class TestSolveNewton:

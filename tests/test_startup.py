@@ -1,9 +1,9 @@
 """Which scipy modules a fresh interpreter loads for each command.
 
 Importing fidgibbs costs numpy plus the package: scipy.special is loaded
-on its first use, and scipy.optimize and scipy.linalg inside the functions
-that call them.  Each case runs in a new interpreter, since any earlier
-test may have imported scipy.
+on its first use, and scipy.linalg inside the one function that calls it;
+no command loads scipy.optimize.  Each case runs in a new interpreter,
+since any earlier test may have imported scipy.
 """
 
 import json
@@ -23,6 +23,7 @@ SIMULATE = {
     "behrens_fisher": "mu_x=0,mu_y=1,sigma_x2=1,sigma_y2=2,n=8",
     "quadreg": "beta0=1,beta1=0.5,beta2=0.2,sigma2=1,n=20",
     "gamma": "alpha=2,beta=1,n=20",
+    "bivariate_normal": "mu_x=0,mu_y=0,sigma_x2=1,sigma_y2=1,rho=0.2,n=4",
 }
 
 
@@ -72,6 +73,12 @@ def test_quadreg_loads_only_linalg(tmp_path):
 
 def test_gamma_loads_special(tmp_path):
     assert "scipy.special._ufuncs" in _loaded_after(_run_code("gamma", tmp_path))
+
+
+def test_bivariate_normal_loads_only_special(tmp_path):
+    # At n = 4 most correlation solves are outside |gamma| < sqrt(n / 2);
+    # they take the same Newton solve, which needs no scipy.optimize.
+    assert _loaded_after(_run_code("bivariate_normal", tmp_path)) == ["scipy.special._ufuncs"]
 
 
 @pytest.mark.parametrize("scipy_first", [True, False])
