@@ -116,7 +116,8 @@ def solve_newton(
 
     fdf(x) returns (f(x), f'(x)); the caller guarantees that f crosses zero
     once in [lo, hi], negative before the root and positive after it (f
-    need not be monotone), and passes the starting point x in [lo, hi] with its values fx and dx.
+    need not be monotone), and passes the starting point x in [lo, hi]
+    with its values fx and dx.
     A Newton step is taken when the derivative is positive and finite, the
     step stays inside the bracket and is at most half the step before last;
     otherwise the bracket is bisected.  Each new point replaces the bracket

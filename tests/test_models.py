@@ -26,6 +26,7 @@ from fidgibbs import (
     run,
     log_density,
     simulate_dataset,
+    solve_quadratic_positive,
 )
 from fidgibbs.randvar import sample
 
@@ -348,6 +349,20 @@ class TestBivariateNormal:
         grid = np.arange(max(sig - 0.5, 1e-3), sig + 0.5, 1e-4)
         ll = [M.bvn_log_likelihood(0.5, -0.2, g * g, 0.8, 0.6, x, y) for g in grid]
         assert abs(grid[int(np.argmax(ll))] - sig) < 1e-3
+
+    def test_sigma_mle_is_the_reference_quadratic_root(self):
+        # The statistic's own positive-root path gives the bits of
+        # solve_quadratic_positive on n(1 - rho^2) t^2 + (rho Cxy / sigma_y) t - Cxx.
+        gen = np.random.default_rng(8)
+        for _ in range(5000):
+            n = int(gen.integers(3, 5000))
+            rho = float(np.tanh(gen.normal(0.0, 2.0)))
+            sy2 = float(np.exp(gen.normal(0.0, 5.0)))
+            cxx = float(np.exp(gen.normal(0.0, 8.0)))
+            cxy = float(gen.normal() * np.exp(gen.normal(0.0, 8.0)))
+            s = M._BvnSuffStats(n, 0.0, 0.0, cxx, 1.0, cxy)
+            want = solve_quadratic_positive(n * (1.0 - rho * rho), rho * cxy / math.sqrt(sy2), -cxx)
+            assert M._bvn_sigma_mle(s, 0.0, 0.0, sy2, rho).hex() == want.hex()
 
     def test_sigma_draw_gamma_zero(self, bvn_data):
         state = {"mu_x": 0.0, "mu_y": 0.0, "sigma_x2": 1.0, "sigma_y2": 1.0, "rho": 0.8}
