@@ -34,7 +34,7 @@ from .randvar import (
     TruncatedNormal,
 )
 from .specfun import (Bracket, digamma, finite_cubic_root, scipy_special as _sp,
-                      solve_newton, trigamma)
+                      solve_newton, solve_quadratic_positive, trigamma)
 
 __all__ = [
     "Dataset",
@@ -1151,29 +1151,12 @@ def _bvn_loglik_core(s: _BvnSuffStats, mu_x, mu_y, sigma_x2, sigma_y2, rho) -> f
 
 def _bvn_sigma_mle(s: _BvnSuffStats, mu_x, mu_y, sigma_y2, rho) -> float:
     # Stationarity of the likelihood in sigma_x:
-    # a t^2 + b t + c = 0 for t = sigma_x, with a = n(1 - rho^2) > 0 and
-    # c = -Cxx < 0, so the roots have opposite signs.  The positive one is
-    # taken in the stable form and polished by two Newton steps, the
-    # arithmetic of specfun.solve_quadratic_positive.
+    # n(1 - rho^2) t^2 + (rho Cxy / sigma_y) t - Cxx = 0 for t = sigma_x.
     cxx, _, cxy = s.centered(mu_x, mu_y)
     if cxx <= 0.0:
         raise DegenerateDataError("x observations all equal mu_x")
-    a = s.n * (1.0 - rho * rho)
-    b = rho * cxy / math.sqrt(sigma_y2)
-    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(cxx)):
-        raise DomainError(f"quadratic coefficients must be finite, got {a}, {b}, {-cxx}")
-    if not a > 0.0:
-        raise DomainError(f"the sigma statistic needs |rho| < 1, got rho = {rho}")
-    sq = math.sqrt(b * b + 4.0 * a * cxx)
-    t = cxx / (0.5 * (b + sq)) if b > 0.0 else 0.5 * (sq - b) / a
-    if not t > 0.0:
-        raise DegenerateDataError(f"quadratic {a}t^2 + {b}t + {-cxx} has no positive root")
-    for _ in range(2):
-        deriv = 2.0 * a * t + b
-        if deriv != 0.0:
-            t -= (a * t * t + b * t - cxx) / deriv
-    if t <= 0.0:
-        raise DegenerateDataError("positive root collapsed to zero after polishing")
+    t = solve_quadratic_positive(s.n * (1.0 - rho * rho),
+                                 rho * cxy / math.sqrt(sigma_y2), -cxx)
     return t
 
 
@@ -1255,7 +1238,8 @@ class _BvnRhoEquation:
     iteration stays valid where phi is not monotone, and that one solve
     serves every gamma.  Equivalently, the pivot
     g(r) = (q - r) sqrt(n) sqrt(1 + r^2) / (1 - r^2) is a strictly
-    decreasing bijection from (-1, 1) onto the real line.
+    decreasing bijection from (-1, 1) onto the real line, and the rho
+    conditional needs no injectivity probe at the start of a chain.
     """
 
     gamma_dist = _STD_TRUNCNORM
@@ -1346,7 +1330,7 @@ def _bvn_build_conditionals(data: Dataset) -> dict:
             FiducialStatistic(
                 "rho_mle",
                 lambda d, p: _bvn_rho_mle(stats, p["mu_x"], p["mu_y"], p["sigma_x2"], p["sigma_y2"])),
-            lambda d, p: rho_equation, check_at_start=True),
+            lambda d, p: rho_equation),
     }
 
 

@@ -26,8 +26,8 @@ from fidgibbs import (
     run,
     log_density,
     simulate_dataset,
-    solve_quadratic_positive,
 )
+from fidgibbs.core import INJECTIVITY_GRID_SIZE
 from fidgibbs.randvar import sample
 
 
@@ -349,20 +349,6 @@ class TestBivariateNormal:
         grid = np.arange(max(sig - 0.5, 1e-3), sig + 0.5, 1e-4)
         ll = [M.bvn_log_likelihood(0.5, -0.2, g * g, 0.8, 0.6, x, y) for g in grid]
         assert abs(grid[int(np.argmax(ll))] - sig) < 1e-3
-
-    def test_sigma_mle_is_the_reference_quadratic_root(self):
-        # The statistic's own positive-root path gives the bits of
-        # solve_quadratic_positive on n(1 - rho^2) t^2 + (rho Cxy / sigma_y) t - Cxx.
-        gen = np.random.default_rng(8)
-        for _ in range(5000):
-            n = int(gen.integers(3, 5000))
-            rho = float(np.tanh(gen.normal(0.0, 2.0)))
-            sy2 = float(np.exp(gen.normal(0.0, 5.0)))
-            cxx = float(np.exp(gen.normal(0.0, 8.0)))
-            cxy = float(gen.normal() * np.exp(gen.normal(0.0, 8.0)))
-            s = M._BvnSuffStats(n, 0.0, 0.0, cxx, 1.0, cxy)
-            want = solve_quadratic_positive(n * (1.0 - rho * rho), rho * cxy / math.sqrt(sy2), -cxx)
-            assert M._bvn_sigma_mle(s, 0.0, 0.0, sy2, rho).hex() == want.hex()
 
     def test_sigma_draw_gamma_zero(self, bvn_data):
         state = {"mu_x": 0.0, "mu_y": 0.0, "sigma_x2": 1.0, "sigma_y2": 1.0, "rho": 0.8}
@@ -796,6 +782,24 @@ class TestBvnPivots:
                 g = np.array([eq.pivot(q, r)[0] for r in grid])
                 assert np.all(np.diff(g) < 0.0)
                 assert g[0] > 5.0 and g[-1] < -5.0
+
+    def test_rho_needs_no_start_probe(self):
+        # The rho conditional is not probed at the start of a chain: the
+        # grid that check_injectivity walks is strictly decreasing wherever
+        # invert solves, also for statistics within 1e-16 of +-1, where the
+        # roots of some or all gammas lie past the bracket ends.
+        for n in (3, 4, 30, 200, 5000):
+            data, state, cond, _, _ = _bvn_conditional(0.5, n, 63, "rho")
+            assert not cond.check_at_start
+            eq = cond.equation(data, state)
+            for k in range(1, 17):
+                for q in (1.0 - 10.0 ** -k, 1.0 - 3.0 * 10.0 ** -k):
+                    for signed in (q, -q):
+                        report = check_injectivity(eq, signed)
+                        assert report.monotone or report.n_failed == INJECTIVITY_GRID_SIZE
+                        assert report.n_failed == 0 or k >= 12
+                        finite = report.theta_values[np.isfinite(report.theta_values)]
+                        assert np.all(np.diff(finite) < 0.0)
 
     @pytest.mark.parametrize("label,rho,n,seed", [("rho", 0.95, 30, 60), ("rho", 0.2, 4, 61),
                                                   ("sigma_x2", 0.2, 4, 62)])
