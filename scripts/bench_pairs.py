@@ -16,7 +16,8 @@ the others are kept.
 The JSON written to ``--out`` holds, per workload and end-to-end metric,
 the per-run values of each side in pair order, their median, quartiles and
 interquartile range, and in how many pairs the change was better (the
-direction comes from BENCHMARK.json).  A gain claim needs the change to be
+direction comes from BENCHMARK.json); ``wall_summary`` does the same for
+the unscaled wall-time metrics of each run's record.  A gain claim needs the change to be
 better in at least 9 of 10 pairs and its median to differ from the base's
 by more than the base's interquartile range; ``claim_holds`` says whether
 it does.
@@ -53,8 +54,11 @@ def bench_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     if out.returncode != 0 or not lines:
         raise RuntimeError(f"{' '.join(cmd)} in {tree} failed:\n{out.stderr[-2000:]}")
     result = json.loads(lines[-1])
+    # The run record also holds the metrics in unscaled wall time.
+    record = json.loads((tree / ".bench_out" / f"{workload}-seed{seed}-trace0.json").read_text())
     return {"attempted": result["attempted"], "failed": result["failed"],
-            "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
+            "metrics": {k: v["value"] for k, v in result["metrics"].items()},
+            "wall_metrics": {k: v["value"] for k, v in record.get("wall_metrics", {}).items()}}
 
 
 def summarize_side(values: list) -> dict:
@@ -63,13 +67,13 @@ def summarize_side(values: list) -> dict:
             "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
-def summarize(pairs: list, directions: dict) -> dict:
+def summarize(pairs: list, directions: dict, key: str = "metrics") -> dict:
     out = {}
     for name, better in directions.items():
-        if not all(name in p["base"]["metrics"] and name in p["head"]["metrics"] for p in pairs):
+        if not all(name in p["base"][key] and name in p["head"][key] for p in pairs):
             continue
-        base = [p["base"]["metrics"][name] for p in pairs]
-        head = [p["head"]["metrics"][name] for p in pairs]
+        base = [p["base"][key][name] for p in pairs]
+        head = [p["head"][key][name] for p in pairs]
         sign = 1.0 if better == "higher" else -1.0
         wins = sum(sign * (h - b) > 0 for b, h in zip(base, head))
         b, h = summarize_side(base), summarize_side(head)
@@ -126,8 +130,9 @@ def main(argv=None) -> int:
                 print(f"{workload} seed {seed}: cycles_per_s {b['cycles_per_s']:.6g} -> "
                       f"{h['cycles_per_s']:.6g}, failed {pair['base']['failed']} -> "
                       f"{pair['head']['failed']}", flush=True)
-            record["workloads"][workload] = {**run_info, "pairs": pairs,
-                                             "summary": summarize(pairs, directions)}
+            record["workloads"][workload] = {
+                **run_info, "pairs": pairs, "summary": summarize(pairs, directions),
+                "wall_summary": summarize(pairs, directions, "wall_metrics")}
             args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 

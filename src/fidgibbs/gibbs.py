@@ -5,11 +5,20 @@ by drawing from its full conditional given the current values of all the
 others.  The stationary distribution of the composed chain can depend on
 that order when the conditionals are not mutually compatible, so the order
 and the seed are carried into every result for honest reporting.
+
+On Linux the chains of a long run are spread over forked processes, one
+per usable CPU; every chain draws from its own stream, so the output is
+the same whichever process runs it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+import pickle
+import signal
+import time
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Tuple
@@ -25,6 +34,14 @@ __all__ = ["ChainConfig", "SampleMatrix", "EstimateResult", "run", "estimate"]
 
 DEFAULT_BURN_IN = 500
 
+# run forks only when the CPU time of chain 0's cycles _WARM_UP_CYCLES ..
+# _WARM_UP_CYCLES + _TIMED_CYCLES predicts more serial sampling than
+# _FORK_BREAK_EVEN_S seconds: forking, reaping and the trip of the results
+# through a pipe cost about 5 ms per run.
+_WARM_UP_CYCLES = 8
+_TIMED_CYCLES = 32
+_FORK_BREAK_EVEN_S = 0.03
+
 
 @dataclass(frozen=True)
 class ChainConfig:
@@ -35,7 +52,8 @@ class ChainConfig:
     seed, chain i drawing from the (seed, i) stream; scan_order: update
     order (default: the model's declared parameter order); init: optional
     per-chain starting points (default: mildly dispersed moment-style
-    starts).
+    starts).  How many processes run the chains is not a parameter: run
+    decides it and the output does not depend on it.
     """
 
     m: int
@@ -118,7 +136,14 @@ def _validate_init(model: ModelSpec, state: Mapping[str, float], chain: int) -> 
 
 def _run_chain(data: Dataset, conditionals: dict,
                order: Tuple[str, ...], init: Mapping[str, float],
-               m: int, seed: int, chain: int) -> Tuple[np.ndarray, Counter]:
+               m: int, seed: int, chain: int,
+               timed: Optional[Callable[[float], None]] = None,
+               ) -> Tuple[np.ndarray, Counter]:
+    """One chain's draws and warnings.
+
+    timed, when given, is called once, in the chain, with the CPU seconds
+    per cycle of cycles _WARM_UP_CYCLES .. _WARM_UP_CYCLES + _TIMED_CYCLES.
+    """
     rng = RngStream(seed, chain)
     warnings = Counter()
     state = dict(init)
@@ -134,15 +159,25 @@ def _run_chain(data: Dataset, conditionals: dict,
                 raise StructuralError(
                     f"conditional for '{label}' is not injective at the observed "
                     f"statistic (start of chain {chain})",
-                    chain=chain, statistic_value=q, report=repr(report))
+                    chain=chain, statistic_value=q, state=dict(state),
+                    report=repr(report))
             if report.n_failed:
                 warnings[f"{label}.injectivity_grid_failures"] += report.n_failed
     draws = [(j, label, conditionals[label].draw) for j, label in enumerate(order)]
     values = np.empty((m, len(order)))
+    if timed is None:
+        spans = ((0, m),)
+    else:
+        warm, stop = min(_WARM_UP_CYCLES, m), min(_WARM_UP_CYCLES + _TIMED_CYCLES, m)
+        spans = ((0, warm), (warm, stop), (stop, m))
     try:
-        for cycle in range(m):
-            for j, label, draw in draws:
-                values[cycle, j] = state[label] = draw(data, state, rng, warnings)
+        for span, (lo, hi) in enumerate(spans):
+            start = time.thread_time()
+            for cycle in range(lo, hi):
+                for j, label, draw in draws:
+                    values[cycle, j] = state[label] = draw(data, state, rng, warnings)
+            if span == 1:
+                timed((time.thread_time() - start) / max(hi - lo, 1))
     except StructuralError as exc:
         exc.diagnostics.setdefault("chain", chain)
         exc.diagnostics["cycle"] = cycle
@@ -151,8 +186,132 @@ def _run_chain(data: Dataset, conditionals: dict,
     return values, warnings
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 where it cannot fork (off Linux)."""
+    if not (hasattr(os, "sched_getaffinity") and hasattr(os, "fork")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _other_cpus() -> list:
+    """The usable CPUs other than the one this thread last ran on, sorted;
+    all usable CPUs where /proc does not say which one that is."""
+    cpus = os.sched_getaffinity(0)
+    try:
+        with open("/proc/thread-self/stat") as fh:
+            # Field 39, "processor"; the command name in field 2 may hold spaces.
+            here = int(fh.read().rsplit(")", 1)[1].split()[36])
+    except (OSError, IndexError, ValueError):
+        return sorted(cpus)
+    return sorted(cpus - {here})
+
+
+def _run_forked(run_chain: Callable, chains: int, procs: int, m: int) -> list:
+    """run_chain(c) for c = 0..chains-1, spread over up to procs processes.
+
+    This process runs chain 0 and, from the timed first cycles of chain 0,
+    predicts the serial sampling time of the run.  Above _FORK_BREAK_EVEN_S
+    it forks procs - 1 children, child k running the chains c with
+    c % procs == k on a CPU of its own, and keeps the chains c % procs == 0
+    itself; below it, it runs every chain itself.  (A forked child starts
+    on its parent's CPU, and a scheduler may leave it there for 100 ms or
+    more while another CPU idles.)  A child sends (chain, result) pickles
+    over a pipe and stops at its first failing chain.  The results are
+    taken in chain order: an own chain that failed raises its exception,
+    and a chain that no child sent is run again here, so the lowest failing
+    chain raises what the serial loop would raise.  No child outlives the
+    call.
+    """
+    children = {}  # pid -> (read end of its pipe, k)
+
+    def spread(seconds_per_cycle: float):
+        if seconds_per_cycle * m * chains <= _FORK_BREAK_EVEN_S:
+            return
+        cpus = _other_cpus()
+        for k in range(1, procs):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                # The chains of the children not made are run again below.
+                os.close(r)
+                os.close(w)
+                return
+            if pid == 0:
+                _serve(run_chain, range(k, chains, procs), w, cpus[k - 1:k])
+            children[pid] = (r, k)
+            os.close(w)
+
+    done = {}
+    try:
+        failed = chains
+        for chain in range(chains):
+            if children and chain % procs:
+                continue
+            try:
+                done[chain] = run_chain(chain, spread if chain == 0 else None)
+            except Exception as exc:
+                if not children:
+                    raise
+                done[chain], failed = exc, chain
+                break
+        # Chains above an own failed chain are not needed.
+        for r, k in children.values():
+            done.update(_receive(r, set(range(k, failed, procs))))
+    finally:
+        for pid, (r, _) in children.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(r)
+    results = []
+    for chain in range(chains):
+        result = done.get(chain)
+        if isinstance(result, Exception):
+            raise result
+        results.append(run_chain(chain) if result is None else result)
+    return results
+
+
+def _serve(run_chain: Callable, chains: range, fd: int, cpus: list):
+    """A forked child's life: move to cpus if any are given, pickle (chain,
+    run_chain(chain)) to fd for each chain up to the first that raises,
+    then exit without returning into the caller or flushing the inherited
+    stdio buffers."""
+    try:
+        if cpus:
+            with contextlib.suppress(OSError):
+                os.sched_setaffinity(0, cpus)
+        with os.fdopen(fd, "wb") as fh:
+            for chain in chains:
+                pickle.dump((chain, run_chain(chain)), fh, pickle.HIGHEST_PROTOCOL)
+                fh.flush()
+    finally:
+        os._exit(0)
+
+
+def _receive(fd: int, wanted: set) -> dict:
+    """The (chain, result) pairs a child sent on fd, read until it has sent
+    every chain in wanted or stopped."""
+    got = {}
+    with os.fdopen(fd, "rb", closefd=False) as fh:
+        while not wanted <= got.keys():
+            try:
+                chain, result = pickle.load(fh)
+            except (EOFError, pickle.UnpicklingError):
+                break
+            got[chain] = result
+    return got
+
+
 def run(model: ModelSpec, data: Dataset, config: ChainConfig) -> SampleMatrix:
-    """Run the Gibbs sampler; fully reproducible from (model, data, config)."""
+    """Run the Gibbs sampler; fully reproducible from (model, data, config).
+
+    Where os.fork and os.sched_getaffinity exist (Linux), the chains are
+    spread over min(chains, usable CPUs) processes when the timed first
+    cycles of chain 0 predict that forking pays (see _run_forked); the
+    values, warnings and errors are those of running the chains one after
+    another in this process, which is what happens otherwise.
+    """
     order = _scan_order(model, config)
     conditionals = model.build_conditionals(data)
     missing = set(order) - set(conditionals)
@@ -160,9 +319,16 @@ def run(model: ModelSpec, data: Dataset, config: ChainConfig) -> SampleMatrix:
         raise DomainError(f"model '{model.name}' lacks conditionals for {sorted(missing)}")
     inits = config.init if config.init is not None else model.chain_inits(data, config.chains)
     inits = [_validate_init(model, st, c) for c, st in enumerate(inits)]
-    results = [_run_chain(data, conditionals, order, inits[chain],
-                          config.m, config.seed, chain)
-               for chain in range(config.chains)]
+
+    def run_chain(chain: int, timed=None):
+        return _run_chain(data, conditionals, order, inits[chain],
+                          config.m, config.seed, chain, timed)
+
+    procs = min(config.chains, _usable_cpus())
+    if procs == 1:
+        results = [run_chain(chain) for chain in range(config.chains)]
+    else:
+        results = _run_forked(run_chain, config.chains, procs, config.m)
     values = np.stack([v for v, _ in results])
     warnings = Counter()
     for _, w in results:

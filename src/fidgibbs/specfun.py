@@ -172,22 +172,27 @@ def solve_quadratic_positive(a: float, b: float, c: float) -> float:
     scale = max(abs(a), abs(b), abs(c))
     if scale == 0.0:
         raise DegenerateDataError("all quadratic coefficients are zero")
+    # The roots of the quadratic divided by the power of two 2**e of its
+    # largest coefficient: the division is exact, and b^2 - 4ac cannot
+    # overflow.
+    e = math.frexp(scale)[1]
+    sa, sb, sc = math.ldexp(a, -e), math.ldexp(b, -e), math.ldexp(c, -e)
 
-    if a == 0.0:
-        if b == 0.0:
+    if sa == 0.0:
+        if sb == 0.0:
             raise DegenerateDataError("degenerate quadratic: a = b = 0")
-        roots = [-c / b]
+        roots = [-sc / sb]
     else:
-        disc = b * b - 4.0 * a * c
+        disc = sb * sb - 4.0 * sa * sc
         if disc < 0.0:
             raise DegenerateDataError("quadratic has no real root")
         sq = math.sqrt(disc)
         # Stable form: avoid cancellation between -b and the square root.
-        q = -0.5 * (b + math.copysign(sq, b)) if b != 0.0 else 0.5 * sq
+        q = -0.5 * (sb + math.copysign(sq, sb)) if sb != 0.0 else 0.5 * sq
         if q == 0.0:
             roots = [0.0]
         else:
-            roots = [q / a, c / q]
+            roots = [q / sa, sc / q]
 
     positive = sorted({r for r in roots if r > 0.0})
     if not positive:
@@ -199,9 +204,9 @@ def solve_quadratic_positive(a: float, b: float, c: float) -> float:
     root = positive[0]
     # Newton polish to push the residual down to rounding level.
     for _ in range(2):
-        deriv = 2.0 * a * root + b
+        deriv = 2.0 * sa * root + sb
         if deriv != 0.0:
-            root -= (a * root * root + b * root + c) / deriv
+            root -= (sa * root * root + sb * root + sc) / deriv
     if root <= 0.0:
         raise DegenerateDataError("positive root collapsed to zero after polishing")
     return float(root)

@@ -1,10 +1,14 @@
+import dataclasses
 import math
+import os
+from collections import Counter
 
 import numpy as np
 import pytest
 from scipy import stats
 
 import fidgibbs.core
+import fidgibbs.gibbs
 import fidgibbs.models
 import fidgibbs.randvar
 from fidgibbs import (
@@ -20,6 +24,7 @@ from fidgibbs import (
     estimate,
     get_model,
     run,
+    simulate_dataset,
 )
 from fidgibbs.diagnostics import ess_of_chains
 from fidgibbs.models import normal_marginal_mu
@@ -134,7 +139,9 @@ class TestRun:
     def test_single_draw_path(self, name, data_fixture, request, monkeypatch):
         # run draws through the conditionals built once per dataset: it never
         # evaluates a quantile, and builds a StructuralEquation only for the
-        # injectivity probe at the start of each chain.
+        # injectivity probe at the start of each chain.  The calls are
+        # counted in this process, so the chains must run here.
+        monkeypatch.setattr(fidgibbs.gibbs, "_usable_cpus", lambda: 1)
         data = request.getfixturevalue(data_fixture)
         calls = {"quantile": 0, "equation": 0}
 
@@ -200,6 +207,150 @@ class TestRun:
         assert err.value.diagnostics["chain"] == 0
         assert err.value.diagnostics["cycle"] == 7
         assert "state" in err.value.diagnostics
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _outcome(model, data, config):
+    """run's SampleMatrix, or what it raised: (type, message, diagnostics)."""
+    try:
+        return run(model, data, config)
+    except StructuralError as exc:
+        return type(exc), str(exc), exc.diagnostics
+
+
+def _fork_always(monkeypatch) -> list:
+    """Make run fork two processes whatever the run's length; the returned
+    list gets the caller's pid at each fork."""
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(fidgibbs.gibbs, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(fidgibbs.gibbs, "_FORK_BREAK_EVEN_S", 0.0)
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
+
+
+def _both_paths(monkeypatch, model, data, config):
+    """run's outcome with every chain in this process, and with the chains
+    forked over two processes; no child outlives either."""
+    monkeypatch.setattr(fidgibbs.gibbs, "_usable_cpus", lambda: 1)
+    serial = _outcome(model, data, config)
+    forks = _fork_always(monkeypatch)
+    forked = _outcome(model, data, config)
+    assert forks == [os.getpid()]
+    _no_child_left()
+    return serial, forked
+
+
+class _FailAt:
+    """A conditional that draws as `inner` does and raises StructuralError
+    at cycle fail_at[c] of each chain c in fail_at (chain c draws from the
+    (seed, c) stream)."""
+
+    def __init__(self, inner, fail_at):
+        self.inner, self.fail_at, self.calls = inner, fail_at, Counter()
+        self.target_param = inner.target_param
+        self.check_at_start = inner.check_at_start
+        self.statistic = inner.statistic
+
+    def equation(self, data, others):
+        return self.inner.equation(data, others)
+
+    def draw(self, data, state, rng, warnings=None):
+        chain = rng.stream_id
+        cycle = self.calls[chain]
+        self.calls[chain] += 1
+        if self.fail_at.get(chain) == cycle:
+            raise StructuralError(f"chain {chain} fails", statistic_value=state["mu"])
+        return self.inner.draw(data, state, rng, warnings)
+
+
+def _failing_model(label, fail_at):
+    model = get_model("normal")
+
+    def build(data):
+        conditionals = model.build_conditionals(data)
+        return {**conditionals, label: fail_at(conditionals[label])}
+
+    return dataclasses.replace(model, build_conditionals=build)
+
+
+class TestForkedChains:
+    # Chain c runs in the process c % 2 when the chains are forked.
+    @pytest.mark.parametrize("name,data_fixture", CATALOG_DATA)
+    def test_same_output(self, name, data_fixture, request, monkeypatch):
+        data = request.getfixturevalue(data_fixture)
+        serial, forked = _both_paths(monkeypatch, get_model(name), data,
+                                     ChainConfig(m=120, b=0, seed=5))
+        assert np.array_equal(serial.values, forked.values)
+        assert list(serial.warnings.items()) == list(forked.warnings.items())
+        assert serial.config == forked.config
+
+    @pytest.mark.parametrize("name,config", [
+        ("quadreg", ChainConfig(m=120, b=0, chains=3, seed=6,
+                                scan_order=("sigma2", "beta2", "beta0", "beta1"))),
+        ("pareto", ChainConfig(m=120, b=0, chains=3, seed=6,
+                               init=({"alpha": 1.0, "beta": 1.5},) * 3)),
+    ])
+    def test_scan_order_init_and_odd_chain_count(self, name, config, request, monkeypatch):
+        data = request.getfixturevalue(dict(CATALOG_DATA)[name])
+        serial, forked = _both_paths(monkeypatch, get_model(name), data, config)
+        assert np.array_equal(serial.values, forked.values)
+        assert serial.config == forked.config
+
+    def test_same_warnings_in_the_same_order(self, monkeypatch):
+        # n = 5 gamma data: injectivity grid failures and gamma redraws.
+        data = simulate_dataset("gamma", {"alpha": 2.0, "beta": 0.5}, 5, RngStream(2018, 2**32))
+        serial, forked = _both_paths(monkeypatch, get_model("gamma"), data,
+                                     ChainConfig(m=2000, b=0, seed=2018))
+        assert len(serial.warnings) == 2
+        assert list(serial.warnings.items()) == list(forked.warnings.items())
+        assert np.array_equal(serial.values, forked.values)
+
+    @pytest.mark.parametrize("fail_at", [
+        {1: 60}, {3: 60}, {2: 50, 1: 70}, {2: 50, 3: 30}, {0: 45, 1: 10}])
+    def test_lowest_failing_chain_raises_the_same_error(self, fail_at, normal_data, monkeypatch):
+        model = _failing_model("mu", lambda inner: _FailAt(inner, fail_at))
+        serial, forked = _both_paths(monkeypatch, model, normal_data,
+                                     ChainConfig(m=100, b=0, seed=9))
+        assert serial == forked
+        chain = min(fail_at)
+        assert serial[1].startswith(f"chain {chain} fails")
+        assert serial[2]["chain"] == chain
+        assert serial[2]["cycle"] == fail_at[chain]
+        assert set(serial[2]["state"]) == {"mu", "sigma2"}
+
+    def test_interrupt_kills_the_children(self, normal_data, monkeypatch):
+        parent = os.getpid()
+
+        class Interrupted(_FailAt):
+            def draw(self, data, state, rng, warnings=None):
+                if os.getpid() == parent and rng.stream_id == 2:
+                    raise KeyboardInterrupt
+                return super().draw(data, state, rng, warnings)
+
+        model = _failing_model("sigma2", lambda inner: Interrupted(inner, {}))
+        forks = _fork_always(monkeypatch)
+        with pytest.raises(KeyboardInterrupt):
+            run(model, normal_data, ChainConfig(m=3000, b=0, seed=9))
+        assert forks == [parent]
+        _no_child_left()
+
+    def test_short_run_stays_in_process(self, normal_data, monkeypatch):
+        # 4 x 50 cycles take about a millisecond: far below the break-even.
+        forks = []
+        monkeypatch.setattr(fidgibbs.gibbs, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1))
+        run(get_model("normal"), normal_data, ChainConfig(m=50, b=0))
+        assert forks == []
 
 
 class TestEstimate:

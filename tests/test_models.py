@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, optimize, stats
 
+import fidgibbs.gibbs
 import fidgibbs.models as M
 from fidgibbs import (
     DegenerateDataError,
@@ -398,6 +399,21 @@ class TestBivariateNormal:
             assert -1.0 < r < 1.0
             assert abs(eq.phi(g, r) - q) <= 1e-8
 
+    def test_start_with_huge_sigma_statistic(self):
+        # rho Cxy / sigma_y is about -1e157 here: the sigma_x statistic is a
+        # finite root of about 2.6e155, whose square leaves the float range, so
+        # the start fails with a finite statistic and the state named.
+        data = simulate_dataset(
+            "bivariate_normal", {"mu_x": 0.0, "mu_y": 0.0, "sigma_x2": 1.0, "sigma_y2": 1.0,
+                                 "rho": 0.5}, 20, RngStream(3, 0))
+        data = Dataset({"x": data.col("x") * 1e3, "y": data.col("y") * 1e3})
+        init = {"mu_x": 0.0, "mu_y": 0.0, "sigma_x2": 1.0, "sigma_y2": 1e-300, "rho": -0.5}
+        with pytest.raises(StructuralError) as err:
+            run(get_model("bivariate_normal"), data,
+                ChainConfig(m=50, b=0, chains=1, init=(init,)))
+        assert math.isfinite(err.value.diagnostics["statistic_value"])
+        assert err.value.diagnostics["state"] == init
+
     def test_draw_wrappers(self, bvn_data, rng):
         conditionals = get_model("bivariate_normal").build_conditionals(bvn_data)
         s2 = conditionals["sigma_x2"].draw(bvn_data, dict(self.STATE, rho=0.8), rng)
@@ -567,7 +583,9 @@ class TestNewtonInversion:
     ])
     def test_shape_solve_evaluations(self, model, theta, n, monkeypatch):
         # Brent needed 8.2 (gamma) and 8.6 (beta) evaluations per solve here,
-        # the Newton solve from the chain state 5.8 and 5.6.
+        # the Newton solve from the chain state 5.8 and 5.6.  The calls are
+        # counted in this process, so the chains must run here.
+        monkeypatch.setattr(fidgibbs.gibbs, "_usable_cpus", lambda: 1)
         clt = M._clt_shape_invert
         counts = {"solves": 0, "evaluations": 0}
 
@@ -690,14 +708,19 @@ class TestShapePivots:
             assert log_dg == pytest.approx(math.log(abs(slope)), abs=1e-5)
         assert solved >= 25
 
-    @pytest.mark.parametrize("model,n,other,seed", [("gamma", 20, 0.5, 62), ("beta", 50, 3.0, 63)])
-    def test_draws_follow_the_pivot_law(self, model, n, other, seed):
+    @pytest.mark.parametrize("model,n,label,other,seed", [
+        ("gamma", 20, "alpha", 0.5, 62), ("beta", 50, "alpha", 3.0, 63),
+        ("beta", 50, "beta", 8.0, 65), ("gamma", 5, "alpha", 0.5, 66),
+        ("beta", 25, "alpha", 0.4, 67)],
+        ids=["gamma-20-0.5-62", "beta-50-3.0-63", "beta-50-beta-8.0-65", "gamma-5-0.5-66",
+             "beta-25-0.4-67"])
+    def test_draws_follow_the_pivot_law(self, model, n, label, other, seed):
         # The independent oracle: a draw a has g(a) = pivot(q, a) with the
         # primary's law given acceptance.  a decreases in g on the branch
         # the solver returns, and every g up to min(5, max g(a)) is
         # accepted, so P(A <= a) = (Phi(top) - Phi(g(a))) / (Phi(top) - Phi(-5)).
-        data, cond = _shape_conditional(model, n, seed)
-        state = {"alpha": 1.0, "beta": other}
+        data, cond = _shape_conditional(model, n, seed, label)
+        state = {"alpha": other, "beta": 1.0} if label == "beta" else {"alpha": 1.0, "beta": other}
         eq = cond.equation_for(data, state)
         q = cond.statistic.compute(data, state)
         grid = np.exp(np.linspace(math.log(1e-4), math.log(1e4), 4001)).tolist()
@@ -710,7 +733,9 @@ class TestShapePivots:
 
         rng = RngStream(seed, 0)
         draws = [cond.draw(data, state, rng) for _ in range(20_000)]
-        assert stats.kstest(draws, cdf).pvalue > 1e-3
+        pvalue = stats.kstest(draws, cdf).pvalue
+        print(f"KS p-value {pvalue:.3g}")
+        assert pvalue > 1e-3
 
     @pytest.mark.parametrize("model,region", [("gamma", "inside"), ("gamma", "outside"),
                                               ("beta", "inside"), ("beta", "outside")])
@@ -826,7 +851,9 @@ class TestBvnPivots:
 
         rng = RngStream(seed, 0)
         draws = [cond.draw(data, state, rng) for _ in range(20_000)]
-        assert stats.kstest(draws, cdf).pvalue > 1e-3
+        pvalue = stats.kstest(draws, cdf).pvalue
+        print(f"KS p-value {pvalue:.3g}")
+        assert pvalue > 1e-3
 
 
 # Data no model can take: too few observations, values outside the support,

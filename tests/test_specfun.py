@@ -201,6 +201,33 @@ class TestSolveQuadraticPositive:
         with pytest.raises(DegenerateDataError):
             solve_quadratic_positive(1.0, -3.0, 2.0)  # roots 1 and 2
 
+    def test_coefficient_near_the_float_limit(self):
+        # b * b overflows unless the coefficients are scaled first.
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            a, b, c = mp.mpf(10), mp.mpf(-1e160), mp.mpf(-1)
+            ref = (-b + mp.sqrt(b * b - 4 * a * c)) / (2 * a)
+            root = solve_quadratic_positive(10.0, -1e160, -1.0)
+            assert abs(root - ref) <= 1e-14 * ref
+
+    def test_scaling_changes_no_in_range_root(self):
+        # The unscaled arithmetic as it was before the power-of-two scaling.
+        def unscaled(a, b, c):
+            sq = math.sqrt(b * b - 4.0 * a * c)
+            q = -0.5 * (b + math.copysign(sq, b)) if b != 0.0 else 0.5 * sq
+            root = min(r for r in (q / a, c / q) if r > 0.0)
+            for _ in range(2):
+                deriv = 2.0 * a * root + b
+                if deriv != 0.0:
+                    root -= (a * root * root + b * root + c) / deriv
+            return root
+
+        rng = np.random.default_rng(11)
+        for _ in range(20_000):
+            a, b, c = (rng.uniform(0.01, 100.0, 3) * 10.0 ** rng.integers(-100, 101, 3)).tolist()
+            b = -b if rng.random() < 0.5 else b
+            assert solve_quadratic_positive(a, b, -c) == unscaled(a, b, -c)
+
 
 class TestSolveCubicInInterval:
     def test_scaled_factorized(self):
