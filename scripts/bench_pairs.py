@@ -17,10 +17,11 @@ The JSON written to ``--out`` holds, per workload and end-to-end metric,
 the per-run values of each side in pair order, their median, quartiles and
 interquartile range, and in how many pairs the change was better (the
 direction comes from BENCHMARK.json); ``wall_summary`` does the same for
-the unscaled wall-time metrics of each run's record.  A gain claim needs the change to be
-better in at least 9 of 10 pairs and its median to differ from the base's
-by more than the base's interquartile range; ``claim_holds`` says whether
-it does.
+the unscaled wall-time metrics of each run's record, and each run keeps
+the median wall seconds of every job it ran (``job_median_s``).  A gain
+claim needs the change to be better in at least 9 of 10 pairs and its
+median to differ from the base's by more than the base's interquartile
+range; ``claim_holds`` says whether it does.
 """
 
 from __future__ import annotations
@@ -56,9 +57,14 @@ def bench_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     result = json.loads(lines[-1])
     # The run record also holds the metrics in unscaled wall time.
     record = json.loads((tree / ".bench_out" / f"{workload}-seed{seed}-trace0.json").read_text())
+    jobs = {}
+    for op in record.get("operations", []):
+        if op["ok"]:
+            jobs.setdefault(op["name"], []).append(op["seconds"])
     return {"attempted": result["attempted"], "failed": result["failed"],
             "metrics": {k: v["value"] for k, v in result["metrics"].items()},
-            "wall_metrics": {k: v["value"] for k, v in record.get("wall_metrics", {}).items()}}
+            "wall_metrics": {k: v["value"] for k, v in record.get("wall_metrics", {}).items()},
+            "job_median_s": {name: statistics.median(s) for name, s in sorted(jobs.items())}}
 
 
 def summarize_side(values: list) -> dict:

@@ -8,13 +8,17 @@ and the seed are carried into every result for honest reporting.
 
 On Linux the chains of a long run are spread over forked processes, one
 per usable CPU; every chain draws from its own stream, so the output is
-the same whichever process runs it.
+the same whichever process runs it.  The draws of every chain go straight
+into one (chains, m, parameters) matrix, which a forked run shares with
+its children, each filling its own chains' rows in place.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import math
+import mmap
 import os
 import pickle
 import signal
@@ -36,11 +40,14 @@ DEFAULT_BURN_IN = 500
 
 # run forks only when the CPU time of chain 0's cycles _WARM_UP_CYCLES ..
 # _WARM_UP_CYCLES + _TIMED_CYCLES predicts more serial sampling than
-# _FORK_BREAK_EVEN_S seconds: forking, reaping and the trip of the results
-# through a pipe cost about 5 ms per run.
+# _FORK_BREAK_EVEN_S seconds: forking and reaping the children, and their
+# page faults in the shared result matrix, cost about 5 ms per run.
 _WARM_UP_CYCLES = 8
 _TIMED_CYCLES = 32
 _FORK_BREAK_EVEN_S = 0.03
+# prctl option (linux/prctl.h): the signal a process gets when the thread
+# that forked it ends.
+_PR_SET_PDEATHSIG = 1
 
 
 @dataclass(frozen=True)
@@ -134,12 +141,12 @@ def _validate_init(model: ModelSpec, state: Mapping[str, float], chain: int) -> 
     return out
 
 
-def _run_chain(data: Dataset, conditionals: dict,
-               order: Tuple[str, ...], init: Mapping[str, float],
-               m: int, seed: int, chain: int,
-               timed: Optional[Callable[[float], None]] = None,
-               ) -> Tuple[np.ndarray, Counter]:
-    """One chain's draws and warnings.
+def _run_chain(data: Dataset, conditionals: dict, order: Tuple[str, ...],
+               labels: Tuple[str, ...], init: Mapping[str, float],
+               seed: int, chain: int, out: np.ndarray,
+               timed: Optional[Callable[[float], None]] = None) -> Counter:
+    """Write one chain's draws into out, an (m, len(labels)) array whose
+    columns follow labels, cycle by cycle; return the chain's warnings.
 
     timed, when given, is called once, in the chain, with the CPU seconds
     per cycle of cycles _WARM_UP_CYCLES .. _WARM_UP_CYCLES + _TIMED_CYCLES.
@@ -156,15 +163,17 @@ def _run_chain(data: Dataset, conditionals: dict,
             q = sampler.statistic.compute(data, state)
             report = check_injectivity(eq, q)
             if not report.monotone:
+                problem = (": no gamma of the probe grid solves the equation"
+                           if report.n_failed == len(report.gamma_grid) else " is not injective")
                 raise StructuralError(
-                    f"conditional for '{label}' is not injective at the observed "
-                    f"statistic (start of chain {chain})",
+                    f"conditional for '{label}'{problem} at the observed statistic "
+                    f"(start of chain {chain})",
                     chain=chain, statistic_value=q, state=dict(state),
                     report=repr(report))
             if report.n_failed:
                 warnings[f"{label}.injectivity_grid_failures"] += report.n_failed
-    draws = [(j, label, conditionals[label].draw) for j, label in enumerate(order)]
-    values = np.empty((m, len(order)))
+    draws = [(labels.index(label), label, conditionals[label].draw) for label in order]
+    m = len(out)
     if timed is None:
         spans = ((0, m),)
     else:
@@ -175,7 +184,7 @@ def _run_chain(data: Dataset, conditionals: dict,
             start = time.thread_time()
             for cycle in range(lo, hi):
                 for j, label, draw in draws:
-                    values[cycle, j] = state[label] = draw(data, state, rng, warnings)
+                    out[cycle, j] = state[label] = draw(data, state, rng, warnings)
             if span == 1:
                 timed((time.thread_time() - start) / max(hi - lo, 1))
     except StructuralError as exc:
@@ -183,7 +192,7 @@ def _run_chain(data: Dataset, conditionals: dict,
         exc.diagnostics["cycle"] = cycle
         exc.diagnostics["state"] = dict(state)
         raise
-    return values, warnings
+    return warnings
 
 
 def _usable_cpus() -> int:
@@ -207,18 +216,23 @@ def _other_cpus() -> list:
 
 
 def _run_forked(run_chain: Callable, chains: int, procs: int, m: int) -> list:
-    """run_chain(c) for c = 0..chains-1, spread over up to procs processes.
+    """run_chain(c) for c = 0..chains-1, spread over up to procs processes;
+    the list of what each returned, in chain order.
 
-    This process runs chain 0 and, from the timed first cycles of chain 0,
+    run_chain writes the chain's draws into a matrix that the forked
+    children share with this process and returns its warnings.  This
+    process runs chain 0 and, from the timed first cycles of chain 0,
     predicts the serial sampling time of the run.  Above _FORK_BREAK_EVEN_S
     it forks procs - 1 children, child k running the chains c with
     c % procs == k on a CPU of its own, and keeps the chains c % procs == 0
     itself; below it, it runs every chain itself.  (A forked child starts
     on its parent's CPU, and a scheduler may leave it there for 100 ms or
-    more while another CPU idles.)  A child sends (chain, result) pickles
-    over a pipe and stops at its first failing chain.  The results are
+    more while another CPU idles.)  A child sends a small (chain, warnings)
+    pickle over a pipe as each chain ends, so it never waits for this
+    process to read, and stops at its first failing chain.  The results are
     taken in chain order: an own chain that failed raises its exception,
-    and a chain that no child sent is run again here, so the lowest failing
+    and a chain that no child sent is run again here, once every child has
+    been reaped and none can still write its row, so the lowest failing
     chain raises what the serial loop would raise.  No child outlives the
     call.
     """
@@ -228,6 +242,7 @@ def _run_forked(run_chain: Callable, chains: int, procs: int, m: int) -> list:
         if seconds_per_cycle * m * chains <= _FORK_BREAK_EVEN_S:
             return
         cpus = _other_cpus()
+        parent = os.getpid()
         for k in range(1, procs):
             r, w = os.pipe()
             try:
@@ -238,7 +253,7 @@ def _run_forked(run_chain: Callable, chains: int, procs: int, m: int) -> list:
                 os.close(w)
                 return
             if pid == 0:
-                _serve(run_chain, range(k, chains, procs), w, cpus[k - 1:k])
+                _serve(run_chain, range(k, chains, procs), w, cpus[k - 1:k], parent)
             children[pid] = (r, k)
             os.close(w)
 
@@ -272,12 +287,23 @@ def _run_forked(run_chain: Callable, chains: int, procs: int, m: int) -> list:
     return results
 
 
-def _serve(run_chain: Callable, chains: range, fd: int, cpus: list):
-    """A forked child's life: move to cpus if any are given, pickle (chain,
-    run_chain(chain)) to fd for each chain up to the first that raises,
-    then exit without returning into the caller or flushing the inherited
-    stdio buffers."""
+def _serve(run_chain: Callable, chains: range, fd: int, cpus: list, parent: int):
+    """A forked child's life: die with the thread that forked it, move to
+    cpus if any are given, run each chain (which writes its draws into the
+    shared matrix) and pickle (chain, warnings) to fd, up to the first chain
+    that raises, then exit without returning into the caller or flushing the
+    inherited stdio buffers."""
     try:
+        # A caller killed by a signal it cannot handle never reaches the
+        # finally of _run_forked: the kernel SIGKILLs this process when the
+        # caller dies, and a caller that died before the prctl shows as a
+        # new parent.
+        prctl = ctypes.CDLL(None).prctl
+        prctl.argtypes = (ctypes.c_int,) + (ctypes.c_ulong,) * 4
+        prctl.restype = ctypes.c_int
+        prctl(_PR_SET_PDEATHSIG, signal.SIGKILL, 0, 0, 0)
+        if os.getppid() != parent:
+            return
         if cpus:
             with contextlib.suppress(OSError):
                 os.sched_setaffinity(0, cpus)
@@ -290,16 +316,16 @@ def _serve(run_chain: Callable, chains: range, fd: int, cpus: list):
 
 
 def _receive(fd: int, wanted: set) -> dict:
-    """The (chain, result) pairs a child sent on fd, read until it has sent
-    every chain in wanted or stopped."""
+    """The (chain, warnings) pairs a child sent on fd, read until it has
+    sent every chain in wanted or stopped."""
     got = {}
     with os.fdopen(fd, "rb", closefd=False) as fh:
         while not wanted <= got.keys():
             try:
-                chain, result = pickle.load(fh)
+                chain, warnings = pickle.load(fh)
             except (EOFError, pickle.UnpicklingError):
                 break
-            got[chain] = result
+            got[chain] = warnings
     return got
 
 
@@ -310,7 +336,10 @@ def run(model: ModelSpec, data: Dataset, config: ChainConfig) -> SampleMatrix:
     spread over min(chains, usable CPUs) processes when the timed first
     cycles of chain 0 predict that forking pays (see _run_forked); the
     values, warnings and errors are those of running the chains one after
-    another in this process, which is what happens otherwise.
+    another in this process, which is what happens otherwise.  Every chain
+    writes its draws into one (chains, m, parameters) matrix, allocated
+    once; when the run may fork, it is an anonymous shared mapping, so the
+    children fill their chains' rows in place.
     """
     order = _scan_order(model, config)
     conditionals = model.build_conditionals(data)
@@ -319,24 +348,25 @@ def run(model: ModelSpec, data: Dataset, config: ChainConfig) -> SampleMatrix:
         raise DomainError(f"model '{model.name}' lacks conditionals for {sorted(missing)}")
     inits = config.init if config.init is not None else model.chain_inits(data, config.chains)
     inits = [_validate_init(model, st, c) for c, st in enumerate(inits)]
+    # Columns in the model's declared order, whatever the scan order, for
+    # stable output.
+    labels = model.param_labels
+    shape = (config.chains, config.m, len(labels))
+    procs = min(config.chains, _usable_cpus())
+    values = (np.empty(shape) if procs == 1
+              else np.ndarray(shape, buffer=mmap.mmap(-1, math.prod(shape) * 8)))
 
     def run_chain(chain: int, timed=None):
-        return _run_chain(data, conditionals, order, inits[chain],
-                          config.m, config.seed, chain, timed)
+        return _run_chain(data, conditionals, order, labels, inits[chain],
+                          config.seed, chain, values[chain], timed)
 
-    procs = min(config.chains, _usable_cpus())
     if procs == 1:
-        results = [run_chain(chain) for chain in range(config.chains)]
+        chain_warnings = [run_chain(chain) for chain in range(config.chains)]
     else:
-        results = _run_forked(run_chain, config.chains, procs, config.m)
-    values = np.stack([v for v, _ in results])
+        chain_warnings = _run_forked(run_chain, config.chains, procs, config.m)
     warnings = Counter()
-    for _, w in results:
+    for w in chain_warnings:
         warnings.update(w)
-    # Reorder columns to the model's declared order for stable output.
-    labels = model.param_labels
-    perm = [order.index(lb) for lb in labels]
-    values = values[:, :, perm]
     cfg = ChainConfig(m=config.m, b=config.b, chains=config.chains, seed=config.seed,
                       scan_order=order, init=tuple(inits))
     return SampleMatrix(values=values, labels=labels, config=cfg,

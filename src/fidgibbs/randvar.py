@@ -91,19 +91,15 @@ class RngStream:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
 
 
-def _require(cond: bool, msg: str):
-    if not cond:
-        raise DomainError(msg)
-
-
 @dataclass(frozen=True)
 class Normal:
     mean: float
     var: float
 
     def __post_init__(self):
-        _require(math.isfinite(self.mean) and 0.0 < self.var < math.inf,
-                 f"Normal requires finite mean and var > 0, got ({self.mean}, {self.var})")
+        if not (math.isfinite(self.mean) and 0.0 < self.var < math.inf):
+            raise DomainError(
+                f"Normal requires finite mean and var > 0, got ({self.mean}, {self.var})")
 
 
 @dataclass(frozen=True)
@@ -114,10 +110,11 @@ class TruncatedNormal:
     hi: float
 
     def __post_init__(self):
-        _require(math.isfinite(self.mean) and 0.0 < self.var < math.inf
-                 and math.isfinite(self.lo) and math.isfinite(self.hi),
-                 f"TruncatedNormal requires finite parameters and var > 0, got {self}")
-        _require(self.lo < self.hi, f"TruncatedNormal requires lo < hi, got [{self.lo}, {self.hi}]")
+        if not (math.isfinite(self.mean) and 0.0 < self.var < math.inf
+                and math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise DomainError(f"TruncatedNormal requires finite parameters and var > 0, got {self}")
+        if not self.lo < self.hi:
+            raise DomainError(f"TruncatedNormal requires lo < hi, got [{self.lo}, {self.hi}]")
 
 
 @dataclass(frozen=True)
@@ -126,8 +123,9 @@ class Gamma:
     rate: float
 
     def __post_init__(self):
-        _require(0.0 < self.shape < math.inf and 0.0 < self.rate < math.inf,
-                 f"Gamma requires shape > 0 and rate > 0, got ({self.shape}, {self.rate})")
+        if not (0.0 < self.shape < math.inf and 0.0 < self.rate < math.inf):
+            raise DomainError(
+                f"Gamma requires shape > 0 and rate > 0, got ({self.shape}, {self.rate})")
 
 
 @dataclass(frozen=True)
@@ -135,7 +133,8 @@ class ChiSquare:
     df: float
 
     def __post_init__(self):
-        _require(0.0 < self.df < math.inf, f"ChiSquare requires df > 0, got {self.df}")
+        if not 0.0 < self.df < math.inf:
+            raise DomainError(f"ChiSquare requires df > 0, got {self.df}")
 
 
 @dataclass(frozen=True)
@@ -144,8 +143,9 @@ class ScaledInvChiSquare:
     scale: float
 
     def __post_init__(self):
-        _require(0.0 < self.df < math.inf and 0.0 < self.scale < math.inf,
-                 f"ScaledInvChiSquare requires df > 0 and scale > 0, got ({self.df}, {self.scale})")
+        if not (0.0 < self.df < math.inf and 0.0 < self.scale < math.inf):
+            raise DomainError(
+                f"ScaledInvChiSquare requires df > 0 and scale > 0, got ({self.df}, {self.scale})")
 
 
 @dataclass(frozen=True)
@@ -153,8 +153,8 @@ class Exponential:
     rate: float
 
     def __post_init__(self):
-        _require(0.0 < self.rate < math.inf,
-                 f"Exponential requires rate > 0, got {self.rate}")
+        if not 0.0 < self.rate < math.inf:
+            raise DomainError(f"Exponential requires rate > 0, got {self.rate}")
 
 
 @dataclass(frozen=True)
@@ -164,9 +164,9 @@ class StudentT:
     scale: float = 1.0
 
     def __post_init__(self):
-        _require(0.0 < self.df < math.inf and math.isfinite(self.loc)
-                 and 0.0 < self.scale < math.inf,
-                 f"StudentT requires df > 0 and scale > 0, got {self}")
+        if not (0.0 < self.df < math.inf and math.isfinite(self.loc)
+                and 0.0 < self.scale < math.inf):
+            raise DomainError(f"StudentT requires df > 0 and scale > 0, got {self}")
 
 
 Dist = Union[Normal, TruncatedNormal, Gamma, ChiSquare, ScaledInvChiSquare, Exponential, StudentT]

@@ -1,7 +1,14 @@
 import dataclasses
 import math
 import os
+import select
+import signal
+import subprocess
+import sys
+import textwrap
+import time
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +33,7 @@ from fidgibbs import (
     run,
     simulate_dataset,
 )
+from fidgibbs.core import INJECTIVITY_GRID_SIZE, InjectivityReport
 from fidgibbs.diagnostics import ess_of_chains
 from fidgibbs.models import normal_marginal_mu
 from fidgibbs.randvar import quantile
@@ -208,6 +216,25 @@ class TestRun:
         assert err.value.diagnostics["cycle"] == 7
         assert "state" in err.value.diagnostics
 
+    @pytest.mark.parametrize("n_failed,problem", [
+        (3, " is not injective"),
+        (INJECTIVITY_GRID_SIZE, ": no gamma of the probe grid solves the equation"),
+    ], ids=["not_injective", "no_grid_point_solves"])
+    def test_failed_start_probe_says_what_failed(self, n_failed, problem, gamma_data,
+                                                 monkeypatch):
+        grid = np.linspace(0.0, 1.0, INJECTIVITY_GRID_SIZE)
+        report = InjectivityReport(gamma_grid=grid, theta_values=np.full(grid.size, np.nan),
+                                   n_failed=n_failed, monotone=False,
+                                   max_roundtrip_residual=0.0)
+        monkeypatch.setattr(fidgibbs.gibbs, "check_injectivity", lambda eq, q: report)
+        with pytest.raises(StructuralError) as err:
+            run(get_model("gamma"), gamma_data, ChainConfig(m=10, b=0, chains=1))
+        assert str(err.value).startswith(
+            f"conditional for 'alpha'{problem} at the observed statistic (start of chain 0)")
+        assert err.value.diagnostics["chain"] == 0
+        assert err.value.diagnostics["report"] == repr(report)
+        assert set(err.value.diagnostics["state"]) == {"alpha", "beta"}
+
 
 def _no_child_left():
     with pytest.raises(ChildProcessError):
@@ -283,13 +310,29 @@ def _failing_model(label, fail_at):
     return dataclasses.replace(model, build_conditionals=build)
 
 
+def _start_time(pid: int):
+    """The start time of a process that has not ended (fields 22 and 3 of
+    /proc/<pid>/stat), or None."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            fields = fh.read().rsplit(")", 1)[1].split()
+    except (FileNotFoundError, ProcessLookupError):
+        return None
+    return None if fields[0] in ("Z", "X") else fields[19]
+
+
 class TestForkedChains:
     # Chain c runs in the process c % 2 when the chains are forked.
-    @pytest.mark.parametrize("name,data_fixture", CATALOG_DATA)
-    def test_same_output(self, name, data_fixture, request, monkeypatch):
+    @pytest.mark.parametrize("name,data_fixture,m", [
+        *(pytest.param(name, fixture, 120, id=f"{name}-{fixture}")
+          for name, fixture in CATALOG_DATA),
+        # 2000 x 5 draws, 80 KB a chain: more than a pipe holds.
+        pytest.param("bivariate_normal", "bvn_data", 2000, id="bivariate_normal-bvn_data-m2000"),
+    ])
+    def test_same_output(self, name, data_fixture, m, request, monkeypatch):
         data = request.getfixturevalue(data_fixture)
         serial, forked = _both_paths(monkeypatch, get_model(name), data,
-                                     ChainConfig(m=120, b=0, seed=5))
+                                     ChainConfig(m=m, b=0, seed=5))
         assert np.array_equal(serial.values, forked.values)
         assert list(serial.warnings.items()) == list(forked.warnings.items())
         assert serial.config == forked.config
@@ -343,6 +386,94 @@ class TestForkedChains:
             run(model, normal_data, ChainConfig(m=3000, b=0, seed=9))
         assert forks == [parent]
         _no_child_left()
+
+    def test_more_processes_than_cpus(self, normal_data, monkeypatch):
+        # Four processes share the result matrix, each writing the rows of
+        # its own chains (0 and 4, 1 and 5, 2 and 6, 3), however few CPUs
+        # the host has.
+        config = ChainConfig(m=3000, b=0, chains=7, seed=11)
+        monkeypatch.setattr(fidgibbs.gibbs, "_usable_cpus", lambda: 1)
+        serial = run(get_model("normal"), normal_data, config)
+        forks = _fork_always(monkeypatch)
+        monkeypatch.setattr(fidgibbs.gibbs, "_usable_cpus", lambda: 4)
+        forked = run(get_model("normal"), normal_data, config)
+        assert forks == [os.getpid()] * 3
+        _no_child_left()
+        assert np.array_equal(serial.values, forked.values)
+
+    def test_child_runs_its_chains_back_to_back(self, normal_data, tmp_path, monkeypatch):
+        # 5000 x 2 draws, 80 KB a chain: more than a pipe holds.  The child's
+        # last chain (3) must end while this process waits in its own last
+        # chain (2), so the child cannot be waiting for this process to read.
+        parent, m = os.getpid(), 5000
+        marker = tmp_path / "chain_3_done"
+        seen = []
+
+        class Rendezvous(_FailAt):
+            def draw(self, data, state, rng, warnings=None):
+                chain, cycle = rng.stream_id, self.calls[rng.stream_id]
+                if chain == 2 and cycle == 0 and os.getpid() == parent:
+                    deadline = time.monotonic() + 10.0
+                    while not marker.exists() and time.monotonic() < deadline:
+                        time.sleep(0.01)
+                    seen.append(marker.exists())
+                value = super().draw(data, state, rng, warnings)
+                if chain == 3 and cycle == m - 1:
+                    marker.touch()
+                return value
+
+        model = _failing_model("sigma2", lambda inner: Rendezvous(inner, {}))
+        forks = _fork_always(monkeypatch)
+        forked = run(model, normal_data, ChainConfig(m=m, b=0, seed=9))
+        assert forks == [parent]
+        _no_child_left()
+        assert seen == [True]
+        monkeypatch.setattr(fidgibbs.gibbs, "_usable_cpus", lambda: 1)
+        serial = run(get_model("normal"), normal_data, ChainConfig(m=m, b=0, seed=9))
+        assert np.array_equal(serial.values, forked.values)
+
+    def test_children_die_with_a_killed_caller(self):
+        # A caller killed by SIGKILL runs no finally; the kernel must end its
+        # children.  The caller prints each child's pid as it forks it; a
+        # chain of 400 000 gamma cycles takes seconds.
+        code = textwrap.dedent("""
+            import os
+            import fidgibbs.gibbs as G
+            from fidgibbs import ChainConfig, RngStream, get_model, run, simulate_dataset
+            G._usable_cpus = lambda: 2
+            G._FORK_BREAK_EVEN_S = 0.0
+            fork = os.fork
+
+            def reporting_fork():
+                pid = fork()
+                if pid:
+                    print(pid, flush=True)
+                return pid
+
+            os.fork = reporting_fork
+            data = simulate_dataset("gamma", {"alpha": 2.0, "beta": 0.5}, 20, RngStream(1, 0))
+            run(get_model("gamma"), data, ChainConfig(m=400_000, b=0, chains=2))
+        """)
+        src = Path(fidgibbs.gibbs.__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+        child = start = None
+        with subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE,
+                              text=True, env=env) as caller:
+            try:
+                assert select.select([caller.stdout], [], [], 60.0)[0], "no fork within 60 s"
+                child = int(caller.stdout.readline())
+                start = _start_time(child)
+                caller.kill()
+                caller.wait(timeout=10.0)
+                deadline = time.monotonic() + 10.0
+                while start is not None and _start_time(child) == start:
+                    assert time.monotonic() < deadline, "the child outlived its caller"
+                    time.sleep(0.01)
+            finally:
+                caller.kill()
+                if start is not None and _start_time(child) == start:
+                    os.kill(child, signal.SIGKILL)
 
     def test_short_run_stays_in_process(self, normal_data, monkeypatch):
         # 4 x 50 cycles take about a millisecond: far below the break-even.

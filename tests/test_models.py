@@ -402,7 +402,8 @@ class TestBivariateNormal:
     def test_start_with_huge_sigma_statistic(self):
         # rho Cxy / sigma_y is about -1e157 here: the sigma_x statistic is a
         # finite root of about 2.6e155, whose square leaves the float range, so
-        # the start fails with a finite statistic and the state named.
+        # no point of the start probe's grid solves, and the start fails with a
+        # finite statistic and the state named.
         data = simulate_dataset(
             "bivariate_normal", {"mu_x": 0.0, "mu_y": 0.0, "sigma_x2": 1.0, "sigma_y2": 1.0,
                                  "rho": 0.5}, 20, RngStream(3, 0))
@@ -411,6 +412,8 @@ class TestBivariateNormal:
         with pytest.raises(StructuralError) as err:
             run(get_model("bivariate_normal"), data,
                 ChainConfig(m=50, b=0, chains=1, init=(init,)))
+        assert str(err.value).startswith(
+            "conditional for 'sigma_x2': no gamma of the probe grid solves the equation")
         assert math.isfinite(err.value.diagnostics["statistic_value"])
         assert err.value.diagnostics["state"] == init
 
