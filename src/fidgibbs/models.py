@@ -259,7 +259,7 @@ def _expanding_root(f: Callable[[float], Tuple[float, float]], start: float,
     fall and then rise, so the downward expansion gives up as soon as f > 0
     where f falls (f' < 0): f only grows below such a point.  The shape
     equations use it only outside their certificate, from a start that does
-    not depend on the chain state (_clt_shape_invert).
+    not depend on the chain state (_shape_solve).
     """
     def safe(a):
         try:
@@ -731,18 +731,24 @@ def _quadreg_joint(theta: Mapping[str, float], data: Dataset) -> float:
 
 # Elementary bounds, valid for every x > 0:
 #   log x - 1/x < psi(x) < log x - 1/(2x),   1/x + 1/(2x^2) < psi'(x) < 1/x + 1/x^2.
-# _psi_bounds applies them at x = a + 1 and carries them to a by the
+# _shape_bounds applies them at x = a + 1 and carries them to a by the
 # recurrences psi(a) = psi(a + 1) - 1/a and psi'(a) = psi'(a + 1) + 1/a^2, so
 # that the bounds of psi stay within 1/2 of each other as a -> 0.  In floats
 # they hold to rounding (4e-16 relative on a in [1e-12, 1e12]).
 
-def _psi_bounds(a):
-    """Lower and upper bounds of psi(a), then of psi'(a), without a special function."""
+def _shape_bounds(a, b):
+    """Lower and upper bounds of offset(a), then of slope(a), without a
+    special function: offset is psi(a) for the gamma shape (b None) and
+    psi(a) - psi(a + b) for a beta shape (_shape_parts)."""
     ia = 1.0 / a
     ix = 1.0 / (a + 1.0)
     psi = math.log(a + 1.0) - ia
     tri = ia * ia + ix
-    return psi - ix, psi - 0.5 * ix, tri + 0.5 * ix * ix, tri + ix * ix
+    if b is None:
+        return psi - ix, psi - 0.5 * ix, tri + 0.5 * ix * ix, tri + ix * ix
+    off_b_lo, off_b_hi, s_b_lo, s_b_hi = _shape_bounds(a + b, None)
+    return (psi - ix - off_b_hi, psi - 0.5 * ix - off_b_lo,
+            max(tri + 0.5 * ix * ix - s_b_hi, 0.0), tri + ix * ix - s_b_lo)
 
 
 def _psi_estimate(a):
@@ -765,15 +771,18 @@ _SHAPE_MIN, _SHAPE_MAX = 1e-280, 1e280
 _LOG_SHAPE_MIN, _LOG_SHAPE_MAX = math.log(_SHAPE_MIN), math.log(_SHAPE_MAX)
 
 
-def _estimate_steps(estimate, c, g, n, a, steps):
-    """a after the given number of Newton steps in log a on the map
-    offset(a) + g sqrt(slope(a) / n) - c, with the elementary parts of
-    estimate(a) in place of the special functions; each step moves log a by
-    at most 1, and a step stops at a non-positive slope or derivative.  a
-    is first moved into [_SHAPE_MIN, _SHAPE_MAX] (NaN to its lower end)."""
+def _estimate_steps(c, g, n, b, a, steps):
+    """a after the given number of Newton steps in log a on the shape map
+    offset(a) + g sqrt(slope(a) / n) - c of _shape_fdf, with the elementary
+    _psi_estimate in place of the special functions; each step moves log a
+    by at most 1, and a step stops at a non-positive slope or derivative.
+    a is first moved into [_SHAPE_MIN, _SHAPE_MAX] (NaN to its lower end)."""
     a = a if _SHAPE_MIN <= a <= _SHAPE_MAX else _SHAPE_MAX if a > _SHAPE_MAX else _SHAPE_MIN
     for _ in range(steps):
-        off, s, ds = estimate(a)
+        off, s, ds = _psi_estimate(a)
+        if b is not None:
+            off_b, s_b, ds_b = _psi_estimate(a + b)
+            off, s, ds = off - off_b, s - s_b, ds - ds_b
         if not s > 0.0:
             break
         r = math.sqrt(s / n)
@@ -784,35 +793,24 @@ def _estimate_steps(estimate, c, g, n, a, steps):
     return a
 
 
-def _clt_shape_invert(c: float, parts_fn, g: float, n: int, start: Optional[float],
-                      bounds_fn=None) -> float:
-    """Solve offset(a) + g * sqrt(slope(a) / n) = c for a > 0.
+def _shape_solve(c: float, g: float, n: int, b: Optional[float], start: Optional[float],
+                 scratch) -> float:
+    """Solve offset(a) + g * sqrt(slope(a) / n) = c for a > 0 (_shape_fdf).
 
-    parts_fn(a) returns (offset, slope, d slope / da) in one shot; since
-    offset' = slope, the derivative of the map needs no further call.
     Inside the certificate the caller passes a start computed from
-    (c, g, n) and the other shape alone, and bounds_fn(a), which returns
-    elementary lower and upper bounds of offset(a) and of slope(a).  The map
-    is then increasing with one root: the first value fixes one end of the
-    bracket at the start, the bounds certify the other without a special
-    function, and Newton in log a runs from the start until the
-    quadratic-convergence bound certifies its last step.  Outside the
-    certificate (start None) _uncertified_root solves it.
+    (c, g, n, b) alone.  The map is then increasing with one root: the first
+    value fixes one end of the bracket at the start, the elementary bounds
+    of _shape_bounds certify the other without a special function, and
+    Newton in log a (solve_newton on _shape_fdf) runs from the start until
+    the quadratic-convergence bound certifies its last step.  Outside the
+    certificate (start None) _uncertified_root solves it.  A solve that
+    fails raises StructuralError.
     """
-
-    def in_log(u):
-        a = math.exp(u)
-        off, s, ds = parts_fn(a)
-        if not s > 0.0:
-            raise EvaluationError(f"non-positive variance term at a={a}")
-        r = math.sqrt(s / n)
-        return off + g * r - c, a * (s + 0.5 * g * ds / (n * r))
-
     try:
         if start is None:
-            return _uncertified_root(in_log, g * g >= n)
+            return _uncertified_root(lambda u: _shape_fdf(u, c, g, n, b, scratch), g * g >= n)
         u = math.log(start)
-        fu, du = in_log(u)
+        fu, du = _shape_fdf(u, c, g, n, b, scratch)
         if not math.isfinite(fu):
             raise EvaluationError(f"non-finite target function value at a={math.exp(u)}")
         if fu == 0.0:
@@ -826,18 +824,19 @@ def _clt_shape_invert(c: float, parts_fn, g: float, n: int, start: Optional[floa
                 hi = u + width
                 if hi > _LOG_SHAPE_MAX:
                     raise StructuralError("no upper bracket: target function stays negative")
-                off_lo, _, s_lo, s_hi = bounds_fn(math.exp(hi))
+                off_lo, _, s_lo, s_hi = _shape_bounds(math.exp(hi), b)
                 if off_lo + g * math.sqrt((s_lo if g_up else s_hi) / n) > c:
                     break
             else:
                 lo = u - width
                 if lo < _LOG_SHAPE_MIN:
                     raise StructuralError("no lower bracket: target function stays positive")
-                _, off_hi, s_lo, s_hi = bounds_fn(math.exp(lo))
+                _, off_hi, s_lo, s_hi = _shape_bounds(math.exp(lo), b)
                 if off_hi + g * math.sqrt((s_hi if g_up else s_lo) / n) < c:
                     break
             width *= 2.0
-        return math.exp(solve_newton(in_log, lo, hi, u, fu, du, 1e-13, quadratic=True))
+        return math.exp(solve_newton(_shape_fdf, lo, hi, u, fu, du, 1e-13, quadratic=True,
+                                     args=(c, g, n, b, scratch)))
     except EvaluationError as exc:
         raise StructuralError(f"root isolation failed: {exc}") from exc
 
@@ -876,10 +875,33 @@ _ZETA_ORDERS_PAIR = np.array([2.0, 2.0, 3.0, 3.0])
 _EULER_GAMMA = 0.5772156649015329
 
 
-def _gamma_parts(a):
-    # a > 0 is guaranteed by the bracketing; skip rechecking in the hot loop.
-    z2, z3 = _sp.zeta(_ZETA_ORDERS, a).tolist()
-    return float(_sp.psi(a)), z2, -2.0 * z3
+def _shape_parts(a, b, scratch):
+    """(offset(a), slope(a), d slope / da) of a shape map: offset is psi(a)
+    for the gamma shape (b None) and psi(a) - psi(a + b) for a beta shape,
+    whose zeta values go through scratch = (arguments, out), two 4-buffers;
+    slope = offset'.  It calls the Hurwitz zeta ufunc that
+    scipy.special.zeta wraps, so the values are the same bits."""
+    if b is None:
+        z2, z3 = _sp._ufuncs._zeta(_ZETA_ORDERS, a).tolist()
+        return float(_sp.psi(a)), z2, -2.0 * z3
+    ab = a + b
+    buf, zeta_out = scratch
+    buf[0] = buf[2] = a
+    buf[1] = buf[3] = ab
+    z2_a, z2_ab, z3_a, z3_ab = _sp._ufuncs._zeta(_ZETA_ORDERS_PAIR, buf, zeta_out).tolist()
+    return float(_sp.psi(a)) - float(_sp.psi(ab)), z2_a - z2_ab, -2.0 * (z3_a - z3_ab)
+
+
+def _shape_fdf(u, c, g, n, b, scratch):
+    """(f, df / du) of the shape map f = offset(a) + g sqrt(slope(a) / n) - c
+    at a = exp(u), from one _shape_parts call: offset' = slope.  A
+    non-positive slope raises EvaluationError."""
+    a = math.exp(u)
+    off, s, ds = _shape_parts(a, b, scratch)
+    if not s > 0.0:
+        raise EvaluationError(f"non-positive variance term at a={a}")
+    r = math.sqrt(s / n)
+    return off + g * r - c, a * (s + 0.5 * g * ds / (n * r))
 
 
 def _clt_pivot(q, n, parts):
@@ -917,20 +939,19 @@ class _GammaShapeEquation:
         n = self.n
         c = q / n + self.log_beta
         if not (g < 0.0 or g * g < n):
-            return _clt_shape_invert(c, _gamma_parts, g, n, None)
+            return _shape_solve(c, g, n, None, None, None)
         # Two elementary inverse-digamma steps, the second with the gamma
         # term at the first, then Newton on the elementary estimate.
         a = _inverse_digamma_start(c)
         if g:
             a = _inverse_digamma_start(c - g * math.sqrt(_psi_estimate(a)[1] / n))
-        a = _estimate_steps(_psi_estimate, c, g, n, a, 1)
-        return _clt_shape_invert(c, _gamma_parts, g, n, a, _psi_bounds)
+        return _shape_solve(c, g, n, None, _estimate_steps(c, g, n, None, a, 1), None)
 
     def phi(self, g, a):
         return self.n * (digamma(a) - self.log_beta) + g * math.sqrt(self.n * trigamma(a))
 
     def pivot(self, q, a):
-        return _clt_pivot(q + self.n * self.log_beta, self.n, _gamma_parts(a))
+        return _clt_pivot(q + self.n * self.log_beta, self.n, _shape_parts(a, None, None))
 
 
 def _gamma_build_conditionals(data: Dataset) -> dict:
@@ -993,29 +1014,11 @@ class _BetaShapeEquation:
     def __init__(self, n: int, b: float, scratch):
         self.n, self.b, self.scratch = n, b, scratch
 
-    def _parts(self, a):
-        ab = a + self.b
-        buf, zeta_out = self.scratch
-        buf[0] = buf[2] = a
-        buf[1] = buf[3] = ab
-        z2_a, z2_ab, z3_a, z3_ab = _sp.zeta(_ZETA_ORDERS_PAIR, buf, out=zeta_out).tolist()
-        return float(_sp.psi(a)) - float(_sp.psi(ab)), z2_a - z2_ab, -2.0 * (z3_a - z3_ab)
-
-    def _estimate(self, a):
-        off, s, ds = _psi_estimate(a)
-        off_b, s_b, ds_b = _psi_estimate(a + self.b)
-        return off - off_b, s - s_b, ds - ds_b
-
-    def _bounds(self, a):
-        off_lo, off_hi, s_lo, s_hi = _psi_bounds(a)
-        off_b_lo, off_b_hi, s_b_lo, s_b_hi = _psi_bounds(a + self.b)
-        return off_lo - off_b_hi, off_hi - off_b_lo, max(s_lo - s_b_hi, 0.0), s_hi - s_b_lo
-
     def invert(self, q, g):
         n, b = self.n, self.b
         c = q / n
         if not (g < 0.0 or g * g < n * min(1.0, b)):
-            return _clt_shape_invert(c, self._parts, g, n, None)
+            return _shape_solve(c, g, n, b, None, self.scratch)
         if not c < 0.0:
             # The map increases towards -c <= 0: no root.
             raise StructuralError("statistic not negative: no shape solves the equation",
@@ -1029,8 +1032,7 @@ class _BetaShapeEquation:
             small = c + _EULER_GAMMA + _psi_estimate(b)[0]
             if small < 0.0:
                 a = min(a, -1.0 / small)
-        a = _estimate_steps(self._estimate, c, g, n, a, 2)
-        return _clt_shape_invert(c, self._parts, g, n, a, self._bounds)
+        return _shape_solve(c, g, n, b, _estimate_steps(c, g, n, b, a, 2), self.scratch)
 
     def phi(self, g, a):
         n, b = self.n, self.b
@@ -1038,7 +1040,7 @@ class _BetaShapeEquation:
                 + math.sqrt(n) * math.sqrt(trigamma(a) - trigamma(a + b)) * g)
 
     def pivot(self, q, a):
-        return _clt_pivot(q, self.n, self._parts(a))
+        return _clt_pivot(q, self.n, _shape_parts(a, self.b, self.scratch))
 
 
 def _beta_build_conditionals(data: Dataset) -> dict:
@@ -1223,6 +1225,14 @@ class _BvnSigmaEquation:
         return (g_lo, _STANDARD_TRUNC)
 
 
+def _rho_fdf(r, q, g, sqrt_n, k):
+    """(phi(g, r) - q, d phi / dr) of the correlation equation, k = g / sqrt_n."""
+    r2 = 1.0 + r * r
+    root = math.sqrt(r2)
+    return (r + (1.0 - r * r) * g / (sqrt_n * root) - q,
+            1.0 - k * r * (2.0 + r2) / (r2 * root))
+
+
 class _BvnRhoEquation:
     """q = rho + (1 - rho^2) gamma / (sqrt(n) sqrt(1 + rho^2)), solved for rho.
 
@@ -1260,15 +1270,10 @@ class _BvnRhoEquation:
                 f"phi - q = {f_lo:.6g} and {f_hi:.6g}", statistic_value=q, gamma=g)
         sqrt_n = self.sqrt_n
         k = g / sqrt_n
-
-        def fdf(r):
-            r2 = 1.0 + r * r
-            root = math.sqrt(r2)
-            return (r + (1.0 - r * r) * g / (sqrt_n * root) - q,
-                    1.0 - k * r * (2.0 + r2) / (r2 * root))
-
         r = min(max(q, lo), hi)
-        return solve_newton(fdf, lo, hi, r, *fdf(r), tol=1e-13, quadratic=True)
+        fr, dr = _rho_fdf(r, q, g, sqrt_n, k)
+        return solve_newton(_rho_fdf, lo, hi, r, fr, dr, tol=1e-13, quadratic=True,
+                            args=(q, g, sqrt_n, k))
 
     def pivot(self, q, r):
         u, v2, w = q - r, 1.0 + r * r, 1.0 - r * r

@@ -9,9 +9,14 @@ access, so that importing fidgibbs does not import scipy.special.  Root
 finding is one Newton iteration safeguarded by bisection, for a function
 that crosses zero once from below inside a given bracket and whose
 derivative is cheap: the shape equations, whose derivatives come from
-``zeta(2, a)`` and ``zeta(3, a)``, and the correlation equation.  The
-quadratic and cubic solvers take closed-form roots polished in Python
-floats.  Bracket validation and residual checks are done here.
+``zeta(2, a)`` and ``zeta(3, a)``, and the correlation equation.  It
+calls ``fdf(x, *args)``, so those equations pass module-level functions
+and their constants rather than a closure built per draw.  The quadratic
+and cubic solvers take closed-form roots polished in Python floats; the
+cases the bivariate-normal statistics meet on every draw (a quadratic
+with a > 0 > c, a cubic with one real root) skip the comparison of
+several roots and return the same bits.  Bracket validation and residual
+checks are done here.
 """
 
 from __future__ import annotations
@@ -103,7 +108,7 @@ def trigamma(x: float) -> float:
 
 
 def solve_newton(
-    fdf: Callable[[float], Tuple[float, float]],
+    fdf: Callable[..., Tuple[float, float]],
     lo: float,
     hi: float,
     x: float,
@@ -111,13 +116,15 @@ def solve_newton(
     dx: float,
     tol: float,
     quadratic: bool = False,
+    args: tuple = (),
 ) -> float:
     """Root of f in [lo, hi] by Newton steps safeguarded by bisection.
 
-    fdf(x) returns (f(x), f'(x)); the caller guarantees that f crosses zero
-    once in [lo, hi], negative before the root and positive after it (f
-    need not be monotone), and passes the starting point x in [lo, hi]
-    with its values fx and dx.
+    fdf(x, *args) returns (f(x), f'(x)): a module-level function with the
+    equation's constants in args serves every solve without a closure.  The
+    caller guarantees that f crosses zero once in [lo, hi], negative before
+    the root and positive after it (f need not be monotone), and passes the
+    starting point x in [lo, hi] with its values fx and dx.
     A Newton step is taken when the derivative is positive and finite, the
     step stays inside the bracket and is at most half the step before last;
     otherwise the bracket is bisected.  Each new point replaces the bracket
@@ -146,7 +153,7 @@ def solve_newton(
                 return new
         before_last, last = last, abs(step)
         px, pdx = x, dx
-        fx, dx = fdf(new)
+        fx, dx = fdf(new, *args)
         if not math.isfinite(fx):
             raise EvaluationError(f"non-finite target function value at x={new}")
         if fx == 0.0:
@@ -164,11 +171,16 @@ def solve_quadratic_positive(a: float, b: float, c: float) -> float:
 
     The quadratic is expected to have exactly one positive root (as the
     likelihood stationarity condition in sigma does, since a > 0 and c < 0
-    there); anything else raises DegenerateDataError.
+    there); anything else raises DegenerateDataError.  The roots are taken
+    from the quadratic divided by the power of two of its largest
+    coefficient and polished by two Newton steps.  When a > 0 > c the two
+    roots have opposite signs, and the positive one is picked by the sign of
+    the stable intermediate alone, with the same arithmetic.
     """
-    for name, v in (("a", a), ("b", b), ("c", c)):
-        if not math.isfinite(v):
-            raise DomainError(f"coefficient {name} must be finite, got {v}")
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
+        for name, v in (("a", a), ("b", b), ("c", c)):
+            if not math.isfinite(v):
+                raise DomainError(f"coefficient {name} must be finite, got {v}")
     scale = max(abs(a), abs(b), abs(c))
     if scale == 0.0:
         raise DegenerateDataError("all quadratic coefficients are zero")
@@ -191,17 +203,21 @@ def solve_quadratic_positive(a: float, b: float, c: float) -> float:
         q = -0.5 * (sb + math.copysign(sq, sb)) if sb != 0.0 else 0.5 * sq
         if q == 0.0:
             roots = [0.0]
+        elif sa > 0.0 > sc:
+            # The roots q/sa and sc/q have the signs of q and -q.
+            roots = [q / sa if q > 0.0 else sc / q]
         else:
             roots = [q / sa, sc / q]
 
-    positive = sorted({r for r in roots if r > 0.0})
-    if not positive:
+    if len(roots) > 1:
+        roots = sorted({r for r in roots if r > 0.0})
+        if len(roots) > 1 and not math.isclose(roots[0], roots[1], rel_tol=1e-9):
+            raise DegenerateDataError(
+                f"quadratic {a}t^2 + {b}t + {c} has two positive roots {roots}"
+            )
+    if not (roots and roots[0] > 0.0):
         raise DegenerateDataError(f"quadratic {a}t^2 + {b}t + {c} has no positive root")
-    if len(positive) > 1 and not math.isclose(positive[0], positive[1], rel_tol=1e-9):
-        raise DegenerateDataError(
-            f"quadratic {a}t^2 + {b}t + {c} has two positive roots {positive}"
-        )
-    root = positive[0]
+    root = roots[0]
     # Newton polish to push the residual down to rounding level.
     for _ in range(2):
         deriv = 2.0 * sa * root + sb
@@ -216,13 +232,24 @@ def _cbrt(x: float) -> float:
     return math.copysign(abs(x) ** (1.0 / 3.0), x)
 
 
+def _polish(t: float, c3: float, c2: float, c1: float, c0: float) -> float:
+    """t after two Newton steps on the cubic (a step is skipped where the
+    derivative is zero)."""
+    for _ in range(2):
+        der = (3.0 * c3 * t + 2.0 * c2) * t + c1
+        if der != 0.0:
+            t -= (((c3 * t + c2) * t + c1) * t + c0) / der
+    return t
+
+
 def _real_cubic_roots(coeffs: Sequence[float]) -> list:
     """Real roots of c3*t^3 + c2*t^2 + c1*t + c0, coefficients highest first.
 
     Closed form (trigonometric for three real roots, Cardano otherwise)
     plus a Newton polish in Python floats; degenerate leading coefficients
     fall back to the companion-matrix solver.  Returns the distinct roots
-    in increasing order.
+    in increasing order; the one real root of a positive discriminant is
+    returned as soon as it is polished.
     """
     c3, c2, c1, c0 = coeffs
     if c3 == 0.0:
@@ -238,8 +265,8 @@ def _real_cubic_roots(coeffs: Sequence[float]) -> list:
         disc = 0.25 * q * q + p ** 3 / 27.0
         if disc > 0.0:
             s = math.sqrt(disc)
-            t_roots = [_cbrt(-0.5 * q + s) + _cbrt(-0.5 * q - s)]
-        elif disc == 0.0:
+            return [_polish(_cbrt(-0.5 * q + s) + _cbrt(-0.5 * q - s) - shift, c3, c2, c1, c0)]
+        if disc == 0.0:
             u = _cbrt(-0.5 * q)
             t_roots = [2.0 * u, -u]
         else:
@@ -248,14 +275,7 @@ def _real_cubic_roots(coeffs: Sequence[float]) -> list:
             m = 2.0 * math.sqrt(-p / 3.0)
             t_roots = [m * math.cos((phi + 2.0 * math.pi * k) / 3.0) for k in (0, 1, 2)]
         real = [t - shift for t in t_roots]
-    polished = []
-    for t in real:
-        for _ in range(2):
-            der = (3.0 * c3 * t + 2.0 * c2) * t + c1
-            if der != 0.0:
-                t -= (((c3 * t + c2) * t + c1) * t + c0) / der
-        polished.append(t)
-    return sorted(set(polished))
+    return sorted({_polish(t, c3, c2, c1, c0) for t in real})
 
 
 def solve_cubic_in_interval(

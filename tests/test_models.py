@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy import integrate, optimize, stats
+from scipy import integrate, optimize, special, stats
 
 import fidgibbs.gibbs
 import fidgibbs.models as M
@@ -137,13 +137,22 @@ class TestParetoConditionals:
         state = {"alpha": alpha, "beta": 1.0}
         draws = np.array([cond.draw(data, state, rng) for _ in range(100_000)])
 
-        def cdf(b):
-            val, _ = integrate.quad(
-                lambda t: math.exp(M.pareto_conditional_beta_log_density(t, alpha, x)),
-                1e-12, b, limit=200)
-            return val
+        def density(t):
+            return math.exp(M.pareto_conditional_beta_log_density(t, alpha, x))
 
-        res = stats.kstest(draws, np.vectorize(cdf))
+        # The CDF at the sorted draws: quad up to the smallest, then the
+        # integrals between consecutive draws by three-point Gauss-Legendre,
+        # accumulated.  The widest gap is 0.04; at every draw the sum is
+        # within 1.4e-12 of one quad from 1e-12 to the draw.
+        xs = np.sort(draws)
+        nodes, weights = np.polynomial.legendre.leggauss(3)
+        mid, half = 0.5 * (xs[1:] + xs[:-1]), 0.5 * np.diff(xs)
+        values = np.array([density(t) for t in (mid[:, None] + half[:, None] * nodes).ravel().tolist()])
+        gaps = half * (values.reshape(-1, 3) @ weights)
+        first, _ = integrate.quad(density, 1e-12, xs[0], limit=200)
+        at_draws = first + np.concatenate(([0.0], np.cumsum(gaps)))
+
+        res = stats.kstest(draws, lambda b: np.interp(b, xs, at_draws))
         assert res.pvalue > 1e-3
 
     def test_joint_kernel_support(self):
@@ -523,7 +532,171 @@ SHAPE_PANELS = {
 }
 
 
+# The shape solve as it was built from callbacks (parts_fn, bounds_fn and
+# estimate), through scipy.special.zeta: the reference that the flat solve
+# must match bit for bit, raises and their messages included.
+
+def _ref_gamma_parts(a):
+    z2, z3 = special.zeta([2.0, 3.0], a).tolist()
+    return float(special.psi(a)), z2, -2.0 * z3
+
+
+def _ref_psi_bounds(a):
+    ia = 1.0 / a
+    ix = 1.0 / (a + 1.0)
+    psi = math.log(a + 1.0) - ia
+    tri = ia * ia + ix
+    return psi - ix, psi - 0.5 * ix, tri + 0.5 * ix * ix, tri + ix * ix
+
+
+def _ref_beta_callbacks(b):
+    """parts_fn, estimate and bounds_fn of a beta shape with other shape b."""
+    def parts(a):
+        ab = a + b
+        z2_a, z2_ab, z3_a, z3_ab = special.zeta([2.0, 2.0, 3.0, 3.0], [a, ab, a, ab]).tolist()
+        return float(special.psi(a)) - float(special.psi(ab)), z2_a - z2_ab, -2.0 * (z3_a - z3_ab)
+
+    def estimate(a):
+        off, s, ds = M._psi_estimate(a)
+        off_b, s_b, ds_b = M._psi_estimate(a + b)
+        return off - off_b, s - s_b, ds - ds_b
+
+    def bounds(a):
+        off_lo, off_hi, s_lo, s_hi = _ref_psi_bounds(a)
+        off_b_lo, off_b_hi, s_b_lo, s_b_hi = _ref_psi_bounds(a + b)
+        return off_lo - off_b_hi, off_hi - off_b_lo, max(s_lo - s_b_hi, 0.0), s_hi - s_b_lo
+
+    return parts, estimate, bounds
+
+
+def _ref_estimate_steps(estimate, c, g, n, a, steps):
+    a = a if M._SHAPE_MIN <= a <= M._SHAPE_MAX else M._SHAPE_MAX if a > M._SHAPE_MAX else M._SHAPE_MIN
+    for _ in range(steps):
+        off, s, ds = estimate(a)
+        if not s > 0.0:
+            break
+        r = math.sqrt(s / n)
+        d = a * (s + 0.5 * g * ds / (n * r))
+        if not 0.0 < d < math.inf:
+            break
+        a *= math.exp(max(-1.0, min(1.0, (c - off - g * r) / d)))
+    return a
+
+
+def _ref_clt_shape_invert(c, parts_fn, g, n, start, bounds_fn=None):
+    def in_log(u):
+        a = math.exp(u)
+        off, s, ds = parts_fn(a)
+        if not s > 0.0:
+            raise EvaluationError(f"non-positive variance term at a={a}")
+        r = math.sqrt(s / n)
+        return off + g * r - c, a * (s + 0.5 * g * ds / (n * r))
+
+    try:
+        if start is None:
+            return M._uncertified_root(in_log, g * g >= n)
+        u = math.log(start)
+        fu, du = in_log(u)
+        if not math.isfinite(fu):
+            raise EvaluationError(f"non-finite target function value at a={math.exp(u)}")
+        if fu == 0.0:
+            return math.exp(u)
+        lo = hi = u
+        width = max(2.0 * abs(fu) / du if 0.0 < du < math.inf else 0.0, 0.25)
+        g_up = g >= 0.0
+        while True:
+            if fu < 0.0:
+                hi = u + width
+                if hi > M._LOG_SHAPE_MAX:
+                    raise StructuralError("no upper bracket: target function stays negative")
+                off_lo, _, s_lo, s_hi = bounds_fn(math.exp(hi))
+                if off_lo + g * math.sqrt((s_lo if g_up else s_hi) / n) > c:
+                    break
+            else:
+                lo = u - width
+                if lo < M._LOG_SHAPE_MIN:
+                    raise StructuralError("no lower bracket: target function stays positive")
+                _, off_hi, s_lo, s_hi = bounds_fn(math.exp(lo))
+                if off_hi + g * math.sqrt((s_hi if g_up else s_lo) / n) < c:
+                    break
+            width *= 2.0
+        return math.exp(M.solve_newton(in_log, lo, hi, u, fu, du, 1e-13, quadratic=True))
+    except EvaluationError as exc:
+        raise StructuralError(f"root isolation failed: {exc}") from exc
+
+
+def _ref_shape_invert(eq, q, g):
+    """The callback solve of eq.invert(q, g)."""
+    n = eq.n
+    if isinstance(eq, M._GammaShapeEquation):
+        c = q / n + eq.log_beta
+        if not (g < 0.0 or g * g < n):
+            return _ref_clt_shape_invert(c, _ref_gamma_parts, g, n, None)
+        a = M._inverse_digamma_start(c)
+        if g:
+            a = M._inverse_digamma_start(c - g * math.sqrt(M._psi_estimate(a)[1] / n))
+        a = _ref_estimate_steps(M._psi_estimate, c, g, n, a, 1)
+        return _ref_clt_shape_invert(c, _ref_gamma_parts, g, n, a, _ref_psi_bounds)
+    b = eq.b
+    parts, estimate, bounds = _ref_beta_callbacks(b)
+    c = q / n
+    if not (g < 0.0 or g * g < n * min(1.0, b)):
+        return _ref_clt_shape_invert(c, parts, g, n, None)
+    if not c < 0.0:
+        raise StructuralError("statistic not negative: no shape solves the equation",
+                              statistic_value=q)
+    a = 0.5 + b / math.expm1(min(-c, 700.0))
+    if a < 1.0:
+        small = c + M._EULER_GAMMA + M._psi_estimate(b)[0]
+        if small < 0.0:
+            a = min(a, -1.0 / small)
+    a = _ref_estimate_steps(estimate, c, g, n, a, 2)
+    return _ref_clt_shape_invert(c, parts, g, n, a, bounds)
+
+
+def _record_shape_solves(panel, monkeypatch):
+    """(equation, q, gamma) of every shape solve of two short chains on the
+    panel's dataset, chain-start probes included, run in this process."""
+    model, make = SHAPE_PANELS[panel]
+    records = []
+    for cls in (M._GammaShapeEquation, M._BetaShapeEquation):
+        def recording(eq, q, g, invert=cls.invert):
+            records.append((eq, q, g))
+            return invert(eq, q, g)
+        monkeypatch.setattr(cls, "invert", recording)
+    monkeypatch.setattr(fidgibbs.gibbs, "_usable_cpus", lambda: 1)
+    data = Dataset(make(np.random.default_rng(16)))
+    run(get_model(model), data, ChainConfig(m=400, b=100, chains=2, seed=16))
+    monkeypatch.undo()
+    return records
+
+
 class TestNewtonInversion:
+    @pytest.mark.parametrize("panel", sorted(SHAPE_PANELS))
+    def test_flat_solve_matches_the_callback_solve(self, panel, monkeypatch):
+        # Recorded chain states, probes and draws outside the certificate
+        # included: the same root to the bit, or the same StructuralError.
+        records = _record_shape_solves(panel, monkeypatch)
+        outside = raised = 0
+        for eq, q, g in records:
+            try:
+                want = _ref_shape_invert(eq, q, g).hex()
+            except StructuralError as exc:
+                want, raised = f"raised {exc}", raised + 1
+            try:
+                got = eq.invert(q, g).hex()
+            except StructuralError as exc:
+                got = f"raised {exc}"
+            assert got == want, (q, g)
+            other = math.inf if isinstance(eq, M._GammaShapeEquation) else eq.b
+            outside += g >= _certificate("beta", eq.n, other)
+        assert len(records) > 800
+        # The other shapes of beta_a8_b3_n50 keep its certificate above 5.
+        assert (outside > 0) == (panel != "beta_a8_b3_n50")
+        if panel == "gamma_n5":
+            assert raised > 0
+        print(f"{len(records)} solves, {outside} outside the certificate, {raised} raised")
+
     @pytest.mark.parametrize("panel", sorted(SHAPE_PANELS))
     def test_shape_newton_agrees_with_brent(self, panel, monkeypatch):
         # Every shape solve of the catalog equations on perturbed states is
@@ -533,17 +706,17 @@ class TestNewtonInversion:
         # root on the grid or its negative dip is narrower than the factor 4
         # that the bracket expansion steps by.
         model, make = SHAPE_PANELS[panel]
-        solve = M._clt_shape_invert
+        solve = M._shape_solve
         outcomes = []
 
-        def both(c, parts_fn, g, n, start, *args):
+        def both(c, g, n, b, start, scratch):
             try:
-                got = solve(c, parts_fn, g, n, start, *args)
+                got = solve(c, g, n, b, start, scratch)
             except StructuralError:
                 got = None
 
             def f(a):
-                off, s, _ = parts_fn(a)
+                off, s, _ = M._shape_parts(a, b, scratch)
                 if not s > 0.0:
                     raise EvaluationError("non-positive variance term")
                 return off + g * math.sqrt(s / n) - c
@@ -554,7 +727,7 @@ class TestNewtonInversion:
                 raise StructuralError("no root")
             return got
 
-        monkeypatch.setattr(M, "_clt_shape_invert", both)
+        monkeypatch.setattr(M, "_shape_solve", both)
         gen = np.random.default_rng(7)
         spec = get_model(model)
         for _ in range(4):
@@ -589,17 +762,19 @@ class TestNewtonInversion:
         # the Newton solve from the chain state 5.8 and 5.6.  The calls are
         # counted in this process, so the chains must run here.
         monkeypatch.setattr(fidgibbs.gibbs, "_usable_cpus", lambda: 1)
-        clt = M._clt_shape_invert
+        solve, fdf = M._shape_solve, M._shape_fdf
         counts = {"solves": 0, "evaluations": 0}
 
-        def counting(c, parts_fn, *args):
-            def parts(a):
-                counts["evaluations"] += 1
-                return parts_fn(a)
+        def counting_solve(*args):
             counts["solves"] += 1
-            return clt(c, parts, *args)
+            return solve(*args)
 
-        monkeypatch.setattr(M, "_clt_shape_invert", counting)
+        def counting_fdf(*args):
+            counts["evaluations"] += 1
+            return fdf(*args)
+
+        monkeypatch.setattr(M, "_shape_solve", counting_solve)
+        monkeypatch.setattr(M, "_shape_fdf", counting_fdf)
         data = simulate_dataset(model, theta, n, RngStream(1, 2**32))
         run(get_model(model), data, ChainConfig(m=1500, b=100, chains=2, seed=2018))
         assert counts["solves"] > 3000

@@ -171,6 +171,36 @@ class TestSolveNewton:
         with pytest.raises(EvaluationError):
             solve_newton(fdf, 0.0, 1.0, 0.0, -0.5, 0.0, tol=1e-12)
 
+    @pytest.mark.parametrize("quadratic", [False, True])
+    def test_args_match_the_closure_form(self, quadratic):
+        # fdf(x, *args) takes the same steps as a closure over the same
+        # constants: the same root, bit for bit, and the same evaluations.
+        def fdf(x, p, q):
+            return (x * x - p) * x - q, 3.0 * x * x - p
+
+        rng = np.random.default_rng(16)
+        for _ in range(2000):
+            p, q = rng.uniform(-3.0, 3.0), rng.uniform(-5.0, 5.0)
+            lo, hi = -4.0, 4.0
+            if not fdf(lo, p, q)[0] < 0.0 < fdf(hi, p, q)[0]:
+                continue
+            x = float(rng.uniform(lo, hi))
+            seen = {"args": [], "closure": []}
+
+            def with_args(x, p, q):
+                seen["args"].append(x)
+                return fdf(x, p, q)
+
+            def closure(x):
+                seen["closure"].append(x)
+                return fdf(x, p, q)
+
+            got = solve_newton(with_args, lo, hi, x, *fdf(x, p, q), tol=1e-13,
+                               quadratic=quadratic, args=(p, q))
+            want = solve_newton(closure, lo, hi, x, *fdf(x, p, q), tol=1e-13, quadratic=quadratic)
+            assert got.hex() == want.hex()
+            assert seen["args"] == seen["closure"]
+
 
 class TestSolveQuadraticPositive:
     def test_simple(self):
@@ -228,6 +258,43 @@ class TestSolveQuadraticPositive:
             b = -b if rng.random() < 0.5 else b
             assert solve_quadratic_positive(a, b, -c) == unscaled(a, b, -c)
 
+    def test_one_sign_change_branch_matches_general_arithmetic(self):
+        # a > 0 > c picks the positive root by the sign of q; the general
+        # arithmetic (both roots, the set of positive ones, the smallest)
+        # must give the same bits.
+        def general(a, b, c):
+            e = math.frexp(max(abs(a), abs(b), abs(c)))[1]
+            sa, sb, sc = math.ldexp(a, -e), math.ldexp(b, -e), math.ldexp(c, -e)
+            sq = math.sqrt(sb * sb - 4.0 * sa * sc)
+            q = -0.5 * (sb + math.copysign(sq, sb)) if sb != 0.0 else 0.5 * sq
+            positive = sorted({r for r in ([0.0] if q == 0.0 else [q / sa, sc / q]) if r > 0.0})
+            if len(positive) != 1:
+                return None
+            root = positive[0]
+            for _ in range(2):
+                deriv = 2.0 * sa * root + sb
+                if deriv != 0.0:
+                    root -= (sa * root * root + sb * root + sc) / deriv
+            return root
+
+        def lean(a, b, c):
+            try:
+                return solve_quadratic_positive(a, b, c)
+            except DegenerateDataError:
+                return None
+
+        rng = np.random.default_rng(16)
+        cases = (rng.uniform(0.01, 100.0, (200_000, 3))
+                 * 10.0 ** rng.integers(-100, 101, (200_000, 3)))
+        cases[:, 1] *= rng.choice([-1.0, 0.0, 1.0], 200_000, p=[0.45, 0.1, 0.45])
+        cases[:, 2] *= -1.0
+        triples = [(10.0, -1e160, -1.0), *map(tuple, cases.tolist())]
+        for a, b, c in triples:
+            want = general(a, b, c)
+            got = lean(a, b, c)
+            assert (got is None) == (want is None), (a, b, c)
+            assert want is None or got.hex() == want.hex(), (a, b, c)
+
 
 class TestSolveCubicInInterval:
     def test_scaled_factorized(self):
@@ -269,37 +336,56 @@ class TestSolveCubicInInterval:
             solve_cubic_in_interval([1.0, -2.0, 1.0, -2.0], Bracket(-1.0, 1.0))
 
 
+def _closed_form_roots(coeffs):
+    """The unpolished real roots of the closed form, shift included."""
+    c3, c2, c1, c0 = coeffs
+    if c3 == 0.0:
+        roots = np.roots(coeffs)
+        return roots[np.abs(roots.imag) <= 1e-8 * (1.0 + np.abs(roots))].real.tolist()
+    a, b, c = c2 / c3, c1 / c3, c0 / c3
+    shift = a / 3.0
+    p = b - a * a / 3.0
+    q = 2.0 * a ** 3 / 27.0 - a * b / 3.0 + c
+    disc = 0.25 * q * q + p ** 3 / 27.0
+    if disc > 0.0:
+        s = math.sqrt(disc)
+        t_roots = [_cbrt(-0.5 * q + s) + _cbrt(-0.5 * q - s)]
+    elif disc == 0.0:
+        u = _cbrt(-0.5 * q)
+        t_roots = [2.0 * u, -u]
+    else:
+        r = math.sqrt(-(p ** 3) / 27.0)
+        phi = math.acos(min(1.0, max(-1.0, -0.5 * q / r)))
+        m = 2.0 * math.sqrt(-p / 3.0)
+        t_roots = [m * math.cos((phi + 2.0 * math.pi * k) / 3.0) for k in (0, 1, 2)]
+    return [t - shift for t in t_roots]
+
+
 def _numpy_cubic_roots(coeffs):
     """The vectorised polish the scalar one replaced: closed-form roots,
     two Newton steps on a numpy array, then np.unique."""
     c3, c2, c1, c0 = coeffs
-    if c3 == 0.0:
-        roots = np.roots(coeffs)
-        real = roots[np.abs(roots.imag) <= 1e-8 * (1.0 + np.abs(roots))].real
-    else:
-        a, b, c = c2 / c3, c1 / c3, c0 / c3
-        shift = a / 3.0
-        p = b - a * a / 3.0
-        q = 2.0 * a ** 3 / 27.0 - a * b / 3.0 + c
-        disc = 0.25 * q * q + p ** 3 / 27.0
-        if disc > 0.0:
-            s = math.sqrt(disc)
-            t_roots = [_cbrt(-0.5 * q + s) + _cbrt(-0.5 * q - s)]
-        elif disc == 0.0:
-            u = _cbrt(-0.5 * q)
-            t_roots = [2.0 * u, -u]
-        else:
-            r = math.sqrt(-(p ** 3) / 27.0)
-            phi = math.acos(min(1.0, max(-1.0, -0.5 * q / r)))
-            m = 2.0 * math.sqrt(-p / 3.0)
-            t_roots = [m * math.cos((phi + 2.0 * math.pi * k) / 3.0) for k in (0, 1, 2)]
-        real = np.array(t_roots) - shift
+    real = np.array(_closed_form_roots(coeffs))
     for _ in range(2):
         val = ((c3 * real + c2) * real + c1) * real + c0
         der = (3.0 * c3 * real + 2.0 * c2) * real + c1
         step = np.where(der != 0.0, val / np.where(der != 0.0, der, 1.0), 0.0)
         real = real - step
     return np.unique(real)
+
+
+def _list_cubic_roots(coeffs):
+    """The list path for every discriminant: each closed-form root polished
+    in a loop, then the sorted set."""
+    c3, c2, c1, c0 = coeffs
+    polished = []
+    for t in _closed_form_roots(coeffs):
+        for _ in range(2):
+            der = (3.0 * c3 * t + 2.0 * c2) * t + c1
+            if der != 0.0:
+                t -= (((c3 * t + c2) * t + c1) * t + c0) / der
+        polished.append(t)
+    return sorted(set(polished))
 
 
 def _random_cubics(rng, count):
@@ -342,6 +428,26 @@ class TestRealCubicRoots:
             assert [v.hex() for v in got] == [v.hex() for v in expected], coeffs
             checked += 1
         assert checked == 12000
+
+    def test_one_root_branch_matches_the_list_path(self):
+        # The rho statistic's cubics (-n, c, k, c) mostly have one real root,
+        # which is returned as soon as it is polished; every cubic must give
+        # the list path's roots bit for bit.
+        rng = np.random.default_rng(16)
+        n = rng.integers(3, 5001, 100_000).astype(float)
+        c = rng.uniform(-1.0, 1.0, n.size) * n
+        k = n - rng.uniform(0.0, 3.0, n.size) * n
+        one_root = 0
+        cases = [(-nn, cc, kk, cc) for nn, cc, kk in zip(n.tolist(), c.tolist(), k.tolist())]
+        cases += [(1.0, 0.0, -0.25, 0.0),             # three roots
+                  (1.0, -2.5, 2.0, -0.5),             # a double root at 1
+                  (2.0, -3.0, 1.5, -0.25),            # a triple root at 0.5
+                  (0.0, 1.0, -3.0, 2.0)]              # c3 == 0
+        for coeffs in cases:
+            got = _real_cubic_roots(coeffs)
+            assert [v.hex() for v in got] == [v.hex() for v in _list_cubic_roots(coeffs)], coeffs
+            one_root += len(got) == 1
+        assert one_root > 90_000
 
     def test_covers_every_discriminant_sign(self):
         # The generator above reaches all three closed-form branches.
