@@ -795,7 +795,9 @@ def _estimate_steps(c, g, n, b, a, steps):
 
 def _shape_solve(c: float, g: float, n: int, b: Optional[float], start: Optional[float],
                  scratch) -> float:
-    """Solve offset(a) + g * sqrt(slope(a) / n) = c for a > 0 (_shape_fdf).
+    """Solve offset(a) + g * sqrt(slope(a) / n) = c for a > 0 (_shape_fdf):
+    the gamma shape when b is None, else a beta shape with other shape b,
+    whose special functions go through the buffers in scratch.
 
     Inside the certificate the caller passes a start computed from
     (c, g, n, b) alone.  The map is then increasing with one root: the first
