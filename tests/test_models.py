@@ -688,8 +688,8 @@ class TestNewtonInversion:
             except StructuralError as exc:
                 got = f"raised {exc}"
             assert got == want, (q, g)
-            other = math.inf if isinstance(eq, M._GammaShapeEquation) else eq.b
-            outside += g >= _certificate("beta", eq.n, other)
+            model = "gamma" if isinstance(eq, M._GammaShapeEquation) else "beta"
+            outside += g >= _certificate(model, eq.n, getattr(eq, "b", None))
         assert len(records) > 800
         # The other shapes of beta_a8_b3_n50 keep its certificate above 5.
         assert (outside > 0) == (panel != "beta_a8_b3_n50")

@@ -178,12 +178,11 @@ class TestSolveNewton:
         def fdf(x, p, q):
             return (x * x - p) * x - q, 3.0 * x * x - p
 
+        # f(-4) < 0 < f(4) for every p in [-3, 3] and q in [-5, 5].
+        lo, hi = -4.0, 4.0
         rng = np.random.default_rng(16)
         for _ in range(2000):
             p, q = rng.uniform(-3.0, 3.0), rng.uniform(-5.0, 5.0)
-            lo, hi = -4.0, 4.0
-            if not fdf(lo, p, q)[0] < 0.0 < fdf(hi, p, q)[0]:
-                continue
             x = float(rng.uniform(lo, hi))
             seen = {"args": [], "closure": []}
 
