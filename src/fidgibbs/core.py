@@ -82,6 +82,16 @@ class ConditionalFiducialSampler:
     in the warnings Counter.  An equation that also has pivot(q, theta),
     returning the primary value g that maps to theta and log|dg/dtheta|,
     gives the conditional's log density (log_density).
+
+    A draw makes exactly four calls besides its own arithmetic:
+    statistic.compute, equation_for, sample as bound in this module (looked
+    up on every draw, not bound once) and the equation's invert, read as an
+    attribute of an equation that keeps an instance __dict__ (no
+    __slots__).  The benchmark's traced run (bench/tracing.py) times the
+    layers of a draw by wrapping exactly these: it replaces compute and
+    equation_for through dataclasses.replace, patches fidgibbs.core.sample
+    and hands out a __dict__ copy of each equation with a timed invert; and
+    bench/selftest.py fails when a layer goes missing.
     """
 
     target_param: str
@@ -143,11 +153,14 @@ class ConditionalFiducialSampler:
     ) -> float:
         q = self.statistic.compute(data, state)
         eq = self.equation_for(data, state)
+        dist, invert = eq.gamma_dist, eq.invert
         lo, hi = self.theta_domain
-        for _ in range(MAX_REDRAWS + 1):
-            gamma = sample(eq.gamma_dist, rng)
+        redraws = 0
+        while True:
+            # The module's sample, looked up on every draw (see the class doc).
+            gamma = sample(dist, rng)
             try:
-                theta = eq.invert(q, gamma)
+                theta = invert(q, gamma)
             except StructuralError:
                 theta = math.nan
             # Fails for NaN and for an infinite theta at an infinite bound.
@@ -155,6 +168,9 @@ class ConditionalFiducialSampler:
                 return float(theta)
             if warnings is not None:
                 warnings[f"{self.target_param}.gamma_redraw"] += 1
+            if redraws == MAX_REDRAWS:
+                break
+            redraws += 1
         raise StructuralError(
             f"no invertible gamma found for parameter '{self.target_param}' "
             f"after {MAX_REDRAWS} redraws",

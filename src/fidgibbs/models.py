@@ -751,46 +751,10 @@ def _shape_bounds(a, b):
             max(tri + 0.5 * ix * ix - s_b_hi, 0.0), tri + ix * ix - s_b_lo)
 
 
-def _psi_estimate(a):
-    """(psi(a), psi'(a), psi''(a)) without a special function: the recurrence
-    to a + 2 and the asymptotic series of psi(z + 1/2) at z = a + 3/2, to
-    terms in 1/z^2.  On a in [1e-12, 1e12] psi is within 1.2e-3 of the true
-    value (2e-4 for a >= 1), and psi' within 2e-4 relative."""
-    ia = 1.0 / a
-    ia1 = 1.0 / (a + 1.0)
-    iz = 1.0 / (a + 1.5)
-    iz2 = iz * iz
-    return (-math.log(iz) + iz2 / 24.0 - ia - ia1,
-            ia * ia + ia1 * ia1 + iz - iz * iz2 / 12.0,
-            -2.0 * (ia * ia * ia + ia1 * ia1 * ia1) - iz2 + 0.25 * iz2 * iz2)
-
-
 # The interval of shapes the solvers search; beyond it psi' over- or
 # underflows.
 _SHAPE_MIN, _SHAPE_MAX = 1e-280, 1e280
 _LOG_SHAPE_MIN, _LOG_SHAPE_MAX = math.log(_SHAPE_MIN), math.log(_SHAPE_MAX)
-
-
-def _estimate_steps(c, g, n, b, a, steps):
-    """a after the given number of Newton steps in log a on the shape map
-    offset(a) + g sqrt(slope(a) / n) - c of _shape_fdf, with the elementary
-    _psi_estimate in place of the special functions; each step moves log a
-    by at most 1, and a step stops at a non-positive slope or derivative.
-    a is first moved into [_SHAPE_MIN, _SHAPE_MAX] (NaN to its lower end)."""
-    a = a if _SHAPE_MIN <= a <= _SHAPE_MAX else _SHAPE_MAX if a > _SHAPE_MAX else _SHAPE_MIN
-    for _ in range(steps):
-        off, s, ds = _psi_estimate(a)
-        if b is not None:
-            off_b, s_b, ds_b = _psi_estimate(a + b)
-            off, s, ds = off - off_b, s - s_b, ds - ds_b
-        if not s > 0.0:
-            break
-        r = math.sqrt(s / n)
-        d = a * (s + 0.5 * g * ds / (n * r))
-        if not 0.0 < d < math.inf:
-            break
-        a *= math.exp(max(-1.0, min(1.0, (c - off - g * r) / d)))
-    return a
 
 
 def _shape_solve(c: float, g: float, n: int, b: Optional[float], start: Optional[float],
@@ -916,12 +880,6 @@ def _clt_pivot(q, n, parts):
     return g, _log_abs(root + 0.5 * g * ds / s)
 
 
-def _inverse_digamma_start(y: float) -> float:
-    """An elementary start for psi(a) = y (Minka 2000): exp(y) + 1/2, or
-    -1/(y + Euler's gamma) below y = -2.22."""
-    return math.exp(min(y, 600.0)) + 0.5 if y >= -2.22 else -1.0 / (y + _EULER_GAMMA)
-
-
 class _GammaShapeEquation:
     """The CLT equation for the shape given the rate beta:
     sum(log x) = n (psi(a) - log beta) + gamma * sqrt(n psi'(a)), with gamma
@@ -942,12 +900,30 @@ class _GammaShapeEquation:
         c = q / n + self.log_beta
         if not (g < 0.0 or g * g < n):
             return _shape_solve(c, g, n, None, None, None)
-        # Two elementary inverse-digamma steps, the second with the gamma
-        # term at the first, then Newton on the elementary estimate.
-        a = _inverse_digamma_start(c)
+        # Two elementary inverse-digamma steps (Minka 2000: exp(y) + 1/2, or
+        # -1/(y + Euler's gamma) below y = -2.22), the second with the gamma
+        # term at the first, then one Newton step in log a on the shape map
+        # with the elementary estimates of psi, psi' and psi'' (the
+        # recurrence to a + 2 and the asymptotic series of psi(z + 1/2) at
+        # z = a + 3/2, to terms in 1/z^2: psi within 1.2e-3 and psi' within
+        # 2e-4 relative on [1e-12, 1e12]); the step moves log a by at most 1.
+        a = math.exp(min(c, 600.0)) + 0.5 if c >= -2.22 else -1.0 / (c + _EULER_GAMMA)
         if g:
-            a = _inverse_digamma_start(c - g * math.sqrt(_psi_estimate(a)[1] / n))
-        return _shape_solve(c, g, n, None, _estimate_steps(c, g, n, None, a, 1), None)
+            ia, ia1, iz = 1.0 / a, 1.0 / (a + 1.0), 1.0 / (a + 1.5)
+            y = c - g * math.sqrt((ia * ia + ia1 * ia1 + iz - iz * (iz * iz) / 12.0) / n)
+            a = math.exp(min(y, 600.0)) + 0.5 if y >= -2.22 else -1.0 / (y + _EULER_GAMMA)
+        a = a if _SHAPE_MIN <= a <= _SHAPE_MAX else _SHAPE_MAX if a > _SHAPE_MAX else _SHAPE_MIN
+        ia, ia1, iz = 1.0 / a, 1.0 / (a + 1.0), 1.0 / (a + 1.5)
+        iz2 = iz * iz
+        # psi' is positive here, so the step needs only a positive derivative.
+        s = ia * ia + ia1 * ia1 + iz - iz * iz2 / 12.0
+        r = math.sqrt(s / n)
+        d = a * (s + 0.5 * g * (-2.0 * (ia * ia * ia + ia1 * ia1 * ia1) - iz2
+                                + 0.25 * iz2 * iz2) / (n * r))
+        if 0.0 < d < math.inf:
+            off = -math.log(iz) + iz2 / 24.0 - ia - ia1
+            a *= math.exp(max(-1.0, min(1.0, (c - off - g * r) / d)))
+        return _shape_solve(c, g, n, None, a, None)
 
     def phi(self, g, a):
         return self.n * (digamma(a) - self.log_beta) + g * math.sqrt(self.n * trigamma(a))
@@ -1028,13 +1004,35 @@ class _BetaShapeEquation:
         # psi(a) - psi(a + b) is near log((a - 1/2) / (a + b - 1/2)) for
         # large a and near psi(1) - 1/a - psi(b) for small a: start at the
         # inverse of the first, or of the second where the first is below
-        # 1, then Newton on the elementary estimate.
+        # 1, then two Newton steps in log a on the shape map with the
+        # elementary estimates of psi, psi' and psi'' at a and a + b (as in
+        # _GammaShapeEquation.invert); a step moves log a by at most 1 and
+        # none is taken once the slope or the derivative is not positive.
         a = 0.5 + b / math.expm1(min(-c, 700.0))
         if a < 1.0:
-            small = c + _EULER_GAMMA + _psi_estimate(b)[0]
+            iz = 1.0 / (b + 1.5)
+            small = c + _EULER_GAMMA + (-math.log(iz) + iz * iz / 24.0 - 1.0 / b - 1.0 / (b + 1.0))
             if small < 0.0:
                 a = min(a, -1.0 / small)
-        return _shape_solve(c, g, n, b, _estimate_steps(c, g, n, b, a, 2), self.scratch)
+        a = a if _SHAPE_MIN <= a <= _SHAPE_MAX else _SHAPE_MAX if a > _SHAPE_MAX else _SHAPE_MIN
+        for _ in (0, 1):
+            ia, ia1, iz = 1.0 / a, 1.0 / (a + 1.0), 1.0 / (a + 1.5)
+            ib, ib1, izb = 1.0 / (a + b), 1.0 / (a + b + 1.0), 1.0 / (a + b + 1.5)
+            iz2, izb2 = iz * iz, izb * izb
+            s = ((ia * ia + ia1 * ia1 + iz - iz * iz2 / 12.0)
+                 - (ib * ib + ib1 * ib1 + izb - izb * izb2 / 12.0))
+            if not s > 0.0:
+                break
+            r = math.sqrt(s / n)
+            ds = ((-2.0 * (ia * ia * ia + ia1 * ia1 * ia1) - iz2 + 0.25 * iz2 * iz2)
+                  - (-2.0 * (ib * ib * ib + ib1 * ib1 * ib1) - izb2 + 0.25 * izb2 * izb2))
+            d = a * (s + 0.5 * g * ds / (n * r))
+            if not 0.0 < d < math.inf:
+                break
+            off = ((-math.log(iz) + iz2 / 24.0 - ia - ia1)
+                   - (-math.log(izb) + izb2 / 24.0 - ib - ib1))
+            a *= math.exp(max(-1.0, min(1.0, (c - off - g * r) / d)))
+        return _shape_solve(c, g, n, b, a, self.scratch)
 
     def phi(self, g, a):
         n, b = self.n, self.b
@@ -1133,9 +1131,6 @@ class _BvnSuffStats:
         return cls(x.size, float(np.sum(x)), float(np.sum(y)),
                    float(np.dot(x, x)), float(np.dot(y, y)), float(np.dot(x, y)))
 
-    def swapped(self) -> "_BvnSuffStats":
-        return _BvnSuffStats(self.n, self.sy, self.sx, self.syy, self.sxx, self.sxy)
-
     def centered(self, mu_x: float, mu_y: float):
         cxx = self.sxx - 2.0 * mu_x * self.sx + self.n * mu_x * mu_x
         cyy = self.syy - 2.0 * mu_y * self.sy + self.n * mu_y * mu_y
@@ -1153,31 +1148,8 @@ def _bvn_loglik_core(s: _BvnSuffStats, mu_x, mu_y, sigma_x2, sigma_y2, rho) -> f
             - 0.5 * quad / one_m)
 
 
-def _bvn_sigma_mle(s: _BvnSuffStats, mu_x, mu_y, sigma_y2, rho) -> float:
-    # Stationarity of the likelihood in sigma_x:
-    # n(1 - rho^2) t^2 + (rho Cxy / sigma_y) t - Cxx = 0 for t = sigma_x.
-    cxx, _, cxy = s.centered(mu_x, mu_y)
-    if cxx <= 0.0:
-        raise DegenerateDataError("x observations all equal mu_x")
-    t = solve_quadratic_positive(s.n * (1.0 - rho * rho),
-                                 rho * cxy / math.sqrt(sigma_y2), -cxx)
-    return t
-
-
+# The interval the rho statistic is clipped to.
 _RHO_MLE_BRACKET = Bracket(-1.0 + 1e-9, 1.0 - 1e-9)
-
-
-def _bvn_rho_mle(s: _BvnSuffStats, mu_x, mu_y, sigma_x2, sigma_y2) -> float:
-    # Root in (-1, 1) of the cubic stationarity condition of the likelihood
-    # in rho; when several roots fall inside, the highest likelihood wins.
-    cxx, cyy, cxy = s.centered(mu_x, mu_y)
-    n = s.n
-    c = cxy / math.sqrt(sigma_x2 * sigma_y2)
-    c1 = n - cxx / sigma_x2 - cyy / sigma_y2
-    if not (math.isfinite(c) and math.isfinite(c1)):
-        raise DomainError(f"cubic coefficients must be finite, got {[-float(n), c, c1, c]}")
-    return finite_cubic_root((-float(n), c, c1, c), _RHO_MLE_BRACKET,
-                             _bvn_loglik_core, s, mu_x, mu_y, sigma_x2, sigma_y2)
 
 
 def bvn_log_likelihood(mu_x: float, mu_y: float, sigma_x2: float, sigma_y2: float, rho: float,
@@ -1187,10 +1159,6 @@ def bvn_log_likelihood(mu_x: float, mu_y: float, sigma_x2: float, sigma_y2: floa
     y = np.asarray(y, dtype=float)
     return _bvn_loglik_core(_BvnSuffStats.from_arrays(x, y), mu_x, mu_y,
                             sigma_x2, sigma_y2, rho)
-
-
-def _bvn_sigma_factor(n: int, rho: float) -> float:
-    return math.sqrt((1.0 - rho * rho) / (n * (2.0 - rho * rho)))
 
 
 class _BvnSigmaEquation:
@@ -1265,12 +1233,17 @@ class _BvnRhoEquation:
 
     def invert(self, q, g):
         lo, hi = self.bracket.lo, self.bracket.hi
-        f_lo, f_hi = self.phi(g, lo) - q, self.phi(g, hi) - q
-        if not f_lo < 0.0 < f_hi:
-            raise StructuralError(
-                f"no correlation solves the equation: no sign change on [{lo}, {hi}]: "
-                f"phi - q = {f_lo:.6g} and {f_hi:.6g}", statistic_value=q, gamma=g)
         sqrt_n = self.sqrt_n
+        # For |g| <= 100 sqrt(n), phi(g, lo) and phi(g, hi) lie within
+        # (1 - lo^2) |g| / (sqrt(n) sqrt(1 + lo^2)) <= 1.5e-10 of lo and hi,
+        # and a q within the rho statistic's clip is 1e-9 - 1e-12 inside
+        # them: the sign check cannot fail.
+        if not (_RHO_MLE_BRACKET.lo <= q <= _RHO_MLE_BRACKET.hi and abs(g) <= 100.0 * sqrt_n):
+            f_lo, f_hi = self.phi(g, lo) - q, self.phi(g, hi) - q
+            if not f_lo < 0.0 < f_hi:
+                raise StructuralError(
+                    f"no correlation solves the equation: no sign change on [{lo}, {hi}]: "
+                    f"phi - q = {f_lo:.6g} and {f_hi:.6g}", statistic_value=q, gamma=g)
         k = g / sqrt_n
         r = min(max(q, lo), hi)
         fr, dr = _rho_fdf(r, q, g, sqrt_n, k)
@@ -1285,14 +1258,6 @@ class _BvnRhoEquation:
                 _log_abs(self.sqrt_n * (u * r * (2.0 + v2) - w * v2) / (v * w * w)))
 
 
-def _bvn_mean_equation(n: int, var: float, other_var: float, rho: float,
-                       other_mu: float) -> _LocationEquation:
-    # Statistic = n mu + off + sd * gamma (the sum adjusted by the other mean).
-    ratio = math.sqrt(var / other_var)
-    sd = math.sqrt(n * var * (1.0 - rho * rho))
-    return _LocationEquation(n, -n * rho * ratio * other_mu, sd)
-
-
 def _bvn_build_conditionals(data: Dataset) -> dict:
     x = data.col("x")
     y = data.col("y")
@@ -1304,40 +1269,66 @@ def _bvn_build_conditionals(data: Dataset) -> dict:
     if float(np.std(x)) <= 0.0 or float(np.std(y)) <= 0.0:
         raise DegenerateDataError("bivariate_normal needs non-constant columns")
     stats = _BvnSuffStats.from_arrays(x, y)
-    stats_yx = stats.swapped()
-    sx_sum, sy_sum = stats.sx, stats.sy
+    sx, sy, sxx, syy, sxy = stats.sx, stats.sy, stats.sxx, stats.syy, stats.sxy
+    neg_n = -float(n)
     rho_equation = _BvnRhoEquation(n)
 
-    def sigma(label, stat_name, compute):
-        return _conditional(_BVN_PARAMS, label, FiducialStatistic(stat_name, compute),
-                            lambda d, p: _BvnSigmaEquation(_bvn_sigma_factor(n, p["rho"])),
-                            check_at_start=True)
+    # The statistics read the data sums and centre them at the state's means
+    # inline; the operand order of each centred sum is part of its bits.
+    def mean(label, stat_name, own_sum, other_sum, var, other_var, other_mu):
+        def statistic(d, p):
+            return own_sum - p["rho"] * math.sqrt(p[var] / p[other_var]) * other_sum
+
+        def equation_for(d, p):
+            # Statistic = n mu + off + sd * gamma (the sum adjusted by the other mean).
+            rho, v = p["rho"], p[var]
+            return _LocationEquation(n, -n * rho * math.sqrt(v / p[other_var]) * p[other_mu],
+                                     math.sqrt(n * v * (1.0 - rho * rho)))
+
+        return _conditional(_BVN_PARAMS, label, FiducialStatistic(stat_name, statistic),
+                            equation_for)
+
+    def sigma(label, stat_name, column, mu, other_mu, own_sum, other_sum, own_sq, other_var):
+        def statistic(d, p):
+            # Stationarity of the likelihood in sigma: with the centred sums
+            # C_own and C_xy, n (1 - rho^2) t^2 + (rho C_xy / sigma_other) t
+            # - C_own = 0 for t = sigma.
+            m, mo, rho = p[mu], p[other_mu], p["rho"]
+            c_own = own_sq - 2.0 * m * own_sum + n * m * m
+            if c_own <= 0.0:
+                raise DegenerateDataError(f"{column} observations all equal {mu}")
+            c_xy = sxy - m * other_sum - mo * own_sum + n * m * mo
+            return solve_quadratic_positive(n * (1.0 - rho * rho),
+                                            rho * c_xy / math.sqrt(p[other_var]), -c_own)
+
+        def equation_for(d, p):
+            rho = p["rho"]
+            return _BvnSigmaEquation(math.sqrt((1.0 - rho * rho) / (n * (2.0 - rho * rho))))
+
+        return _conditional(_BVN_PARAMS, label, FiducialStatistic(stat_name, statistic),
+                            equation_for, check_at_start=True)
+
+    def rho_mle(d, p):
+        # Root in (-1, 1) of the cubic stationarity condition of the likelihood
+        # in rho; when several roots fall inside, the highest likelihood wins.
+        mu_x, mu_y, sigma_x2, sigma_y2 = p["mu_x"], p["mu_y"], p["sigma_x2"], p["sigma_y2"]
+        cxx = sxx - 2.0 * mu_x * sx + n * mu_x * mu_x
+        cyy = syy - 2.0 * mu_y * sy + n * mu_y * mu_y
+        cxy = sxy - mu_x * sy - mu_y * sx + n * mu_x * mu_y
+        c = cxy / math.sqrt(sigma_x2 * sigma_y2)
+        c1 = n - cxx / sigma_x2 - cyy / sigma_y2
+        if not (math.isfinite(c) and math.isfinite(c1)):
+            raise DomainError(f"cubic coefficients must be finite, got {[neg_n, c, c1, c]}")
+        return finite_cubic_root((neg_n, c, c1, c), _RHO_MLE_BRACKET,
+                                 _bvn_loglik_core, stats, mu_x, mu_y, sigma_x2, sigma_y2)
 
     return {
-        "mu_x": _conditional(
-            _BVN_PARAMS, "mu_x",
-            FiducialStatistic(
-                "sum_x_adj",
-                lambda d, p: sx_sum - p["rho"] * math.sqrt(p["sigma_x2"] / p["sigma_y2"]) * sy_sum),
-            lambda d, p: _bvn_mean_equation(n, p["sigma_x2"], p["sigma_y2"], p["rho"], p["mu_y"])),
-        "mu_y": _conditional(
-            _BVN_PARAMS, "mu_y",
-            FiducialStatistic(
-                "sum_y_adj",
-                lambda d, p: sy_sum - p["rho"] * math.sqrt(p["sigma_y2"] / p["sigma_x2"]) * sx_sum),
-            lambda d, p: _bvn_mean_equation(n, p["sigma_y2"], p["sigma_x2"], p["rho"], p["mu_x"])),
-        "sigma_x2": sigma(
-            "sigma_x2", "sigma_x_mle",
-            lambda d, p: _bvn_sigma_mle(stats, p["mu_x"], p["mu_y"], p["sigma_y2"], p["rho"])),
-        "sigma_y2": sigma(
-            "sigma_y2", "sigma_y_mle",
-            lambda d, p: _bvn_sigma_mle(stats_yx, p["mu_y"], p["mu_x"], p["sigma_x2"], p["rho"])),
-        "rho": _conditional(
-            _BVN_PARAMS, "rho",
-            FiducialStatistic(
-                "rho_mle",
-                lambda d, p: _bvn_rho_mle(stats, p["mu_x"], p["mu_y"], p["sigma_x2"], p["sigma_y2"])),
-            lambda d, p: rho_equation),
+        "mu_x": mean("mu_x", "sum_x_adj", sx, sy, "sigma_x2", "sigma_y2", "mu_y"),
+        "mu_y": mean("mu_y", "sum_y_adj", sy, sx, "sigma_y2", "sigma_x2", "mu_x"),
+        "sigma_x2": sigma("sigma_x2", "sigma_x_mle", "x", "mu_x", "mu_y", sx, sy, sxx, "sigma_y2"),
+        "sigma_y2": sigma("sigma_y2", "sigma_y_mle", "y", "mu_y", "mu_x", sy, sx, syy, "sigma_x2"),
+        "rho": _conditional(_BVN_PARAMS, "rho", FiducialStatistic("rho_mle", rho_mle),
+                            lambda d, p: rho_equation),
     }
 
 

@@ -10,9 +10,13 @@ The kinds whose laws the catalog fixes once per dataset are drawn in
 blocks of BLOCK_SIZE values per stream: Normal and Exponential from one
 block of standard draws each, shifted and scaled per draw, TruncatedNormal
 and ChiSquare from one block per law.  A draw takes the next value of its
-block, and a new block is drawn when it is used up.  A stream keeps blocks
-for at most MAX_BLOCK_LAWS laws: a new law evicts the block of the law
-first seen longest ago, whose unused values are dropped.  Gamma, whose shape
+block, and a new block is drawn when it is used up.  The block key of a
+TruncatedNormal or ChiSquare law is the kind plus the law's parameters,
+built once per law object when it is made (its block_key attribute): equal
+laws share one block, and a draw from a law fixed per dataset hashes that
+prebuilt key instead of building one.  A stream keeps blocks for at most
+MAX_BLOCK_LAWS laws: a new law evicts the block of the law first seen
+longest ago, whose unused values are dropped.  Gamma, whose shape
 follows the state in the gamma model, and the two kinds that are never
 primaries are drawn one value per call.
 """
@@ -115,6 +119,8 @@ class TruncatedNormal:
             raise DomainError(f"TruncatedNormal requires finite parameters and var > 0, got {self}")
         if not self.lo < self.hi:
             raise DomainError(f"TruncatedNormal requires lo < hi, got [{self.lo}, {self.hi}]")
+        object.__setattr__(self, "block_key",
+                           (TruncatedNormal, self.mean, self.var, self.lo, self.hi))
 
 
 @dataclass(frozen=True)
@@ -135,6 +141,7 @@ class ChiSquare:
     def __post_init__(self):
         if not 0.0 < self.df < math.inf:
             raise DomainError(f"ChiSquare requires df > 0, got {self.df}")
+        object.__setattr__(self, "block_key", (ChiSquare, self.df))
 
 
 @dataclass(frozen=True)
@@ -214,11 +221,11 @@ def _sample_normal(d: Normal, rng: RngStream) -> float:
 
 
 def _sample_truncated_normal(d: TruncatedNormal, rng: RngStream) -> float:
-    return rng.take((TruncatedNormal, d.mean, d.var, d.lo, d.hi), _truncated_normals, d)
+    return rng.take(d.block_key, _truncated_normals, d)
 
 
 def _sample_chi_square(d: ChiSquare, rng: RngStream) -> float:
-    return rng.take((ChiSquare, d.df), _chi_squares, d)
+    return rng.take(d.block_key, _chi_squares, d)
 
 
 def _sample_exponential(d: Exponential, rng: RngStream) -> float:

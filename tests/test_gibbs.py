@@ -172,6 +172,61 @@ class TestRun:
         run(model, data, ChainConfig(m=200, b=0, chains=3, seed=4))
         assert calls == {"quantile": 0, "equation": probes * 3}
 
+    @pytest.mark.parametrize("name,data_fixture", CATALOG_DATA)
+    def test_draws_pass_through_the_traced_calls(self, name, data_fixture, request,
+                                                 monkeypatch):
+        # The benchmark's traced run (bench/tracing.py) times every draw
+        # through four calls: the statistic's compute and equation_for, both
+        # replaced through dataclasses.replace, the name sample as bound in
+        # fidgibbs.core, and invert of a __dict__ copy of each equation.  Each
+        # must be reached on every draw, and wrapping them must not move a
+        # bit.  The calls are counted in this process, so the chain runs here.
+        monkeypatch.setattr(fidgibbs.gibbs, "_usable_cpus", lambda: 1)
+        data = request.getfixturevalue(data_fixture)
+        model = get_model(name)
+        config = ChainConfig(m=50, b=0, chains=1, seed=9)
+        plain = run(model, data, config)
+        calls = Counter()
+
+        def counting(layer, fn):
+            def counted(*args):
+                calls[layer] += 1
+                return fn(*args)
+            return counted
+
+        def with_invert(eq, invert):
+            new = object.__new__(type(eq))
+            new.__dict__.update(eq.__dict__)
+            new.__dict__["invert"] = invert
+            return new
+
+        def traced(sampler):
+            label = sampler.target_param
+            setup = counting(("equation_for", label), sampler.equation_for)
+
+            def equation_for(data, state):
+                eq = setup(data, state)
+                return with_invert(eq, counting(("invert", label), eq.invert))
+
+            statistic = dataclasses.replace(
+                sampler.statistic,
+                compute=counting(("statistic", label), sampler.statistic.compute))
+            return dataclasses.replace(sampler, statistic=statistic, equation_for=equation_for)
+
+        def build(data):
+            return {label: traced(c) for label, c in model.build_conditionals(data).items()}
+
+        monkeypatch.setattr(fidgibbs.core, "sample", counting("sample", fidgibbs.core.sample))
+        wrapped = run(dataclasses.replace(model, build_conditionals=build), data, config)
+        assert np.array_equal(wrapped.values, plain.values)
+        assert wrapped.warnings == plain.warnings
+        # A chain-start probe adds one statistic and equation and 33 inverts,
+        # fewer than the 50 draws of each conditional.
+        for label in model.param_labels:
+            for layer in ("statistic", "equation_for", "invert"):
+                assert calls[(layer, label)] >= config.m, (layer, label)
+        assert calls["sample"] >= config.m * len(model.params)
+
     def test_mu_marginal_ks(self, normal_data):
         # Gibbs marginal of mu against the analytic Student t marginal.
         sm = run(get_model("normal"), normal_data,

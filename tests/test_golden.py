@@ -50,6 +50,17 @@ GOLDEN = {
     "beta_scan_order": (
         ["--model", "beta", "--simulate", "alpha=8,beta=3,n=50", "--scan-order", "beta,alpha"],
         "2722a39326b6d5dcc69dc8ebb0cf2c21b1f72b84388ab27fe03e365ba81a233e", {}),
+    # Shapes below 1: the small-shape start and the solve outside the
+    # certificate of the beta shapes.
+    "beta_small_shapes": (
+        ["--model", "beta", "--simulate", "alpha=0.4,beta=0.3,n=25"],
+        "fc4d93dc063c66fd8bafaf0dd6c733d68217d47905420857ebe340f1184977a0",
+        {"alpha.injectivity_grid_failures": 2, "beta.injectivity_grid_failures": 2}),
+    # Statistics near |rho| = 1.
+    "bivariate_normal_rho0.97": (
+        ["--model", "bivariate_normal", "--simulate",
+         "mu_x=0,mu_y=0,sigma_x2=1,sigma_y2=1,rho=0.97,n=30"],
+        "d94c87b149a27f06451e02b3269c901c1bf223b9a2bbd44433833903d6ba80c5", {}),
     "pareto_init": (
         ["--model", "pareto", "--simulate", "alpha=3,beta=2,n=15", "--init", "alpha=1,beta=1.5"],
         "7384008984c68194d9b8819d072bb6db63ae5f79e582f839008b7460e3ccd2b0", {}),

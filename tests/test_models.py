@@ -549,6 +549,24 @@ def _ref_psi_bounds(a):
     return psi - ix, psi - 0.5 * ix, tri + 0.5 * ix * ix, tri + ix * ix
 
 
+def _ref_psi_estimate(a):
+    """(psi(a), psi'(a), psi''(a)) by the recurrence to a + 2 and the
+    asymptotic series of psi(z + 1/2) at z = a + 3/2, to terms in 1/z^2."""
+    ia = 1.0 / a
+    ia1 = 1.0 / (a + 1.0)
+    iz = 1.0 / (a + 1.5)
+    iz2 = iz * iz
+    return (-math.log(iz) + iz2 / 24.0 - ia - ia1,
+            ia * ia + ia1 * ia1 + iz - iz * iz2 / 12.0,
+            -2.0 * (ia * ia * ia + ia1 * ia1 * ia1) - iz2 + 0.25 * iz2 * iz2)
+
+
+def _ref_inverse_digamma_start(y):
+    """Minka's start for psi(a) = y: exp(y) + 1/2, or -1/(y + Euler's gamma)
+    below y = -2.22."""
+    return math.exp(min(y, 600.0)) + 0.5 if y >= -2.22 else -1.0 / (y + M._EULER_GAMMA)
+
+
 def _ref_beta_callbacks(b):
     """parts_fn, estimate and bounds_fn of a beta shape with other shape b."""
     def parts(a):
@@ -557,8 +575,8 @@ def _ref_beta_callbacks(b):
         return float(special.psi(a)) - float(special.psi(ab)), z2_a - z2_ab, -2.0 * (z3_a - z3_ab)
 
     def estimate(a):
-        off, s, ds = M._psi_estimate(a)
-        off_b, s_b, ds_b = M._psi_estimate(a + b)
+        off, s, ds = _ref_psi_estimate(a)
+        off_b, s_b, ds_b = _ref_psi_estimate(a + b)
         return off - off_b, s - s_b, ds - ds_b
 
     def bounds(a):
@@ -632,10 +650,10 @@ def _ref_shape_invert(eq, q, g):
         c = q / n + eq.log_beta
         if not (g < 0.0 or g * g < n):
             return _ref_clt_shape_invert(c, _ref_gamma_parts, g, n, None)
-        a = M._inverse_digamma_start(c)
+        a = _ref_inverse_digamma_start(c)
         if g:
-            a = M._inverse_digamma_start(c - g * math.sqrt(M._psi_estimate(a)[1] / n))
-        a = _ref_estimate_steps(M._psi_estimate, c, g, n, a, 1)
+            a = _ref_inverse_digamma_start(c - g * math.sqrt(_ref_psi_estimate(a)[1] / n))
+        a = _ref_estimate_steps(_ref_psi_estimate, c, g, n, a, 1)
         return _ref_clt_shape_invert(c, _ref_gamma_parts, g, n, a, _ref_psi_bounds)
     b = eq.b
     parts, estimate, bounds = _ref_beta_callbacks(b)
@@ -647,7 +665,7 @@ def _ref_shape_invert(eq, q, g):
                               statistic_value=q)
     a = 0.5 + b / math.expm1(min(-c, 700.0))
     if a < 1.0:
-        small = c + M._EULER_GAMMA + M._psi_estimate(b)[0]
+        small = c + M._EULER_GAMMA + _ref_psi_estimate(b)[0]
         if small < 0.0:
             a = min(a, -1.0 / small)
     a = _ref_estimate_steps(estimate, c, g, n, a, 2)
@@ -812,6 +830,51 @@ class TestNewtonInversion:
         for q in (-1.5, 1.5):
             with pytest.raises(StructuralError, match="no correlation solves the equation"):
                 eq.invert(q, 0.5)
+
+    def test_rho_entry_check_skipped_only_where_it_cannot_fail(self):
+        # invert skips the sign check at the bracket ends for q inside the rho
+        # statistic's clip and |gamma| <= 100 sqrt(n).  Against the check made
+        # on every call, each case gives the same root bits or the same raise.
+        def checked(eq, q, g):
+            lo, hi = eq.bracket.lo, eq.bracket.hi
+            f_lo, f_hi = eq.phi(g, lo) - q, eq.phi(g, hi) - q
+            if not f_lo < 0.0 < f_hi:
+                raise StructuralError(
+                    f"no correlation solves the equation: no sign change on [{lo}, {hi}]: "
+                    f"phi - q = {f_lo:.6g} and {f_hi:.6g}", statistic_value=q, gamma=g)
+            sqrt_n = eq.sqrt_n
+            k = g / sqrt_n
+            r = min(max(q, lo), hi)
+            fr, dr = M._rho_fdf(r, q, g, sqrt_n, k)
+            return M.solve_newton(M._rho_fdf, lo, hi, r, fr, dr, tol=1e-13, quadratic=True,
+                                  args=(q, g, sqrt_n, k))
+
+        def outcome(invert, eq, q, g):
+            try:
+                return invert(eq, q, g).hex()
+            except (StructuralError, EvaluationError) as exc:
+                return f"{type(exc).__name__}: {exc}"
+
+        gen = np.random.default_rng(29)
+        clip = M._RHO_MLE_BRACKET.hi
+        edges = [s * e for s in (1.0, -1.0)
+                 for e in (clip, math.nextafter(clip, 2.0), math.nextafter(clip, 0.0),
+                           1.0 - 1e-12, 1.0, 1.5)]
+        cases = raised = 0
+        for n in (3, 4, 30, 200, 5000):
+            limit = 100.0 * math.sqrt(n)
+            gammas = [0.0, 0.7, 5.0, limit, math.nextafter(limit, math.inf), 1e3, 1e4, 1e6]
+            gammas += [-g for g in gammas] + gen.uniform(-5.0, 5.0, 20).tolist()
+            qs = edges + np.tanh(gen.normal(0.0, 2.0, 20)).tolist()
+            eq = M._BvnRhoEquation(n)
+            for q in qs:
+                for g in gammas:
+                    want = outcome(checked, eq, q, g)
+                    assert outcome(M._BvnRhoEquation.invert, eq, q, g) == want, (n, q, g)
+                    cases += 1
+                    raised += want.startswith("StructuralError")
+        assert cases == 5 * 32 * 36 and raised > 300
+        print(f"{cases} cases, {raised} raised")
 
     @pytest.mark.parametrize("n,g", [(3, 1.3), (3, -4.0), (30, 3.9), (30, -5.0)])
     def test_rho_large_gamma_has_one_root(self, n, g, monkeypatch):
