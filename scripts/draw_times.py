@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Microseconds per conditional draw for the seven catalog models.
+"""Microseconds per conditional draw for the seven catalog models, and where
+the time of a ``fidgibbs run`` goes.
 
     python3 scripts/draw_times.py [--cycles 20000] [--repeats 3] [--against REV]
 
@@ -11,16 +12,26 @@ table gives the best of --repeats rounds.  Every round runs in a fresh
 worker process that first runs a short chain of each model, so lazy imports
 are not timed.
 
+A second table splits one in-process ``cli.main(["run", ...])`` per model,
+``--simulate`` with the same parameters and n, at m = --cycles with 4
+chains, after a short warm-up run of each model, into its phases in wall
+time: sample (``run``), summarize (``summarize``) and write (everything
+after summarize: samples.csv, the traces, report.json and the histograms).
+The shares are of the whole ``cli.main`` call; the table gives the round
+with the shortest call.
+
 With --against REV the rounds also run in a ``git archive`` checkout of REV,
 as ``scripts/bench_pairs.py`` makes one, the two trees alternating which
-goes first from round to round.  The table then gives both trees, the
+goes first from round to round.  The tables then give both trees, the
 relative change and whether the two trees drew the same bytes.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -43,10 +54,11 @@ CASES = {
                           "rho": 0.8}, 200),
 }
 DATA_SEED, CHAIN_SEED, WARM_UP_CYCLES = 2018, 17, 50
+RUN_CHAINS = 4
 
 
-def worker(cycles: int) -> dict:
-    """One round in this process: {model: [us per draw, sha256 of the draws]}."""
+def draw_times(cycles: int) -> dict:
+    """{model: [us per draw, sha256 of the draws]} of one chain per model."""
     from fidgibbs import ChainConfig, RngStream, get_model, run, simulate_dataset
 
     jobs = []
@@ -66,6 +78,48 @@ def worker(cycles: int) -> dict:
     return out
 
 
+def run_phases(cycles: int) -> dict:
+    """{model: [run s, sample s, summarize s, write s]}: the wall time of one
+    cli.main(["run", ...]) per model and of its phases."""
+    from fidgibbs import cli
+    from fidgibbs.gibbs import DEFAULT_BURN_IN
+
+    spans = {}
+
+    def timed(name, fn):
+        def wrapper(*args, **kwargs):
+            start = time.perf_counter()
+            result = fn(*args, **kwargs)
+            spans[name] = (start, time.perf_counter())
+            return result
+        return wrapper
+
+    cli.run, cli.summarize = timed("sample", cli.run), timed("summarize", cli.summarize)
+    out = {}
+    with tempfile.TemporaryDirectory(prefix="draw-times-run-") as tmp, \
+            contextlib.redirect_stdout(io.StringIO()):
+        # The timed runs overwrite the warm-up runs' entries.
+        for m in (WARM_UP_CYCLES, cycles):
+            for model, (theta, n) in CASES.items():
+                simulate = ",".join(f"{k}={v}" for k, v in theta.items())
+                argv = ["run", "--model", model, "--simulate", f"{simulate},n={n}",
+                        "--seed", str(DATA_SEED), "--m", str(m),
+                        "--b", str(min(DEFAULT_BURN_IN, m // 2)),
+                        "--chains", str(RUN_CHAINS), "--output-dir", tmp]
+                start = time.perf_counter()
+                if cli.main(argv) != 0:
+                    raise RuntimeError(f"fidgibbs {' '.join(argv)} failed")
+                stop = time.perf_counter()
+                (s0, s1), (z0, z1) = spans["sample"], spans["summarize"]
+                out[model] = [stop - start, s1 - s0, z1 - z0, stop - z1]
+    return out
+
+
+def worker(cycles: int) -> dict:
+    """One round in this process: the draw times, then the run phases."""
+    return {"draws": draw_times(cycles), "phases": run_phases(cycles)}
+
+
 def round_in(tree: Path, cycles: int) -> dict:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     cmd = [sys.executable, str(Path(__file__).resolve()), "--worker", "--cycles", str(cycles)]
@@ -76,7 +130,19 @@ def round_in(tree: Path, cycles: int) -> dict:
 
 
 def best_of(rounds: list) -> dict:
-    return {model: min(r[model][0] for r in rounds) for model in CASES}
+    return {model: min(r["draws"][model][0] for r in rounds) for model in CASES}
+
+
+def phase_table(rounds: dict, cycles: int):
+    print(f"\nfidgibbs run phases: m = {cycles}, {RUN_CHAINS} chains, in process, wall seconds "
+          "(share of the run), the round with the shortest run\n\n"
+          "| model | tree | run s | sample | summarize | write |\n"
+          "| --- | --- | --- | --- | --- | --- |")
+    for model in CASES:
+        for name, rs in rounds.items():
+            total, *parts = min(r["phases"][model] for r in rs)
+            cells = " | ".join(f"{p:.3g} ({100.0 * p / total:.0f}%)" for p in parts)
+            print(f"| {model} | {name} | {total:.3g} | {cells} |")
 
 
 def main(argv=None) -> int:
@@ -114,15 +180,17 @@ def main(argv=None) -> int:
         print("\n| model | n | us/draw |\n| --- | --- | --- |")
         for model, (_, n) in CASES.items():
             print(f"| {model} | {n} | {best['this tree'][model]:.3g} |")
+        phase_table(rounds, args.cycles)
         return 0
     base_name = args.against
     print(f"\n| model | n | {base_name} | this tree | change | same draws |\n"
           "| --- | --- | --- | --- | --- | --- |")
     for model, (_, n) in CASES.items():
         old, new = best[base_name][model], best["this tree"][model]
-        same = {r[model][1] for rs in rounds.values() for r in rs}
+        same = {r["draws"][model][1] for rs in rounds.values() for r in rs}
         print(f"| {model} | {n} | {old:.3g} | {new:.3g} | {100.0 * (new / old - 1.0):+.1f}% | "
               f"{'yes' if len(same) == 1 else 'no'} |")
+    phase_table(rounds, args.cycles)
     return 0
 
 

@@ -10,6 +10,7 @@ written with 17 significant digits so files round-trip losslessly.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -168,25 +169,44 @@ def write_dataset(data: Dataset, model_name: str, path: str):
                 writer.writerow([_fmt(v)])
 
 
-# Rows formatted per write: bounds the Python floats alive at once.
-_ROWS_PER_WRITE = 1024
+# Rows formatted per write: bounds the Python floats and strings alive at once.
+_ROWS_PER_WRITE = 512
 
 
-def _write_rows(fh, fmt: str, lead: tuple, values: np.ndarray):
-    """Rows fmt % (*lead, cycle, *row) for cycles 1..len(values): the bytes
-    csv.writer gives for the same cells with _fmt on every float."""
+def _blocks(values: np.ndarray):
+    """(cycles, columns) for each block of _ROWS_PER_WRITE rows of values,
+    an (m, k) array: the block's cycle numbers, counted from 1, and each
+    column's values as %.17g strings, the bytes _fmt gives."""
     for start in range(0, values.shape[0], _ROWS_PER_WRITE):
-        rows = values[start:start + _ROWS_PER_WRITE].tolist()
-        fh.write("".join([fmt % (*lead, i, *row) for i, row in enumerate(rows, start + 1)]))
+        block = values[start:start + _ROWS_PER_WRITE]
+        # One format call per column; the split leaves a trailing "", which
+        # zip with the cycles drops.
+        cols = [("%.17g," * len(col) % tuple(col)).split(",") for col in block.T.tolist()]
+        yield range(start + 1, start + 1 + len(block)), cols
+
+
+def _trace_rows(cycles: range, col: list) -> str:
+    return "".join(map("%d,%s\r\n".__mod__, zip(cycles, col)))
+
+
+def _write_chains(samples: SampleMatrix, fh, traces: dict):
+    """Write the samples.csv rows of every chain to fh, the bytes csv.writer
+    gives for the same cells with _fmt on every float, and, from the same
+    strings, the rows of chain 0's column j to traces[j]."""
+    chains, _, k = samples.values.shape
+    for c in range(chains):
+        fmt = f"{c},%d" + ",%s" * k + "\r\n"
+        for cycles, cols in _blocks(samples.values[c]):
+            fh.write("".join(map(fmt.__mod__, zip(cycles, *cols))))
+            if c == 0:
+                for j, trace in traces.items():
+                    trace.write(_trace_rows(cycles, cols[j]))
 
 
 def write_samples_csv(samples: SampleMatrix, path: str):
-    chains, _, k = samples.values.shape
-    fmt = "%d,%d" + ",%.17g" * k + "\r\n"
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(["chain", "cycle", *samples.labels])
-        for c in range(chains):
-            _write_rows(fh, fmt, (c,), samples.values[c])
+        _write_chains(samples, fh, {})
 
 
 def read_samples_csv(path: str, b: int) -> SampleMatrix:
@@ -228,24 +248,21 @@ def read_samples_csv(path: str, b: int) -> SampleMatrix:
 
 
 def write_histogram_csv(summary, path: str):
-    densities = summary.hist_densities()
+    densities = summary.hist_densities().tolist()
+    edges = summary.hist_edges.tolist()
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin_left", "bin_right", "count", "density"])
-        for i, count in enumerate(summary.hist_counts):
-            writer.writerow([
-                _fmt(summary.hist_edges[i]),
-                _fmt(summary.hist_edges[i + 1]),
-                int(count),
-                _fmt(densities[i]),
-            ])
+        csv.writer(fh).writerow(["bin_left", "bin_right", "count", "density"])
+        fh.write("".join([
+            "%.17g,%.17g,%d,%.17g\r\n" % (edges[i], edges[i + 1], count, densities[i])
+            for i, count in enumerate(summary.hist_counts.tolist())]))
 
 
 def write_trace_csv(samples: SampleMatrix, param: str, path: str):
     j = samples.index(param)
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(["cycle", "value"])
-        _write_rows(fh, "%d,%.17g\r\n", (), samples.values[0, :, j:j + 1])
+        for cycles, (col,) in _blocks(samples.values[0, :, j:j + 1]):
+            fh.write(_trace_rows(cycles, col))
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +309,14 @@ def _cmd_run(args) -> int:
     report = summarize(samples, bins=args.bins)
 
     out = _output_dir(args)
-    write_samples_csv(samples, out / "samples.csv")
+    with contextlib.ExitStack() as stack:
+        fh = stack.enter_context(open(out / "samples.csv", "w", newline=""))
+        csv.writer(fh).writerow(["chain", "cycle", *samples.labels])
+        traces = {}
+        for j, label in enumerate(samples.labels):
+            traces[j] = stack.enter_context(open(out / f"trace_{label}.csv", "w", newline=""))
+            csv.writer(traces[j]).writerow(["cycle", "value"])
+        _write_chains(samples, fh, traces)
     doc = report.to_dict()
     doc.update({
         "version": __version__,
@@ -303,12 +327,9 @@ def _cmd_run(args) -> int:
         "bins": args.bins,
         "init": [dict(st) for st in (samples.config.init or [])],
     })
-    with open(out / "report.json", "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    (out / "report.json").write_text(json.dumps(doc, indent=2) + "\n")
     for summary in report.params:
         write_histogram_csv(summary, out / f"hist_{summary.param}.csv")
-        write_trace_csv(samples, summary.param, out / f"trace_{summary.param}.csv")
     for summary in report.params:
         rhat = "nan" if math.isnan(summary.rhat) else f"{summary.rhat:.4f}"
         print(f"{summary.param}: mean={summary.mean:.6g} sd={summary.sd:.6g} "

@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fidgibbs import ChainConfig, SampleMatrix
-from fidgibbs.cli import (load_dataset, main, read_samples_csv, write_samples_csv,
-                          write_trace_csv)
+from fidgibbs import ChainConfig, SampleMatrix, summarize
+from fidgibbs.cli import (load_dataset, main, read_samples_csv, write_histogram_csv,
+                          write_samples_csv, write_trace_csv)
 
 
 def _run(argv):
@@ -85,6 +85,27 @@ class TestRunCommand:
         assert report["simulate"]["n"] == 12
         assert len(report["init"]) == 2
         assert {p["param"] for p in report["params"]} == {"mu", "sigma2"}
+
+    def test_report_is_one_indented_json_document(self, tmp_path):
+        out = tmp_path / "out"
+        assert _run(["run", "--model", "gamma", "--simulate", "alpha=2,beta=0.5,n=5",
+                     "--m", 300, "--b", 50, "--chains", 1, "--output-dir", out]) == 0
+        text = (out / "report.json").read_bytes().decode()
+        assert json.dumps(json.loads(text), indent=2) + "\n" == text
+
+    def test_trace_is_chain_0_column_of_samples(self, tmp_path):
+        # 2500 cycles: three write blocks.
+        out = tmp_path / "out"
+        assert _run(["run", "--model", "quadreg",
+                     "--simulate", "beta0=1,beta1=-0.5,beta2=0.25,sigma2=0.5,n=25",
+                     "--m", 2500, "--b", 50, "--chains", 3, "--scan-order",
+                     "sigma2,beta2,beta0,beta1", "--output-dir", out]) == 0
+        with open(out / "samples.csv", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        for j, label in enumerate(header[2:], start=2):
+            with open(out / f"trace_{label}.csv", newline="") as fh:
+                trace = list(csv.reader(fh))
+            assert trace == [["cycle", "value"]] + [[r[1], r[j]] for r in rows if r[0] == "0"]
 
     def test_samples_round_trip(self, tmp_path):
         out = tmp_path / "out"
@@ -402,6 +423,19 @@ class TestWriters:
         # The quantiles are order statistics of the draws themselves.
         pooled = sm.values[:, 1:, 0].reshape(-1)
         assert params[0]["quantiles"]["50%"] == float(np.quantile(pooled / 2, 0.5) * 2)
+
+    def test_histogram_bytes(self, tmp_path):
+        g = np.random.default_rng(5)
+        values = g.standard_normal((2, 300, 3)) * np.array([1.0, 1e-200, 1e200])
+        sm = SampleMatrix(values, ("a", "b", "c"), ChainConfig(m=300, b=1, chains=2))
+        for summary in summarize(sm, bins=7).params:
+            write_histogram_csv(summary, tmp_path / "hist.csv")
+            edges, counts = summary.hist_edges.tolist(), summary.hist_counts.tolist()
+            rows = [(edges[i], edges[i + 1], int(count), density) for i, (count, density)
+                    in enumerate(zip(counts, summary.hist_densities().tolist()))]
+            ref = self._reference(tmp_path / "ref.csv",
+                                  ["bin_left", "bin_right", "count", "density"], rows)
+            assert (tmp_path / "hist.csv").read_bytes() == ref
 
     def test_trace_bytes(self, tmp_path):
         sm = self._matrix(2, 300)

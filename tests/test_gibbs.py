@@ -539,6 +539,72 @@ class TestForkedChains:
         assert forks == []
 
 
+_block_run_chain = fidgibbs.gibbs._run_chain
+
+
+def _per_draw_run_chain(data, conditionals, order, labels, init, seed, chain, out,
+                        timed=None):
+    """_run_chain as it was before the block store: one numpy scalar store
+    per draw.  It never calls timed, so a run through it never forks."""
+    # The start probe: _run_chain of no cycles draws nothing.
+    warnings = _block_run_chain(data, conditionals, order, labels, init, seed, chain, out[:0])
+    rng = RngStream(seed, chain)
+    state = dict(init)
+    draws = [(labels.index(label), label, conditionals[label].draw) for label in order]
+    try:
+        for cycle in range(len(out)):
+            for j, label, draw in draws:
+                out[cycle, j] = state[label] = draw(data, state, rng, warnings)
+    except StructuralError as exc:
+        exc.diagnostics.setdefault("chain", chain)
+        exc.diagnostics["cycle"] = cycle
+        exc.diagnostics["state"] = dict(state)
+        raise
+    return warnings
+
+
+def _per_draw_outcome(monkeypatch, model, data, config):
+    with monkeypatch.context() as patch:
+        patch.setattr(fidgibbs.gibbs, "_run_chain", _per_draw_run_chain)
+        return _outcome(model, data, config)
+
+
+_B = fidgibbs.gibbs._CYCLES_PER_STORE
+
+
+class TestBlockStore:
+    """The draws stored a block of cycles at a time equal those stored one
+    by one, with the same warnings and errors."""
+
+    @pytest.mark.parametrize("m", [1, _B - 1, _B, _B + 1, 2 * _B + 1])
+    @pytest.mark.parametrize("scan_order", [None, ("beta", "alpha")], ids=["declared", "reversed"])
+    @pytest.mark.parametrize("chains", [1, 4])
+    def test_same_draws_and_warnings(self, m, scan_order, chains, monkeypatch):
+        # n = 5 gamma data: injectivity grid failures and gamma redraws.
+        data = simulate_dataset("gamma", {"alpha": 2.0, "beta": 0.5}, 5, RngStream(2018, 2**32))
+        config = ChainConfig(m=m, b=0, chains=chains, seed=2018, scan_order=scan_order)
+        reference = _per_draw_outcome(monkeypatch, get_model("gamma"), data, config)
+        forks = _fork_always(monkeypatch)
+        blocks = run(get_model("gamma"), data, config)
+        if m > fidgibbs.gibbs._WARM_UP_CYCLES:
+            assert len(forks) == (chains > 1)
+        _no_child_left()
+        assert blocks.values.tobytes() == reference.values.tobytes()
+        assert list(blocks.warnings.items()) == list(reference.warnings.items())
+        assert blocks.config == reference.config
+
+    @pytest.mark.parametrize("label", ["mu", "sigma2"])
+    def test_error_mid_block_names_its_cycle_and_state(self, label, normal_data, monkeypatch):
+        fail_at = {0: _B + _B // 2}
+        model = _failing_model(label, lambda inner: _FailAt(inner, fail_at))
+        config = ChainConfig(m=2 * _B + 1, b=0, chains=1, seed=3)
+        reference = _per_draw_outcome(monkeypatch, model, normal_data, config)
+        outcome = _outcome(model, normal_data, config)
+        assert outcome == reference
+        assert outcome[2]["cycle"] == fail_at[0]
+        assert outcome[2]["chain"] == 0
+
+
 class TestEstimate:
     def _constant_matrix(self, value, m=60):
         cfg = ChainConfig(m=m, b=0, chains=1, seed=0, scan_order=("theta",))

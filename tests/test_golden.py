@@ -1,8 +1,10 @@
-"""Golden outputs: samples.csv bytes and warning counts of fixed CLI runs.
+"""Golden outputs: the bytes of samples.csv, of every trace and histogram
+file, and the warning counts of fixed CLI runs.
 
 Each case runs `fidgibbs run --simulate ...` with m=2000, 2 chains and a
-fixed seed, and compares the sha256 of samples.csv and the report's
-warnings dict with values recorded before the sampler was refactored.  A
+fixed seed, and compares the sha256 of samples.csv and of each
+trace_<param>.csv and hist_<param>.csv, and the report's warnings dict,
+with values recorded before the sampler or the writers were refactored.  A
 refactor that keeps the draws must keep these bytes; a deliberate change
 of the stream layout updates the table once and says so in CHANGES.md.
 The hashes were recorded with numpy 2.4.6 and scipy 1.17.1; other
@@ -66,10 +68,104 @@ GOLDEN = {
         "7384008984c68194d9b8819d072bb6db63ae5f79e582f839008b7460e3ccd2b0", {}),
 }
 
+# case -> sha256 of each trace_<param>.csv and hist_<param>.csv of the run
+OUTPUTS = {
+    "normal": {
+        "hist_mu.csv": "e8e82d7371b484f5284164e19e27b2568bf618156d9e0779d07c9f9e6aa555e2",
+        "hist_sigma2.csv": "1288300a5d8deced4c88773e6caa4c36afa1699c6cbec339f6539143bc2335f8",
+        "trace_mu.csv": "ff8e5e46cf19f28fe78163e988ca24a30f66afcda2a1421b18a14d045158568b",
+        "trace_sigma2.csv": "6e22ee06258c78e1f0da58e9bb0ef087b319a178c2731dcab93ee75e2b4bbf4e",
+    },
+    "pareto": {
+        "hist_alpha.csv": "645a0dade7b525c6ce130ee17ef9b59ce2664c67c4d6dd8163e01bd443f6c0e8",
+        "hist_beta.csv": "e1f398944d0749ba239e791a06b47231af1f29e31b60df568c103936466e4018",
+        "trace_alpha.csv": "97ab19eefc146c209b0524ad1b2d2ee5f5ecf3d9c94c126405fcbf5a7384ebe0",
+        "trace_beta.csv": "70f69e9d83c69f57ba7d5ab1a53a120f973a6210f587ea3740cb499ef51e1fcf",
+    },
+    "quadreg": {
+        "hist_beta0.csv": "3006ff7003c421485cdb6f965fc7a0fc267669784df5464bcc76591b30cc82e2",
+        "hist_beta1.csv": "1d2ce068d31b9441e6ee0f5781d5c2d18aac107f1d69b3dab1edb781fd35f792",
+        "hist_beta2.csv": "e42bb343d1564f97ae8731299825768b7d5fb32852dedc7896be537a82439ed9",
+        "hist_sigma2.csv": "1de0535a398a581b3b1e36780bfaee706b7569e628c35d0709df19fe86ea3d62",
+        "trace_beta0.csv": "120ece52dd3674905884c48f183df7ca341bc315f59970218b993002c0a3a784",
+        "trace_beta1.csv": "c8711dd7e64e4413e908972030908310856ae29c5dd4438b3893767741464ba5",
+        "trace_beta2.csv": "18b24666e2ccbbaee42da3b586ddbed07d91b2e882107a92dbe8558fa737f762",
+        "trace_sigma2.csv": "31b61f486a39a7a2141dab724784ffbad81812d61ee4c24ba145fa285243ac61",
+    },
+    "gamma": {
+        "hist_alpha.csv": "afe6840596896b8413cb10c298fe05cffaebfd8eb4e0065d4363d4e5e2e5419f",
+        "hist_beta.csv": "e3d1d8d9077fdcf11fdcf8766c3e6fe68c06650f4835ef45765cf9e654292834",
+        "trace_alpha.csv": "1c8da16917150d8c5b46c3898c0c2b115921d8bac9bedd61299a12a56da2719d",
+        "trace_beta.csv": "ee1885c41746a2b9f8477c838da39faa089fbec38c0d12aea703980161987e80",
+    },
+    "beta": {
+        "hist_alpha.csv": "2d4e5cdf2c1d5d8939fb7abdd1f64841bce2fa48f5c9cfca2707d9ade573279f",
+        "hist_beta.csv": "f33bfcb82af848f52639b971d4a4ee0e13f217421070a91e6050790dfd8d7651",
+        "trace_alpha.csv": "a4f9dbfdfae77d1a2af5745f1324209956390115cf172de738d092d6c188e231",
+        "trace_beta.csv": "347623b3ca57f2ec7748b8ccb0591d422dad0de064f0d5fdd8f045a4a3666fbc",
+    },
+    "behrens_fisher": {
+        "hist_mu_x.csv": "0cf00bc242e4fa17109c76f4b6c968abd3cab7d14060a362d880ad81e1649d3a",
+        "hist_mu_y.csv": "324da7e43fd689b78d1bbf3278b7f526ab0ebd190951692045448593b73f3b09",
+        "hist_sigma_x2.csv": "34afd77ff12c592a407a274b70f115d84b2dcbb0495ae47ae1f2680d7daa896e",
+        "hist_sigma_y2.csv": "a2dca622009a2e76fc1e44f39f5d23468426bff61225395cf1467f8aecd91f7d",
+        "trace_mu_x.csv": "f21ae74e0c92608a4b0b61c7c7e75c047547b2dec84ed6fe8fce74cf3186fc1c",
+        "trace_mu_y.csv": "f0a4f9e7a97a6aec4ce50a31df7cb3f16d5a55022a1d00b61102593e24c89c7b",
+        "trace_sigma_x2.csv": "865b2d6792f91003f3223f3c3d88ed758e09dde6ff52fe62dd540dc67d2711bb",
+        "trace_sigma_y2.csv": "19e1d7eb05c5ac89afb853e3c1319c4dd215ed056e2bc53372cd2b9a98842185",
+    },
+    "bivariate_normal": {
+        "hist_mu_x.csv": "e4d774e1cdc195f02f14f64727fccab3450ae9649ef3ff12a2191754be272691",
+        "hist_mu_y.csv": "002d23263c52593551840e7a4ff6f338c938527c901b3ca8cf3b0501e892bec2",
+        "hist_rho.csv": "1c17ff895db4730265f1206e04e4aeb97652d4eeab3850aef2ee7ab67705036f",
+        "hist_sigma_x2.csv": "cf6f3de31750a89a11582a296ed12f21360f7ffb5688df8efdb1eb3148ff17b2",
+        "hist_sigma_y2.csv": "90c94ad5cc33acb33a41259f835012ad176d8f45bac65fa9b10270ba4fa4eaa6",
+        "trace_mu_x.csv": "2846f62998d43560e9b2b0062c8e510f1772e024b2ccd5c4465a83618687cc0a",
+        "trace_mu_y.csv": "3109f2fea9a3bf7a7ed606ad92ddb5b3c0a44bee6467470e7566701409234554",
+        "trace_rho.csv": "854af4a5344d04f078e03815a59810f5932a5f7e25ed85abc483e32dc04a2ecd",
+        "trace_sigma_x2.csv": "3bcecfded38bdffdeb6798342cfd64d09113468dd88399d500a5c76f0c078a91",
+        "trace_sigma_y2.csv": "1ead91f8b9b2d8a36d6a092b7edbd8eb7bfe98c40b517757553f655161f33933",
+    },
+    "beta_scan_order": {
+        "hist_alpha.csv": "ec6643bc069dbbd5d57e07bc8050235b69924d5a55cee94a1bc53ce8a4493eb7",
+        "hist_beta.csv": "207a9d3f25e86549e0d1cd2b943c557e4dd579afa2ad641f9359772ad73d021e",
+        "trace_alpha.csv": "82a38095c898b1f524b8a160a767c9d50c464a14b94c34863f598a3406b1cf91",
+        "trace_beta.csv": "86470737eb98c05c05842989f02b2059ade586676739c90f42b25b8e2060b4cb",
+    },
+    "beta_small_shapes": {
+        "hist_alpha.csv": "ebc3694301904587bcfb6aa13047193f03321b324ca2168de7a33bf2a8d9c815",
+        "hist_beta.csv": "c5aa2253603fd6b51379fae494de3087dbe2de4fd0a850f21fbef8867e1a8f79",
+        "trace_alpha.csv": "c3c7a1b4414319191e9447dd2e483b949bf3eb9bc2c4888c9c2747cc8f967534",
+        "trace_beta.csv": "8f9e5ee05494daf9974c56d5ab89ce0e597424c28badee6a7e129b9155e754e7",
+    },
+    "bivariate_normal_rho0.97": {
+        "hist_mu_x.csv": "e9e3515a078a996ea69b056e8d04b34883a89221dc311acdb0eeb4fc41e07a2b",
+        "hist_mu_y.csv": "c6bb2148c74b5b97753c15fd65cf24e2cd5b43098af9bb75da6728cbdba39c6b",
+        "hist_rho.csv": "737b99f216ff5f9563eef304d8f1389d5d111dd5328b44427db98a65be907ee8",
+        "hist_sigma_x2.csv": "1c46f1e35dd7eecd5a6f0a21c1c7c4639fbed4e7bc3bb1a4d3574d0132eacbfc",
+        "hist_sigma_y2.csv": "73e11f0a522b6367451a76e774dc1c9d3573ad62d63715c90f8b5b4c1786377a",
+        "trace_mu_x.csv": "c69c3387af7f366b43f398e0096cc2512c5b5f67d8f0aa5902a22ca763f8c1d1",
+        "trace_mu_y.csv": "1e42269182308ff72c212c723d8071887733071211ed11e29947165cca977447",
+        "trace_rho.csv": "b83091723378f6c593079e7a1c933d07f8dee89efc41a760ab00fab7e79f273f",
+        "trace_sigma_x2.csv": "e650c0708a48567a508f86c89c517de899f8dc72cb42ae0ec9fe83cecbd66ed4",
+        "trace_sigma_y2.csv": "fab783101ecf2a367c31ea06a5440f6477ee6455d23c225f4f0692b42bb8f493",
+    },
+    "pareto_init": {
+        "hist_alpha.csv": "645a0dade7b525c6ce130ee17ef9b59ce2664c67c4d6dd8163e01bd443f6c0e8",
+        "hist_beta.csv": "e1f398944d0749ba239e791a06b47231af1f29e31b60df568c103936466e4018",
+        "trace_alpha.csv": "73ed7ab56a7eb35f6839d7461cd7cf69d6845ac200dfca872924e328e3b63066",
+        "trace_beta.csv": "293712eafeb977d2eeac42e666a8c66b375792ddeac71cc74ce7f34a6ed650e3",
+    },
+}
+
 
 @pytest.mark.parametrize("case", sorted(GOLDEN))
 def test_golden_samples(case, tmp_path):
     args, sha256, warnings = GOLDEN[case]
     assert main(["run", *args, *RUN, "--output-dir", str(tmp_path)]) == 0
     assert hashlib.sha256((tmp_path / "samples.csv").read_bytes()).hexdigest() == sha256
+    # report.json is left out: its content is meant to grow.
+    outputs = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for pattern in ("trace_*.csv", "hist_*.csv") for path in tmp_path.glob(pattern)}
+    assert outputs == OUTPUTS[case]
     assert json.loads((tmp_path / "report.json").read_text())["warnings"] == warnings
