@@ -15,10 +15,13 @@ are not timed.
 A second table splits one in-process ``cli.main(["run", ...])`` per model,
 ``--simulate`` with the same parameters and n, at m = --cycles with 4
 chains, after a short warm-up run of each model, into its phases in wall
-time: sample (``run``), summarize (``summarize``) and write (everything
-after summarize: samples.csv, the traces, report.json and the histograms).
-The shares are of the whole ``cli.main`` call; the table gives the round
-with the shortest call.
+time: sample (the sampler call), summarize (``summarize``) and write
+(everything after summarize: samples.csv, the traces, report.json and the
+histograms).  The shares are of the whole ``cli.main`` call; the table
+gives the round with the shortest call, and whether that run forked.  A
+forked run formats the samples.csv and trace rows in the processes that
+sampled the chains, as each chain ends, so on such a run most of the
+formatting is inside sample and write mostly copies the formatted text.
 
 With --against REV the rounds also run in a ``git archive`` checkout of REV,
 as ``scripts/bench_pairs.py`` makes one, the two trees alternating which
@@ -79,12 +82,17 @@ def draw_times(cycles: int) -> dict:
 
 
 def run_phases(cycles: int) -> dict:
-    """{model: [run s, sample s, summarize s, write s]}: the wall time of one
-    cli.main(["run", ...]) per model and of its phases."""
+    """{model: [run s, sample s, summarize s, write s, forked]}: the wall time
+    of one cli.main(["run", ...]) per model and of its phases, and whether
+    the run forked."""
     from fidgibbs import cli
     from fidgibbs.gibbs import DEFAULT_BURN_IN
 
-    spans = {}
+    spans, forks = {}, []
+    fork = os.fork
+    os.fork = lambda: forks.append(1) or fork()
+    # The sampler call: run in trees older than the per-chain formatting.
+    sampler = "_run" if hasattr(cli, "_run") else "run"
 
     def timed(name, fn):
         def wrapper(*args, **kwargs):
@@ -94,7 +102,8 @@ def run_phases(cycles: int) -> dict:
             return result
         return wrapper
 
-    cli.run, cli.summarize = timed("sample", cli.run), timed("summarize", cli.summarize)
+    setattr(cli, sampler, timed("sample", getattr(cli, sampler)))
+    cli.summarize = timed("summarize", cli.summarize)
     out = {}
     with tempfile.TemporaryDirectory(prefix="draw-times-run-") as tmp, \
             contextlib.redirect_stdout(io.StringIO()):
@@ -106,12 +115,13 @@ def run_phases(cycles: int) -> dict:
                         "--seed", str(DATA_SEED), "--m", str(m),
                         "--b", str(min(DEFAULT_BURN_IN, m // 2)),
                         "--chains", str(RUN_CHAINS), "--output-dir", tmp]
+                forks.clear()
                 start = time.perf_counter()
                 if cli.main(argv) != 0:
                     raise RuntimeError(f"fidgibbs {' '.join(argv)} failed")
                 stop = time.perf_counter()
                 (s0, s1), (z0, z1) = spans["sample"], spans["summarize"]
-                out[model] = [stop - start, s1 - s0, z1 - z0, stop - z1]
+                out[model] = [stop - start, s1 - s0, z1 - z0, stop - z1, bool(forks)]
     return out
 
 
@@ -134,15 +144,15 @@ def best_of(rounds: list) -> dict:
 
 
 def phase_table(rounds: dict, cycles: int):
-    print(f"\nfidgibbs run phases: m = {cycles}, {RUN_CHAINS} chains, in process, wall seconds "
+    print(f"\nfidgibbs run phases: m = {cycles}, {RUN_CHAINS} chains, cli.main in this process, wall seconds "
           "(share of the run), the round with the shortest run\n\n"
-          "| model | tree | run s | sample | summarize | write |\n"
-          "| --- | --- | --- | --- | --- | --- |")
+          "| model | tree | run s | sample | summarize | write | forked |\n"
+          "| --- | --- | --- | --- | --- | --- | --- |")
     for model in CASES:
         for name, rs in rounds.items():
-            total, *parts = min(r["phases"][model] for r in rs)
+            total, *parts, forked = min(r["phases"][model] for r in rs)
             cells = " | ".join(f"{p:.3g} ({100.0 * p / total:.0f}%)" for p in parts)
-            print(f"| {model} | {name} | {total:.3g} | {cells} |")
+            print(f"| {model} | {name} | {total:.3g} | {cells} | {'yes' if forked else 'no'} |")
 
 
 def main(argv=None) -> int:

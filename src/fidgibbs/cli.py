@@ -14,6 +14,7 @@ import contextlib
 import csv
 import json
 import math
+import mmap
 import os
 import re
 import sys
@@ -26,7 +27,7 @@ from . import __version__
 from .compat import CLOSED_FORM_TOL, DEFAULT_GRID_POINTS, check_model
 from .diagnostics import DEFAULT_BINS, summarize
 from .errors import FidgibbsError, StructuralError
-from .gibbs import ChainConfig, DEFAULT_BURN_IN, SampleMatrix, run
+from .gibbs import ChainConfig, DEFAULT_BURN_IN, SampleMatrix, _run
 from .models import MODEL_NAMES, Dataset, get_model, simulate_dataset
 from .randvar import RngStream
 
@@ -189,24 +190,90 @@ def _trace_rows(cycles: range, col: list) -> str:
     return "".join(map("%d,%s\r\n".__mod__, zip(cycles, col)))
 
 
-def _write_chains(samples: SampleMatrix, fh, traces: dict):
-    """Write the samples.csv rows of every chain to fh, the bytes csv.writer
-    gives for the same cells with _fmt on every float, and, from the same
-    strings, the rows of chain 0's column j to traces[j]."""
-    chains, _, k = samples.values.shape
-    for c in range(chains):
-        fmt = f"{c},%d" + ",%s" * k + "\r\n"
-        for cycles, cols in _blocks(samples.values[c]):
-            fh.write("".join(map(fmt.__mod__, zip(cycles, *cols))))
-            if c == 0:
-                for j, trace in traces.items():
-                    trace.write(_trace_rows(cycles, cols[j]))
+def _write_chain(values: np.ndarray, chain: int, fh, traces: list):
+    """Write the samples.csv rows of chain `chain`, whose draws are values,
+    an (m, k) array, to fh, the bytes csv.writer gives for the same cells
+    with _fmt on every float, and, from the same strings, the rows of
+    column j's trace file to traces[j] for each of traces."""
+    fmt = f"{chain},%d" + ",%s" * values.shape[1] + "\r\n"
+    for cycles, cols in _blocks(values):
+        fh.write("".join(map(fmt.__mod__, zip(cycles, *cols))))
+        for trace, col in zip(traces, cols):
+            trace.write(_trace_rows(cycles, col))
 
 
 def write_samples_csv(samples: SampleMatrix, path: str):
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(["chain", "cycle", *samples.labels])
-        _write_chains(samples, fh, {})
+        for chain, values in enumerate(samples.values):
+            _write_chain(values, chain, fh, [])
+
+
+# The longest %.17g text of a float: a sign, 17 digits, the point and "e-308".
+_FLOAT_CHARS = 24
+# Bytes of formatted text written out per write call (page-aligned).
+_TEXT_CHUNK = 64 * mmap.PAGESIZE
+
+
+class _Region:
+    """A file-like writer of text into the shared mapping buf from the
+    page-aligned byte start on; it unmaps each page it writes from this
+    process once written (the shared page keeps the text)."""
+
+    def __init__(self, buf: mmap.mmap, start: int):
+        self.buf, self.start, self.end = buf, start, start
+
+    def write(self, text: str):
+        data = text.encode("ascii")
+        first, self.end = self.end, self.end + len(data)
+        self.buf[first:self.end] = data
+        first -= first % mmap.PAGESIZE
+        self.buf.madvise(mmap.MADV_DONTNEED, first, self.end - first)
+
+
+class _ChainText:
+    """The samples.csv rows of every chain of a run, and the trace rows of
+    chain 0, formatted by _write_chain in the process that sampled the
+    chain when the run forks (gibbs._run calls it as its chain_text).
+
+    The text is kept in an anonymous shared mapping, made before the run, so
+    a forked child's rows reach the caller without passing through a pipe;
+    it holds a page-aligned region for each chain and for each trace, sized
+    from the longest row, and only the pages written are ever backed.  A
+    call returns the (start, end) of each region it wrote, samples rows
+    first.  A process unmaps the pages of text from itself once it has
+    written them or written them out, so the text adds about a block of
+    rows to its resident memory, not the run's text.
+    """
+
+    def __init__(self, chains: int, m: int, k: int):
+        row = len(f"{chains - 1},{m}") + k * (1 + _FLOAT_CHARS) + 2
+        trace_row = len(f"{m},") + _FLOAT_CHARS + 2
+        sizes = [-(-m * size // mmap.PAGESIZE) * mmap.PAGESIZE
+                 for size in [row] * chains + [trace_row] * k]
+        self.starts = [sum(sizes[:i]) for i in range(len(sizes))]
+        self.chains = chains
+        self.buf = mmap.mmap(-1, sum(sizes))
+
+    def __call__(self, chain: int, values: np.ndarray) -> tuple:
+        regions = [chain] + (list(range(self.chains, len(self.starts))) if chain == 0 else [])
+        rows, *traces = (_Region(self.buf, self.starts[i]) for i in regions)
+        _write_chain(values, chain, rows, traces)
+        return tuple((r.start, r.end) for r in (rows, *traces))
+
+    def write(self, record: tuple, fh, traces: list):
+        """Write the text record names to fh and, for chain 0's record,
+        to the trace files."""
+        with memoryview(self.buf) as view:
+            for (start, end), out in zip(record, (fh, *traces)):
+                out.flush()
+                for first in range(start, end, _TEXT_CHUNK):
+                    last = min(first + _TEXT_CHUNK, end)
+                    out.buffer.write(view[first:last])
+                    self.buf.madvise(mmap.MADV_DONTNEED, first, last - first)
+
+    def close(self):
+        self.buf.close()
 
 
 def read_samples_csv(path: str, b: int) -> SampleMatrix:
@@ -305,18 +372,30 @@ def _cmd_run(args) -> int:
         init=(tuple(_parse_kv(args.init) for _ in range(args.chains))
               if args.init else None),
     )
-    samples = run(model, data, config)
-    report = summarize(samples, bins=args.bins)
-
-    out = _output_dir(args)
     with contextlib.ExitStack() as stack:
+        try:
+            text = _ChainText(config.chains, config.m, len(model.params))
+        except OSError:
+            # No room for the mapping: every chain is formatted below.
+            text = None
+        else:
+            stack.callback(text.close)
+        samples, formatted = _run(model, data, config, text)
+        report = summarize(samples, bins=args.bins)
+
+        out = _output_dir(args)
         fh = stack.enter_context(open(out / "samples.csv", "w", newline=""))
         csv.writer(fh).writerow(["chain", "cycle", *samples.labels])
-        traces = {}
-        for j, label in enumerate(samples.labels):
-            traces[j] = stack.enter_context(open(out / f"trace_{label}.csv", "w", newline=""))
-            csv.writer(traces[j]).writerow(["cycle", "value"])
-        _write_chains(samples, fh, traces)
+        traces = []
+        for label in samples.labels:
+            traces.append(stack.enter_context(open(out / f"trace_{label}.csv", "w", newline="")))
+            csv.writer(traces[-1]).writerow(["cycle", "value"])
+        # Chain 0 is formatted with the traces, here or in run.
+        for chain, values in enumerate(samples.values):
+            if chain in formatted:
+                text.write(formatted[chain], fh, traces)
+            else:
+                _write_chain(values, chain, fh, traces if chain == 0 else [])
     doc = report.to_dict()
     doc.update({
         "version": __version__,

@@ -143,7 +143,13 @@ class ParamSummary:
     def hist_densities(self) -> np.ndarray:
         widths = np.diff(self.hist_edges)
         total = float(np.sum(self.hist_counts))
-        return self.hist_counts / (total * widths)
+        with np.errstate(over="ignore"):
+            denom = total * widths
+        densities = self.hist_counts / denom
+        # Where the draw count times the width passes the float range.
+        over = np.isinf(denom)
+        densities[over] = self.hist_counts[over] / total / widths[over]
+        return densities
 
     def to_dict(self) -> dict:
         return {

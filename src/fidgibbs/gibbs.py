@@ -11,7 +11,8 @@ per usable CPU; every chain draws from its own stream, so the output is
 the same whichever process runs it.  The draws of every chain go, a block
 of cycles at a time, into one (chains, m, parameters) matrix, which a
 forked run shares with its children, each filling its own chains' rows in
-place.
+place.  The command line's run also has each process format the
+samples.csv rows of the chains it sampled (see _run).
 """
 
 from __future__ import annotations
@@ -40,9 +41,13 @@ __all__ = ["ChainConfig", "SampleMatrix", "EstimateResult", "run", "estimate"]
 DEFAULT_BURN_IN = 500
 
 # run forks only when the CPU time of chain 0's cycles _WARM_UP_CYCLES ..
-# _WARM_UP_CYCLES + _TIMED_CYCLES predicts more serial sampling than
-# _FORK_BREAK_EVEN_S seconds: forking and reaping the children, and their
-# page faults in the shared result matrix, cost about 5 ms per run.
+# _WARM_UP_CYCLES + _TIMED_CYCLES, plus that of formatting chain 0's first
+# cycles when the rows are formatted where they are sampled, predicts more
+# serial work than _FORK_BREAK_EVEN_S seconds.  Measured on closed-form
+# command-line runs of 4 chains on 2 CPUs, forking saved about 0.385 times
+# the predicted seconds less 11 ms (forking and reaping the children, their
+# page faults in the shared mappings, the chains the caller formats), which
+# is zero at 29 ms.
 _WARM_UP_CYCLES = 8
 _TIMED_CYCLES = 32
 _FORK_BREAK_EVEN_S = 0.03
@@ -231,30 +236,39 @@ def _other_cpus() -> list:
     return sorted(cpus - {here})
 
 
-def _run_forked(run_chain: Callable, chains: int, procs: int, m: int) -> list:
-    """run_chain(c) for c = 0..chains-1, spread over up to procs processes;
-    the list of what each returned, in chain order.
+def _run_forked(run_chain: Callable, chains: int, procs: int, m: int,
+                format_chain: Optional[Callable] = None) -> Tuple[list, dict]:
+    """run_chain(c) for c = 0..chains-1, spread over up to procs processes:
+    the list of what each returned, in chain order, and what format_chain
+    returned for each chain it formatted.
 
     run_chain writes the chain's draws into a matrix that the forked
     children share with this process and returns its warnings.  This
-    process runs chain 0 and, from the timed first cycles of chain 0,
-    predicts the serial sampling time of the run.  Above _FORK_BREAK_EVEN_S
-    it forks procs - 1 children, child k running the chains c with
-    c % procs == k on a CPU of its own, and keeps the chains c % procs == 0
-    itself; below it, it runs every chain itself.  (A forked child starts
-    on its parent's CPU, and a scheduler may leave it there for 100 ms or
-    more while another CPU idles.)  A child sends a small (chain, warnings)
-    pickle over a pipe as each chain ends, so it never waits for this
-    process to read, and stops at its first failing chain.  The results are
-    taken in chain order: an own chain that failed raises its exception,
-    and a chain that no child sent is run again here, once every child has
-    been reaped and none can still write its row, so the lowest failing
-    chain raises what the serial loop would raise.  No child outlives the
-    call.
+    process runs chain 0 and, from the timed first cycles of chain 0 (and,
+    given format_chain, the time format_chain(0, cycles) takes on them),
+    predicts the serial time of the run.  Above _FORK_BREAK_EVEN_S it forks
+    procs - 1 children, child k running the chains c with c % procs == k on
+    a CPU of its own, and keeps the chains c % procs == 0 itself; below it,
+    it runs every chain itself and formats none.  (A forked child starts on
+    its parent's CPU, and a scheduler may leave it there for 100 ms or more
+    while another CPU idles.)  Once forked, each process calls
+    format_chain(c) as each of its chains c ends.  A child sends a small
+    (chain, warnings, format_chain's record) pickle over a pipe as each
+    chain ends, so it never waits for this process to read, and stops at
+    its first failing chain.  The results are taken in chain order: an own
+    chain that failed raises its exception, and a chain that no child sent
+    is run again here, unformatted, once every child has been reaped and
+    none can still write its row, so the lowest failing chain raises what
+    the serial loop would raise.  No child outlives the call.
     """
     children = {}  # pid -> (read end of its pipe, k)
 
     def spread(seconds_per_cycle: float):
+        if format_chain is not None:
+            cycles = min(_WARM_UP_CYCLES + _TIMED_CYCLES, m)
+            start = time.thread_time()
+            format_chain(0, cycles)
+            seconds_per_cycle += (time.thread_time() - start) / cycles
         if seconds_per_cycle * m * chains <= _FORK_BREAK_EVEN_S:
             return
         cpus = _other_cpus()
@@ -269,11 +283,12 @@ def _run_forked(run_chain: Callable, chains: int, procs: int, m: int) -> list:
                 os.close(w)
                 return
             if pid == 0:
-                _serve(run_chain, range(k, chains, procs), w, cpus[k - 1:k], parent)
+                _serve(run_chain, format_chain, range(k, chains, procs), w, cpus[k - 1:k],
+                       parent)
             children[pid] = (r, k)
             os.close(w)
 
-    done = {}
+    done, formatted = {}, {}
     try:
         failed = chains
         for chain in range(chains):
@@ -281,6 +296,8 @@ def _run_forked(run_chain: Callable, chains: int, procs: int, m: int) -> list:
                 continue
             try:
                 done[chain] = run_chain(chain, spread if chain == 0 else None)
+                if children and format_chain is not None:
+                    formatted[chain] = format_chain(chain)
             except Exception as exc:
                 if not children:
                     raise
@@ -288,7 +305,10 @@ def _run_forked(run_chain: Callable, chains: int, procs: int, m: int) -> list:
                 break
         # Chains above an own failed chain are not needed.
         for r, k in children.values():
-            done.update(_receive(r, set(range(k, failed, procs))))
+            for chain, (warnings, record) in _receive(r, set(range(k, failed, procs))).items():
+                done[chain] = warnings
+                if record is not None:
+                    formatted[chain] = record
     finally:
         for pid, (r, _) in children.items():
             os.kill(pid, signal.SIGKILL)
@@ -300,13 +320,15 @@ def _run_forked(run_chain: Callable, chains: int, procs: int, m: int) -> list:
         if isinstance(result, Exception):
             raise result
         results.append(run_chain(chain) if result is None else result)
-    return results
+    return results, formatted
 
 
-def _serve(run_chain: Callable, chains: range, fd: int, cpus: list, parent: int):
+def _serve(run_chain: Callable, format_chain: Optional[Callable], chains: range, fd: int,
+           cpus: list, parent: int):
     """A forked child's life: die with the thread that forked it, move to
     cpus if any are given, run each chain (which writes its draws into the
-    shared matrix) and pickle (chain, warnings) to fd, up to the first chain
+    shared matrix), format it if format_chain is given and pickle (chain,
+    warnings, format_chain's record or None) to fd, up to the first chain
     that raises, then exit without returning into the caller or flushing the
     inherited stdio buffers."""
     try:
@@ -325,23 +347,25 @@ def _serve(run_chain: Callable, chains: range, fd: int, cpus: list, parent: int)
                 os.sched_setaffinity(0, cpus)
         with os.fdopen(fd, "wb") as fh:
             for chain in chains:
-                pickle.dump((chain, run_chain(chain)), fh, pickle.HIGHEST_PROTOCOL)
+                warnings = run_chain(chain)
+                record = None if format_chain is None else format_chain(chain)
+                pickle.dump((chain, warnings, record), fh, pickle.HIGHEST_PROTOCOL)
                 fh.flush()
     finally:
         os._exit(0)
 
 
 def _receive(fd: int, wanted: set) -> dict:
-    """The (chain, warnings) pairs a child sent on fd, read until it has
-    sent every chain in wanted or stopped."""
+    """chain -> (warnings, record) for each chain a child sent on fd, read
+    until it has sent every chain in wanted or stopped."""
     got = {}
     with os.fdopen(fd, "rb", closefd=False) as fh:
         while not wanted <= got.keys():
             try:
-                chain, warnings = pickle.load(fh)
+                chain, warnings, record = pickle.load(fh)
             except (EOFError, pickle.UnpicklingError):
                 break
-            got[chain] = warnings
+            got[chain] = warnings, record
     return got
 
 
@@ -356,6 +380,22 @@ def run(model: ModelSpec, data: Dataset, config: ChainConfig) -> SampleMatrix:
     writes its draws into one (chains, m, parameters) matrix, allocated
     once; when the run may fork, it is an anonymous shared mapping, so the
     children fill their chains' rows in place.
+    """
+    return _run(model, data, config)[0]
+
+
+def _run(model: ModelSpec, data: Dataset, config: ChainConfig,
+         chain_text: Optional[Callable] = None) -> Tuple[SampleMatrix, dict]:
+    """run's samples, and chain -> chain_text's record for each chain whose
+    rows chain_text formatted.
+
+    chain_text(chain, rows) formats rows, the first len(rows) cycles of
+    chain `chain`, into storage it shares with forked children, and returns
+    a small picklable record of where.  It is used only when the run forks
+    (the command line's run formats the other chains itself): before
+    forking, this process times it on chain 0's first cycles, which the fork
+    rule counts with the sampling, and once forked, each process calls it on
+    all m rows of every chain it sampled as the chain ends.
     """
     order = _scan_order(model, config)
     conditionals = model.build_conditionals(data)
@@ -376,17 +416,23 @@ def run(model: ModelSpec, data: Dataset, config: ChainConfig) -> SampleMatrix:
         return _run_chain(data, conditionals, order, labels, inits[chain],
                           config.seed, chain, values[chain], timed)
 
+    def format_chain(chain: int, cycles: int = config.m):
+        return chain_text(chain, values[chain, :cycles])
+
+    formatted = {}
     if procs == 1:
         chain_warnings = [run_chain(chain) for chain in range(config.chains)]
     else:
-        chain_warnings = _run_forked(run_chain, config.chains, procs, config.m)
+        chain_warnings, formatted = _run_forked(
+            run_chain, config.chains, procs, config.m,
+            None if chain_text is None else format_chain)
     warnings = Counter()
     for w in chain_warnings:
         warnings.update(w)
     cfg = ChainConfig(m=config.m, b=config.b, chains=config.chains, seed=config.seed,
                       scan_order=order, init=tuple(inits))
-    return SampleMatrix(values=values, labels=labels, config=cfg,
-                        warnings=dict(warnings))
+    samples = SampleMatrix(values=values, labels=labels, config=cfg, warnings=dict(warnings))
+    return samples, formatted
 
 
 @dataclass(frozen=True)

@@ -166,6 +166,11 @@ def solve_newton(
     raise EvaluationError(f"Newton iteration did not converge in [{lo}, {hi}]")
 
 
+# solve_quadratic_positive skips its power-of-two scaling where every
+# |coefficient| lies in [_QUAD_TINY, _QUAD_HUGE].
+_QUAD_TINY, _QUAD_HUGE = 2.0 ** -250, 2.0 ** 250
+
+
 def solve_quadratic_positive(a: float, b: float, c: float) -> float:
     """Unique positive root of a*t^2 + b*t + c = 0.
 
@@ -176,19 +181,27 @@ def solve_quadratic_positive(a: float, b: float, c: float) -> float:
     coefficient and polished by two Newton steps.  When a > 0 > c the two
     roots have opposite signs, and the positive one is picked by the sign of
     the stable intermediate alone, with the same arithmetic.
+
+    Where every |coefficient| lies in [2**-250, 2**250], no product or
+    quotient below leaves the normal float range with or without that
+    division, which is exact; it is skipped there, with the same bits.
     """
-    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
-        for name, v in (("a", a), ("b", b), ("c", c)):
-            if not math.isfinite(v):
-                raise DomainError(f"coefficient {name} must be finite, got {v}")
-    scale = max(abs(a), abs(b), abs(c))
-    if scale == 0.0:
-        raise DegenerateDataError("all quadratic coefficients are zero")
-    # The roots of the quadratic divided by the power of two 2**e of its
-    # largest coefficient: the division is exact, and b^2 - 4ac cannot
-    # overflow.
-    e = math.frexp(scale)[1]
-    sa, sb, sc = math.ldexp(a, -e), math.ldexp(b, -e), math.ldexp(c, -e)
+    if (_QUAD_TINY <= abs(a) <= _QUAD_HUGE and _QUAD_TINY <= abs(b) <= _QUAD_HUGE
+            and _QUAD_TINY <= abs(c) <= _QUAD_HUGE):
+        sa, sb, sc = a, b, c
+    else:
+        if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
+            for name, v in (("a", a), ("b", b), ("c", c)):
+                if not math.isfinite(v):
+                    raise DomainError(f"coefficient {name} must be finite, got {v}")
+        scale = max(abs(a), abs(b), abs(c))
+        if scale == 0.0:
+            raise DegenerateDataError("all quadratic coefficients are zero")
+        # The roots of the quadratic divided by the power of two 2**e of its
+        # largest coefficient: the division is exact, and b^2 - 4ac cannot
+        # overflow.
+        e = math.frexp(scale)[1]
+        sa, sb, sc = math.ldexp(a, -e), math.ldexp(b, -e), math.ldexp(c, -e)
 
     if sa == 0.0:
         if sb == 0.0:

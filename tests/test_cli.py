@@ -1,6 +1,8 @@
+import contextlib
 import csv
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -11,9 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fidgibbs.cli
+import fidgibbs.gibbs
 from fidgibbs import ChainConfig, SampleMatrix, summarize
-from fidgibbs.cli import (load_dataset, main, read_samples_csv, write_histogram_csv,
+from fidgibbs.cli import (_ChainText, load_dataset, main, read_samples_csv, write_histogram_csv,
                           write_samples_csv, write_trace_csv)
+from test_gibbs import _FailAt, _failing_model
 
 
 def _run(argv):
@@ -213,6 +218,46 @@ def _write_samples(path, rows):
         writer = csv.writer(fh)
         writer.writerow(["chain", "cycle", "theta"])
         writer.writerows(rows)
+
+
+class TestForkedRun:
+    """The run command with its chains forked: each process formats the
+    samples.csv rows of the chains it sampled."""
+
+    ARGS = ["run", "--model", "normal", "--simulate", "mu=0,sigma2=1,n=12", "--m", 700,
+            "--b", 100, "--chains", 4, "--seed", 3]
+
+    @staticmethod
+    def _fork_always(monkeypatch):
+        monkeypatch.setattr(fidgibbs.gibbs, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(fidgibbs.gibbs, "_FORK_BREAK_EVEN_S", 0.0)
+
+    def test_same_files_as_in_process(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(fidgibbs.gibbs, "_usable_cpus", lambda: 1)
+        assert _run([*self.ARGS, "--output-dir", tmp_path / "serial"]) == 0
+        self._fork_always(monkeypatch)
+        assert _run([*self.ARGS, "--output-dir", tmp_path / "forked"]) == 0
+        serial = sorted((tmp_path / "serial").iterdir())
+        assert [p.name for p in serial] == sorted(p.name for p in (tmp_path / "forked").iterdir())
+        for path in serial:
+            assert path.read_bytes() == (tmp_path / "forked" / path.name).read_bytes()
+
+    @pytest.mark.parametrize("chain", [1, 2])
+    def test_failing_chain_writes_nothing(self, chain, tmp_path, monkeypatch, capsys):
+        # Chain 1 fails in the forked child, chain 2 in this process.
+        model = _failing_model("mu", lambda inner: _FailAt(inner, {chain: 400}))
+        monkeypatch.setattr(fidgibbs.cli, "get_model", lambda name: model)
+        monkeypatch.setattr(fidgibbs.gibbs, "_usable_cpus", lambda: 1)
+        assert _run([*self.ARGS, "--output-dir", tmp_path / "serial"]) == 2
+        serial = capsys.readouterr()
+        self._fork_always(monkeypatch)
+        assert _run([*self.ARGS, "--output-dir", tmp_path / "forked"]) == 2
+        forked = capsys.readouterr()
+        assert serial.err.startswith(f"structural error: chain {chain} fails")
+        assert forked == serial
+        assert list(tmp_path.iterdir()) == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestReadSamples:
@@ -436,6 +481,33 @@ class TestWriters:
             ref = self._reference(tmp_path / "ref.csv",
                                   ["bin_left", "bin_right", "count", "density"], rows)
             assert (tmp_path / "hist.csv").read_bytes() == ref
+
+    def test_chain_text_bytes(self, tmp_path):
+        # The longest rows: two-digit chain ids and 24-character values.
+        sm = self._matrix(11, 1000)
+        sm.values[4] = -1.2345678901234567e-300
+        text = _ChainText(11, 1000, 3)
+        try:
+            records = [text(c, sm.values[c]) for c in range(11)]
+            # No region runs into the next.
+            bounds = text.starts + [len(text.buf)]
+            for start, end in (region for record in records for region in record):
+                assert end <= bounds[bounds.index(start) + 1]
+            files = [tmp_path / name for name in ("samples.csv", "a.csv", "b.csv", "c.csv")]
+            with contextlib.ExitStack() as stack:
+                fh, *traces = (stack.enter_context(open(f, "w", newline="")) for f in files)
+                fh.write("chain,cycle,a,b,c\r\n")
+                for t in traces:
+                    t.write("cycle,value\r\n")
+                for record in records:
+                    text.write(record, fh, traces)
+        finally:
+            text.close()
+        write_samples_csv(sm, tmp_path / "ref.csv")
+        assert files[0].read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        for j, label in enumerate(sm.labels):
+            write_trace_csv(sm, label, tmp_path / "ref.csv")
+            assert files[1 + j].read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     def test_trace_bytes(self, tmp_path):
         sm = self._matrix(2, 300)

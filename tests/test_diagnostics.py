@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -148,6 +149,20 @@ class TestSummarize:
             widths = np.diff(p.hist_edges)
             assert abs(float(np.sum(dens * widths)) - 1.0) < 1e-9
             assert p.q2_5 <= p.q50 <= p.q97_5
+
+    def test_histogram_of_draws_near_the_float_limit(self):
+        # 3 x 599 draws over +-1.7e308: the draw count times a bin width
+        # overflows.
+        x = np.random.default_rng(12).uniform(-1.0, 1.0, (3, 600, 1)) * 1.7e308
+        x[0, 1], x[1, 1] = -1.7e308, 1.7e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (p,) = summarize(_matrix(x, b=1)).params
+            dens = p.hist_densities()
+        widths = np.diff(p.hist_edges)
+        assert np.all(np.isfinite(dens)) and np.all(dens[p.hist_counts > 0] > 0)
+        assert float(np.sum(dens * widths)) == pytest.approx(1.0, rel=1e-12)
+        assert np.array_equal(dens, p.hist_counts / p.hist_counts.sum() / widths)
 
     def test_config_echo(self, normal_data):
         cfg = ChainConfig(m=300, b=50, chains=2, seed=99, scan_order=("sigma2", "mu"))

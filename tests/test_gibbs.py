@@ -530,6 +530,45 @@ class TestForkedChains:
                 if start is not None and _start_time(child) == start:
                     os.kill(child, signal.SIGKILL)
 
+    @pytest.mark.parametrize("seconds,forked", [(0.0, False), (0.04, True)])
+    def test_fork_rule_counts_the_formatting(self, seconds, forked, normal_data, monkeypatch):
+        # 4 x 300 normal cycles take a few ms; formatting chain 0's first 40
+        # rows in `seconds` of CPU predicts 1.2 s more.
+        def chain_text(chain, rows):
+            start = time.thread_time()
+            while len(rows) < 300 and time.thread_time() - start < seconds:
+                pass
+            return chain
+
+        forks = _fork_always(monkeypatch)
+        monkeypatch.setattr(fidgibbs.gibbs, "_FORK_BREAK_EVEN_S", 1.0)
+        _, formatted = fidgibbs.gibbs._run(get_model("normal"), normal_data,
+                                           ChainConfig(m=300, b=0, seed=9), chain_text)
+        _no_child_left()
+        assert len(forks) == forked
+        assert formatted == ({0: 0, 1: 1, 2: 2, 3: 3} if forked else {})
+
+    def test_chain_a_child_cannot_format_is_run_again_unformatted(self, normal_data,
+                                                                   monkeypatch):
+        parent, calls = os.getpid(), []
+
+        def chain_text(chain, rows):
+            if os.getpid() != parent:
+                raise OSError("no room")
+            calls.append((chain, len(rows)))
+            return chain
+
+        forks = _fork_always(monkeypatch)
+        config = ChainConfig(m=300, b=0, seed=9)
+        samples, formatted = fidgibbs.gibbs._run(get_model("normal"), normal_data, config,
+                                                 chain_text)
+        assert forks == [parent]
+        _no_child_left()
+        assert calls == [(0, 40), (0, 300), (2, 300)]
+        assert formatted == {0: 0, 2: 2}
+        monkeypatch.setattr(fidgibbs.gibbs, "_usable_cpus", lambda: 1)
+        assert np.array_equal(samples.values, run(get_model("normal"), normal_data, config).values)
+
     def test_short_run_stays_in_process(self, normal_data, monkeypatch):
         # 4 x 50 cycles take about a millisecond: far below the break-even.
         forks = []

@@ -7,15 +7,20 @@ trace_<param>.csv and hist_<param>.csv, and the report's warnings dict,
 with values recorded before the sampler or the writers were refactored.  A
 refactor that keeps the draws must keep these bytes; a deliberate change
 of the stream layout updates the table once and says so in CHANGES.md.
+Every case runs both with all chains in this process and with the chains
+forked, where each process formats the samples.csv rows of its chains.
 The hashes were recorded with numpy 2.4.6 and scipy 1.17.1; other
 versions may round the special functions differently.
 """
 
 import hashlib
 import json
+import os
 
 import pytest
 
+import fidgibbs.cli
+import fidgibbs.gibbs
 from fidgibbs.cli import main
 
 RUN = ["--m", "2000", "--b", "500", "--chains", "2", "--seed", "2018"]
@@ -159,8 +164,7 @@ OUTPUTS = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(GOLDEN))
-def test_golden_samples(case, tmp_path):
+def _check_outputs(case, tmp_path):
     args, sha256, warnings = GOLDEN[case]
     assert main(["run", *args, *RUN, "--output-dir", str(tmp_path)]) == 0
     assert hashlib.sha256((tmp_path / "samples.csv").read_bytes()).hexdigest() == sha256
@@ -169,3 +173,30 @@ def test_golden_samples(case, tmp_path):
                for pattern in ("trace_*.csv", "hist_*.csv") for path in tmp_path.glob(pattern)}
     assert outputs == OUTPUTS[case]
     assert json.loads((tmp_path / "report.json").read_text())["warnings"] == warnings
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_golden_samples(case, tmp_path, monkeypatch):
+    # One usable CPU: every chain is sampled and formatted in this process.
+    monkeypatch.setattr(fidgibbs.gibbs, "_usable_cpus", lambda: 1)
+    _check_outputs(case, tmp_path)
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_golden_samples_forked(case, tmp_path, monkeypatch):
+    # Chain 1 is sampled and formatted in a forked child, chain 0 here.
+    forks, formatted = [], []
+    fork, run = os.fork, fidgibbs.cli._run
+
+    def recording_run(*args):
+        samples, texts = run(*args)
+        formatted.append(sorted(texts))
+        return samples, texts
+
+    monkeypatch.setattr(fidgibbs.gibbs, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(fidgibbs.gibbs, "_FORK_BREAK_EVEN_S", 0.0)
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    monkeypatch.setattr(fidgibbs.cli, "_run", recording_run)
+    _check_outputs(case, tmp_path)
+    assert forks == [1]
+    assert formatted == [[0, 1]]

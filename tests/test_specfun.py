@@ -294,6 +294,79 @@ class TestSolveQuadraticPositive:
             assert (got is None) == (want is None), (a, b, c)
             assert want is None or got.hex() == want.hex(), (a, b, c)
 
+    def test_unscaled_range_gives_the_scaled_bits(self):
+        # The solve as it was, always dividing by the power of two of the
+        # largest coefficient: where the solve skips that division, the
+        # roots and errors must not change.
+        def scaled(a, b, c):
+            for name, v in (("a", a), ("b", b), ("c", c)):
+                if not math.isfinite(v):
+                    raise DomainError(f"coefficient {name} must be finite, got {v}")
+            scale = max(abs(a), abs(b), abs(c))
+            if scale == 0.0:
+                raise DegenerateDataError("all quadratic coefficients are zero")
+            e = math.frexp(scale)[1]
+            sa, sb, sc = math.ldexp(a, -e), math.ldexp(b, -e), math.ldexp(c, -e)
+            if sa == 0.0:
+                if sb == 0.0:
+                    raise DegenerateDataError("degenerate quadratic: a = b = 0")
+                roots = [-sc / sb]
+            else:
+                disc = sb * sb - 4.0 * sa * sc
+                if disc < 0.0:
+                    raise DegenerateDataError("quadratic has no real root")
+                sq = math.sqrt(disc)
+                q = -0.5 * (sb + math.copysign(sq, sb)) if sb != 0.0 else 0.5 * sq
+                if q == 0.0:
+                    roots = [0.0]
+                elif sa > 0.0 > sc:
+                    roots = [q / sa if q > 0.0 else sc / q]
+                else:
+                    roots = [q / sa, sc / q]
+            if len(roots) > 1:
+                roots = sorted({r for r in roots if r > 0.0})
+                if len(roots) > 1 and not math.isclose(roots[0], roots[1], rel_tol=1e-9):
+                    raise DegenerateDataError(
+                        f"quadratic {a}t^2 + {b}t + {c} has two positive roots {roots}")
+            if not (roots and roots[0] > 0.0):
+                raise DegenerateDataError(f"quadratic {a}t^2 + {b}t + {c} has no positive root")
+            root = roots[0]
+            for _ in range(2):
+                deriv = 2.0 * sa * root + sb
+                if deriv != 0.0:
+                    root -= (sa * root * root + sb * root + sc) / deriv
+            if root <= 0.0:
+                raise DegenerateDataError("positive root collapsed to zero after polishing")
+            return float(root)
+
+        def outcome(solve, a, b, c):
+            try:
+                return solve(a, b, c).hex()
+            except (DomainError, DegenerateDataError) as exc:
+                return type(exc), str(exc)
+
+        rng = np.random.default_rng(19)
+        # 160 000 triples with exponents on both sides of the unscaled range
+        # (|x| in [2**-250, 2**250]), mostly of the a > 0 > c form the
+        # bivariate-normal statistics solve, and 60 000 over every exponent
+        # from the subnormals to the largest float.
+        n_near, n_all = 160_000, 60_000
+        exps = np.concatenate([rng.integers(-270, 271, (n_near, 3)),
+                               rng.integers(-1080, 1025, (n_all, 3))])
+        cases = np.ldexp(rng.uniform(0.5, 1.0, (n_near + n_all, 3)), exps)
+        signs = np.where(rng.random((n_near + n_all, 3)) < 0.5, -1.0, 1.0)
+        bvn = rng.random(n_near + n_all) < 0.8
+        signs[bvn, 0], signs[bvn, 2] = 1.0, -1.0
+        cases *= signs
+        # Exact powers of two and zeros at the edges of the range.
+        edges = [2.0 ** -250, 2.0 ** 250, 2.0 ** -251, 2.0 ** 251, 5e-324, 1.7976931348623157e308]
+        triples = [*map(tuple, cases.tolist()),
+                   *((a, b, -c) for a in edges for b in [0.0, *edges, *(-e for e in edges)]
+                     for c in edges)]
+        for a, b, c in triples:
+            assert outcome(solve_quadratic_positive, a, b, c) == outcome(scaled, a, b, c), (a, b, c)
+        assert solve_quadratic_positive(10.0, -1e160, -1.0) == 1e159
+
 
 class TestSolveCubicInInterval:
     def test_scaled_factorized(self):
