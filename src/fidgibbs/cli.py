@@ -14,10 +14,10 @@ import contextlib
 import csv
 import json
 import math
-import mmap
 import os
 import re
 import sys
+import tempfile
 from pathlib import Path
 from typing import Mapping
 
@@ -211,69 +211,74 @@ def write_samples_csv(samples: SampleMatrix, path: str):
 
 # The longest %.17g text of a float: a sign, 17 digits, the point and "e-308".
 _FLOAT_CHARS = 24
-# Bytes of formatted text written out per write call (page-aligned).
-_TEXT_CHUNK = 64 * mmap.PAGESIZE
 
 
 class _Region:
-    """A file-like writer of text into the shared mapping buf from the
-    page-aligned byte start on; it unmaps each page it writes from this
-    process once written (the shared page keeps the text)."""
+    """A file-like writer of text into the file fd from byte start on."""
 
-    def __init__(self, buf: mmap.mmap, start: int):
-        self.buf, self.start, self.end = buf, start, start
+    def __init__(self, fd: int, start: int):
+        self.fd, self.start, self.end = fd, start, start
 
     def write(self, text: str):
-        data = text.encode("ascii")
-        first, self.end = self.end, self.end + len(data)
-        self.buf[first:self.end] = data
-        first -= first % mmap.PAGESIZE
-        self.buf.madvise(mmap.MADV_DONTNEED, first, self.end - first)
+        data = memoryview(text.encode("ascii"))
+        while data:
+            written = os.pwrite(self.fd, data, self.end)
+            self.end += written
+            data = data[written:]
+
+
+class _Discard:
+    """A file-like writer that keeps nothing."""
+
+    def write(self, text: str):
+        pass
 
 
 class _ChainText:
     """The samples.csv rows of every chain of a run, and the trace rows of
-    chain 0, formatted by _write_chain in the process that sampled the
-    chain when the run forks (gibbs._run calls it as its chain_text).
+    chain 0, formatted by _write_chain in the process that sampled the chain
+    when the run forks (gibbs._run takes it as its chain_text).
 
-    The text is kept in an anonymous shared mapping, made before the run, so
-    a forked child's rows reach the caller without passing through a pipe;
-    it holds a page-aligned region for each chain and for each trace, sized
-    from the longest row, and only the pages written are ever backed.  A
-    call returns the (start, end) of each region it wrote, samples rows
-    first.  A process unmaps the pages of text from itself once it has
-    written them or written them out, so the text adds about a block of
-    rows to its resident memory, not the run's text.
+    The text goes into one unnamed temporary file, opened before the run, so
+    a forked child's rows reach the caller without passing through a pipe.
+    The file has a region for each chain and for each trace, sized from the
+    longest row; the unwritten rest of a region is a hole that takes no
+    space.  The text is held in the page cache, which the kernel can write
+    out to the file under memory pressure, not in the memory of a process,
+    and is dropped when the file is closed.  A call returns the (start, end)
+    of each region it wrote, samples rows first.
     """
 
     def __init__(self, chains: int, m: int, k: int):
         row = len(f"{chains - 1},{m}") + k * (1 + _FLOAT_CHARS) + 2
         trace_row = len(f"{m},") + _FLOAT_CHARS + 2
-        sizes = [-(-m * size // mmap.PAGESIZE) * mmap.PAGESIZE
-                 for size in [row] * chains + [trace_row] * k]
+        sizes = [m * row] * chains + [m * trace_row] * k
         self.starts = [sum(sizes[:i]) for i in range(len(sizes))]
         self.chains = chains
-        self.buf = mmap.mmap(-1, sum(sizes))
+        self.file = tempfile.TemporaryFile()
 
     def __call__(self, chain: int, values: np.ndarray) -> tuple:
+        fd = self.file.fileno()
         regions = [chain] + (list(range(self.chains, len(self.starts))) if chain == 0 else [])
-        rows, *traces = (_Region(self.buf, self.starts[i]) for i in regions)
+        rows, *traces = (_Region(fd, self.starts[i]) for i in regions)
         _write_chain(values, chain, rows, traces)
         return tuple((r.start, r.end) for r in (rows, *traces))
 
+    @staticmethod
+    def trial(values: np.ndarray):
+        """Format values as chain 0's samples.csv rows and keep nothing."""
+        _write_chain(values, 0, _Discard(), [])
+
     def write(self, record: tuple, fh, traces: list):
-        """Write the text record names to fh and, for chain 0's record,
-        to the trace files."""
-        with memoryview(self.buf) as view:
-            for (start, end), out in zip(record, (fh, *traces)):
-                out.flush()
-                for first in range(start, end, _TEXT_CHUNK):
-                    last = min(first + _TEXT_CHUNK, end)
-                    out.buffer.write(view[first:last])
-                    self.buf.madvise(mmap.MADV_DONTNEED, first, last - first)
+        """Copy the text record names to fh and, for chain 0's record, to the
+        trace files."""
+        for (start, end), out in zip(record, (fh, *traces)):
+            out.flush()
+            while start < end:
+                start += os.sendfile(out.fileno(), self.file.fileno(), start, end - start)
 
     def close(self):
-        self.buf.close()
+        self.file.close()
 
 
 def read_samples_csv(path: str, b: int) -> SampleMatrix:
@@ -373,13 +378,8 @@ def _cmd_run(args) -> int:
               if args.init else None),
     )
     with contextlib.ExitStack() as stack:
-        try:
-            text = _ChainText(config.chains, config.m, len(model.params))
-        except OSError:
-            # No room for the mapping: every chain is formatted below.
-            text = None
-        else:
-            stack.callback(text.close)
+        text = _ChainText(config.chains, config.m, len(model.params))
+        stack.callback(text.close)
         samples, formatted = _run(model, data, config, text)
         report = summarize(samples, bins=args.bins)
 

@@ -41,16 +41,16 @@ __all__ = ["ChainConfig", "SampleMatrix", "EstimateResult", "run", "estimate"]
 DEFAULT_BURN_IN = 500
 
 # run forks only when the CPU time of chain 0's cycles _WARM_UP_CYCLES ..
-# _WARM_UP_CYCLES + _TIMED_CYCLES, plus that of formatting chain 0's first
-# cycles when the rows are formatted where they are sampled, predicts more
-# serial work than _FORK_BREAK_EVEN_S seconds.  Measured on closed-form
-# command-line runs of 4 chains on 2 CPUs, forking saved about 0.385 times
-# the predicted seconds less 11 ms (forking and reaping the children, their
-# page faults in the shared mappings, the chains the caller formats), which
-# is zero at 29 ms.
+# _WARM_UP_CYCLES + _TIMED_CYCLES, plus that of formatting the rows of
+# chain 0's first cycles when the rows are formatted where they are
+# sampled, predicts more serial work than _FORK_BREAK_EVEN_S seconds.
+# Measured on 43 closed-form command-line runs of 4 chains on 2 CPUs,
+# forking saved about 0.55 times the predicted seconds less 9.4 ms (forking
+# and reaping the children, their page faults in the shared matrix, the
+# chains the caller formats), which is zero at 17 ms.
 _WARM_UP_CYCLES = 8
 _TIMED_CYCLES = 32
-_FORK_BREAK_EVEN_S = 0.03
+_FORK_BREAK_EVEN_S = 0.017
 # prctl option (linux/prctl.h): the signal a process gets when the thread
 # that forked it ends.
 _PR_SET_PDEATHSIG = 1
@@ -237,38 +237,37 @@ def _other_cpus() -> list:
 
 
 def _run_forked(run_chain: Callable, chains: int, procs: int, m: int,
-                format_chain: Optional[Callable] = None) -> Tuple[list, dict]:
+                format_chain: Optional[Callable] = None,
+                format_cost: Optional[Callable] = None) -> Tuple[list, dict]:
     """run_chain(c) for c = 0..chains-1, spread over up to procs processes:
     the list of what each returned, in chain order, and what format_chain
     returned for each chain it formatted.
 
     run_chain writes the chain's draws into a matrix that the forked
     children share with this process and returns its warnings.  This
-    process runs chain 0 and, from the timed first cycles of chain 0 (and,
-    given format_chain, the time format_chain(0, cycles) takes on them),
-    predicts the serial time of the run.  Above _FORK_BREAK_EVEN_S it forks
-    procs - 1 children, child k running the chains c with c % procs == k on
-    a CPU of its own, and keeps the chains c % procs == 0 itself; below it,
-    it runs every chain itself and formats none.  (A forked child starts on
-    its parent's CPU, and a scheduler may leave it there for 100 ms or more
-    while another CPU idles.)  Once forked, each process calls
-    format_chain(c) as each of its chains c ends.  A child sends a small
-    (chain, warnings, format_chain's record) pickle over a pipe as each
-    chain ends, so it never waits for this process to read, and stops at
-    its first failing chain.  The results are taken in chain order: an own
-    chain that failed raises its exception, and a chain that no child sent
-    is run again here, unformatted, once every child has been reaped and
-    none can still write its row, so the lowest failing chain raises what
-    the serial loop would raise.  No child outlives the call.
+    process runs chain 0 and, from the timed first cycles of chain 0 (plus,
+    given format_chain, format_cost(cycles), the CPU seconds per cycle to
+    format those cycles' rows), predicts the serial time of the run.  Above
+    _FORK_BREAK_EVEN_S it forks procs - 1 children, child k running the
+    chains c with c % procs == k on a CPU of its own, and keeps the chains
+    c % procs == 0 itself; below it, it runs every chain itself and formats
+    none.  (A forked child starts on its parent's CPU, and a scheduler may
+    leave it there for 100 ms or more while another CPU idles.)  Once
+    forked, each process calls format_chain(c) as each of its chains c
+    ends.  A child sends a small (chain, warnings, format_chain's record)
+    pickle over a pipe as each chain ends, so it never waits for this
+    process to read, and stops at its first failing chain.  The results are
+    taken in chain order: an own chain that failed to run or to format
+    raises its exception, and a chain that no child sent is run and
+    formatted again here, once every child has been reaped and none can
+    still write its row, so the lowest failing chain raises what it would
+    raise in this process.  No child outlives the call.
     """
     children = {}  # pid -> (read end of its pipe, k)
 
     def spread(seconds_per_cycle: float):
         if format_chain is not None:
-            cycles = min(_WARM_UP_CYCLES + _TIMED_CYCLES, m)
-            start = time.thread_time()
-            format_chain(0, cycles)
-            seconds_per_cycle += (time.thread_time() - start) / cycles
+            seconds_per_cycle += format_cost(min(_WARM_UP_CYCLES + _TIMED_CYCLES, m))
         if seconds_per_cycle * m * chains <= _FORK_BREAK_EVEN_S:
             return
         cpus = _other_cpus()
@@ -319,7 +318,11 @@ def _run_forked(run_chain: Callable, chains: int, procs: int, m: int,
         result = done.get(chain)
         if isinstance(result, Exception):
             raise result
-        results.append(run_chain(chain) if result is None else result)
+        if result is None:
+            result = run_chain(chain)
+            if format_chain is not None:
+                formatted[chain] = format_chain(chain)
+        results.append(result)
     return results, formatted
 
 
@@ -329,8 +332,8 @@ def _serve(run_chain: Callable, format_chain: Optional[Callable], chains: range,
     cpus if any are given, run each chain (which writes its draws into the
     shared matrix), format it if format_chain is given and pickle (chain,
     warnings, format_chain's record or None) to fd, up to the first chain
-    that raises, then exit without returning into the caller or flushing the
-    inherited stdio buffers."""
+    that fails to run or to format, then exit without returning into the
+    caller or flushing the inherited stdio buffers."""
     try:
         # A caller killed by a signal it cannot handle never reaches the
         # finally of _run_forked: the kernel SIGKILLs this process when the
@@ -389,13 +392,14 @@ def _run(model: ModelSpec, data: Dataset, config: ChainConfig,
     """run's samples, and chain -> chain_text's record for each chain whose
     rows chain_text formatted.
 
-    chain_text(chain, rows) formats rows, the first len(rows) cycles of
-    chain `chain`, into storage it shares with forked children, and returns
-    a small picklable record of where.  It is used only when the run forks
-    (the command line's run formats the other chains itself): before
-    forking, this process times it on chain 0's first cycles, which the fork
-    rule counts with the sampling, and once forked, each process calls it on
-    all m rows of every chain it sampled as the chain ends.
+    chain_text(chain, rows) formats rows, the m rows of chain `chain`, into
+    storage it shares with forked children, and returns a small picklable
+    record of where; chain_text.trial(rows) formats rows as a chain's rows
+    and keeps nothing.  They are used only when the run may fork (the
+    command line's run formats the other chains itself): this process times
+    chain_text.trial on chain 0's timed first cycles, which the fork rule
+    counts with the sampling, and once forked, each process calls
+    chain_text on every chain it sampled as the chain ends.
     """
     order = _scan_order(model, config)
     conditionals = model.build_conditionals(data)
@@ -416,16 +420,27 @@ def _run(model: ModelSpec, data: Dataset, config: ChainConfig,
         return _run_chain(data, conditionals, order, labels, inits[chain],
                           config.seed, chain, values[chain], timed)
 
-    def format_chain(chain: int, cycles: int = config.m):
-        return chain_text(chain, values[chain, :cycles])
+    def format_chain(chain: int):
+        return chain_text(chain, values[chain])
+
+    def format_cost(cycles: int) -> float:
+        # A trial on the first row alone, subtracted, takes the per-call
+        # cost (about 5 us) out of the per-row cost.
+        seconds = []
+        for rows in (values[0, :1], values[0, :cycles]):
+            start = time.thread_time()
+            chain_text.trial(rows)
+            seconds.append(time.thread_time() - start)
+        return max(seconds[1] - seconds[0], 0.0) / max(cycles - 1, 1)
 
     formatted = {}
     if procs == 1:
         chain_warnings = [run_chain(chain) for chain in range(config.chains)]
+    elif chain_text is None:
+        chain_warnings, _ = _run_forked(run_chain, config.chains, procs, config.m)
     else:
-        chain_warnings, formatted = _run_forked(
-            run_chain, config.chains, procs, config.m,
-            None if chain_text is None else format_chain)
+        chain_warnings, formatted = _run_forked(run_chain, config.chains, procs, config.m,
+                                                format_chain, format_cost)
     warnings = Counter()
     for w in chain_warnings:
         warnings.update(w)

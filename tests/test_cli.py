@@ -490,9 +490,9 @@ class TestWriters:
         try:
             records = [text(c, sm.values[c]) for c in range(11)]
             # No region runs into the next.
-            bounds = text.starts + [len(text.buf)]
+            bounds = text.starts[1:] + [math.inf]
             for start, end in (region for record in records for region in record):
-                assert end <= bounds[bounds.index(start) + 1]
+                assert end <= bounds[text.starts.index(start)]
             files = [tmp_path / name for name in ("samples.csv", "a.csv", "b.csv", "c.csv")]
             with contextlib.ExitStack() as stack:
                 fh, *traces = (stack.enter_context(open(f, "w", newline="")) for f in files)
