@@ -26,7 +26,11 @@ formatting is inside sample and write mostly copies the formatted text.
 With --against REV the rounds also run in a ``git archive`` checkout of REV,
 as ``scripts/bench_pairs.py`` makes one, the two trees alternating which
 goes first from round to round.  The tables then give both trees, the
-relative change and whether the two trees drew the same bytes.
+relative change and whether the two trees drew the same bytes.  On a
+loaded host the best-of columns of the two trees can come from rounds
+under different load, so the per-draw table also gives, per model, the
+median over rounds of the change within a round, where the two trees ran
+back to back, and in how many rounds this tree was faster.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ import hashlib
 import io
 import json
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -193,12 +198,17 @@ def main(argv=None) -> int:
         phase_table(rounds, args.cycles)
         return 0
     base_name = args.against
-    print(f"\n| model | n | {base_name} | this tree | change | same draws |\n"
-          "| --- | --- | --- | --- | --- | --- |")
+    print(f"\n| model | n | {base_name} | this tree | change | median round change | "
+          "faster rounds | same draws |\n| --- | --- | --- | --- | --- | --- | --- | --- |")
     for model, (_, n) in CASES.items():
         old, new = best[base_name][model], best["this tree"][model]
+        # Round r ran the two trees back to back.
+        ratios = [t["draws"][model][0] / b["draws"][model][0]
+                  for b, t in zip(rounds[base_name], rounds["this tree"])]
         same = {r["draws"][model][1] for rs in rounds.values() for r in rs}
         print(f"| {model} | {n} | {old:.3g} | {new:.3g} | {100.0 * (new / old - 1.0):+.1f}% | "
+              f"{100.0 * (statistics.median(ratios) - 1.0):+.1f}% | "
+              f"{sum(q < 1.0 for q in ratios)}/{len(ratios)} | "
               f"{'yes' if len(same) == 1 else 'no'} |")
     phase_table(rounds, args.cycles)
     return 0

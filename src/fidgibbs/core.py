@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Mapping, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -23,6 +23,7 @@ __all__ = [
     "StructuralEquation",
     "FiducialStatistic",
     "ConditionalFiducialSampler",
+    "DrawKernel",
     "InjectivityReport",
     "check_injectivity",
 ]
@@ -65,6 +66,23 @@ class FiducialStatistic:
     compute: Callable[[object, Mapping[str, float]], float]
 
 
+class DrawKernel(NamedTuple):
+    """A catalog conditional's fused draw.
+
+    make(sampler) returns draw(data, state, rng, warnings=None): one
+    function that computes the statistic and the state-dependent constants,
+    takes one primary value from the stream exactly as sample takes it for
+    that law and inverts, with the same arithmetic and bits as the
+    layered draw of statistic and equation_for; it hands a first attempt
+    that fails to sampler.redraw.  It stands for these statistic and
+    equation_for objects only.
+    """
+
+    statistic: FiducialStatistic
+    equation_for: Callable
+    make: Callable
+
+
 @dataclass(frozen=True)
 class ConditionalFiducialSampler:
     """Draws one parameter given the others by inverting a structural equation.
@@ -83,15 +101,26 @@ class ConditionalFiducialSampler:
     returning the primary value g that maps to theta and log|dg/dtheta|,
     gives the conditional's log density (log_density).
 
-    A draw makes exactly four calls besides its own arithmetic:
-    statistic.compute, equation_for, sample as bound in this module (looked
-    up on every draw, not bound once) and the equation's invert, read as an
-    attribute of an equation that keeps an instance __dict__ (no
-    __slots__).  The benchmark's traced run (bench/tracing.py) times the
-    layers of a draw by wrapping exactly these: it replaces compute and
-    equation_for through dataclasses.replace, patches fidgibbs.core.sample
-    and hands out a __dict__ copy of each equation with a timed invert; and
-    bench/selftest.py fails when a layer goes missing.
+    The layered path of a draw makes exactly four calls besides its own
+    arithmetic: statistic.compute, equation_for, sample as bound in this
+    module (looked up on every draw, not bound once) and the equation's
+    invert, read as an attribute of an equation that keeps an instance
+    __dict__ (no __slots__).  Traced, replaced and user-built samplers
+    draw through it.  The benchmark's traced run (bench/tracing.py) times
+    the layers of a draw by wrapping exactly these: it replaces compute
+    and equation_for through dataclasses.replace, patches
+    fidgibbs.core.sample and hands out a __dict__ copy of each equation
+    with a timed invert; and bench/selftest.py fails when a layer goes
+    missing.
+
+    A catalog conditional also carries a kernel (DrawKernel), which fuses
+    the first attempt of a draw into one function with the same bits.  The
+    path is chosen once, when the sampler is made: draw is the kernel's
+    function while statistic and equation_for are the objects the kernel
+    stands for, so a sampler made by dataclasses.replace with other ones
+    draws through the layered path.  A first attempt that fails continues
+    in the layered loop (redraw), so redraws, warnings and errors are those
+    of the layered path.
     """
 
     target_param: str
@@ -99,6 +128,13 @@ class ConditionalFiducialSampler:
     equation_for: Callable[[object, Mapping[str, float]], object]
     theta_domain: Tuple[float, float]
     check_at_start: bool = False
+    kernel: Optional[DrawKernel] = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        kernel = self.kernel
+        if (kernel is not None and kernel.statistic is self.statistic
+                and kernel.equation_for is self.equation_for):
+            object.__setattr__(self, "draw", kernel.make(self))
 
     def equation(self, data, state: Mapping[str, float]) -> StructuralEquation:
         """The validated StructuralEquation at state, for injectivity probes
@@ -151,11 +187,23 @@ class ConditionalFiducialSampler:
         rng: RngStream,
         warnings: Optional[Counter] = None,
     ) -> float:
+        """One draw through the layered path (see the class doc)."""
         q = self.statistic.compute(data, state)
-        eq = self.equation_for(data, state)
+        return self._invert(q, self.equation_for(data, state), rng, warnings, 0)
+
+    def redraw(self, data, state: Mapping[str, float], rng: RngStream,
+               warnings: Optional[Counter], q: float) -> float:
+        """The rest of a kernel's draw whose first attempt failed at the
+        statistic q: the failure is counted and the layered loop goes on
+        from the next primary value."""
+        if warnings is not None:
+            warnings[f"{self.target_param}.gamma_redraw"] += 1
+        return self._invert(q, self.equation_for(data, state), rng, warnings, 1)
+
+    def _invert(self, q: float, eq, rng: RngStream, warnings: Optional[Counter],
+                redraws: int) -> float:
         dist, invert = eq.gamma_dist, eq.invert
         lo, hi = self.theta_domain
-        redraws = 0
         while True:
             # The module's sample, looked up on every draw (see the class doc).
             gamma = sample(dist, rng)

@@ -141,14 +141,20 @@ class ParamSummary:
     converged: bool
 
     def hist_densities(self) -> np.ndarray:
-        widths = np.diff(self.hist_edges)
         total = float(np.sum(self.hist_counts))
         with np.errstate(over="ignore"):
+            widths = np.diff(self.hist_edges)
             denom = total * widths
         densities = self.hist_counts / denom
         # Where the draw count times the width passes the float range.
         over = np.isinf(denom)
         densities[over] = self.hist_counts[over] / total / widths[over]
+        # Where the width itself does: from the width between the halved
+        # edges, which is finite.
+        wide = np.isinf(widths)
+        if wide.any():
+            halves = np.diff(self.hist_edges / 2.0)
+            densities[wide] = self.hist_counts[wide] / total / halves[wide] / 2.0
         return densities
 
     def to_dict(self) -> dict:

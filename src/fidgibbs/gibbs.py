@@ -252,7 +252,9 @@ def _run_forked(run_chain: Callable, chains: int, procs: int, m: int,
     chains c with c % procs == k on a CPU of its own, and keeps the chains
     c % procs == 0 itself; below it, it runs every chain itself and formats
     none.  (A forked child starts on its parent's CPU, and a scheduler may
-    leave it there for 100 ms or more while another CPU idles.)  Once
+    leave it there for 100 ms or more while another CPU idles; this process
+    moves each child to its CPU right after forking it, so the child need
+    not first get a turn on this busy CPU to move itself.)  Once
     forked, each process calls format_chain(c) as each of its chains c
     ends.  A child sends a small (chain, warnings, format_chain's record)
     pickle over a pipe as each chain ends, so it never waits for this
@@ -282,10 +284,12 @@ def _run_forked(run_chain: Callable, chains: int, procs: int, m: int,
                 os.close(w)
                 return
             if pid == 0:
-                _serve(run_chain, format_chain, range(k, chains, procs), w, cpus[k - 1:k],
-                       parent)
+                _serve(run_chain, format_chain, range(k, chains, procs), w, parent)
             children[pid] = (r, k)
             os.close(w)
+            if cpus[k - 1:k]:
+                with contextlib.suppress(OSError):
+                    os.sched_setaffinity(pid, cpus[k - 1:k])
 
     done, formatted = {}, {}
     try:
@@ -327,13 +331,13 @@ def _run_forked(run_chain: Callable, chains: int, procs: int, m: int,
 
 
 def _serve(run_chain: Callable, format_chain: Optional[Callable], chains: range, fd: int,
-           cpus: list, parent: int):
-    """A forked child's life: die with the thread that forked it, move to
-    cpus if any are given, run each chain (which writes its draws into the
-    shared matrix), format it if format_chain is given and pickle (chain,
-    warnings, format_chain's record or None) to fd, up to the first chain
-    that fails to run or to format, then exit without returning into the
-    caller or flushing the inherited stdio buffers."""
+           parent: int):
+    """A forked child's life: die with the thread that forked it, run each
+    chain (which writes its draws into the shared matrix), format it if
+    format_chain is given and pickle (chain, warnings, format_chain's
+    record or None) to fd, up to the first chain that fails to run or to
+    format, then exit without returning into the caller or flushing the
+    inherited stdio buffers."""
     try:
         # A caller killed by a signal it cannot handle never reaches the
         # finally of _run_forked: the kernel SIGKILLs this process when the
@@ -345,9 +349,6 @@ def _serve(run_chain: Callable, format_chain: Optional[Callable], chains: range,
         prctl(_PR_SET_PDEATHSIG, signal.SIGKILL, 0, 0, 0)
         if os.getppid() != parent:
             return
-        if cpus:
-            with contextlib.suppress(OSError):
-                os.sched_setaffinity(0, cpus)
         with os.fdopen(fd, "wb") as fh:
             for chain in chains:
                 warnings = run_chain(chain)

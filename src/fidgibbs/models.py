@@ -20,7 +20,7 @@ from typing import Callable, Mapping, Optional, Tuple
 
 import numpy as np
 
-from .core import ConditionalFiducialSampler, FiducialStatistic
+from .core import ConditionalFiducialSampler, DrawKernel, FiducialStatistic
 from .errors import DegenerateDataError, DomainError, EvaluationError, StructuralError
 from .randvar import (
     ChiSquare,
@@ -32,6 +32,8 @@ from .randvar import (
     ScaledInvChiSquare,
     StudentT,
     TruncatedNormal,
+    fixed_draw,
+    unit_rate_gamma,
 )
 from .specfun import (Bracket, digamma, finite_cubic_root, scipy_special as _sp,
                       solve_newton, solve_quadratic_positive, trigamma)
@@ -59,6 +61,10 @@ _STANDARD_TRUNC = 5.0
 _STD_NORMAL = Normal(0.0, 1.0)
 _STD_TRUNCNORM = TruncatedNormal(0.0, 1.0, -_STANDARD_TRUNC, _STANDARD_TRUNC)
 _STD_EXPONENTIAL = Exponential(1.0)
+# The primaries' draws as the fused kernels take them.
+_normal = fixed_draw(_STD_NORMAL)
+_truncnorm = fixed_draw(_STD_TRUNCNORM)
+_exponential = fixed_draw(_STD_EXPONENTIAL)
 
 
 # ---------------------------------------------------------------------------
@@ -152,11 +158,40 @@ def _log_abs(x: float) -> float:
 
 
 def _conditional(params: Tuple[ParamSpec, ...], label: str, statistic: FiducialStatistic,
-                 equation_for, **options) -> ConditionalFiducialSampler:
-    """A catalog conditional whose theta_domain is its parameter's domain."""
+                 equation_for, kernel, **options) -> ConditionalFiducialSampler:
+    """A catalog conditional whose theta_domain is its parameter's domain,
+    with kernel as the make of its DrawKernel.
+
+    kernel(lo, hi, redraw) returns the fused draw(data, state, rng,
+    warnings=None) of this statistic and equation_for: it returns theta
+    when lo < theta < hi and otherwise returns redraw(data, state, rng,
+    warnings, q) (ConditionalFiducialSampler.redraw).
+    """
     p = next(p for p in params if p.label == label)
-    return ConditionalFiducialSampler(label, statistic, equation_for,
-                                      theta_domain=(p.lo, p.hi), **options)
+
+    def make(sampler):
+        return kernel(*sampler.theta_domain, sampler.redraw)
+
+    return ConditionalFiducialSampler(label, statistic, equation_for, theta_domain=(p.lo, p.hi),
+                                      kernel=DrawKernel(statistic, equation_for, make), **options)
+
+
+def _equation_kernel(q: float, equation_for):
+    """The kernel of a conditional whose statistic is the constant q and
+    whose equation equation_for builds per draw, with a standard truncated
+    normal primary: the shape conditionals, whose solves go through the
+    equation's invert."""
+    def kernel(lo, hi, redraw):
+        def draw(d, p, rng, warnings=None):
+            eq = equation_for(d, p)
+            g = _truncnorm(rng)
+            try:
+                theta = eq.invert(q, g)
+            except StructuralError:
+                return redraw(d, p, rng, warnings, q)
+            return theta if lo < theta < hi else redraw(d, p, rng, warnings, q)
+        return draw
+    return kernel
 
 
 # Per-draw equations.  Each holds only the constants that depend on the
@@ -369,19 +404,36 @@ def _sample_conditionals(params: Tuple[ParamSpec, ...], data: Dataset, column: s
     shift = float(np.mean(dev))
     spread = float(np.mean(dev * dev)) - shift * shift
     variance = _VarianceEquation(ChiSquare(n), n)
+    chi2_n = fixed_draw(variance.gamma_dist)
 
     def mean_sq_about_mu(d, p):
         off = xbar - p[mu] + shift
         return spread + off * off
 
+    def mean_kernel(lo, hi, redraw):
+        def draw(d, p, rng, warnings=None):
+            # _LocationEquation(1.0, 0.0, sd).invert(xbar, g).
+            theta = xbar - math.sqrt(_pos(p[sigma2], "sigma2") / n) * _normal(rng)
+            return theta if lo < theta < hi else redraw(d, p, rng, warnings, xbar)
+        return draw
+
+    def variance_kernel(lo, hi, redraw):
+        def draw(d, p, rng, warnings=None):
+            off = xbar - p[mu] + shift
+            q = spread + off * off
+            theta = n * q / chi2_n(rng)
+            return theta if lo < theta < hi else redraw(d, p, rng, warnings, q)
+        return draw
+
     return {
         mu: _conditional(
             params, mu, FiducialStatistic(f"{column}bar", lambda d, p: xbar),
-            lambda d, p: _LocationEquation(1.0, 0.0, math.sqrt(_pos(p[sigma2], "sigma2") / n))),
+            lambda d, p: _LocationEquation(1.0, 0.0, math.sqrt(_pos(p[sigma2], "sigma2") / n)),
+            mean_kernel),
         sigma2: _conditional(
             params, sigma2,
             FiducialStatistic(f"mean_sq_about_{mu}", mean_sq_about_mu),
-            lambda d, p: variance),
+            lambda d, p: variance, variance_kernel),
     }
 
 
@@ -502,8 +554,9 @@ def _pareto_build_conditionals(data: Dataset) -> dict:
     # The alpha primary is Gamma(n, 1), drawn as half a chi^2(2n): a law
     # fixed for the dataset, so it is drawn in blocks.
     chi2_2n = ChiSquare(2 * n)
+    chi2_2n_draw = fixed_draw(chi2_2n)
 
-    def alpha_equation(d, p):
+    def alpha_offset(p):
         beta = _pos(p["beta"], "beta")
         # Outside the joint's support: the alpha conditional does not exist.
         if beta > min_x:
@@ -512,15 +565,32 @@ def _pareto_build_conditionals(data: Dataset) -> dict:
         if sum_log - off <= 0.0:
             raise DomainError(
                 f"sum(log x) - n log(beta) = {sum_log - off:.6g} is not positive")
-        return _RateEquation(chi2_2n, off, 0.5)
+        return off
+
+    def alpha_kernel(lo, hi, redraw):
+        def draw(d, p, rng, warnings=None):
+            # _RateEquation(chi2_2n, off, 0.5).invert(sum_log, g); the rate
+            # sum_log - off is positive once alpha_offset returns.
+            off = alpha_offset(p)
+            theta = 0.5 * chi2_2n_draw(rng) / (sum_log - off)
+            return theta if lo < theta < hi else redraw(d, p, rng, warnings, sum_log)
+        return draw
+
+    def beta_kernel(lo, hi, redraw):
+        def draw(d, p, rng, warnings=None):
+            # _ParetoBetaEquation(n alpha).invert(min_x, g).
+            n_alpha = n * _pos(p["alpha"], "alpha")
+            theta = min_x * math.exp(-_exponential(rng) / n_alpha)
+            return theta if lo < theta < hi else redraw(d, p, rng, warnings, min_x)
+        return draw
 
     return {
         "alpha": _conditional(
             _PARETO_PARAMS, "alpha", FiducialStatistic("sum_log_x", lambda d, p: sum_log),
-            alpha_equation),
+            lambda d, p: _RateEquation(chi2_2n, alpha_offset(p), 0.5), alpha_kernel),
         "beta": _conditional(
             _PARETO_PARAMS, "beta", FiducialStatistic("min_x", lambda d, p: min_x),
-            lambda d, p: _ParetoBetaEquation(n * _pos(p["alpha"], "alpha"))),
+            lambda d, p: _ParetoBetaEquation(n * _pos(p["alpha"], "alpha")), beta_kernel),
     }
 
 
@@ -667,6 +737,7 @@ def _quadreg_build_conditionals(data: Dataset) -> dict:
         raise DegenerateDataError("design is degenerate: x takes fewer than three distinct values")
     rss_at = _quadreg_rss_form(x, y)
     variance = _VarianceEquation(ChiSquare(x.size), 1)
+    chi2_n = fixed_draw(variance.gamma_dist)
 
     def rss_stat(d, p):
         rss = rss_at(p["beta0"], p["beta1"], p["beta2"])
@@ -676,16 +747,35 @@ def _quadreg_build_conditionals(data: Dataset) -> dict:
 
     def coef(j, stat_name):
         stat, scale, ((la, ca), (lb, cb)) = _quadreg_normal_equation(j, x, y)
+
+        def kernel(lo, hi, redraw):
+            def draw(d, p, rng, warnings=None):
+                # _quadreg_coef_equation(scale, off, sigma2).invert(stat, g).
+                off = p[la] * ca + p[lb] * cb
+                sd = math.sqrt(_pos(p["sigma2"], "sigma2") * scale)
+                theta = (stat - off - sd * _normal(rng)) / scale
+                return theta if lo < theta < hi else redraw(d, p, rng, warnings, stat)
+            return draw
+
         return _conditional(
             _QUADREG_PARAMS, _QUADREG_COEFS[j], FiducialStatistic(stat_name, lambda d, p: stat),
-            lambda d, p: _quadreg_coef_equation(scale, p[la] * ca + p[lb] * cb, p["sigma2"]))
+            lambda d, p: _quadreg_coef_equation(scale, p[la] * ca + p[lb] * cb, p["sigma2"]),
+            kernel)
+
+    def variance_kernel(lo, hi, redraw):
+        def draw(d, p, rng, warnings=None):
+            # variance.invert(q, g) is 1 * q / g.
+            q = rss_stat(d, p)
+            theta = q / chi2_n(rng)
+            return theta if lo < theta < hi else redraw(d, p, rng, warnings, q)
+        return draw
 
     return {
         "beta0": coef(0, "sum_y"),
         "beta1": coef(1, "sum_xy"),
         "beta2": coef(2, "sum_x2y"),
         "sigma2": _conditional(_QUADREG_PARAMS, "sigma2", FiducialStatistic("rss", rss_stat),
-                               lambda d, p: variance),
+                               lambda d, p: variance, variance_kernel),
     }
 
 
@@ -943,14 +1033,26 @@ def _gamma_build_conditionals(data: Dataset) -> dict:
         raise DegenerateDataError("gamma model needs non-constant data")
     sum_x = float(np.sum(x))
     sum_log = float(np.sum(np.log(x)))
+
+    def alpha_equation(d, p):
+        return _GammaShapeEquation(n, p["beta"])
+
+    def rate_kernel(lo, hi, redraw):
+        def draw(d, p, rng, warnings=None):
+            # _RateEquation(Gamma(n alpha, 1.0), 0.0).invert(sum_x, g) is
+            # 1.0 * g / (sum_x - 0.0), and sum_x > 0.
+            theta = unit_rate_gamma(n * _pos(p["alpha"], "alpha"), rng) / sum_x
+            return theta if lo < theta < hi else redraw(d, p, rng, warnings, sum_x)
+        return draw
+
     return {
         "alpha": _conditional(
             _GAMMA_PARAMS, "alpha", FiducialStatistic("sum_log_x", lambda d, p: sum_log),
-            lambda d, p: _GammaShapeEquation(n, p["beta"]),
-            check_at_start=True),
+            alpha_equation, _equation_kernel(sum_log, alpha_equation), check_at_start=True),
         "beta": _conditional(
             _GAMMA_PARAMS, "beta", FiducialStatistic("sum_x", lambda d, p: sum_x),
-            lambda d, p: _RateEquation(Gamma(n * _pos(p["alpha"], "alpha"), 1.0), 0.0)),
+            lambda d, p: _RateEquation(Gamma(n * _pos(p["alpha"], "alpha"), 1.0), 0.0),
+            rate_kernel),
     }
 
 
@@ -1057,15 +1159,17 @@ def _beta_build_conditionals(data: Dataset) -> dict:
     # Scratch buffers for the solver iterations of every draw of these two
     # conditionals; a run makes its draws one at a time.
     scratch = (np.empty(4), np.empty(4))
+
+    def shape(label, stat_name, q, other):
+        def equation_for(d, p):
+            return _BetaShapeEquation(n, p[other], scratch)
+
+        return _conditional(_BETA_PARAMS, label, FiducialStatistic(stat_name, lambda d, p: q),
+                            equation_for, _equation_kernel(q, equation_for), check_at_start=True)
+
     return {
-        "alpha": _conditional(
-            _BETA_PARAMS, "alpha", FiducialStatistic("sum_log_x", lambda d, p: sum_log),
-            lambda d, p: _BetaShapeEquation(n, p["beta"], scratch),
-            check_at_start=True),
-        "beta": _conditional(
-            _BETA_PARAMS, "beta", FiducialStatistic("sum_log_1mx", lambda d, p: sum_log1m),
-            lambda d, p: _BetaShapeEquation(n, p["alpha"], scratch),
-            check_at_start=True),
+        "alpha": shape("alpha", "sum_log_x", sum_log, "beta"),
+        "beta": shape("beta", "sum_log_1mx", sum_log1m, "alpha"),
     }
 
 
@@ -1272,6 +1376,8 @@ def _bvn_build_conditionals(data: Dataset) -> dict:
     sx, sy, sxx, syy, sxy = stats.sx, stats.sy, stats.sxx, stats.syy, stats.sxy
     neg_n = -float(n)
     rho_equation = _BvnRhoEquation(n)
+    rho_invert = rho_equation.invert
+    floor = _BvnSigmaEquation.floor
 
     # The statistics read the data sums and centre them at the state's means
     # inline; the operand order of each centred sum is part of its bits.
@@ -1285,8 +1391,21 @@ def _bvn_build_conditionals(data: Dataset) -> dict:
             return _LocationEquation(n, -n * rho * math.sqrt(v / p[other_var]) * p[other_mu],
                                      math.sqrt(n * v * (1.0 - rho * rho)))
 
+        def kernel(lo, hi, redraw):
+            def draw(d, p, rng, warnings=None):
+                # The statistic, then equation_for(d, p).invert(q, g); the
+                # square root both take is computed once.
+                rho, v = p["rho"], p[var]
+                ratio = math.sqrt(v / p[other_var])
+                q = own_sum - rho * ratio * other_sum
+                off = -n * rho * ratio * p[other_mu]
+                sd = math.sqrt(n * v * (1.0 - rho * rho))
+                theta = (q - off - sd * _normal(rng)) / n
+                return theta if lo < theta < hi else redraw(d, p, rng, warnings, q)
+            return draw
+
         return _conditional(_BVN_PARAMS, label, FiducialStatistic(stat_name, statistic),
-                            equation_for)
+                            equation_for, kernel)
 
     def sigma(label, stat_name, column, mu, other_mu, own_sum, other_sum, own_sq, other_var):
         def statistic(d, p):
@@ -1305,8 +1424,22 @@ def _bvn_build_conditionals(data: Dataset) -> dict:
             rho = p["rho"]
             return _BvnSigmaEquation(math.sqrt((1.0 - rho * rho) / (n * (2.0 - rho * rho))))
 
+        def kernel(lo, hi, redraw):
+            def draw(d, p, rng, warnings=None):
+                # _BvnSigmaEquation(c0).invert(q, g).
+                q = statistic(d, p)
+                rho = p["rho"]
+                c0 = math.sqrt((1.0 - rho * rho) / (n * (2.0 - rho * rho)))
+                bracketed = 1.0 + _truncnorm(rng) * c0
+                if bracketed <= floor:
+                    return redraw(d, p, rng, warnings, q)
+                s = q / bracketed
+                theta = s * s
+                return theta if lo < theta < hi else redraw(d, p, rng, warnings, q)
+            return draw
+
         return _conditional(_BVN_PARAMS, label, FiducialStatistic(stat_name, statistic),
-                            equation_for, check_at_start=True)
+                            equation_for, kernel, check_at_start=True)
 
     def rho_mle(d, p):
         # Root in (-1, 1) of the cubic stationarity condition of the likelihood
@@ -1322,13 +1455,24 @@ def _bvn_build_conditionals(data: Dataset) -> dict:
         return finite_cubic_root((neg_n, c, c1, c), _RHO_MLE_BRACKET,
                                  _bvn_loglik_core, stats, mu_x, mu_y, sigma_x2, sigma_y2)
 
+    def rho_kernel(lo, hi, redraw):
+        def draw(d, p, rng, warnings=None):
+            q = rho_mle(d, p)
+            g = _truncnorm(rng)
+            try:
+                theta = rho_invert(q, g)
+            except StructuralError:
+                return redraw(d, p, rng, warnings, q)
+            return theta if lo < theta < hi else redraw(d, p, rng, warnings, q)
+        return draw
+
     return {
         "mu_x": mean("mu_x", "sum_x_adj", sx, sy, "sigma_x2", "sigma_y2", "mu_y"),
         "mu_y": mean("mu_y", "sum_y_adj", sy, sx, "sigma_y2", "sigma_x2", "mu_x"),
         "sigma_x2": sigma("sigma_x2", "sigma_x_mle", "x", "mu_x", "mu_y", sx, sy, sxx, "sigma_y2"),
         "sigma_y2": sigma("sigma_y2", "sigma_y_mle", "y", "mu_y", "mu_x", sy, sx, syy, "sigma_x2"),
         "rho": _conditional(_BVN_PARAMS, "rho", FiducialStatistic("rho_mle", rho_mle),
-                            lambda d, p: rho_equation),
+                            lambda d, p: rho_equation, rho_kernel),
     }
 
 

@@ -19,6 +19,11 @@ MAX_BLOCK_LAWS laws: a new law evicts the block of the law first seen
 longest ago, whose unused values are dropped.  Gamma, whose shape
 follows the state in the gamma model, and the two kinds that are never
 primaries are drawn one value per call.
+
+fixed_draw binds the draw of a law fixed once, and unit_rate_gamma draws
+a Gamma(shape, 1) without building the law; both give the value and bits
+of sample, and the catalog's fused draw kernels take their primaries
+through them.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -44,6 +49,8 @@ __all__ = [
     "StudentT",
     "Dist",
     "sample",
+    "fixed_draw",
+    "unit_rate_gamma",
     "log_density",
     "quantile",
 ]
@@ -268,6 +275,33 @@ def sample(dist: Dist, rng: RngStream) -> float:
     except KeyError:
         raise DomainError(f"unknown distribution {dist!r}") from None
     return sampler(dist, rng)
+
+
+def fixed_draw(dist: Dist) -> Callable[[RngStream], float]:
+    """draw(rng), the value and bits of sample(dist, rng), for a law of a
+    kind drawn in blocks, with the kind looked up and the law's constants
+    formed once: a draw takes the next value of the law's block, under the
+    same block key and fill, and does its kind's arithmetic on it."""
+    kind = type(dist)
+    if kind is Normal:
+        mean, sd = dist.mean, math.sqrt(dist.var)
+        return lambda rng: mean + sd * rng.take(Normal, _standard_normals, dist)
+    if kind is Exponential:
+        rate = dist.rate
+        return lambda rng: rng.take(Exponential, _standard_exponentials, dist) / rate
+    if kind is TruncatedNormal or kind is ChiSquare:
+        key = dist.block_key
+        fill = _truncated_normals if kind is TruncatedNormal else _chi_squares
+        return lambda rng: rng.take(key, fill, dist)
+    raise DomainError(f"fixed_draw needs a law drawn in blocks, got {dist!r}")
+
+
+def unit_rate_gamma(shape: float, rng: RngStream) -> float:
+    """sample(Gamma(shape, 1.0), rng) without building the law: the same
+    check of shape, generator call and bits."""
+    if not 0.0 < shape < math.inf:
+        Gamma(shape, 1.0)  # raises the law's DomainError
+    return float(rng.gen.gamma(shape, 1.0))
 
 
 def log_density(dist: Dist, x: float) -> float:

@@ -164,6 +164,20 @@ class TestSummarize:
         assert float(np.sum(dens * widths)) == pytest.approx(1.0, rel=1e-12)
         assert np.array_equal(dens, p.hist_counts / p.hist_counts.sum() / widths)
 
+    @pytest.mark.parametrize("bins", [1, 60])
+    def test_histogram_wider_than_the_float_range(self, bins):
+        # 2 x 300 draws over +-1.7e308: one bin is wider than the largest
+        # float, and at 60 bins the draw count times a width overflows.
+        x = np.random.default_rng(3).uniform(-1.0, 1.0, (2, 300, 1)) * 1.7e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (p,) = summarize(_matrix(x), bins=bins).params
+            dens = p.hist_densities()
+            half_widths = np.diff(p.hist_edges / 2.0)
+        assert p.hist_counts.size == bins
+        assert np.all(np.isfinite(dens)) and np.all(dens[p.hist_counts > 0] > 0)
+        assert 2.0 * float(np.sum(dens * half_widths)) == pytest.approx(1.0, rel=1e-12)
+
     def test_config_echo(self, normal_data):
         cfg = ChainConfig(m=300, b=50, chains=2, seed=99, scan_order=("sigma2", "mu"))
         sm = run(get_model("normal"), normal_data, cfg)

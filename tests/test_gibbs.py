@@ -85,7 +85,15 @@ class TestRun:
 
     def test_single_cycle_with_deterministic_primaries(self, normal_data, monkeypatch):
         # Force every primary draw to its distribution mean: one cycle must
-        # land exactly on the implied deterministic update.
+        # land exactly on the implied deterministic update.  The primaries
+        # come from fidgibbs.core.sample on the layered path, which samplers
+        # without their kernel take.
+        model = get_model("normal")
+
+        def layered(data):
+            return {label: dataclasses.replace(c, kernel=None)
+                    for label, c in model.build_conditionals(data).items()}
+
         def fixed_sample(dist, rng):
             if isinstance(dist, Normal):
                 return dist.mean
@@ -96,7 +104,7 @@ class TestRun:
         monkeypatch.setattr(fidgibbs.core, "sample", fixed_sample)
         x = normal_data.col("x")
         cfg = ChainConfig(m=1, b=0, chains=1, seed=0)
-        sm = run(get_model("normal"), normal_data, cfg)
+        sm = run(dataclasses.replace(model, build_conditionals=layered), normal_data, cfg)
         xbar = float(np.mean(x))
         assert sm.values[0, 0, sm.index("mu")] == pytest.approx(xbar, abs=1e-14)
         sighat2 = float(np.mean((x - xbar) ** 2))
@@ -454,6 +462,44 @@ class TestForkedChains:
         forked = run(get_model("normal"), normal_data, config)
         assert forks == [os.getpid()] * 3
         _no_child_left()
+        assert np.array_equal(serial.values, forked.values)
+
+    def test_caller_moves_each_child_to_another_cpu(self, normal_data, monkeypatch):
+        # The caller sets each child's CPU right after forking it, to one of
+        # the CPUs other than the one the caller runs on.
+        usable = os.sched_getaffinity(0)
+        if len(usable) < 2:
+            pytest.skip("needs two usable CPUs")
+        calls, others, pids = [], [], []
+        setaffinity, other_cpus, fork = os.sched_setaffinity, fidgibbs.gibbs._other_cpus, os.fork
+
+        def recording_setaffinity(pid, cpus):
+            calls.append((pid, list(cpus)))
+            setaffinity(pid, cpus)
+
+        def recording_other_cpus():
+            others.append(other_cpus())
+            return others[-1]
+
+        def recording_fork():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(fidgibbs.gibbs, "_usable_cpus", lambda: len(usable))
+        monkeypatch.setattr(fidgibbs.gibbs, "_FORK_BREAK_EVEN_S", 0.0)
+        monkeypatch.setattr(fidgibbs.gibbs, "_other_cpus", recording_other_cpus)
+        monkeypatch.setattr(os, "sched_setaffinity", recording_setaffinity)
+        monkeypatch.setattr(os, "fork", recording_fork)
+        forked = run(get_model("normal"), normal_data, ChainConfig(m=600, b=0, chains=2, seed=5))
+        _no_child_left()
+        [caller_others] = others
+        # /proc told the caller where it runs: its CPU is not among the others.
+        assert len(caller_others) == len(usable) - 1
+        assert pids and calls == [(pid, [caller_others[0]]) for pid in pids]
+        monkeypatch.setattr(fidgibbs.gibbs, "_usable_cpus", lambda: 1)
+        serial = run(get_model("normal"), normal_data, ChainConfig(m=600, b=0, chains=2, seed=5))
         assert np.array_equal(serial.values, forked.values)
 
     def test_child_runs_its_chains_back_to_back(self, normal_data, tmp_path, monkeypatch):

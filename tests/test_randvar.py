@@ -18,7 +18,7 @@ from fidgibbs import (
     quantile,
     sample,
 )
-from fidgibbs.randvar import BLOCK_SIZE, MAX_BLOCK_LAWS
+from fidgibbs.randvar import BLOCK_SIZE, MAX_BLOCK_LAWS, fixed_draw, unit_rate_gamma
 
 N_DRAWS = 200_000
 
@@ -266,3 +266,32 @@ class TestBlocks:
             sample(law, rng)
             assert len(rng._blocks) <= MAX_BLOCK_LAWS
         assert list(rng._blocks) == [(ChiSquare, law.df) for law in laws[-MAX_BLOCK_LAWS:]]
+
+    @pytest.mark.parametrize("dist", [
+        Normal(0.0, 1.0), Normal(1.5, 4.0), TruncatedNormal(0.0, 1.0, -5.0, 5.0),
+        ChiSquare(50.0), Exponential(1.0), Exponential(0.5)], ids=repr)
+    def test_fixed_draw_is_sample(self, dist):
+        # Over several blocks, with another law's draws in between.
+        draw, other = fixed_draw(dist), ChiSquare(3.0)
+        ra, rb = RngStream(9, 3), RngStream(9, 3)
+        fixed, sampled = [], []
+        for _ in range(self.DRAWS):
+            fixed.append(draw(ra))
+            sampled.append(sample(dist, rb))
+            assert sample(other, ra) == sample(other, rb)
+        assert [x.hex() for x in fixed] == [x.hex() for x in sampled]
+
+    def test_fixed_draw_needs_a_block_kind(self):
+        with pytest.raises(DomainError, match="drawn in blocks"):
+            fixed_draw(Gamma(2.0, 1.0))
+
+    def test_unit_rate_gamma_is_sample(self):
+        ra, rb = RngStream(10, 0), RngStream(10, 0)
+        for shape in (0.3, 1.0, 34.0, 1e6):
+            assert unit_rate_gamma(shape, ra).hex() == sample(Gamma(shape, 1.0), rb).hex()
+        for shape in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(DomainError) as got:
+                unit_rate_gamma(shape, ra)
+            with pytest.raises(DomainError) as want:
+                Gamma(shape, 1.0)
+            assert str(got.value) == str(want.value)
