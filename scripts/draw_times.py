@@ -10,7 +10,10 @@ the per-draw table in ROADMAP.md.  A draw's time is the process CPU time of
 the run, Gibbs bookkeeping included, divided by cycles x parameters; the
 table gives the best of --repeats rounds.  Every round runs in a fresh
 worker process that first runs a short chain of each model, so lazy imports
-are not timed.
+are not timed.  For gamma and beta the table also gives the special-function
+evaluations per shape draw (calls of the shape map's ``_shape_fdf``, redraws
+and chain-start probes included), counted on a separate, untimed chain of
+EVALUATION_CYCLES cycles.
 
 A second table splits one in-process ``cli.main(["run", ...])`` per model,
 ``--simulate`` with the same parameters and n, at m = --cycles with 4
@@ -63,10 +66,37 @@ CASES = {
 }
 DATA_SEED, CHAIN_SEED, WARM_UP_CYCLES = 2018, 17, 50
 RUN_CHAINS = 4
+# model -> parameters drawn by a shape solve; the cycles of the chain on
+# which their evaluations are counted
+SHAPE_PARAMS = {"gamma": 1, "beta": 2}
+EVALUATION_CYCLES = 2000
+
+
+def shape_evaluations(spec, data):
+    """_shape_fdf calls per shape draw of one chain of EVALUATION_CYCLES
+    cycles, or None in a tree without _shape_fdf."""
+    from fidgibbs import ChainConfig, models, run
+
+    fdf = getattr(models, "_shape_fdf", None)
+    if fdf is None:
+        return None
+    calls = [0]
+
+    def counting(*args):
+        calls[0] += 1
+        return fdf(*args)
+
+    models._shape_fdf = counting
+    try:
+        run(spec, data, ChainConfig(m=EVALUATION_CYCLES, b=0, chains=1, seed=CHAIN_SEED))
+    finally:
+        models._shape_fdf = fdf
+    return calls[0] / (EVALUATION_CYCLES * SHAPE_PARAMS[spec.name])
 
 
 def draw_times(cycles: int) -> dict:
-    """{model: [us per draw, sha256 of the draws]} of one chain per model."""
+    """{model: [us per draw, sha256 of the draws, evaluations per shape draw
+    or None]} of one chain per model."""
     from fidgibbs import ChainConfig, RngStream, get_model, run, simulate_dataset
 
     jobs = []
@@ -82,7 +112,8 @@ def draw_times(cycles: int) -> dict:
         samples = run(spec, data, config)
         seconds = time.process_time() - start
         out[model] = [1e6 * seconds / (cycles * len(spec.params)),
-                      hashlib.sha256(samples.values.tobytes()).hexdigest()]
+                      hashlib.sha256(samples.values.tobytes()).hexdigest(),
+                      shape_evaluations(spec, data) if model in SHAPE_PARAMS else None]
     return out
 
 
@@ -148,6 +179,13 @@ def best_of(rounds: list) -> dict:
     return {model: min(r["draws"][model][0] for r in rounds) for model in CASES}
 
 
+def evaluations(rounds: list, model: str) -> str:
+    """A model's evaluations per shape draw, the same in every round, as a
+    table cell."""
+    value = rounds[0]["draws"][model][2]
+    return "-" if value is None else f"{value:.3g}"
+
+
 def phase_table(rounds: dict, cycles: int):
     print(f"\nfidgibbs run phases: m = {cycles}, {RUN_CHAINS} chains, cli.main in this process, wall seconds "
           "(share of the run), the round with the shortest run\n\n"
@@ -192,14 +230,16 @@ def main(argv=None) -> int:
     print(f"us per conditional draw: 1 chain x {args.cycles} cycles, in process, "
           f"best of {args.repeats}")
     if not args.against:
-        print("\n| model | n | us/draw |\n| --- | --- | --- |")
+        print("\n| model | n | us/draw | evaluations/shape draw |\n| --- | --- | --- | --- |")
         for model, (_, n) in CASES.items():
-            print(f"| {model} | {n} | {best['this tree'][model]:.3g} |")
+            print(f"| {model} | {n} | {best['this tree'][model]:.3g} | "
+                  f"{evaluations(rounds['this tree'], model)} |")
         phase_table(rounds, args.cycles)
         return 0
     base_name = args.against
     print(f"\n| model | n | {base_name} | this tree | change | median round change | "
-          "faster rounds | same draws |\n| --- | --- | --- | --- | --- | --- | --- | --- |")
+          "faster rounds | same draws | evaluations/shape draw |\n"
+          "| --- | --- | --- | --- | --- | --- | --- | --- | --- |")
     for model, (_, n) in CASES.items():
         old, new = best[base_name][model], best["this tree"][model]
         # Round r ran the two trees back to back.
@@ -209,7 +249,9 @@ def main(argv=None) -> int:
         print(f"| {model} | {n} | {old:.3g} | {new:.3g} | {100.0 * (new / old - 1.0):+.1f}% | "
               f"{100.0 * (statistics.median(ratios) - 1.0):+.1f}% | "
               f"{sum(q < 1.0 for q in ratios)}/{len(ratios)} | "
-              f"{'yes' if len(same) == 1 else 'no'} |")
+              f"{'yes' if len(same) == 1 else 'no'} | "
+              f"{evaluations(rounds[base_name], model)} -> "
+              f"{evaluations(rounds['this tree'], model)} |")
     phase_table(rounds, args.cycles)
     return 0
 

@@ -35,8 +35,8 @@ from .randvar import (
     fixed_draw,
     unit_rate_gamma,
 )
-from .specfun import (Bracket, digamma, finite_cubic_root, scipy_special as _sp,
-                      solve_newton, solve_quadratic_positive, trigamma)
+from .specfun import (QUADRATIC_STEP, Bracket, digamma, finite_cubic_root,
+                      scipy_special as _sp, solve_newton, solve_quadratic_positive, trigamma)
 
 __all__ = [
     "Dataset",
@@ -853,24 +853,34 @@ def _shape_solve(c: float, g: float, n: int, b: Optional[float], start: Optional
     the gamma shape when b is None, else a beta shape with other shape b,
     whose special functions go through the buffers in scratch.
 
-    Inside the certificate the caller passes a start computed from
-    (c, g, n, b) alone.  The map is then increasing with one root: the first
-    value fixes one end of the bracket at the start, the elementary bounds
-    of _shape_bounds certify the other without a special function, and
-    Newton in log a (solve_newton on _shape_fdf) runs from the start until
-    the quadratic-convergence bound certifies its last step.  Outside the
-    certificate (start None) _uncertified_root solves it.  A solve that
-    fails raises StructuralError.
+    Inside the certificate the caller passes the start of _shape_start.
+    The map is then increasing with one root.  The first value, slope and
+    curvature bound of _shape_fdf certify the Newton step from the start
+    when it is at most QUADRATIC_STEP and |f''| step^2 <= 1e-13 f': the
+    error that the step leaves, |f''/(2 f')| step^2 to third order, is then
+    at most half the tolerance, and the other half covers the change of f'
+    and f'' over a step that short.  Otherwise the first value fixes one
+    end of the bracket at the start, the elementary bounds of _shape_bounds
+    certify the other without a special function, and Newton in log a
+    (solve_newton) runs from the start until the quadratic-convergence
+    bound certifies its last step.  Outside the certificate (start None)
+    _uncertified_root solves it.  A solve that fails raises
+    StructuralError.
     """
     try:
         if start is None:
-            return _uncertified_root(lambda u: _shape_fdf(u, c, g, n, b, scratch), g * g >= n)
+            return _uncertified_root(lambda u: _shape_newton_fdf(u, c, g, n, b, scratch),
+                                     g * g >= n)
         u = math.log(start)
-        fu, du = _shape_fdf(u, c, g, n, b, scratch)
+        fu, du, curvature = _shape_fdf(u, c, g, n, b, scratch)
         if not math.isfinite(fu):
             raise EvaluationError(f"non-finite target function value at a={math.exp(u)}")
         if fu == 0.0:
             return math.exp(u)
+        if 0.0 < du < math.inf:
+            step = fu / du
+            if abs(step) <= QUADRATIC_STEP and curvature * step * step <= 1e-13 * du:
+                return math.exp(u - step)
         lo = hi = u
         width = max(2.0 * abs(fu) / du if 0.0 < du < math.inf else 0.0, 0.25)
         g_up = g >= 0.0
@@ -891,7 +901,7 @@ def _shape_solve(c: float, g: float, n: int, b: Optional[float], start: Optional
                 if off_hi + g * math.sqrt((s_hi if g_up else s_lo) / n) < c:
                     break
             width *= 2.0
-        return math.exp(solve_newton(_shape_fdf, lo, hi, u, fu, du, 1e-13, quadratic=True,
+        return math.exp(solve_newton(_shape_newton_fdf, lo, hi, u, fu, du, 1e-13, quadratic=True,
                                      args=(c, g, n, b, scratch)))
     except EvaluationError as exc:
         raise StructuralError(f"root isolation failed: {exc}") from exc
@@ -924,6 +934,168 @@ def _uncertified_root(in_log, rises_at_zero: bool) -> float:
     return _expanding_root(f, a, one_minimum=rises_at_zero)
 
 
+# The elementary shape map.  _shape_series sums the asymptotic series of psi
+# (Abramowitz & Stegun 6.3.18),
+#   psi(z) = log z - 1/(2z) - 1/(12z^2) + 1/(120z^4) - 1/(252z^6) + 1/(240z^8),
+# and the series of its first three derivatives that follow from it to the
+# same power of 1/z, after the recurrences psi(x) = psi(x + 1) - 1/x,
+# psi'(x) = psi'(x + 1) + 1/x^2, ... have carried x up to z >= z_min.  The
+# first term left out of psi is 1/(132z^10): at z_min = _START_SHIFT psi is
+# within 8e-10 and psi' within 8e-9 relative, psi'' within 1e-6 and psi'''
+# within 4e-6, and at _SERIES_SHIFT the offset and slope of a beta shape are
+# within 1e-13 relative and their derivatives within 1e-10.
+_START_SHIFT, _SERIES_SHIFT = 5.0, 20.0
+# _shape_parts forms a beta shape's differences from the series beyond this
+# ratio a / b, where psi(a) - psi(a + b) from the ufunc would lose more than
+# about 1e-13 of its value to cancellation (an error of order eps * a / b).
+_SERIES_RATIO = 64.0
+
+
+def _shape_series(a, b, z_min):
+    """(offset(a), slope(a), d slope / da, d^2 slope / da^2) of a shape map,
+    as _shape_parts gives them, in pure Python floats: the recurrences up to
+    z >= z_min, then the asymptotic series at z.
+
+    For a beta shape each difference psi^(m)(a) - psi^(m)(a + b) is formed
+    directly, so it keeps its relative accuracy however small b / a is:
+    a step of the recurrence adds multiples of x - y = b x y (x = 1/a,
+    y = 1/(a + b)), the series starts from -log1p(b / z), and each
+    x^p - y^p (now x = 1/z, y = 1/(z + b)) is x (x^(p-1) - y^(p-1)) +
+    y^(p-1) (x - y), a sum of positive terms.
+    """
+    off = s = ds = dds = 0.0
+    if b is None:
+        while a < z_min:
+            x = 1.0 / a
+            x2 = x * x
+            off -= x
+            s += x2
+            ds -= 2.0 * x2 * x
+            dds += 6.0 * x2 * x2
+            a += 1.0
+        x = 1.0 / a
+        w = x * x
+        return (off + math.log(a) - 0.5 * x
+                - w * (1 / 12 - w * (1 / 120 - w * (1 / 252 - w / 240))),
+                s + x + 0.5 * w + x * w * (1 / 6 - w * (1 / 30 - w * (1 / 42 - w / 30))),
+                ds - w * (1.0 + x + w * (0.5 - w * (1 / 6 - w / 6))),
+                dds + x * w * (2.0 + 3.0 * x + w * (2.0 - w * (1.0 - 4 / 3 * w))))
+    while a < z_min:
+        x = 1.0 / a
+        y = 1.0 / (a + b)
+        e = b * x * y
+        off -= e
+        s += e * (x + y)
+        ds -= 2.0 * e * (x * x + x * y + y * y)
+        dds += 6.0 * e * (x + y) * (x * x + y * y)
+        a += 1.0
+    x = 1.0 / a
+    y = 1.0 / (a + b)
+    e1 = b * x * y
+    yp = y * y
+    e2 = x * e1 + y * e1
+    e3 = x * e2 + yp * e1
+    yp *= y
+    e4 = x * e3 + yp * e1
+    yp *= y
+    e5 = x * e4 + yp * e1
+    yp *= y
+    e6 = x * e5 + yp * e1
+    yp *= y
+    e7 = x * e6 + yp * e1
+    yp *= y
+    e8 = x * e7 + yp * e1
+    yp *= y
+    e9 = x * e8 + yp * e1
+    return (off - math.log1p(b * x) - 0.5 * e1 - e2 / 12 + e4 / 120 - e6 / 252 + e8 / 240,
+            s + e1 + 0.5 * e2 + e3 / 6 - e5 / 30 + e7 / 42 - e9 / 30,
+            ds - (e2 + e3 + 0.5 * e4 - e6 / 6 + e8 / 6),
+            dds + 2.0 * e3 + 3.0 * e4 + 2.0 * e5 - e7 + 4 / 3 * e9)
+
+
+def _shape_estimate(a, b):
+    """(offset(a), slope(a), d slope / da) of a shape map to about 1e-3: the
+    recurrence to a + 2 and the series of psi(z + 1/2) at z = a + 3/2 to the
+    term in 1/z^2 (psi within 1.2e-3 and psi' within 2e-4 relative on
+    [1e-12, 1e12]).  A beta shape's differences are formed from b, free of
+    cancellation, as in _shape_series."""
+    p, p1, z = 1.0 / a, 1.0 / (a + 1.0), 1.0 / (a + 1.5)
+    if b is None:
+        z2 = z * z
+        return (-math.log(z) + z2 / 24.0 - p - p1, p * p + p1 * p1 + z - z * z2 / 12.0,
+                -2.0 * (p * p * p + p1 * p1 * p1) - z2 + 0.25 * z2 * z2)
+    q, q1, w = 1.0 / (a + b), 1.0 / (a + b + 1.0), 1.0 / (a + b + 1.5)
+    # p - q, p1 - q1, z - w and z^2 - w^2.
+    e, e1, ez = b * p * q, b * p1 * q1, b * z * w
+    ez2 = ez * (z + w)
+    return (-math.log1p(b * z) + ez2 / 24.0 - e - e1,
+            e * (p + q) + e1 * (p1 + q1) + ez - ez * (z * z + z * w + w * w) / 12.0,
+            -2.0 * (e * (p * p + p * q + q * q) + e1 * (p1 * p1 + p1 * q1 + q1 * q1))
+            - ez2 + 0.25 * ez2 * (z * z + w * w))
+
+
+def _shape_start(c: float, g: float, n: int, b: Optional[float]) -> float:
+    """The start of a shape solve inside the certificate, from (c, g, n, b)
+    alone: the root of offset(a) + g sqrt(slope(a) / n) = c with the
+    elementary _shape_series for the special functions, to about 1e-9 in
+    log a (b None for the gamma shape, as in _shape_parts).
+
+    The first point inverts the offset at c: Minka's (2000) inverse
+    digamma, exp(c) + 1/2 or -1/(c + Euler's gamma) below c = -2.22, for the
+    gamma shape; for a beta shape the inverse of offset(a) ~ log((a - 1/2) /
+    (a + b - 1/2)), or below a = 1 of the whole map's (g / sqrt n - 1) / a -
+    Euler's gamma - psi(b), the gamma term taken along.  Newton steps
+    in log a on the map of _shape_estimate follow until one is at most
+    0.05, then Halley steps on the map of _shape_series until one is at
+    most 4e-3, usually the first: the cubic convergence leaves under about
+    1e-7 after it, and the step is taken without a new evaluation.  A step
+    is at most 1 in size.
+    """
+    k = g / math.sqrt(n)
+    if b is None:
+        a = math.exp(min(c, 600.0)) + 0.5 if c >= -2.22 else -1.0 / (c + _EULER_GAMMA)
+    else:
+        a = 0.5 + b / math.expm1(min(-c, 700.0))
+        if a < 1.0:
+            iz = 1.0 / (b + 1.5)
+            small = c + _EULER_GAMMA + (-math.log(iz) + iz * iz / 24.0 - 1.0 / b - 1.0 / (b + 1.0))
+            if small < 0.0:
+                a = min(a, (k - 1.0) / small)
+    a = a if _SHAPE_MIN <= a <= _SHAPE_MAX else _SHAPE_MAX if a > _SHAPE_MAX else _SHAPE_MIN
+    # An infinite slope gives an infinite or undefined h, which ends a loop.
+    for _ in range(20):
+        off, s, ds = _shape_estimate(a, b)
+        if not s > 0.0:
+            break
+        rs = math.sqrt(s)
+        h = s + 0.5 * k * ds / rs
+        if not 0.0 < h < math.inf:
+            break
+        step = (off + k * rs - c) / (a * h)
+        if -0.05 <= step <= 0.05:
+            a *= math.exp(-step)
+            break
+        a *= math.exp(-1.0 if step > 1.0 else 1.0 if step < -1.0 else -step)
+    for _ in range(20):
+        off, s, ds, dds = _shape_series(a, b, _START_SHIFT)
+        if not s > 0.0:
+            break
+        rs = math.sqrt(s)
+        h = s + 0.5 * k * ds / rs
+        if not 0.0 < h < math.inf:
+            break
+        step = (off + k * rs - c) / (a * h)
+        # Halley's correction, where the curvature keeps it moderate.
+        den = 1.0 - 0.5 * step * (1.0 + a * (ds + 0.5 * k * (dds - 0.5 * ds * ds / s) / rs) / h)
+        if den > 0.5:
+            step /= den
+        if -4e-3 <= step <= 4e-3:
+            a *= math.exp(-step)
+            break
+        a *= math.exp(-1.0 if step > 1.0 else 1.0 if step < -1.0 else -step)
+    return min(max(a, _SHAPE_MIN), _SHAPE_MAX)
+
+
 # Orders of the Hurwitz zeta for psi' and psi'' (psi''(a) = -2 zeta(3, a)),
 # for one argument and for the arguments [a, a + b, a, a + b].
 _ZETA_ORDERS = np.array([2.0, 3.0])
@@ -932,39 +1104,63 @@ _EULER_GAMMA = 0.5772156649015329
 
 
 def _shape_parts(a, b, scratch):
-    """(offset(a), slope(a), d slope / da) of a shape map: offset is psi(a)
-    for the gamma shape (b None) and psi(a) - psi(a + b) for a beta shape,
-    whose zeta values go through scratch = (arguments, out), two 4-buffers;
-    slope = offset'.  It calls the Hurwitz zeta ufunc that
-    scipy.special.zeta wraps, so the values are the same bits."""
+    """(offset(a), slope(a), d slope / da, bound) of a shape map: offset is
+    psi(a) for the gamma shape (b None), whose zeta values go into the
+    2-buffer scratch, and psi(a) - psi(a + b) for a beta shape, whose zeta
+    values go through scratch = (arguments, out), two 4-buffers; slope =
+    offset'.  It calls the Hurwitz zeta ufunc that scipy.special.zeta wraps,
+    so the values are the same bits, into buffers that save the ufunc
+    making an array per call.  A beta shape with a > _SERIES_RATIO * b
+    takes its differences from _shape_series instead, free of
+    cancellation.
+
+    bound >= d^2 slope / da^2 > 0, for the curvature of _shape_fdf: psi'''
+    is positive and decreasing, so the second derivative of either slope
+    lies in (0, psi'''(a)], and psi'''(a) = 6 zeta(4, a) <= 2/a^3 + 6/a^4
+    (the sum over a + j, j >= 1, is below its integral from a).  The series
+    gives the derivative itself."""
     if b is None:
-        z2, z3 = _sp._ufuncs._zeta(_ZETA_ORDERS, a).tolist()
-        return float(_sp.psi(a)), z2, -2.0 * z3
-    ab = a + b
-    buf, zeta_out = scratch
-    buf[0] = buf[2] = a
-    buf[1] = buf[3] = ab
-    z2_a, z2_ab, z3_a, z3_ab = _sp._ufuncs._zeta(_ZETA_ORDERS_PAIR, buf, zeta_out).tolist()
-    return float(_sp.psi(a)) - float(_sp.psi(ab)), z2_a - z2_ab, -2.0 * (z3_a - z3_ab)
+        off = float(_sp.psi(a))
+        z2, z3 = _sp._ufuncs._zeta(_ZETA_ORDERS, a, scratch).tolist()
+    elif a > _SERIES_RATIO * b:
+        return _shape_series(a, b, _SERIES_SHIFT)
+    else:
+        ab = a + b
+        buf, zeta_out = scratch
+        buf[0] = buf[2] = a
+        buf[1] = buf[3] = ab
+        z2_a, z2_ab, z3_a, z3_ab = _sp._ufuncs._zeta(_ZETA_ORDERS_PAIR, buf, zeta_out).tolist()
+        off, z2, z3 = float(_sp.psi(a)) - float(_sp.psi(ab)), z2_a - z2_ab, z3_a - z3_ab
+    return off, z2, -2.0 * z3, (2.0 + 6.0 / a) / a / a / a
 
 
 def _shape_fdf(u, c, g, n, b, scratch):
-    """(f, df / du) of the shape map f = offset(a) + g sqrt(slope(a) / n) - c
-    at a = exp(u), from one _shape_parts call: offset' = slope.  A
-    non-positive slope raises EvaluationError."""
+    """(f, df / du, curvature) of the shape map f = offset(a) +
+    g sqrt(slope(a) / n) - c at a = exp(u), from one _shape_parts call:
+    offset' = slope, and curvature >= |d^2f / du^2| from the bound of
+    _shape_parts.  A non-positive slope raises EvaluationError."""
     a = math.exp(u)
-    off, s, ds = _shape_parts(a, b, scratch)
+    off, s, ds, dds = _shape_parts(a, b, scratch)
     if not s > 0.0:
         raise EvaluationError(f"non-positive variance term at a={a}")
     r = math.sqrt(s / n)
-    return off + g * r - c, a * (s + 0.5 * g * ds / (n * r))
+    h = s + 0.5 * g * ds / (n * r)
+    # d^2f / du^2 = a h + a^2 (ds + g (dds - ds^2 / (2 s)) / (2 n r)).
+    return (off + g * r - c, a * h,
+            a * (abs(h) + a * (abs(ds) + 0.5 * abs(g) * (dds + 0.5 * ds * ds / s) / (n * r))))
+
+
+def _shape_newton_fdf(u, c, g, n, b, scratch):
+    """(f, df / du) of _shape_fdf, as solve_newton takes them."""
+    f, df, _ = _shape_fdf(u, c, g, n, b, scratch)
+    return f, df
 
 
 def _clt_pivot(q, n, parts):
     """(g, log|dg/da|) of g(a) = (q - n offset(a)) / sqrt(n slope(a)), for
-    parts = (offset(a), slope(a), d slope / da): dg/da = -(R + g slope' /
-    (2 slope)) with R = sqrt(n slope)."""
-    off, s, ds = parts
+    parts = (offset(a), slope(a), d slope / da, ...) of _shape_parts:
+    dg/da = -(R + g slope' / (2 slope)) with R = sqrt(n slope)."""
+    off, s, ds = parts[:3]
     root = math.sqrt(n * s)
     g = (q - n * off) / root
     return g, _log_abs(root + 0.5 * g * ds / s)
@@ -982,44 +1178,20 @@ class _GammaShapeEquation:
 
     gamma_dist = _STD_TRUNCNORM
 
-    def __init__(self, n: int, beta: float):
-        self.n, self.log_beta = n, math.log(beta)
+    def __init__(self, n: int, beta: float, scratch):
+        self.n, self.log_beta, self.scratch = n, math.log(beta), scratch
 
     def invert(self, q, g):
         n = self.n
         c = q / n + self.log_beta
-        if not (g < 0.0 or g * g < n):
-            return _shape_solve(c, g, n, None, None, None)
-        # Two elementary inverse-digamma steps (Minka 2000: exp(y) + 1/2, or
-        # -1/(y + Euler's gamma) below y = -2.22), the second with the gamma
-        # term at the first, then one Newton step in log a on the shape map
-        # with the elementary estimates of psi, psi' and psi'' (the
-        # recurrence to a + 2 and the asymptotic series of psi(z + 1/2) at
-        # z = a + 3/2, to terms in 1/z^2: psi within 1.2e-3 and psi' within
-        # 2e-4 relative on [1e-12, 1e12]); the step moves log a by at most 1.
-        a = math.exp(min(c, 600.0)) + 0.5 if c >= -2.22 else -1.0 / (c + _EULER_GAMMA)
-        if g:
-            ia, ia1, iz = 1.0 / a, 1.0 / (a + 1.0), 1.0 / (a + 1.5)
-            y = c - g * math.sqrt((ia * ia + ia1 * ia1 + iz - iz * (iz * iz) / 12.0) / n)
-            a = math.exp(min(y, 600.0)) + 0.5 if y >= -2.22 else -1.0 / (y + _EULER_GAMMA)
-        a = a if _SHAPE_MIN <= a <= _SHAPE_MAX else _SHAPE_MAX if a > _SHAPE_MAX else _SHAPE_MIN
-        ia, ia1, iz = 1.0 / a, 1.0 / (a + 1.0), 1.0 / (a + 1.5)
-        iz2 = iz * iz
-        # psi' is positive here, so the step needs only a positive derivative.
-        s = ia * ia + ia1 * ia1 + iz - iz * iz2 / 12.0
-        r = math.sqrt(s / n)
-        d = a * (s + 0.5 * g * (-2.0 * (ia * ia * ia + ia1 * ia1 * ia1) - iz2
-                                + 0.25 * iz2 * iz2) / (n * r))
-        if 0.0 < d < math.inf:
-            off = -math.log(iz) + iz2 / 24.0 - ia - ia1
-            a *= math.exp(max(-1.0, min(1.0, (c - off - g * r) / d)))
-        return _shape_solve(c, g, n, None, a, None)
+        start = _shape_start(c, g, n, None) if g < 0.0 or g * g < n else None
+        return _shape_solve(c, g, n, None, start, self.scratch)
 
     def phi(self, g, a):
         return self.n * (digamma(a) - self.log_beta) + g * math.sqrt(self.n * trigamma(a))
 
     def pivot(self, q, a):
-        return _clt_pivot(q + self.n * self.log_beta, self.n, _shape_parts(a, None, None))
+        return _clt_pivot(q + self.n * self.log_beta, self.n, _shape_parts(a, None, self.scratch))
 
 
 def _gamma_build_conditionals(data: Dataset) -> dict:
@@ -1034,8 +1206,12 @@ def _gamma_build_conditionals(data: Dataset) -> dict:
     sum_x = float(np.sum(x))
     sum_log = float(np.sum(np.log(x)))
 
+    # The zeta values of every shape solve of this conditional; a run makes
+    # its draws one at a time.
+    scratch = np.empty(2)
+
     def alpha_equation(d, p):
-        return _GammaShapeEquation(n, p["beta"])
+        return _GammaShapeEquation(n, p["beta"], scratch)
 
     def rate_kernel(lo, hi, redraw):
         def draw(d, p, rng, warnings=None):
@@ -1103,38 +1279,7 @@ class _BetaShapeEquation:
             # The map increases towards -c <= 0: no root.
             raise StructuralError("statistic not negative: no shape solves the equation",
                                   statistic_value=q)
-        # psi(a) - psi(a + b) is near log((a - 1/2) / (a + b - 1/2)) for
-        # large a and near psi(1) - 1/a - psi(b) for small a: start at the
-        # inverse of the first, or of the second where the first is below
-        # 1, then two Newton steps in log a on the shape map with the
-        # elementary estimates of psi, psi' and psi'' at a and a + b (as in
-        # _GammaShapeEquation.invert); a step moves log a by at most 1 and
-        # none is taken once the slope or the derivative is not positive.
-        a = 0.5 + b / math.expm1(min(-c, 700.0))
-        if a < 1.0:
-            iz = 1.0 / (b + 1.5)
-            small = c + _EULER_GAMMA + (-math.log(iz) + iz * iz / 24.0 - 1.0 / b - 1.0 / (b + 1.0))
-            if small < 0.0:
-                a = min(a, -1.0 / small)
-        a = a if _SHAPE_MIN <= a <= _SHAPE_MAX else _SHAPE_MAX if a > _SHAPE_MAX else _SHAPE_MIN
-        for _ in (0, 1):
-            ia, ia1, iz = 1.0 / a, 1.0 / (a + 1.0), 1.0 / (a + 1.5)
-            ib, ib1, izb = 1.0 / (a + b), 1.0 / (a + b + 1.0), 1.0 / (a + b + 1.5)
-            iz2, izb2 = iz * iz, izb * izb
-            s = ((ia * ia + ia1 * ia1 + iz - iz * iz2 / 12.0)
-                 - (ib * ib + ib1 * ib1 + izb - izb * izb2 / 12.0))
-            if not s > 0.0:
-                break
-            r = math.sqrt(s / n)
-            ds = ((-2.0 * (ia * ia * ia + ia1 * ia1 * ia1) - iz2 + 0.25 * iz2 * iz2)
-                  - (-2.0 * (ib * ib * ib + ib1 * ib1 * ib1) - izb2 + 0.25 * izb2 * izb2))
-            d = a * (s + 0.5 * g * ds / (n * r))
-            if not 0.0 < d < math.inf:
-                break
-            off = ((-math.log(iz) + iz2 / 24.0 - ia - ia1)
-                   - (-math.log(izb) + izb2 / 24.0 - ib - ib1))
-            a *= math.exp(max(-1.0, min(1.0, (c - off - g * r) / d)))
-        return _shape_solve(c, g, n, b, a, self.scratch)
+        return _shape_solve(c, g, n, b, _shape_start(c, g, n, b), self.scratch)
 
     def phi(self, g, a):
         n, b = self.n, self.b

@@ -1,3 +1,4 @@
+import functools
 import math
 from collections import Counter
 
@@ -67,13 +68,16 @@ class TestStructuralEquation:
 
 class TestDraw:
     def _sampler(self, statistic_kind="mean"):
+        # Each (n, sigma2) builds its equation once: a catalog build per draw
+        # would dominate the 100 000 draws of the KS test.
         if statistic_kind == "mean":
             stat = FiducialStatistic("xbar", lambda d, p: float(np.mean(d.col("x"))))
-            builder = lambda d, p: _mean_equation(d.n, p["sigma2"])
+            equation = functools.lru_cache(maxsize=None)(_mean_equation)
         else:
             stat = FiducialStatistic("sum_x", lambda d, p: float(np.sum(d.col("x"))))
-            builder = lambda d, p: _sum_equation(d.n, p["sigma2"])
-        return ConditionalFiducialSampler("mu", stat, builder, theta_domain=UNBOUNDED)
+            equation = functools.lru_cache(maxsize=None)(_sum_equation)
+        return ConditionalFiducialSampler("mu", stat, lambda d, p: equation(d.n, p["sigma2"]),
+                                          theta_domain=UNBOUNDED)
 
     def test_draws_against_analytic_conditional(self):
         # n=4, xbar=0, sigma2=1: conditional is N(0, 0.25).

@@ -40,11 +40,11 @@ GOLDEN = {
     # exercises the injectivity-grid and redraw counters.
     "gamma": (
         ["--model", "gamma", "--simulate", "alpha=2,beta=0.5,n=5"],
-        "09d8bc58f5240a8004d1a7603f367b74a3d1daadcea0192c689d48cdb3452ae4",
+        "c338fa62c021e51adaeec45efb2545b8b019c8628c3bfd6a2f53e2951b2e7bd3",
         {"alpha.injectivity_grid_failures": 12, "alpha.gamma_redraw": 24}),
     "beta": (
         ["--model", "beta", "--simulate", "alpha=8,beta=3,n=50"],
-        "81cfd10b4c963fbfe944344d0145232b3e6499ea61b8891d28552e12c21c644b", {}),
+        "d6508f1c0a9ac1f4982d19c0f7b845ee38bc0343854cc220c49b98db4a7bb1a7", {}),
     "behrens_fisher": (
         ["--model", "behrens_fisher", "--simulate", "mu_x=1,mu_y=0.5,sigma_x2=4,sigma_y2=1,n=8"],
         "421663b16515362334c7affdb45a715c7d7613318d65606066951b15d941018b", {}),
@@ -56,12 +56,12 @@ GOLDEN = {
         {"sigma_x2.gamma_redraw": 3, "sigma_y2.gamma_redraw": 2}),
     "beta_scan_order": (
         ["--model", "beta", "--simulate", "alpha=8,beta=3,n=50", "--scan-order", "beta,alpha"],
-        "2722a39326b6d5dcc69dc8ebb0cf2c21b1f72b84388ab27fe03e365ba81a233e", {}),
+        "f7c9b54be0218feb80ef8138dfcda4e6040cfa166e53036dbb0b2b1ef4259fe7", {}),
     # Shapes below 1: the small-shape start and the solve outside the
     # certificate of the beta shapes.
     "beta_small_shapes": (
         ["--model", "beta", "--simulate", "alpha=0.4,beta=0.3,n=25"],
-        "fc4d93dc063c66fd8bafaf0dd6c733d68217d47905420857ebe340f1184977a0",
+        "3c7742d827deb6ea4880414ce386ad80a75bb5579378fc147e6491b6b73c7892",
         {"alpha.injectivity_grid_failures": 2, "beta.injectivity_grid_failures": 2}),
     # Statistics near |rho| = 1.
     "bivariate_normal_rho0.97": (
@@ -98,16 +98,16 @@ OUTPUTS = {
         "trace_sigma2.csv": "31b61f486a39a7a2141dab724784ffbad81812d61ee4c24ba145fa285243ac61",
     },
     "gamma": {
-        "hist_alpha.csv": "afe6840596896b8413cb10c298fe05cffaebfd8eb4e0065d4363d4e5e2e5419f",
-        "hist_beta.csv": "e3d1d8d9077fdcf11fdcf8766c3e6fe68c06650f4835ef45765cf9e654292834",
-        "trace_alpha.csv": "1c8da16917150d8c5b46c3898c0c2b115921d8bac9bedd61299a12a56da2719d",
-        "trace_beta.csv": "ee1885c41746a2b9f8477c838da39faa089fbec38c0d12aea703980161987e80",
+        "hist_alpha.csv": "ba12aa5da6ae48e4fa33f320a4161b2271cb969a8e2a1adff6ed8012097d8c98",
+        "hist_beta.csv": "856b2509ef0f6dc3dfb9e41a6cdae7d7964b8fffe3dfe856fa5b526c7c4fae29",
+        "trace_alpha.csv": "cf7660bad864cf61939e356943e50e9fb4b742bd1e6f83fe64986210b91c44bc",
+        "trace_beta.csv": "128343aa6b81dcb6a00f76c03b432f4e7db9332797c55eb6bb772bc0f6c30ba8",
     },
     "beta": {
-        "hist_alpha.csv": "2d4e5cdf2c1d5d8939fb7abdd1f64841bce2fa48f5c9cfca2707d9ade573279f",
-        "hist_beta.csv": "f33bfcb82af848f52639b971d4a4ee0e13f217421070a91e6050790dfd8d7651",
-        "trace_alpha.csv": "a4f9dbfdfae77d1a2af5745f1324209956390115cf172de738d092d6c188e231",
-        "trace_beta.csv": "347623b3ca57f2ec7748b8ccb0591d422dad0de064f0d5fdd8f045a4a3666fbc",
+        "hist_alpha.csv": "25a4c6ca0b0e174bfe44f49557e18122c0d162002168812bc97c2eae41273a48",
+        "hist_beta.csv": "b3149cb5054877d3dddcbeb2d39405341d23eb3c96eca1e40499fe9855922f5e",
+        "trace_alpha.csv": "6d3de5f4fcad511540e394698067c1c643ef88a9f23348367f283129149c132f",
+        "trace_beta.csv": "85b0ea28b2e01dcd3310bf7c5b715eafc9d89a9758e75229e8d3212e2451b6c7",
     },
     "behrens_fisher": {
         "hist_mu_x.csv": "0cf00bc242e4fa17109c76f4b6c968abd3cab7d14060a362d880ad81e1649d3a",
@@ -132,16 +132,16 @@ OUTPUTS = {
         "trace_sigma_y2.csv": "1ead91f8b9b2d8a36d6a092b7edbd8eb7bfe98c40b517757553f655161f33933",
     },
     "beta_scan_order": {
-        "hist_alpha.csv": "ec6643bc069dbbd5d57e07bc8050235b69924d5a55cee94a1bc53ce8a4493eb7",
-        "hist_beta.csv": "207a9d3f25e86549e0d1cd2b943c557e4dd579afa2ad641f9359772ad73d021e",
-        "trace_alpha.csv": "82a38095c898b1f524b8a160a767c9d50c464a14b94c34863f598a3406b1cf91",
-        "trace_beta.csv": "86470737eb98c05c05842989f02b2059ade586676739c90f42b25b8e2060b4cb",
+        "hist_alpha.csv": "f50c123768e87d7b1360bb4704de035ef22824e59b4208d6b6c5c7a080f0aa97",
+        "hist_beta.csv": "acaa94e3f0fc9849954e1cd05068c89f27059358de4de43dd072104b85d4093b",
+        "trace_alpha.csv": "f757e91984293c26c4e4ae9364f42ba607a9bffed8d41feb9f96d313ab22cf8a",
+        "trace_beta.csv": "ff25ebcf2eadd118d1c109043b734f8a2e0e856dbfc3e62b034afb831e49d908",
     },
     "beta_small_shapes": {
-        "hist_alpha.csv": "ebc3694301904587bcfb6aa13047193f03321b324ca2168de7a33bf2a8d9c815",
-        "hist_beta.csv": "c5aa2253603fd6b51379fae494de3087dbe2de4fd0a850f21fbef8867e1a8f79",
-        "trace_alpha.csv": "c3c7a1b4414319191e9447dd2e483b949bf3eb9bc2c4888c9c2747cc8f967534",
-        "trace_beta.csv": "8f9e5ee05494daf9974c56d5ab89ce0e597424c28badee6a7e129b9155e754e7",
+        "hist_alpha.csv": "20c8989cbbb7c10efa554075540d2366385169b97bc175e506a6e0ae902dd989",
+        "hist_beta.csv": "fce12d10edbe7b48045e76691c3ce610e5bed2fe6e486be2e23cd6bbbc0da3a6",
+        "trace_alpha.csv": "a6d8727412f699ce69c097bc7f5758b4506aba5eb5178634ca10df8de135113c",
+        "trace_beta.csv": "e77e4f4a8a5410773274ed6aa70562176ced0952b13f723d3736feea25de371f",
     },
     "bivariate_normal_rho0.97": {
         "hist_mu_x.csv": "e9e3515a078a996ea69b056e8d04b34883a89221dc311acdb0eeb4fc41e07a2b",

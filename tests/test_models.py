@@ -532,76 +532,36 @@ SHAPE_PANELS = {
 }
 
 
-# The shape solve as it was built from callbacks (parts_fn, bounds_fn and
-# estimate), through scipy.special.zeta: the reference that the flat solve
-# must match bit for bit, raises and their messages included.
+# The callback solve outside the certificate, through scipy.special: the
+# reference that the flat solve must match there bit for bit, raises and
+# their messages included.  Where a beta shape is over _SERIES_RATIO times
+# the other, both take the differences from the series, whose values the
+# offset test below checks.  Inside the certificate the reference is the
+# 40-digit root of the shape map (_mpmath_root_error).
 
 def _ref_gamma_parts(a):
     z2, z3 = special.zeta([2.0, 3.0], a).tolist()
     return float(special.psi(a)), z2, -2.0 * z3
 
 
-def _ref_psi_bounds(a):
-    ia = 1.0 / a
-    ix = 1.0 / (a + 1.0)
-    psi = math.log(a + 1.0) - ia
-    tri = ia * ia + ix
-    return psi - ix, psi - 0.5 * ix, tri + 0.5 * ix * ix, tri + ix * ix
-
-
-def _ref_psi_estimate(a):
-    """(psi(a), psi'(a), psi''(a)) by the recurrence to a + 2 and the
-    asymptotic series of psi(z + 1/2) at z = a + 3/2, to terms in 1/z^2."""
-    ia = 1.0 / a
-    ia1 = 1.0 / (a + 1.0)
-    iz = 1.0 / (a + 1.5)
-    iz2 = iz * iz
-    return (-math.log(iz) + iz2 / 24.0 - ia - ia1,
-            ia * ia + ia1 * ia1 + iz - iz * iz2 / 12.0,
-            -2.0 * (ia * ia * ia + ia1 * ia1 * ia1) - iz2 + 0.25 * iz2 * iz2)
-
-
-def _ref_inverse_digamma_start(y):
-    """Minka's start for psi(a) = y: exp(y) + 1/2, or -1/(y + Euler's gamma)
-    below y = -2.22."""
-    return math.exp(min(y, 600.0)) + 0.5 if y >= -2.22 else -1.0 / (y + M._EULER_GAMMA)
-
-
-def _ref_beta_callbacks(b):
-    """parts_fn, estimate and bounds_fn of a beta shape with other shape b."""
+def _ref_beta_parts(b):
     def parts(a):
+        if a > M._SERIES_RATIO * b:
+            return M._shape_series(a, b, M._SERIES_SHIFT)[:3]
         ab = a + b
         z2_a, z2_ab, z3_a, z3_ab = special.zeta([2.0, 2.0, 3.0, 3.0], [a, ab, a, ab]).tolist()
         return float(special.psi(a)) - float(special.psi(ab)), z2_a - z2_ab, -2.0 * (z3_a - z3_ab)
-
-    def estimate(a):
-        off, s, ds = _ref_psi_estimate(a)
-        off_b, s_b, ds_b = _ref_psi_estimate(a + b)
-        return off - off_b, s - s_b, ds - ds_b
-
-    def bounds(a):
-        off_lo, off_hi, s_lo, s_hi = _ref_psi_bounds(a)
-        off_b_lo, off_b_hi, s_b_lo, s_b_hi = _ref_psi_bounds(a + b)
-        return off_lo - off_b_hi, off_hi - off_b_lo, max(s_lo - s_b_hi, 0.0), s_hi - s_b_lo
-
-    return parts, estimate, bounds
+    return parts
 
 
-def _ref_estimate_steps(estimate, c, g, n, a, steps):
-    a = a if M._SHAPE_MIN <= a <= M._SHAPE_MAX else M._SHAPE_MAX if a > M._SHAPE_MAX else M._SHAPE_MIN
-    for _ in range(steps):
-        off, s, ds = estimate(a)
-        if not s > 0.0:
-            break
-        r = math.sqrt(s / n)
-        d = a * (s + 0.5 * g * ds / (n * r))
-        if not 0.0 < d < math.inf:
-            break
-        a *= math.exp(max(-1.0, min(1.0, (c - off - g * r) / d)))
-    return a
+def _ref_uncertified_invert(eq, q, g):
+    """The callback solve of eq.invert(q, g) outside the certificate."""
+    n = eq.n
+    if isinstance(eq, M._GammaShapeEquation):
+        c, parts_fn = q / n + eq.log_beta, _ref_gamma_parts
+    else:
+        c, parts_fn = q / n, _ref_beta_parts(eq.b)
 
-
-def _ref_clt_shape_invert(c, parts_fn, g, n, start, bounds_fn=None):
     def in_log(u):
         a = math.exp(u)
         off, s, ds = parts_fn(a)
@@ -611,65 +571,34 @@ def _ref_clt_shape_invert(c, parts_fn, g, n, start, bounds_fn=None):
         return off + g * r - c, a * (s + 0.5 * g * ds / (n * r))
 
     try:
-        if start is None:
-            return M._uncertified_root(in_log, g * g >= n)
-        u = math.log(start)
-        fu, du = in_log(u)
-        if not math.isfinite(fu):
-            raise EvaluationError(f"non-finite target function value at a={math.exp(u)}")
-        if fu == 0.0:
-            return math.exp(u)
-        lo = hi = u
-        width = max(2.0 * abs(fu) / du if 0.0 < du < math.inf else 0.0, 0.25)
-        g_up = g >= 0.0
-        while True:
-            if fu < 0.0:
-                hi = u + width
-                if hi > M._LOG_SHAPE_MAX:
-                    raise StructuralError("no upper bracket: target function stays negative")
-                off_lo, _, s_lo, s_hi = bounds_fn(math.exp(hi))
-                if off_lo + g * math.sqrt((s_lo if g_up else s_hi) / n) > c:
-                    break
-            else:
-                lo = u - width
-                if lo < M._LOG_SHAPE_MIN:
-                    raise StructuralError("no lower bracket: target function stays positive")
-                _, off_hi, s_lo, s_hi = bounds_fn(math.exp(lo))
-                if off_hi + g * math.sqrt((s_hi if g_up else s_lo) / n) < c:
-                    break
-            width *= 2.0
-        return math.exp(M.solve_newton(in_log, lo, hi, u, fu, du, 1e-13, quadratic=True))
+        return M._uncertified_root(in_log, g * g >= n)
     except EvaluationError as exc:
         raise StructuralError(f"root isolation failed: {exc}") from exc
 
 
-def _ref_shape_invert(eq, q, g):
-    """The callback solve of eq.invert(q, g)."""
+def _mpmath_root_error(eq, q, g, a):
+    """|a - r| / r for the root r of eq's shape map next to a, from the
+    40-digit value f(a) of the map: the Newton correction f(a) / (a f'(a)),
+    with f' in floats.  Next to a root it is the relative distance up to a
+    term of the order of its square."""
+    mp = pytest.importorskip("mpmath")
     n = eq.n
-    if isinstance(eq, M._GammaShapeEquation):
-        c = q / n + eq.log_beta
-        if not (g < 0.0 or g * g < n):
-            return _ref_clt_shape_invert(c, _ref_gamma_parts, g, n, None)
-        a = _ref_inverse_digamma_start(c)
-        if g:
-            a = _ref_inverse_digamma_start(c - g * math.sqrt(_ref_psi_estimate(a)[1] / n))
-        a = _ref_estimate_steps(_ref_psi_estimate, c, g, n, a, 1)
-        return _ref_clt_shape_invert(c, _ref_gamma_parts, g, n, a, _ref_psi_bounds)
-    b = eq.b
-    parts, estimate, bounds = _ref_beta_callbacks(b)
-    c = q / n
-    if not (g < 0.0 or g * g < n * min(1.0, b)):
-        return _ref_clt_shape_invert(c, parts, g, n, None)
-    if not c < 0.0:
-        raise StructuralError("statistic not negative: no shape solves the equation",
-                              statistic_value=q)
-    a = 0.5 + b / math.expm1(min(-c, 700.0))
-    if a < 1.0:
-        small = c + M._EULER_GAMMA + _ref_psi_estimate(b)[0]
-        if small < 0.0:
-            a = min(a, -1.0 / small)
-    a = _ref_estimate_steps(estimate, c, g, n, a, 2)
-    return _ref_clt_shape_invert(c, parts, g, n, a, bounds)
+    gamma_shape = isinstance(eq, M._GammaShapeEquation)
+    # The float c that the solve inverts, as invert forms it.
+    c = q / n + eq.log_beta if gamma_shape else q / n
+    with mp.workdps(40):
+        x = mp.mpf(a)
+        if gamma_shape:
+            off, s = mp.psi(0, x), mp.psi(1, x)
+        else:
+            xb = x + mp.mpf(eq.b)
+            off, s = mp.psi(0, x) - mp.psi(0, xb), mp.psi(1, x) - mp.psi(1, xb)
+        f = float(off + g * mp.sqrt(s / n) - mp.mpf(c))
+    s, ds = (float(special.polygamma(k, a)) for k in (1, 2))
+    if not gamma_shape:
+        s -= float(special.polygamma(1, a + eq.b))
+        ds -= float(special.polygamma(2, a + eq.b))
+    return abs(f / (a * (s + 0.5 * g * ds / math.sqrt(n * s))))
 
 
 def _record_shape_solves(panel, monkeypatch):
@@ -693,27 +622,42 @@ class TestNewtonInversion:
     @pytest.mark.parametrize("panel", sorted(SHAPE_PANELS))
     def test_flat_solve_matches_the_callback_solve(self, panel, monkeypatch):
         # Recorded chain states, probes and draws outside the certificate
-        # included: the same root to the bit, or the same StructuralError.
+        # included.  Inside the certificate each root is within 1e-12 of the
+        # 40-digit root, and a solve raises StructuralError only where the
+        # map has no root (a beta statistic that is not negative).  Outside
+        # it the callback solve is the reference: the same root to the bit,
+        # or the same StructuralError.
         records = _record_shape_solves(panel, monkeypatch)
         outside = raised = 0
+        worst = 0.0
         for eq, q, g in records:
-            try:
-                want = _ref_shape_invert(eq, q, g).hex()
-            except StructuralError as exc:
-                want, raised = f"raised {exc}", raised + 1
-            try:
-                got = eq.invert(q, g).hex()
-            except StructuralError as exc:
-                got = f"raised {exc}"
-            assert got == want, (q, g)
             model = "gamma" if isinstance(eq, M._GammaShapeEquation) else "beta"
-            outside += g >= _certificate(model, eq.n, getattr(eq, "b", None))
+            try:
+                got = eq.invert(q, g)
+            except StructuralError as exc:
+                got = exc
+            if g >= _certificate(model, eq.n, getattr(eq, "b", None)):
+                outside += 1
+                try:
+                    want = _ref_uncertified_invert(eq, q, g).hex()
+                except StructuralError as exc:
+                    want, raised = f"raised {exc}", raised + 1
+                got = f"raised {got}" if isinstance(got, Exception) else got.hex()
+                assert got == want, (q, g)
+            elif model == "beta" and not q < 0.0:
+                assert isinstance(got, StructuralError), (q, g)
+                raised += 1
+            else:
+                assert isinstance(got, float), (q, g, got)
+                worst = max(worst, _mpmath_root_error(eq, q, g, got))
+        assert worst <= 1e-12
         assert len(records) > 800
         # The other shapes of beta_a8_b3_n50 keep its certificate above 5.
         assert (outside > 0) == (panel != "beta_a8_b3_n50")
         if panel == "gamma_n5":
             assert raised > 0
-        print(f"{len(records)} solves, {outside} outside the certificate, {raised} raised")
+        print(f"{len(records)} solves, {outside} outside the certificate, {raised} raised, "
+              f"largest root error {worst:.2g}")
 
     @pytest.mark.parametrize("panel", sorted(SHAPE_PANELS))
     def test_shape_newton_agrees_with_brent(self, panel, monkeypatch):
@@ -734,7 +678,7 @@ class TestNewtonInversion:
                 got = None
 
             def f(a):
-                off, s, _ = M._shape_parts(a, b, scratch)
+                off, s = M._shape_parts(a, b, scratch)[:2]
                 if not s > 0.0:
                     raise EvaluationError("non-positive variance term")
                 return off + g * math.sqrt(s / n) - c
@@ -774,21 +718,29 @@ class TestNewtonInversion:
     @pytest.mark.parametrize("model,theta,n", [
         ("gamma", {"alpha": 2.0, "beta": 0.5}, 20),
         ("beta", {"alpha": 8.0, "beta": 3.0}, 50),
+        ("beta", {"alpha": 0.5, "beta": 0.7}, 40),
+        ("beta", {"alpha": 0.4, "beta": 0.3}, 25),
     ])
     def test_shape_solve_evaluations(self, model, theta, n, monkeypatch):
-        # Brent needed 8.2 (gamma) and 8.6 (beta) evaluations per solve here,
-        # the Newton solve from the chain state 5.8 and 5.6.  The calls are
-        # counted in this process, so the chains must run here.
+        # Special-function evaluations per solve inside the certificate.
+        # Brent needed 8.2 (gamma) and 8.6 (beta 8/3) here, the Newton solve
+        # from the chain state 5.8 and 5.6, and the solve from two rough
+        # elementary Newton steps 2.0 to 2.8 (the most at shapes below 1).
+        # From _shape_start, within about 1e-9 of the root, the solve
+        # certifies its first Newton step after one evaluation.  The calls
+        # are counted in this process, so the chains must run here.
         monkeypatch.setattr(fidgibbs.gibbs, "_usable_cpus", lambda: 1)
         solve, fdf = M._shape_solve, M._shape_fdf
         counts = {"solves": 0, "evaluations": 0}
+        certified = [False]
 
-        def counting_solve(*args):
-            counts["solves"] += 1
-            return solve(*args)
+        def counting_solve(c, g, n, b, start, scratch):
+            certified[0] = start is not None
+            counts["solves"] += certified[0]
+            return solve(c, g, n, b, start, scratch)
 
         def counting_fdf(*args):
-            counts["evaluations"] += 1
+            counts["evaluations"] += certified[0]
             return fdf(*args)
 
         monkeypatch.setattr(M, "_shape_solve", counting_solve)
@@ -796,7 +748,9 @@ class TestNewtonInversion:
         data = simulate_dataset(model, theta, n, RngStream(1, 2**32))
         run(get_model(model), data, ChainConfig(m=1500, b=100, chains=2, seed=2018))
         assert counts["solves"] > 3000
-        assert counts["evaluations"] / counts["solves"] <= 3.5
+        bound = 1.6 if min(theta.values()) < 1.0 else 1.3
+        assert counts["evaluations"] / counts["solves"] <= bound
+        print(f"{counts['evaluations'] / counts['solves']:.3f} evaluations per certified solve")
 
     def test_rho_newton_agrees_with_brent(self):
         # One Newton solve on the whole bracket serves every gamma: inside
@@ -924,6 +878,75 @@ def _shape_conditional(model, n, seed, label="alpha"):
 def _certificate(model, n, other):
     """The gamma below which the shape map is increasing with one root."""
     return math.sqrt(n) if model == "gamma" else math.sqrt(n * min(1.0, other))
+
+
+class TestShapeSeries:
+    def test_beta_offset_and_slope_free_of_cancellation(self):
+        # psi(a) - psi(a + b) and psi'(a) - psi'(a + b) as _shape_parts gives
+        # them, against 40 digits, for a / b from 1e-3 to 1e15.  The ufunc's
+        # difference alone lost 2.7e-7 of the offset at a = 1e8, b = 1, and
+        # 0.29 at a = 1e14.
+        mp = pytest.importorskip("mpmath")
+        scratch = (np.empty(4), np.empty(4))
+        worst = [0.0, 0.0]
+        for a in (1.37 * np.logspace(-3, 15, 10)).tolist():
+            for ratio in np.logspace(-3, 15, 19).tolist():
+                b = a / ratio
+                got = M._shape_parts(a, b, scratch)[:2]
+                with mp.workdps(40):
+                    x, xb = mp.mpf(a), mp.mpf(a) + mp.mpf(b)
+                    want = (mp.psi(0, x) - mp.psi(0, xb), mp.psi(1, x) - mp.psi(1, xb))
+                    for i in (0, 1):
+                        worst[i] = max(worst[i], float(abs(got[i] / want[i] - 1)))
+        print(f"largest relative error: offset {worst[0]:.2g}, slope {worst[1]:.2g}")
+        assert max(worst) <= 1e-12
+
+    @pytest.mark.parametrize("b", [None, 0.3, 3.0, 1e6])
+    def test_start_series_accuracy(self, b):
+        # The elementary offset, slope and slope' of the start (the series
+        # at z >= 5) against 40 digits: within 1e-9 (absolute), 1e-7 and
+        # 1e-5 (relative).  The slope's error is at most 1.6e-9, which is 5e-8
+        # of a beta slope psi'(5) - psi'(8).
+        mp = pytest.importorskip("mpmath")
+        for a in (1e-6, 0.02, 0.4, 1.0, 1.46, 2.5, 4.99, 5.0, 7.3, 40.0, 3e3, 1e9):
+            got = M._shape_series(a, b, M._START_SHIFT)
+            with mp.workdps(40):
+                x = mp.mpf(a)
+                want = [mp.psi(k, x) - (mp.psi(k, x + mp.mpf(b)) if b else 0) for k in range(3)]
+            assert abs(got[0] - float(want[0])) <= 1e-9 * max(1.0, abs(float(want[0]))), a
+            assert got[1] == pytest.approx(float(want[1]), rel=1e-7), a
+            assert got[2] == pytest.approx(float(want[2]), rel=1e-5), a
+
+    @pytest.mark.parametrize("b", [None, 0.3, 3.0])
+    def test_curvature_bound(self, b):
+        # The last value of _shape_parts bounds the derivative of the slope's
+        # derivative, 6 zeta(4, a) less 6 zeta(4, a + b) for a beta shape,
+        # from above (the series past a = 64 b gives the value itself).
+        mp = pytest.importorskip("mpmath")
+        scratch = np.empty(2) if b is None else (np.empty(4), np.empty(4))
+        for a in np.logspace(-6, 8, 29).tolist():
+            with mp.workdps(40):
+                x = mp.mpf(a)
+                want = float(6 * (mp.zeta(4, x) - (mp.zeta(4, x + mp.mpf(b)) if b else 0)))
+            assert M._shape_parts(a, b, scratch)[3] >= want * (1.0 - 1e-9), a
+
+    @pytest.mark.parametrize("model", ["gamma", "beta"])
+    def test_start_lands_next_to_the_root(self, model):
+        # Inside the certificate, on maps whose root a0 is known (c is the
+        # map's value at a0): the start lands close enough for the solve to
+        # certify its first Newton step, and mostly within 1e-9.
+        gen = np.random.default_rng(5)
+        scratch = np.empty(2) if model == "gamma" else (np.empty(4), np.empty(4))
+        errors = []
+        for _ in range(3000):
+            n = int(gen.choice([3, 5, 20, 50, 400]))
+            b = None if model == "gamma" else math.exp(gen.uniform(-4.0, 4.0))
+            g = float(gen.uniform(-5.0, min(_certificate(model, n, b), 5.0)))
+            a0 = math.exp(gen.uniform(math.log(1e-3), math.log(1e4)))
+            off, s = M._shape_parts(a0, b, scratch)[:2]
+            errors.append(abs(math.log(M._shape_start(off + g * math.sqrt(s / n), g, n, b) / a0)))
+        print(f"median {np.median(errors):.2g}, largest {max(errors):.2g}")
+        assert np.median(errors) <= 1e-10 and max(errors) <= 3e-7
 
 
 class TestShapePivots:

@@ -18,6 +18,7 @@ from fidgibbs import (
     quantile,
     sample,
 )
+from fidgibbs import models
 from fidgibbs.randvar import BLOCK_SIZE, MAX_BLOCK_LAWS, fixed_draw, unit_rate_gamma
 
 N_DRAWS = 200_000
@@ -265,7 +266,8 @@ class TestBlocks:
         for law in laws:
             sample(law, rng)
             assert len(rng._blocks) <= MAX_BLOCK_LAWS
-        assert list(rng._blocks) == [(ChiSquare, law.df) for law in laws[-MAX_BLOCK_LAWS:]]
+        assert list(rng._blocks) == [frozenset([(ChiSquare, law.df)])
+                                     for law in laws[-MAX_BLOCK_LAWS:]]
 
     @pytest.mark.parametrize("dist", [
         Normal(0.0, 1.0), Normal(1.5, 4.0), TruncatedNormal(0.0, 1.0, -5.0, 5.0),
@@ -280,6 +282,24 @@ class TestBlocks:
             sampled.append(sample(dist, rb))
             assert sample(other, ra) == sample(other, rb)
         assert [x.hex() for x in fixed] == [x.hex() for x in sampled]
+
+    def test_shape_primary_fixed_draw_is_sample(self):
+        # The shape conditionals' primary law, drawn through fixed_draw on
+        # one stream and through sample on another, interleaved with a
+        # second law and with an equal law made apart, which shares its
+        # block: the same bits across two block boundaries.
+        law = models._STD_TRUNCNORM
+        equal, other = TruncatedNormal(0.0, 1.0, -5.0, 5.0), ChiSquare(4.0)
+        assert equal.block_key == law.block_key and equal.block_key is not law.block_key
+        draw = fixed_draw(law)
+        ra, rb = RngStream(11, 2), RngStream(11, 2)
+        fixed, sampled = [], []
+        for i in range(2 * BLOCK_SIZE + 5):
+            fixed.append(sample(equal, ra) if i % 7 == 3 else draw(ra))
+            sampled.append(sample(law, rb))
+            assert sample(other, ra) == sample(other, rb)
+        assert [x.hex() for x in fixed] == [x.hex() for x in sampled]
+        assert len(ra._blocks) == len(rb._blocks) == 2
 
     def test_fixed_draw_needs_a_block_kind(self):
         with pytest.raises(DomainError, match="drawn in blocks"):
