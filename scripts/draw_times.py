@@ -13,7 +13,11 @@ worker process that first runs a short chain of each model, so lazy imports
 are not timed.  For gamma and beta the table also gives the special-function
 evaluations per shape draw (calls of the shape map's ``_shape_fdf``, redraws
 and chain-start probes included), counted on a separate, untimed chain of
-EVALUATION_CYCLES cycles.
+EVALUATION_CYCLES cycles.  For bivariate_normal another table gives the
+microseconds per draw of each conditional (the two means, the two sigmas,
+rho), next to the model's average: each conditional's ``draw`` is called
+once at every state of the timed chain, in process time, and a pair of
+conditionals gives the mean of the two.
 
 A second table splits one in-process ``cli.main(["run", ...])`` per model,
 ``--simulate`` with the same parameters and n, at m = --cycles with 4
@@ -49,7 +53,9 @@ import subprocess
 import sys
 import tempfile
 import time
+from collections import Counter
 from pathlib import Path
+from typing import Optional
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -70,6 +76,8 @@ RUN_CHAINS = 4
 # which their evaluations are counted
 SHAPE_PARAMS = {"gamma": 1, "beta": 2}
 EVALUATION_CYCLES = 2000
+# row of the bivariate_normal per-conditional table -> the conditionals it averages
+BVN_ROWS = {"mu": ("mu_x", "mu_y"), "sigma": ("sigma_x2", "sigma_y2"), "rho": ("rho",)}
 
 
 def shape_evaluations(spec, data):
@@ -94,9 +102,31 @@ def shape_evaluations(spec, data):
     return calls[0] / (EVALUATION_CYCLES * SHAPE_PARAMS[spec.name])
 
 
+def conditional_times(spec, data, samples) -> dict:
+    """{row of BVN_ROWS: us per draw}: each bivariate_normal conditional's
+    draw called once at each state of chain 0 of samples."""
+    from fidgibbs import RngStream
+
+    conditionals = spec.build_conditionals(data)
+    states = [dict(zip(samples.labels, row)) for row in samples.values[0].tolist()]
+    rng, warnings = RngStream(CHAIN_SEED, 1), Counter()
+    out = {}
+    for row, labels in BVN_ROWS.items():
+        seconds = 0.0
+        for label in labels:
+            draw = conditionals[label].draw
+            start = time.process_time()
+            for state in states:
+                draw(data, state, rng, warnings)
+            seconds += time.process_time() - start
+        out[row] = 1e6 * seconds / (len(labels) * len(states))
+    return out
+
+
 def draw_times(cycles: int) -> dict:
     """{model: [us per draw, sha256 of the draws, evaluations per shape draw
-    or None]} of one chain per model."""
+    or None, {row: us per draw of its conditionals} or None]} of one chain
+    per model."""
     from fidgibbs import ChainConfig, RngStream, get_model, run, simulate_dataset
 
     jobs = []
@@ -113,7 +143,9 @@ def draw_times(cycles: int) -> dict:
         seconds = time.process_time() - start
         out[model] = [1e6 * seconds / (cycles * len(spec.params)),
                       hashlib.sha256(samples.values.tobytes()).hexdigest(),
-                      shape_evaluations(spec, data) if model in SHAPE_PARAMS else None]
+                      shape_evaluations(spec, data) if model in SHAPE_PARAMS else None,
+                      conditional_times(spec, data, samples) if model == "bivariate_normal"
+                      else None]
     return out
 
 
@@ -186,6 +218,29 @@ def evaluations(rounds: list, model: str) -> str:
     return "-" if value is None else f"{value:.3g}"
 
 
+def bvn_table(rounds: dict, base_name: Optional[str]):
+    """The bivariate_normal per-conditional table: best of the rounds per
+    tree and, against a base, the median change within a round."""
+    names = list(rounds)
+    extra = " | change | median round change | faster rounds" if base_name else ""
+    print("\nbivariate_normal per conditional: us per draw at the states of the timed chain, "
+          f"best of the rounds\n\n| conditional | {' | '.join(names)}{extra} |\n| --- |"
+          + " --- |" * (len(names) + (3 if base_name else 0)))
+    cells = {"average (chain)": lambda r: r["draws"]["bivariate_normal"][0]}
+    cells.update({row: (lambda r, row=row: r["draws"]["bivariate_normal"][3][row])
+                  for row in BVN_ROWS})
+    for row, value in cells.items():
+        best = {name: min(value(r) for r in rs) for name, rs in rounds.items()}
+        line = f"| {row} | " + " | ".join(f"{best[name]:.3g}" for name in names)
+        if base_name:
+            # Round r ran the two trees back to back.
+            ratios = [value(t) / value(b) for b, t in zip(rounds[base_name], rounds["this tree"])]
+            line += (f" | {100.0 * (best['this tree'] / best[base_name] - 1.0):+.1f}% | "
+                     f"{100.0 * (statistics.median(ratios) - 1.0):+.1f}% | "
+                     f"{sum(q < 1.0 for q in ratios)}/{len(ratios)}")
+        print(line + " |")
+
+
 def phase_table(rounds: dict, cycles: int):
     print(f"\nfidgibbs run phases: m = {cycles}, {RUN_CHAINS} chains, cli.main in this process, wall seconds "
           "(share of the run), the round with the shortest run\n\n"
@@ -234,6 +289,7 @@ def main(argv=None) -> int:
         for model, (_, n) in CASES.items():
             print(f"| {model} | {n} | {best['this tree'][model]:.3g} | "
                   f"{evaluations(rounds['this tree'], model)} |")
+        bvn_table(rounds, None)
         phase_table(rounds, args.cycles)
         return 0
     base_name = args.against
@@ -252,6 +308,7 @@ def main(argv=None) -> int:
               f"{'yes' if len(same) == 1 else 'no'} | "
               f"{evaluations(rounds[base_name], model)} -> "
               f"{evaluations(rounds['this tree'], model)} |")
+    bvn_table(rounds, base_name)
     phase_table(rounds, args.cycles)
     return 0
 

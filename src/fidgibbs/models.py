@@ -35,8 +35,9 @@ from .randvar import (
     fixed_draw,
     unit_rate_gamma,
 )
-from .specfun import (QUADRATIC_STEP, Bracket, digamma, finite_cubic_root,
-                      scipy_special as _sp, solve_newton, solve_quadratic_positive, trigamma)
+from .specfun import (_QUAD_HUGE, _QUAD_TINY, QUADRATIC_STEP, Bracket, digamma,
+                      finite_cubic_root, scipy_special as _sp, solve_newton,
+                      solve_quadratic_positive, trigamma)
 
 __all__ = [
     "Dataset",
@@ -1387,18 +1388,39 @@ class _BvnSuffStats:
         return cxx, cyy, cxy
 
 
+# The smallest normal float.
+_MIN_NORMAL = 2.0 ** -1022
+
+
+def _sqrt_product(u: float, v: float) -> float:
+    """sqrt(u v) for positive u and v, also where u v is not a normal float.
+
+    Where it is, this is math.sqrt(u * v).  Elsewhere an even power of two
+    comes out of each factor, exactly, before the product, and its square
+    root goes back in after the square root, so the result scales by 2^k
+    when u and v scale by 2^2k and keeps its bits where u v is normal.
+    """
+    w = u * v
+    if _MIN_NORMAL <= w < math.inf:
+        return math.sqrt(w)
+    eu, ev = math.frexp(u)[1] // 2, math.frexp(v)[1] // 2
+    return math.ldexp(math.sqrt(math.ldexp(u, -2 * eu) * math.ldexp(v, -2 * ev)), eu + ev)
+
+
 def _bvn_loglik_core(s: _BvnSuffStats, mu_x, mu_y, sigma_x2, sigma_y2, rho) -> float:
     if sigma_x2 <= 0.0 or sigma_y2 <= 0.0 or not abs(rho) < 1.0:
         return -math.inf
     cxx, cyy, cxy = s.centered(mu_x, mu_y)
     one_m = 1.0 - rho * rho
-    quad = cxx / sigma_x2 - 2.0 * rho * cxy / math.sqrt(sigma_x2 * sigma_y2) + cyy / sigma_y2
+    quad = cxx / sigma_x2 - 2.0 * rho * cxy / _sqrt_product(sigma_x2, sigma_y2) + cyy / sigma_y2
     return (-0.5 * s.n * (math.log(sigma_x2) + math.log(sigma_y2) + math.log(one_m))
             - 0.5 * quad / one_m)
 
 
 # The interval the rho statistic is clipped to.
 _RHO_MLE_BRACKET = Bracket(-1.0 + 1e-9, 1.0 - 1e-9)
+# The exponent of specfun._cbrt, for the rho statistic's in-place cube roots.
+_THIRD = 1.0 / 3.0
 
 
 def bvn_log_likelihood(mu_x: float, mu_y: float, sigma_x2: float, sigma_y2: float, rho: float,
@@ -1444,14 +1466,6 @@ class _BvnSigmaEquation:
         return (g_lo, _STANDARD_TRUNC)
 
 
-def _rho_fdf(r, q, g, sqrt_n, k):
-    """(phi(g, r) - q, d phi / dr) of the correlation equation, k = g / sqrt_n."""
-    r2 = 1.0 + r * r
-    root = math.sqrt(r2)
-    return (r + (1.0 - r * r) * g / (sqrt_n * root) - q,
-            1.0 - k * r * (2.0 + r2) / (r2 * root))
-
-
 class _BvnRhoEquation:
     """q = rho + (1 - rho^2) gamma / (sqrt(n) sqrt(1 + rho^2)), solved for rho.
 
@@ -1493,11 +1507,47 @@ class _BvnRhoEquation:
                 raise StructuralError(
                     f"no correlation solves the equation: no sign change on [{lo}, {hi}]: "
                     f"phi - q = {f_lo:.6g} and {f_hi:.6g}", statistic_value=q, gamma=g)
+        # solve_newton(fdf, lo, hi, x, fx, dx, 1e-13, quadratic=True) from
+        # x = q clipped, with fdf(r) = (phi(g, r) - q, d phi / dr) written
+        # inline: the same operations in the same order, so the same bits.
         k = g / sqrt_n
-        r = min(max(q, lo), hi)
-        fr, dr = _rho_fdf(r, q, g, sqrt_n, k)
-        return solve_newton(_rho_fdf, lo, hi, r, fr, dr, tol=1e-13, quadratic=True,
-                            args=(q, g, sqrt_n, k))
+        x = min(max(q, lo), hi)
+        r2 = 1.0 + x * x
+        root = math.sqrt(r2)
+        fx = x + (1.0 - x * x) * g / (sqrt_n * root) - q
+        dx = 1.0 - k * x * (2.0 + r2) / (r2 * root)
+        before_last = last = 2.0 * (hi - lo)
+        px = pdx = None
+        for _ in range(200):
+            step = fx / dx if 0.0 < dx < math.inf else math.inf
+            new = x - step
+            size = abs(step)
+            if size <= 1e-13:
+                return min(max(new, lo), hi)
+            if (pdx is not None and size <= QUADRATIC_STEP and lo < new < hi
+                    and abs(dx - pdx) * step * step <= 2e-13 * dx * abs(x - px)):
+                return new
+            if not (lo < new < hi and size <= 0.5 * before_last):
+                size = 0.5 * (hi - lo)
+                new = lo + size
+                if size <= 1e-13:
+                    return new
+            before_last, last = last, size
+            px, pdx = x, dx
+            r2 = 1.0 + new * new
+            root = math.sqrt(r2)
+            fx = new + (1.0 - new * new) * g / (sqrt_n * root) - q
+            dx = 1.0 - k * new * (2.0 + r2) / (r2 * root)
+            if not math.isfinite(fx):
+                raise EvaluationError(f"non-finite target function value at x={new}")
+            if fx == 0.0:
+                return new
+            if fx < 0.0:
+                lo = new
+            else:
+                hi = new
+            x = new
+        raise EvaluationError(f"Newton iteration did not converge in [{lo}, {hi}]")
 
     def pivot(self, q, r):
         u, v2, w = q - r, 1.0 + r * r, 1.0 - r * r
@@ -1520,6 +1570,10 @@ def _bvn_build_conditionals(data: Dataset) -> dict:
     stats = _BvnSuffStats.from_arrays(x, y)
     sx, sy, sxx, syy, sxy = stats.sx, stats.sy, stats.sxx, stats.syy, stats.sxy
     neg_n = -float(n)
+    # finite_cubic_root's clip of the rho statistic and its padded interval.
+    rho_lo, rho_hi = _RHO_MLE_BRACKET.lo, _RHO_MLE_BRACKET.hi
+    pad = 1e-12 * max(1.0, rho_hi - rho_lo)
+    pad_lo, pad_hi = rho_lo - pad, rho_hi + pad
     rho_equation = _BvnRhoEquation(n)
     rho_invert = rho_equation.invert
     floor = _BvnSigmaEquation.floor
@@ -1562,8 +1616,23 @@ def _bvn_build_conditionals(data: Dataset) -> dict:
             if c_own <= 0.0:
                 raise DegenerateDataError(f"{column} observations all equal {mu}")
             c_xy = sxy - m * other_sum - mo * own_sum + n * m * mo
-            return solve_quadratic_positive(n * (1.0 - rho * rho),
-                                            rho * c_xy / math.sqrt(p[other_var]), -c_own)
+            a, b, c = n * (1.0 - rho * rho), rho * c_xy / math.sqrt(p[other_var]), -c_own
+            if not (_QUAD_TINY <= a <= _QUAD_HUGE and _QUAD_TINY <= abs(b) <= _QUAD_HUGE
+                    and _QUAD_TINY <= c_own <= _QUAD_HUGE):
+                return solve_quadratic_positive(a, b, c)
+            # solve_quadratic_positive's branch for a > 0 > c and b != 0 with
+            # its coefficients unscaled, in place: the roots have opposite
+            # signs, the positive one is taken from the stable intermediate
+            # and polished by two Newton steps.
+            q = -0.5 * (b + math.copysign(math.sqrt(b * b - 4.0 * a * c), b))
+            t = q / a if q > 0.0 else c / q
+            deriv = 2.0 * a * t + b
+            if deriv != 0.0:
+                t -= (a * t * t + b * t + c) / deriv
+            deriv = 2.0 * a * t + b
+            if deriv != 0.0:
+                t -= (a * t * t + b * t + c) / deriv
+            return t if t > 0.0 else solve_quadratic_positive(a, b, c)
 
         def equation_for(d, p):
             rho = p["rho"]
@@ -1593,10 +1662,30 @@ def _bvn_build_conditionals(data: Dataset) -> dict:
         cxx = sxx - 2.0 * mu_x * sx + n * mu_x * mu_x
         cyy = syy - 2.0 * mu_y * sy + n * mu_y * mu_y
         cxy = sxy - mu_x * sy - mu_y * sx + n * mu_x * mu_y
-        c = cxy / math.sqrt(sigma_x2 * sigma_y2)
+        c = cxy / _sqrt_product(sigma_x2, sigma_y2)
         c1 = n - cxx / sigma_x2 - cyy / sigma_y2
         if not (math.isfinite(c) and math.isfinite(c1)):
             raise DomainError(f"cubic coefficients must be finite, got {[neg_n, c, c1, c]}")
+        # finite_cubic_root's path for one real root, in place: Cardano's
+        # root of the depressed cubic, two Newton steps and the clip.
+        a2, a1 = c / neg_n, c1 / neg_n
+        shift = a2 / 3.0
+        p3 = a1 - a2 * a2 / 3.0
+        q3 = 2.0 * a2 ** 3 / 27.0 - a2 * a1 / 3.0 + a2
+        disc = 0.25 * q3 * q3 + p3 ** 3 / 27.0
+        if disc > 0.0:
+            s = math.sqrt(disc)
+            u, v = -0.5 * q3 + s, -0.5 * q3 - s
+            t = (math.copysign(abs(u) ** _THIRD, u) + math.copysign(abs(v) ** _THIRD, v)
+                 - shift)
+            der = (3.0 * neg_n * t + 2.0 * c) * t + c1
+            if der != 0.0:
+                t -= (((neg_n * t + c) * t + c1) * t + c) / der
+            der = (3.0 * neg_n * t + 2.0 * c) * t + c1
+            if der != 0.0:
+                t -= (((neg_n * t + c) * t + c1) * t + c) / der
+            if pad_lo < t < pad_hi:
+                return min(max(t, rho_lo), rho_hi)
         return finite_cubic_root((neg_n, c, c1, c), _RHO_MLE_BRACKET,
                                  _bvn_loglik_core, stats, mu_x, mu_y, sigma_x2, sigma_y2)
 

@@ -9,14 +9,17 @@ access, so that importing fidgibbs does not import scipy.special.  Root
 finding is one Newton iteration safeguarded by bisection, for a function
 that crosses zero once from below inside a given bracket and whose
 derivative is cheap: the shape equations, whose derivatives come from
-``zeta(2, a)`` and ``zeta(3, a)``, and the correlation equation.  It
-calls ``fdf(x, *args)``, so those equations pass module-level functions
-and their constants rather than a closure built per draw.  The quadratic
-and cubic solvers take closed-form roots polished in Python floats; the
-cases the bivariate-normal statistics meet on every draw (a quadratic
-with a > 0 > c, a cubic with one real root) skip the comparison of
-several roots and return the same bits.  Bracket validation and residual
-checks are done here.
+``zeta(2, a)`` and ``zeta(3, a)``.  It calls ``fdf(x, *args)``, so those
+equations pass a module-level function and its constants rather than a
+closure built per draw.  The quadratic and cubic solvers take
+closed-form roots polished in Python floats; the cases the
+bivariate-normal statistics meet on almost every draw (a quadratic with
+a > 0 > c, a cubic with one real root) skip the comparison of several
+roots and return the same bits.  The bivariate-normal model writes those
+two cases and the Newton iteration of its correlation equation out in
+place, with the same operations in the same order, and comes here for
+the rest; these solvers are the reference its tests compare with bit for
+bit.  Bracket validation and residual checks are done here.
 """
 
 from __future__ import annotations

@@ -434,6 +434,26 @@ class TestBivariateNormal:
         assert -1.0 < r < 1.0
 
 
+    @pytest.mark.parametrize("k", [300, -300, 450, -450])
+    def test_chains_scale_with_the_data(self, k):
+        # Data times 2^k: the means scale by 2^k, the variances by 2^2k and
+        # rho not at all, bit for bit.  sigma_x2 sigma_y2 leaves the float
+        # range from |k| of about 260 on, where the rho statistic read 0
+        # (k > 0) or divided by zero (k < 0).
+        data = simulate_dataset(
+            "bivariate_normal", {"mu_x": 0.3, "mu_y": -0.2, "sigma_x2": 1.0, "sigma_y2": 2.0,
+                                 "rho": 0.9}, 30, RngStream(5, 0))
+        x, y = data.col("x"), data.col("y")
+        assert 0.9 < np.corrcoef(x, y)[0, 1] < 0.95
+        spec, config = get_model("bivariate_normal"), ChainConfig(m=400, b=0, chains=2, seed=11)
+        ref = run(spec, data, config).values
+        got = run(spec, Dataset({"x": np.ldexp(x, k), "y": np.ldexp(y, k)}), config).values
+        want = np.concatenate([np.ldexp(ref[..., :2], k), np.ldexp(ref[..., 2:4], 2 * k),
+                               ref[..., 4:]], axis=-1)
+        assert got.tobytes() == want.tobytes()
+        assert np.mean(ref[..., 4]) > 0.85
+
+
 class TestSimulate:
     def test_gamma_sampling_setup(self):
         data = simulate_dataset("gamma", {"alpha": 2.0, "beta": 0.5}, 20, RngStream(70, 0))
@@ -799,8 +819,8 @@ class TestNewtonInversion:
             sqrt_n = eq.sqrt_n
             k = g / sqrt_n
             r = min(max(q, lo), hi)
-            fr, dr = M._rho_fdf(r, q, g, sqrt_n, k)
-            return M.solve_newton(M._rho_fdf, lo, hi, r, fr, dr, tol=1e-13, quadratic=True,
+            fr, dr = _rho_fdf(r, q, g, sqrt_n, k)
+            return M.solve_newton(_rho_fdf, lo, hi, r, fr, dr, tol=1e-13, quadratic=True,
                                   args=(q, g, sqrt_n, k))
 
         def outcome(invert, eq, q, g):
@@ -833,16 +853,13 @@ class TestNewtonInversion:
     @pytest.mark.parametrize("n,g", [(3, 1.3), (3, -4.0), (30, 3.9), (30, -5.0)])
     def test_rho_large_gamma_has_one_root(self, n, g, monkeypatch):
         # |gamma| >= sqrt(n / 2): phi is not monotone, yet q in (-1, 1) is
-        # crossed once, and the one Newton solve returns that crossing.
+        # crossed once, and the one Newton solve returns that crossing, bit
+        # for bit the generic solve_newton's.
         assert g * g >= n / 2
-        calls = []
-        newton = M.solve_newton
-        monkeypatch.setattr(M, "solve_newton",
-                            lambda *a, **k: calls.append(a) or newton(*a, **k))
         monkeypatch.setattr(optimize, "brentq", lambda *a, **k: pytest.fail("Brent called"))
         eq = M._BvnRhoEquation(n)
         r = eq.invert(0.3, g)
-        assert len(calls) == 1
+        assert r.hex() == _rho_newton(eq, 0.3, g).hex()
         assert abs(eq.phi(g, r) - 0.3) <= 1e-12
         grid = np.linspace(eq.bracket.lo, eq.bracket.hi, 4001)
         signs = np.sign([eq.phi(g, x) - 0.3 for x in grid.tolist()])
@@ -867,6 +884,27 @@ class TestNewtonInversion:
                             except StructuralError:
                                 continue
                             assert 0.0 < a < math.inf
+
+
+def _rho_fdf(r, q, g, sqrt_n, k):
+    """(phi(g, r) - q, d phi / dr) of the correlation equation, k = g / sqrt_n:
+    the map whose generic solve _BvnRhoEquation.invert writes inline."""
+    r2 = 1.0 + r * r
+    root = math.sqrt(r2)
+    return (r + (1.0 - r * r) * g / (sqrt_n * root) - q,
+            1.0 - k * r * (2.0 + r2) / (r2 * root))
+
+
+def _rho_newton(eq, q, g):
+    """The correlation equation's root by solve_newton on _rho_fdf from q
+    clipped into the bracket, without the entry check."""
+    lo, hi = eq.bracket.lo, eq.bracket.hi
+    sqrt_n = eq.sqrt_n
+    k = g / sqrt_n
+    r = min(max(q, lo), hi)
+    fr, dr = _rho_fdf(r, q, g, sqrt_n, k)
+    return M.solve_newton(_rho_fdf, lo, hi, r, fr, dr, tol=1e-13, quadratic=True,
+                          args=(q, g, sqrt_n, k))
 
 
 def _shape_conditional(model, n, seed, label="alpha"):
@@ -1118,6 +1156,159 @@ class TestBvnPivots:
         pvalue = stats.kstest(draws, cdf).pvalue
         print(f"KS p-value {pvalue:.3g}")
         assert pvalue > 1e-3
+
+
+def _bvn_generic_statistics(data, state):
+    """The sigma_x, sigma_y and rho statistics at state by the generic
+    specfun solvers, from the data sums and in the operand order of the
+    catalog's statistics."""
+    from fidgibbs.specfun import finite_cubic_root, solve_quadratic_positive
+
+    s = M._BvnSuffStats.from_arrays(data.col("x"), data.col("y"))
+    n = s.n
+    mu_x, mu_y, sx2, sy2, rho = (state[k] for k in get_model("bivariate_normal").param_labels)
+
+    def sigma(m, mo, own_sum, other_sum, own_sq, other_var):
+        c_own = own_sq - 2.0 * m * own_sum + n * m * m
+        c_xy = s.sxy - m * other_sum - mo * own_sum + n * m * mo
+        return solve_quadratic_positive(n * (1.0 - rho * rho),
+                                        rho * c_xy / math.sqrt(other_var), -c_own)
+
+    def rho_mle():
+        cxx = s.sxx - 2.0 * mu_x * s.sx + n * mu_x * mu_x
+        cyy = s.syy - 2.0 * mu_y * s.sy + n * mu_y * mu_y
+        cxy = s.sxy - mu_x * s.sy - mu_y * s.sx + n * mu_x * mu_y
+        c = cxy / M._sqrt_product(sx2, sy2)
+        c1 = n - cxx / sx2 - cyy / sy2
+        return finite_cubic_root((-float(n), c, c1, c), M._RHO_MLE_BRACKET,
+                                 M._bvn_loglik_core, s, mu_x, mu_y, sx2, sy2)
+
+    return {"sigma_x2": lambda: sigma(mu_x, mu_y, s.sx, s.sy, s.sxx, sy2),
+            "sigma_y2": lambda: sigma(mu_y, mu_x, s.sy, s.sx, s.syy, sx2),
+            "rho": rho_mle}
+
+
+def _outcome(fn, *args):
+    """fn(*args) as its hex value, or as the type and message of its error
+    (the one form with a colon)."""
+    try:
+        return fn(*args).hex()
+    except (DegenerateDataError, DomainError, StructuralError, EvaluationError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _bvn_panel_data(rho, n, seed):
+    """Data as the benchmark's bivariate-normal panels make it."""
+    g = np.random.default_rng(seed)
+    z1, z2 = g.standard_normal(n), g.standard_normal(n)
+    return Dataset({"x": z1, "y": rho * z1 + math.sqrt(1.0 - rho * rho) * z2})
+
+
+class TestBvnInPlaceSolves:
+    """The sigma quadratic, the rho cubic and the rho Newton iteration are
+    solved in place, with the generic solvers' operations in their order:
+    every result keeps the bits of solve_quadratic_positive,
+    finite_cubic_root and solve_newton, and the rare branches fall through
+    to those solvers."""
+
+    LABELS = ("sigma_x2", "sigma_y2", "rho")
+
+    @staticmethod
+    def _fallbacks(monkeypatch):
+        """Count the calls of the generic solvers made from models."""
+        calls = {"solve_quadratic_positive": 0, "finite_cubic_root": 0}
+        for name in calls:
+            solver = getattr(M, name)
+
+            def counting(*args, solver=solver, name=name):
+                calls[name] += 1
+                return solver(*args)
+            monkeypatch.setattr(M, name, counting)
+        return calls
+
+    def _compare(self, data, states):
+        """Compare every statistic and the rho solves at states with the
+        generic solvers; returns the number of (q, g) pairs solved."""
+        conditionals = get_model("bivariate_normal").build_conditionals(data)
+        rho_eq = conditionals["rho"].equation_for(data, states[0])
+        rng = RngStream(7, 0)
+        solved = 0
+        for state in states:
+            generic = _bvn_generic_statistics(data, state)
+            for label in self.LABELS:
+                got = _outcome(conditionals[label].statistic.compute, data, state)
+                assert got == _outcome(generic[label]), (label, state)
+            if ":" in got:
+                continue
+            q, g = float.fromhex(got), sample(rho_eq.gamma_dist, rng)
+            got = _outcome(rho_eq.invert, q, g)
+            assert got == _outcome(_rho_newton, rho_eq, q, g), (q, g)
+            solved += ":" not in got
+        return solved
+
+    @pytest.mark.parametrize("case", ["panel_rho0.8_n200", "panel_rho0.97_n30", "golden_n4"])
+    def test_chain_states_keep_their_bits(self, case, monkeypatch):
+        # 4 000 states per case from two chains: the benchmark's two
+        # bivariate-normal panels and the golden table's n = 4 run, whose
+        # rho cubics have three real roots at some states.
+        if case == "golden_n4":
+            data = simulate_dataset(
+                "bivariate_normal", {"mu_x": 0.0, "mu_y": 0.0, "sigma_x2": 1.0, "sigma_y2": 1.0,
+                                     "rho": 0.2}, 4, RngStream(2018, stream_id=2**32))
+        else:
+            rho, n = (0.8, 200) if case == "panel_rho0.8_n200" else (0.97, 30)
+            data = _bvn_panel_data(rho, n, 22)
+        samples = run(get_model("bivariate_normal"), data,
+                      ChainConfig(m=2000, b=0, chains=2, seed=2018))
+        states = [dict(zip(samples.labels, row))
+                  for row in samples.values.reshape(-1, len(samples.labels)).tolist()]
+        calls = self._fallbacks(monkeypatch)
+        assert self._compare(data, states) == len(states) == 4000
+        print(f"{case}: fallbacks {calls}")
+        if case == "golden_n4":
+            assert 0 < calls["finite_cubic_root"] < 200
+
+    @pytest.mark.parametrize("k,rho", [(300, 0.5), (-300, 0.5), (0, 1e-80), (0, 0.0)])
+    def test_quadratic_fallbacks(self, k, rho, monkeypatch):
+        # A coefficient outside [2^-250, 2^250]: C_own at data scale 2^+-300,
+        # or rho C_xy / sigma_other at rho = 1e-80; and b = 0 at rho = 0.
+        base = _bvn_panel_data(0.6, 12, 5)
+        data = Dataset({"x": np.ldexp(base.col("x"), k), "y": np.ldexp(base.col("y"), k)})
+        state = {"mu_x": math.ldexp(0.1, k), "mu_y": math.ldexp(-0.2, k),
+                 "sigma_x2": math.ldexp(1.3, 2 * k), "sigma_y2": math.ldexp(0.7, 2 * k), "rho": rho}
+        calls = self._fallbacks(monkeypatch)
+        self._compare(data, [state])
+        assert calls["solve_quadratic_positive"] == 2
+
+    def test_cubic_with_three_real_roots(self, monkeypatch):
+        # Variances far above the data's: c1 is near n and c near 0, so the
+        # cubic's roots lie near -1, 0 and 1.
+        from fidgibbs.specfun import _real_cubic_roots
+
+        data = _bvn_panel_data(0.6, 12, 5)
+        state = {"mu_x": 0.0, "mu_y": 0.0, "sigma_x2": 1e6, "sigma_y2": 2e6, "rho": 0.3}
+        s = M._BvnSuffStats.from_arrays(data.col("x"), data.col("y"))
+        cxx, cyy, cxy = s.centered(0.0, 0.0)
+        c = cxy / math.sqrt(2e12)
+        assert len(_real_cubic_roots((-12.0, c, 12.0 - cxx / 1e6 - cyy / 2e6, c))) == 3
+        calls = self._fallbacks(monkeypatch)
+        self._compare(data, [state])
+        assert calls["finite_cubic_root"] == 1
+
+    def test_no_root_in_the_clip_raises_the_same_error(self, monkeypatch):
+        # y = x and a state with equal means and variances: the one real root
+        # is rho = 1, outside the statistic's clip, and the fall-through
+        # raises finite_cubic_root's DegenerateDataError.
+        x = np.array([1.0, 2.0, 3.0, 4.0])
+        data = Dataset({"x": x, "y": x})
+        state = {"mu_x": 2.5, "mu_y": 2.5, "sigma_x2": 1.25, "sigma_y2": 1.25, "rho": 0.5}
+        calls = self._fallbacks(monkeypatch)
+        cond = _catalog("bivariate_normal", data, "rho")
+        with pytest.raises(DegenerateDataError, match="has no real root in") as err:
+            cond.statistic.compute(data, state)
+        assert calls["finite_cubic_root"] == 1
+        assert _outcome(_bvn_generic_statistics(data, state)["rho"]) == \
+            f"DegenerateDataError: {err.value}"
 
 
 # Data no model can take: too few observations, values outside the support,
