@@ -10,14 +10,19 @@ the per-draw table in ROADMAP.md.  A draw's time is the process CPU time of
 the run, Gibbs bookkeeping included, divided by cycles x parameters; the
 table gives the best of --repeats rounds.  Every round runs in a fresh
 worker process that first runs a short chain of each model, so lazy imports
-are not timed.  For gamma and beta the table also gives the special-function
-evaluations per shape draw (calls of the shape map's ``_shape_fdf``, redraws
-and chain-start probes included), counted on a separate, untimed chain of
-EVALUATION_CYCLES cycles.  For bivariate_normal another table gives the
-microseconds per draw of each conditional (the two means, the two sigmas,
-rho), next to the model's average: each conditional's ``draw`` is called
-once at every state of the timed chain, in process time, and a pair of
-conditionals gives the mean of the two.
+are not timed.  For bivariate_normal another table gives the microseconds
+per draw of each conditional (the two means, the two sigmas, rho), next to
+the model's average: each conditional's ``draw`` is called once at every
+state of the timed chain, in process time, and a pair of conditionals
+gives the mean of the two.
+
+A shape-solve table gives, for the gamma and beta cases of SHAPE_CASES,
+the special-function evaluations (calls of the shape map's ``_shape_fdf``)
+per solve inside the certificate and per solve outside it, and the share
+of solves outside it, counted on an untimed chain of EVALUATION_CYCLES
+cycles per case, redraws and chain-start probes included.  A solve is
+inside the certificate where gamma < sqrt n (gamma shape) or
+gamma < sqrt(n min(1, b)) (beta shape, other shape b).
 
 A second table splits one in-process ``cli.main(["run", ...])`` per model,
 ``--simulate`` with the same parameters and n, at m = --cycles with 4
@@ -72,34 +77,56 @@ CASES = {
 }
 DATA_SEED, CHAIN_SEED, WARM_UP_CYCLES = 2018, 17, 50
 RUN_CHAINS = 4
-# model -> parameters drawn by a shape solve; the cycles of the chain on
-# which their evaluations are counted
-SHAPE_PARAMS = {"gamma": 1, "beta": 2}
+# case -> (model, parameters of the simulated data, n) of the shape-solve
+# table: the per-draw table's gamma and beta, and the two golden cases with
+# the most solves outside the certificate; the cycles of each case's chain
+SHAPE_CASES = {
+    "gamma n=20": ("gamma", CASES["gamma"][0], 20),
+    "gamma n=5": ("gamma", {"alpha": 2.0, "beta": 0.5}, 5),
+    "beta 8/3 n=50": ("beta", CASES["beta"][0], 50),
+    "beta 0.4/0.3 n=25": ("beta", {"alpha": 0.4, "beta": 0.3}, 25),
+}
 EVALUATION_CYCLES = 2000
 # row of the bivariate_normal per-conditional table -> the conditionals it averages
 BVN_ROWS = {"mu": ("mu_x", "mu_y"), "sigma": ("sigma_x2", "sigma_y2"), "rho": ("rho",)}
 
 
-def shape_evaluations(spec, data):
-    """_shape_fdf calls per shape draw of one chain of EVALUATION_CYCLES
-    cycles, or None in a tree without _shape_fdf."""
-    from fidgibbs import ChainConfig, models, run
+def shape_solves() -> dict:
+    """{case: [evaluations per solve inside the certificate, per solve
+    outside it or None without one, share of solves outside it]} of one
+    chain per SHAPE_CASES case, or {} in a tree without _shape_fdf."""
+    from fidgibbs import ChainConfig, RngStream, get_model, models, run, simulate_dataset
 
-    fdf = getattr(models, "_shape_fdf", None)
-    if fdf is None:
-        return None
-    calls = [0]
+    solve, fdf = getattr(models, "_shape_solve", None), getattr(models, "_shape_fdf", None)
+    if solve is None or fdf is None:
+        return {}
+    counts, certified = {}, [True]
 
-    def counting(*args):
-        calls[0] += 1
+    def counting_solve(*args):
+        # (c, gamma, n, b, ...) in every tree that has _shape_fdf.
+        _, g, n, b = args[:4]
+        certified[0] = g < 0.0 or g * g < n * (1.0 if b is None else min(1.0, b))
+        counts[certified[0]][0] += 1
+        return solve(*args)
+
+    def counting_fdf(*args):
+        counts[certified[0]][1] += 1
         return fdf(*args)
 
-    models._shape_fdf = counting
+    models._shape_solve, models._shape_fdf = counting_solve, counting_fdf
+    out = {}
     try:
-        run(spec, data, ChainConfig(m=EVALUATION_CYCLES, b=0, chains=1, seed=CHAIN_SEED))
+        for case, (model, theta, n) in SHAPE_CASES.items():
+            counts.update({True: [0, 0], False: [0, 0]})
+            spec = get_model(model)
+            data = simulate_dataset(spec, theta, n, RngStream(DATA_SEED, 0))
+            run(spec, data, ChainConfig(m=EVALUATION_CYCLES, b=0, chains=1, seed=CHAIN_SEED))
+            (inside, inside_calls), (outside, outside_calls) = counts[True], counts[False]
+            out[case] = [inside_calls / inside, outside_calls / outside if outside else None,
+                         outside / (inside + outside)]
     finally:
-        models._shape_fdf = fdf
-    return calls[0] / (EVALUATION_CYCLES * SHAPE_PARAMS[spec.name])
+        models._shape_solve, models._shape_fdf = solve, fdf
+    return out
 
 
 def conditional_times(spec, data, samples) -> dict:
@@ -124,9 +151,8 @@ def conditional_times(spec, data, samples) -> dict:
 
 
 def draw_times(cycles: int) -> dict:
-    """{model: [us per draw, sha256 of the draws, evaluations per shape draw
-    or None, {row: us per draw of its conditionals} or None]} of one chain
-    per model."""
+    """{model: [us per draw, sha256 of the draws, {row: us per draw of its
+    conditionals} or None]} of one chain per model."""
     from fidgibbs import ChainConfig, RngStream, get_model, run, simulate_dataset
 
     jobs = []
@@ -143,7 +169,6 @@ def draw_times(cycles: int) -> dict:
         seconds = time.process_time() - start
         out[model] = [1e6 * seconds / (cycles * len(spec.params)),
                       hashlib.sha256(samples.values.tobytes()).hexdigest(),
-                      shape_evaluations(spec, data) if model in SHAPE_PARAMS else None,
                       conditional_times(spec, data, samples) if model == "bivariate_normal"
                       else None]
     return out
@@ -194,8 +219,9 @@ def run_phases(cycles: int) -> dict:
 
 
 def worker(cycles: int) -> dict:
-    """One round in this process: the draw times, then the run phases."""
-    return {"draws": draw_times(cycles), "phases": run_phases(cycles)}
+    """One round in this process: the draw times, the run phases, then the
+    shape-solve counts."""
+    return {"draws": draw_times(cycles), "phases": run_phases(cycles), "solves": shape_solves()}
 
 
 def round_in(tree: Path, cycles: int) -> dict:
@@ -211,11 +237,21 @@ def best_of(rounds: list) -> dict:
     return {model: min(r["draws"][model][0] for r in rounds) for model in CASES}
 
 
-def evaluations(rounds: list, model: str) -> str:
-    """A model's evaluations per shape draw, the same in every round, as a
-    table cell."""
-    value = rounds[0]["draws"][model][2]
-    return "-" if value is None else f"{value:.3g}"
+def solve_table(rounds: dict):
+    """The shape-solve table, the same in every round of a tree."""
+    print(f"\nshape solves: _shape_fdf calls per solve, 1 chain x {EVALUATION_CYCLES} cycles per "
+          "case, redraws and chain-start probes included\n\n"
+          "| case | tree | per certified solve | per solve outside the certificate | "
+          "share outside |\n| --- | --- | --- | --- | --- |")
+    for case in SHAPE_CASES:
+        for name, rs in rounds.items():
+            cells = rs[0]["solves"].get(case)
+            if cells is None:
+                print(f"| {case} | {name} | - | - | - |")
+                continue
+            inside, outside, share = cells
+            print(f"| {case} | {name} | {inside:.3g} | "
+                  f"{'-' if outside is None else f'{outside:.3g}'} | {100.0 * share:.2g}% |")
 
 
 def bvn_table(rounds: dict, base_name: Optional[str]):
@@ -227,7 +263,7 @@ def bvn_table(rounds: dict, base_name: Optional[str]):
           f"best of the rounds\n\n| conditional | {' | '.join(names)}{extra} |\n| --- |"
           + " --- |" * (len(names) + (3 if base_name else 0)))
     cells = {"average (chain)": lambda r: r["draws"]["bivariate_normal"][0]}
-    cells.update({row: (lambda r, row=row: r["draws"]["bivariate_normal"][3][row])
+    cells.update({row: (lambda r, row=row: r["draws"]["bivariate_normal"][2][row])
                   for row in BVN_ROWS})
     for row, value in cells.items():
         best = {name: min(value(r) for r in rs) for name, rs in rounds.items()}
@@ -285,17 +321,17 @@ def main(argv=None) -> int:
     print(f"us per conditional draw: 1 chain x {args.cycles} cycles, in process, "
           f"best of {args.repeats}")
     if not args.against:
-        print("\n| model | n | us/draw | evaluations/shape draw |\n| --- | --- | --- | --- |")
+        print("\n| model | n | us/draw |\n| --- | --- | --- |")
         for model, (_, n) in CASES.items():
-            print(f"| {model} | {n} | {best['this tree'][model]:.3g} | "
-                  f"{evaluations(rounds['this tree'], model)} |")
+            print(f"| {model} | {n} | {best['this tree'][model]:.3g} |")
         bvn_table(rounds, None)
+        solve_table(rounds)
         phase_table(rounds, args.cycles)
         return 0
     base_name = args.against
     print(f"\n| model | n | {base_name} | this tree | change | median round change | "
-          "faster rounds | same draws | evaluations/shape draw |\n"
-          "| --- | --- | --- | --- | --- | --- | --- | --- | --- |")
+          "faster rounds | same draws |\n"
+          "| --- | --- | --- | --- | --- | --- | --- | --- |")
     for model, (_, n) in CASES.items():
         old, new = best[base_name][model], best["this tree"][model]
         # Round r ran the two trees back to back.
@@ -305,10 +341,9 @@ def main(argv=None) -> int:
         print(f"| {model} | {n} | {old:.3g} | {new:.3g} | {100.0 * (new / old - 1.0):+.1f}% | "
               f"{100.0 * (statistics.median(ratios) - 1.0):+.1f}% | "
               f"{sum(q < 1.0 for q in ratios)}/{len(ratios)} | "
-              f"{'yes' if len(same) == 1 else 'no'} | "
-              f"{evaluations(rounds[base_name], model)} -> "
-              f"{evaluations(rounds['this tree'], model)} |")
+              f"{'yes' if len(same) == 1 else 'no'} |")
     bvn_table(rounds, base_name)
+    solve_table(rounds)
     phase_table(rounds, args.cycles)
     return 0
 

@@ -35,9 +35,8 @@ from .randvar import (
     fixed_draw,
     unit_rate_gamma,
 )
-from .specfun import (_QUAD_HUGE, _QUAD_TINY, QUADRATIC_STEP, Bracket, digamma,
-                      finite_cubic_root, scipy_special as _sp, solve_newton,
-                      solve_quadratic_positive, trigamma)
+from .specfun import (_QUAD_HUGE, _QUAD_TINY, QUADRATIC_STEP, Bracket, finite_cubic_root,
+                      scipy_special as _sp, solve_newton, solve_quadratic_positive)
 
 __all__ = [
     "Dataset",
@@ -277,80 +276,6 @@ def _disperse(base: dict, params: Tuple[ParamSpec, ...], spreads: dict, chains: 
                 st[p.label] = v + _SHIFT_STEPS[c % len(_SHIFT_STEPS)] * spreads.get(p.label, 0.0)
         inits.append(st)
     return inits
-
-
-def _expanding_root(f: Callable[[float], Tuple[float, float]], start: float,
-                    tol: float = 1e-13, one_minimum: bool = False) -> float:
-    """Root of f by geometric bracket expansion plus Newton.
-
-    f(a) returns (f(a), f'(a)).  The bracket grows from start by factors
-    of 4, down while f(start) > 0 and up while f(start) < 0, until f
-    changes sign; StructuralError is raised when no sign change is found
-    before it hits the floating-point floor/ceiling (the no-solution case).
-    Inside the bracket a bisection-safeguarded Newton iteration in log a
-    starts from the end with the smaller |f| and stops once a step is at
-    most tol; it finds the root at the sign change the expansion met.  Each
-    point is evaluated once; a non-finite value at a bracket end or inside
-    the bracket raises StructuralError.  With one_minimum, f is known to
-    fall and then rise, so the downward expansion gives up as soon as f > 0
-    where f falls (f' < 0): f only grows below such a point.  The shape
-    equations use it only outside their certificate, from a start that does
-    not depend on the chain state (_shape_solve).
-    """
-    def safe(a):
-        try:
-            return f(a)
-        except EvaluationError:
-            return math.nan, math.nan
-
-    lo = hi = max(start, 1e-8)
-    (flo, dlo) = (fhi, dhi) = safe(lo)
-    if not flo <= 0.0:
-        for _ in range(600):
-            hi, fhi, dhi = lo, flo, dlo
-            lo *= 0.25
-            if lo < 1e-280:
-                raise StructuralError("no lower bracket: target function stays positive", start=start)
-            flo, dlo = safe(lo)
-            if flo <= 0.0:
-                break
-            if one_minimum and dlo < 0.0:
-                raise StructuralError("no lower bracket: below the minimum, target function "
-                                      "stays positive", start=start)
-        else:
-            raise StructuralError("lower bracket expansion exhausted", start=start)
-    if not fhi >= 0.0:
-        for _ in range(600):
-            lo, flo, dlo = hi, fhi, dhi
-            hi *= 4.0
-            if hi > 1e280:
-                raise StructuralError("no upper bracket: target function stays negative", start=start)
-            fhi, dhi = safe(hi)
-            if fhi >= 0.0:
-                break
-        else:
-            raise StructuralError("upper bracket expansion exhausted", start=start)
-
-    for a, fa in ((lo, flo), (hi, fhi)):
-        if not math.isfinite(fa):
-            raise StructuralError(
-                f"root isolation failed: non-finite target function value at x={a}", start=start)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-
-    def in_log(u):
-        a = math.exp(u)
-        fa, da = f(a)
-        return fa, a * da
-
-    a, fa, da = (lo, flo, dlo) if -flo < fhi else (hi, fhi, dhi)
-    try:
-        return math.exp(solve_newton(in_log, math.log(lo), math.log(hi),
-                                     math.log(a), fa, a * da, tol))
-    except EvaluationError as exc:
-        raise StructuralError(f"root isolation failed: {exc}", start=start) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -848,31 +773,54 @@ _SHAPE_MIN, _SHAPE_MAX = 1e-280, 1e280
 _LOG_SHAPE_MIN, _LOG_SHAPE_MAX = math.log(_SHAPE_MIN), math.log(_SHAPE_MAX)
 
 
-def _shape_solve(c: float, g: float, n: int, b: Optional[float], start: Optional[float],
-                 scratch) -> float:
+def _shape_solve(c: float, g: float, n: int, b: Optional[float], scratch) -> float:
     """Solve offset(a) + g * sqrt(slope(a) / n) = c for a > 0 (_shape_fdf):
-    the gamma shape when b is None, else a beta shape with other shape b,
-    whose special functions go through the buffers in scratch.
+    the gamma shape when b is None, else a beta shape with other shape b and
+    c < 0, whose special functions go through the buffers in scratch.
 
-    Inside the certificate the caller passes the start of _shape_start.
-    The map is then increasing with one root.  The first value, slope and
-    curvature bound of _shape_fdf certify the Newton step from the start
-    when it is at most QUADRATIC_STEP and |f''| step^2 <= 1e-13 f': the
-    error that the step leaves, |f''/(2 f')| step^2 to third order, is then
-    at most half the tolerance, and the other half covers the change of f'
-    and f'' over a step that short.  Otherwise the first value fixes one
-    end of the bracket at the start, the elementary bounds of _shape_bounds
+    In u = log a the map's slope is a slope(a) (1 - k / r(a)), with
+    k = g / sqrt n and r = 2 slope^(3/2) / -slope', which rises from 1 to
+    inf for the gamma shape and moves from 1 to sqrt b for a beta shape.
+    A beta map with k >= max(1, sqrt b) decreases to -c > 0: no root.
+    Below the certificate (gamma < sqrt n, or sqrt(n min(1, b)) for a beta
+    shape) or else where k <= 1, the map increases, or rises to one maximum
+    and falls to -c > 0 (a beta shape with b < 1): one crossing, and the
+    solve starts from _shape_start.  Otherwise the map falls to one minimum
+    at r(a*) = k (_shape_minimum) and rises: where its value there is not
+    negative there is no root, and else the solve returns the larger root,
+    continuous with the certified region, on a bracket that starts at a*.
+
+    The first value, slope and curvature bound of _shape_fdf at the start
+    certify the Newton step from it when the step is at most
+    QUADRATIC_STEP and |f''| step^2 <= 1e-13 f': the error that the step
+    leaves, |f''/(2 f')| step^2 to third order, is then at most half the
+    tolerance, and the other half covers the change of f' and f'' over a
+    step that short.  Otherwise the first value fixes one end of the
+    bracket at the start, a* or the elementary bounds of _shape_bounds
     certify the other without a special function, and Newton in log a
     (solve_newton) runs from the start until the quadratic-convergence
-    bound certifies its last step.  Outside the certificate (start None)
-    _uncertified_root solves it.  A solve that fails raises
+    bound certifies its last step.  A solve that fails raises
     StructuralError.
     """
+    k = g / math.sqrt(n)
+    certified = g * g < n * (1.0 if b is None else min(1.0, b))
+    if not certified and b is not None and k >= max(1.0, math.sqrt(b)):
+        raise StructuralError("the map decreases to -c > 0: no shape solves the equation")
+    floor = None
     try:
-        if start is None:
-            return _uncertified_root(lambda u: _shape_newton_fdf(u, c, g, n, b, scratch),
-                                     g * g >= n)
-        u = math.log(start)
+        if certified or k <= 1.0:
+            u = math.log(_shape_start(c, g, n, b))
+        else:
+            floor, curvature = _shape_minimum(k, b)
+            f_min = _shape_fdf(floor, c, g, n, b, scratch)[0]
+            if not f_min < 0.0:
+                raise StructuralError("the map's minimum is not negative: no shape solves the "
+                                      "equation", minimum=f_min, shape=math.exp(floor))
+            # _shape_start's steps stop where the map does not increase, so
+            # from a first point on the falling branch they end below a*;
+            # the root of the map's quadratic model at a* is the start there.
+            u = max(math.log(_shape_start(c, g, n, b)), floor + (
+                math.sqrt(-2.0 * f_min / curvature) if 0.0 < curvature < math.inf else 1.0))
         fu, du, curvature = _shape_fdf(u, c, g, n, b, scratch)
         if not math.isfinite(fu):
             raise EvaluationError(f"non-finite target function value at a={math.exp(u)}")
@@ -894,6 +842,10 @@ def _shape_solve(c: float, g: float, n: int, b: Optional[float], start: Optional
                 off_lo, _, s_lo, s_hi = _shape_bounds(math.exp(hi), b)
                 if off_lo + g * math.sqrt((s_lo if g_up else s_hi) / n) > c:
                     break
+            elif floor is not None:
+                # f(floor) < 0 was evaluated.
+                lo = floor
+                break
             else:
                 lo = u - width
                 if lo < _LOG_SHAPE_MIN:
@@ -906,33 +858,6 @@ def _shape_solve(c: float, g: float, n: int, b: Optional[float], start: Optional
                                      args=(c, g, n, b, scratch)))
     except EvaluationError as exc:
         raise StructuralError(f"root isolation failed: {exc}") from exc
-
-
-def _uncertified_root(in_log, rises_at_zero: bool) -> float:
-    """The shape solve outside the certificate, by _expanding_root from a
-    start that does not depend on the chain state.
-
-    Both shape maps are positive for large a (a beta map when q < 0).
-    When gamma >= sqrt n the map also tends to +inf as a -> 0 and has at
-    most one minimum; the start is then the first of 1, 4, 16, ... at which
-    the map does not decrease, at or above the minimum, so the expansion
-    returns the larger root (the branch continuous with the certified
-    region) or raises StructuralError.  Otherwise (a beta shape with
-    sqrt(n b) <= gamma < sqrt n) the map rises from -inf to one maximum and
-    the start is 1.
-    """
-
-    def f(a):
-        fa, da = in_log(math.log(a))
-        return fa, da / a
-
-    a = 1.0
-    if rises_at_zero:
-        while not f(a)[1] >= 0.0:
-            a *= 4.0
-            if a > _SHAPE_MAX:
-                raise StructuralError("the map decreases up to the float ceiling: no root")
-    return _expanding_root(f, a, one_minimum=rises_at_zero)
 
 
 # The elementary shape map.  _shape_series sums the asymptotic series of psi
@@ -1036,10 +961,10 @@ def _shape_estimate(a, b):
 
 
 def _shape_start(c: float, g: float, n: int, b: Optional[float]) -> float:
-    """The start of a shape solve inside the certificate, from (c, g, n, b)
-    alone: the root of offset(a) + g sqrt(slope(a) / n) = c with the
-    elementary _shape_series for the special functions, to about 1e-9 in
-    log a (b None for the gamma shape, as in _shape_parts).
+    """The start of a shape solve whose map crosses zero once, from
+    (c, g, n, b) alone: the root of offset(a) + g sqrt(slope(a) / n) = c
+    with the elementary _shape_series for the special functions, to about
+    1e-9 in log a (b None for the gamma shape, as in _shape_parts).
 
     The first point inverts the offset at c: Minka's (2000) inverse
     digamma, exp(c) + 1/2 or -1/(c + Euler's gamma) below c = -2.22, for the
@@ -1050,7 +975,8 @@ def _shape_start(c: float, g: float, n: int, b: Optional[float]) -> float:
     0.05, then Halley steps on the map of _shape_series until one is at
     most 4e-3, usually the first: the cubic convergence leaves under about
     1e-7 after it, and the step is taken without a new evaluation.  A step
-    is at most 1 in size.
+    is at most 1 in size, and the steps stop where the map does not
+    increase.
     """
     k = g / math.sqrt(n)
     if b is None:
@@ -1095,6 +1021,32 @@ def _shape_start(c: float, g: float, n: int, b: Optional[float]) -> float:
             break
         a *= math.exp(-1.0 if step > 1.0 else 1.0 if step < -1.0 else -step)
     return min(max(a, _SHAPE_MIN), _SHAPE_MAX)
+
+
+def _shape_minimum(k: float, b: Optional[float]) -> Tuple[float, float]:
+    """(log a*, d^2f / du^2 near a*) for the minimum a* of the shape map f
+    of _shape_solve in u = log a, k > 1 (and k < sqrt b for a beta shape):
+    the root of r(a*) = k, by Newton steps in log a on log r with the
+    series of _shape_series to z >= _SERIES_SHIFT, from r ~ 1 + 1.5 zeta(2)
+    a^2 near 0 and r ~ 2 sqrt a far from it, until one is at most 1e-5.
+    The error left, about 1e-9 in u, moves f(a*) by its square.  A step is
+    at most 1; one whose derivative is lost to rounding (a -> 0) steps up.
+    """
+    log_k = math.log(k)
+    a = math.sqrt((k - 1.0) / 2.467) + 0.25 * (k * k - 1.0)
+    curvature = math.nan
+    for _ in range(50):
+        _, s, ds, dds = _shape_series(a, b, _SERIES_SHIFT)
+        if not s > 0.0 > ds:
+            break
+        rs = math.sqrt(s)
+        curvature = a * a * (ds + 0.5 * k * (dds - 0.5 * ds * ds / s) / rs)
+        slope = a * (1.5 * ds / s - dds / ds)
+        step = (math.log(2.0 * s * rs / -ds) - log_k) / slope if slope > 0.0 else -1.0
+        a *= math.exp(-1.0 if step > 1.0 else 1.0 if step < -1.0 else -step)
+        if -1e-5 <= step <= 1e-5:
+            break
+    return math.log(a), curvature
 
 
 # Orders of the Hurwitz zeta for psi' and psi'' (psi''(a) = -2 zeta(3, a)),
@@ -1157,6 +1109,12 @@ def _shape_newton_fdf(u, c, g, n, b, scratch):
     return f, df
 
 
+def _clt_phi(g, n, parts):
+    """n offset(a) + g sqrt(n slope(a)) for parts = (offset(a), slope(a),
+    ...) of _shape_parts, free of cancellation for a beta shape."""
+    return n * parts[0] + g * math.sqrt(n * parts[1])
+
+
 def _clt_pivot(q, n, parts):
     """(g, log|dg/da|) of g(a) = (q - n offset(a)) / sqrt(n slope(a)), for
     parts = (offset(a), slope(a), d slope / da, ...) of _shape_parts:
@@ -1170,11 +1128,9 @@ def _clt_pivot(q, n, parts):
 class _GammaShapeEquation:
     """The CLT equation for the shape given the rate beta:
     sum(log x) = n (psi(a) - log beta) + gamma * sqrt(n psi'(a)), with gamma
-    standard normal truncated to [-5, 5].  For gamma < sqrt n (the
-    certificate) the map is increasing in a and has exactly one root; the
-    solve starts from a point computed from (q, gamma, beta) alone, so a
-    draw does not depend on the chain state.  pivot(q, a) is the CLT
-    equation solved for gamma.
+    standard normal truncated to [-5, 5], solved by _shape_solve from
+    (q, gamma, beta) alone, so a draw does not depend on the chain state.
+    pivot(q, a) is the CLT equation solved for gamma.
     """
 
     gamma_dist = _STD_TRUNCNORM
@@ -1183,13 +1139,10 @@ class _GammaShapeEquation:
         self.n, self.log_beta, self.scratch = n, math.log(beta), scratch
 
     def invert(self, q, g):
-        n = self.n
-        c = q / n + self.log_beta
-        start = _shape_start(c, g, n, None) if g < 0.0 or g * g < n else None
-        return _shape_solve(c, g, n, None, start, self.scratch)
+        return _shape_solve(q / self.n + self.log_beta, g, self.n, None, self.scratch)
 
     def phi(self, g, a):
-        return self.n * (digamma(a) - self.log_beta) + g * math.sqrt(self.n * trigamma(a))
+        return _clt_phi(g, self.n, _shape_parts(a, None, self.scratch)) - self.n * self.log_beta
 
     def pivot(self, q, a):
         return _clt_pivot(q + self.n * self.log_beta, self.n, _shape_parts(a, None, self.scratch))
@@ -1260,10 +1213,9 @@ _GAMMA_PARAMS = (
 class _BetaShapeEquation:
     """The CLT equation for one beta shape given the other shape b:
     q = n (psi(a) - psi(a + b)) + gamma * sqrt(n (psi'(a) - psi'(a + b))),
-    with gamma standard normal truncated to [-5, 5].  For
-    gamma < sqrt(n min(1, b)) (the certificate) the map is increasing in a
-    and has exactly one root, found from a start computed from
-    (q, gamma, b) alone.  pivot(q, a) is the CLT equation solved for gamma.
+    with gamma standard normal truncated to [-5, 5], solved by _shape_solve
+    from (q, gamma, b) alone.  pivot(q, a) is the CLT equation solved for
+    gamma.
     """
 
     gamma_dist = _STD_TRUNCNORM
@@ -1272,20 +1224,17 @@ class _BetaShapeEquation:
         self.n, self.b, self.scratch = n, b, scratch
 
     def invert(self, q, g):
-        n, b = self.n, self.b
-        c = q / n
-        if not (g < 0.0 or g * g < n * min(1.0, b)):
-            return _shape_solve(c, g, n, b, None, self.scratch)
+        c = q / self.n
         if not c < 0.0:
-            # The map increases towards -c <= 0: no root.
+            # _shape_solve rests on -c > 0, the map's limit as a -> inf.  The
+            # statistic, a sum of logs of data in (0, 1), is negative; below
+            # the certificate a statistic that is not has no root.
             raise StructuralError("statistic not negative: no shape solves the equation",
                                   statistic_value=q)
-        return _shape_solve(c, g, n, b, _shape_start(c, g, n, b), self.scratch)
+        return _shape_solve(c, g, self.n, self.b, self.scratch)
 
     def phi(self, g, a):
-        n, b = self.n, self.b
-        return (n * (digamma(a) - digamma(a + b))
-                + math.sqrt(n) * math.sqrt(trigamma(a) - trigamma(a + b)) * g)
+        return _clt_phi(g, self.n, _shape_parts(a, self.b, self.scratch))
 
     def pivot(self, q, a):
         return _clt_pivot(q, self.n, _shape_parts(a, self.b, self.scratch))

@@ -40,8 +40,8 @@ GOLDEN = {
     # exercises the injectivity-grid and redraw counters.
     "gamma": (
         ["--model", "gamma", "--simulate", "alpha=2,beta=0.5,n=5"],
-        "c338fa62c021e51adaeec45efb2545b8b019c8628c3bfd6a2f53e2951b2e7bd3",
-        {"alpha.injectivity_grid_failures": 12, "alpha.gamma_redraw": 24}),
+        "2704930ea6f3cb16d0f8dabfffde56e45b4b495eb50160fd7922a54283c71e10",
+        {"alpha.injectivity_grid_failures": 12, "alpha.gamma_redraw": 20}),
     "beta": (
         ["--model", "beta", "--simulate", "alpha=8,beta=3,n=50"],
         "d6508f1c0a9ac1f4982d19c0f7b845ee38bc0343854cc220c49b98db4a7bb1a7", {}),
@@ -61,7 +61,7 @@ GOLDEN = {
     # certificate of the beta shapes.
     "beta_small_shapes": (
         ["--model", "beta", "--simulate", "alpha=0.4,beta=0.3,n=25"],
-        "3c7742d827deb6ea4880414ce386ad80a75bb5579378fc147e6491b6b73c7892",
+        "480e72ab3f6d027e5be5b8e4fc94959746172fd30d7f5f4c936af55388171ecb",
         {"alpha.injectivity_grid_failures": 2, "beta.injectivity_grid_failures": 2}),
     # Statistics near |rho| = 1.
     "bivariate_normal_rho0.97": (
@@ -98,10 +98,10 @@ OUTPUTS = {
         "trace_sigma2.csv": "31b61f486a39a7a2141dab724784ffbad81812d61ee4c24ba145fa285243ac61",
     },
     "gamma": {
-        "hist_alpha.csv": "ba12aa5da6ae48e4fa33f320a4161b2271cb969a8e2a1adff6ed8012097d8c98",
-        "hist_beta.csv": "856b2509ef0f6dc3dfb9e41a6cdae7d7964b8fffe3dfe856fa5b526c7c4fae29",
-        "trace_alpha.csv": "cf7660bad864cf61939e356943e50e9fb4b742bd1e6f83fe64986210b91c44bc",
-        "trace_beta.csv": "128343aa6b81dcb6a00f76c03b432f4e7db9332797c55eb6bb772bc0f6c30ba8",
+        "hist_alpha.csv": "a54f9586c7643c7fd707192e98553d3e21f3adf3f5751f8c4038d11c95a7632a",
+        "hist_beta.csv": "33dc961248e9afb8e0bd7678a643406f3342c3919311f3750d471832a8c7d6e4",
+        "trace_alpha.csv": "222aa6801076df815d00f74fd541cfd7d74592208f3840a70bf0b208524366b3",
+        "trace_beta.csv": "21f56692c091e2eaa35e9dae0de4e15cd1d3d317f8d7e37604c094d6967d2b5c",
     },
     "beta": {
         "hist_alpha.csv": "25a4c6ca0b0e174bfe44f49557e18122c0d162002168812bc97c2eae41273a48",
@@ -138,10 +138,10 @@ OUTPUTS = {
         "trace_beta.csv": "ff25ebcf2eadd118d1c109043b734f8a2e0e856dbfc3e62b034afb831e49d908",
     },
     "beta_small_shapes": {
-        "hist_alpha.csv": "20c8989cbbb7c10efa554075540d2366385169b97bc175e506a6e0ae902dd989",
+        "hist_alpha.csv": "19dc02985e68b3b5bd5d4e37319b249de1f00a35df09d63281aaefe6e4449c18",
         "hist_beta.csv": "fce12d10edbe7b48045e76691c3ce610e5bed2fe6e486be2e23cd6bbbc0da3a6",
-        "trace_alpha.csv": "a6d8727412f699ce69c097bc7f5758b4506aba5eb5178634ca10df8de135113c",
-        "trace_beta.csv": "e77e4f4a8a5410773274ed6aa70562176ced0952b13f723d3736feea25de371f",
+        "trace_alpha.csv": "c643f36ea4dfa83209ae2a62bb6acb4702e80b56cbcaba6c8ab32be25226a35d",
+        "trace_beta.csv": "909b04f65ed23617701066aa8dd007c3710c3b255c942f2154032147e0a6ea29",
     },
     "bivariate_normal_rho0.97": {
         "hist_mu_x.csv": "e9e3515a078a996ea69b056e8d04b34883a89221dc311acdb0eeb4fc41e07a2b",

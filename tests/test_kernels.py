@@ -32,7 +32,7 @@ CASES = {
     "quadreg": ("quadreg", {"beta0": 1.0, "beta1": -0.5, "beta2": 0.25, "sigma2": 0.5}, 25, {}),
     # The golden gamma n = 5 run: its alpha draws are redrawn.
     "gamma_n5": ("gamma", {"alpha": 2.0, "beta": 0.5}, 5,
-                 {"alpha.injectivity_grid_failures": 12, "alpha.gamma_redraw": 24}),
+                 {"alpha.injectivity_grid_failures": 12, "alpha.gamma_redraw": 20}),
     "beta": ("beta", {"alpha": 0.4, "beta": 0.3}, 25,
              {"alpha.injectivity_grid_failures": 2, "beta.injectivity_grid_failures": 2}),
     "behrens_fisher": ("behrens_fisher",

@@ -489,55 +489,52 @@ class TestSimulate:
             simulate_dataset("gamma", {"alpha": 2.0, "beta": 1.0, "rate": 5.0}, 5, RngStream(1, 0))
 
 
-class TestExpandingRoot:
-    @pytest.mark.parametrize("start", [1e-3, 0.3, 2.9, 3.1, 40.0, 1e6])
-    def test_each_point_evaluated_at_most_twice(self, start):
-        # The bracket ends found by the expansion are not evaluated again.
-        calls = []
-
-        def f(a):
-            calls.append(a)
-            return math.log(a) - math.log(3.0), 1.0 / a
-
-        root = M._expanding_root(f, start)
-        assert root == pytest.approx(3.0, rel=1e-10)
-        counts = {a: calls.count(a) for a in calls}
-        assert max(counts.values()) <= 2, counts
-
-    def test_non_finite_bracket_end_raises_structural_error(self):
-        # f is undefined between 1.2 and 3; the expansion stops on a bracket
-        # whose lower end is such a point.
-        def f(a):
-            if 1.2 < a < 3.0:
-                raise EvaluationError(f"undefined at {a}")
-            return a - 1.0, 1.0
-
-        with pytest.raises(StructuralError, match="root isolation failed"):
-            M._expanding_root(f, 2.0)
-
-
 def _brent_shape_root(f):
     """The reference root of a shape map f(a), independent of the solver: the
     largest upward sign change of f on a log grid of factor 1.25 over
-    [1e-30, 1e30], refined by Brent on that grid interval (a bracket that
-    holds the root).  Its tolerance is relative to the bracket so that tiny
-    roots are compared at full precision.  The root is None when there is no
-    such sign change; the grid points where f <= 0 are returned too."""
+    [1e-12, 1e30] with the map's least point added (a bounded search in
+    log a next to the grid's least value, so that a dip narrower than the
+    grid is seen), refined by Brent on that interval (a bracket that holds
+    the root).  Its tolerance is relative to the bracket so that small roots
+    are compared at full precision.  The root is None when there is no such
+    sign change; the least value of f found is returned too.  Below the
+    grid the map's terms of order 1/a cancel to within eps / a in floats
+    where gamma = sqrt n (the chain-start probe's gamma = 5 at n = 25)."""
     def safe(a):
         try:
             return f(a)
         except EvaluationError:
             return math.nan
 
-    grid = np.exp(np.arange(math.log(1e-30), math.log(1e30), math.log(1.25))).tolist()
+    grid = np.exp(np.arange(math.log(1e-12), math.log(1e30), math.log(1.25))).tolist()
     values = [safe(a) for a in grid]
-    negative = [a for a, v in zip(grid, values) if v <= 0.0]
-    ups = [(lo, hi) for lo, hi, flo, fhi in zip(grid, grid[1:], values, values[1:])
-           if flo <= 0.0 < fhi]
+    i = int(np.nanargmin(values))
+    bounds = (math.log(grid[max(i - 1, 0)]), math.log(grid[min(i + 1, len(grid) - 1)]))
+    a_min = math.exp(optimize.minimize_scalar(lambda u: safe(math.exp(u)), bounds=bounds,
+                                              method="bounded", options={"xatol": 1e-12}).x)
+    points = sorted(zip(grid + [a_min], values + [safe(a_min)]))
+    ups = [(lo, hi) for (lo, flo), (hi, fhi) in zip(points, points[1:]) if flo <= 0.0 < fhi]
+    least = float(np.nanmin([v for _, v in points]))
     if not ups:
-        return None, negative
+        return None, least
     lo, hi = ups[-1]
-    return optimize.brentq(f, lo, hi, xtol=1e-13 * lo), negative
+    return optimize.brentq(f, lo, hi, xtol=1e-13 * lo), least
+
+
+def _shape_map(c, g, n, b, scratch):
+    """The shape map a -> offset(a) + g sqrt(slope(a) / n) - c of
+    _shape_solve in floats, from _shape_parts."""
+    def f(a):
+        off, s = M._shape_parts(a, b, scratch)[:2]
+        if not s > 0.0:
+            raise EvaluationError("non-positive variance term")
+        return off + g * math.sqrt(s / n) - c
+    return f
+
+
+def _shape_c(eq, q):
+    """The float c that eq's solve inverts, as invert forms it."""
+    return q / eq.n + eq.log_beta if isinstance(eq, M._GammaShapeEquation) else q / eq.n
 
 
 # Datasets on which the shape equations are hard: gamma with n=5 leaves
@@ -552,60 +549,16 @@ SHAPE_PANELS = {
 }
 
 
-# The callback solve outside the certificate, through scipy.special: the
-# reference that the flat solve must match there bit for bit, raises and
-# their messages included.  Where a beta shape is over _SERIES_RATIO times
-# the other, both take the differences from the series, whose values the
-# offset test below checks.  Inside the certificate the reference is the
-# 40-digit root of the shape map (_mpmath_root_error).
-
-def _ref_gamma_parts(a):
-    z2, z3 = special.zeta([2.0, 3.0], a).tolist()
-    return float(special.psi(a)), z2, -2.0 * z3
-
-
-def _ref_beta_parts(b):
-    def parts(a):
-        if a > M._SERIES_RATIO * b:
-            return M._shape_series(a, b, M._SERIES_SHIFT)[:3]
-        ab = a + b
-        z2_a, z2_ab, z3_a, z3_ab = special.zeta([2.0, 2.0, 3.0, 3.0], [a, ab, a, ab]).tolist()
-        return float(special.psi(a)) - float(special.psi(ab)), z2_a - z2_ab, -2.0 * (z3_a - z3_ab)
-    return parts
-
-
-def _ref_uncertified_invert(eq, q, g):
-    """The callback solve of eq.invert(q, g) outside the certificate."""
-    n = eq.n
-    if isinstance(eq, M._GammaShapeEquation):
-        c, parts_fn = q / n + eq.log_beta, _ref_gamma_parts
-    else:
-        c, parts_fn = q / n, _ref_beta_parts(eq.b)
-
-    def in_log(u):
-        a = math.exp(u)
-        off, s, ds = parts_fn(a)
-        if not s > 0.0:
-            raise EvaluationError(f"non-positive variance term at a={a}")
-        r = math.sqrt(s / n)
-        return off + g * r - c, a * (s + 0.5 * g * ds / (n * r))
-
-    try:
-        return M._uncertified_root(in_log, g * g >= n)
-    except EvaluationError as exc:
-        raise StructuralError(f"root isolation failed: {exc}") from exc
-
-
 def _mpmath_root_error(eq, q, g, a):
     """|a - r| / r for the root r of eq's shape map next to a, from the
     40-digit value f(a) of the map: the Newton correction f(a) / (a f'(a)),
     with f' in floats.  Next to a root it is the relative distance up to a
-    term of the order of its square."""
+    term of the order of its square.  The map must rise at a: of two roots,
+    a is the larger."""
     mp = pytest.importorskip("mpmath")
     n = eq.n
     gamma_shape = isinstance(eq, M._GammaShapeEquation)
-    # The float c that the solve inverts, as invert forms it.
-    c = q / n + eq.log_beta if gamma_shape else q / n
+    c = _shape_c(eq, q)
     with mp.workdps(40):
         x = mp.mpf(a)
         if gamma_shape:
@@ -618,7 +571,9 @@ def _mpmath_root_error(eq, q, g, a):
     if not gamma_shape:
         s -= float(special.polygamma(1, a + eq.b))
         ds -= float(special.polygamma(2, a + eq.b))
-    return abs(f / (a * (s + 0.5 * g * ds / math.sqrt(n * s))))
+    slope = a * (s + 0.5 * g * ds / math.sqrt(n * s))
+    assert slope > 0.0, (q, g, a)
+    return abs(f / slope)
 
 
 def _record_shape_solves(panel, monkeypatch):
@@ -642,34 +597,24 @@ class TestNewtonInversion:
     @pytest.mark.parametrize("panel", sorted(SHAPE_PANELS))
     def test_flat_solve_matches_the_callback_solve(self, panel, monkeypatch):
         # Recorded chain states, probes and draws outside the certificate
-        # included.  Inside the certificate each root is within 1e-12 of the
-        # 40-digit root, and a solve raises StructuralError only where the
-        # map has no root (a beta statistic that is not negative).  Outside
-        # it the callback solve is the reference: the same root to the bit,
-        # or the same StructuralError.
+        # included.  Inside and outside the certificate each root is within
+        # 1e-12 of the 40-digit root, and the larger of two.  A solve raises
+        # StructuralError only where the map has no root: its least value
+        # (_brent_shape_root) is positive.
         records = _record_shape_solves(panel, monkeypatch)
         outside = raised = 0
         worst = 0.0
         for eq, q, g in records:
-            model = "gamma" if isinstance(eq, M._GammaShapeEquation) else "beta"
+            b = getattr(eq, "b", None)
+            outside += g >= _certificate("gamma" if b is None else "beta", eq.n, b)
             try:
                 got = eq.invert(q, g)
-            except StructuralError as exc:
-                got = exc
-            if g >= _certificate(model, eq.n, getattr(eq, "b", None)):
-                outside += 1
-                try:
-                    want = _ref_uncertified_invert(eq, q, g).hex()
-                except StructuralError as exc:
-                    want, raised = f"raised {exc}", raised + 1
-                got = f"raised {got}" if isinstance(got, Exception) else got.hex()
-                assert got == want, (q, g)
-            elif model == "beta" and not q < 0.0:
-                assert isinstance(got, StructuralError), (q, g)
+            except StructuralError:
                 raised += 1
-            else:
-                assert isinstance(got, float), (q, g, got)
-                worst = max(worst, _mpmath_root_error(eq, q, g, got))
+                root, least = _brent_shape_root(_shape_map(_shape_c(eq, q), g, eq.n, b, eq.scratch))
+                assert root is None and least > 0.0, (q, g, root, least)
+                continue
+            worst = max(worst, _mpmath_root_error(eq, q, g, got))
         assert worst <= 1e-12
         assert len(records) > 800
         # The other shapes of beta_a8_b3_n50 keep its certificate above 5.
@@ -679,32 +624,42 @@ class TestNewtonInversion:
         print(f"{len(records)} solves, {outside} outside the certificate, {raised} raised, "
               f"largest root error {worst:.2g}")
 
+    def test_narrow_dip_is_solved(self):
+        # gamma n = 5 outside the certificate (a recorded state): the map
+        # falls to one minimum of -0.024 at a* = 0.32 and is negative only
+        # between its roots 0.253 and 0.4196, a factor of 1.66 in a.  From
+        # a point at or above the minimum, a bracket that grows by factors
+        # of 4 steps over the dip and finds no root; the solve returns the
+        # larger root.
+        eq = M._GammaShapeEquation(5, 1.0, np.empty(2))
+        q, g = 2.826600280064237, 2.5856573625976793
+        assert g * g >= 5
+        f = _shape_map(_shape_c(eq, q), g, 5, None, eq.scratch)
+        assert f(0.25) > 0.0 > f(0.32) and f(0.42) > 0.0
+        a = eq.invert(q, g)
+        assert a == pytest.approx(0.41964245874720, rel=1e-12)
+        assert _mpmath_root_error(eq, q, g, a) <= 1e-12
+
     @pytest.mark.parametrize("panel", sorted(SHAPE_PANELS))
     def test_shape_newton_agrees_with_brent(self, panel, monkeypatch):
         # Every shape solve of the catalog equations on perturbed states is
         # checked against Brent on a grid bracket that holds the root: a
         # returned root is the largest root within 1e-10 relative.  A solve
         # that raises is outside the certificate, and there the map has no
-        # root on the grid or its negative dip is narrower than the factor 4
-        # that the bracket expansion steps by.
+        # root: its least value, the grid's refined by a bounded search, is
+        # positive.
         model, make = SHAPE_PANELS[panel]
         solve = M._shape_solve
         outcomes = []
 
-        def both(c, g, n, b, start, scratch):
+        def both(c, g, n, b, scratch):
             try:
-                got = solve(c, g, n, b, start, scratch)
+                got = solve(c, g, n, b, scratch)
             except StructuralError:
                 got = None
-
-            def f(a):
-                off, s = M._shape_parts(a, b, scratch)[:2]
-                if not s > 0.0:
-                    raise EvaluationError("non-positive variance term")
-                return off + g * math.sqrt(s / n) - c
-
-            want, negative = _brent_shape_root(f)
-            outcomes.append((got, want, negative, start is not None))
+            want, least = _brent_shape_root(_shape_map(c, g, n, b, scratch))
+            certified = g < 0.0 or g * g < n * (1.0 if b is None else min(1.0, b))
+            outcomes.append((got, want, least, certified))
             if got is None:
                 raise StructuralError("no root")
             return got
@@ -726,12 +681,12 @@ class TestNewtonInversion:
                 except StructuralError:
                     pass
         assert len(outcomes) == 400
-        for got, want, negative, certified in outcomes:
+        for got, want, least, certified in outcomes:
             if got is not None:
                 assert got == pytest.approx(want, rel=1e-10)
             else:
                 assert not certified
-                assert not negative or max(negative) < 4.0 * min(negative)
+                assert want is None and least > 0.0
         if panel == "gamma_n5":
             assert any(got is None for got, *_ in outcomes)
 
@@ -747,30 +702,36 @@ class TestNewtonInversion:
         # from the chain state 5.8 and 5.6, and the solve from two rough
         # elementary Newton steps 2.0 to 2.8 (the most at shapes below 1).
         # From _shape_start, within about 1e-9 of the root, the solve
-        # certifies its first Newton step after one evaluation.  The calls
-        # are counted in this process, so the chains must run here.
+        # certifies its first Newton step after one evaluation.  Outside the
+        # certificate a solve takes at most 3 on average, the evaluation at
+        # the map's minimum included (14 by the geometric bracket at beta
+        # 0.4/0.3).  The calls are counted in this process, so the chains
+        # must run here.
         monkeypatch.setattr(fidgibbs.gibbs, "_usable_cpus", lambda: 1)
         solve, fdf = M._shape_solve, M._shape_fdf
-        counts = {"solves": 0, "evaluations": 0}
+        counts = {True: [0, 0], False: [0, 0]}
         certified = [False]
 
-        def counting_solve(c, g, n, b, start, scratch):
-            certified[0] = start is not None
-            counts["solves"] += certified[0]
-            return solve(c, g, n, b, start, scratch)
+        def counting_solve(c, g, n, b, scratch):
+            certified[0] = g < 0.0 or g * g < n * (1.0 if b is None else min(1.0, b))
+            counts[certified[0]][0] += 1
+            return solve(c, g, n, b, scratch)
 
         def counting_fdf(*args):
-            counts["evaluations"] += certified[0]
+            counts[certified[0]][1] += 1
             return fdf(*args)
 
         monkeypatch.setattr(M, "_shape_solve", counting_solve)
         monkeypatch.setattr(M, "_shape_fdf", counting_fdf)
         data = simulate_dataset(model, theta, n, RngStream(1, 2**32))
         run(get_model(model), data, ChainConfig(m=1500, b=100, chains=2, seed=2018))
-        assert counts["solves"] > 3000
+        (solves, evaluations), (outside, outside_evaluations) = counts[True], counts[False]
+        assert solves > 3000
         bound = 1.6 if min(theta.values()) < 1.0 else 1.3
-        assert counts["evaluations"] / counts["solves"] <= bound
-        print(f"{counts['evaluations'] / counts['solves']:.3f} evaluations per certified solve")
+        assert evaluations / solves <= bound
+        assert outside_evaluations <= 3 * outside
+        print(f"{evaluations / solves:.3f} evaluations per certified solve, "
+              f"{outside_evaluations / max(outside, 1):.3f} per solve outside it ({outside})")
 
     def test_rho_newton_agrees_with_brent(self):
         # One Newton solve on the whole bracket serves every gamma: inside
@@ -870,7 +831,8 @@ class TestNewtonInversion:
     def test_extreme_shapes_raise_no_warnings(self):
         # Far-out statistics and states drive psi'' to overflow; a non-finite
         # derivative bisects quietly (RuntimeWarnings fail the suite).  gamma
-        # 0.5 is inside both certificates, 2.0 outside them at n = 4.
+        # 0.5 is inside both certificates at n = 4, 2.0 on their edge and
+        # 3.0 outside them, where a map falls to a minimum or decreases.
         data = Dataset({"x": np.array([0.2, 0.5, 0.7, 0.9])})
         for model in ("gamma", "beta"):
             cond = _catalog(model, data, "alpha")
@@ -878,7 +840,7 @@ class TestNewtonInversion:
                 for other in (1e-200, 1.0, 1e200):
                     for start in (1e-300, 1.0, 1e300):
                         eq = cond.equation_for(data, {"alpha": start, "beta": other})
-                        for g in (0.5, 2.0):
+                        for g in (0.5, 2.0, 3.0):
                             try:
                                 a = eq.invert(q, g)
                             except StructuralError:
@@ -938,6 +900,41 @@ class TestShapeSeries:
                         worst[i] = max(worst[i], float(abs(got[i] / want[i] - 1)))
         print(f"largest relative error: offset {worst[0]:.2g}, slope {worst[1]:.2g}")
         assert max(worst) <= 1e-12
+
+    def test_beta_phi_free_of_cancellation(self):
+        # The beta shape equation's phi against 40 digits where a >> b: the
+        # difference of the digamma and trigamma values lost 2.7e-7 of it at
+        # a = 1e8 and 1.9e-3 at a = 1e12 (b = 1, n = 50).
+        mp = pytest.importorskip("mpmath")
+        eq = M._BetaShapeEquation(50, 1.0, (np.empty(4), np.empty(4)))
+        for a in (1e8, 1e12):
+            for g in (-2.0, 0.0, 2.5):
+                with mp.workdps(40):
+                    x = mp.mpf(a)
+                    want = float(50 * (mp.psi(0, x) - mp.psi(0, x + 1))
+                                 + g * mp.sqrt(50 * (mp.psi(1, x) - mp.psi(1, x + 1))))
+                assert eq.phi(g, a) == pytest.approx(want, rel=1e-12, abs=0.0), (a, g)
+
+    @pytest.mark.parametrize("b", [None, 1.5, 4.0, 100.0])
+    def test_shape_minimum_against_40_digits(self, b):
+        # a* of _shape_minimum, where r(a) = 2 slope^(3/2) / -slope' = k,
+        # against the 40-digit root of r(a) = k; k from near 1 to near
+        # sqrt b, where a* grows without bound.
+        mp = pytest.importorskip("mpmath")
+        top = 3.5 if b is None else math.sqrt(b) * (1.0 - 1e-3)
+        for k in (1.0 + 1e-6, 1.001, 1.2, 2.0, 3.5, top):
+            if not k <= top:
+                continue
+            u, curvature = M._shape_minimum(k, b)
+            with mp.workdps(40):
+                def r(t):
+                    x = mp.exp(t)
+                    s = mp.psi(1, x) - (mp.psi(1, x + b) if b else 0)
+                    ds = mp.psi(2, x) - (mp.psi(2, x + b) if b else 0)
+                    return 2 * s ** 1.5 / -ds - k
+                want = float(mp.findroot(r, mp.mpf(u)))
+            assert u == pytest.approx(want, abs=1e-8), (k, u, want)
+            assert curvature > 0.0
 
     @pytest.mark.parametrize("b", [None, 0.3, 3.0, 1e6])
     def test_start_series_accuracy(self, b):
