@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, NamedTuple, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -23,7 +23,6 @@ __all__ = [
     "StructuralEquation",
     "FiducialStatistic",
     "ConditionalFiducialSampler",
-    "DrawKernel",
     "InjectivityReport",
     "check_injectivity",
 ]
@@ -66,23 +65,6 @@ class FiducialStatistic:
     compute: Callable[[object, Mapping[str, float]], float]
 
 
-class DrawKernel(NamedTuple):
-    """A catalog conditional's fused draw.
-
-    make(sampler) returns draw(data, state, rng, warnings=None): one
-    function that computes the statistic and the state-dependent constants,
-    takes one primary value from the stream exactly as sample takes it for
-    that law and inverts, with the same arithmetic and bits as the
-    layered draw of statistic and equation_for; it hands a first attempt
-    that fails to sampler.redraw.  It stands for these statistic and
-    equation_for objects only.
-    """
-
-    statistic: FiducialStatistic
-    equation_for: Callable
-    make: Callable
-
-
 @dataclass(frozen=True)
 class ConditionalFiducialSampler:
     """Draws one parameter given the others by inverting a structural equation.
@@ -105,22 +87,16 @@ class ConditionalFiducialSampler:
     arithmetic: statistic.compute, equation_for, sample as bound in this
     module (looked up on every draw, not bound once) and the equation's
     invert, read as an attribute of an equation that keeps an instance
-    __dict__ (no __slots__).  Traced, replaced and user-built samplers
-    draw through it.  The benchmark's traced run (bench/tracing.py) times
-    the layers of a draw by wrapping exactly these: it replaces compute
-    and equation_for through dataclasses.replace, patches
-    fidgibbs.core.sample and hands out a __dict__ copy of each equation
-    with a timed invert; and bench/selftest.py fails when a layer goes
-    missing.
-
-    A catalog conditional also carries a kernel (DrawKernel), which fuses
-    the first attempt of a draw into one function with the same bits.  The
-    path is chosen once, when the sampler is made: draw is the kernel's
-    function while statistic and equation_for are the objects the kernel
-    stands for, so a sampler made by dataclasses.replace with other ones
-    draws through the layered path.  A first attempt that fails continues
-    in the layered loop (redraw), so redraws, warnings and errors are those
-    of the layered path.
+    __dict__ (no __slots__).  Samplers made by dataclasses.replace or by
+    hand draw through it.  A catalog conditional's draw is instead the
+    fused kernel, with the same bits, that its model's build_conditionals
+    sets on it; a failed first attempt goes on in the layered loop
+    (redraw), so redraws, warnings and errors are those of the layered
+    path.  The benchmark's traced run (bench/tracing.py) times the layers
+    of a draw by wrapping exactly these: it replaces compute and
+    equation_for through dataclasses.replace, patches fidgibbs.core.sample
+    and hands out a __dict__ copy of each equation with a timed invert;
+    and bench/selftest.py fails when a layer goes missing.
     """
 
     target_param: str
@@ -128,13 +104,6 @@ class ConditionalFiducialSampler:
     equation_for: Callable[[object, Mapping[str, float]], object]
     theta_domain: Tuple[float, float]
     check_at_start: bool = False
-    kernel: Optional[DrawKernel] = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        kernel = self.kernel
-        if (kernel is not None and kernel.statistic is self.statistic
-                and kernel.equation_for is self.equation_for):
-            object.__setattr__(self, "draw", kernel.make(self))
 
     def equation(self, data, state: Mapping[str, float]) -> StructuralEquation:
         """The validated StructuralEquation at state, for injectivity probes

@@ -20,7 +20,7 @@ from typing import Callable, Mapping, Optional, Tuple
 
 import numpy as np
 
-from .core import ConditionalFiducialSampler, DrawKernel, FiducialStatistic
+from .core import ConditionalFiducialSampler, FiducialStatistic
 from .errors import DegenerateDataError, DomainError, EvaluationError, StructuralError
 from .randvar import (
     ChiSquare,
@@ -159,8 +159,8 @@ def _log_abs(x: float) -> float:
 
 def _conditional(params: Tuple[ParamSpec, ...], label: str, statistic: FiducialStatistic,
                  equation_for, kernel, **options) -> ConditionalFiducialSampler:
-    """A catalog conditional whose theta_domain is its parameter's domain,
-    with kernel as the make of its DrawKernel.
+    """A catalog conditional whose theta_domain is its parameter's domain
+    and whose draw is kernel(lo, hi, sampler.redraw).
 
     kernel(lo, hi, redraw) returns the fused draw(data, state, rng,
     warnings=None) of this statistic and equation_for: it returns theta
@@ -168,12 +168,9 @@ def _conditional(params: Tuple[ParamSpec, ...], label: str, statistic: FiducialS
     warnings, q) (ConditionalFiducialSampler.redraw).
     """
     p = next(p for p in params if p.label == label)
-
-    def make(sampler):
-        return kernel(*sampler.theta_domain, sampler.redraw)
-
-    return ConditionalFiducialSampler(label, statistic, equation_for, theta_domain=(p.lo, p.hi),
-                                      kernel=DrawKernel(statistic, equation_for, make), **options)
+    sampler = ConditionalFiducialSampler(label, statistic, equation_for, (p.lo, p.hi), **options)
+    object.__setattr__(sampler, "draw", kernel(p.lo, p.hi, sampler.redraw))
+    return sampler
 
 
 def _equation_kernel(q: float, equation_for):
@@ -781,7 +778,9 @@ def _shape_solve(c: float, g: float, n: int, b: Optional[float], scratch) -> flo
     In u = log a the map's slope is a slope(a) (1 - k / r(a)), with
     k = g / sqrt n and r = 2 slope^(3/2) / -slope', which rises from 1 to
     inf for the gamma shape and moves from 1 to sqrt b for a beta shape.
-    A beta map with k >= max(1, sqrt b) decreases to -c > 0: no root.
+    A beta map with k >= max(1, sqrt b) decreases to -c > 0: no root.  At
+    k = 1 the others rise from -Euler's gamma - psi(b) - c at a -> 0 (psi(b)
+    = 0 for the gamma shape): no root where that limit is not negative.
     Below the certificate (gamma < sqrt n, or sqrt(n min(1, b)) for a beta
     shape) or else where k <= 1, the map increases, or rises to one maximum
     and falls to -c > 0 (a beta shape with b < 1): one crossing, and the
@@ -806,6 +805,8 @@ def _shape_solve(c: float, g: float, n: int, b: Optional[float], scratch) -> flo
     certified = g * g < n * (1.0 if b is None else min(1.0, b))
     if not certified and b is not None and k >= max(1.0, math.sqrt(b)):
         raise StructuralError("the map decreases to -c > 0: no shape solves the equation")
+    if k == 1.0 and c <= -_EULER_GAMMA - (0.0 if b is None else float(_sp.psi(b))):
+        raise StructuralError("the map rises from a limit >= 0: no shape solves the equation")
     floor = None
     try:
         if certified or k <= 1.0:

@@ -1,7 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from fidgibbs import Dataset, RngStream, simulate_dataset
+
+
+def layered(sampler):
+    """sampler drawing through the layered path: a catalog conditional's
+    fused draw is set on the sampler its model builds, not on a copy."""
+    return dataclasses.replace(sampler)
 
 
 @pytest.fixture

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import layered
 from scipy import stats
 
 import fidgibbs.core
@@ -86,13 +87,12 @@ class TestRun:
     def test_single_cycle_with_deterministic_primaries(self, normal_data, monkeypatch):
         # Force every primary draw to its distribution mean: one cycle must
         # land exactly on the implied deterministic update.  The primaries
-        # come from fidgibbs.core.sample on the layered path, which samplers
-        # without their kernel take.
+        # come from fidgibbs.core.sample on the layered path, which replaced
+        # samplers take.
         model = get_model("normal")
 
-        def layered(data):
-            return {label: dataclasses.replace(c, kernel=None)
-                    for label, c in model.build_conditionals(data).items()}
+        def build(data):
+            return {label: layered(c) for label, c in model.build_conditionals(data).items()}
 
         def fixed_sample(dist, rng):
             if isinstance(dist, Normal):
@@ -104,7 +104,7 @@ class TestRun:
         monkeypatch.setattr(fidgibbs.core, "sample", fixed_sample)
         x = normal_data.col("x")
         cfg = ChainConfig(m=1, b=0, chains=1, seed=0)
-        sm = run(dataclasses.replace(model, build_conditionals=layered), normal_data, cfg)
+        sm = run(dataclasses.replace(model, build_conditionals=build), normal_data, cfg)
         xbar = float(np.mean(x))
         assert sm.values[0, 0, sm.index("mu")] == pytest.approx(xbar, abs=1e-14)
         sighat2 = float(np.mean((x - xbar) ** 2))

@@ -1,9 +1,9 @@
 """The fused draw kernels of the catalog conditionals against the layered
 path: statistic.compute, equation_for, fidgibbs.core.sample and invert.
 
-A catalog sampler draws through its kernel; the same sampler without it,
-made with dataclasses.replace, draws through the layered path.  The two
-must give the same bytes, warnings and errors.
+A catalog sampler draws through its kernel; a copy of it made with
+dataclasses.replace draws through the layered path.  The two must give the
+same bytes, warnings and errors.
 """
 
 import dataclasses
@@ -11,17 +11,22 @@ import math
 from collections import Counter
 
 import pytest
+from conftest import layered
 
 import fidgibbs.core
 from fidgibbs import ChainConfig, Dataset, RngStream, get_model, run, simulate_dataset
 from fidgibbs.errors import DegenerateDataError, DomainError, StructuralError
+from fidgibbs.randvar import sample
+
+EPS = 2.0 ** -52
+# The conditionals whose draws are numeric shape solves.
+SHAPES = {"gamma": ("alpha",), "beta": ("alpha", "beta")}
 
 
 def layered_model(model):
     """model with every conditional drawing through the layered path."""
     def build(data):
-        return {label: dataclasses.replace(c, kernel=None)
-                for label, c in model.build_conditionals(data).items()}
+        return {label: layered(c) for label, c in model.build_conditionals(data).items()}
     return dataclasses.replace(model, build_conditionals=build)
 
 
@@ -73,13 +78,15 @@ def test_catalog_samplers_take_the_kernel_and_replaced_ones_the_layers(
     rng = RngStream(5, 0)
     fused = [sampler.draw(normal_data, state, rng) for _ in range(3)]
     assert calls["sample"] == 0
-    # A replaced statistic or equation_for steps the kernel aside.
+    # Any sampler made by dataclasses.replace draws through the layers.
     for changes in ({"statistic": dataclasses.replace(sampler.statistic)},
-                    {"equation_for": lambda d, p: sampler.equation_for(d, p)}):
+                    {"equation_for": lambda d, p: sampler.equation_for(d, p)},
+                    {},
+                    {"theta_domain": (-1e300, 1e300)}):
         replaced = dataclasses.replace(sampler, **changes)
         rng = RngStream(5, 0)
         assert [replaced.draw(normal_data, state, rng) for _ in range(3)] == fused
-    assert calls["sample"] == 6
+    assert calls["sample"] == 12
 
 
 def _outcome(sampler, data, state):
@@ -124,9 +131,43 @@ def test_kernel_errors_match_the_layered_errors(name, data, label, state, error)
         data = simulate_dataset(model, theta, 20, RngStream(7, 0))
     sampler = model.build_conditionals(data)[label]
     fused = _outcome(sampler, data, state)
-    layered = _outcome(dataclasses.replace(sampler, kernel=None), data, state)
-    assert fused == layered
+    assert fused == _outcome(layered(sampler), data, state)
     (kind, message), warnings = fused
     assert issubclass(kind, error), message
     if kind is StructuralError:
         assert warnings == {f"{label}.gamma_redraw": fidgibbs.core.MAX_REDRAWS + 1}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_fused_draws_give_back_their_primary_through_the_pivot(case):
+    # The round trip that ties the fused draw to the density view without a
+    # second draw path: at recorded chain states of the golden data, a
+    # catalog draw from RngStream(s, c) inverts the first primary value g
+    # that sample takes from an identical stream, so pivot(q, theta) gives
+    # back g.  The allowance is rounding, plus for the numeric solves their
+    # tolerance (1e-13 in log a for the shapes, 1e-13 in rho) carried
+    # through the pivot's slope.  Redrawn draws took another g: skipped.
+    name, theta, n, _ = CASES[case]
+    model = get_model(name)
+    data = simulate_dataset(model, theta, n, RngStream(2018, 2**32))
+    chains = run(model, data, ChainConfig(m=200, b=0, chains=2, seed=2018))
+    conditionals = model.build_conditionals(data)
+    checked = Counter()
+    for c in range(2):
+        for s, row in enumerate(chains.values[c, ::4].tolist()):
+            state = dict(zip(chains.labels, row))
+            for label, sampler in conditionals.items():
+                warnings = Counter()
+                drawn = sampler.draw(data, state, RngStream(s, c), warnings)
+                if warnings:
+                    continue
+                eq = sampler.equation_for(data, state)
+                g = sample(eq.gamma_dist, RngStream(s, c))
+                back, log_slope = eq.pivot(sampler.statistic.compute(data, state), drawn)
+                solve_tol = (1e-13 * abs(drawn) if label in SHAPES.get(name, ()) else
+                             1e-13 if label == "rho" else 8 * EPS * abs(drawn))
+                allowance = 64 * EPS * (1.0 + abs(g)) + solve_tol * math.exp(log_slope)
+                assert abs(back - g) <= allowance, (label, state, g, drawn, back)
+                checked[label] += 1
+    assert sorted(checked) == sorted(model.param_labels)
+    assert min(checked.values()) >= 90

@@ -640,6 +640,47 @@ class TestNewtonInversion:
         assert a == pytest.approx(0.41964245874720, rel=1e-12)
         assert _mpmath_root_error(eq, q, g, a) <= 1e-12
 
+    @pytest.mark.parametrize("b", [None, 2.0, 4.0])
+    def test_solves_at_k_one(self, b):
+        # gamma = sqrt(n) = 5 at n = 25, the end of the chain-start probe's
+        # grid.  There the map rises from its limit -Euler's gamma - psi(b)
+        # - c at a -> 0 (psi(b) = 0 for the gamma shape), and its terms of
+        # order 1/a cancel in floats.  On a grid of c = limit + d: where the
+        # 40-digit limit is not negative there is no root and the solve
+        # raises; elsewhere it raises or returns a root within 1e-12 of 40
+        # digits.  At d = 0 the float c can lie an ulp on either side of the
+        # limit.  For 0 < d < 0.02 the root lies below about 0.01, where the
+        # float map keeps only eps / a of its value, and is not held to
+        # 1e-12 (see CHANGES.md).
+        mp = pytest.importorskip("mpmath")
+        n, g = 25, 5.0
+        eq = (M._GammaShapeEquation(n, 1.0, np.empty(2)) if b is None else
+              M._BetaShapeEquation(n, b, (np.empty(4), np.empty(4))))
+        with mp.workdps(40):
+            limit = -mp.euler - (0 if b is None else mp.psi(0, b))
+        roots = 0
+        for d in (-1.0, -0.1, -1e-2, -1e-4, -1e-8, -1e-12, 0.0, 0.02, 0.1, 0.5):
+            q = n * float(limit + d)
+            with mp.workdps(40):
+                no_root = limit - mp.mpf(_shape_c(eq, q)) >= 0
+            try:
+                a = eq.invert(q, g)
+            except StructuralError:
+                continue
+            assert not no_root, (d, a)
+            assert _mpmath_root_error(eq, q, g, a) <= 1e-12, d
+            roots += 1
+        # The three points from 0.02 on the root side.
+        assert roots == 3
+
+    def test_probe_ends_at_k_one_without_a_root(self):
+        # gamma n = 25: every chain start's statistic has c < -Euler's
+        # gamma, so the probe's last grid point, gamma = 5 (k = 1), has no
+        # root in each of the 4 chains.
+        data = simulate_dataset("gamma", {"alpha": 0.5, "beta": 1.0}, 25, RngStream(0, 2**32))
+        sm = run(get_model("gamma"), data, ChainConfig(m=50, b=0, chains=4, seed=0))
+        assert sm.warnings == {"alpha.injectivity_grid_failures": 4}
+
     @pytest.mark.parametrize("panel", sorted(SHAPE_PANELS))
     def test_shape_newton_agrees_with_brent(self, panel, monkeypatch):
         # Every shape solve of the catalog equations on perturbed states is
