@@ -12,6 +12,8 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
+import itertools
 import json
 import math
 import os
@@ -174,20 +176,9 @@ def write_dataset(data: Dataset, model_name: str, path: str):
 _ROWS_PER_WRITE = 512
 
 
-def _blocks(values: np.ndarray):
-    """(cycles, columns) for each block of _ROWS_PER_WRITE rows of values,
-    an (m, k) array: the block's cycle numbers, counted from 1, and each
-    column's values as %.17g strings, the bytes _fmt gives."""
-    for start in range(0, values.shape[0], _ROWS_PER_WRITE):
-        block = values[start:start + _ROWS_PER_WRITE]
-        # One format call per column; the split leaves a trailing "", which
-        # zip with the cycles drops.
-        cols = [("%.17g," * len(col) % tuple(col)).split(",") for col in block.T.tolist()]
-        yield range(start + 1, start + 1 + len(block)), cols
-
-
-def _trace_rows(cycles: range, col: list) -> str:
-    return "".join(map("%d,%s\r\n".__mod__, zip(cycles, col)))
+def _rows(fmt: str, cycles: range, cols) -> str:
+    """fmt once per cycle, in one % call over the cycles interleaved with cols."""
+    return fmt * len(cycles) % tuple(itertools.chain.from_iterable(zip(cycles, *cols)))
 
 
 def _write_chain(values: np.ndarray, chain: int, fh, traces: list):
@@ -196,10 +187,15 @@ def _write_chain(values: np.ndarray, chain: int, fh, traces: list):
     with _fmt on every float, and, from the same strings, the rows of
     column j's trace file to traces[j] for each of traces."""
     fmt = f"{chain},%d" + ",%s" * values.shape[1] + "\r\n"
-    for cycles, cols in _blocks(values):
-        fh.write("".join(map(fmt.__mod__, zip(cycles, *cols))))
+    for start in range(0, values.shape[0], _ROWS_PER_WRITE):
+        block = values[start:start + _ROWS_PER_WRITE]
+        cycles = range(start + 1, start + 1 + len(block))
+        # One format call per column; the split leaves a trailing "", which
+        # zip with the cycles drops.
+        cols = [("%.17g," * len(col) % tuple(col)).split(",") for col in block.T.tolist()]
+        fh.write(_rows(fmt, cycles, cols))
         for trace, col in zip(traces, cols):
-            trace.write(_trace_rows(cycles, col))
+            trace.write(_rows("%d,%s\r\n", cycles, [col]))
 
 
 def write_samples_csv(samples: SampleMatrix, path: str):
@@ -333,8 +329,7 @@ def write_trace_csv(samples: SampleMatrix, param: str, path: str):
     j = samples.index(param)
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(["cycle", "value"])
-        for cycles, (col,) in _blocks(samples.values[0, :, j:j + 1]):
-            fh.write(_trace_rows(cycles, col))
+        _write_chain(samples.values[0, :, j:j + 1], 0, _Discard(), [fh])
 
 
 # ---------------------------------------------------------------------------
@@ -508,9 +503,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main's parser, built on its first call: parse_args keeps no state in it.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except StructuralError as exc:

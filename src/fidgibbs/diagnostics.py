@@ -50,10 +50,14 @@ def rhat_of_chains(chains: np.ndarray) -> float:
     finite draws near the float limit give a finite result.
     """
     splits = _split_halves(np.asarray(chains, dtype=float))
-    length = splits.shape[1]
-    if length < 2:
+    if splits.shape[1] < 2:
         raise DomainError("split halves need length >= 2")
-    splits, _ = _unit_scale(splits)
+    return _rhat(_unit_scale(splits)[0])
+
+
+def _rhat(splits: np.ndarray) -> float:
+    """rhat_of_chains of the split halves splits, scaled by _unit_scale."""
+    length = splits.shape[1]
     if np.max(splits) == np.min(splits):
         return math.nan
     within = float(np.mean(np.var(splits, axis=1, ddof=1)))
@@ -89,32 +93,27 @@ def _autocorrelations(x: np.ndarray) -> np.ndarray:
     return acov / acov[0]
 
 
-def _ess_one_chain(x: np.ndarray) -> float:
-    """N / (1 + 2 sum rho_t), summing while consecutive pairs stay positive."""
-    n = x.size
-    rho = _autocorrelations(x)
-    total = 0.0
-    t = 1
-    while t + 1 < n:
-        pair = rho[t] + rho[t + 1]
-        if pair <= 0.0:
-            break
-        total += pair
-        t += 2
-    tau = 1.0 + 2.0 * total
-    ess = n / tau if tau > 0 else float(n)
-    return float(min(max(ess, 1.0), n))
-
-
 def ess_of_chains(chains: np.ndarray) -> float:
     """Summed per-chain effective sample size, clipped to [1, total draws].
 
     Like rhat_of_chains, it works on the draws scaled by a power of two.
     """
-    chains, _ = _unit_scale(np.asarray(chains, dtype=float))
-    if chains.ndim == 1:
-        chains = chains[None, :]
-    total = sum(_ess_one_chain(row) for row in chains)
+    return _ess(np.atleast_2d(_unit_scale(np.asarray(chains, dtype=float))[0]))
+
+
+def _ess(chains: np.ndarray) -> float:
+    """ess_of_chains of a (chains, length) array scaled by _unit_scale: per
+    chain N / (1 + 2 S) clipped to [1, N], S the sum from 0.0, left to right
+    as a loop adds, of the pairs rho_t + rho_(t+1), t = 1, 3, ..., before the
+    first that is not positive."""
+    n = chains.shape[1]
+    total = 0.0
+    for row in chains:
+        rho = _autocorrelations(row)
+        pairs = rho[1:n - 1:2] + rho[2:n:2]
+        first = np.append(pairs <= 0.0, True).argmax()
+        tau = 1.0 + 2.0 * float(np.cumsum(np.append(0.0, pairs))[first])
+        total += float(min(max(n / tau if tau > 0 else float(n), 1.0), n))
     return float(min(max(total, 1.0), chains.size))
 
 
@@ -229,8 +228,8 @@ def summarize(samples: SampleMatrix, bins: int = DEFAULT_BINS) -> DiagnosticsRep
         draws = samples.post_burnin(label)
         chains, e = _unit_scale(draws)
         pooled = chains.reshape(-1)
-        rhat = rhat_of_chains(chains) if chains.shape[1] >= 4 else math.nan
-        ess = ess_of_chains(chains)
+        rhat = _rhat(_split_halves(chains)) if chains.shape[1] >= 4 else math.nan
+        ess = _ess(chains)
         lo = float(np.min(pooled))
         hi = float(np.max(pooled))
         if lo == hi:

@@ -32,7 +32,7 @@ from .randvar import (
     ScaledInvChiSquare,
     StudentT,
     TruncatedNormal,
-    fixed_draw,
+    block_args,
     unit_rate_gamma,
 )
 from .specfun import (_QUAD_HUGE, _QUAD_TINY, QUADRATIC_STEP, Bracket, finite_cubic_root,
@@ -58,13 +58,11 @@ __all__ = [
 ]
 
 _STANDARD_TRUNC = 5.0
-_STD_NORMAL = Normal(0.0, 1.0)
-_STD_TRUNCNORM = TruncatedNormal(0.0, 1.0, -_STANDARD_TRUNC, _STANDARD_TRUNC)
-_STD_EXPONENTIAL = Exponential(1.0)
-# The primaries' draws as the fused kernels take them.
-_normal = fixed_draw(_STD_NORMAL)
-_truncnorm = fixed_draw(_STD_TRUNCNORM)
-_exponential = fixed_draw(_STD_EXPONENTIAL)
+# The standard primaries and the rng.take arguments the kernels draw them with.
+_NORMAL_KEY, _NORMAL_FILL, _STD_NORMAL = block_args(Normal(0.0, 1.0))
+_TRUNCNORM_KEY, _TRUNCNORM_FILL, _STD_TRUNCNORM = block_args(
+    TruncatedNormal(0.0, 1.0, -_STANDARD_TRUNC, _STANDARD_TRUNC))
+_EXPONENTIAL_KEY, _EXPONENTIAL_FILL, _STD_EXPONENTIAL = block_args(Exponential(1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +179,7 @@ def _equation_kernel(q: float, equation_for):
     def kernel(lo, hi, redraw):
         def draw(d, p, rng, warnings=None):
             eq = equation_for(d, p)
-            g = _truncnorm(rng)
+            g = rng.take(_TRUNCNORM_KEY, _TRUNCNORM_FILL, _STD_TRUNCNORM)
             try:
                 theta = eq.invert(q, g)
             except StructuralError:
@@ -327,7 +325,7 @@ def _sample_conditionals(params: Tuple[ParamSpec, ...], data: Dataset, column: s
     shift = float(np.mean(dev))
     spread = float(np.mean(dev * dev)) - shift * shift
     variance = _VarianceEquation(ChiSquare(n), n)
-    chi2_n = fixed_draw(variance.gamma_dist)
+    chi2_key, chi2_fill, chi2_n = block_args(variance.gamma_dist)
 
     def mean_sq_about_mu(d, p):
         off = xbar - p[mu] + shift
@@ -336,7 +334,10 @@ def _sample_conditionals(params: Tuple[ParamSpec, ...], data: Dataset, column: s
     def mean_kernel(lo, hi, redraw):
         def draw(d, p, rng, warnings=None):
             # _LocationEquation(1.0, 0.0, sd).invert(xbar, g).
-            theta = xbar - math.sqrt(_pos(p[sigma2], "sigma2") / n) * _normal(rng)
+            v = p[sigma2]
+            if not 0.0 < v < math.inf:
+                _pos(v, "sigma2")
+            theta = xbar - math.sqrt(v / n) * rng.take(_NORMAL_KEY, _NORMAL_FILL, _STD_NORMAL)
             return theta if lo < theta < hi else redraw(d, p, rng, warnings, xbar)
         return draw
 
@@ -344,7 +345,7 @@ def _sample_conditionals(params: Tuple[ParamSpec, ...], data: Dataset, column: s
         def draw(d, p, rng, warnings=None):
             off = xbar - p[mu] + shift
             q = spread + off * off
-            theta = n * q / chi2_n(rng)
+            theta = n * q / rng.take(chi2_key, chi2_fill, chi2_n)
             return theta if lo < theta < hi else redraw(d, p, rng, warnings, q)
         return draw
 
@@ -476,13 +477,13 @@ def _pareto_build_conditionals(data: Dataset) -> dict:
     sum_log = float(np.sum(np.log(x)))
     # The alpha primary is Gamma(n, 1), drawn as half a chi^2(2n): a law
     # fixed for the dataset, so it is drawn in blocks.
-    chi2_2n = ChiSquare(2 * n)
-    chi2_2n_draw = fixed_draw(chi2_2n)
+    chi2_key, chi2_fill, chi2_2n = block_args(ChiSquare(2 * n))
 
     def alpha_offset(p):
-        beta = _pos(p["beta"], "beta")
-        # Outside the joint's support: the alpha conditional does not exist.
-        if beta > min_x:
+        beta = p["beta"]
+        if not 0.0 < beta <= min_x:
+            _pos(beta, "beta")
+            # Outside the joint's support: the alpha conditional does not exist.
             raise DomainError(f"beta={beta} exceeds min(x)={min_x}")
         off = n * math.log(beta)
         if sum_log - off <= 0.0:
@@ -495,15 +496,18 @@ def _pareto_build_conditionals(data: Dataset) -> dict:
             # _RateEquation(chi2_2n, off, 0.5).invert(sum_log, g); the rate
             # sum_log - off is positive once alpha_offset returns.
             off = alpha_offset(p)
-            theta = 0.5 * chi2_2n_draw(rng) / (sum_log - off)
+            theta = 0.5 * rng.take(chi2_key, chi2_fill, chi2_2n) / (sum_log - off)
             return theta if lo < theta < hi else redraw(d, p, rng, warnings, sum_log)
         return draw
 
     def beta_kernel(lo, hi, redraw):
         def draw(d, p, rng, warnings=None):
             # _ParetoBetaEquation(n alpha).invert(min_x, g).
-            n_alpha = n * _pos(p["alpha"], "alpha")
-            theta = min_x * math.exp(-_exponential(rng) / n_alpha)
+            alpha = p["alpha"]
+            if not 0.0 < alpha < math.inf:
+                _pos(alpha, "alpha")
+            g = rng.take(_EXPONENTIAL_KEY, _EXPONENTIAL_FILL, _STD_EXPONENTIAL)
+            theta = min_x * math.exp(-g / (n * alpha))
             return theta if lo < theta < hi else redraw(d, p, rng, warnings, min_x)
         return draw
 
@@ -660,7 +664,7 @@ def _quadreg_build_conditionals(data: Dataset) -> dict:
         raise DegenerateDataError("design is degenerate: x takes fewer than three distinct values")
     rss_at = _quadreg_rss_form(x, y)
     variance = _VarianceEquation(ChiSquare(x.size), 1)
-    chi2_n = fixed_draw(variance.gamma_dist)
+    chi2_key, chi2_fill, chi2_n = block_args(variance.gamma_dist)
 
     def rss_stat(d, p):
         rss = rss_at(p["beta0"], p["beta1"], p["beta2"])
@@ -675,8 +679,11 @@ def _quadreg_build_conditionals(data: Dataset) -> dict:
             def draw(d, p, rng, warnings=None):
                 # _quadreg_coef_equation(scale, off, sigma2).invert(stat, g).
                 off = p[la] * ca + p[lb] * cb
-                sd = math.sqrt(_pos(p["sigma2"], "sigma2") * scale)
-                theta = (stat - off - sd * _normal(rng)) / scale
+                v = p["sigma2"]
+                if not 0.0 < v < math.inf:
+                    _pos(v, "sigma2")
+                g = rng.take(_NORMAL_KEY, _NORMAL_FILL, _STD_NORMAL)
+                theta = (stat - off - math.sqrt(v * scale) * g) / scale
                 return theta if lo < theta < hi else redraw(d, p, rng, warnings, stat)
             return draw
 
@@ -689,7 +696,7 @@ def _quadreg_build_conditionals(data: Dataset) -> dict:
         def draw(d, p, rng, warnings=None):
             # variance.invert(q, g) is 1 * q / g.
             q = rss_stat(d, p)
-            theta = q / chi2_n(rng)
+            theta = q / rng.take(chi2_key, chi2_fill, chi2_n)
             return theta if lo < theta < hi else redraw(d, p, rng, warnings, q)
         return draw
 
@@ -1172,7 +1179,10 @@ def _gamma_build_conditionals(data: Dataset) -> dict:
         def draw(d, p, rng, warnings=None):
             # _RateEquation(Gamma(n alpha, 1.0), 0.0).invert(sum_x, g) is
             # 1.0 * g / (sum_x - 0.0), and sum_x > 0.
-            theta = unit_rate_gamma(n * _pos(p["alpha"], "alpha"), rng) / sum_x
+            alpha = p["alpha"]
+            if not 0.0 < alpha < math.inf:
+                _pos(alpha, "alpha")
+            theta = unit_rate_gamma(n * alpha, rng) / sum_x
             return theta if lo < theta < hi else redraw(d, p, rng, warnings, sum_x)
         return draw
 
@@ -1549,7 +1559,7 @@ def _bvn_build_conditionals(data: Dataset) -> dict:
                 q = own_sum - rho * ratio * other_sum
                 off = -n * rho * ratio * p[other_mu]
                 sd = math.sqrt(n * v * (1.0 - rho * rho))
-                theta = (q - off - sd * _normal(rng)) / n
+                theta = (q - off - sd * rng.take(_NORMAL_KEY, _NORMAL_FILL, _STD_NORMAL)) / n
                 return theta if lo < theta < hi else redraw(d, p, rng, warnings, q)
             return draw
 
@@ -1594,7 +1604,7 @@ def _bvn_build_conditionals(data: Dataset) -> dict:
                 q = statistic(d, p)
                 rho = p["rho"]
                 c0 = math.sqrt((1.0 - rho * rho) / (n * (2.0 - rho * rho)))
-                bracketed = 1.0 + _truncnorm(rng) * c0
+                bracketed = 1.0 + rng.take(_TRUNCNORM_KEY, _TRUNCNORM_FILL, _STD_TRUNCNORM) * c0
                 if bracketed <= floor:
                     return redraw(d, p, rng, warnings, q)
                 s = q / bracketed
@@ -1642,7 +1652,7 @@ def _bvn_build_conditionals(data: Dataset) -> dict:
     def rho_kernel(lo, hi, redraw):
         def draw(d, p, rng, warnings=None):
             q = rho_mle(d, p)
-            g = _truncnorm(rng)
+            g = rng.take(_TRUNCNORM_KEY, _TRUNCNORM_FILL, _STD_TRUNCNORM)
             try:
                 theta = rho_invert(q, g)
             except StructuralError:

@@ -22,10 +22,10 @@ longest ago, whose unused values are dropped.  Gamma, whose shape
 follows the state in the gamma model, and the two kinds that are never
 primaries are drawn one value per call.
 
-fixed_draw binds the draw of a law fixed once, and unit_rate_gamma draws
-a Gamma(shape, 1) without building the law; both give the value and bits
-of sample, and the catalog's fused draw kernels take their primaries
-through them.
+The catalog's fused draw kernels bind block_args(law) once and take each
+primary with one rng.take(key, fill, law) call, the value and bits of
+sample(law, rng) for the standard laws they draw; unit_rate_gamma draws a
+Gamma(shape, 1) without building the law, with the bits of sample.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
@@ -51,7 +51,7 @@ __all__ = [
     "StudentT",
     "Dist",
     "sample",
-    "fixed_draw",
+    "block_args",
     "unit_rate_gamma",
     "log_density",
     "quantile",
@@ -279,23 +279,16 @@ def sample(dist: Dist, rng: RngStream) -> float:
     return sampler(dist, rng)
 
 
-def fixed_draw(dist: Dist) -> Callable[[RngStream], float]:
-    """draw(rng), the value and bits of sample(dist, rng), for a law of a
-    kind drawn in blocks, with the kind looked up and the law's constants
-    formed once: a draw takes the next value of the law's block, under the
-    same block key and fill, and does its kind's arithmetic on it."""
-    kind = type(dist)
-    if kind is Normal:
-        mean, sd = dist.mean, math.sqrt(dist.var)
-        return lambda rng: mean + sd * rng.take(Normal, _standard_normals, dist)
-    if kind is Exponential:
-        rate = dist.rate
-        return lambda rng: rng.take(Exponential, _standard_exponentials, dist) / rate
-    if kind is TruncatedNormal or kind is ChiSquare:
-        key = dist.block_key
-        fill = _truncated_normals if kind is TruncatedNormal else _chi_squares
-        return lambda rng: rng.take(key, fill, dist)
-    raise DomainError(f"fixed_draw needs a law drawn in blocks, got {dist!r}")
+def block_args(dist: Dist) -> tuple:
+    """(key, fill, dist): rng.take(key, fill, dist) takes the next value of
+    the block sample draws dist from.  That is sample's draw for a
+    TruncatedNormal or ChiSquare law, and for a Normal or Exponential law
+    the standard draw that sample shifts and scales."""
+    fill = {Normal: _standard_normals, TruncatedNormal: _truncated_normals,
+            ChiSquare: _chi_squares, Exponential: _standard_exponentials}.get(type(dist))
+    if fill is None:
+        raise DomainError(f"block_args needs a law drawn in blocks, got {dist!r}")
+    return getattr(dist, "block_key", type(dist)), fill, dist
 
 
 def unit_rate_gamma(shape: float, rng: RngStream) -> float:

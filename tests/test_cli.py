@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import warnings
@@ -552,6 +553,61 @@ class TestCheckCompatCommand:
               "--n", 10, "--seed", 8, "--out", data])
         rc = _run(["check-compat", "--model", "gamma", "--data", data])
         assert rc == 1
+
+
+def _parser_calls(out):
+    """run, diag, an argparse error, --version, simulate, run with other
+    --bins and --chains, and run with the defaults."""
+    data = out / "pareto.csv"
+    run = ["--m", "300", "--b", "50"]
+    return [
+        ["run", "--model", "normal", "--simulate", "mu=1,sigma2=4,n=12", *run,
+         "--chains", "2", "--output-dir", str(out / "normal")],
+        ["diag", "--samples", str(out / "normal" / "samples.csv"), "--b", "50"],
+        ["run", "--model", "normal", "--bins"],
+        ["--version"],
+        ["simulate", "--model", "pareto", "--params", "alpha=3,beta=2", "--n", "15",
+         "--seed", "4", "--out", str(data)],
+        ["run", "--model", "pareto", "--data", str(data), *run, "--bins", "7", "--chains", "3",
+         "--output-dir", str(out / "options")],
+        ["run", "--model", "pareto", "--data", str(data), *run, "--output-dir", str(out / "defaults")],
+    ]
+
+
+class TestParserReuse:
+    def _outcomes(self, out, capsys):
+        """Each call's exit code and output, then every file the calls wrote."""
+        outcomes = []
+        for argv in _parser_calls(out):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = ("SystemExit", exc.code)
+            outcomes.append((code, *capsys.readouterr()))
+        files = {path: path.read_bytes() for path in sorted(out.rglob("*")) if path.is_file()}
+        return outcomes, files
+
+    def test_a_reused_parser_is_stateless(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "out"
+        # A parser built afresh for every call.
+        with monkeypatch.context() as fresh:
+            fresh.setattr(fidgibbs.cli, "_parser", fidgibbs.cli.build_parser)
+            want = self._outcomes(out, capsys)
+        shutil.rmtree(out)
+        # One parser for the whole sequence, built on the first call.
+        fidgibbs.cli._parser.cache_clear()
+        got = self._outcomes(out, capsys)
+        assert fidgibbs.cli._parser.cache_info().misses == 1
+        assert got == want
+        codes = [code for code, _, _ in got[0]]
+        assert codes == [0, 0, ("SystemExit", 2), ("SystemExit", 0), 0, 0, 0]
+        reports = [json.loads((out / run / "report.json").read_text())
+                   for run in ("options", "defaults")]
+        assert [(r["bins"], r["chains"]) for r in reports] == [(7, 3), (60, 4)]
+        # The reused parser reads every call as a new one does.
+        for argv in _parser_calls(out)[:2] + _parser_calls(out)[4:]:
+            fresh = fidgibbs.cli.build_parser().parse_args(argv)
+            assert vars(fidgibbs.cli._parser().parse_args(argv)) == vars(fresh)
 
 
 class TestConsoleEntry:

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fidgibbs import ChainConfig, DomainError, SampleMatrix, get_model, run, summarize
+from fidgibbs import ChainConfig, DomainError, SampleMatrix, diagnostics, get_model, run, summarize
 from fidgibbs.diagnostics import (
     effective_sample_size,
     ess_of_chains,
@@ -99,6 +99,85 @@ class TestEffectiveSampleSize:
             effective_sample_size(sm, "p0")
         sm = _matrix(np.random.default_rng(9).normal(size=(1, 200)), b=20)
         assert effective_sample_size(sm, "p0") > 1.0
+
+
+def _geyer_loop(x):
+    """The per-chain ESS as a Python loop over the pairs of autocorrelations,
+    the form the pair sum had before it became a cumsum: the oracle."""
+    n = x.size
+    rho = diagnostics._autocorrelations(x)
+    total = 0.0
+    t = 1
+    while t + 1 < n:
+        pair = rho[t] + rho[t + 1]
+        if pair <= 0.0:
+            break
+        total += pair
+        t += 2
+    tau = 1.0 + 2.0 * total
+    ess = n / tau if tau > 0 else float(n)
+    return float(min(max(ess, 1.0), n))
+
+
+def _ess_oracle(chains):
+    chains, _ = diagnostics._unit_scale(np.asarray(chains, dtype=float))
+    total = sum(_geyer_loop(row) for row in chains)
+    return float(min(max(total, 1.0), chains.size))
+
+
+def _ar1(phi, chains=4, length=500, seed=11):
+    rng = np.random.default_rng(seed)
+    x = np.empty((chains, length))
+    x[:, 0] = rng.normal(size=chains)
+    for t in range(1, length):
+        x[:, t] = phi * x[:, t - 1] + math.sqrt(1.0 - phi * phi) * rng.normal(size=chains)
+    return x
+
+
+GEYER_CASES = {
+    **{f"ar1_phi{phi}": _ar1(phi) for phi in (0.0, 0.5, 0.9, 0.99)},
+    # No pair (length 2), one pair (3 and 4) and two pairs (5).
+    **{f"length{n}": np.random.default_rng(n).normal(size=(3, n)) * 1e3 + 7.0
+       for n in (2, 3, 4, 5)},
+    # acov[0] <= 0: the autocorrelations are 1, 0, 0, ... and no pair counts.
+    "constant": np.full((2, 60), 3.0),
+    # Both end draws and zeros between: every pair is a rounding error of 0.
+    "ends": np.array([[-1.0, 0.0, 0.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 0.0, 0.0, -1.0]]),
+}
+
+
+class TestGeyerStopRule:
+    """ess_of_chains and summarize's ESS against the per-chain loop, bit for
+    bit, where the initial-positive sum stops early, at once or never."""
+
+    @pytest.mark.parametrize("case", sorted(GEYER_CASES))
+    def test_matches_the_loop(self, case):
+        chains = GEYER_CASES[case]
+        want = _ess_oracle(chains)
+        assert ess_of_chains(chains).hex() == want.hex()
+        summary = summarize(_matrix(chains)).param("p0")
+        assert summary.ess.hex() == want.hex()
+        if chains.shape[1] >= 4:
+            rhat = rhat_of_chains(chains)
+            assert summary.rhat == rhat or (math.isnan(summary.rhat) and math.isnan(rhat))
+
+    def test_sum_runs_to_the_last_lag(self, monkeypatch):
+        # Autocorrelations that decay but stay positive: every pair counts
+        # and the sum ends at the last pair, which holds the last lag at odd
+        # lengths and the one before it at even ones.
+        def decaying(x):
+            rho = 0.97 ** np.arange(x.size)
+            rho[1:] *= 1.0 + 1e-3 * np.sin(np.arange(1, x.size))
+            return rho
+
+        monkeypatch.setattr(diagnostics, "_autocorrelations", decaying)
+        for length in (7, 8, 301):
+            chains = np.random.default_rng(length).normal(size=(2, length))
+            rho = decaying(chains[0])
+            assert np.all(rho[1:length - 1:2] + rho[2:length:2] > 0.0)
+            want = _ess_oracle(chains)
+            assert ess_of_chains(chains).hex() == want.hex()
+            assert summarize(_matrix(chains)).param("p0").ess.hex() == want.hex()
 
 
 class TestExtremeScale:

@@ -3,8 +3,10 @@ file, and the warning counts of fixed CLI runs.
 
 Each case runs `fidgibbs run --simulate ...` with m=2000, 2 chains and a
 fixed seed, and compares the sha256 of samples.csv and of each
-trace_<param>.csv and hist_<param>.csv, and the report's warnings dict,
-with values recorded before the sampler or the writers were refactored.  A
+trace_<param>.csv and hist_<param>.csv, the report's warnings dict and the
+sha256 of the canonical JSON of the report's params (R-hat, ESS, moments,
+quantiles, histogram and convergence flag of each parameter), with values
+recorded before the sampler, the summaries or the writers were refactored.  A
 refactor that keeps the draws must keep these bytes; a deliberate change
 of the stream layout updates the table once and says so in CHANGES.md.
 Every case runs both with all chains in this process and with the chains
@@ -164,15 +166,35 @@ OUTPUTS = {
 }
 
 
+# case -> sha256 of json.dumps(report["params"], sort_keys=True, separators=(",", ":"))
+REPORT_PARAMS = {
+    "behrens_fisher": "44db6b8982ac37bb2ee8cb5a6b62558d8fc8d2d397099aae37e7e9e8e894f090",
+    "beta": "2be5c43073179237892826e4e1fcde39aca8f5695ed2bf60cae2ae35f4938901",
+    "beta_scan_order": "54b3fbb6baf632990a030492cb55eab9a2770cebfe035b0896ab9f755608f5a3",
+    "beta_small_shapes": "145bda023cee38eccc9e37dcf738b4cd6d49a8e682b11b834215095f964955c7",
+    "bivariate_normal": "089aa66fe06ab137385c7f6af78f1ce4bbca1a0581ae14631ee8c11468562440",
+    "bivariate_normal_rho0.97": "b0eec0d5b67eaa6f0e5ed6e006adadadc1e2dc71d8973e5b2d8251743f98ea6a",
+    "gamma": "8a936797a44e248a36f0af3817b2bd9144e719b6def9df3b03a0b9b42a058cf1",
+    "normal": "2970dc075a0dd5fd8131c562157ed54041ac2caa773288304641d6bb482eae9e",
+    "pareto": "fe77468042c5c2cf652e2d18faa44d9db3cf5c90d060dfe4f4206cb904779da4",
+    "pareto_init": "fe77468042c5c2cf652e2d18faa44d9db3cf5c90d060dfe4f4206cb904779da4",
+    "quadreg": "872bd10aba4b6aa974da6233229dfaf2b92b50b4c91b8a8c93a0d65da1a0854b",
+}
+
+
 def _check_outputs(case, tmp_path):
     args, sha256, warnings = GOLDEN[case]
     assert main(["run", *args, *RUN, "--output-dir", str(tmp_path)]) == 0
     assert hashlib.sha256((tmp_path / "samples.csv").read_bytes()).hexdigest() == sha256
-    # report.json is left out: its content is meant to grow.
+    # Of report.json only the params and warnings: its other content is
+    # meant to grow.
     outputs = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                for pattern in ("trace_*.csv", "hist_*.csv") for path in tmp_path.glob(pattern)}
     assert outputs == OUTPUTS[case]
-    assert json.loads((tmp_path / "report.json").read_text())["warnings"] == warnings
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["warnings"] == warnings
+    params = json.dumps(report["params"], sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(params.encode()).hexdigest() == REPORT_PARAMS[case]
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN))

@@ -171,3 +171,37 @@ def test_fused_draws_give_back_their_primary_through_the_pivot(case):
                 checked[label] += 1
     assert sorted(checked) == sorted(model.param_labels)
     assert min(checked.values()) >= 90
+
+
+# (model, conditional, state parameter, the name its check reports): the
+# kernels that check a state value before they take their primary.
+STATE_CHECKS = [
+    ("normal", "mu", "sigma2", "sigma2"),
+    ("behrens_fisher", "mu_x", "sigma_x2", "sigma2"),
+    ("behrens_fisher", "mu_y", "sigma_y2", "sigma2"),
+    ("quadreg", "beta0", "sigma2", "sigma2"),
+    ("quadreg", "beta1", "sigma2", "sigma2"),
+    ("quadreg", "beta2", "sigma2", "sigma2"),
+    ("pareto", "alpha", "beta", "beta"),
+    ("pareto", "beta", "alpha", "alpha"),
+    ("gamma", "beta", "alpha", "alpha"),
+]
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf], ids=repr)
+@pytest.mark.parametrize("name,label,param,reported", STATE_CHECKS)
+def test_kernel_state_checks_raise_before_the_primary(name, label, param, reported, value):
+    model = get_model(name)
+    theta = dict(zip(model.param_labels, (1.0, 0.5, 0.25, 0.5)))
+    data = simulate_dataset(model, theta, 20, RngStream(7, 0))
+    sampler = model.build_conditionals(data)[label]
+    # A state inside the support but for the checked value.
+    state = dict(theta, **{param: value})
+    if name == "pareto":
+        state = {"alpha": 1.0, "beta": 0.5 * float(data.col("x").min()), param: value}
+    rng = RngStream(3, 1)
+    with pytest.raises(DomainError) as got:
+        sampler.draw(data, state, rng, Counter())
+    assert str(got.value) == f"{reported} must be positive and finite, got {value}"
+    # Nothing was drawn: no block taken and the generator untouched.
+    assert not rng._blocks and rng.gen.random() == RngStream(3, 1).gen.random()

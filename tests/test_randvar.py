@@ -19,7 +19,7 @@ from fidgibbs import (
     sample,
 )
 from fidgibbs import models
-from fidgibbs.randvar import BLOCK_SIZE, MAX_BLOCK_LAWS, fixed_draw, unit_rate_gamma
+from fidgibbs.randvar import BLOCK_SIZE, MAX_BLOCK_LAWS, block_args, unit_rate_gamma
 
 N_DRAWS = 200_000
 
@@ -273,37 +273,56 @@ class TestBlocks:
         Normal(0.0, 1.0), Normal(1.5, 4.0), TruncatedNormal(0.0, 1.0, -5.0, 5.0),
         ChiSquare(50.0), Exponential(1.0), Exponential(0.5)], ids=repr)
     def test_fixed_draw_is_sample(self, dist):
-        # Over several blocks, with another law's draws in between.
-        draw, other = fixed_draw(dist), ChiSquare(3.0)
+        # A fixed law drawn as the kernels take their primaries, one
+        # rng.take(key, fill, law) with block_args' values bound once, over
+        # several blocks with another law's draws in between.  For the
+        # standard law of each of the four block kinds (the kernels'
+        # primaries) the taken value is sample's value and bits; for the
+        # others it is the standard draw that sample shifts and scales.
+        key, fill, law = block_args(dist)
+        assert law is dist
+        other = ChiSquare(3.0)
         ra, rb = RngStream(9, 3), RngStream(9, 3)
-        fixed, sampled = [], []
+        taken, sampled = [], []
         for _ in range(self.DRAWS):
-            fixed.append(draw(ra))
+            taken.append(ra.take(key, fill, law))
             sampled.append(sample(dist, rb))
             assert sample(other, ra) == sample(other, rb)
-        assert [x.hex() for x in fixed] == [x.hex() for x in sampled]
+        if isinstance(dist, Normal):
+            from_block = [dist.mean + math.sqrt(dist.var) * g for g in taken]
+        elif isinstance(dist, Exponential):
+            from_block = [g / dist.rate for g in taken]
+        else:
+            from_block = taken
+        assert [x.hex() for x in from_block] == [x.hex() for x in sampled]
+        standard = dist in (models._STD_NORMAL, models._STD_TRUNCNORM, models._STD_EXPONENTIAL)
+        if standard or isinstance(dist, ChiSquare):
+            assert [x.hex() for x in taken] == [x.hex() for x in sampled]
 
     def test_shape_primary_fixed_draw_is_sample(self):
-        # The shape conditionals' primary law, drawn through fixed_draw on
-        # one stream and through sample on another, interleaved with a
-        # second law and with an equal law made apart, which shares its
-        # block: the same bits across two block boundaries.
+        # The shape conditionals' primary law, taken with the key and fill
+        # the kernels bind on one stream and drawn through sample on
+        # another, interleaved with a second law and with an equal law made
+        # apart, which shares its block: the same bits across two block
+        # boundaries.
         law = models._STD_TRUNCNORM
+        key, fill = models._TRUNCNORM_KEY, models._TRUNCNORM_FILL
         equal, other = TruncatedNormal(0.0, 1.0, -5.0, 5.0), ChiSquare(4.0)
         assert equal.block_key == law.block_key and equal.block_key is not law.block_key
-        draw = fixed_draw(law)
+        assert (key, fill, law) == block_args(law)
         ra, rb = RngStream(11, 2), RngStream(11, 2)
-        fixed, sampled = [], []
+        taken, sampled = [], []
         for i in range(2 * BLOCK_SIZE + 5):
-            fixed.append(sample(equal, ra) if i % 7 == 3 else draw(ra))
+            taken.append(sample(equal, ra) if i % 7 == 3 else ra.take(key, fill, law))
             sampled.append(sample(law, rb))
             assert sample(other, ra) == sample(other, rb)
-        assert [x.hex() for x in fixed] == [x.hex() for x in sampled]
+        assert [x.hex() for x in taken] == [x.hex() for x in sampled]
         assert len(ra._blocks) == len(rb._blocks) == 2
 
     def test_fixed_draw_needs_a_block_kind(self):
-        with pytest.raises(DomainError, match="drawn in blocks"):
-            fixed_draw(Gamma(2.0, 1.0))
+        for dist in (Gamma(2.0, 1.0), ScaledInvChiSquare(3.0, 1.0), StudentT(3.0)):
+            with pytest.raises(DomainError, match="drawn in blocks"):
+                block_args(dist)
 
     def test_unit_rate_gamma_is_sample(self):
         ra, rb = RngStream(10, 0), RngStream(10, 0)
