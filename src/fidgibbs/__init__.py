@@ -16,7 +16,7 @@ from .core import (
     StructuralEquation,
     check_injectivity,
 )
-from .diagnostics import DiagnosticsReport, effective_sample_size, split_rhat, summarize
+from .diagnostics import DiagnosticsReport, summarize
 from .errors import (
     DegenerateDataError,
     DomainError,
@@ -32,21 +32,12 @@ from .randvar import (
     Gamma,
     Normal,
     RngStream,
-    ScaledInvChiSquare,
-    StudentT,
     TruncatedNormal,
     log_density,
     quantile,
     sample,
 )
-from .specfun import (
-    Bracket,
-    digamma,
-    ln_gamma,
-    solve_cubic_in_interval,
-    solve_quadratic_positive,
-    trigamma,
-)
+from .specfun import Bracket, ln_gamma, solve_quadratic_positive
 
 __all__ = [
     "__version__",
@@ -71,15 +62,11 @@ __all__ = [
     "Normal",
     "RngStream",
     "SampleMatrix",
-    "ScaledInvChiSquare",
     "StructuralEquation",
     "StructuralError",
-    "StudentT",
     "TruncatedNormal",
     "check_injectivity",
     "check_model",
-    "digamma",
-    "effective_sample_size",
     "estimate",
     "get_model",
     "ln_gamma",
@@ -89,9 +76,6 @@ __all__ = [
     "run",
     "sample",
     "simulate_dataset",
-    "solve_cubic_in_interval",
     "solve_quadratic_positive",
-    "split_rhat",
     "summarize",
-    "trigamma",
 ]

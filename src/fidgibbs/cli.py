@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .compat import CLOSED_FORM_TOL, DEFAULT_GRID_POINTS, check_model
-from .diagnostics import DEFAULT_BINS, summarize
+from .diagnostics import DEFAULT_BINS, _check_bins, summarize
 from .errors import FidgibbsError, StructuralError
 from .gibbs import ChainConfig, DEFAULT_BURN_IN, SampleMatrix, _run
 from .models import MODEL_NAMES, Dataset, get_model, simulate_dataset
@@ -325,22 +325,17 @@ def write_histogram_csv(summary, path: str):
             for i, count in enumerate(summary.hist_counts.tolist())]))
 
 
-def write_trace_csv(samples: SampleMatrix, param: str, path: str):
-    j = samples.index(param)
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(["cycle", "value"])
-        _write_chain(samples.values[0, :, j:j + 1], 0, _Discard(), [fh])
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _output_dir(args) -> Path:
-    out = os.environ.get(OUTPUT_DIR_ENV) or args.output_dir
-    path = Path(out)
+def _output_dir(args) -> tuple:
+    """The output directory, made with its missing parents, and the
+    directories made, deepest first."""
+    path = Path(os.environ.get(OUTPUT_DIR_ENV) or args.output_dir)
+    made = [d for d in (path, *path.parents) if not d.exists()]
     path.mkdir(parents=True, exist_ok=True)
-    return path
+    return path, made
 
 
 def _cmd_run(args) -> int:
@@ -372,13 +367,21 @@ def _cmd_run(args) -> int:
         init=(tuple(_parse_kv(args.init) for _ in range(args.chains))
               if args.init else None),
     )
+    # The outputs' arguments are checked, and their directory made, before
+    # any chain runs; a run that fails removes the directories it made.
+    _check_bins(args.bins)
+    out, made = _output_dir(args)
     with contextlib.ExitStack() as stack:
         text = _ChainText(config.chains, config.m, len(model.params))
         stack.callback(text.close)
-        samples, formatted = _run(model, data, config, text)
-        report = summarize(samples, bins=args.bins)
+        try:
+            samples, formatted = _run(model, data, config, text)
+            report = summarize(samples, bins=args.bins)
+        except BaseException:
+            for d in made:
+                d.rmdir()
+            raise
 
-        out = _output_dir(args)
         fh = stack.enter_context(open(out / "samples.csv", "w", newline=""))
         csv.writer(fh).writerow(["chain", "cycle", *samples.labels])
         traces = []
@@ -438,6 +441,7 @@ def _cmd_check_compat(args) -> int:
 
 
 def _cmd_diag(args) -> int:
+    _check_bins(args.bins)
     samples = read_samples_csv(args.samples, args.b)
     report = summarize(samples, bins=args.bins)
     doc = report.to_dict()

@@ -20,8 +20,6 @@ from .gibbs import SampleMatrix
 __all__ = [
     "DiagnosticsReport",
     "ParamSummary",
-    "split_rhat",
-    "effective_sample_size",
     "ess_of_chains",
     "summarize",
 ]
@@ -69,15 +67,6 @@ def _rhat(splits: np.ndarray) -> float:
     return math.sqrt(pooled / within)
 
 
-def split_rhat(samples: SampleMatrix, param: str) -> float:
-    """Split R-hat of one parameter's post-burn-in draws."""
-    chains = samples.post_burnin(param)
-    if chains.shape[1] // 2 < 10:
-        raise DomainError(
-            f"need split halves of length >= 10 after burn-in, got {chains.shape[1] // 2}")
-    return rhat_of_chains(chains)
-
-
 def _autocorrelations(x: np.ndarray) -> np.ndarray:
     """Normalized autocorrelations rho_0..rho_{L-1} via FFT."""
     x = np.asarray(x, dtype=float)
@@ -115,14 +104,6 @@ def _ess(chains: np.ndarray) -> float:
         tau = 1.0 + 2.0 * float(np.cumsum(np.append(0.0, pairs))[first])
         total += float(min(max(n / tau if tau > 0 else float(n), 1.0), n))
     return float(min(max(total, 1.0), chains.size))
-
-
-def effective_sample_size(samples: SampleMatrix, param: str) -> float:
-    """Effective sample size of one parameter across all post-burn-in draws."""
-    chains = samples.post_burnin(param)
-    if chains.shape[1] < 50:
-        raise DomainError(f"need at least 50 post-burn-in draws, got {chains.shape[1]}")
-    return ess_of_chains(chains)
 
 
 @dataclass(frozen=True)
@@ -210,6 +191,12 @@ def _unit_scale(x: np.ndarray):
     return np.ldexp(x, -e), int(e)
 
 
+def _check_bins(bins: int):
+    """Raise DomainError unless summarize can take bins histogram bins."""
+    if bins < 1:
+        raise DomainError(f"bins must be >= 1, got {bins}")
+
+
 def summarize(samples: SampleMatrix, bins: int = DEFAULT_BINS) -> DiagnosticsReport:
     """Full diagnostics for every parameter of a sample matrix.
 
@@ -220,8 +207,7 @@ def summarize(samples: SampleMatrix, bins: int = DEFAULT_BINS) -> DiagnosticsRep
     quantiles, which are order statistics, are taken from the draws
     themselves, halved when their range exceeds the float range.
     """
-    if bins < 1:
-        raise DomainError(f"bins must be >= 1, got {bins}")
+    _check_bins(bins)
     cfg = samples.config
     summaries = []
     for label in samples.labels:

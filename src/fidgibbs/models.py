@@ -5,7 +5,8 @@ equation (primary random variable plus the map tying the statistic to the
 parameter), and the resulting conditional sampler.  Every equation also
 gives its pivot, from which the sampler reads the conditional's log
 density.  The closed-form families ship an analytic joint log kernel for
-the compatibility check; their printed conditionals stay public as test
+the compatibility check.  Their printed conditionals are not part of the
+package: the tests keep them, written independently of the sampler, as
 oracles.  Every family ships a forward data simulator.
 
 Families: normal, pareto, quadreg, gamma, beta, behrens_fisher,
@@ -29,8 +30,6 @@ from .randvar import (
     Gamma,
     Normal,
     RngStream,
-    ScaledInvChiSquare,
-    StudentT,
     TruncatedNormal,
     block_args,
     unit_rate_gamma,
@@ -45,16 +44,8 @@ __all__ = [
     "MODEL_NAMES",
     "get_model",
     "simulate_dataset",
-    "normal_conditional_mu",
-    "normal_conditional_sigma2",
-    "normal_marginal_mu",
-    "pareto_conditional_alpha",
-    "pareto_conditional_beta_log_density",
     "pareto_joint_log_kernel",
-    "quadreg_conditionals",
     "quadreg_joint_log_kernel",
-    "behrens_fisher_direct_draws",
-    "bvn_log_likelihood",
 ]
 
 _STANDARD_TRUNC = 5.0
@@ -277,33 +268,6 @@ def _disperse(base: dict, params: Tuple[ParamSpec, ...], spreads: dict, chains: 
 # Normal samples: normal (one sample) and behrens_fisher (two)
 # ---------------------------------------------------------------------------
 
-def normal_conditional_mu(xbar: float, sigma2: float, n: int) -> Normal:
-    """mu given sigma2: Normal(xbar, sigma2 / n)."""
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    return Normal(float(xbar), _pos(sigma2, "sigma2") / n)
-
-
-def normal_conditional_sigma2(mu: float, x: np.ndarray) -> ScaledInvChiSquare:
-    """sigma2 given mu: scaled inverse chi-square(n, mean((x - mu)^2))."""
-    x = np.asarray(x, dtype=float)
-    s2 = float(np.mean((x - float(mu)) ** 2))
-    if s2 <= 0.0:
-        raise DegenerateDataError("all observations equal mu: variance statistic is zero")
-    return ScaledInvChiSquare(x.size, s2)
-
-
-def normal_marginal_mu(x: np.ndarray) -> StudentT:
-    """Marginal for mu: non-standardised Student t(n-1, xbar, s/sqrt(n))."""
-    x = np.asarray(x, dtype=float)
-    if x.size < 2:
-        raise DomainError("need at least two observations")
-    s = float(np.std(x, ddof=1))
-    if s <= 0.0:
-        raise DegenerateDataError("constant data: sample standard deviation is zero")
-    return StudentT(x.size - 1, float(np.mean(x)), s / math.sqrt(x.size))
-
-
 def _group_stats(v: np.ndarray, label: str):
     if v.size < 2:
         raise DomainError(f"group '{label}' needs at least two observations")
@@ -412,29 +376,6 @@ def _normal_samples(name: str, groups: Tuple[Tuple[str, str, str], ...]) -> Mode
 # ---------------------------------------------------------------------------
 # Pareto model: shape alpha and scale beta
 # ---------------------------------------------------------------------------
-
-def pareto_conditional_alpha(beta: float, x: np.ndarray) -> Gamma:
-    """alpha given beta: Gamma(n, sum(log x_i) - n log beta)."""
-    x = np.asarray(x, dtype=float)
-    beta = _pos(beta, "beta")
-    if beta > float(np.min(x)):
-        raise DomainError(f"beta={beta} exceeds min(x)={np.min(x)}")
-    rate = float(np.sum(np.log(x))) - x.size * math.log(beta)
-    if rate <= 0.0:
-        raise DegenerateDataError("rate sum(log x_i - log beta) is not positive")
-    return Gamma(x.size, rate)
-
-
-def pareto_conditional_beta_log_density(beta: float, alpha: float, x: np.ndarray) -> float:
-    """Log density of beta given alpha on its support (0, min(x)]."""
-    x = np.asarray(x, dtype=float)
-    alpha = _pos(alpha, "alpha")
-    m = float(np.min(x))
-    if beta <= 0.0 or beta > m:
-        return -math.inf
-    n = x.size
-    return math.log(n * alpha) - math.log(beta) - n * alpha * (math.log(m) - math.log(beta))
-
 
 def pareto_joint_log_kernel(alpha: float, beta: float, x: np.ndarray) -> float:
     """Log of the joint kernel alpha^(n-1) beta^(n alpha - 1) prod x_i^-(alpha+1)."""
@@ -606,32 +547,6 @@ def _quadreg_rss_form(x: np.ndarray, y: np.ndarray) -> Callable[[float, float, f
         return rss_min + (t0 * t0 + t1 * t1 + t2 * t2)
 
     return rss
-
-
-def quadreg_conditionals(b0: float, b1: float, b2: float, sigma2: float,
-                         x: np.ndarray, y: np.ndarray) -> dict:
-    """The four printed full conditionals of the quadratic regression model.
-
-    Returns {'beta0': Normal, 'beta1': Normal, 'beta2': Normal,
-    'sigma2': ScaledInvChiSquare}; each conditions on the supplied values
-    of the other three parameters.  A coefficient's Normal comes from its
-    normal equation; sigma2's law is ScaledInvChiSquare(n, RSS / n).
-    """
-    coefs = {"beta0": b0, "beta1": b1, "beta2": b2}
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    sigma2 = _pos(sigma2, "sigma2")
-    out = {}
-    for j, label in enumerate(_QUADREG_COEFS):
-        stat, scale, ((la, ca), (lb, cb)) = _quadreg_normal_equation(j, x, y)
-        if scale <= 0.0:
-            raise DegenerateDataError(f"design is degenerate: sum(x^{2 * j}) is zero")
-        out[label] = Normal((stat - coefs[la] * ca - coefs[lb] * cb) / scale, sigma2 / scale)
-    rss = _quadreg_rss(x, y, b0, b1, b2)
-    if rss <= 0.0:
-        raise DegenerateDataError("residual sum of squares is zero")
-    out["sigma2"] = ScaledInvChiSquare(x.size, rss / x.size)
-    return out
 
 
 def quadreg_joint_log_kernel(b0: float, b1: float, b2: float, sigma2: float,
@@ -974,8 +889,8 @@ def _shape_start(c: float, g: float, n: int, b: Optional[float]) -> float:
     with the elementary _shape_series for the special functions, to about
     1e-9 in log a (b None for the gamma shape, as in _shape_parts).
 
-    The first point inverts the offset at c: Minka's (2000) inverse
-    digamma, exp(c) + 1/2 or -1/(c + Euler's gamma) below c = -2.22, for the
+    The first point inverts the offset at c: Minka's (2000) inverse of
+    psi, exp(c) + 1/2 or -1/(c + Euler's gamma) below c = -2.22, for the
     gamma shape; for a beta shape the inverse of offset(a) ~ log((a - 1/2) /
     (a + b - 1/2)), or below a = 1 of the whole map's (g / sqrt n - 1) / a -
     Euler's gamma - psi(b), the gamma term taken along.  Newton steps
@@ -1301,27 +1216,6 @@ _BETA_PARAMS = (
 
 
 # ---------------------------------------------------------------------------
-# Behrens-Fisher: the mean difference of two independent normal samples
-# ---------------------------------------------------------------------------
-
-def behrens_fisher_direct_draws(x: np.ndarray, y: np.ndarray, size: int, rng: RngStream) -> np.ndarray:
-    """Vectorized independent draws of mu_x - mu_y by the direct construction.
-
-    xbar - ybar + B * sqrt(s_x^2/n_x + s_y^2/n_y), with B following the
-    two-degrees-of-freedom angle-parameterized distribution, decomposes
-    into independent Student t draws scaled by s/sqrt(n) per group.  It is
-    the independent oracle for the four-parameter sampler.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    mx, sx2, nx = _group_stats(x, "x")
-    my, sy2, ny = _group_stats(y, "y")
-    tx = rng.gen.standard_t(nx - 1, size=size)
-    ty = rng.gen.standard_t(ny - 1, size=size)
-    return mx - my + math.sqrt(sx2 / nx) * tx - math.sqrt(sy2 / ny) * ty
-
-
-# ---------------------------------------------------------------------------
 # Bivariate normal model
 # ---------------------------------------------------------------------------
 
@@ -1381,15 +1275,6 @@ def _bvn_loglik_core(s: _BvnSuffStats, mu_x, mu_y, sigma_x2, sigma_y2, rho) -> f
 _RHO_MLE_BRACKET = Bracket(-1.0 + 1e-9, 1.0 - 1e-9)
 # The exponent of specfun._cbrt, for the rho statistic's in-place cube roots.
 _THIRD = 1.0 / 3.0
-
-
-def bvn_log_likelihood(mu_x: float, mu_y: float, sigma_x2: float, sigma_y2: float, rho: float,
-                       x: np.ndarray, y: np.ndarray) -> float:
-    """Bivariate normal log likelihood (additive constant dropped)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return _bvn_loglik_core(_BvnSuffStats.from_arrays(x, y), mu_x, mu_y,
-                            sigma_x2, sigma_y2, rho)
 
 
 class _BvnSigmaEquation:

@@ -1,8 +1,7 @@
 """Seeded random streams plus samplers, densities and quantiles.
 
 The distribution kinds here are exactly the ones the conditional fiducial
-constructions need as primary random variables or as closed-form
-conditionals.  Sampling is reproducible: a stream is keyed by
+constructions need as primary random variables.  Sampling is reproducible: a stream is keyed by
 (seed, stream_id) on a counter-based Philox generator, so identical keys
 replay identical sequences and distinct stream_ids are independent.
 
@@ -19,8 +18,7 @@ up without hashing the parameters again, as a tuple key would on every
 draw.  A stream keeps blocks for at most
 MAX_BLOCK_LAWS laws: a new law evicts the block of the law first seen
 longest ago, whose unused values are dropped.  Gamma, whose shape
-follows the state in the gamma model, and the two kinds that are never
-primaries are drawn one value per call.
+follows the state in the gamma model, is drawn one value per call.
 
 The catalog's fused draw kernels bind block_args(law) once and take each
 primary with one rng.take(key, fill, law) call, the value and bits of
@@ -46,9 +44,7 @@ __all__ = [
     "TruncatedNormal",
     "Gamma",
     "ChiSquare",
-    "ScaledInvChiSquare",
     "Exponential",
-    "StudentT",
     "Dist",
     "sample",
     "block_args",
@@ -154,17 +150,6 @@ class ChiSquare:
 
 
 @dataclass(frozen=True)
-class ScaledInvChiSquare:
-    df: float
-    scale: float
-
-    def __post_init__(self):
-        if not (0.0 < self.df < math.inf and 0.0 < self.scale < math.inf):
-            raise DomainError(
-                f"ScaledInvChiSquare requires df > 0 and scale > 0, got ({self.df}, {self.scale})")
-
-
-@dataclass(frozen=True)
 class Exponential:
     rate: float
 
@@ -173,19 +158,7 @@ class Exponential:
             raise DomainError(f"Exponential requires rate > 0, got {self.rate}")
 
 
-@dataclass(frozen=True)
-class StudentT:
-    df: float
-    loc: float = 0.0
-    scale: float = 1.0
-
-    def __post_init__(self):
-        if not (0.0 < self.df < math.inf and math.isfinite(self.loc)
-                and 0.0 < self.scale < math.inf):
-            raise DomainError(f"StudentT requires df > 0 and scale > 0, got {self}")
-
-
-Dist = Union[Normal, TruncatedNormal, Gamma, ChiSquare, ScaledInvChiSquare, Exponential, StudentT]
+Dist = Union[Normal, TruncatedNormal, Gamma, ChiSquare, Exponential]
 
 
 @lru_cache(maxsize=512)
@@ -245,23 +218,12 @@ def _sample_gamma(d: Gamma, rng: RngStream) -> float:
     return float(rng.gen.gamma(d.shape, 1.0 / d.rate))
 
 
-def _sample_scaled_inv_chi_square(d: ScaledInvChiSquare, rng: RngStream) -> float:
-    # Exact transformation df*scale / X with X ~ chi^2(df).
-    return float(d.df * d.scale / rng.gen.chisquare(d.df))
-
-
-def _sample_student_t(d: StudentT, rng: RngStream) -> float:
-    return float(d.loc + d.scale * rng.gen.standard_t(d.df))
-
-
 _SAMPLERS = {
     Normal: _sample_normal,
     TruncatedNormal: _sample_truncated_normal,
     ChiSquare: _sample_chi_square,
     Exponential: _sample_exponential,
     Gamma: _sample_gamma,
-    ScaledInvChiSquare: _sample_scaled_inv_chi_square,
-    StudentT: _sample_student_t,
 }
 
 
@@ -322,21 +284,10 @@ def log_density(dist: Dist, x: float) -> float:
                 return math.log(rate)
             return math.inf if shape < 1.0 else -math.inf
         return shape * math.log(rate) + (shape - 1.0) * math.log(x) - rate * x - ln_gamma(shape)
-    if isinstance(dist, ScaledInvChiSquare):
-        if x <= 0.0:
-            return -math.inf
-        half_df = dist.df / 2.0
-        return (half_df * math.log(half_df * dist.scale) - ln_gamma(half_df)
-                - (half_df + 1.0) * math.log(x) - half_df * dist.scale / x)
     if isinstance(dist, Exponential):
         if x < 0.0:
             return -math.inf
         return math.log(dist.rate) - dist.rate * x
-    if isinstance(dist, StudentT):
-        z = (x - dist.loc) / dist.scale
-        return (ln_gamma((dist.df + 1.0) / 2.0) - ln_gamma(dist.df / 2.0)
-                - 0.5 * math.log(dist.df * math.pi) - math.log(dist.scale)
-                - 0.5 * (dist.df + 1.0) * math.log1p(z * z / dist.df))
     raise DomainError(f"unknown distribution {dist!r}")
 
 
@@ -354,10 +305,6 @@ def quantile(dist: Dist, p: float) -> float:
         return float(_sp.gammaincinv(dist.shape, p) / dist.rate)
     if isinstance(dist, ChiSquare):
         return float(2.0 * _sp.gammaincinv(dist.df / 2.0, p))
-    if isinstance(dist, ScaledInvChiSquare):
-        return float(dist.df * dist.scale / quantile(ChiSquare(dist.df), 1.0 - p))
     if isinstance(dist, Exponential):
         return float(-math.log1p(-p) / dist.rate)
-    if isinstance(dist, StudentT):
-        return float(dist.loc + dist.scale * _sp.stdtrit(dist.df, p))
     raise DomainError(f"unknown distribution {dist!r}")

@@ -1,15 +1,14 @@
 """Special functions and scalar solvers used by the conditional samplers.
 
-Digamma/trigamma evaluation follows the usual recurrence-plus-asymptotic
-scheme; we delegate to the C implementations in ``scipy.special`` (``psi``
-and the Hurwitz zeta, via ``trigamma(x) == zeta(2, x)``) and keep the
-accuracy contracts pinned by tests against an independent high-precision
-oracle.  ``scipy_special`` is that module, executed on its first attribute
-access, so that importing fidgibbs does not import scipy.special.  Root
-finding is one Newton iteration safeguarded by bisection, for a function
-that crosses zero once from below inside a given bracket and whose
-derivative is cheap: the shape equations, whose derivatives come from
-``zeta(2, a)`` and ``zeta(3, a)``.  It calls ``fdf(x, *args)``, so those
+The shape equations take psi and psi' straight from the C implementations
+in ``scipy.special`` (``psi`` and the Hurwitz zeta, psi'(x) = zeta(2, x));
+the tests pin their accuracy against an independent high-precision
+oracle.  ``scipy_special`` is that module, executed on its
+first attribute access, so that importing fidgibbs does not import
+scipy.special.  Root finding is one Newton iteration safeguarded by
+bisection, for a function that crosses zero once from below inside a given
+bracket and whose derivative is cheap: the shape equations, whose
+derivatives come from ``zeta(2, a)`` and ``zeta(3, a)``.  It calls ``fdf(x, *args)``, so those
 equations pass a module-level function and its constants rather than a
 closure built per draw.  The quadratic and cubic solvers take
 closed-form roots polished in Python floats; the cases the
@@ -37,11 +36,9 @@ from .errors import DegenerateDataError, DomainError, EvaluationError
 __all__ = [
     "Bracket",
     "ln_gamma",
-    "digamma",
-    "trigamma",
     "solve_newton",
     "solve_quadratic_positive",
-    "solve_cubic_in_interval",
+    "finite_cubic_root",
 ]
 
 
@@ -97,17 +94,6 @@ def _check_positive_finite(x, name: str) -> float:
 def ln_gamma(x: float) -> float:
     """Natural log of the gamma function for x > 0."""
     return math.lgamma(_check_positive_finite(x, "ln_gamma"))
-
-
-def digamma(x: float) -> float:
-    """Psi function (logarithmic derivative of gamma) for x > 0."""
-    return float(scipy_special.psi(_check_positive_finite(x, "digamma")))
-
-
-def trigamma(x: float) -> float:
-    """Derivative of the psi function for x > 0."""
-    # Hurwitz zeta identity: psi'(x) = zeta(2, x).
-    return float(scipy_special.zeta(2.0, _check_positive_finite(x, "trigamma")))
 
 
 def solve_newton(
@@ -294,36 +280,17 @@ def _real_cubic_roots(coeffs: Sequence[float]) -> list:
     return sorted({_polish(t, c3, c2, c1, c0) for t in real})
 
 
-def solve_cubic_in_interval(
-    coeffs: Sequence[float],
-    interval: Bracket,
-    objective: Optional[Callable[[float], float]] = None,
-) -> float:
-    """Real root of the cubic inside the open interval.
-
-    coeffs are (c3, c2, c1, c0), highest degree first.  When several roots
-    land in the interval the one maximizing ``objective`` is returned;
-    without an objective multiple roots are an error.  No root in the
-    interval raises DegenerateDataError.
-    """
-    coeffs = [float(v) for v in coeffs]
-    if len(coeffs) != 4:
-        raise DomainError(f"expected 4 cubic coefficients, got {len(coeffs)}")
-    if not all(math.isfinite(v) for v in coeffs):
-        raise DomainError(f"cubic coefficients must be finite, got {coeffs}")
-    if coeffs[0] == 0.0 and coeffs[1] == 0.0 and coeffs[2] == 0.0:
-        raise DegenerateDataError("cubic has no variable terms")
-
-    return finite_cubic_root(tuple(coeffs), interval, objective)
-
-
 def finite_cubic_root(coeffs: Tuple[float, float, float, float], interval: Bracket,
                       objective: Optional[Callable[..., float]] = None, *args) -> float:
-    """solve_cubic_in_interval for coefficients already known to be finite
-    floats with a variable term, checked by the caller.
+    """Real root of the cubic c3*t^3 + c2*t^2 + c1*t + c0 inside the
+    interval, for coefficients (c3, c2, c1, c0) that the caller has checked
+    to be finite floats with a variable term.
 
-    It builds no list unless several roots lie inside; then the one that
-    maximizes objective(*args, root) is returned.
+    A root less than 1e-12 * max(1, hi - lo) outside the interval counts
+    as inside and is clipped to it.  When several roots lie inside,
+    the one that maximizes objective(*args, root) is returned, and without
+    an objective that is a DomainError; no root inside raises
+    DegenerateDataError.  It builds no list unless several roots lie inside.
     """
     lo, hi = interval.lo, interval.hi
     # Tolerate roundoff that pushes a boundary-hugging root just outside.

@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 import fidgibbs.cli
 import fidgibbs.gibbs
 from fidgibbs import ChainConfig, SampleMatrix, summarize
-from fidgibbs.cli import (_ChainText, load_dataset, main, read_samples_csv, write_histogram_csv,
-                          write_samples_csv, write_trace_csv)
+from fidgibbs.cli import (_ChainText, _Discard, _write_chain, load_dataset, main, read_samples_csv,
+                          write_histogram_csv, write_samples_csv)
 from test_gibbs import _FailAt, _failing_model
 
 
@@ -144,6 +144,37 @@ class TestRunCommand:
         rc = _run(["run", "--model", "normal", "--simulate", "mu=0,sigma2=1,n=8",
                    "--m", 100, "--b", 100, "--output-dir", tmp_path / "o"])
         assert rc == 1
+
+    @pytest.mark.parametrize("bad", ["bins", "output_dir"])
+    def test_output_arguments_checked_before_sampling(self, bad, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(fidgibbs.cli, "_run", lambda *args: pytest.fail("a chain ran"))
+        (tmp_path / "file").write_text("")
+        args = {"bins": ["--bins", 0, "--output-dir", tmp_path / "o"],
+                "output_dir": ["--output-dir", tmp_path / "file" / "o"]}[bad]
+        rc = _run(["run", "--model", "normal", "--simulate", "mu=0,sigma2=1,n=8",
+                   "--m", 200_000, "--b", 10, *args])
+        assert rc == 1
+        err = capsys.readouterr().err
+        if bad == "bins":
+            assert err == "error: bins must be >= 1, got 0\n"
+        else:
+            assert err.startswith("error: ") and "Not a directory" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+    def test_diag_checks_bins_before_reading(self, tmp_path, capsys):
+        rc = _run(["diag", "--samples", tmp_path / "missing.csv", "--bins", 0])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: bins must be >= 1, got 0\n"
+
+    def test_failed_run_removes_the_directories_it_made(self, tmp_path, monkeypatch):
+        # The output directory is made before the chains run; a run that
+        # fails removes it and the parents it made, and nothing else.
+        (tmp_path / "kept").mkdir()
+        monkeypatch.setattr(fidgibbs.cli, "_run", lambda *args: 1 / 0)
+        with pytest.raises(ZeroDivisionError):
+            _run(["run", "--model", "normal", "--simulate", "mu=0,sigma2=1,n=8",
+                  "--m", 100, "--b", 10, "--output-dir", tmp_path / "kept" / "a" / "b"])
+        assert list(tmp_path.rglob("*")) == [tmp_path / "kept"]
 
     def test_env_var_overrides_output_dir(self, tmp_path, monkeypatch):
         env_dir = tmp_path / "from_env"
@@ -426,6 +457,16 @@ class TestWriters:
                 writer.writerow([c if isinstance(c, int) else format(c, ".17g") for c in row])
         return path.read_bytes()
 
+    @staticmethod
+    def _write_traces(sm, paths):
+        """Chain 0's trace of each column to its path, written as run writes
+        them: in the pass that formats chain 0's rows."""
+        with contextlib.ExitStack() as stack:
+            traces = [stack.enter_context(open(path, "w", newline="")) for path in paths]
+            for trace in traces:
+                csv.writer(trace).writerow(["cycle", "value"])
+            _write_chain(sm.values[0], 0, _Discard(), traces)
+
     @pytest.mark.parametrize("chains,m", [(1, 20), (3, 5000)])
     def test_samples_bytes(self, tmp_path, chains, m):
         sm = self._matrix(chains, m)
@@ -506,17 +547,19 @@ class TestWriters:
             text.close()
         write_samples_csv(sm, tmp_path / "ref.csv")
         assert files[0].read_bytes() == (tmp_path / "ref.csv").read_bytes()
-        for j, label in enumerate(sm.labels):
-            write_trace_csv(sm, label, tmp_path / "ref.csv")
-            assert files[1 + j].read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        refs = [tmp_path / f"ref_{label}.csv" for label in sm.labels]
+        self._write_traces(sm, refs)
+        for path, ref in zip(files[1:], refs):
+            assert path.read_bytes() == ref.read_bytes()
 
     def test_trace_bytes(self, tmp_path):
         sm = self._matrix(2, 300)
-        for j, label in enumerate(sm.labels):
-            write_trace_csv(sm, label, tmp_path / "trace.csv")
+        paths = [tmp_path / f"trace_{label}.csv" for label in sm.labels]
+        self._write_traces(sm, paths)
+        for j, path in enumerate(paths):
             rows = [(i + 1, v) for i, v in enumerate(sm.values[0, :, j].tolist())]
             ref = self._reference(tmp_path / "ref.csv", ["cycle", "value"], rows)
-            assert (tmp_path / "trace.csv").read_bytes() == ref
+            assert path.read_bytes() == ref
 
 
 class TestDiagCommand:

@@ -5,15 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from fidgibbs import (DomainError, Normal, RngStream, check_model, get_model, log_density, quantile,
+import oracles
+from fidgibbs import (DomainError, Normal, RngStream, check_model, get_model, log_density,
                       ratio_constancy, simulate_dataset)
-from fidgibbs.models import (
-    normal_conditional_mu,
-    normal_conditional_sigma2,
-    pareto_conditional_alpha,
-    pareto_conditional_beta_log_density,
-    quadreg_conditionals,
-)
 
 
 def _normal_setup(normal_data):
@@ -40,22 +34,21 @@ def _printed_conditional(name, param, state, data):
     if name == "pareto" and param == "beta":
         ends = sorted(float(np.min(x)) * u ** (1.0 / (x.size * state["alpha"]))
                       for u in (0.005, 0.995))
-        return lambda v: pareto_conditional_beta_log_density(v, state["alpha"], x), ends
+        return lambda v: oracles.pareto_conditional_beta_log_density(v, state["alpha"], x), ends
     if name == "pareto":
-        dist = pareto_conditional_alpha(state["beta"], x)
+        dist = oracles.pareto_conditional_alpha(state["beta"], x)
     elif name == "quadreg":
-        dist = quadreg_conditionals(state["beta0"], state["beta1"], state["beta2"],
-                                    state["sigma2"], x, data.col("y"))[param]
+        dist = oracles.quadreg_conditionals(state["beta0"], state["beta1"], state["beta2"],
+                                            state["sigma2"], x, data.col("y"))[param]
     else:
         # normal, or one group of behrens_fisher (mu_x, sigma_x2, mu_y, sigma_y2)
         g = "" if name == "normal" else ("_x" if "_x" in param else "_y")
         col = data.col(g[1:] or "x")
         if param.startswith("mu"):
-            dist = normal_conditional_mu(float(np.mean(col)), state[f"sigma{g}2"], col.size)
+            dist = oracles.normal_conditional_mu(float(np.mean(col)), state[f"sigma{g}2"], col.size)
         else:
-            dist = normal_conditional_sigma2(state[f"mu{g}"], col)
-    return (functools.partial(log_density, dist),
-            sorted(quantile(dist, u) for u in (0.005, 0.995)))
+            dist = oracles.normal_conditional_sigma2(state[f"mu{g}"], col)
+    return dist.logpdf, sorted(dist.ppf([0.005, 0.995]).tolist())
 
 
 class TestCheckModel:
@@ -204,7 +197,7 @@ class TestRatioConstancy:
         slices = spec.chain_inits(pareto_data, 3)
         others = [{k: v for k, v in s.items() if k != "beta"} for s in slices]
         joint = lambda st: spec.joint_log_kernel(st, pareto_data)
-        cond = lambda o: lambda v: pareto_conditional_beta_log_density(v, o["alpha"], x)
+        cond = lambda o: lambda v: oracles.pareto_conditional_beta_log_density(v, o["alpha"], x)
         bad_grid = np.linspace(0.5, 2.0 * float(np.max(x)), 64)
         with pytest.raises(DomainError):
             ratio_constancy("beta", joint, cond, others, bad_grid)

@@ -4,13 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from fidgibbs import ChainConfig, DomainError, SampleMatrix, diagnostics, get_model, run, summarize
-from fidgibbs.diagnostics import (
-    effective_sample_size,
-    ess_of_chains,
-    rhat_of_chains,
-    split_rhat,
-)
+from fidgibbs import ChainConfig, SampleMatrix, diagnostics, get_model, run, summarize
+from fidgibbs.diagnostics import ess_of_chains, rhat_of_chains
 
 
 def _matrix(values, b=0, seed=0, scan_order=None):
@@ -63,11 +58,13 @@ class TestSplitRhat:
         assert math.isnan(rhat_of_chains(chains))
 
     def test_sample_matrix_wrapper_and_length_guard(self):
+        # summarize reads a matrix's R-hat from its post-burn-in draws, and
+        # gives NaN below four draws per chain.
         sm = _matrix(np.random.default_rng(5).normal(size=(2, 100)), b=10)
-        assert 0.9 < split_rhat(sm, "p0") < 1.1
-        short = _matrix(np.random.default_rng(6).normal(size=(2, 20)), b=5)
-        with pytest.raises(DomainError):
-            split_rhat(short, "p0")
+        rhat = summarize(sm).param("p0").rhat
+        assert rhat == rhat_of_chains(sm.post_burnin("p0")) and 0.9 < rhat < 1.1
+        short = _matrix(np.random.default_rng(6).normal(size=(2, 8)), b=5)
+        assert math.isnan(summarize(short).param("p0").rhat)
 
 
 class TestEffectiveSampleSize:
@@ -94,11 +91,13 @@ class TestEffectiveSampleSize:
         assert abs(ess_of_chains(x) - expected) / expected < 0.2
 
     def test_minimum_length_guard(self):
-        sm = _matrix(np.random.default_rng(9).normal(size=(1, 60)), b=20)
-        with pytest.raises(DomainError):
-            effective_sample_size(sm, "p0")
-        sm = _matrix(np.random.default_rng(9).normal(size=(1, 200)), b=20)
-        assert effective_sample_size(sm, "p0") > 1.0
+        # summarize reads a matrix's ESS from its post-burn-in draws; however
+        # short the chains, it lies in [1, draws].
+        for m in (200, 22, 21):
+            sm = _matrix(np.random.default_rng(9).normal(size=(1, m)), b=20)
+            ess = summarize(sm).param("p0").ess
+            assert ess == ess_of_chains(sm.post_burnin("p0"))
+            assert 1.0 <= ess <= m - 20
 
 
 def _geyer_loop(x):
@@ -184,8 +183,8 @@ class TestExtremeScale:
     def test_finite_draws_near_float_limit_give_finite_values(self):
         x = np.random.default_rng(4).normal(size=(2, 400)) * 1e300
         sm = _matrix(x)
-        for value in (rhat_of_chains(x), ess_of_chains(x),
-                      split_rhat(sm, "p0"), effective_sample_size(sm, "p0")):
+        summary = summarize(sm).param("p0")
+        for value in (rhat_of_chains(x), ess_of_chains(x), summary.rhat, summary.ess):
             assert math.isfinite(value)
 
     @pytest.mark.parametrize("power", [900, -900])

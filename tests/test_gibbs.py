@@ -11,6 +11,7 @@ from collections import Counter
 from pathlib import Path
 
 import numpy as np
+import oracles
 import pytest
 from conftest import layered
 from scipy import stats
@@ -36,7 +37,6 @@ from fidgibbs import (
 )
 from fidgibbs.core import INJECTIVITY_GRID_SIZE, InjectivityReport
 from fidgibbs.diagnostics import ess_of_chains
-from fidgibbs.models import normal_marginal_mu
 from fidgibbs.randvar import quantile
 
 CATALOG_DATA = [
@@ -239,9 +239,7 @@ class TestRun:
         # Gibbs marginal of mu against the analytic Student t marginal.
         sm = run(get_model("normal"), normal_data,
                  ChainConfig(m=6000, b=500, chains=2, seed=11))
-        t = normal_marginal_mu(normal_data.col("x"))
-        res = stats.kstest(sm.pooled("mu"),
-                           lambda v: stats.t.cdf(v, t.df, loc=t.loc, scale=t.scale))
+        res = stats.kstest(sm.pooled("mu"), oracles.normal_marginal_mu(normal_data.col("x")).cdf)
         assert res.pvalue > 1e-3
 
     def test_structural_error_carries_position(self, normal_data):

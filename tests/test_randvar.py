@@ -11,8 +11,6 @@ from fidgibbs import (
     Gamma,
     Normal,
     RngStream,
-    ScaledInvChiSquare,
-    StudentT,
     TruncatedNormal,
     log_density,
     quantile,
@@ -40,9 +38,7 @@ MOMENT_CASES = [
     (TruncatedNormal(0.0, 1.0, -5.0, 5.0), *_trunc_moments(-5.0, 5.0)),
     (Gamma(3.0, 2.0), 1.5, 0.75),
     (ChiSquare(5.0), 5.0, 10.0),
-    (ScaledInvChiSquare(10.0, 2.0), 2.5, 25.0 / 12.0),
     (Exponential(0.5), 2.0, 4.0),
-    (StudentT(6.0, 1.0, 2.0), 1.0, 6.0),
 ]
 
 
@@ -113,8 +109,6 @@ class TestSampling:
             Gamma(-1.0, 1.0)
         with pytest.raises(DomainError):
             TruncatedNormal(0.0, 1.0, 2.0, 1.0)
-        with pytest.raises(DomainError):
-            StudentT(0.0)
 
     # positive: the indices of the scale, df and rate parameters.
     @pytest.mark.parametrize("make,args,positive", [
@@ -122,9 +116,7 @@ class TestSampling:
         (TruncatedNormal, (0.0, 1.0, -1.0, 1.0), (1,)),
         (Gamma, (2.0, 1.0), (0, 1)),
         (ChiSquare, (3.0,), (0,)),
-        (ScaledInvChiSquare, (3.0, 1.0), (0, 1)),
         (Exponential, (1.0,), (0,)),
-        (StudentT, (3.0, 0.0, 1.0), (0, 2)),
     ])
     def test_non_finite_and_non_positive_rejected(self, make, args, positive):
         make(*args)
@@ -145,7 +137,6 @@ class TestLogDensity:
 
     def test_outside_support(self):
         assert log_density(Gamma(2.0, 1.0), -1.0) == -math.inf
-        assert log_density(ScaledInvChiSquare(4.0, 2.0), 0.0) == -math.inf
         assert log_density(Exponential(1.0), -0.1) == -math.inf
         assert log_density(TruncatedNormal(0, 1, -5, 5), 5.1) == -math.inf
 
@@ -154,9 +145,7 @@ class TestLogDensity:
         TruncatedNormal(0.0, 1.0, -5.0, 5.0),
         Gamma(2.5, 1.5),
         ChiSquare(4.0),
-        ScaledInvChiSquare(4.0, 2.0),
         Exponential(2.0),
-        StudentT(5.0, -1.0, 0.5),
     ], ids=lambda d: type(d).__name__)
     def test_density_integrates_to_one(self, dist):
         lo = quantile(dist, 1e-9)
@@ -164,21 +153,10 @@ class TestLogDensity:
         total, err = integrate.quad(lambda x: math.exp(log_density(dist, x)), lo, hi, limit=200)
         assert abs(total - 1.0) < 1e-6
 
-    def test_scaled_inv_chi_square_explicit(self):
-        d = ScaledInvChiSquare(4.0, 2.0)
-        hi = quantile(d, 1.0 - 1e-10)
-        total, _ = integrate.quad(
-            lambda x: math.exp(log_density(d, x)), 1e-9, hi, limit=400,
-            points=[quantile(d, 0.5), quantile(d, 0.99)])
-        assert abs(total - 1.0) < 1e-6
-
 
 class TestQuantile:
     def test_normal_median(self):
         assert abs(quantile(Normal(0.0, 1.0), 0.5)) < 1e-12
-
-    def test_cauchy_upper_quartile(self):
-        assert abs(quantile(StudentT(1.0, 0.0, 1.0), 0.75) - 1.0) < 1e-8
 
     def test_chi_square_median(self):
         assert abs(quantile(ChiSquare(2.0), 0.5) - 1.3862943611198906188) < 1e-8
@@ -194,9 +172,7 @@ class TestQuantile:
         TruncatedNormal(0.0, 1.0, -5.0, 5.0),
         Gamma(2.0, 0.5),
         ChiSquare(7.0),
-        ScaledInvChiSquare(6.0, 1.5),
         Exponential(0.25),
-        StudentT(4.0, 2.0, 1.5),
     ], ids=lambda d: type(d).__name__)
     def test_quantile_cdf_round_trip(self, dist):
         # quantile(cdf_numeric(x)) must come back to x.
@@ -320,7 +296,7 @@ class TestBlocks:
         assert len(ra._blocks) == len(rb._blocks) == 2
 
     def test_fixed_draw_needs_a_block_kind(self):
-        for dist in (Gamma(2.0, 1.0), ScaledInvChiSquare(3.0, 1.0), StudentT(3.0)):
+        for dist in (Gamma(2.0, 1.0), "not a law"):
             with pytest.raises(DomainError, match="drawn in blocks"):
                 block_args(dist)
 

@@ -10,13 +10,12 @@ from fidgibbs import (
     DegenerateDataError,
     DomainError,
     EvaluationError,
-    digamma,
+    get_model,
     ln_gamma,
-    solve_cubic_in_interval,
     solve_quadratic_positive,
-    trigamma,
 )
-from fidgibbs.specfun import _cbrt, _real_cubic_roots, solve_newton
+from fidgibbs.models import _shape_parts
+from fidgibbs.specfun import _cbrt, _real_cubic_roots, finite_cubic_root, solve_newton
 
 # High-precision reference values (40-digit arbitrary-precision oracle).
 LN_GAMMA_TABLE = {
@@ -52,6 +51,22 @@ TRIGAMMA_TABLE = {
 def _ulp_tol(value, floor):
     # Accuracy floors cannot beat float64 spacing at large magnitudes.
     return max(floor, 4.0 * np.spacing(abs(value)))
+
+
+def digamma(x):
+    """psi(x) as the gamma shape equation evaluates it."""
+    return _shape_parts(x, None, np.empty(2))[0]
+
+
+def trigamma(x):
+    """psi'(x), which is zeta(2, x), as the gamma shape equation evaluates it."""
+    return _shape_parts(x, None, np.empty(2))[1]
+
+
+def _shape_log_density(model, data, bad):
+    """The log density of a shape conditional of model at the shape bad."""
+    cond = get_model(model).build_conditionals(data)["alpha"]
+    return cond.log_density(data, {"beta": 0.5})(bad)
 
 
 def test_frozen_tables_match_high_precision_oracle():
@@ -97,9 +112,10 @@ class TestDigamma:
         assert abs(digamma(x + 1.0) - (digamma(x) + 1.0 / x)) < 1e-12
 
     @pytest.mark.parametrize("bad", [0.0, -2.5, math.nan])
-    def test_domain(self, bad):
-        with pytest.raises(DomainError):
-            digamma(bad)
+    def test_domain(self, bad, gamma_data):
+        # The gamma shape equation evaluates psi only for a > 0: its
+        # conditional's density is 0 elsewhere.
+        assert _shape_log_density("gamma", gamma_data, bad) == -math.inf
 
     @given(st.floats(min_value=0.01, max_value=1e4))
     @settings(max_examples=200, deadline=None)
@@ -127,9 +143,9 @@ class TestTrigamma:
     def test_asymptote(self):
         assert abs(trigamma(1e6) - 1e-6) / 1e-6 < 1e-5
 
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            trigamma(-1.0)
+    def test_domain(self, beta_data):
+        # As for psi, in the beta shape equation.
+        assert _shape_log_density("beta", beta_data, -1.0) == -math.inf
 
 
 class TestSolveNewton:
@@ -369,43 +385,44 @@ class TestSolveQuadraticPositive:
 
 
 class TestSolveCubicInInterval:
+    """finite_cubic_root, the solver of the correlation statistic's cubic."""
+
     def test_scaled_factorized(self):
         # -2 (r - 0.5)(r^2 + 1) = -2 r^3 + r^2 - 2 r + 1.
-        root = solve_cubic_in_interval([-2.0, 1.0, -2.0, 1.0], Bracket(-1.0, 1.0))
+        root = finite_cubic_root((-2.0, 1.0, -2.0, 1.0), Bracket(-1.0, 1.0))
         assert abs(root - 0.5) < 1e-10
 
     def test_pure_odd_cubic(self):
         # -n r^3 - n r = 0 has the single real root 0.
-        root = solve_cubic_in_interval([-4.0, 0.0, -4.0, 0.0], Bracket(-1.0, 1.0))
+        root = finite_cubic_root((-4.0, 0.0, -4.0, 0.0), Bracket(-1.0, 1.0))
         assert abs(root) < 1e-12
 
     def test_residual_bound(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
             r = rng.uniform(-0.95, 0.95)
-            c3 = rng.uniform(0.5, 10.0) * rng.choice([-1.0, 1.0])
+            c3 = float(rng.uniform(0.5, 10.0) * rng.choice([-1.0, 1.0]))
             # (t - r)(t^2 + p t + q) with complex conjugate pair -> unique real root.
             p = rng.uniform(-1.0, 1.0)
             q = p * p / 4.0 + rng.uniform(0.5, 2.0)
-            coeffs = [c3, c3 * (p - r), c3 * (q - r * p), -c3 * r * q]
-            root = solve_cubic_in_interval(coeffs, Bracket(-1.0, 1.0))
+            coeffs = (c3, c3 * (p - r), c3 * (q - r * p), -c3 * r * q)
+            root = finite_cubic_root(coeffs, Bracket(-1.0, 1.0))
             val = ((coeffs[0] * root + coeffs[1]) * root + coeffs[2]) * root + coeffs[3]
             assert abs(root - r) < 1e-8
             assert abs(val) <= 1e-9 * max(abs(c) for c in coeffs)
 
     def test_multiple_roots_need_objective(self):
         # (r + 0.5) r (r - 0.5): three roots inside (-1, 1).
-        coeffs = [1.0, 0.0, -0.25, 0.0]
+        coeffs = (1.0, 0.0, -0.25, 0.0)
         with pytest.raises(DomainError):
-            solve_cubic_in_interval(coeffs, Bracket(-1.0, 1.0))
-        best = solve_cubic_in_interval(coeffs, Bracket(-1.0, 1.0),
-                                       objective=lambda r: -(r - 0.5) ** 2)
+            finite_cubic_root(coeffs, Bracket(-1.0, 1.0))
+        best = finite_cubic_root(coeffs, Bracket(-1.0, 1.0), lambda r: -(r - 0.5) ** 2)
         assert abs(best - 0.5) < 1e-10
 
     def test_no_root_in_interval(self):
         # Single real root at 2.0, outside (-1, 1).
         with pytest.raises(DegenerateDataError):
-            solve_cubic_in_interval([1.0, -2.0, 1.0, -2.0], Bracket(-1.0, 1.0))
+            finite_cubic_root((1.0, -2.0, 1.0, -2.0), Bracket(-1.0, 1.0))
 
 
 def _closed_form_roots(coeffs):
