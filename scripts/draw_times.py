@@ -22,7 +22,10 @@ per solve inside the certificate and per solve outside it, and the share
 of solves outside it, counted on an untimed chain of EVALUATION_CYCLES
 cycles per case, redraws and chain-start probes included.  A solve is
 inside the certificate where gamma < sqrt n (gamma shape) or
-gamma < sqrt(n min(1, b)) (beta shape, other shape b).
+gamma < sqrt(n min(1, b)) (beta shape, other shape b).  Its "start us"
+column gives the microseconds per call of the solves' elementary start,
+``_shape_start``, in process time: the calls of that chain are recorded
+and called again, best of the rounds.
 
 A second table splits one in-process ``cli.main(["run", ...])`` per model,
 ``--simulate`` with the same parameters and n, at m = --cycles with 4
@@ -93,14 +96,20 @@ BVN_ROWS = {"mu": ("mu_x", "mu_y"), "sigma": ("sigma_x2", "sigma_y2"), "rho": ("
 
 def shape_solves() -> dict:
     """{case: [evaluations per solve inside the certificate, per solve
-    outside it or None without one, share of solves outside it]} of one
-    chain per SHAPE_CASES case, or {} in a tree without _shape_fdf."""
+    outside it or None without one, share of solves outside it, us per
+    _shape_start call or None without one]} of one chain per SHAPE_CASES
+    case, or {} in a tree without _shape_fdf."""
     from fidgibbs import ChainConfig, RngStream, get_model, models, run, simulate_dataset
 
     solve, fdf = getattr(models, "_shape_solve", None), getattr(models, "_shape_fdf", None)
+    start = getattr(models, "_shape_start", None)
     if solve is None or fdf is None:
         return {}
-    counts, certified = {}, [True]
+    counts, certified, starts = {}, [True], []
+
+    def recording_start(*args):
+        starts.append(args)
+        return start(*args)
 
     def counting_solve(*args):
         # (c, gamma, n, b, ...) in every tree that has _shape_fdf.
@@ -114,18 +123,29 @@ def shape_solves() -> dict:
         return fdf(*args)
 
     models._shape_solve, models._shape_fdf = counting_solve, counting_fdf
+    if start is not None:
+        models._shape_start = recording_start
     out = {}
     try:
         for case, (model, theta, n) in SHAPE_CASES.items():
             counts.update({True: [0, 0], False: [0, 0]})
+            starts.clear()
             spec = get_model(model)
             data = simulate_dataset(spec, theta, n, RngStream(DATA_SEED, 0))
             run(spec, data, ChainConfig(m=EVALUATION_CYCLES, b=0, chains=1, seed=CHAIN_SEED))
             (inside, inside_calls), (outside, outside_calls) = counts[True], counts[False]
+            start_us = None
+            if starts:
+                clock = time.process_time()
+                for args in starts:
+                    start(*args)
+                start_us = 1e6 * (time.process_time() - clock) / len(starts)
             out[case] = [inside_calls / inside, outside_calls / outside if outside else None,
-                         outside / (inside + outside)]
+                         outside / (inside + outside), start_us]
     finally:
         models._shape_solve, models._shape_fdf = solve, fdf
+        if start is not None:
+            models._shape_start = start
     return out
 
 
@@ -238,20 +258,24 @@ def best_of(rounds: list) -> dict:
 
 
 def solve_table(rounds: dict):
-    """The shape-solve table, the same in every round of a tree."""
+    """The shape-solve table: the counts are the same in every round of a
+    tree, the start times the best of its rounds."""
     print(f"\nshape solves: _shape_fdf calls per solve, 1 chain x {EVALUATION_CYCLES} cycles per "
-          "case, redraws and chain-start probes included\n\n"
+          "case, redraws and chain-start probes included; start us: process time per "
+          "_shape_start call of that chain, best of the rounds\n\n"
           "| case | tree | per certified solve | per solve outside the certificate | "
-          "share outside |\n| --- | --- | --- | --- | --- |")
+          "share outside | start us |\n| --- | --- | --- | --- | --- | --- |")
     for case in SHAPE_CASES:
         for name, rs in rounds.items():
             cells = rs[0]["solves"].get(case)
             if cells is None:
-                print(f"| {case} | {name} | - | - | - |")
+                print(f"| {case} | {name} | - | - | - | - |")
                 continue
-            inside, outside, share = cells
+            inside, outside, share = cells[:3]
+            times = [r["solves"][case][3] for r in rs if r["solves"][case][3] is not None]
             print(f"| {case} | {name} | {inside:.3g} | "
-                  f"{'-' if outside is None else f'{outside:.3g}'} | {100.0 * share:.2g}% |")
+                  f"{'-' if outside is None else f'{outside:.3g}'} | {100.0 * share:.2g}% | "
+                  f"{f'{min(times):.3g}' if times else '-'} |")
 
 
 def bvn_table(rounds: dict, base_name: Optional[str]):

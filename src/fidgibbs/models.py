@@ -162,17 +162,15 @@ def _conditional(params: Tuple[ParamSpec, ...], label: str, statistic: FiducialS
     return sampler
 
 
-def _equation_kernel(q: float, equation_for):
-    """The kernel of a conditional whose statistic is the constant q and
-    whose equation equation_for builds per draw, with a standard truncated
-    normal primary: the shape conditionals, whose solves go through the
-    equation's invert."""
+def _shape_kernel(q: float, solve):
+    """The kernel of a shape conditional with the constant statistic q and a
+    standard truncated normal primary g: solve(state, g) is the equation's
+    invert(q, g), the same arithmetic without building the equation."""
     def kernel(lo, hi, redraw):
         def draw(d, p, rng, warnings=None):
-            eq = equation_for(d, p)
             g = rng.take(_TRUNCNORM_KEY, _TRUNCNORM_FILL, _STD_TRUNCNORM)
             try:
-                theta = eq.invert(q, g)
+                theta = solve(p, g)
             except StructuralError:
                 return redraw(d, p, rng, warnings, q)
             return theta if lo < theta < hi else redraw(d, p, rng, warnings, q)
@@ -241,6 +239,10 @@ class _RateEquation:
         slope = (q - self.off) / self.scale
         return slope * theta, _log_abs(slope)
 
+
+# The parameters of the pareto, gamma and beta models.
+_ALPHA_BETA = (ParamSpec("alpha", 0.0, math.inf, "scale"),
+               ParamSpec("beta", 0.0, math.inf, "scale"))
 
 _SCALE_FACTORS = (1.0, 2.25, 0.45, 3.5, 0.3, 1.6, 0.7, 2.8)
 _SHIFT_STEPS = (0.0, 1.5, -1.5, 3.0, -3.0, 2.0, -2.0, 4.0)
@@ -363,14 +365,7 @@ def _normal_samples(name: str, groups: Tuple[Tuple[str, str, str], ...]) -> Mode
             columns[column] = theta[mu] + sd * rng.gen.standard_normal(n)
         return Dataset(columns)
 
-    return ModelSpec(
-        name=name,
-        params=params,
-        build_conditionals=build_conditionals,
-        simulate=simulate,
-        chain_inits=chain_inits,
-        joint_log_kernel=joint_log_kernel,
-    )
+    return ModelSpec(name, params, build_conditionals, simulate, chain_inits, joint_log_kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -454,10 +449,10 @@ def _pareto_build_conditionals(data: Dataset) -> dict:
 
     return {
         "alpha": _conditional(
-            _PARETO_PARAMS, "alpha", FiducialStatistic("sum_log_x", lambda d, p: sum_log),
+            _ALPHA_BETA, "alpha", FiducialStatistic("sum_log_x", lambda d, p: sum_log),
             lambda d, p: _RateEquation(chi2_2n, alpha_offset(p), 0.5), alpha_kernel),
         "beta": _conditional(
-            _PARETO_PARAMS, "beta", FiducialStatistic("min_x", lambda d, p: min_x),
+            _ALPHA_BETA, "beta", FiducialStatistic("min_x", lambda d, p: min_x),
             lambda d, p: _ParetoBetaEquation(n * _pos(p["alpha"], "alpha")), beta_kernel),
     }
 
@@ -467,25 +462,13 @@ def _pareto_chain_inits(data: Dataset, chains: int) -> list:
     m = float(np.min(x))
     denom = float(np.sum(np.log(x / m)))
     alpha = x.size / denom if denom > 0.0 else 1.0
-    inits = []
-    for c in range(chains):
-        f = _SCALE_FACTORS[c % len(_SCALE_FACTORS)]
-        inits.append({"alpha": alpha * f,
-                      "beta": m * (0.95 * _SHRINKS[c % len(_SHRINKS)])})
-    return inits
+    return [{"alpha": alpha * _SCALE_FACTORS[c % len(_SCALE_FACTORS)],
+             "beta": m * (0.95 * _SHRINKS[c % len(_SHRINKS)])} for c in range(chains)]
 
 
 def _pareto_simulate(theta: Mapping[str, float], n: int, rng: RngStream) -> Dataset:
-    alpha = _pos(theta["alpha"], "alpha")
-    beta = _pos(theta["beta"], "beta")
-    e = rng.gen.exponential(1.0 / alpha, size=n)
-    return Dataset({"x": beta * np.exp(e)})
-
-
-_PARETO_PARAMS = (
-    ParamSpec("alpha", 0.0, math.inf, "scale"),
-    ParamSpec("beta", 0.0, math.inf, "scale"),
-)
+    alpha, beta = _pos(theta["alpha"], "alpha"), _pos(theta["beta"], "beta")
+    return Dataset({"x": beta * np.exp(rng.gen.exponential(1.0 / alpha, size=n))})
 
 
 def _pareto_joint(theta: Mapping[str, float], data: Dataset) -> float:
@@ -526,6 +509,7 @@ def _quadreg_rss_form(x: np.ndarray, y: np.ndarray) -> Callable[[float, float, f
     squares the condition number and fails on offset designs), kept designs
     with |mean(x)| up to 8.5 sd(x) within 3e-14 of the exact RSS; past that
     the error grows with the condition number of X, as the O(n) sum's does.
+    An rss_min at most (n eps)^2 y'y, rounding, raises DegenerateDataError.
     """
     from scipy.linalg import solve_triangular
 
@@ -535,6 +519,8 @@ def _quadreg_rss_form(x: np.ndarray, y: np.ndarray) -> Callable[[float, float, f
     w = q.T @ resid
     rest = resid - q @ w
     rss_min = float(rest @ rest)
+    if rss_min <= (x.size * 2.0 ** -52) ** 2 * float(y @ y):
+        raise DegenerateDataError("y is a quadratic in x: the residual sum of squares is zero")
     (r00, r01, r02), (_, r11, r12), (_, _, r22) = r.tolist()
     h0, h1, h2 = bhat.tolist()
     w0, w1, w2 = w.tolist()
@@ -568,8 +554,7 @@ def _quadreg_coef_equation(statistic_coef: float, mean_offset: float,
 
 
 def _quadreg_build_conditionals(data: Dataset) -> dict:
-    x = data.col("x")
-    y = data.col("y")
+    x, y = data.col("x"), data.col("y")
     if x.size != y.size:
         raise DomainError("quadreg needs x and y of equal length")
     if x.size < 2:
@@ -625,8 +610,7 @@ def _quadreg_build_conditionals(data: Dataset) -> dict:
 
 
 def _quadreg_chain_inits(data: Dataset, chains: int) -> list:
-    x = data.col("x")
-    y = data.col("y")
+    x, y = data.col("x"), data.col("y")
     design = np.column_stack([np.ones_like(x), x, x ** 2])
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
     rss = _quadreg_rss(x, y, *coef)
@@ -732,7 +716,7 @@ def _shape_solve(c: float, g: float, n: int, b: Optional[float], scratch) -> flo
     floor = None
     try:
         if certified or k <= 1.0:
-            u = math.log(_shape_start(c, g, n, b))
+            u = math.log(_shape_start(c, k, b))
         else:
             floor, curvature = _shape_minimum(k, b)
             f_min = _shape_fdf(floor, c, g, n, b, scratch)[0]
@@ -742,7 +726,7 @@ def _shape_solve(c: float, g: float, n: int, b: Optional[float], scratch) -> flo
             # _shape_start's steps stop where the map does not increase, so
             # from a first point on the falling branch they end below a*;
             # the root of the map's quadratic model at a* is the start there.
-            u = max(math.log(_shape_start(c, g, n, b)), floor + (
+            u = max(math.log(_shape_start(c, k, b)), floor + (
                 math.sqrt(-2.0 * f_min / curvature) if 0.0 < curvature < math.inf else 1.0))
         fu, du, curvature = _shape_fdf(u, c, g, n, b, scratch)
         if not math.isfinite(fu):
@@ -777,7 +761,7 @@ def _shape_solve(c: float, g: float, n: int, b: Optional[float], scratch) -> flo
                 if off_hi + g * math.sqrt((s_hi if g_up else s_lo) / n) < c:
                     break
             width *= 2.0
-        return math.exp(solve_newton(_shape_newton_fdf, lo, hi, u, fu, du, 1e-13, quadratic=True,
+        return math.exp(solve_newton(_shape_fdf, lo, hi, u, fu, du, 1e-13, quadratic=True,
                                      args=(c, g, n, b, scratch)))
     except EvaluationError as exc:
         raise StructuralError(f"root isolation failed: {exc}") from exc
@@ -883,49 +867,117 @@ def _shape_estimate(a, b):
             - ez2 + 0.25 * ez2 * (z * z + w * w))
 
 
-def _shape_start(c: float, g: float, n: int, b: Optional[float]) -> float:
-    """The start of a shape solve whose map crosses zero once, from
-    (c, g, n, b) alone: the root of offset(a) + g sqrt(slope(a) / n) = c
-    with the elementary _shape_series for the special functions, to about
-    1e-9 in log a (b None for the gamma shape, as in _shape_parts).
+# _shape_start's first points, from tables that the first shape solve of a
+# process builds (about 8 ms) and reads bilinearly.  The gamma table holds
+# log a at the root of psi(a) + k sqrt(psi'(a)) = c on c = -16 + i / 8 and
+# log(1 - k) = -3 + j / 8.  With x = a - 1/2, y = b / x and kappa = k /
+# sqrt b, psi(x + 1/2) = log x + 1/(24 x^2) + O(x^-4) makes a beta shape's
+# map a series in 1 / b^2 at fixed y, led by -log(1 + y) + kappa y /
+# sqrt(1 + y) - c; the beta tables hold log y at its root and the root's
+# derivative in 1 / b^2 on log(-c) = -8 + i / 16, log(1 - kappa) = -1/4 + j / 32.
+_START_TABLES = []
 
-    The first point inverts the offset at c: Minka's (2000) inverse of
-    psi, exp(c) + 1/2 or -1/(c + Euler's gamma) below c = -2.22, for the
-    gamma shape; for a beta shape the inverse of offset(a) ~ log((a - 1/2) /
-    (a + b - 1/2)), or below a = 1 of the whole map's (g / sqrt n - 1) / a -
-    Euler's gamma - psi(b), the gamma term taken along.  Newton steps
-    in log a on the map of _shape_estimate follow until one is at most
-    0.05, then Halley steps on the map of _shape_series until one is at
-    most 4e-3, usually the first: the cubic convergence leaves under about
-    1e-7 after it, and the step is taken without a new evaluation.  A step
-    is at most 1 in size, and the steps stop where the map does not
-    increase.
+
+def _start_tables():
+    """[gamma, beta log y, its derivative] as lists of rows: roots
+    interpolated linearly on the map at 2e-3 steps in log a (log y)."""
+    u = np.arange(-7.0, 9.0, 2e-3)
+    a = np.exp(u)
+    psi, root = _sp.psi(a), np.sqrt(_sp.zeta(2.0, a))
+    c = np.arange(193) / 8.0 - 16.0
+    gamma = [np.interp(c, psi + k * root, u) for k in -np.expm1(np.arange(38) / 8.0 - 3.0)]
+    w = np.arange(-11.0, 3.0, 2e-3)
+    y = np.exp(w)
+    minus_c = np.exp(np.arange(137) / 16.0 - 8.0)
+    kappa = -np.expm1(np.arange(61) / 32.0 - 0.25)
+    log_y = np.array([np.interp(minus_c, np.log1p(y) - k * y / np.sqrt(1.0 + y), w)
+                      for k in kappa]).T
+    y = np.exp(log_y)
+    z = 1.0 + y
+    # The map's derivatives in 1 / b^2 and in log y at the root.
+    d_eps = y * y * (1.0 - z ** -2 - kappa * np.sqrt(z) * (1.0 - z ** -3)) / 24.0
+    d_log_y = y * (kappa * (1.0 + 0.5 * y) / z ** 1.5 - 1.0 / z)
+    return [np.array(gamma).T.tolist(), log_y.tolist(), (-d_eps / d_log_y).tolist()]
+
+
+def _shape_start(c: float, k: float, b: Optional[float]) -> float:
+    """The start of a shape solve whose map crosses zero once, from (c,
+    k = g / sqrt n, b) alone (b None for the gamma shape): the root of
+    offset(a) + k sqrt(slope(a)) = c on _shape_series, to about 1e-9 in log a.
+
+    For k < 1 the tables give a first point within 2e-3 of the root: the
+    gamma table for c in [-16, 8] and k <= 0.95, the beta tables for -c in
+    [3e-4, 1.6], kappa <= 0.22 and a >= 2.  Elsewhere the first point
+    inverts the offset, Minka's (2000) exp(c) + 1/2 or -1/(c + Euler's
+    gamma) below c = -2.22, or for a beta shape 1/2 + b / (exp(-c) - 1), or
+    below a = 1 the root of (k - 1) / a - Euler's gamma - psi(b); Newton
+    steps in log a on the map of _shape_estimate follow until one is at
+    most 0.05.  Then Halley steps on the map of _shape_series run until one
+    is at most 4e-3, usually the first: the cubic convergence leaves under
+    about 1e-7.  A step is at most 1; the steps stop where the map does
+    not increase.
     """
-    k = g / math.sqrt(n)
-    if b is None:
-        a = math.exp(min(c, 600.0)) + 0.5 if c >= -2.22 else -1.0 / (c + _EULER_GAMMA)
-    else:
-        a = 0.5 + b / math.expm1(min(-c, 700.0))
-        if a < 1.0:
-            iz = 1.0 / (b + 1.5)
-            small = c + _EULER_GAMMA + (-math.log(iz) + iz * iz / 24.0 - 1.0 / b - 1.0 / (b + 1.0))
-            if small < 0.0:
-                a = min(a, (k - 1.0) / small)
-    a = a if _SHAPE_MIN <= a <= _SHAPE_MAX else _SHAPE_MAX if a > _SHAPE_MAX else _SHAPE_MIN
-    # An infinite slope gives an infinite or undefined h, which ends a loop.
-    for _ in range(20):
-        off, s, ds = _shape_estimate(a, b)
-        if not s > 0.0:
-            break
+    if not _START_TABLES:
+        _START_TABLES.extend(_start_tables())
+    a = 0.0
+    if k < 1.0 and b is None:
+        x, y = 8.0 * c + 128.0, 8.0 * math.log1p(-k) + 24.0
+        if 0.0 <= x < 192.0 and 0.0 <= y < 37.0:
+            i, j = int(x), int(y)
+            low, high = _START_TABLES[0][i], _START_TABLES[0][i + 1]
+            y -= j
+            t = low[j] + y * (low[j + 1] - low[j])
+            a = math.exp(t + (x - i) * (high[j] + y * (high[j + 1] - high[j]) - t))
+    elif k < 1.0:
+        # On the leading terms -c <= y max(1, 1 - kappa): past this a < 2.
+        kappa = k / math.sqrt(b)
+        if kappa < 1.0 and b * (1.0 - kappa if kappa < 0.0 else 1.0) >= -1.5 * c:
+            x, y = 16.0 * math.log(-c) + 128.0, 32.0 * math.log1p(-kappa) + 8.0
+            if 0.0 <= x < 136.0 and 0.0 <= y < 60.0:
+                i, j = int(x), int(y)
+                x, y = x - i, y - j
+                low, high = _START_TABLES[1][i], _START_TABLES[1][i + 1]
+                t = low[j] + y * (low[j + 1] - low[j])
+                t += x * (high[j] + y * (high[j + 1] - high[j]) - t)
+                low, high = _START_TABLES[2][i], _START_TABLES[2][i + 1]
+                e = low[j] + y * (low[j + 1] - low[j])
+                e += x * (high[j] + y * (high[j + 1] - high[j]) - e)
+                a = b * math.exp(-t - e / (b * b)) + 0.5
+                a = a if a >= 2.0 else 0.0
+    if a:
+        # One Halley step on the series, as in the loop below, ends the start.
+        off, s, ds, dds = _shape_series(a, b, _START_SHIFT)
         rs = math.sqrt(s)
         h = s + 0.5 * k * ds / rs
-        if not 0.0 < h < math.inf:
-            break
         step = (off + k * rs - c) / (a * h)
-        if -0.05 <= step <= 0.05:
-            a *= math.exp(-step)
-            break
-        a *= math.exp(-1.0 if step > 1.0 else 1.0 if step < -1.0 else -step)
+        den = 1.0 - 0.5 * step * (1.0 + a * (ds + 0.5 * k * (dds - 0.5 * ds * ds / s) / rs) / h)
+        if 0.5 < den and -4e-3 * den <= step <= 4e-3 * den:
+            return a * math.exp(-step / den)
+    else:
+        if b is None:
+            a = math.exp(min(c, 600.0)) + 0.5 if c >= -2.22 else -1.0 / (c + _EULER_GAMMA)
+        else:
+            a = 0.5 + b / math.expm1(min(-c, 700.0))
+            if a < 1.0:
+                iz = 1.0 / (b + 1.5)
+                small = c + _EULER_GAMMA + (-math.log(iz) + iz * iz / 24.0 - 1.0 / b - 1.0 / (b + 1.0))
+                if small < 0.0:
+                    a = min(a, (k - 1.0) / small)
+        a = a if _SHAPE_MIN <= a <= _SHAPE_MAX else _SHAPE_MAX if a > _SHAPE_MAX else _SHAPE_MIN
+        # An infinite slope gives an infinite or undefined h, which ends a loop.
+        for _ in range(20):
+            off, s, ds = _shape_estimate(a, b)
+            if not s > 0.0:
+                break
+            rs = math.sqrt(s)
+            h = s + 0.5 * k * ds / rs
+            if not 0.0 < h < math.inf:
+                break
+            step = (off + k * rs - c) / (a * h)
+            if -0.05 <= step <= 0.05:
+                a *= math.exp(-step)
+                break
+            a *= math.exp(-1.0 if step > 1.0 else 1.0 if step < -1.0 else -step)
     for _ in range(20):
         off, s, ds, dds = _shape_series(a, b, _START_SHIFT)
         if not s > 0.0:
@@ -949,17 +1001,19 @@ def _shape_start(c: float, g: float, n: int, b: Optional[float]) -> float:
 def _shape_minimum(k: float, b: Optional[float]) -> Tuple[float, float]:
     """(log a*, d^2f / du^2 near a*) for the minimum a* of the shape map f
     of _shape_solve in u = log a, k > 1 (and k < sqrt b for a beta shape):
-    the root of r(a*) = k, by Newton steps in log a on log r with the
-    series of _shape_series to z >= _SERIES_SHIFT, from r ~ 1 + 1.5 zeta(2)
-    a^2 near 0 and r ~ 2 sqrt a far from it, until one is at most 1e-5.
-    The error left, about 1e-9 in u, moves f(a*) by its square.  A step is
-    at most 1; one whose derivative is lost to rounding (a -> 0) steps up.
+    the root of r(a*) = k, by Newton steps in log a on log r, from r ~ 1 +
+    1.5 zeta(2) a^2 near 0 and r ~ 2 sqrt a far from it, on _shape_series
+    to z >= _START_SHIFT (r within 1e-6) until one is at most 1e-5, then
+    one to z >= _SERIES_SHIFT.  The error left, about 1e-9 in u, moves
+    f(a*) by its square.  A step is at most 1; one whose derivative is lost
+    to rounding (a -> 0) steps up.
     """
     log_k = math.log(k)
     a = math.sqrt((k - 1.0) / 2.467) + 0.25 * (k * k - 1.0)
     curvature = math.nan
+    z_min = _START_SHIFT
     for _ in range(50):
-        _, s, ds, dds = _shape_series(a, b, _SERIES_SHIFT)
+        _, s, ds, dds = _shape_series(a, b, z_min)
         if not s > 0.0 > ds:
             break
         rs = math.sqrt(s)
@@ -967,8 +1021,10 @@ def _shape_minimum(k: float, b: Optional[float]) -> Tuple[float, float]:
         slope = a * (1.5 * ds / s - dds / ds)
         step = (math.log(2.0 * s * rs / -ds) - log_k) / slope if slope > 0.0 else -1.0
         a *= math.exp(-1.0 if step > 1.0 else 1.0 if step < -1.0 else -step)
-        if -1e-5 <= step <= 1e-5:
+        if z_min == _SERIES_SHIFT:
             break
+        if -1e-5 <= step <= 1e-5:
+            z_min = _SERIES_SHIFT
     return math.log(a), curvature
 
 
@@ -1024,12 +1080,6 @@ def _shape_fdf(u, c, g, n, b, scratch):
     # d^2f / du^2 = a h + a^2 (ds + g (dds - ds^2 / (2 s)) / (2 n r)).
     return (off + g * r - c, a * h,
             a * (abs(h) + a * (abs(ds) + 0.5 * abs(g) * (dds + 0.5 * ds * ds / s) / (n * r))))
-
-
-def _shape_newton_fdf(u, c, g, n, b, scratch):
-    """(f, df / du) of _shape_fdf, as solve_newton takes them."""
-    f, df, _ = _shape_fdf(u, c, g, n, b, scratch)
-    return f, df
 
 
 def _clt_phi(g, n, parts):
@@ -1103,10 +1153,11 @@ def _gamma_build_conditionals(data: Dataset) -> dict:
 
     return {
         "alpha": _conditional(
-            _GAMMA_PARAMS, "alpha", FiducialStatistic("sum_log_x", lambda d, p: sum_log),
-            alpha_equation, _equation_kernel(sum_log, alpha_equation), check_at_start=True),
+            _ALPHA_BETA, "alpha", FiducialStatistic("sum_log_x", lambda d, p: sum_log),
+            alpha_equation, _shape_kernel(sum_log, lambda p, g: _shape_solve(
+                sum_log / n + math.log(p["beta"]), g, n, None, scratch)), check_at_start=True),
         "beta": _conditional(
-            _GAMMA_PARAMS, "beta", FiducialStatistic("sum_x", lambda d, p: sum_x),
+            _ALPHA_BETA, "beta", FiducialStatistic("sum_x", lambda d, p: sum_x),
             lambda d, p: _RateEquation(Gamma(n * _pos(p["alpha"], "alpha"), 1.0), 0.0),
             rate_kernel),
     }
@@ -1114,22 +1165,14 @@ def _gamma_build_conditionals(data: Dataset) -> dict:
 
 def _gamma_chain_inits(data: Dataset, chains: int) -> list:
     x = data.col("x")
-    m = float(np.mean(x))
-    v = max(float(np.var(x, ddof=1)), 1e-12)
+    m, v = float(np.mean(x)), max(float(np.var(x, ddof=1)), 1e-12)
     base = {"alpha": max(m * m / v, 1e-3), "beta": max(m / v, 1e-3)}
-    return _disperse(base, _GAMMA_PARAMS, {}, chains)
+    return _disperse(base, _ALPHA_BETA, {}, chains)
 
 
 def _gamma_simulate(theta: Mapping[str, float], n: int, rng: RngStream) -> Dataset:
-    alpha = _pos(theta["alpha"], "alpha")
-    beta = _pos(theta["beta"], "beta")
+    alpha, beta = _pos(theta["alpha"], "alpha"), _pos(theta["beta"], "beta")
     return Dataset({"x": rng.gen.gamma(alpha, 1.0 / beta, size=n)})
-
-
-_GAMMA_PARAMS = (
-    ParamSpec("alpha", 0.0, math.inf, "scale"),
-    ParamSpec("beta", 0.0, math.inf, "scale"),
-)
 
 
 # ---------------------------------------------------------------------------
@@ -1185,8 +1228,10 @@ def _beta_build_conditionals(data: Dataset) -> dict:
         def equation_for(d, p):
             return _BetaShapeEquation(n, p[other], scratch)
 
-        return _conditional(_BETA_PARAMS, label, FiducialStatistic(stat_name, lambda d, p: q),
-                            equation_for, _equation_kernel(q, equation_for), check_at_start=True)
+        # q / n < 0 for data in (0, 1), as _BetaShapeEquation.invert checks.
+        return _conditional(_ALPHA_BETA, label, FiducialStatistic(stat_name, lambda d, p: q),
+                            equation_for, _shape_kernel(q, lambda p, g: _shape_solve(
+                                q / n, g, n, p[other], scratch)), check_at_start=True)
 
     return {
         "alpha": shape("alpha", "sum_log_x", sum_log, "beta"),
@@ -1196,23 +1241,15 @@ def _beta_build_conditionals(data: Dataset) -> dict:
 
 def _beta_chain_inits(data: Dataset, chains: int) -> list:
     x = data.col("x")
-    m = float(np.mean(x))
-    v = max(float(np.var(x, ddof=1)), 1e-12)
+    m, v = float(np.mean(x)), max(float(np.var(x, ddof=1)), 1e-12)
     common = max(m * (1.0 - m) / v - 1.0, 1e-2)
     base = {"alpha": max(m * common, 1e-2), "beta": max((1.0 - m) * common, 1e-2)}
-    return _disperse(base, _BETA_PARAMS, {}, chains)
+    return _disperse(base, _ALPHA_BETA, {}, chains)
 
 
 def _beta_simulate(theta: Mapping[str, float], n: int, rng: RngStream) -> Dataset:
-    alpha = _pos(theta["alpha"], "alpha")
-    beta = _pos(theta["beta"], "beta")
+    alpha, beta = _pos(theta["alpha"], "alpha"), _pos(theta["beta"], "beta")
     return Dataset({"x": rng.gen.beta(alpha, beta, size=n)})
-
-
-_BETA_PARAMS = (
-    ParamSpec("alpha", 0.0, math.inf, "scale"),
-    ParamSpec("beta", 0.0, math.inf, "scale"),
-)
 
 
 # ---------------------------------------------------------------------------
@@ -1403,8 +1440,7 @@ class _BvnRhoEquation:
 
 
 def _bvn_build_conditionals(data: Dataset) -> dict:
-    x = data.col("x")
-    y = data.col("y")
+    x, y = data.col("x"), data.col("y")
     n = x.size
     if y.size != n:
         raise DomainError("bivariate_normal needs x and y of equal length")
@@ -1556,22 +1592,12 @@ def _bvn_build_conditionals(data: Dataset) -> dict:
 
 
 def _bvn_chain_inits(data: Dataset, chains: int) -> list:
-    x = data.col("x")
-    y = data.col("y")
-    rho = float(np.corrcoef(x, y)[0, 1])
-    rho = float(np.clip(rho, -0.95, 0.95))
-    base = {
-        "mu_x": float(np.mean(x)),
-        "mu_y": float(np.mean(y)),
-        "sigma_x2": float(np.var(x)),
-        "sigma_y2": float(np.var(y)),
-        "rho": rho,
-    }
-    n = x.size
-    spreads = {
-        "mu_x": math.sqrt(base["sigma_x2"] / n),
-        "mu_y": math.sqrt(base["sigma_y2"] / n),
-    }
+    x, y = data.col("x"), data.col("y")
+    base = {"mu_x": float(np.mean(x)), "mu_y": float(np.mean(y)), "sigma_x2": float(np.var(x)),
+            "sigma_y2": float(np.var(y)),
+            "rho": float(np.clip(float(np.corrcoef(x, y)[0, 1]), -0.95, 0.95))}
+    spreads = {"mu_x": math.sqrt(base["sigma_x2"] / x.size),
+               "mu_y": math.sqrt(base["sigma_y2"] / x.size)}
     return _disperse(base, _BVN_PARAMS, spreads, chains)
 
 
@@ -1581,8 +1607,7 @@ def _bvn_simulate(theta: Mapping[str, float], n: int, rng: RngStream) -> Dataset
     rho = float(theta["rho"])
     if not abs(rho) < 1.0:
         raise DomainError(f"|rho| must be < 1, got {rho}")
-    z1 = rng.gen.standard_normal(n)
-    z2 = rng.gen.standard_normal(n)
+    z1, z2 = rng.gen.standard_normal(n), rng.gen.standard_normal(n)
     return Dataset({
         "x": theta["mu_x"] + sdx * z1,
         "y": theta["mu_y"] + sdy * (rho * z1 + math.sqrt(1.0 - rho * rho) * z2),
@@ -1602,47 +1627,22 @@ _BVN_PARAMS = (
 # Registry
 # ---------------------------------------------------------------------------
 
+# name -> ModelSpec(name, params, build_conditionals, simulate, chain_inits,
+# joint_log_kernel).
 _MODELS = {
     "normal": _normal_samples("normal", (("x", "mu", "sigma2"),)),
-    "pareto": ModelSpec(
-        name="pareto",
-        params=_PARETO_PARAMS,
-        build_conditionals=_pareto_build_conditionals,
-        simulate=_pareto_simulate,
-        chain_inits=_pareto_chain_inits,
-        joint_log_kernel=_pareto_joint,
-    ),
-    "quadreg": ModelSpec(
-        name="quadreg",
-        params=_QUADREG_PARAMS,
-        build_conditionals=_quadreg_build_conditionals,
-        simulate=_quadreg_simulate,
-        chain_inits=_quadreg_chain_inits,
-        joint_log_kernel=_quadreg_joint,
-    ),
-    "gamma": ModelSpec(
-        name="gamma",
-        params=_GAMMA_PARAMS,
-        build_conditionals=_gamma_build_conditionals,
-        simulate=_gamma_simulate,
-        chain_inits=_gamma_chain_inits,
-    ),
-    "beta": ModelSpec(
-        name="beta",
-        params=_BETA_PARAMS,
-        build_conditionals=_beta_build_conditionals,
-        simulate=_beta_simulate,
-        chain_inits=_beta_chain_inits,
-    ),
+    "pareto": ModelSpec("pareto", _ALPHA_BETA, _pareto_build_conditionals, _pareto_simulate,
+                        _pareto_chain_inits, _pareto_joint),
+    "quadreg": ModelSpec("quadreg", _QUADREG_PARAMS, _quadreg_build_conditionals,
+                         _quadreg_simulate, _quadreg_chain_inits, _quadreg_joint),
+    "gamma": ModelSpec("gamma", _ALPHA_BETA, _gamma_build_conditionals, _gamma_simulate,
+                       _gamma_chain_inits),
+    "beta": ModelSpec("beta", _ALPHA_BETA, _beta_build_conditionals, _beta_simulate,
+                      _beta_chain_inits),
     "behrens_fisher": _normal_samples(
         "behrens_fisher", (("x", "mu_x", "sigma_x2"), ("y", "mu_y", "sigma_y2"))),
-    "bivariate_normal": ModelSpec(
-        name="bivariate_normal",
-        params=_BVN_PARAMS,
-        build_conditionals=_bvn_build_conditionals,
-        simulate=_bvn_simulate,
-        chain_inits=_bvn_chain_inits,
-    ),
+    "bivariate_normal": ModelSpec("bivariate_normal", _BVN_PARAMS, _bvn_build_conditionals,
+                                  _bvn_simulate, _bvn_chain_inits),
 }
 
 MODEL_NAMES = tuple(sorted(_MODELS))

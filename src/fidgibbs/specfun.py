@@ -109,11 +109,12 @@ def solve_newton(
 ) -> float:
     """Root of f in [lo, hi] by Newton steps safeguarded by bisection.
 
-    fdf(x, *args) returns (f(x), f'(x)): a module-level function with the
-    equation's constants in args serves every solve without a closure.  The
-    caller guarantees that f crosses zero once in [lo, hi], negative before
-    the root and positive after it (f need not be monotone), and passes the
-    starting point x in [lo, hi] with its values fx and dx.
+    fdf(x, *args) returns (f(x), f'(x)), or a longer tuple that starts with
+    them: a module-level function with the equation's constants in args
+    serves every solve without a closure.  The caller guarantees that f
+    crosses zero once in [lo, hi], negative before the root and positive
+    after it (f need not be monotone), and passes the starting point x in
+    [lo, hi] with its values fx and dx.
     A Newton step is taken when the derivative is positive and finite, the
     step stays inside the bracket and is at most half the step before last;
     otherwise the bracket is bisected.  Each new point replaces the bracket
@@ -142,7 +143,7 @@ def solve_newton(
                 return new
         before_last, last = last, abs(step)
         px, pdx = x, dx
-        fx, dx = fdf(new, *args)
+        fx, dx = fdf(new, *args)[:2]
         if not math.isfinite(fx):
             raise EvaluationError(f"non-finite target function value at x={new}")
         if fx == 0.0:

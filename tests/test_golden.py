@@ -42,11 +42,11 @@ GOLDEN = {
     # exercises the injectivity-grid and redraw counters.
     "gamma": (
         ["--model", "gamma", "--simulate", "alpha=2,beta=0.5,n=5"],
-        "2704930ea6f3cb16d0f8dabfffde56e45b4b495eb50160fd7922a54283c71e10",
+        "20cc2001238d314f70a9acbfcad112bbae954d61bd363e75c173d8b751da2408",
         {"alpha.injectivity_grid_failures": 12, "alpha.gamma_redraw": 20}),
     "beta": (
         ["--model", "beta", "--simulate", "alpha=8,beta=3,n=50"],
-        "d6508f1c0a9ac1f4982d19c0f7b845ee38bc0343854cc220c49b98db4a7bb1a7", {}),
+        "99315cda9c957d207f4877c83a3720aa34ab8f5186c01195aac0c4804cdfda44", {}),
     "behrens_fisher": (
         ["--model", "behrens_fisher", "--simulate", "mu_x=1,mu_y=0.5,sigma_x2=4,sigma_y2=1,n=8"],
         "421663b16515362334c7affdb45a715c7d7613318d65606066951b15d941018b", {}),
@@ -58,7 +58,7 @@ GOLDEN = {
         {"sigma_x2.gamma_redraw": 3, "sigma_y2.gamma_redraw": 2}),
     "beta_scan_order": (
         ["--model", "beta", "--simulate", "alpha=8,beta=3,n=50", "--scan-order", "beta,alpha"],
-        "f7c9b54be0218feb80ef8138dfcda4e6040cfa166e53036dbb0b2b1ef4259fe7", {}),
+        "ae0ec63702e68e2c5e33aeb7fe109e564d4c54544b302cc26b22c1b4b2c009c9", {}),
     # Shapes below 1: the small-shape start and the solve outside the
     # certificate of the beta shapes.
     "beta_small_shapes": (
@@ -100,16 +100,16 @@ OUTPUTS = {
         "trace_sigma2.csv": "31b61f486a39a7a2141dab724784ffbad81812d61ee4c24ba145fa285243ac61",
     },
     "gamma": {
-        "hist_alpha.csv": "a54f9586c7643c7fd707192e98553d3e21f3adf3f5751f8c4038d11c95a7632a",
-        "hist_beta.csv": "33dc961248e9afb8e0bd7678a643406f3342c3919311f3750d471832a8c7d6e4",
-        "trace_alpha.csv": "222aa6801076df815d00f74fd541cfd7d74592208f3840a70bf0b208524366b3",
-        "trace_beta.csv": "21f56692c091e2eaa35e9dae0de4e15cd1d3d317f8d7e37604c094d6967d2b5c",
+        "hist_alpha.csv": "277b475134dd022ba3e523d577ecad5ec68c72ebeedfc36e8e333a97d7454f2b",
+        "hist_beta.csv": "a6e9cce871ba80e6770d27c41d9e5185df1f4d4a00892cf50f78ef75bebf8d99",
+        "trace_alpha.csv": "66105c5355490284a8eeae8ee590b9addb042c3e4c76b1a7e3c62ad0c747cccf",
+        "trace_beta.csv": "1a865db95cb3645cecbfbb4ca6d5652b682e194550b4e22c142dd78c99a01ede",
     },
     "beta": {
-        "hist_alpha.csv": "25a4c6ca0b0e174bfe44f49557e18122c0d162002168812bc97c2eae41273a48",
-        "hist_beta.csv": "b3149cb5054877d3dddcbeb2d39405341d23eb3c96eca1e40499fe9855922f5e",
-        "trace_alpha.csv": "6d3de5f4fcad511540e394698067c1c643ef88a9f23348367f283129149c132f",
-        "trace_beta.csv": "85b0ea28b2e01dcd3310bf7c5b715eafc9d89a9758e75229e8d3212e2451b6c7",
+        "hist_alpha.csv": "3585377cd2f68c07e6d46f0a7d570119fe6950248448229432e23fac0ce0ddac",
+        "hist_beta.csv": "79f6afd96d260ae414260179198502fa91035d64c1d8c85f7506905ef4137ebe",
+        "trace_alpha.csv": "12525a2abb3b040a01050e67afa65ea9299718ddfb1bcab69f3a7aaee90dfdb8",
+        "trace_beta.csv": "388db775e742aa53679570b0b2341a37bbf3081e3a871151168999bceb6ea17d",
     },
     "behrens_fisher": {
         "hist_mu_x.csv": "0cf00bc242e4fa17109c76f4b6c968abd3cab7d14060a362d880ad81e1649d3a",
@@ -134,10 +134,10 @@ OUTPUTS = {
         "trace_sigma_y2.csv": "1ead91f8b9b2d8a36d6a092b7edbd8eb7bfe98c40b517757553f655161f33933",
     },
     "beta_scan_order": {
-        "hist_alpha.csv": "f50c123768e87d7b1360bb4704de035ef22824e59b4208d6b6c5c7a080f0aa97",
-        "hist_beta.csv": "acaa94e3f0fc9849954e1cd05068c89f27059358de4de43dd072104b85d4093b",
-        "trace_alpha.csv": "f757e91984293c26c4e4ae9364f42ba607a9bffed8d41feb9f96d313ab22cf8a",
-        "trace_beta.csv": "ff25ebcf2eadd118d1c109043b734f8a2e0e856dbfc3e62b034afb831e49d908",
+        "hist_alpha.csv": "08b0ce57d3a1cdded33b0fb8173132d28d00a91f25fe43d41a0bd726e1c28283",
+        "hist_beta.csv": "9cc3dfe367093fefa059c84e1eba543250f9c19532542dea61eaf127299829ee",
+        "trace_alpha.csv": "0083981ad2bedf0b552c67746eaa579f5fd5018ef1cae5c392081c919ea69d03",
+        "trace_beta.csv": "904a5c7234745abe9cab94c796be77718c682e54ab31abe2fcdaea89eea0cabb",
     },
     "beta_small_shapes": {
         "hist_alpha.csv": "19dc02985e68b3b5bd5d4e37319b249de1f00a35df09d63281aaefe6e4449c18",
@@ -169,12 +169,12 @@ OUTPUTS = {
 # case -> sha256 of json.dumps(report["params"], sort_keys=True, separators=(",", ":"))
 REPORT_PARAMS = {
     "behrens_fisher": "44db6b8982ac37bb2ee8cb5a6b62558d8fc8d2d397099aae37e7e9e8e894f090",
-    "beta": "2be5c43073179237892826e4e1fcde39aca8f5695ed2bf60cae2ae35f4938901",
-    "beta_scan_order": "54b3fbb6baf632990a030492cb55eab9a2770cebfe035b0896ab9f755608f5a3",
+    "beta": "e7829d83ed4de6cfe34ba619b79b303d740f90d5c0083a2bbc9412167202b973",
+    "beta_scan_order": "62c0d30b990df71e852bc71802ac5ba0ec1c6c64a4fccb611778a77c9f01d3ed",
     "beta_small_shapes": "145bda023cee38eccc9e37dcf738b4cd6d49a8e682b11b834215095f964955c7",
     "bivariate_normal": "089aa66fe06ab137385c7f6af78f1ce4bbca1a0581ae14631ee8c11468562440",
     "bivariate_normal_rho0.97": "b0eec0d5b67eaa6f0e5ed6e006adadadc1e2dc71d8973e5b2d8251743f98ea6a",
-    "gamma": "8a936797a44e248a36f0af3817b2bd9144e719b6def9df3b03a0b9b42a058cf1",
+    "gamma": "1c7b6ef5f6b1482bb22f9ac896d96c7a7a3f4466b7bfb9971b210fdf9be7db61",
     "normal": "2970dc075a0dd5fd8131c562157ed54041ac2caa773288304641d6bb482eae9e",
     "pareto": "fe77468042c5c2cf652e2d18faa44d9db3cf5c90d060dfe4f4206cb904779da4",
     "pareto_init": "fe77468042c5c2cf652e2d18faa44d9db3cf5c90d060dfe4f4206cb904779da4",
