@@ -2,13 +2,13 @@
 
 Builds full conditional fiducial distributions from invertible structural
 equations, composes them with a systematic-scan Gibbs sampler, checks
-proposed joint densities for compatibility with the conditionals, and
-reports Monte Carlo estimates with convergence diagnostics.
+the conditionals pairwise for compatibility, and reports Monte Carlo
+estimates with convergence diagnostics.
 """
 
 __version__ = "0.1.0"
 
-from .compat import CompatReport, check_model, ratio_constancy
+from .compat import CompatReport, check_model
 from .core import (
     ConditionalFiducialSampler,
     FiducialStatistic,
@@ -16,7 +16,7 @@ from .core import (
     StructuralEquation,
     check_injectivity,
 )
-from .diagnostics import DiagnosticsReport, summarize
+from .diagnostics import DiagnosticsReport, ParamSummary, summarize
 from .errors import (
     DegenerateDataError,
     DomainError,
@@ -25,7 +25,7 @@ from .errors import (
     StructuralError,
 )
 from .gibbs import ChainConfig, EstimateResult, SampleMatrix, estimate, run
-from .models import Dataset, ModelSpec, MODEL_NAMES, get_model, simulate_dataset
+from .models import Dataset, ModelSpec, MODEL_NAMES, ParamSpec, get_model, simulate_dataset
 from .randvar import (
     ChiSquare,
     Exponential,
@@ -60,6 +60,8 @@ __all__ = [
     "MODEL_NAMES",
     "ModelSpec",
     "Normal",
+    "ParamSpec",
+    "ParamSummary",
     "RngStream",
     "SampleMatrix",
     "StructuralEquation",
@@ -72,7 +74,6 @@ __all__ = [
     "ln_gamma",
     "log_density",
     "quantile",
-    "ratio_constancy",
     "run",
     "sample",
     "simulate_dataset",

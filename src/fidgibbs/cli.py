@@ -429,14 +429,15 @@ def _cmd_simulate(args) -> int:
 def _cmd_check_compat(args) -> int:
     data = load_dataset(args.model, args.data, args.data2)
     reports = check_model(args.model, data, grid_points=args.grid_points, tol=args.tol)
-    doc = {param: rep.to_dict() for param, rep in reports.items()}
+    doc = {pair: rep.to_dict() for pair, rep in reports.items()}
     text = json.dumps(doc, indent=2) + "\n"
     if args.out:
         Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
-    for param, rep in reports.items():
-        print(f"{param}: {rep.verdict} (max spread {rep.max_spread:.3g})", file=sys.stderr)
+    for pair, rep in reports.items():
+        print(f"{pair}: {rep.verdict} (max |mixed| {rep.max_spread:.3g}, "
+              f"{rep.mismatches} mismatch cells)", file=sys.stderr)
     return 0
 
 
@@ -488,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--out", required=True)
     p_sim.set_defaults(func=_cmd_simulate)
 
-    p_cc = sub.add_parser("check-compat", help="test conditionals against the analytic joint")
+    p_cc = sub.add_parser("check-compat", help="test each pair of conditionals for compatibility")
     p_cc.add_argument("--model", required=True, choices=MODEL_NAMES)
     p_cc.add_argument("--data", required=True)
     p_cc.add_argument("--data2")

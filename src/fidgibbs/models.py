@@ -4,10 +4,10 @@ Each family provides, per parameter: a fiducial statistic, a structural
 equation (primary random variable plus the map tying the statistic to the
 parameter), and the resulting conditional sampler.  Every equation also
 gives its pivot, from which the sampler reads the conditional's log
-density.  The closed-form families ship an analytic joint log kernel for
-the compatibility check.  Their printed conditionals are not part of the
-package: the tests keep them, written independently of the sampler, as
-oracles.  Every family ships a forward data simulator.
+density, which the compatibility check reads.  The printed conditionals
+of the closed-form families are not part of the package: the tests keep
+them, written independently of the sampler, as oracles.  Every family
+ships a forward data simulator.
 
 Families: normal, pareto, quadreg, gamma, beta, behrens_fisher,
 bivariate_normal.
@@ -44,8 +44,6 @@ __all__ = [
     "MODEL_NAMES",
     "get_model",
     "simulate_dataset",
-    "pareto_joint_log_kernel",
-    "quadreg_joint_log_kernel",
 ]
 
 _STANDARD_TRUNC = 5.0
@@ -106,12 +104,11 @@ class ParamSpec:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """A model family: parameters, conditionals, optional joint, simulator.
+    """A model family: parameters, conditionals, chain starts, simulator.
 
     build_conditionals(data) is the one place a dataset is checked: it
     raises DomainError or DegenerateDataError for data the model cannot
-    take, before it binds anything.  joint_log_kernel, when given, is the
-    joint that check_model tests the conditionals against.
+    take, before it binds anything.
     """
 
     name: str
@@ -119,7 +116,6 @@ class ModelSpec:
     build_conditionals: Callable[[Dataset], dict]
     simulate: Callable[[Mapping[str, float], int, RngStream], Dataset]
     chain_inits: Callable[[Dataset, int], list]
-    joint_log_kernel: Optional[Callable[[Mapping[str, float], Dataset], float]] = None
 
     @property
     def param_labels(self) -> Tuple[str, ...]:
@@ -340,17 +336,6 @@ def _normal_samples(name: str, groups: Tuple[Tuple[str, str, str], ...]) -> Mode
             conditionals.update(_sample_conditionals(params, data, column, mu, s2))
         return conditionals
 
-    def joint_log_kernel(theta: Mapping[str, float], data: Dataset) -> float:
-        total = 0.0
-        for column, mu, s2 in groups:
-            x = data.col(column)
-            v = theta[s2]
-            if v <= 0.0:
-                return -math.inf
-            rss = float(np.sum((x - theta[mu]) ** 2))
-            total += -0.5 * (x.size + 2) * math.log(v) - 0.5 * rss / v
-        return total
-
     def chain_inits(data: Dataset, chains: int) -> list:
         base, spreads = {}, {}
         for column, mu, s2 in groups:
@@ -365,22 +350,12 @@ def _normal_samples(name: str, groups: Tuple[Tuple[str, str, str], ...]) -> Mode
             columns[column] = theta[mu] + sd * rng.gen.standard_normal(n)
         return Dataset(columns)
 
-    return ModelSpec(name, params, build_conditionals, simulate, chain_inits, joint_log_kernel)
+    return ModelSpec(name, params, build_conditionals, simulate, chain_inits)
 
 
 # ---------------------------------------------------------------------------
 # Pareto model: shape alpha and scale beta
 # ---------------------------------------------------------------------------
-
-def pareto_joint_log_kernel(alpha: float, beta: float, x: np.ndarray) -> float:
-    """Log of the joint kernel alpha^(n-1) beta^(n alpha - 1) prod x_i^-(alpha+1)."""
-    x = np.asarray(x, dtype=float)
-    if alpha <= 0.0 or beta <= 0.0 or beta > float(np.min(x)):
-        return -math.inf
-    n = x.size
-    sum_log = float(np.sum(np.log(x)))
-    return (n - 1) * math.log(alpha) + (n * alpha - 1) * math.log(beta) - (alpha + 1) * sum_log
-
 
 class _ParetoBetaEquation:
     """q = beta * exp(gamma / (n alpha)) with gamma ~ Exponential(1)."""
@@ -471,10 +446,6 @@ def _pareto_simulate(theta: Mapping[str, float], n: int, rng: RngStream) -> Data
     return Dataset({"x": beta * np.exp(rng.gen.exponential(1.0 / alpha, size=n))})
 
 
-def _pareto_joint(theta: Mapping[str, float], data: Dataset) -> float:
-    return pareto_joint_log_kernel(theta["alpha"], theta["beta"], data.col("x"))
-
-
 # ---------------------------------------------------------------------------
 # Quadratic regression model
 # ---------------------------------------------------------------------------
@@ -533,17 +504,6 @@ def _quadreg_rss_form(x: np.ndarray, y: np.ndarray) -> Callable[[float, float, f
         return rss_min + (t0 * t0 + t1 * t1 + t2 * t2)
 
     return rss
-
-
-def quadreg_joint_log_kernel(b0: float, b1: float, b2: float, sigma2: float,
-                             x: np.ndarray, y: np.ndarray) -> float:
-    """Log kernel sigma^-(n+2) exp(-RSS / (2 sigma^2))."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if sigma2 <= 0.0:
-        return -math.inf
-    rss = _quadreg_rss(x, y, b0, b1, b2)
-    return -0.5 * (x.size + 2) * math.log(sigma2) - 0.5 * rss / sigma2
 
 
 def _quadreg_coef_equation(statistic_coef: float, mean_offset: float,
@@ -637,11 +597,6 @@ _QUADREG_PARAMS = (
     ParamSpec("beta2", -math.inf, math.inf, "location"),
     ParamSpec("sigma2", 0.0, math.inf, "scale"),
 )
-
-
-def _quadreg_joint(theta: Mapping[str, float], data: Dataset) -> float:
-    return quadreg_joint_log_kernel(theta["beta0"], theta["beta1"], theta["beta2"],
-                                    theta["sigma2"], data.col("x"), data.col("y"))
 
 
 # ---------------------------------------------------------------------------
@@ -1627,14 +1582,13 @@ _BVN_PARAMS = (
 # Registry
 # ---------------------------------------------------------------------------
 
-# name -> ModelSpec(name, params, build_conditionals, simulate, chain_inits,
-# joint_log_kernel).
+# name -> ModelSpec(name, params, build_conditionals, simulate, chain_inits).
 _MODELS = {
     "normal": _normal_samples("normal", (("x", "mu", "sigma2"),)),
     "pareto": ModelSpec("pareto", _ALPHA_BETA, _pareto_build_conditionals, _pareto_simulate,
-                        _pareto_chain_inits, _pareto_joint),
+                        _pareto_chain_inits),
     "quadreg": ModelSpec("quadreg", _QUADREG_PARAMS, _quadreg_build_conditionals,
-                         _quadreg_simulate, _quadreg_chain_inits, _quadreg_joint),
+                         _quadreg_simulate, _quadreg_chain_inits),
     "gamma": ModelSpec("gamma", _ALPHA_BETA, _gamma_build_conditionals, _gamma_simulate,
                        _gamma_chain_inits),
     "beta": ModelSpec("beta", _ALPHA_BETA, _beta_build_conditionals, _beta_simulate,

@@ -587,15 +587,21 @@ class TestCheckCompatCommand:
         rc = _run(["check-compat", "--model", "normal", "--data", data, "--out", out])
         assert rc == 0
         doc = json.loads(out.read_text())
-        assert set(doc) == {"mu", "sigma2"}
+        assert set(doc) == {"mu,sigma2"}
         assert all(rep["verdict"] == "compatible" for rep in doc.values())
 
-    def test_model_without_kernel_exits_one(self, tmp_path):
+    def test_gamma_reports_its_pair(self, tmp_path):
+        # The numeric models are checked through the same path: exit 0 and
+        # one report per pair, whatever its verdict.
         data = tmp_path / "data.csv"
         _run(["simulate", "--model", "gamma", "--params", "alpha=2,beta=1",
               "--n", 10, "--seed", 8, "--out", data])
-        rc = _run(["check-compat", "--model", "gamma", "--data", data])
-        assert rc == 1
+        out = tmp_path / "compat.json"
+        rc = _run(["check-compat", "--model", "gamma", "--data", data, "--out", out])
+        assert rc == 0
+        doc = json.loads(out.read_text())
+        assert set(doc) == {"alpha,beta"}
+        assert doc["alpha,beta"]["verdict"] in ("compatible", "incompatible", "inconclusive")
 
 
 def _parser_calls(out):

@@ -165,11 +165,6 @@ class TestParetoConditionals:
         res = stats.kstest(draws, lambda b: np.interp(b, xs, at_draws))
         assert res.pvalue > 1e-3
 
-    def test_joint_kernel_support(self):
-        x = np.array([2.0, 3.0])
-        assert M.pareto_joint_log_kernel(1.0, 2.5, x) == -math.inf
-        assert math.isfinite(M.pareto_joint_log_kernel(2.0, 0.5, np.array([3.0])))
-
 
 class TestQuadregConditionals:
     def setup_method(self):
@@ -223,15 +218,6 @@ class TestQuadregConditionals:
                 ChainConfig(m=300, b=100, chains=2, seed=1))
         sigma2 = s.post_burnin("sigma2")
         assert np.all(sigma2 > 0.0) and 1e-16 < float(np.median(sigma2)) < 1e-6
-
-    def test_joint_kernel_values(self):
-        y = 1.0 + 2.0 * self.x - 0.5 * self.x ** 2
-        n = self.x.size
-        # Perfect fit at sigma = 1: only the sigma power term, which is 0.
-        assert abs(M.quadreg_joint_log_kernel(1.0, 2.0, -0.5, 1.0, self.x, y)) < 1e-12
-        # Doubling sigma with zero residuals costs (n + 2) log 2 in log kernel.
-        k2 = M.quadreg_joint_log_kernel(1.0, 2.0, -0.5, 4.0, self.x, y)
-        assert abs(k2 - (-(n + 2) * math.log(2.0))) < 1e-12
 
 
 class TestGammaConditionals:
@@ -1430,9 +1416,9 @@ HOSTILE_DATA = [
 @pytest.mark.parametrize("model,columns", [(m, c) for m, _, c in HOSTILE_DATA],
                          ids=[f"{m}-{case}" for m, case, _ in HOSTILE_DATA])
 def test_hostile_data_raises_typed_error(model, columns):
-    # build_conditionals is the one data check: it, run and (for the
-    # closed-form models) check_model raise a typed error, never a
-    # RuntimeWarning (an error in this suite) or a numpy ValueError.
+    # build_conditionals is the one data check: it, run and check_model
+    # raise a typed error, never a RuntimeWarning (an error in this suite)
+    # or a numpy ValueError.
     spec = get_model(model)
     data = Dataset(columns)
     typed = (DomainError, DegenerateDataError)
@@ -1440,9 +1426,8 @@ def test_hostile_data_raises_typed_error(model, columns):
         spec.build_conditionals(data)
     with pytest.raises(typed):
         run(spec, data, ChainConfig(m=20, b=5, chains=2, seed=1))
-    if spec.joint_log_kernel is not None:
-        with pytest.raises(typed):
-            check_model(spec, data)
+    with pytest.raises(typed):
+        check_model(spec, data)
 
 
 class TestConstantTimeStatistics:
