@@ -33,10 +33,11 @@ chains, after a short warm-up run of each model, into its phases in wall
 time: sample (the sampler call), summarize (``summarize``) and write
 (everything after summarize: samples.csv, the traces, report.json and the
 histograms).  The shares are of the whole ``cli.main`` call; the table
-gives the round with the shortest call, and whether that run forked.  A
-forked run formats the samples.csv and trace rows in the processes that
-sampled the chains, as each chain ends, so on such a run most of the
-formatting is inside sample and write mostly copies the formatted text.
+gives the round with the shortest call, and whether that run forked.  The
+children of a forked run only sample: the caller formats every chain's
+samples.csv rows and the trace rows in write, forked or not.  (Trees that
+formatted rows in the processes that sampled them, as each chain ended,
+time their ``cli._run`` as sample, and their write mostly copied text.)
 
 With --against REV the rounds also run in a ``git archive`` checkout of REV,
 as ``scripts/bench_pairs.py`` makes one, the two trees alternating which
@@ -204,7 +205,8 @@ def run_phases(cycles: int) -> dict:
     spans, forks = {}, []
     fork = os.fork
     os.fork = lambda: forks.append(1) or fork()
-    # The sampler call: run in trees older than the per-chain formatting.
+    # The sampler call: _run in the trees that formatted rows where they
+    # were sampled, run before and since.
     sampler = "_run" if hasattr(cli, "_run") else "run"
 
     def timed(name, fn):

@@ -13,15 +13,13 @@ import argparse
 import contextlib
 import csv
 import functools
-import itertools
 import json
 import math
 import os
 import re
 import sys
-import tempfile
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -29,7 +27,7 @@ from . import __version__
 from .compat import CLOSED_FORM_TOL, DEFAULT_GRID_POINTS, check_model
 from .diagnostics import DEFAULT_BINS, _check_bins, summarize
 from .errors import FidgibbsError, StructuralError
-from .gibbs import ChainConfig, DEFAULT_BURN_IN, SampleMatrix, _run
+from .gibbs import ChainConfig, DEFAULT_BURN_IN, SampleMatrix, run
 from .models import MODEL_NAMES, Dataset, get_model, simulate_dataset
 from .randvar import RngStream
 
@@ -172,30 +170,238 @@ def write_dataset(data: Dataset, model_name: str, path: str):
                 writer.writerow([_fmt(v)])
 
 
-# Rows formatted per write: bounds the Python floats and strings alive at once.
-_ROWS_PER_WRITE = 512
+# ---------------------------------------------------------------------------
+# samples.csv text
+# ---------------------------------------------------------------------------
+#
+# The rows of samples.csv and of the traces are built a block of draws at a
+# time with numpy, byte for byte what csv.writer gives for the cells with
+# '%.17g' on every float.  A cell is six little-endian 8-byte words that
+# hold its characters in order, with 0 bytes in the unused places, which
+# are dropped from a block's text at the end:
+#   word 0     the sign, the "0." and zeros before the digits of a value
+#              below 1 in fixed notation, the first digit, and in its last
+#              byte a point after that digit;
+#   words 1-4  the other 16 digits in their even bytes, each followed by a
+#              byte that holds a point after that digit;
+#   word 5     the exponent ("e+17", "e-305"), then the comma or line end
+#              of the row in its last two bytes.
+# The 17 digits are those of D = round(|v| 10^(16 - E)), E = floor(log10 |v|)
+# (log10's floor, corrected by comparing |v| with the powers of ten); a D
+# of 10^17 is 10^16 with E + 1.  The power of ten is the pair hi + lo of
+# doubles, within 2^-106 of it; Dekker's product splits |v| hi exactly into
+# p + err, and p, a double above 2^53, is an integer, so D is p plus
+# err + |v| lo (whose error is under 1e-14) rounded.  Zeros, non-finite
+# values, |v| outside [1e-280, 1e280] (where the pair or the product leaves
+# the normal doubles) and values where err + |v| lo lies within 1e-9 of a
+# half, exact decimal ties included, are formatted with '%'.  %g's layout
+# follows from E, from whether digits after the point are left once
+# trailing zeros go, and from the sign: one key per cell picks its
+# template words.
+
+_WORD = np.dtype("<u8")
+_POW_OFFSET = 300  # the power-of-ten tables run from 10^-300 to 10^300
+_FAST = (1e-280, 1e280)
+_TIE = 1e-9
+_VELTKAMP = 2.0 ** 27 + 1
+_FIXED = range(-4, 17)  # the exponents %.17g writes in fixed notation
+_SCI = len(_FIXED)  # the template class of exponent notation
+# Cells formatted per block: bounds the temporaries of the writer.
+_CELLS_PER_BLOCK = 4096
+_COMMA, _LINE_END = (int.from_bytes(b.rjust(8, b"\0"), "little") for b in (b",", b"\r\n"))
 
 
-def _rows(fmt: str, cycles: range, cols) -> str:
-    """fmt once per cycle, in one % call over the cycles interleaved with cols."""
-    return fmt * len(cycles) % tuple(itertools.chain.from_iterable(zip(cycles, *cols)))
+class _TextTables(NamedTuple):
+    hi: np.ndarray  # 10^k, k = -300..300, rounded to a double
+    lo: np.ndarray  # 10^k - hi, rounded
+    hi_big: np.ndarray  # hi split into two 26-bit halves
+    hi_small: np.ndarray
+    key: np.ndarray  # by exponent: 4 x the template class
+    int_digits: np.ndarray  # by exponent: digits after the first before the point
+    exponent: np.ndarray  # by exponent: word 5
+    templates: np.ndarray  # (5, key): words 0-4 without digits
+    first: np.ndarray  # by digit: word 0's digit
+    digits: np.ndarray  # by 4-digit group: its digits in lanes; + 10000: trailing zeros dropped
+    zeros: np.ndarray  # by 4-digit group: trailing zeros (4 for 0000)
+    groups: np.ndarray  # by 4-digit group: its 4 bytes; + 10000: leading zeros dropped
+
+
+@functools.cache
+def _text_tables() -> _TextTables:
+    """The writer's tables, built on its first block."""
+    hi, lo = [], []
+    for k in range(-_POW_OFFSET, _POW_OFFSET + 1):
+        num, den = (10 ** k, 1) if k >= 0 else (1, 10 ** -k)
+        h = num / den
+        h_num, h_den = h.as_integer_ratio()
+        hi.append(h)
+        lo.append((num * h_den - h_num * den) / (den * h_den))
+    hi = np.array(hi)
+    big = _VELTKAMP * hi
+    big -= big - hi
+
+    exponents = range(-_POW_OFFSET, _POW_OFFSET + 1)
+    classes = np.array([e - _FIXED[0] if e in _FIXED else _SCI for e in exponents])
+    int_digits = np.array([max(e, 0) if e in _FIXED else 0 for e in exponents])
+    exponent = np.array([0 if e in _FIXED else int.from_bytes(b"e%+03d" % e, "little")
+                         for e in exponents], _WORD)
+
+    # Templates by key = 4 class + 2 (digits follow the point) + negative.
+    templates = np.zeros((4 * (_SCI + 1), 40), np.uint8)
+    for key, row in enumerate(templates):
+        cls, point, negative = key // 4, key // 2 % 2, key % 2
+        if negative:
+            row[0] = ord("-")
+        e = _FIXED[cls] if cls < _SCI else 0
+        if e < 0:
+            lead = b"0." + b"0" * (-e - 1)
+            row[1:1 + len(lead)] = np.frombuffer(lead, np.uint8)
+            continue
+        row[8:8 + 2 * e:2] = ord("0")  # zeros of the integer part stay
+        if point:
+            row[7 + 2 * e] = ord(".")
+
+    # The digits of 0000..9999, where a nonzero digit is at or after each
+    # place (kept), and where one is at or before it (leading).
+    g = np.arange(10000)
+    quads = np.stack([g // 1000, g // 100 % 10, g // 10 % 10, g % 10], axis=1).astype(np.uint8)
+    kept = np.maximum.accumulate(quads[:, ::-1] != 0, axis=1)[:, ::-1]
+    leading = np.maximum.accumulate(quads != 0, axis=1)
+    quads += 48
+    lanes = np.zeros((2, 10000, 8), np.uint8)
+    lanes[0, :, ::2] = quads
+    lanes[1, :, ::2] = quads * kept
+    return _TextTables(
+        hi=hi, lo=np.array(lo), hi_big=big, hi_small=hi - big,
+        key=4 * classes, int_digits=int_digits, exponent=exponent,
+        templates=np.ascontiguousarray(templates.view(_WORD).T),
+        first=np.array([(48 + d) << 48 for d in range(10)], _WORD),
+        digits=lanes.reshape(20000, 8).view(_WORD)[:, 0].copy(),
+        zeros=(4 - kept.sum(axis=1)).astype(np.uint8),
+        groups=np.concatenate([quads, quads * leading]).view("<u4")[:, 0].copy())
+
+
+def _cells(v: np.ndarray) -> np.ndarray:
+    """The '%.17g' text of each of v, 1-d float64, as (len(v), 6) cell
+    words, word 5's last two bytes 0."""
+    t = _text_tables()
+    a = np.abs(v)
+    with np.errstate(invalid="ignore"):
+        slow = ~((a >= _FAST[0]) & (a <= _FAST[1]))
+    a[slow] = 1.0
+    # E, as an index into the tables: log10's floor, then exact checks.
+    e = np.floor(np.log10(a)).astype(np.int64)
+    e += _POW_OFFSET
+    below = t.hi[e]
+    e -= (a < below) | ((a == below) & (t.lo[e] > 0))
+    above = t.hi[e + 1]
+    e += (a > above) | ((a == above) & (t.lo[e + 1] <= 0))
+    s = (2 * _POW_OFFSET + 16) - e  # 10^(16 - E)
+    p = a * t.hi[s]
+    big = _VELTKAMP * a
+    big -= big - a
+    small = a - big
+    hi_big, hi_small = t.hi_big[s], t.hi_small[s]
+    err = big * hi_big - p
+    err += big * hi_small
+    err += small * hi_big
+    err += small * hi_small
+    err += a * t.lo[s]
+    up = np.rint(err)
+    err -= up
+    slow |= np.abs(np.abs(err) - 0.5) < _TIE
+    d = p.astype(np.int64)
+    d += up.astype(np.int64)
+    carry = d == 10 ** 17
+    d[carry] = 10 ** 16
+    e += carry
+    g0, rest = np.divmod(d, 10 ** 16)
+    high, low = np.divmod(rest, 10 ** 8)
+    g1, g2 = np.divmod(high, 10 ** 4)
+    g3, g4 = np.divmod(low, 10 ** 4)
+    # zN: groups N.. are 0000, so group N - 1 ends the digits.
+    z4 = g4 == 0
+    z3 = z4 & (g3 == 0)
+    z2 = z3 & (g2 == 0)
+    zeros = t.zeros[g4] + z4 * t.zeros[g3] + z3 * t.zeros[g2] + z2 * t.zeros[g1]
+    key = t.key[e] + 2 * (zeros + t.int_digits[e] < 16) + np.signbit(v)
+    words = np.empty((len(v), 6), _WORD)
+    words[:, 0] = t.templates[0][key] | t.first[g0]
+    for w, (g, last) in enumerate(((g1, z2), (g2, z3), (g3, z4), (g4, True)), start=1):
+        words[:, w] = t.digits[g + 10000 * last] | t.templates[w][key]
+    words[:, 5] = t.exponent[e]
+    _format_cells(words, v, np.flatnonzero(slow))
+    return words
+
+
+def _format_cells(words: np.ndarray, v: np.ndarray, which: np.ndarray):
+    """Write the '%.17g' text of v[i] into cell words[i] for each i of which."""
+    chars = words.view(np.uint8)
+    for i in which.tolist():
+        text = b"%.17g" % v[i]
+        chars[i] = 0
+        chars[i, :len(text)] = np.frombuffer(text, np.uint8)
+
+
+def _cycle_words(first: int, n: int) -> np.ndarray:
+    """(n, words) words: the decimal digits of first .. first + n - 1, each
+    followed by a comma, in the same zero-padded form as a cell."""
+    groups = -(-len(str(first + n - 1)) // 4)
+    cols = np.zeros((n, (4 * groups + 8) // 8 * 2), "<u4")
+    tables = _text_tables()
+    number = np.arange(first, first + n, dtype=np.int64)
+    leading = True
+    for i in range(groups - 1):
+        g, number = np.divmod(number, 10 ** (4 * (groups - 1 - i)))
+        cols[:, i] = tables.groups[g + 10000 * leading]
+        leading = leading & (g == 0)
+    cols[:, groups - 1] = tables.groups[number + 10000 * leading]
+    cols[:, -1] = ord(",") << 24
+    return cols.view(_WORD)
+
+
+def _block_text(block: np.ndarray, chain: int, first: int, traces: bool) -> list:
+    """The samples.csv rows of block, chain `chain`'s (rows, k) draws from
+    cycle first on, and if traces, then the rows of each column's trace
+    file: a list of bytes."""
+    block = np.asarray(block, dtype=np.float64)
+    rows, k = block.shape
+    prefix = b"%d," % chain
+    head = np.frombuffer(prefix.rjust(-(-len(prefix) // 8) * 8, b"\0"), _WORD)
+    cells = _cells(block.reshape(-1)).reshape(rows, k, 6)
+    cycles = _cycle_words(first, rows)
+    lead = len(head) + cycles.shape[1]
+    text = np.empty((rows, lead + 6 * k), _WORD)
+    text[:, :len(head)] = head
+    text[:, len(head):lead] = cycles
+    body = text[:, lead:].reshape(rows, k, 6)
+    body[:] = cells
+    body[:, :, 5] |= np.array([_COMMA] * (k - 1) + [_LINE_END], _WORD)
+    out = [text.tobytes().translate(None, b"\0")]
+    if traces:
+        trace = np.empty((rows, cycles.shape[1] + 6), _WORD)
+        trace[:, :cycles.shape[1]] = cycles
+        for j in range(k):
+            trace[:, -6:] = cells[:, j]
+            trace[:, -1] |= np.uint64(_LINE_END)
+            out.append(trace.tobytes().translate(None, b"\0"))
+    return out
 
 
 def _write_chain(values: np.ndarray, chain: int, fh, traces: list):
     """Write the samples.csv rows of chain `chain`, whose draws are values,
-    an (m, k) array, to fh, the bytes csv.writer gives for the same cells
-    with _fmt on every float, and, from the same strings, the rows of
-    column j's trace file to traces[j] for each of traces."""
-    fmt = f"{chain},%d" + ",%s" * values.shape[1] + "\r\n"
-    for start in range(0, values.shape[0], _ROWS_PER_WRITE):
-        block = values[start:start + _ROWS_PER_WRITE]
-        cycles = range(start + 1, start + 1 + len(block))
-        # One format call per column; the split leaves a trailing "", which
-        # zip with the cycles drops.
-        cols = [("%.17g," * len(col) % tuple(col)).split(",") for col in block.T.tolist()]
-        fh.write(_rows(fmt, cycles, cols))
-        for trace, col in zip(traces, cols):
-            trace.write(_rows("%d,%s\r\n", cycles, [col]))
+    an (m, k) array, to fh and the rows of column j's trace file to
+    traces[j] for each of traces: text files opened with newline="", whose
+    binary buffers take the rows after a flush."""
+    for out in (fh, *traces):
+        out.flush()
+    rows = max(1, _CELLS_PER_BLOCK // values.shape[1])
+    for start in range(0, values.shape[0], rows):
+        text, *trace_texts = _block_text(values[start:start + rows], chain, start + 1,
+                                         bool(traces))
+        fh.buffer.write(text)
+        for trace, trace_text in zip(traces, trace_texts):
+            trace.buffer.write(trace_text)
 
 
 def write_samples_csv(samples: SampleMatrix, path: str):
@@ -203,78 +409,6 @@ def write_samples_csv(samples: SampleMatrix, path: str):
         csv.writer(fh).writerow(["chain", "cycle", *samples.labels])
         for chain, values in enumerate(samples.values):
             _write_chain(values, chain, fh, [])
-
-
-# The longest %.17g text of a float: a sign, 17 digits, the point and "e-308".
-_FLOAT_CHARS = 24
-
-
-class _Region:
-    """A file-like writer of text into the file fd from byte start on."""
-
-    def __init__(self, fd: int, start: int):
-        self.fd, self.start, self.end = fd, start, start
-
-    def write(self, text: str):
-        data = memoryview(text.encode("ascii"))
-        while data:
-            written = os.pwrite(self.fd, data, self.end)
-            self.end += written
-            data = data[written:]
-
-
-class _Discard:
-    """A file-like writer that keeps nothing."""
-
-    def write(self, text: str):
-        pass
-
-
-class _ChainText:
-    """The samples.csv rows of every chain of a run, and the trace rows of
-    chain 0, formatted by _write_chain in the process that sampled the chain
-    when the run forks (gibbs._run takes it as its chain_text).
-
-    The text goes into one unnamed temporary file, opened before the run, so
-    a forked child's rows reach the caller without passing through a pipe.
-    The file has a region for each chain and for each trace, sized from the
-    longest row; the unwritten rest of a region is a hole that takes no
-    space.  The text is held in the page cache, which the kernel can write
-    out to the file under memory pressure, not in the memory of a process,
-    and is dropped when the file is closed.  A call returns the (start, end)
-    of each region it wrote, samples rows first.
-    """
-
-    def __init__(self, chains: int, m: int, k: int):
-        row = len(f"{chains - 1},{m}") + k * (1 + _FLOAT_CHARS) + 2
-        trace_row = len(f"{m},") + _FLOAT_CHARS + 2
-        sizes = [m * row] * chains + [m * trace_row] * k
-        self.starts = [sum(sizes[:i]) for i in range(len(sizes))]
-        self.chains = chains
-        self.file = tempfile.TemporaryFile()
-
-    def __call__(self, chain: int, values: np.ndarray) -> tuple:
-        fd = self.file.fileno()
-        regions = [chain] + (list(range(self.chains, len(self.starts))) if chain == 0 else [])
-        rows, *traces = (_Region(fd, self.starts[i]) for i in regions)
-        _write_chain(values, chain, rows, traces)
-        return tuple((r.start, r.end) for r in (rows, *traces))
-
-    @staticmethod
-    def trial(values: np.ndarray):
-        """Format values as chain 0's samples.csv rows and keep nothing."""
-        _write_chain(values, 0, _Discard(), [])
-
-    def write(self, record: tuple, fh, traces: list):
-        """Copy the text record names to fh and, for chain 0's record, to the
-        trace files."""
-        for (start, end), out in zip(record, (fh, *traces)):
-            out.flush()
-            while start < end:
-                start += os.sendfile(out.fileno(), self.file.fileno(), start, end - start)
-
-    def close(self):
-        self.file.close()
 
 
 def read_samples_csv(path: str, b: int) -> SampleMatrix:
@@ -371,29 +505,23 @@ def _cmd_run(args) -> int:
     # any chain runs; a run that fails removes the directories it made.
     _check_bins(args.bins)
     out, made = _output_dir(args)
-    with contextlib.ExitStack() as stack:
-        text = _ChainText(config.chains, config.m, len(model.params))
-        stack.callback(text.close)
-        try:
-            samples, formatted = _run(model, data, config, text)
-            report = summarize(samples, bins=args.bins)
-        except BaseException:
-            for d in made:
-                d.rmdir()
-            raise
+    try:
+        samples = run(model, data, config)
+        report = summarize(samples, bins=args.bins)
+    except BaseException:
+        for d in made:
+            d.rmdir()
+        raise
 
+    with contextlib.ExitStack() as stack:
         fh = stack.enter_context(open(out / "samples.csv", "w", newline=""))
         csv.writer(fh).writerow(["chain", "cycle", *samples.labels])
         traces = []
         for label in samples.labels:
             traces.append(stack.enter_context(open(out / f"trace_{label}.csv", "w", newline="")))
             csv.writer(traces[-1]).writerow(["cycle", "value"])
-        # Chain 0 is formatted with the traces, here or in run.
         for chain, values in enumerate(samples.values):
-            if chain in formatted:
-                text.write(formatted[chain], fh, traces)
-            else:
-                _write_chain(values, chain, fh, traces if chain == 0 else [])
+            _write_chain(values, chain, fh, traces if chain == 0 else [])
     doc = report.to_dict()
     doc.update({
         "version": __version__,

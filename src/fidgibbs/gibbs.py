@@ -11,8 +11,8 @@ per usable CPU; every chain draws from its own stream, so the output is
 the same whichever process runs it.  The draws of every chain go, a block
 of cycles at a time, into one (chains, m, parameters) matrix, which a
 forked run shares with its children, each filling its own chains' rows in
-place.  The command line's run also has each process format the
-samples.csv rows of the chains it sampled (see _run).
+place.  Children only sample: the command line's run formats every
+chain's rows in the caller once run returns.
 """
 
 from __future__ import annotations
@@ -41,13 +41,13 @@ __all__ = ["ChainConfig", "SampleMatrix", "EstimateResult", "run", "estimate"]
 DEFAULT_BURN_IN = 500
 
 # run forks only when the CPU time of chain 0's cycles _WARM_UP_CYCLES ..
-# _WARM_UP_CYCLES + _TIMED_CYCLES, plus that of formatting the rows of
-# chain 0's first cycles when the rows are formatted where they are
-# sampled, predicts more serial work than _FORK_BREAK_EVEN_S seconds.
-# Measured on 43 closed-form command-line runs of 4 chains on 2 CPUs,
-# forking saved about 0.55 times the predicted seconds less 9.4 ms (forking
-# and reaping the children, their page faults in the shared matrix, the
-# chains the caller formats), which is zero at 17 ms.
+# _WARM_UP_CYCLES + _TIMED_CYCLES predicts more serial sampling than
+# _FORK_BREAK_EVEN_S seconds.  The constant was measured on 43 closed-form
+# command-line runs of 4 chains on 2 CPUs while the prediction also counted
+# formatting the rows where they were sampled: forking saved about 0.55
+# times the predicted seconds less 9.4 ms (forking and reaping the
+# children, their page faults in the shared matrix), which is zero at
+# 17 ms.  The prediction now counts sampling only, and 17 ms is kept.
 _WARM_UP_CYCLES = 8
 _TIMED_CYCLES = 32
 _FORK_BREAK_EVEN_S = 0.017
@@ -236,40 +236,31 @@ def _other_cpus() -> list:
     return sorted(cpus - {here})
 
 
-def _run_forked(run_chain: Callable, chains: int, procs: int, m: int,
-                format_chain: Optional[Callable] = None,
-                format_cost: Optional[Callable] = None) -> Tuple[list, dict]:
+def _run_forked(run_chain: Callable, chains: int, procs: int, m: int) -> list:
     """run_chain(c) for c = 0..chains-1, spread over up to procs processes:
-    the list of what each returned, in chain order, and what format_chain
-    returned for each chain it formatted.
+    the list of what each returned, in chain order.
 
     run_chain writes the chain's draws into a matrix that the forked
     children share with this process and returns its warnings.  This
-    process runs chain 0 and, from the timed first cycles of chain 0 (plus,
-    given format_chain, format_cost(cycles), the CPU seconds per cycle to
-    format those cycles' rows), predicts the serial time of the run.  Above
-    _FORK_BREAK_EVEN_S it forks procs - 1 children, child k running the
-    chains c with c % procs == k on a CPU of its own, and keeps the chains
-    c % procs == 0 itself; below it, it runs every chain itself and formats
-    none.  (A forked child starts on its parent's CPU, and a scheduler may
-    leave it there for 100 ms or more while another CPU idles; this process
-    moves each child to its CPU right after forking it, so the child need
-    not first get a turn on this busy CPU to move itself.)  Once
-    forked, each process calls format_chain(c) as each of its chains c
-    ends.  A child sends a small (chain, warnings, format_chain's record)
-    pickle over a pipe as each chain ends, so it never waits for this
-    process to read, and stops at its first failing chain.  The results are
-    taken in chain order: an own chain that failed to run or to format
-    raises its exception, and a chain that no child sent is run and
-    formatted again here, once every child has been reaped and none can
+    process runs chain 0 and, from its timed first cycles, predicts the
+    serial time of the run.  Above _FORK_BREAK_EVEN_S it forks procs - 1
+    children, child k running the chains c with c % procs == k on a CPU of
+    its own, and keeps the chains c % procs == 0 itself; below it, it runs
+    every chain itself.  (A forked child starts on its parent's CPU, and a
+    scheduler may leave it there for 100 ms or more while another CPU
+    idles; this process moves each child to its CPU right after forking
+    it, so the child need not first get a turn on this busy CPU to move
+    itself.)  A child sends a small (chain, warnings) pickle over a pipe as
+    each chain ends, so it never waits for this process to read, and stops
+    at its first failing chain.  The results are taken in chain order: an
+    own chain that failed raises its exception, and a chain that no child
+    sent is run again here, once every child has been reaped and none can
     still write its row, so the lowest failing chain raises what it would
     raise in this process.  No child outlives the call.
     """
     children = {}  # pid -> (read end of its pipe, k)
 
     def spread(seconds_per_cycle: float):
-        if format_chain is not None:
-            seconds_per_cycle += format_cost(min(_WARM_UP_CYCLES + _TIMED_CYCLES, m))
         if seconds_per_cycle * m * chains <= _FORK_BREAK_EVEN_S:
             return
         cpus = _other_cpus()
@@ -284,14 +275,14 @@ def _run_forked(run_chain: Callable, chains: int, procs: int, m: int,
                 os.close(w)
                 return
             if pid == 0:
-                _serve(run_chain, format_chain, range(k, chains, procs), w, parent)
+                _serve(run_chain, range(k, chains, procs), w, parent)
             children[pid] = (r, k)
             os.close(w)
             if cpus[k - 1:k]:
                 with contextlib.suppress(OSError):
                     os.sched_setaffinity(pid, cpus[k - 1:k])
 
-    done, formatted = {}, {}
+    done = {}
     try:
         failed = chains
         for chain in range(chains):
@@ -299,8 +290,6 @@ def _run_forked(run_chain: Callable, chains: int, procs: int, m: int,
                 continue
             try:
                 done[chain] = run_chain(chain, spread if chain == 0 else None)
-                if children and format_chain is not None:
-                    formatted[chain] = format_chain(chain)
             except Exception as exc:
                 if not children:
                     raise
@@ -308,10 +297,7 @@ def _run_forked(run_chain: Callable, chains: int, procs: int, m: int,
                 break
         # Chains above an own failed chain are not needed.
         for r, k in children.values():
-            for chain, (warnings, record) in _receive(r, set(range(k, failed, procs))).items():
-                done[chain] = warnings
-                if record is not None:
-                    formatted[chain] = record
+            done.update(_receive(r, set(range(k, failed, procs))))
     finally:
         for pid, (r, _) in children.items():
             os.kill(pid, signal.SIGKILL)
@@ -324,20 +310,16 @@ def _run_forked(run_chain: Callable, chains: int, procs: int, m: int,
             raise result
         if result is None:
             result = run_chain(chain)
-            if format_chain is not None:
-                formatted[chain] = format_chain(chain)
         results.append(result)
-    return results, formatted
+    return results
 
 
-def _serve(run_chain: Callable, format_chain: Optional[Callable], chains: range, fd: int,
-           parent: int):
+def _serve(run_chain: Callable, chains: range, fd: int, parent: int):
     """A forked child's life: die with the thread that forked it, run each
-    chain (which writes its draws into the shared matrix), format it if
-    format_chain is given and pickle (chain, warnings, format_chain's
-    record or None) to fd, up to the first chain that fails to run or to
-    format, then exit without returning into the caller or flushing the
-    inherited stdio buffers."""
+    chain (which writes its draws into the shared matrix) and pickle
+    (chain, warnings) to fd, up to the first chain that fails, then exit
+    without returning into the caller or flushing the inherited stdio
+    buffers."""
     try:
         # A caller killed by a signal it cannot handle never reaches the
         # finally of _run_forked: the kernel SIGKILLs this process when the
@@ -351,25 +333,23 @@ def _serve(run_chain: Callable, format_chain: Optional[Callable], chains: range,
             return
         with os.fdopen(fd, "wb") as fh:
             for chain in chains:
-                warnings = run_chain(chain)
-                record = None if format_chain is None else format_chain(chain)
-                pickle.dump((chain, warnings, record), fh, pickle.HIGHEST_PROTOCOL)
+                pickle.dump((chain, run_chain(chain)), fh, pickle.HIGHEST_PROTOCOL)
                 fh.flush()
     finally:
         os._exit(0)
 
 
 def _receive(fd: int, wanted: set) -> dict:
-    """chain -> (warnings, record) for each chain a child sent on fd, read
-    until it has sent every chain in wanted or stopped."""
+    """chain -> warnings for each chain a child sent on fd, read until it
+    has sent every chain in wanted or stopped."""
     got = {}
     with os.fdopen(fd, "rb", closefd=False) as fh:
         while not wanted <= got.keys():
             try:
-                chain, warnings, record = pickle.load(fh)
+                chain, warnings = pickle.load(fh)
             except (EOFError, pickle.UnpicklingError):
                 break
-            got[chain] = warnings, record
+            got[chain] = warnings
     return got
 
 
@@ -384,23 +364,6 @@ def run(model: ModelSpec, data: Dataset, config: ChainConfig) -> SampleMatrix:
     writes its draws into one (chains, m, parameters) matrix, allocated
     once; when the run may fork, it is an anonymous shared mapping, so the
     children fill their chains' rows in place.
-    """
-    return _run(model, data, config)[0]
-
-
-def _run(model: ModelSpec, data: Dataset, config: ChainConfig,
-         chain_text: Optional[Callable] = None) -> Tuple[SampleMatrix, dict]:
-    """run's samples, and chain -> chain_text's record for each chain whose
-    rows chain_text formatted.
-
-    chain_text(chain, rows) formats rows, the m rows of chain `chain`, into
-    storage it shares with forked children, and returns a small picklable
-    record of where; chain_text.trial(rows) formats rows as a chain's rows
-    and keeps nothing.  They are used only when the run may fork (the
-    command line's run formats the other chains itself): this process times
-    chain_text.trial on chain 0's timed first cycles, which the fork rule
-    counts with the sampling, and once forked, each process calls
-    chain_text on every chain it sampled as the chain ends.
     """
     order = _scan_order(model, config)
     conditionals = model.build_conditionals(data)
@@ -421,34 +384,16 @@ def _run(model: ModelSpec, data: Dataset, config: ChainConfig,
         return _run_chain(data, conditionals, order, labels, inits[chain],
                           config.seed, chain, values[chain], timed)
 
-    def format_chain(chain: int):
-        return chain_text(chain, values[chain])
-
-    def format_cost(cycles: int) -> float:
-        # A trial on the first row alone, subtracted, takes the per-call
-        # cost (about 5 us) out of the per-row cost.
-        seconds = []
-        for rows in (values[0, :1], values[0, :cycles]):
-            start = time.thread_time()
-            chain_text.trial(rows)
-            seconds.append(time.thread_time() - start)
-        return max(seconds[1] - seconds[0], 0.0) / max(cycles - 1, 1)
-
-    formatted = {}
     if procs == 1:
         chain_warnings = [run_chain(chain) for chain in range(config.chains)]
-    elif chain_text is None:
-        chain_warnings, _ = _run_forked(run_chain, config.chains, procs, config.m)
     else:
-        chain_warnings, formatted = _run_forked(run_chain, config.chains, procs, config.m,
-                                                format_chain, format_cost)
+        chain_warnings = _run_forked(run_chain, config.chains, procs, config.m)
     warnings = Counter()
     for w in chain_warnings:
         warnings.update(w)
     cfg = ChainConfig(m=config.m, b=config.b, chains=config.chains, seed=config.seed,
                       scan_order=order, init=tuple(inits))
-    samples = SampleMatrix(values=values, labels=labels, config=cfg, warnings=dict(warnings))
-    return samples, formatted
+    return SampleMatrix(values=values, labels=labels, config=cfg, warnings=dict(warnings))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -8,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from hypothesis import strategies as st
 import fidgibbs.cli
 import fidgibbs.gibbs
 from fidgibbs import ChainConfig, SampleMatrix, summarize
-from fidgibbs.cli import (_ChainText, _Discard, _write_chain, load_dataset, main, read_samples_csv,
+from fidgibbs.cli import (_block_text, _cells, _write_chain, load_dataset, main, read_samples_csv,
                           write_histogram_csv, write_samples_csv)
 from test_gibbs import _FailAt, _failing_model
 
@@ -100,7 +102,7 @@ class TestRunCommand:
         assert json.dumps(json.loads(text), indent=2) + "\n" == text
 
     def test_trace_is_chain_0_column_of_samples(self, tmp_path):
-        # 2500 cycles: three write blocks.
+        # 2500 cycles of 4 parameters: three write blocks of 1024 rows.
         out = tmp_path / "out"
         assert _run(["run", "--model", "quadreg",
                      "--simulate", "beta0=1,beta1=-0.5,beta2=0.25,sigma2=0.5,n=25",
@@ -147,7 +149,7 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("bad", ["bins", "output_dir"])
     def test_output_arguments_checked_before_sampling(self, bad, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(fidgibbs.cli, "_run", lambda *args: pytest.fail("a chain ran"))
+        monkeypatch.setattr(fidgibbs.cli, "run", lambda *args: pytest.fail("a chain ran"))
         (tmp_path / "file").write_text("")
         args = {"bins": ["--bins", 0, "--output-dir", tmp_path / "o"],
                 "output_dir": ["--output-dir", tmp_path / "file" / "o"]}[bad]
@@ -170,7 +172,7 @@ class TestRunCommand:
         # The output directory is made before the chains run; a run that
         # fails removes it and the parents it made, and nothing else.
         (tmp_path / "kept").mkdir()
-        monkeypatch.setattr(fidgibbs.cli, "_run", lambda *args: 1 / 0)
+        monkeypatch.setattr(fidgibbs.cli, "run", lambda *args: 1 / 0)
         with pytest.raises(ZeroDivisionError):
             _run(["run", "--model", "normal", "--simulate", "mu=0,sigma2=1,n=8",
                   "--m", 100, "--b", 10, "--output-dir", tmp_path / "kept" / "a" / "b"])
@@ -253,8 +255,8 @@ def _write_samples(path, rows):
 
 
 class TestForkedRun:
-    """The run command with its chains forked: each process formats the
-    samples.csv rows of the chains it sampled."""
+    """The run command with its chains forked: the children only sample,
+    and the caller writes every chain's rows once the run returns."""
 
     ARGS = ["run", "--model", "normal", "--simulate", "mu=0,sigma2=1,n=12", "--m", 700,
             "--b", 100, "--chains", 4, "--seed", 3]
@@ -465,7 +467,7 @@ class TestWriters:
             traces = [stack.enter_context(open(path, "w", newline="")) for path in paths]
             for trace in traces:
                 csv.writer(trace).writerow(["cycle", "value"])
-            _write_chain(sm.values[0], 0, _Discard(), traces)
+            _write_chain(sm.values[0], 0, io.TextIOWrapper(io.BytesIO(), newline=""), traces)
 
     @pytest.mark.parametrize("chains,m", [(1, 20), (3, 5000)])
     def test_samples_bytes(self, tmp_path, chains, m):
@@ -528,29 +530,21 @@ class TestWriters:
         # The longest rows: two-digit chain ids and 24-character values.
         sm = self._matrix(11, 1000)
         sm.values[4] = -1.2345678901234567e-300
-        text = _ChainText(11, 1000, 3)
-        try:
-            records = [text(c, sm.values[c]) for c in range(11)]
-            # No region runs into the next.
-            bounds = text.starts[1:] + [math.inf]
-            for start, end in (region for record in records for region in record):
-                assert end <= bounds[text.starts.index(start)]
-            files = [tmp_path / name for name in ("samples.csv", "a.csv", "b.csv", "c.csv")]
-            with contextlib.ExitStack() as stack:
-                fh, *traces = (stack.enter_context(open(f, "w", newline="")) for f in files)
-                fh.write("chain,cycle,a,b,c\r\n")
-                for t in traces:
-                    t.write("cycle,value\r\n")
-                for record in records:
-                    text.write(record, fh, traces)
-        finally:
-            text.close()
-        write_samples_csv(sm, tmp_path / "ref.csv")
-        assert files[0].read_bytes() == (tmp_path / "ref.csv").read_bytes()
-        refs = [tmp_path / f"ref_{label}.csv" for label in sm.labels]
-        self._write_traces(sm, refs)
-        for path, ref in zip(files[1:], refs):
-            assert path.read_bytes() == ref.read_bytes()
+        files = [tmp_path / name for name in ("samples.csv", "a.csv", "b.csv", "c.csv")]
+        with contextlib.ExitStack() as stack:
+            fh, *traces = (stack.enter_context(open(f, "w", newline="")) for f in files)
+            fh.write("chain,cycle,a,b,c\r\n")
+            for t in traces:
+                t.write("cycle,value\r\n")
+            for chain, values in enumerate(sm.values):
+                _write_chain(values, chain, fh, traces if chain == 0 else [])
+        rows = [(c, i + 1, *sm.values[c, i].tolist()) for c in range(11) for i in range(1000)]
+        ref = self._reference(tmp_path / "ref.csv", ["chain", "cycle", *sm.labels], rows)
+        assert files[0].read_bytes() == ref
+        for j, path in enumerate(files[1:]):
+            rows = [(i + 1, v) for i, v in enumerate(sm.values[0, :, j].tolist())]
+            assert path.read_bytes() == self._reference(tmp_path / "ref.csv", ["cycle", "value"],
+                                                        rows)
 
     def test_trace_bytes(self, tmp_path):
         sm = self._matrix(2, 300)
@@ -560,6 +554,100 @@ class TestWriters:
             rows = [(i + 1, v) for i, v in enumerate(sm.values[0, :, j].tolist())]
             ref = self._reference(tmp_path / "ref.csv", ["cycle", "value"], rows)
             assert path.read_bytes() == ref
+
+
+def _cell_texts(values: np.ndarray) -> list:
+    """The writer's text of each of values, a 1-d float64 array."""
+    texts = []
+    for start in range(0, len(values), 1 << 16):
+        words = _cells(values[start:start + (1 << 16)])
+        words[:, 5] |= np.uint64(ord("\n") << 56)
+        texts += words.tobytes().translate(None, b"\0").decode().split("\n")[:-1]
+    return texts
+
+
+def _decimal_digits(v: float) -> str:
+    """The significant digits of v's exact decimal value."""
+    return format(Decimal(v), "f").replace("-", "").replace(".", "").strip("0")
+
+
+class TestCellText:
+    """The writer's text of every float is '%.17g''s, byte for byte; run
+    against the installed package too, so its writer is checked."""
+
+    @staticmethod
+    def _check(values):
+        values = np.asarray(values, dtype=np.float64)
+        want = ["%.17g" % v for v in values.tolist()]
+        got = _cell_texts(values)
+        assert len(got) == len(want)
+        assert [(v, g, w) for v, g, w in zip(values.tolist(), got, want) if g != w][:5] == []
+
+    def test_raw_bit_patterns(self):
+        bits = np.random.default_rng(29).integers(0, 2**64, 10**6, dtype=np.uint64)
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
+                            2.2250738585072009e-308, 2.2250738585072014e-308,
+                            1.7976931348623157e308, -1.7976931348623157e308]).view(np.uint64)
+        nan_payloads = np.array([0x7FF0000000000001, 0xFFF8000000000001], np.uint64)
+        self._check(np.concatenate([special, nan_payloads, bits]).view(np.float64))
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        powers = np.array([float(f"1e{k}") for k in range(-330, 309)])
+        values = np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)])
+        self._check(np.concatenate([values, -values]))
+
+    def test_exact_decimal_ties(self):
+        # a / 2^k with a odd and a 5^k of 18 digits is exactly a decimal of
+        # 18 significant digits ending in 5: a tie at 17 digits.
+        ties = [1 + 2.0 ** -17]
+        for k in range(2, 26):
+            lo, hi = 10 ** 17 // 5 ** k + 1, min(10 ** 18 // 5 ** k, 2 ** 53)
+            odd = [a for a in (lo, lo + 1, (lo + hi) // 2, hi - 2, hi - 1) if a % 2 and a < hi]
+            ties += [a / 2 ** k for a in odd]
+        for v in ties:
+            digits = _decimal_digits(v)
+            assert len(digits) == 18 and digits.endswith("5"), v
+        # Integers from 10^17 up ending in 5, as the nearest doubles (every
+        # double there is even).
+        integers = [float(x) for x in range(10 ** 17 + 5, 2 ** 63, (2 ** 63 - 10 ** 17) // 1000 * 10)]
+        self._check(np.array(ties + [-v for v in ties] + integers))
+
+    def test_notation_boundaries(self):
+        # %g's fixed notation runs from 1e-4 to just below 1e17.
+        edges = np.array([1e-5, 1e-4, 1e16, 1e17])
+        values = np.concatenate([edges, np.nextafter(edges, 0), np.nextafter(edges, np.inf)])
+        self._check(np.concatenate([values, -values]))
+
+    @given(st.lists(st.floats(), min_size=1, max_size=40))
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    def test_any_float(self, values):
+        self._check(values)
+
+    def test_normal_draws_take_no_format_call(self, monkeypatch):
+        calls = []
+        format_cells = fidgibbs.cli._format_cells
+
+        def counting(words, v, which):
+            calls.append(len(which))
+            format_cells(words, v, which)
+
+        monkeypatch.setattr(fidgibbs.cli, "_format_cells", counting)
+        self._check(np.random.default_rng(30).standard_normal(10 ** 5))
+        assert calls and sum(calls) == 0
+
+    @pytest.mark.parametrize("digits", range(1, 19))
+    def test_chain_and_cycle_numbers(self, digits):
+        # Chains and cycles on both sides of 10^digits.
+        block = np.array([[0.5, -2.0], [1e-7, 3.0], [1.0 / 3.0, 1e300], [0.0, 123.25]])
+        first = 10 ** digits - 2
+        for chain in (10 ** digits - 1, 10 ** digits):
+            rows, *traces = _block_text(block, chain, first, True)
+            cycles = range(first, first + len(block))
+            assert rows.decode() == "".join(f"{chain},{c},{'%.17g,%.17g' % (a, b)}\r\n"
+                                            for c, (a, b) in zip(cycles, block.tolist()))
+            for j, trace in enumerate(traces):
+                assert trace.decode() == "".join(f"{c},{'%.17g' % v}\r\n"
+                                                 for c, v in zip(cycles, block[:, j].tolist()))
 
 
 class TestDiagCommand:

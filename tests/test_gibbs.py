@@ -574,77 +574,6 @@ class TestForkedChains:
                 if start is not None and _start_time(child) == start:
                     os.kill(child, signal.SIGKILL)
 
-    @pytest.mark.parametrize("seconds,forked", [(0.0, False), (0.04, True)])
-    def test_fork_rule_counts_the_formatting(self, seconds, forked, normal_data, monkeypatch):
-        # 4 x 300 normal cycles take a few ms; trial formats of chain 0's
-        # first row and first 40 rows in `seconds` of CPU per 40 rows predict
-        # 1.17 s more.
-        class ChainText:
-            trials = []
-
-            def __call__(self, chain, rows):
-                return chain
-
-            def trial(self, rows):
-                self.trials.append(len(rows))
-                start = time.thread_time()
-                while time.thread_time() - start < seconds * len(rows) / 40:
-                    pass
-
-        forks = _fork_always(monkeypatch)
-        monkeypatch.setattr(fidgibbs.gibbs, "_FORK_BREAK_EVEN_S", 1.0)
-        _, formatted = fidgibbs.gibbs._run(get_model("normal"), normal_data,
-                                           ChainConfig(m=300, b=0, seed=9), ChainText())
-        _no_child_left()
-        assert ChainText.trials == [1, 40]
-        assert len(forks) == forked
-        assert formatted == ({0: 0, 1: 1, 2: 2, 3: 3} if forked else {})
-
-    @staticmethod
-    def _chain_text(fails):
-        """A chain_text that records (pid, chain, rows) per call and raises
-        OSError on the chains for which fails(chain) holds."""
-        calls = []
-
-        class ChainText:
-            def __call__(self, chain, rows):
-                if fails(chain):
-                    raise OSError(f"no room for chain {chain}")
-                calls.append((os.getpid(), chain, len(rows)))
-                return chain
-
-            def trial(self, rows):
-                pass
-
-        return ChainText(), calls
-
-    def test_chain_a_child_cannot_format_is_run_and_formatted_again(self, normal_data,
-                                                                     monkeypatch):
-        parent = os.getpid()
-        chain_text, calls = self._chain_text(lambda chain: os.getpid() != parent)
-        forks = _fork_always(monkeypatch)
-        config = ChainConfig(m=300, b=0, seed=9)
-        samples, formatted = fidgibbs.gibbs._run(get_model("normal"), normal_data, config,
-                                                 chain_text)
-        assert forks == [parent]
-        _no_child_left()
-        assert calls == [(parent, chain, 300) for chain in (0, 2, 1, 3)]
-        assert formatted == {0: 0, 1: 1, 2: 2, 3: 3}
-        monkeypatch.setattr(fidgibbs.gibbs, "_usable_cpus", lambda: 1)
-        assert np.array_equal(samples.values, run(get_model("normal"), normal_data, config).values)
-
-    @pytest.mark.parametrize("chain", [1, 2])
-    def test_formatting_error_raises_in_either_process(self, chain, normal_data, monkeypatch):
-        # Chain 1 is formatted in the child, and again here; chain 2 here.
-        chain_text, calls = self._chain_text(lambda c: c == chain)
-        forks = _fork_always(monkeypatch)
-        with pytest.raises(OSError, match=f"no room for chain {chain}"):
-            fidgibbs.gibbs._run(get_model("normal"), normal_data, ChainConfig(m=300, b=0, seed=9),
-                                chain_text)
-        assert len(forks) == 1
-        _no_child_left()
-        assert (os.getpid(), 0, 300) in calls
-
     def test_short_run_stays_in_process(self, normal_data, monkeypatch):
         # 4 x 50 cycles take about a millisecond: far below the break-even.
         forks = []
