@@ -37,11 +37,9 @@ from .randvar import (
     quantile,
     sample,
 )
-from .specfun import Bracket, ln_gamma, solve_quadratic_positive
 
 __all__ = [
     "__version__",
-    "Bracket",
     "ChainConfig",
     "ChiSquare",
     "CompatReport",
@@ -71,12 +69,10 @@ __all__ = [
     "check_model",
     "estimate",
     "get_model",
-    "ln_gamma",
     "log_density",
     "quantile",
     "run",
     "sample",
     "simulate_dataset",
-    "solve_quadratic_positive",
     "summarize",
 ]

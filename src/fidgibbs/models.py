@@ -34,8 +34,7 @@ from .randvar import (
     block_args,
     unit_rate_gamma,
 )
-from .specfun import (_QUAD_HUGE, _QUAD_TINY, QUADRATIC_STEP, Bracket, finite_cubic_root,
-                      scipy_special as _sp, solve_newton, solve_quadratic_positive)
+from .specfun import QUADRATIC_STEP, scipy_special as _sp, solve_newton
 
 __all__ = [
     "Dataset",
@@ -716,7 +715,7 @@ def _shape_solve(c: float, g: float, n: int, b: Optional[float], scratch) -> flo
                 if off_hi + g * math.sqrt((s_hi if g_up else s_lo) / n) < c:
                     break
             width *= 2.0
-        return math.exp(solve_newton(_shape_fdf, lo, hi, u, fu, du, 1e-13, quadratic=True,
+        return math.exp(solve_newton(_shape_fdf, lo, hi, u, fu, du, 1e-13,
                                      args=(c, g, n, b, scratch)))
     except EvaluationError as exc:
         raise StructuralError(f"root isolation failed: {exc}") from exc
@@ -1211,29 +1210,6 @@ def _beta_simulate(theta: Mapping[str, float], n: int, rng: RngStream) -> Datase
 # Bivariate normal model
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _BvnSuffStats:
-    """Raw data sums: centered second moments in O(1) for any mean pair."""
-
-    n: int
-    sx: float
-    sy: float
-    sxx: float
-    syy: float
-    sxy: float
-
-    @classmethod
-    def from_arrays(cls, x: np.ndarray, y: np.ndarray) -> "_BvnSuffStats":
-        return cls(x.size, float(np.sum(x)), float(np.sum(y)),
-                   float(np.dot(x, x)), float(np.dot(y, y)), float(np.dot(x, y)))
-
-    def centered(self, mu_x: float, mu_y: float):
-        cxx = self.sxx - 2.0 * mu_x * self.sx + self.n * mu_x * mu_x
-        cyy = self.syy - 2.0 * mu_y * self.sy + self.n * mu_y * mu_y
-        cxy = self.sxy - mu_x * self.sy - mu_y * self.sx + self.n * mu_x * mu_y
-        return cxx, cyy, cxy
-
-
 # The smallest normal float.
 _MIN_NORMAL = 2.0 ** -1022
 
@@ -1253,20 +1229,51 @@ def _sqrt_product(u: float, v: float) -> float:
     return math.ldexp(math.sqrt(math.ldexp(u, -2 * eu) * math.ldexp(v, -2 * ev)), eu + ev)
 
 
-def _bvn_loglik_core(s: _BvnSuffStats, mu_x, mu_y, sigma_x2, sigma_y2, rho) -> float:
-    if sigma_x2 <= 0.0 or sigma_y2 <= 0.0 or not abs(rho) < 1.0:
-        return -math.inf
-    cxx, cyy, cxy = s.centered(mu_x, mu_y)
-    one_m = 1.0 - rho * rho
-    quad = cxx / sigma_x2 - 2.0 * rho * cxy / _sqrt_product(sigma_x2, sigma_y2) + cyy / sigma_y2
-    return (-0.5 * s.n * (math.log(sigma_x2) + math.log(sigma_y2) + math.log(one_m))
-            - 0.5 * quad / one_m)
-
-
 # The interval the rho statistic is clipped to.
-_RHO_MLE_BRACKET = Bracket(-1.0 + 1e-9, 1.0 - 1e-9)
-# The exponent of specfun._cbrt, for the rho statistic's in-place cube roots.
+_RHO_MLE_BRACKET = (-1.0 + 1e-9, 1.0 - 1e-9)
+# The exponent of the rho statistic's cube roots.
 _THIRD = 1.0 / 3.0
+# The sigma statistic solves its quadratic unscaled where every
+# |coefficient| lies in [_QUAD_TINY, _QUAD_HUGE].
+_QUAD_TINY, _QUAD_HUGE = 2.0 ** -250, 2.0 ** 250
+
+
+def _bvn_sigma_root(a: float, b: float, c: float) -> float:
+    """The positive root of a t^2 + b t + c for a > 0 > c where the sigma
+    statistic's unscaled solve does not serve: a coefficient outside
+    [2^-250, 2^250] (b = 0 included), or a root that the polish left at
+    t <= 0.
+
+    The roots are those of the quadratic divided by the power of two 2^e of
+    its largest coefficient: the division is exact, b^2 - 4ac cannot
+    overflow, and inside that range the bits are the unscaled ones.  The
+    division may underflow sa to 0 (the root of the linear part is taken)
+    or sc to -0.0.
+    """
+    for name, v in (("a", a), ("b", b), ("c", c)):
+        if not math.isfinite(v):
+            raise DomainError(f"coefficient {name} must be finite, got {v}")
+    e = math.frexp(max(abs(a), abs(b), abs(c)))[1]
+    sa, sb, sc = math.ldexp(a, -e), math.ldexp(b, -e), math.ldexp(c, -e)
+    if sa == 0.0:
+        if sb == 0.0:
+            raise DegenerateDataError("degenerate quadratic: a = b = 0")
+        t = -sc / sb
+    else:
+        sq = math.sqrt(sb * sb - 4.0 * sa * sc)
+        # Stable form: the roots q / sa and sc / q have the signs of q and
+        # -q, and q = 0 is a double root at 0.
+        q = -0.5 * (sb + math.copysign(sq, sb)) if sb != 0.0 else 0.5 * sq
+        t = q / sa if q >= 0.0 else sc / q
+    if not t > 0.0:
+        raise DegenerateDataError(f"quadratic {a}t^2 + {b}t + {c} has no positive root")
+    for _ in range(2):
+        deriv = 2.0 * sa * t + sb
+        if deriv != 0.0:
+            t -= (sa * t * t + sb * t + sc) / deriv
+    if t <= 0.0:
+        raise DegenerateDataError("positive root collapsed to zero after polishing")
+    return t
 
 
 class _BvnSigmaEquation:
@@ -1323,7 +1330,7 @@ class _BvnRhoEquation:
     """
 
     gamma_dist = _STD_TRUNCNORM
-    bracket = Bracket(-1.0 + 1e-12, 1.0 - 1e-12)
+    bracket = (-1.0 + 1e-12, 1.0 - 1e-12)
 
     def __init__(self, n: int):
         self.sqrt_n = math.sqrt(n)
@@ -1332,19 +1339,19 @@ class _BvnRhoEquation:
         return r + (1.0 - r * r) * g / (self.sqrt_n * math.sqrt(1.0 + r * r))
 
     def invert(self, q, g):
-        lo, hi = self.bracket.lo, self.bracket.hi
+        lo, hi = self.bracket
         sqrt_n = self.sqrt_n
         # For |g| <= 100 sqrt(n), phi(g, lo) and phi(g, hi) lie within
         # (1 - lo^2) |g| / (sqrt(n) sqrt(1 + lo^2)) <= 1.5e-10 of lo and hi,
         # and a q within the rho statistic's clip is 1e-9 - 1e-12 inside
         # them: the sign check cannot fail.
-        if not (_RHO_MLE_BRACKET.lo <= q <= _RHO_MLE_BRACKET.hi and abs(g) <= 100.0 * sqrt_n):
+        if not (_RHO_MLE_BRACKET[0] <= q <= _RHO_MLE_BRACKET[1] and abs(g) <= 100.0 * sqrt_n):
             f_lo, f_hi = self.phi(g, lo) - q, self.phi(g, hi) - q
             if not f_lo < 0.0 < f_hi:
                 raise StructuralError(
                     f"no correlation solves the equation: no sign change on [{lo}, {hi}]: "
                     f"phi - q = {f_lo:.6g} and {f_hi:.6g}", statistic_value=q, gamma=g)
-        # solve_newton(fdf, lo, hi, x, fx, dx, 1e-13, quadratic=True) from
+        # solve_newton(fdf, lo, hi, x, fx, dx, 1e-13) from
         # x = q clipped, with fdf(r) = (phi(g, r) - q, d phi / dr) written
         # inline: the same operations in the same order, so the same bits.
         k = g / sqrt_n
@@ -1403,11 +1410,12 @@ def _bvn_build_conditionals(data: Dataset) -> dict:
         raise DomainError("bivariate_normal needs n >= 3")
     if float(np.std(x)) <= 0.0 or float(np.std(y)) <= 0.0:
         raise DegenerateDataError("bivariate_normal needs non-constant columns")
-    stats = _BvnSuffStats.from_arrays(x, y)
-    sx, sy, sxx, syy, sxy = stats.sx, stats.sy, stats.sxx, stats.syy, stats.sxy
+    sx, sy = float(np.sum(x)), float(np.sum(y))
+    sxx, syy, sxy = float(np.dot(x, x)), float(np.dot(y, y)), float(np.dot(x, y))
     neg_n = -float(n)
-    # finite_cubic_root's clip of the rho statistic and its padded interval.
-    rho_lo, rho_hi = _RHO_MLE_BRACKET.lo, _RHO_MLE_BRACKET.hi
+    # The clip of the rho statistic, and the padded interval whose roots
+    # are clipped into it rather than rejected.
+    rho_lo, rho_hi = _RHO_MLE_BRACKET
     pad = 1e-12 * max(1.0, rho_hi - rho_lo)
     pad_lo, pad_hi = rho_lo - pad, rho_hi + pad
     rho_equation = _BvnRhoEquation(n)
@@ -1455,11 +1463,10 @@ def _bvn_build_conditionals(data: Dataset) -> dict:
             a, b, c = n * (1.0 - rho * rho), rho * c_xy / math.sqrt(p[other_var]), -c_own
             if not (_QUAD_TINY <= a <= _QUAD_HUGE and _QUAD_TINY <= abs(b) <= _QUAD_HUGE
                     and _QUAD_TINY <= c_own <= _QUAD_HUGE):
-                return solve_quadratic_positive(a, b, c)
-            # solve_quadratic_positive's branch for a > 0 > c and b != 0 with
-            # its coefficients unscaled, in place: the roots have opposite
-            # signs, the positive one is taken from the stable intermediate
-            # and polished by two Newton steps.
+                return _bvn_sigma_root(a, b, c)
+            # a > 0 > c and b != 0, unscaled: the roots have opposite signs,
+            # the positive one is taken from the stable intermediate and
+            # polished by two Newton steps.
             q = -0.5 * (b + math.copysign(math.sqrt(b * b - 4.0 * a * c), b))
             t = q / a if q > 0.0 else c / q
             deriv = 2.0 * a * t + b
@@ -1468,7 +1475,7 @@ def _bvn_build_conditionals(data: Dataset) -> dict:
             deriv = 2.0 * a * t + b
             if deriv != 0.0:
                 t -= (a * t * t + b * t + c) / deriv
-            return t if t > 0.0 else solve_quadratic_positive(a, b, c)
+            return t if t > 0.0 else _bvn_sigma_root(a, b, c)
 
         def equation_for(d, p):
             rho = p["rho"]
@@ -1492,8 +1499,9 @@ def _bvn_build_conditionals(data: Dataset) -> dict:
                             equation_for, kernel, check_at_start=True)
 
     def rho_mle(d, p):
-        # Root in (-1, 1) of the cubic stationarity condition of the likelihood
-        # in rho; when several roots fall inside, the highest likelihood wins.
+        # Root in (-1, 1) of the cubic stationarity condition of the
+        # likelihood in rho, f(r) = -n r^3 + c r^2 + c1 r + c; when several
+        # roots fall inside, the highest likelihood wins.
         mu_x, mu_y, sigma_x2, sigma_y2 = p["mu_x"], p["mu_y"], p["sigma_x2"], p["sigma_y2"]
         cxx = sxx - 2.0 * mu_x * sx + n * mu_x * mu_x
         cyy = syy - 2.0 * mu_y * sy + n * mu_y * mu_y
@@ -1502,13 +1510,16 @@ def _bvn_build_conditionals(data: Dataset) -> dict:
         c1 = n - cxx / sigma_x2 - cyy / sigma_y2
         if not (math.isfinite(c) and math.isfinite(c1)):
             raise DomainError(f"cubic coefficients must be finite, got {[neg_n, c, c1, c]}")
-        # finite_cubic_root's path for one real root, in place: Cardano's
-        # root of the depressed cubic, two Newton steps and the clip.
+        # The closed form of the roots of the depressed cubic.  With one
+        # real root: Cardano's, two Newton steps and the clip.
         a2, a1 = c / neg_n, c1 / neg_n
         shift = a2 / 3.0
         p3 = a1 - a2 * a2 / 3.0
-        q3 = 2.0 * a2 ** 3 / 27.0 - a2 * a1 / 3.0 + a2
-        disc = 0.25 * q3 * q3 + p3 ** 3 / 27.0
+        try:
+            q3 = 2.0 * a2 ** 3 / 27.0 - a2 * a1 / 3.0 + a2
+            disc = 0.25 * q3 * q3 + p3 ** 3 / 27.0
+        except OverflowError:
+            disc = math.nan
         if disc > 0.0:
             s = math.sqrt(disc)
             u, v = -0.5 * q3 + s, -0.5 * q3 - s
@@ -1522,8 +1533,65 @@ def _bvn_build_conditionals(data: Dataset) -> dict:
                 t -= (((neg_n * t + c) * t + c1) * t + c) / der
             if pad_lo < t < pad_hi:
                 return min(max(t, rho_lo), rho_hi)
-        return finite_cubic_root((neg_n, c, c1, c), _RHO_MLE_BRACKET,
-                                 _bvn_loglik_core, stats, mu_x, mu_y, sigma_x2, sigma_y2)
+        # The rare branches: each real root is polished by two Newton steps
+        # and kept if it lies in the padded clip.  One real root outside it
+        # leaves none.
+        roots = ()
+        if not math.isfinite(disc):
+            # |c| or |c1| is above about 1e102 n and the closed form leaves
+            # the float range.  With A = cxx / sigma_x2 + cyy / sigma_y2 >=
+            # 2 |c|, f(-1) = A + 2c >= 0 >= f(1) = 2c - A, and coefficients
+            # that dwarf n leave one root in the clip: bisect for it, on f
+            # divided by a power of two so that no term overflows.  Without
+            # a sign change over the clip (y = x) there is none.
+            e = math.frexp(max(abs(c), abs(c1)))[1]
+            s3, s2, s1 = math.ldexp(neg_n, -e), math.ldexp(c, -e), math.ldexp(c1, -e)
+            lo, hi = rho_lo, rho_hi
+            if ((s3 * lo + s2) * lo + s1) * lo + s2 > 0.0 > ((s3 * hi + s2) * hi + s1) * hi + s2:
+                mid = 0.5 * (lo + hi)
+                while lo < mid < hi:
+                    if ((s3 * mid + s2) * mid + s1) * mid + s2 > 0.0:
+                        lo = mid
+                    else:
+                        hi = mid
+                    mid = 0.5 * (lo + hi)
+                return mid
+        elif disc == 0.0:
+            # A double root.
+            u = -0.5 * q3
+            u = math.copysign(abs(u) ** _THIRD, u)
+            roots = (2.0 * u, -u)
+        elif disc < 0.0:
+            # Three real roots, trigonometric.
+            r = math.sqrt(-(p3 ** 3) / 27.0)
+            phi = math.acos(min(1.0, max(-1.0, -0.5 * q3 / r)))
+            m = 2.0 * math.sqrt(-p3 / 3.0)
+            roots = (m * math.cos(phi / 3.0), m * math.cos((phi + 2.0 * math.pi) / 3.0),
+                     m * math.cos((phi + 4.0 * math.pi) / 3.0))
+        polished = set()
+        for t in roots:
+            t -= shift
+            for _ in range(2):
+                der = (3.0 * neg_n * t + 2.0 * c) * t + c1
+                if der != 0.0:
+                    t -= (((neg_n * t + c) * t + c1) * t + c) / der
+            polished.add(t)
+        inside = [min(max(t, rho_lo), rho_hi) for t in sorted(polished) if pad_lo < t < pad_hi]
+        if not inside:
+            raise DegenerateDataError(
+                f"cubic {[neg_n, c, c1, c]} has no real root in ({rho_lo}, {rho_hi})")
+        # The first root of the highest log likelihood.  No closure here: it
+        # would turn the locals it reads into cells on every call.
+        root_xy = _sqrt_product(sigma_x2, sigma_y2)
+        best = best_ll = None
+        for r in inside:
+            one_m = 1.0 - r * r
+            quad = cxx / sigma_x2 - 2.0 * r * cxy / root_xy + cyy / sigma_y2
+            ll = (-0.5 * n * (math.log(sigma_x2) + math.log(sigma_y2) + math.log(one_m))
+                  - 0.5 * quad / one_m)
+            if best is None or ll > best_ll:
+                best, best_ll = r, ll
+        return best
 
     def rho_kernel(lo, hi, redraw):
         def draw(d, p, rng, warnings=None):

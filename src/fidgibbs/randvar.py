@@ -36,7 +36,7 @@ from typing import Union
 import numpy as np
 
 from .errors import DomainError
-from .specfun import ln_gamma, scipy_special as _sp
+from .specfun import scipy_special as _sp
 
 __all__ = [
     "RngStream",
@@ -283,7 +283,8 @@ def log_density(dist: Dist, x: float) -> float:
             if shape == 1.0:
                 return math.log(rate)
             return math.inf if shape < 1.0 else -math.inf
-        return shape * math.log(rate) + (shape - 1.0) * math.log(x) - rate * x - ln_gamma(shape)
+        return (shape * math.log(rate) + (shape - 1.0) * math.log(x) - rate * x
+                - math.lgamma(shape))
     if isinstance(dist, Exponential):
         if x < 0.0:
             return -math.inf

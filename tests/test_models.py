@@ -792,7 +792,7 @@ class TestNewtonInversion:
             except StructuralError:
                 got = None
             try:
-                want = optimize.brentq(lambda r: eq.phi(g, r) - q, eq.bracket.lo, eq.bracket.hi,
+                want = optimize.brentq(lambda r: eq.phi(g, r) - q, *eq.bracket,
                                        xtol=1e-13)
             except ValueError:
                 want = None
@@ -814,7 +814,7 @@ class TestNewtonInversion:
         # statistic's clip and |gamma| <= 100 sqrt(n).  Against the check made
         # on every call, each case gives the same root bits or the same raise.
         def checked(eq, q, g):
-            lo, hi = eq.bracket.lo, eq.bracket.hi
+            lo, hi = eq.bracket
             f_lo, f_hi = eq.phi(g, lo) - q, eq.phi(g, hi) - q
             if not f_lo < 0.0 < f_hi:
                 raise StructuralError(
@@ -824,8 +824,7 @@ class TestNewtonInversion:
             k = g / sqrt_n
             r = min(max(q, lo), hi)
             fr, dr = _rho_fdf(r, q, g, sqrt_n, k)
-            return M.solve_newton(_rho_fdf, lo, hi, r, fr, dr, tol=1e-13, quadratic=True,
-                                  args=(q, g, sqrt_n, k))
+            return M.solve_newton(_rho_fdf, lo, hi, r, fr, dr, tol=1e-13, args=(q, g, sqrt_n, k))
 
         def outcome(invert, eq, q, g):
             try:
@@ -834,7 +833,7 @@ class TestNewtonInversion:
                 return f"{type(exc).__name__}: {exc}"
 
         gen = np.random.default_rng(29)
-        clip = M._RHO_MLE_BRACKET.hi
+        clip = M._RHO_MLE_BRACKET[1]
         edges = [s * e for s in (1.0, -1.0)
                  for e in (clip, math.nextafter(clip, 2.0), math.nextafter(clip, 0.0),
                            1.0 - 1e-12, 1.0, 1.5)]
@@ -865,7 +864,7 @@ class TestNewtonInversion:
         r = eq.invert(0.3, g)
         assert r.hex() == _rho_newton(eq, 0.3, g).hex()
         assert abs(eq.phi(g, r) - 0.3) <= 1e-12
-        grid = np.linspace(eq.bracket.lo, eq.bracket.hi, 4001)
+        grid = np.linspace(*eq.bracket, 4001)
         signs = np.sign([eq.phi(g, x) - 0.3 for x in grid.tolist()])
         crossings = np.flatnonzero(signs[1:] != signs[:-1])
         assert crossings.size == 1
@@ -903,13 +902,12 @@ def _rho_fdf(r, q, g, sqrt_n, k):
 def _rho_newton(eq, q, g):
     """The correlation equation's root by solve_newton on _rho_fdf from q
     clipped into the bracket, without the entry check."""
-    lo, hi = eq.bracket.lo, eq.bracket.hi
+    lo, hi = eq.bracket
     sqrt_n = eq.sqrt_n
     k = g / sqrt_n
     r = min(max(q, lo), hi)
     fr, dr = _rho_fdf(r, q, g, sqrt_n, k)
-    return M.solve_newton(_rho_fdf, lo, hi, r, fr, dr, tol=1e-13, quadratic=True,
-                          args=(q, g, sqrt_n, k))
+    return M.solve_newton(_rho_fdf, lo, hi, r, fr, dr, tol=1e-13, args=(q, g, sqrt_n, k))
 
 
 def _shape_conditional(model, n, seed, label="alpha"):
@@ -1230,45 +1228,6 @@ class TestBvnPivots:
         assert pvalue > 1e-3
 
 
-def _bvn_generic_statistics(data, state):
-    """The sigma_x, sigma_y and rho statistics at state by the generic
-    specfun solvers, from the data sums and in the operand order of the
-    catalog's statistics."""
-    from fidgibbs.specfun import finite_cubic_root, solve_quadratic_positive
-
-    s = M._BvnSuffStats.from_arrays(data.col("x"), data.col("y"))
-    n = s.n
-    mu_x, mu_y, sx2, sy2, rho = (state[k] for k in get_model("bivariate_normal").param_labels)
-
-    def sigma(m, mo, own_sum, other_sum, own_sq, other_var):
-        c_own = own_sq - 2.0 * m * own_sum + n * m * m
-        c_xy = s.sxy - m * other_sum - mo * own_sum + n * m * mo
-        return solve_quadratic_positive(n * (1.0 - rho * rho),
-                                        rho * c_xy / math.sqrt(other_var), -c_own)
-
-    def rho_mle():
-        cxx = s.sxx - 2.0 * mu_x * s.sx + n * mu_x * mu_x
-        cyy = s.syy - 2.0 * mu_y * s.sy + n * mu_y * mu_y
-        cxy = s.sxy - mu_x * s.sy - mu_y * s.sx + n * mu_x * mu_y
-        c = cxy / M._sqrt_product(sx2, sy2)
-        c1 = n - cxx / sx2 - cyy / sy2
-        return finite_cubic_root((-float(n), c, c1, c), M._RHO_MLE_BRACKET,
-                                 M._bvn_loglik_core, s, mu_x, mu_y, sx2, sy2)
-
-    return {"sigma_x2": lambda: sigma(mu_x, mu_y, s.sx, s.sy, s.sxx, sy2),
-            "sigma_y2": lambda: sigma(mu_y, mu_x, s.sy, s.sx, s.syy, sx2),
-            "rho": rho_mle}
-
-
-def _outcome(fn, *args):
-    """fn(*args) as its hex value, or as the type and message of its error
-    (the one form with a colon)."""
-    try:
-        return fn(*args).hex()
-    except (DegenerateDataError, DomainError, StructuralError, EvaluationError) as exc:
-        return f"{type(exc).__name__}: {exc}"
-
-
 def _bvn_panel_data(rho, n, seed):
     """Data as the benchmark's bivariate-normal panels make it."""
     g = np.random.default_rng(seed)
@@ -1276,53 +1235,81 @@ def _bvn_panel_data(rho, n, seed):
     return Dataset({"x": z1, "y": rho * z1 + math.sqrt(1.0 - rho * rho) * z2})
 
 
-class TestBvnInPlaceSolves:
-    """The sigma quadratic, the rho cubic and the rho Newton iteration are
-    solved in place, with the generic solvers' operations in their order:
-    every result keeps the bits of solve_quadratic_positive,
-    finite_cubic_root and solve_newton, and the rare branches fall through
-    to those solvers."""
+def _mp_bvn_statistics(data, state):
+    """The sigma_x, sigma_y and rho statistics at state, from the data at 50
+    digits: each sigma the positive root of its quadratic in closed form,
+    and rho the root of the cubic in the statistic's padded clip by
+    polyroots (the highest likelihood among several, by
+    oracles.bvn_log_likelihood), clipped.  Also returns the number of real
+    roots of the cubic and of those in the clip."""
+    mp = pytest.importorskip("mpmath")
+    x, y = data.col("x"), data.col("y")
+    lo, hi = M._RHO_MLE_BRACKET
+    pad = 1e-12 * (hi - lo)
+    with mp.workdps(50):
+        mu_x, mu_y, sx2, sy2, rho = (mp.mpf(state[k]) for k in
+                                     ("mu_x", "mu_y", "sigma_x2", "sigma_y2", "rho"))
+        dx = [mp.mpf(v) - mu_x for v in x.tolist()]
+        dy = [mp.mpf(v) - mu_y for v in y.tolist()]
+        n = len(dx)
+        cxx, cyy = mp.fsum(v * v for v in dx), mp.fsum(v * v for v in dy)
+        cxy = mp.fsum(u * v for u, v in zip(dx, dy))
+
+        def sigma(c_own, other_var):
+            # The positive root of a t^2 + b t - c_own, without cancellation.
+            a, b = n * (1 - rho * rho), rho * cxy / mp.sqrt(other_var)
+            sq = mp.sqrt(b * b + 4 * a * c_own)
+            return float(2 * c_own / (b + sq) if b >= 0 else (sq - b) / (2 * a))
+
+        want = {"sigma_x2": sigma(cxx, sy2), "sigma_y2": sigma(cyy, sx2)}
+        c = cxy / mp.sqrt(sx2 * sy2)
+        c1 = n - cxx / sx2 - cyy / sy2
+        # polyroots resolves roots of very different sizes only roughly:
+        # Newton steps at 50 digits finish each real one.
+        real = []
+        for r in mp.polyroots([-n, c, c1, c], maxsteps=400, extraprec=1000):
+            if abs(mp.im(r)) > mp.mpf(10) ** -30 * (1 + abs(r)):
+                continue
+            r = mp.re(r)
+            for _ in range(60):
+                der = (-3 * n * r + 2 * c) * r + c1
+                if der == 0:
+                    break
+                r -= (((-n * r + c) * r + c1) * r + c) / der
+            real.append(float(r))
+    inside = [min(max(r, lo), hi) for r in real if lo - pad < r < hi + pad]
+    want["rho"] = inside[0] if len(inside) == 1 else max(inside, default=None, key=lambda r: (
+        oracles.bvn_log_likelihood(state["mu_x"], state["mu_y"], state["sigma_x2"],
+                                   state["sigma_y2"], r, x, y)))
+    return want, len(real), len(inside)
+
+
+class TestBvnStatisticsAgainstMpmath:
+    """The sigma_x, sigma_y and rho statistics that run draws from, through
+    statistic.compute, against the 50-digit oracle above: within 1e-14
+    relative for sigma and 1e-12 for rho, on chain states and on each rare
+    branch of the solves."""
 
     LABELS = ("sigma_x2", "sigma_y2", "rho")
 
-    @staticmethod
-    def _fallbacks(monkeypatch):
-        """Count the calls of the generic solvers made from models."""
-        calls = {"solve_quadratic_positive": 0, "finite_cubic_root": 0}
-        for name in calls:
-            solver = getattr(M, name)
-
-            def counting(*args, solver=solver, name=name):
-                calls[name] += 1
-                return solver(*args)
-            monkeypatch.setattr(M, name, counting)
-        return calls
-
-    def _compare(self, data, states):
-        """Compare every statistic and the rho solves at states with the
-        generic solvers; returns the number of (q, g) pairs solved."""
+    def _check(self, data, states):
+        """Compare every statistic at states with the oracle; returns the
+        number of states whose cubic has several roots in the clip."""
         conditionals = get_model("bivariate_normal").build_conditionals(data)
-        rho_eq = conditionals["rho"].equation_for(data, states[0])
-        rng = RngStream(7, 0)
-        solved = 0
+        several = 0
         for state in states:
-            generic = _bvn_generic_statistics(data, state)
-            for label in self.LABELS:
-                got = _outcome(conditionals[label].statistic.compute, data, state)
-                assert got == _outcome(generic[label]), (label, state)
-            if ":" in got:
-                continue
-            q, g = float.fromhex(got), sample(rho_eq.gamma_dist, rng)
-            got = _outcome(rho_eq.invert, q, g)
-            assert got == _outcome(_rho_newton, rho_eq, q, g), (q, g)
-            solved += ":" not in got
-        return solved
+            want, _, inside = _mp_bvn_statistics(data, state)
+            several += inside > 1
+            for label, tol in zip(self.LABELS, (1e-14, 1e-14, 1e-12)):
+                got = conditionals[label].statistic.compute(data, state)
+                assert abs(got - want[label]) <= tol * abs(want[label]), (label, state, got)
+        return several
 
     @pytest.mark.parametrize("case", ["panel_rho0.8_n200", "panel_rho0.97_n30", "golden_n4"])
-    def test_chain_states_keep_their_bits(self, case, monkeypatch):
-        # 4 000 states per case from two chains: the benchmark's two
+    def test_chain_states(self, case):
+        # 300 states per case from two chains: the benchmark's two
         # bivariate-normal panels and the golden table's n = 4 run, whose
-        # rho cubics have three real roots at some states.
+        # rho cubics have several roots in the clip at some states.
         if case == "golden_n4":
             data = simulate_dataset(
                 "bivariate_normal", {"mu_x": 0.0, "mu_y": 0.0, "sigma_x2": 1.0, "sigma_y2": 1.0,
@@ -1331,56 +1318,73 @@ class TestBvnInPlaceSolves:
             rho, n = (0.8, 200) if case == "panel_rho0.8_n200" else (0.97, 30)
             data = _bvn_panel_data(rho, n, 22)
         samples = run(get_model("bivariate_normal"), data,
-                      ChainConfig(m=2000, b=0, chains=2, seed=2018))
+                      ChainConfig(m=150, b=0, chains=2, seed=2018))
         states = [dict(zip(samples.labels, row))
                   for row in samples.values.reshape(-1, len(samples.labels)).tolist()]
-        calls = self._fallbacks(monkeypatch)
-        assert self._compare(data, states) == len(states) == 4000
-        print(f"{case}: fallbacks {calls}")
+        several = self._check(data, states)
+        print(f"{case}: {several} of {len(states)} states with several roots in the clip")
         if case == "golden_n4":
-            assert 0 < calls["finite_cubic_root"] < 200
+            assert several > 0
 
     @pytest.mark.parametrize("k,rho", [(300, 0.5), (-300, 0.5), (0, 1e-80), (0, 0.0)])
-    def test_quadratic_fallbacks(self, k, rho, monkeypatch):
+    def test_quadratic_outside_the_unscaled_range(self, k, rho):
         # A coefficient outside [2^-250, 2^250]: C_own at data scale 2^+-300,
         # or rho C_xy / sigma_other at rho = 1e-80; and b = 0 at rho = 0.
         base = _bvn_panel_data(0.6, 12, 5)
         data = Dataset({"x": np.ldexp(base.col("x"), k), "y": np.ldexp(base.col("y"), k)})
         state = {"mu_x": math.ldexp(0.1, k), "mu_y": math.ldexp(-0.2, k),
                  "sigma_x2": math.ldexp(1.3, 2 * k), "sigma_y2": math.ldexp(0.7, 2 * k), "rho": rho}
-        calls = self._fallbacks(monkeypatch)
-        self._compare(data, [state])
-        assert calls["solve_quadratic_positive"] == 2
+        self._check(data, [state])
 
-    def test_cubic_with_three_real_roots(self, monkeypatch):
+    def test_cubic_with_three_real_roots(self):
         # Variances far above the data's: c1 is near n and c near 0, so the
         # cubic's roots lie near -1, 0 and 1.
-        from fidgibbs.specfun import _real_cubic_roots
-
         data = _bvn_panel_data(0.6, 12, 5)
         state = {"mu_x": 0.0, "mu_y": 0.0, "sigma_x2": 1e6, "sigma_y2": 2e6, "rho": 0.3}
-        s = M._BvnSuffStats.from_arrays(data.col("x"), data.col("y"))
-        cxx, cyy, cxy = s.centered(0.0, 0.0)
-        c = cxy / math.sqrt(2e12)
-        assert len(_real_cubic_roots((-12.0, c, 12.0 - cxx / 1e6 - cyy / 2e6, c))) == 3
-        calls = self._fallbacks(monkeypatch)
-        self._compare(data, [state])
-        assert calls["finite_cubic_root"] == 1
+        assert _mp_bvn_statistics(data, state)[1] == 3
+        self._check(data, [state])
 
-    def test_no_root_in_the_clip_raises_the_same_error(self, monkeypatch):
+    @pytest.mark.parametrize("ratio", [1e150, 1e-150, 1e300, 1e-300])
+    def test_variances_far_from_the_data(self, ratio):
+        # sigma_x2 / sigma_y2 of 1e+-150 and 1e+-300: |c| or |c1| is far
+        # above n, where the closed form of the cubic leaves the float range.
+        data = _bvn_panel_data(0.5, 20, 7)
+        states = [{"mu_x": 0.1, "mu_y": -0.1, "sigma_x2": s * ratio, "sigma_y2": s, "rho": 0.3}
+                  for s in (1.0, 0.5, 2.0)]
+        states += [dict(s, sigma_x2=s["sigma_y2"], sigma_y2=s["sigma_x2"]) for s in states]
+        self._check(data, states)
+
+    def test_variance_far_below_the_data_runs(self, tmp_path):
+        # A chain started at sigma_x2 = 1e-150 draws rho first.
+        from fidgibbs import cli
+        out = tmp_path / "out"
+        assert cli.main(["run", "--model", "bivariate_normal", "--simulate",
+                         "mu_x=0,mu_y=0,sigma_x2=1,sigma_y2=1,rho=0.5,n=20", "--m", "200",
+                         "--b", "50", "--chains", "1", "--init",
+                         "mu_x=0,mu_y=0,sigma_x2=1e-150,sigma_y2=1,rho=0.3", "--scan-order",
+                         "rho,mu_x,mu_y,sigma_x2,sigma_y2", "--output-dir", str(out)]) == 0
+        rho = np.loadtxt(out / "samples.csv", delimiter=",", skiprows=1, usecols=-1)
+        assert rho.size == 200 and np.all(np.abs(rho) < 1.0)
+
+    def test_no_root_in_the_clip_raises(self):
         # y = x and a state with equal means and variances: the one real root
-        # is rho = 1, outside the statistic's clip, and the fall-through
-        # raises finite_cubic_root's DegenerateDataError.
+        # is rho = 1, outside the statistic's clip.
         x = np.array([1.0, 2.0, 3.0, 4.0])
         data = Dataset({"x": x, "y": x})
         state = {"mu_x": 2.5, "mu_y": 2.5, "sigma_x2": 1.25, "sigma_y2": 1.25, "rho": 0.5}
-        calls = self._fallbacks(monkeypatch)
+        assert _mp_bvn_statistics(data, state)[0]["rho"] is None
         cond = _catalog("bivariate_normal", data, "rho")
-        with pytest.raises(DegenerateDataError, match="has no real root in") as err:
+        with pytest.raises(DegenerateDataError, match="has no real root in"):
             cond.statistic.compute(data, state)
-        assert calls["finite_cubic_root"] == 1
-        assert _outcome(_bvn_generic_statistics(data, state)["rho"]) == \
-            f"DegenerateDataError: {err.value}"
+
+    @pytest.mark.parametrize("label,match", [("sigma_x2", "coefficient c must be finite"),
+                                             ("rho", "cubic coefficients must be finite")])
+    def test_non_finite_coefficient_raises(self, label, match):
+        # mu_x = 1e200: the centred sum of squares of x overflows.
+        data = _bvn_panel_data(0.6, 12, 5)
+        state = {"mu_x": 1e200, "mu_y": 0.0, "sigma_x2": 1.0, "sigma_y2": 1.0, "rho": 0.3}
+        with pytest.raises(DomainError, match=match):
+            _catalog("bivariate_normal", data, label).statistic.compute(data, state)
 
 
 # Data no model can take: too few observations, values outside the support,
