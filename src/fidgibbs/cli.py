@@ -200,8 +200,12 @@ def write_dataset(data: Dataset, model_name: str, path: str):
 # template words.
 
 _WORD = np.dtype("<u8")
-_POW_OFFSET = 300  # the power-of-ten tables run from 10^-300 to 10^300
 _FAST = (1e-280, 1e280)
+# The tables by exponent and of powers of ten run over the k that _cells
+# reads: E of a value in _FAST is at least -281 (log10's floor of 1e-280,
+# then one lower), and 10^(16 - E) at most 10^297.
+_POWERS = range(-281, 16 + 281 + 1)
+_POW_OFFSET = -_POWERS[0]
 _TIE = 1e-9
 _VELTKAMP = 2.0 ** 27 + 1
 _FIXED = range(-4, 17)  # the exponents %.17g writes in fixed notation
@@ -212,7 +216,7 @@ _COMMA, _LINE_END = (int.from_bytes(b.rjust(8, b"\0"), "little") for b in (b",",
 
 
 class _TextTables(NamedTuple):
-    hi: np.ndarray  # 10^k, k = -300..300, rounded to a double
+    hi: np.ndarray  # 10^k, k in _POWERS, rounded to a double
     lo: np.ndarray  # 10^k - hi, rounded
     hi_big: np.ndarray  # hi split into two 26-bit halves
     hi_small: np.ndarray
@@ -229,22 +233,31 @@ class _TextTables(NamedTuple):
 @functools.cache
 def _text_tables() -> _TextTables:
     """The writer's tables, built on its first block."""
+    # Each lo is the exact residual rounded once.  p = 10^|k| steps by a
+    # factor of ten; for k < 0, hi = 1 / p has the denominator 2^j, so
+    # 10^k - hi = (2^j - hi 2^j p) / (2^j p), and only the division by p
+    # rounds (the scaling by 2^-j is exact: lo stays a normal double).
     hi, lo = [], []
-    for k in range(-_POW_OFFSET, _POW_OFFSET + 1):
-        num, den = (10 ** k, 1) if k >= 0 else (1, 10 ** -k)
-        h = num / den
-        h_num, h_den = h.as_integer_ratio()
+    p = 10 ** _POW_OFFSET
+    for k in _POWERS:
+        if k < 0:
+            h = 1 / p
+            h_num, h_den = h.as_integer_ratio()
+            lo.append(math.ldexp((h_den - h_num * p) / p, 1 - h_den.bit_length()))
+            p //= 10
+        else:
+            h = float(p)
+            lo.append(float(p - int(h)))
+            p *= 10
         hi.append(h)
-        lo.append((num * h_den - h_num * den) / (den * h_den))
     hi = np.array(hi)
     big = _VELTKAMP * hi
     big -= big - hi
 
-    exponents = range(-_POW_OFFSET, _POW_OFFSET + 1)
-    classes = np.array([e - _FIXED[0] if e in _FIXED else _SCI for e in exponents])
-    int_digits = np.array([max(e, 0) if e in _FIXED else 0 for e in exponents])
+    classes = np.array([e - _FIXED[0] if e in _FIXED else _SCI for e in _POWERS])
+    int_digits = np.array([max(e, 0) if e in _FIXED else 0 for e in _POWERS])
     exponent = np.array([0 if e in _FIXED else int.from_bytes(b"e%+03d" % e, "little")
-                         for e in exponents], _WORD)
+                         for e in _POWERS], _WORD)
 
     # Templates by key = 4 class + 2 (digits follow the point) + negative.
     templates = np.zeros((4 * (_SCI + 1), 40), np.uint8)
@@ -261,12 +274,15 @@ def _text_tables() -> _TextTables:
         if point:
             row[7 + 2 * e] = ord(".")
 
-    # The digits of 0000..9999, where a nonzero digit is at or after each
-    # place (kept), and where one is at or before it (leading).
+    # The digits of 0000..9999, their trailing zeros (4 for 0000), and
+    # where a nonzero digit is at or after each place (kept), and where one
+    # is at or before it (leading).
     g = np.arange(10000)
     quads = np.stack([g // 1000, g // 100 % 10, g // 10 % 10, g % 10], axis=1).astype(np.uint8)
-    kept = np.maximum.accumulate(quads[:, ::-1] != 0, axis=1)[:, ::-1]
-    leading = np.maximum.accumulate(quads != 0, axis=1)
+    zeros = sum(g % 10 ** i == 0 for i in range(1, 5)).astype(np.uint8)
+    places = np.arange(4)
+    kept = places < 4 - zeros[:, None]
+    leading = g[:, None] >= 10 ** (3 - places)
     quads += 48
     lanes = np.zeros((2, 10000, 8), np.uint8)
     lanes[0, :, ::2] = quads
@@ -277,7 +293,7 @@ def _text_tables() -> _TextTables:
         templates=np.ascontiguousarray(templates.view(_WORD).T),
         first=np.array([(48 + d) << 48 for d in range(10)], _WORD),
         digits=lanes.reshape(20000, 8).view(_WORD)[:, 0].copy(),
-        zeros=(4 - kept.sum(axis=1)).astype(np.uint8),
+        zeros=zeros,
         groups=np.concatenate([quads, quads * leading]).view("<u4")[:, 0].copy())
 
 

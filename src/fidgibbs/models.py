@@ -479,20 +479,27 @@ def _quadreg_rss_form(x: np.ndarray, y: np.ndarray) -> Callable[[float, float, f
     squares the condition number and fails on offset designs), kept designs
     with |mean(x)| up to 8.5 sd(x) within 3e-14 of the exact RSS; past that
     the error grows with the condition number of X, as the O(n) sum's does.
-    An rss_min at most (n eps)^2 y'y, rounding, raises DegenerateDataError.
+    bhat solves R bhat = Q'y by back-substitution in Python floats, each
+    row's sum of known terms taken before the subtraction; on about a
+    quarter of random designs its last bits differ from LAPACK's triangular
+    solve, and w takes up the difference.
+    An R with a zero or non-finite diagonal, or an rss_min at most
+    (n eps)^2 y'y, rounding, raises DegenerateDataError.
     """
-    from scipy.linalg import solve_triangular
-
     q, r = np.linalg.qr(np.column_stack([np.ones_like(x), x, x * x]))
-    bhat = solve_triangular(r, q.T @ y)
-    resid = y - bhat[0] - bhat[1] * x - bhat[2] * x * x
+    (r00, r01, r02), (_, r11, r12), (_, _, r22) = r.tolist()
+    if not all(math.isfinite(d) and d != 0.0 for d in (r00, r11, r22)):
+        raise DegenerateDataError("design [1, x, x^2] is singular or overflows in floating point")
+    z0, z1, z2 = (q.T @ y).tolist()
+    h2 = z2 / r22
+    h1 = (z1 - r12 * h2) / r11
+    h0 = (z0 - (r01 * h1 + r02 * h2)) / r00
+    resid = y - h0 - h1 * x - h2 * x * x
     w = q.T @ resid
     rest = resid - q @ w
     rss_min = float(rest @ rest)
     if rss_min <= (x.size * 2.0 ** -52) ** 2 * float(y @ y):
         raise DegenerateDataError("y is a quadratic in x: the residual sum of squares is zero")
-    (r00, r01, r02), (_, r11, r12), (_, _, r22) = r.tolist()
-    h0, h1, h2 = bhat.tolist()
     w0, w1, w2 = w.tolist()
 
     def rss(b0, b1, b2):
@@ -1534,29 +1541,9 @@ def _bvn_build_conditionals(data: Dataset) -> dict:
             if pad_lo < t < pad_hi:
                 return min(max(t, rho_lo), rho_hi)
         # The rare branches: each real root is polished by two Newton steps
-        # and kept if it lies in the padded clip.  One real root outside it
-        # leaves none.
+        # and kept if it lies in the padded clip.
         roots = ()
-        if not math.isfinite(disc):
-            # |c| or |c1| is above about 1e102 n and the closed form leaves
-            # the float range.  With A = cxx / sigma_x2 + cyy / sigma_y2 >=
-            # 2 |c|, f(-1) = A + 2c >= 0 >= f(1) = 2c - A, and coefficients
-            # that dwarf n leave one root in the clip: bisect for it, on f
-            # divided by a power of two so that no term overflows.  Without
-            # a sign change over the clip (y = x) there is none.
-            e = math.frexp(max(abs(c), abs(c1)))[1]
-            s3, s2, s1 = math.ldexp(neg_n, -e), math.ldexp(c, -e), math.ldexp(c1, -e)
-            lo, hi = rho_lo, rho_hi
-            if ((s3 * lo + s2) * lo + s1) * lo + s2 > 0.0 > ((s3 * hi + s2) * hi + s1) * hi + s2:
-                mid = 0.5 * (lo + hi)
-                while lo < mid < hi:
-                    if ((s3 * mid + s2) * mid + s1) * mid + s2 > 0.0:
-                        lo = mid
-                    else:
-                        hi = mid
-                    mid = 0.5 * (lo + hi)
-                return mid
-        elif disc == 0.0:
+        if disc == 0.0:
             # A double root.
             u = -0.5 * q3
             u = math.copysign(abs(u) ** _THIRD, u)
@@ -1578,6 +1565,28 @@ def _bvn_build_conditionals(data: Dataset) -> dict:
             polished.add(t)
         inside = [min(max(t, rho_lo), rho_hi) for t in sorted(polished) if pad_lo < t < pad_hi]
         if not inside:
+            # The closed form found no root in the clip.  Where |c| or |c1|
+            # is above about 1e102 n it leaves the float range; where they
+            # are far above n with a finite discriminant (state variances
+            # about 1e-50 of the data's, or means 1e6 away) it can keep no
+            # digit of a small root next to a huge one.  With A = cxx /
+            # sigma_x2 + cyy / sigma_y2 >= 2 |c|, f(-1) = A + 2c >= 0 >=
+            # f(1) = 2c - A, and coefficients that dwarf n leave one root in
+            # the clip: bisect for it, on f divided by a power of two so that
+            # no term overflows.  Without a sign change f(lo) > 0 > f(hi)
+            # over the clip (y = x) there is none.
+            e = math.frexp(max(abs(c), abs(c1), -neg_n))[1]
+            s3, s2, s1 = math.ldexp(neg_n, -e), math.ldexp(c, -e), math.ldexp(c1, -e)
+            lo, hi = rho_lo, rho_hi
+            if ((s3 * lo + s2) * lo + s1) * lo + s2 > 0.0 > ((s3 * hi + s2) * hi + s1) * hi + s2:
+                mid = 0.5 * (lo + hi)
+                while lo < mid < hi:
+                    if ((s3 * mid + s2) * mid + s1) * mid + s2 > 0.0:
+                        lo = mid
+                    else:
+                        hi = mid
+                    mid = 0.5 * (lo + hi)
+                return mid
             raise DegenerateDataError(
                 f"cubic {[neg_n, c, c1, c]} has no real root in ({rho_lo}, {rho_hi})")
         # The first root of the highest log likelihood.  No closure here: it

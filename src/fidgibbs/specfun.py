@@ -4,19 +4,21 @@ shape equations.
 The shape equations take psi and psi' straight from the C implementations
 in ``scipy.special`` (``psi`` and the Hurwitz zeta, psi'(x) = zeta(2, x));
 the tests pin their accuracy against an independent high-precision
-oracle.  ``scipy_special`` is that module, executed on its
-first attribute access, so that importing fidgibbs does not import
-scipy.special.  Root finding is one Newton iteration safeguarded by
-bisection, for a function that crosses zero once from below inside a given
-bracket and whose derivative is cheap: the shape equations, whose
-derivatives come from ``zeta(2, a)`` and ``zeta(3, a)``.  It calls ``fdf(x, *args)``, so those
-equations pass a module-level function and its constants rather than a
-closure built per draw.  The bivariate-normal model solves its sigma
-quadratic, its rho cubic and its correlation equation itself, in place.
+oracle.  ``scipy_special`` is that module, found and executed on its
+first attribute access, so that importing fidgibbs imports no scipy
+module, not even the scipy package.  Root finding is one Newton
+iteration safeguarded by bisection, for a function that crosses zero
+once from below inside a given bracket and whose derivative is cheap:
+the shape equations, whose derivatives come from ``zeta(2, a)`` and
+``zeta(3, a)``.  It calls ``fdf(x, *args)``, so those equations pass a
+module-level function and its constants rather than a closure built per
+draw.  The bivariate-normal model solves its sigma quadratic, its rho
+cubic and its correlation equation itself, in place.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
 import importlib.util
 import math
 import sys
@@ -27,19 +29,46 @@ from .errors import EvaluationError
 __all__ = ["solve_newton"]
 
 
-def _lazy_module(name: str):
-    """The module name, executed on its first attribute access.
+class _FindOnFirstUse:
+    """A loader that finds a submodule only when its lazy module is first used.
 
-    An already imported module is returned as it is.  After the first
-    access the object is a plain module, so later lookups cost nothing
-    extra.  The lazy load is not guarded against a second thread.
+    It then imports the package, finds the submodule on the package's path
+    and executes it into the module object that sys.modules already holds,
+    which becomes the package's attribute.  The submodule must be a package
+    of Python source, as scipy.special is: an extension module cannot be
+    executed into an existing module object.
+    """
+
+    def create_module(self, spec):
+        return None
+
+    def exec_module(self, module):
+        package_name, _, child = module.__name__.rpartition(".")
+        package = importlib.import_module(package_name)
+        spec = importlib.machinery.PathFinder.find_spec(module.__name__, package.__path__)
+        module.__spec__, module.__loader__ = spec, spec.loader
+        module.__file__, module.__cached__ = spec.origin, spec.cached
+        if spec.submodule_search_locations is not None:
+            module.__path__ = spec.submodule_search_locations
+        spec.loader.exec_module(module)
+        setattr(package, child, module)
+
+
+def _lazy_module(name: str):
+    """The submodule name, found and executed on its first attribute access.
+
+    An already imported module is returned as it is.  Otherwise nothing of
+    it, its package included, is imported until then; the object is the
+    one in sys.modules[name], whichever code imports it first, and after
+    the first access a plain module, so later lookups cost nothing extra.
+    The lazy load is not guarded against a second thread.
     """
     if name in sys.modules:
         return sys.modules[name]
-    spec = importlib.util.find_spec(name)
-    loader = spec.loader = importlib.util.LazyLoader(spec.loader)
+    spec = importlib.machinery.ModuleSpec(
+        name, importlib.util.LazyLoader(_FindOnFirstUse()), is_package=True)
     module = sys.modules[name] = importlib.util.module_from_spec(spec)
-    loader.exec_module(module)
+    spec.loader.exec_module(module)
     return module
 
 

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import warnings
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -595,6 +596,14 @@ class TestCellText:
         powers = np.array([float(f"1e{k}") for k in range(-330, 309)])
         values = np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)])
         self._check(np.concatenate([values, -values]))
+
+    def test_power_tables_are_exact(self):
+        # For each power the tables hold, hi is the double nearest 10^k and
+        # lo the double nearest the residual 10^k - hi.
+        tables = fidgibbs.cli._text_tables()
+        for k, hi, lo in zip(fidgibbs.cli._POWERS, tables.hi.tolist(), tables.lo.tolist()):
+            exact = Fraction(10) ** k
+            assert (hi, lo) == (float(exact), float(exact - Fraction(hi))), k
 
     def test_exact_decimal_ties(self):
         # a / 2^k with a odd and a 5^k of 18 digits is exactly a decimal of

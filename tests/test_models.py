@@ -1235,6 +1235,13 @@ def _bvn_panel_data(rho, n, seed):
     return Dataset({"x": z1, "y": rho * z1 + math.sqrt(1.0 - rho * rho) * z2})
 
 
+def _bvn_golden_data():
+    """The data of the golden table's n = 4 bivariate-normal run."""
+    return simulate_dataset("bivariate_normal", {"mu_x": 0.0, "mu_y": 0.0, "sigma_x2": 1.0,
+                                                 "sigma_y2": 1.0, "rho": 0.2},
+                            4, RngStream(2018, stream_id=2**32))
+
+
 def _mp_bvn_statistics(data, state):
     """The sigma_x, sigma_y and rho statistics at state, from the data at 50
     digits: each sigma the positive root of its quadratic in closed form,
@@ -1311,9 +1318,7 @@ class TestBvnStatisticsAgainstMpmath:
         # bivariate-normal panels and the golden table's n = 4 run, whose
         # rho cubics have several roots in the clip at some states.
         if case == "golden_n4":
-            data = simulate_dataset(
-                "bivariate_normal", {"mu_x": 0.0, "mu_y": 0.0, "sigma_x2": 1.0, "sigma_y2": 1.0,
-                                     "rho": 0.2}, 4, RngStream(2018, stream_id=2**32))
+            data = _bvn_golden_data()
         else:
             rho, n = (0.8, 200) if case == "panel_rho0.8_n200" else (0.97, 30)
             data = _bvn_panel_data(rho, n, 22)
@@ -1352,6 +1357,27 @@ class TestBvnStatisticsAgainstMpmath:
         states = [{"mu_x": 0.1, "mu_y": -0.1, "sigma_x2": s * ratio, "sigma_y2": s, "rho": 0.3}
                   for s in (1.0, 0.5, 2.0)]
         states += [dict(s, sigma_x2=s["sigma_y2"], sigma_y2=s["sigma_x2"]) for s in states]
+        self._check(data, states)
+
+    def test_closed_form_loses_the_root_in_the_clip(self):
+        # |c| and |c1| far above n with a finite discriminant: three real
+        # roots of very different sizes, and the trigonometric closed form
+        # keeps no digit of the one in the clip.  The golden n = 4 data at
+        # a chain state with variances about 1e-50 of the data's (roots
+        # 0.33, 3.07 and 1.03e49), and states whose means sit 1e6 and 1e7
+        # from the data's.  Their roots lie away from +-1: within 1e-6 of
+        # it, f(+-1) = 2c -+ A cancels the float sums behind c and c1 and the
+        # root keeps fewer digits than 1e-12, whatever the solve.
+        data = _bvn_golden_data()
+        states = [{"mu_x": 0.8515650597299109, "mu_y": 0.5658816110866004,
+                   "sigma_x2": 8.2e-50, "sigma_y2": 7.6e-50, "rho": 0.6}]
+        mean_x, mean_y = float(np.mean(data.col("x"))), float(np.mean(data.col("y")))
+        for shift_x, shift_y in ((1e6, 1e6), (-1e6, 1e6), (1e7, -1e7), (3e5, -1e6)):
+            for var_x, var_y in ((2.0, 0.7), (0.5, 2.0)):
+                states.append({"mu_x": mean_x + shift_x, "mu_y": mean_y + shift_y,
+                               "sigma_x2": var_x, "sigma_y2": var_y, "rho": 0.3})
+        for state in states:
+            assert _mp_bvn_statistics(data, state)[1:] == (3, 1)
         self._check(data, states)
 
     def test_variance_far_below_the_data_runs(self, tmp_path):
@@ -1400,6 +1426,9 @@ HOSTILE_DATA = [
     ("quadreg", "unequal", {"x": [1.0, 2.0], "y": [1.0, 2.0, 3.0]}),
     ("quadreg", "zero_design", {"x": [0.0, 0.0, 0.0], "y": [1.0, 2.0, 3.0]}),
     ("quadreg", "two_x_values", {"x": [1.0, 2.0, 1.0, 2.0], "y": [1.0, 2.0, 3.0, 4.0]}),
+    # Three distinct x whose squares underflow to 0: R has a zero diagonal.
+    ("quadreg", "underflowing_square", {"x": [0.0, 1e-200, 2e-200, 3e-200],
+                                        "y": [1.0, 2.0, 0.5, 3.0]}),
     ("gamma", "too_few", {"x": [2.0]}),
     ("gamma", "negative", {"x": [-1.0, 2.0, 3.0]}),
     ("gamma", "zero", {"x": [0.0, 2.0, 3.0]}),

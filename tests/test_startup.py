@@ -1,9 +1,10 @@
 """Which scipy modules a fresh interpreter loads for each command.
 
-Importing fidgibbs costs numpy plus the package: scipy.special is loaded
-on its first use, and scipy.linalg inside the one function that calls it;
-no command loads scipy.optimize.  Each case runs in a new interpreter,
-since any earlier test may have imported scipy.
+Importing fidgibbs costs numpy plus the package and imports no scipy
+module, not even the scipy package: scipy.special is found and loaded on
+its first use, the closed-form models load no scipy module, and no
+command loads scipy.optimize or scipy.linalg.  Each case runs in a new
+interpreter, since any earlier test may have imported scipy.
 """
 
 import json
@@ -17,6 +18,8 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 WATCHED = ("scipy.special._ufuncs", "scipy.optimize", "scipy.linalg")
+# The scipy package too, for the runs that must load no scipy module at all.
+NO_SCIPY = ("scipy",) + WATCHED
 SIMULATE = {
     "normal": "mu=0,sigma2=1,n=20",
     "pareto": "alpha=3,beta=2,n=20",
@@ -27,11 +30,11 @@ SIMULATE = {
 }
 
 
-def _loaded_after(code: str) -> list:
-    """The WATCHED modules in sys.modules after code runs in a new interpreter."""
+def _loaded_after(code: str, watched: tuple = WATCHED) -> list:
+    """The watched modules in sys.modules after code runs in a new interpreter."""
     script = textwrap.dedent(code) + textwrap.dedent(f"""
         import json, sys
-        print(json.dumps([m for m in {WATCHED!r} if m in sys.modules]))
+        print(json.dumps([m for m in {watched!r} if m in sys.modules]))
     """)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
@@ -51,10 +54,11 @@ def _run_code(model: str, out_dir: Path) -> str:
 
 
 def test_import_loads_no_scipy_submodule():
-    assert _loaded_after("import fidgibbs.cli") == []
+    assert _loaded_after("import fidgibbs", NO_SCIPY) == []
+    assert _loaded_after("import fidgibbs.cli", NO_SCIPY) == []
 
 
-@pytest.mark.parametrize("model", ["normal", "pareto", "behrens_fisher"])
+@pytest.mark.parametrize("model", ["normal", "pareto", "quadreg", "behrens_fisher"])
 def test_closed_form_runs_load_no_scipy_submodule(tmp_path, model):
     # diag and estimate on the run's samples, and the writers, need none either.
     code = _run_code(model, tmp_path) + f"""
@@ -64,11 +68,7 @@ def test_closed_form_runs_load_no_scipy_submodule(tmp_path, model):
                          "--out", {str(tmp_path / "diag.json")!r}]) == 0
         estimate(lambda s: sum(s.values()), cli.read_samples_csv(samples, 50))
     """
-    assert _loaded_after(code) == []
-
-
-def test_quadreg_loads_only_linalg(tmp_path):
-    assert _loaded_after(_run_code("quadreg", tmp_path)) == ["scipy.linalg"]
+    assert _loaded_after(code, NO_SCIPY) == []
 
 
 def test_gamma_loads_special(tmp_path):
