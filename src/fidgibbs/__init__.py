@@ -16,7 +16,7 @@ from .core import (
     StructuralEquation,
     check_injectivity,
 )
-from .diagnostics import DiagnosticsReport, ParamSummary, summarize
+from .diagnostics import DiagnosticsReport, EstimateResult, ParamSummary, estimate, summarize
 from .errors import (
     DegenerateDataError,
     DomainError,
@@ -24,7 +24,7 @@ from .errors import (
     FidgibbsError,
     StructuralError,
 )
-from .gibbs import ChainConfig, EstimateResult, SampleMatrix, estimate, run
+from .gibbs import ChainConfig, SampleMatrix, run
 from .models import Dataset, ModelSpec, MODEL_NAMES, ParamSpec, get_model, simulate_dataset
 from .randvar import (
     ChiSquare,

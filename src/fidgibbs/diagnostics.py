@@ -1,16 +1,17 @@
-"""Convergence diagnostics and summaries for Gibbs sample matrices.
+"""Convergence diagnostics, summaries and Monte Carlo estimates for Gibbs
+sample matrices.
 
 Split potential-scale-reduction (each post-burn-in chain is halved and the
 halves treated as chains, which also flags within-chain drift) and an
 autocorrelation-based effective sample size with the initial-positive-pair
-truncation rule.
+truncation rule; estimate reads that ESS for its standard error.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Tuple
+from typing import Callable, Mapping, Tuple
 
 import numpy as np
 
@@ -19,8 +20,9 @@ from .gibbs import SampleMatrix
 
 __all__ = [
     "DiagnosticsReport",
+    "EstimateResult",
     "ParamSummary",
-    "ess_of_chains",
+    "estimate",
     "summarize",
 ]
 
@@ -250,3 +252,29 @@ def summarize(samples: SampleMatrix, bins: int = DEFAULT_BINS) -> DiagnosticsRep
         seed=cfg.seed,
         warnings=dict(samples.warnings),
     )
+
+
+@dataclass(frozen=True)
+class EstimateResult:
+    value: float
+    std_error: float
+    ess: float
+
+
+def estimate(h: Callable[[Mapping[str, float]], float], samples: SampleMatrix) -> EstimateResult:
+    """Post-burn-in Monte Carlo average of h over the joint draws.
+
+    Pools all chains after discarding the first b cycles of each; the
+    standard error is autocorrelation-adjusted through the effective
+    sample size of the per-chain h series.
+    """
+    labels = samples.labels
+    # One tolist() call hands h Python floats, not a numpy scalar per cell.
+    rows = samples.values[:, samples.config.b:, :].tolist()
+    hvals = np.array([[h(dict(zip(labels, row))) for row in chain] for chain in rows],
+                     dtype=float)
+    value = float(np.mean(hvals))
+    ess = ess_of_chains(hvals)
+    var = float(np.var(hvals, ddof=1)) if hvals.size > 1 else 0.0
+    se = math.sqrt(var / ess) if ess > 0 else math.inf
+    return EstimateResult(value=value, std_error=se, ess=ess)

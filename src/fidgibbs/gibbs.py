@@ -9,9 +9,9 @@ and the seed are carried into every result for honest reporting.
 On Linux the chains of a long run are spread over forked processes, one
 per usable CPU; every chain draws from its own stream, so the output is
 the same whichever process runs it.  The draws of every chain go, a block
-of cycles at a time, into one (chains, m, parameters) matrix, which a
-forked run shares with its children, each filling its own chains' rows in
-place.  Children only sample: the command line's run formats every
+of cycles at a time, into one (chains, m, parameters) matrix, an anonymous
+shared mapping whose rows a forked run's children fill in place, each its
+own chains'.  Children only sample: the command line's run formats every
 chain's rows in the caller once run returns.
 """
 
@@ -36,7 +36,7 @@ from .errors import DomainError, StructuralError
 from .models import Dataset, ModelSpec
 from .randvar import RngStream
 
-__all__ = ["ChainConfig", "SampleMatrix", "EstimateResult", "run", "estimate"]
+__all__ = ["ChainConfig", "SampleMatrix", "run"]
 
 DEFAULT_BURN_IN = 500
 
@@ -236,32 +236,33 @@ def _other_cpus() -> list:
     return sorted(cpus - {here})
 
 
-def _run_forked(run_chain: Callable, chains: int, procs: int, m: int) -> list:
+def _run_chains(run_chain: Callable, chains: int, procs: int, m: int) -> list:
     """run_chain(c) for c = 0..chains-1, spread over up to procs processes:
-    the list of what each returned, in chain order.
+    the list of what each returned, in chain order.  Every run comes here.
 
-    run_chain writes the chain's draws into a matrix that the forked
-    children share with this process and returns its warnings.  This
-    process runs chain 0 and, from its timed first cycles, predicts the
-    serial time of the run.  Above _FORK_BREAK_EVEN_S it forks procs - 1
-    children, child k running the chains c with c % procs == k on a CPU of
-    its own, and keeps the chains c % procs == 0 itself; below it, it runs
-    every chain itself.  (A forked child starts on its parent's CPU, and a
-    scheduler may leave it there for 100 ms or more while another CPU
-    idles; this process moves each child to its CPU right after forking
-    it, so the child need not first get a turn on this busy CPU to move
-    itself.)  A child sends a small (chain, warnings) pickle over a pipe as
-    each chain ends, so it never waits for this process to read, and stops
-    at its first failing chain.  The results are taken in chain order: an
-    own chain that failed raises its exception, and a chain that no child
-    sent is run again here, once every child has been reaped and none can
-    still write its row, so the lowest failing chain raises what it would
-    raise in this process.  No child outlives the call.
+    run_chain writes the chain's draws into a matrix that forked children
+    share with this process and returns its warnings.  This process runs
+    chain 0 and, from its timed first cycles, predicts the serial time of
+    the run.  Where procs > 1 and that is above _FORK_BREAK_EVEN_S, it forks
+    procs - 1 children, child k running the chains c with c % procs == k on
+    a CPU of its own, and keeps the chains c % procs == 0 itself; otherwise
+    it runs every chain itself.  (A forked child starts on its parent's
+    CPU, and a scheduler may leave it there for 100 ms or more while
+    another CPU idles; this process moves each child to its CPU right after
+    forking it, so the child need not first get a turn on this busy CPU to
+    move itself.)  A child sends a small (chain, warnings) pickle over a
+    pipe as each chain ends, so it never waits for this process to read,
+    and stops at its first failing chain.  The results are taken in chain
+    order: an own chain that failed raises its exception, and a chain that
+    no child sent is run again here, once every child has been reaped and
+    none can still write its row, so the lowest failing chain raises what
+    it would raise with every chain in this process.  No child outlives the
+    call.
     """
     children = {}  # pid -> (read end of its pipe, k)
 
     def spread(seconds_per_cycle: float):
-        if seconds_per_cycle * m * chains <= _FORK_BREAK_EVEN_S:
+        if procs == 1 or seconds_per_cycle * m * chains <= _FORK_BREAK_EVEN_S:
             return
         cpus = _other_cpus()
         parent = os.getpid()
@@ -291,8 +292,6 @@ def _run_forked(run_chain: Callable, chains: int, procs: int, m: int) -> list:
             try:
                 done[chain] = run_chain(chain, spread if chain == 0 else None)
             except Exception as exc:
-                if not children:
-                    raise
                 done[chain], failed = exc, chain
                 break
         # Chains above an own failed chain are not needed.
@@ -322,7 +321,7 @@ def _serve(run_chain: Callable, chains: range, fd: int, parent: int):
     buffers."""
     try:
         # A caller killed by a signal it cannot handle never reaches the
-        # finally of _run_forked: the kernel SIGKILLs this process when the
+        # finally of _run_chains: the kernel SIGKILLs this process when the
         # caller dies, and a caller that died before the prctl shows as a
         # new parent.
         prctl = ctypes.CDLL(None).prctl
@@ -356,14 +355,14 @@ def _receive(fd: int, wanted: set) -> dict:
 def run(model: ModelSpec, data: Dataset, config: ChainConfig) -> SampleMatrix:
     """Run the Gibbs sampler; fully reproducible from (model, data, config).
 
-    Where os.fork and os.sched_getaffinity exist (Linux), the chains are
-    spread over min(chains, usable CPUs) processes when the timed first
-    cycles of chain 0 predict that forking pays (see _run_forked); the
-    values, warnings and errors are those of running the chains one after
-    another in this process, which is what happens otherwise.  Every chain
-    writes its draws into one (chains, m, parameters) matrix, allocated
-    once; when the run may fork, it is an anonymous shared mapping, so the
-    children fill their chains' rows in place.
+    Every chain writes its draws into one (chains, m, parameters) matrix,
+    an anonymous shared mapping allocated once, and every run goes through
+    one driver, _run_chains.  Where os.fork and os.sched_getaffinity exist
+    (Linux), it spreads the chains over min(chains, usable CPUs) processes
+    when the timed first cycles of chain 0 predict that forking pays, and
+    the children fill their chains' rows in place; otherwise, with one
+    usable CPU among them, every chain runs in this process.  The values,
+    warnings and errors are the same either way.
     """
     order = _scan_order(model, config)
     conditionals = model.build_conditionals(data)
@@ -376,49 +375,16 @@ def run(model: ModelSpec, data: Dataset, config: ChainConfig) -> SampleMatrix:
     # stable output.
     labels = model.param_labels
     shape = (config.chains, config.m, len(labels))
-    procs = min(config.chains, _usable_cpus())
-    values = (np.empty(shape) if procs == 1
-              else np.ndarray(shape, buffer=mmap.mmap(-1, math.prod(shape) * 8)))
+    values = np.ndarray(shape, buffer=mmap.mmap(-1, math.prod(shape) * 8))
 
     def run_chain(chain: int, timed=None):
         return _run_chain(data, conditionals, order, labels, inits[chain],
                           config.seed, chain, values[chain], timed)
 
-    if procs == 1:
-        chain_warnings = [run_chain(chain) for chain in range(config.chains)]
-    else:
-        chain_warnings = _run_forked(run_chain, config.chains, procs, config.m)
+    procs = min(config.chains, _usable_cpus())
     warnings = Counter()
-    for w in chain_warnings:
+    for w in _run_chains(run_chain, config.chains, procs, config.m):
         warnings.update(w)
     cfg = ChainConfig(m=config.m, b=config.b, chains=config.chains, seed=config.seed,
                       scan_order=order, init=tuple(inits))
     return SampleMatrix(values=values, labels=labels, config=cfg, warnings=dict(warnings))
-
-
-@dataclass(frozen=True)
-class EstimateResult:
-    value: float
-    std_error: float
-    ess: float
-
-
-def estimate(h: Callable[[Mapping[str, float]], float], samples: SampleMatrix) -> EstimateResult:
-    """Post-burn-in Monte Carlo average of h over the joint draws.
-
-    Pools all chains after discarding the first b cycles of each; the
-    standard error is autocorrelation-adjusted through the effective
-    sample size of the per-chain h series.
-    """
-    from .diagnostics import ess_of_chains  # local import to avoid a cycle
-
-    labels = samples.labels
-    # One tolist() call hands h Python floats, not a numpy scalar per cell.
-    rows = samples.values[:, samples.config.b:, :].tolist()
-    hvals = np.array([[h(dict(zip(labels, row))) for row in chain] for chain in rows],
-                     dtype=float)
-    value = float(np.mean(hvals))
-    ess = ess_of_chains(hvals)
-    var = float(np.var(hvals, ddof=1)) if hvals.size > 1 else 0.0
-    se = math.sqrt(var / ess) if ess > 0 else math.inf
-    return EstimateResult(value=value, std_error=se, ess=ess)

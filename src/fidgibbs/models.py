@@ -16,6 +16,7 @@ bivariate_normal.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Tuple
 
@@ -135,6 +136,20 @@ def _pos(v: float, name: str) -> float:
     if 0.0 < v < math.inf:  # false for NaN
         return v
     raise DomainError(f"{name} must be positive and finite, got {v}")
+
+
+def _one_sample(data: Dataset, model: str, hi: float, support: str) -> np.ndarray:
+    """Column x of a one-sample family's data, checked: n >= 2, inside the
+    support (0, hi), which the messages call support, and not all equal."""
+    x = data.col("x")
+    if x.size < 2:
+        raise DomainError(f"{model} model needs n >= 2")
+    lo, top = float(np.min(x)), float(np.max(x))
+    if not (0.0 < lo and top < hi):
+        raise DomainError(f"{model} data must {support}")
+    if lo == top:
+        raise DegenerateDataError(f"{model} model needs non-constant data")
+    return x
 
 
 def _log_abs(x: float) -> float:
@@ -375,15 +390,8 @@ class _ParetoBetaEquation:
 
 
 def _pareto_build_conditionals(data: Dataset) -> dict:
-    x = data.col("x")
-    n = x.size
-    if n < 2:
-        raise DomainError("pareto model needs n >= 2")
-    min_x = float(np.min(x))
-    if min_x <= 0.0:
-        raise DomainError("pareto data must be positive")
-    if min_x == float(np.max(x)):
-        raise DegenerateDataError("pareto model needs non-constant data")
+    x = _one_sample(data, "pareto", math.inf, "be positive")
+    n, min_x = x.size, float(np.min(x))
     sum_log = float(np.sum(np.log(x)))
     # The alpha primary is Gamma(n, 1), drawn as half a chi^2(2n): a law
     # fixed for the dataset, so it is drawn in blocks.
@@ -525,6 +533,14 @@ def _quadreg_build_conditionals(data: Dataset) -> dict:
         raise DomainError("quadreg needs x and y of equal length")
     if x.size < 2:
         raise DomainError("quadreg needs n >= 2")
+    # The build's sums are at most n max(x^4, y^2), as x^2 |y| is at most
+    # their mean; below a sixteenth of the float range no product, sum or
+    # QR step overflows.
+    ax, ay, room = float(np.max(np.abs(x))), float(np.max(np.abs(y))), sys.float_info.max / 16
+    if ax > (room / x.size) ** 0.25 or ay > (room / x.size) ** 0.5:
+        raise DegenerateDataError(
+            f"quadreg data overflow in floating point: with max |x| = {ax:.6g} and "
+            f"max |y| = {ay:.6g}, n max(x^4, y^2) passes {room:.6g}")
     # [1, x, x^2] has full column rank exactly when x takes three values.
     if np.unique(x).size < 3:
         raise DegenerateDataError("design is degenerate: x takes fewer than three distinct values")
@@ -533,10 +549,8 @@ def _quadreg_build_conditionals(data: Dataset) -> dict:
     chi2_key, chi2_fill, chi2_n = block_args(variance.gamma_dist)
 
     def rss_stat(d, p):
-        rss = rss_at(p["beta0"], p["beta1"], p["beta2"])
-        if rss <= 0.0:
-            raise DegenerateDataError("residual sum of squares is zero")
-        return rss
+        # At least rss_min, which the build checked to be positive.
+        return rss_at(p["beta0"], p["beta1"], p["beta2"])
 
     def coef(j, stat_name):
         stat, scale, ((la, ca), (lb, cb)) = _quadreg_normal_equation(j, x, y)
@@ -1083,14 +1097,8 @@ class _GammaShapeEquation:
 
 
 def _gamma_build_conditionals(data: Dataset) -> dict:
-    x = data.col("x")
+    x = _one_sample(data, "gamma", math.inf, "be positive")
     n = x.size
-    if n < 2:
-        raise DomainError("gamma model needs n >= 2")
-    if np.any(x <= 0.0):
-        raise DomainError("gamma data must be positive")
-    if float(np.min(x)) == float(np.max(x)):
-        raise DegenerateDataError("gamma model needs non-constant data")
     sum_x = float(np.sum(x))
     sum_log = float(np.sum(np.log(x)))
 
@@ -1171,14 +1179,8 @@ class _BetaShapeEquation:
 
 
 def _beta_build_conditionals(data: Dataset) -> dict:
-    x = data.col("x")
+    x = _one_sample(data, "beta", 1.0, "lie strictly inside (0, 1)")
     n = x.size
-    if n < 2:
-        raise DomainError("beta model needs n >= 2")
-    if np.any((x <= 0.0) | (x >= 1.0)):
-        raise DomainError("beta data must lie strictly inside (0, 1)")
-    if float(np.min(x)) == float(np.max(x)):
-        raise DegenerateDataError("beta model needs non-constant data")
     sum_log = float(np.sum(np.log(x)))
     sum_log1m = float(np.sum(np.log1p(-x)))
     # Scratch buffers for the solver iterations of every draw of these two

@@ -8,17 +8,18 @@ replay identical sequences and distinct stream_ids are independent.
 The kinds whose laws the catalog fixes once per dataset are drawn in
 blocks of BLOCK_SIZE values per stream: Normal and Exponential from one
 block of standard draws each, shifted and scaled per draw, TruncatedNormal
-and ChiSquare from one block per law.  A draw takes the next value of its
-block, and a new block is drawn when it is used up.  The block key of a
-TruncatedNormal or ChiSquare law is the kind plus the law's parameters in a
-one-element frozenset, built once per law object when it is made (its
-block_key attribute): equal laws share one block, and a frozenset keeps its
-hash once computed, so a draw from a law fixed per dataset looks its block
-up without hashing the parameters again, as a tuple key would on every
-draw.  A stream keeps blocks for at most
-MAX_BLOCK_LAWS laws: a new law evicts the block of the law first seen
-longest ago, whose unused values are dropped.  Gamma, whose shape
-follows the state in the gamma model, is drawn one value per call.
+and ChiSquare from one block per law.  One table, _BLOCK_FILLS, maps each
+of these kinds to its fill; sample and block_args both read it.  A draw
+takes the next value of its block, and a new block is drawn when it is
+used up.  The block key of a TruncatedNormal or ChiSquare law is the kind
+plus the law's parameters in a one-element frozenset, built once per law
+object when it is made (its block_key attribute): equal laws share one
+block, and a frozenset keeps its hash once computed, so a draw from a law
+fixed per dataset looks its block up without hashing the parameters
+again, as a tuple key would on every draw.  A stream keeps blocks for at
+most MAX_BLOCK_LAWS laws: a new law evicts the block of the law first seen
+longest ago, whose unused values are dropped.  Gamma, whose shape follows
+the state in the gamma model, is drawn one value per call.
 
 The catalog's fused draw kernels bind block_args(law) once and take each
 primary with one rng.take(key, fill, law) call, the value and bits of
@@ -195,50 +196,34 @@ def _standard_exponentials(dist, g, size):
     return g.standard_exponential(size)
 
 
-# One sampler per kind.  Location-scale kinds share one block of standard
-# draws per stream; the others keep one block per law.
-
-def _sample_normal(d: Normal, rng: RngStream) -> float:
-    return d.mean + math.sqrt(d.var) * rng.take(Normal, _standard_normals, d)
-
-
-def _sample_truncated_normal(d: TruncatedNormal, rng: RngStream) -> float:
-    return rng.take(d.block_key, _truncated_normals, d)
-
-
-def _sample_chi_square(d: ChiSquare, rng: RngStream) -> float:
-    return rng.take(d.block_key, _chi_squares, d)
-
-
-def _sample_exponential(d: Exponential, rng: RngStream) -> float:
-    return rng.take(Exponential, _standard_exponentials, d) / d.rate
-
-
-def _sample_gamma(d: Gamma, rng: RngStream) -> float:
-    return float(rng.gen.gamma(d.shape, 1.0 / d.rate))
-
-
-_SAMPLERS = {
-    Normal: _sample_normal,
-    TruncatedNormal: _sample_truncated_normal,
-    ChiSquare: _sample_chi_square,
-    Exponential: _sample_exponential,
-    Gamma: _sample_gamma,
+# The kinds drawn in blocks and their fills.  Normal and Exponential share
+# one block of standard draws per stream; the others keep one block per law.
+_BLOCK_FILLS = {
+    Normal: _standard_normals,
+    TruncatedNormal: _truncated_normals,
+    ChiSquare: _chi_squares,
+    Exponential: _standard_exponentials,
 }
 
 
 def sample(dist: Dist, rng: RngStream) -> float:
-    """One draw from the named distribution.
+    """One draw from the named distribution: a Gamma from the generator,
+    another kind the next value of its block, scaled for Normal and
+    Exponential and shifted for Normal.
 
     A TruncatedNormal or ChiSquare law keeps its own block on the stream,
     so these kinds suit laws that stay fixed over many draws: each new law
     costs a block of BLOCK_SIZE draws.
     """
-    try:
-        sampler = _SAMPLERS[type(dist)]
-    except KeyError:
-        raise DomainError(f"unknown distribution {dist!r}") from None
-    return sampler(dist, rng)
+    kind = type(dist)
+    if kind is Gamma:
+        return float(rng.gen.gamma(dist.shape, 1.0 / dist.rate))
+    if kind not in _BLOCK_FILLS:
+        raise DomainError(f"unknown distribution {dist!r}")
+    x = rng.take(*block_args(dist))
+    if kind is Normal:
+        return dist.mean + math.sqrt(dist.var) * x
+    return x / dist.rate if kind is Exponential else x
 
 
 def block_args(dist: Dist) -> tuple:
@@ -246,8 +231,7 @@ def block_args(dist: Dist) -> tuple:
     the block sample draws dist from.  That is sample's draw for a
     TruncatedNormal or ChiSquare law, and for a Normal or Exponential law
     the standard draw that sample shifts and scales."""
-    fill = {Normal: _standard_normals, TruncatedNormal: _truncated_normals,
-            ChiSquare: _chi_squares, Exponential: _standard_exponentials}.get(type(dist))
+    fill = _BLOCK_FILLS.get(type(dist))
     if fill is None:
         raise DomainError(f"block_args needs a law drawn in blocks, got {dist!r}")
     return getattr(dist, "block_key", type(dist)), fill, dist

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -1414,52 +1415,82 @@ class TestBvnStatisticsAgainstMpmath:
 
 
 # Data no model can take: too few observations, values outside the support,
-# constant data and columns of unequal length, where each applies.
+# constant data, columns of unequal length and data whose sums overflow,
+# where each applies, with the error type and message each raises.
 HOSTILE_DATA = [
-    ("normal", "too_few", {"x": [1.0]}),
-    ("normal", "constant", {"x": [2.0, 2.0, 2.0]}),
-    ("pareto", "too_few", {"x": [2.0]}),
-    ("pareto", "negative", {"x": [-1.0, 2.0, 3.0]}),
-    ("pareto", "zero", {"x": [0.0, 2.0, 3.0]}),
-    ("pareto", "constant", {"x": [2.0, 2.0, 2.0]}),
-    ("quadreg", "too_few", {"x": [1.0], "y": [1.0]}),
-    ("quadreg", "unequal", {"x": [1.0, 2.0], "y": [1.0, 2.0, 3.0]}),
-    ("quadreg", "zero_design", {"x": [0.0, 0.0, 0.0], "y": [1.0, 2.0, 3.0]}),
-    ("quadreg", "two_x_values", {"x": [1.0, 2.0, 1.0, 2.0], "y": [1.0, 2.0, 3.0, 4.0]}),
+    ("normal", "too_few", {"x": [1.0]}, DomainError, "group 'x' needs at least two observations"),
+    ("normal", "constant", {"x": [2.0, 2.0, 2.0]}, DegenerateDataError,
+     "group 'x' has zero sample variance"),
+    ("pareto", "too_few", {"x": [2.0]}, DomainError, "pareto model needs n >= 2"),
+    ("pareto", "negative", {"x": [-1.0, 2.0, 3.0]}, DomainError, "pareto data must be positive"),
+    ("pareto", "zero", {"x": [0.0, 2.0, 3.0]}, DomainError, "pareto data must be positive"),
+    ("pareto", "constant", {"x": [2.0, 2.0, 2.0]}, DegenerateDataError,
+     "pareto model needs non-constant data"),
+    ("quadreg", "too_few", {"x": [1.0], "y": [1.0]}, DomainError, "quadreg needs n >= 2"),
+    ("quadreg", "unequal", {"x": [1.0, 2.0], "y": [1.0, 2.0, 3.0]}, DomainError,
+     "quadreg needs x and y of equal length"),
+    ("quadreg", "zero_design", {"x": [0.0, 0.0, 0.0], "y": [1.0, 2.0, 3.0]}, DegenerateDataError,
+     "design is degenerate: x takes fewer than three distinct values"),
+    ("quadreg", "two_x_values", {"x": [1.0, 2.0, 1.0, 2.0], "y": [1.0, 2.0, 3.0, 4.0]},
+     DegenerateDataError, "design is degenerate: x takes fewer than three distinct values"),
     # Three distinct x whose squares underflow to 0: R has a zero diagonal.
     ("quadreg", "underflowing_square", {"x": [0.0, 1e-200, 2e-200, 3e-200],
-                                        "y": [1.0, 2.0, 0.5, 3.0]}),
-    ("gamma", "too_few", {"x": [2.0]}),
-    ("gamma", "negative", {"x": [-1.0, 2.0, 3.0]}),
-    ("gamma", "zero", {"x": [0.0, 2.0, 3.0]}),
-    ("gamma", "constant", {"x": [2.0, 2.0, 2.0]}),
-    ("beta", "too_few", {"x": [0.5]}),
-    ("beta", "above_one", {"x": [0.5, 1.5, 0.2]}),
-    ("beta", "at_one", {"x": [0.5, 1.0, 0.2]}),
-    ("beta", "at_zero", {"x": [0.5, 0.0, 0.2]}),
-    ("beta", "constant", {"x": [0.5, 0.5, 0.5]}),
-    ("behrens_fisher", "too_few", {"x": [1.0], "y": [1.0, 2.0]}),
-    ("behrens_fisher", "constant", {"x": [1.0, 2.0], "y": [3.0, 3.0, 3.0]}),
-    ("bivariate_normal", "too_few", {"x": [1.0, 2.0], "y": [2.0, 1.0]}),
-    ("bivariate_normal", "unequal", {"x": [1.0, 2.0, 3.0], "y": [1.0, 2.0, 3.0, 4.0]}),
-    ("bivariate_normal", "constant", {"x": [1.0, 2.0, 3.0], "y": [5.0, 5.0, 5.0]}),
+                                        "y": [1.0, 2.0, 0.5, 3.0]},
+     DegenerateDataError, "design [1, x, x^2] is singular or overflows in floating point"),
+    # x^4 overflows in the sums of the normal equations; x^2 overflows in
+    # the design's QR; y^2 overflows in y'y and the residual sums.
+    ("quadreg", "overflowing_fourth_power", {"x": [1e77, 2e77, 3e77, 4e77],
+                                             "y": [1.0, 2.0, 0.5, 3.0]},
+     DegenerateDataError, "quadreg data overflow in floating point"),
+    ("quadreg", "overflowing_square", {"x": [1e200, 2e200, 3e200, 4e200],
+                                       "y": [1.0, 2.0, 0.5, 3.0]},
+     DegenerateDataError, "quadreg data overflow in floating point"),
+    ("quadreg", "overflowing_y", {"x": [0.0, 1.0, 2.0, 3.0],
+                                  "y": [1e160, -2e160, 5e159, 3e160]},
+     DegenerateDataError, "quadreg data overflow in floating point"),
+    ("gamma", "too_few", {"x": [2.0]}, DomainError, "gamma model needs n >= 2"),
+    ("gamma", "negative", {"x": [-1.0, 2.0, 3.0]}, DomainError, "gamma data must be positive"),
+    ("gamma", "zero", {"x": [0.0, 2.0, 3.0]}, DomainError, "gamma data must be positive"),
+    ("gamma", "constant", {"x": [2.0, 2.0, 2.0]}, DegenerateDataError,
+     "gamma model needs non-constant data"),
+    ("beta", "too_few", {"x": [0.5]}, DomainError, "beta model needs n >= 2"),
+    ("beta", "above_one", {"x": [0.5, 1.5, 0.2]}, DomainError,
+     "beta data must lie strictly inside (0, 1)"),
+    ("beta", "at_one", {"x": [0.5, 1.0, 0.2]}, DomainError,
+     "beta data must lie strictly inside (0, 1)"),
+    ("beta", "at_zero", {"x": [0.5, 0.0, 0.2]}, DomainError,
+     "beta data must lie strictly inside (0, 1)"),
+    ("beta", "constant", {"x": [0.5, 0.5, 0.5]}, DegenerateDataError,
+     "beta model needs non-constant data"),
+    ("behrens_fisher", "too_few", {"x": [1.0], "y": [1.0, 2.0]}, DomainError,
+     "group 'x' needs at least two observations"),
+    ("behrens_fisher", "constant", {"x": [1.0, 2.0], "y": [3.0, 3.0, 3.0]}, DegenerateDataError,
+     "group 'y' has zero sample variance"),
+    ("bivariate_normal", "too_few", {"x": [1.0, 2.0], "y": [2.0, 1.0]}, DomainError,
+     "bivariate_normal needs n >= 3"),
+    ("bivariate_normal", "unequal", {"x": [1.0, 2.0, 3.0], "y": [1.0, 2.0, 3.0, 4.0]},
+     DomainError, "bivariate_normal needs x and y of equal length"),
+    ("bivariate_normal", "constant", {"x": [1.0, 2.0, 3.0], "y": [5.0, 5.0, 5.0]},
+     DegenerateDataError, "bivariate_normal needs non-constant columns"),
 ]
 
 
-@pytest.mark.parametrize("model,columns", [(m, c) for m, _, c in HOSTILE_DATA],
-                         ids=[f"{m}-{case}" for m, case, _ in HOSTILE_DATA])
-def test_hostile_data_raises_typed_error(model, columns):
+@pytest.mark.parametrize("model,columns,error,message",
+                         [(m, *rest) for m, _, *rest in HOSTILE_DATA],
+                         ids=[f"{m}-{case}" for m, case, *_ in HOSTILE_DATA])
+def test_hostile_data_raises_typed_error(model, columns, error, message):
     # build_conditionals is the one data check: it, run and check_model
-    # raise a typed error, never a RuntimeWarning (an error in this suite)
-    # or a numpy ValueError.
+    # raise the same typed error, never a RuntimeWarning (an error in this
+    # suite) or a numpy ValueError.  pareto, gamma and beta share one check,
+    # which keeps each family's messages.
     spec = get_model(model)
     data = Dataset(columns)
-    typed = (DomainError, DegenerateDataError)
-    with pytest.raises(typed):
+    match = re.escape(message)
+    with pytest.raises(error, match=match):
         spec.build_conditionals(data)
-    with pytest.raises(typed):
+    with pytest.raises(error, match=match):
         run(spec, data, ChainConfig(m=20, b=5, chains=2, seed=1))
-    with pytest.raises(typed):
+    with pytest.raises(error, match=match):
         check_model(spec, data)
 
 

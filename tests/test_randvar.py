@@ -16,7 +16,7 @@ from fidgibbs import (
     quantile,
     sample,
 )
-from fidgibbs import models
+from fidgibbs import models, randvar
 from fidgibbs.randvar import BLOCK_SIZE, MAX_BLOCK_LAWS, block_args, unit_rate_gamma
 
 N_DRAWS = 200_000
@@ -183,6 +183,16 @@ class TestQuantile:
             assert abs(quantile(dist, min(max(cdf, 1e-15), 1 - 1e-15)) - x) < max(1e-6, 1e-6 * abs(x))
 
 
+# Per kind drawn in blocks: laws to draw, and the value sample makes of
+# the block's value g for a law d.
+FROM_BLOCK = {
+    Normal: ((Normal(0.0, 1.0), Normal(1.5, 4.0)), lambda d, g: d.mean + math.sqrt(d.var) * g),
+    TruncatedNormal: ((TruncatedNormal(0.0, 1.0, -5.0, 5.0),), lambda d, g: g),
+    ChiSquare: ((ChiSquare(50.0),), lambda d, g: g),
+    Exponential: ((Exponential(1.0), Exponential(0.5)), lambda d, g: g / d.rate),
+}
+
+
 class TestBlocks:
     """Fixed-law kinds are drawn in blocks of BLOCK_SIZE per stream."""
 
@@ -246,8 +256,7 @@ class TestBlocks:
                                      for law in laws[-MAX_BLOCK_LAWS:]]
 
     @pytest.mark.parametrize("dist", [
-        Normal(0.0, 1.0), Normal(1.5, 4.0), TruncatedNormal(0.0, 1.0, -5.0, 5.0),
-        ChiSquare(50.0), Exponential(1.0), Exponential(0.5)], ids=repr)
+        law for kind in randvar._BLOCK_FILLS for law in FROM_BLOCK[kind][0]], ids=repr)
     def test_fixed_draw_is_sample(self, dist):
         # A fixed law drawn as the kernels take their primaries, one
         # rng.take(key, fill, law) with block_args' values bound once, over
@@ -255,6 +264,8 @@ class TestBlocks:
         # standard law of each of the four block kinds (the kernels'
         # primaries) the taken value is sample's value and bits; for the
         # others it is the standard draw that sample shifts and scales.
+        # The laws come from randvar's block-kind table, so a kind added
+        # there needs an entry in FROM_BLOCK, which sample must match.
         key, fill, law = block_args(dist)
         assert law is dist
         other = ChiSquare(3.0)
@@ -264,12 +275,7 @@ class TestBlocks:
             taken.append(ra.take(key, fill, law))
             sampled.append(sample(dist, rb))
             assert sample(other, ra) == sample(other, rb)
-        if isinstance(dist, Normal):
-            from_block = [dist.mean + math.sqrt(dist.var) * g for g in taken]
-        elif isinstance(dist, Exponential):
-            from_block = [g / dist.rate for g in taken]
-        else:
-            from_block = taken
+        from_block = [FROM_BLOCK[type(dist)][1](dist, g) for g in taken]
         assert [x.hex() for x in from_block] == [x.hex() for x in sampled]
         standard = dist in (models._STD_NORMAL, models._STD_TRUNCNORM, models._STD_EXPONENTIAL)
         if standard or isinstance(dist, ChiSquare):
